@@ -4,6 +4,10 @@ Each suite runs randomized instances and collects violations; a failing
 finite-AF property is shrunk by greedy argument removal before being
 reported, so the dump is the smallest AF (under that greedy strategy)
 still violating the property.
+
+The module also keeps slow, independent reference engines (an
+all-subsets least fixpoint and the round-by-round loops the stage
+kernel replaced) that the suites and tests compare the library against.
 """
 
 from __future__ import annotations
@@ -18,10 +22,13 @@ from .constructions import (
     disjoint_union_with_embedding,
     ordinal_target_af,
 )
-from .core import FiniteAF, format_apx, parse_apx
+from .core import FiniteAF, LazyAF, format_apx, parse_apx
 from .errors import TransfiniteAFError
 from .grounded import (
+    GroundedResult,
+    OmegaApproximation,
     SymbolicStageMap,
+    _attacker_closure,
     grounded_finite,
     stages_finite,
     verify_symbolic_stages,
@@ -30,7 +37,6 @@ from .ordinals import (
     NEVER,
     OMEGA,
     ZERO,
-    AffineOrdinalExpr,
     Ordinal,
     format_ordinal,
     fundamental_sequence,
@@ -150,6 +156,87 @@ def bitmask_least_fixpoint(af: FiniteAF) -> frozenset:
     return frozenset(i for i in range(n) if least >> i & 1)
 
 
+# -- round-by-round engines, kept as references for the stage kernel ------------
+
+
+def iterated_defense_step(af: FiniteAF) -> GroundedResult:
+    """grounded_finite by applying FiniteAF.defense_step until it is stable.
+
+    Every round rescans all n arguments, so a run costs
+    Theta(rounds * (n+m)); the library computes the same result with its
+    O(n+m) stage kernel.
+    """
+    stages: Dict[int, object] = {}
+    current: frozenset = frozenset()
+    k = 0
+    while True:
+        nxt = af.defense_step(current)
+        if nxt == current:
+            break
+        k += 1
+        for x in nxt - current:
+            stages[x] = Ordinal.from_int(k)
+        current = nxt
+    for x in range(af.n):
+        stages.setdefault(x, NEVER)
+    return GroundedResult(current, Ordinal.from_int(k), stages)
+
+
+def eliminated_self_defending(af: FiniteAF) -> frozenset:
+    """Greatest fixpoint from the full universe: drop any argument with
+    an attacker that the current set no longer counter-attacks."""
+    current = set(range(af.n))
+    while True:
+        doomed = [
+            x for x in current
+            if any(not any(z in current for z in af.attackers_of(y))
+                   for y in af.attackers_of(x))
+        ]
+        if not doomed:
+            return frozenset(current)
+        current.difference_update(doomed)
+
+
+def predicate_omega_approximation(af: LazyAF, window: int, steps: int,
+                                  closure_cap: Optional[int] = None
+                                  ) -> OmegaApproximation:
+    """omega_approximation with rounds that query the attack predicate.
+
+    Each round scans every (stage member, closure argument) pair through
+    af.attacks, so a round costs O(|G_k| * |closure|) predicate calls.
+    """
+    if window < 1 or steps < 1:
+        raise ValueError("window and steps must be >= 1")
+    if closure_cap is None:
+        closure_cap = max(8 * window + 64, 256)
+    attackers = _attacker_closure(af, window, closure_cap)
+    closure = set(attackers)
+
+    stages: Dict[int, Ordinal] = {}
+    current: set = set()
+    stabilized = False
+    for k in range(1, steps + 1):
+        attacked = set()
+        for y in current:
+            for b in closure:
+                if af.attacks(y, b):
+                    attacked.add(b)
+        nxt = {x for x in closure if all(b in attacked for b in attackers[x])}
+        if nxt == current:
+            stabilized = True
+            break
+        for x in nxt - current:
+            stages[x] = Ordinal.from_int(k)
+        current = nxt
+
+    rest = closure - set(stages)
+    if stabilized:
+        return OmegaApproximation(stages, frozenset(rest), frozenset(),
+                                  frozenset(closure), True)
+    return OmegaApproximation(stages, frozenset(), frozenset(rest),
+                              frozenset(closure), False)
+
+
 # -- the lemma suite -------------------------------------------------------------
 
 
@@ -183,9 +270,7 @@ def run_lemma_suite(trials: int, max_args: int, seed: int) -> SuiteResult:
                    lambda a: grounded_finite(a).grounding_ordinal > a.n)
 
         def bad_dual(a):
-            rr = grounded_finite(a)
-            return largest_self_defending(a) != \
-                frozenset(range(a.n)) - a.plus_set(rr.grounded)
+            return largest_self_defending(a) != eliminated_self_defending(a)
 
         if bad_dual(af):
             report(af, "largest self-defending is not the complement of G+",

@@ -23,7 +23,6 @@ from .constructions import (
 from .core import (
     ApxParseError,
     FiniteAF,
-    LazyAF,
     format_apx,
     format_dot,
 )
@@ -36,9 +35,10 @@ from .ordinals import (
     parse_ordinal,
 )
 from .rank_analysis import (
+    _ta_rank,
+    _witness_path,
     expand_ts,
     largest_self_defending,
-    ta_rank,
     ts_path_exists,
     witness_path,
 )
@@ -263,12 +263,12 @@ def cmd_reduce(args) -> int:
         return EXIT_OK
     if args.reduce_command == "ta":
         a = af.index_of(args.arg)
-        grounded = grounded_finite(af).grounded
-        if a in grounded:
-            rank = ta_rank(af, a)
+        result = grounded_finite(af)
+        if a in result.grounded:
+            rank = _ta_rank(af, a, result)
             payload = {"path_exists": False, "rank": format_ordinal(rank)}
         else:
-            prefix = witness_path(af, a, args.depth)
+            prefix = _witness_path(af, a, args.depth, result)
             payload = {"path_exists": True, "prefix": list(prefix)}
         _emit(json.dumps(payload, sort_keys=True))
         return EXIT_OK

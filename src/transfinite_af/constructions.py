@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .core import (

@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Tuple
-
-from .errors import DomainError
 
 
 # -- pairing -------------------------------------------------------------

@@ -2,13 +2,18 @@
 
 Three regimes:
 
-* finite AFs: exact stage iteration of the defense function from the
-  empty set; stabilizes within n rounds and yields the least fixpoint.
+* finite AFs: the stages of the defense function from the empty set,
+  built as layers by one counter-based worklist kernel (the grounded
+  labelling of Modgil & Caminada 2009 and of Nofal, Atkinson & Dunne,
+  Computer J. 2021).  Every argument counts its attackers not yet
+  defeated; an argument entering G_k defeats its targets, and an
+  argument whose count drops to 0 joins G_{k+1}.  Each attack is touched
+  a constant number of times, so a run costs O(n+m).
 
-* finitary lazy AFs: an attacker-closed window is iterated; stages are
-  exact for every argument of the closure (the closure makes the
-  restricted iteration agree with the global one level by level), and a
-  stabilized closure decides NEVER too.
+* finitary lazy AFs: an attacker-closed window is iterated with the same
+  kernel; stages are exact for every argument of the closure (the
+  closure makes the restricted iteration agree with the global one level
+  by level), and a stabilized closure decides NEVER too.
 
 * family-presented lazy AFs: a symbolic verifier.  Inferring closed-form
   stages for arbitrary lazy AFs is not computable, so generators ship
@@ -22,20 +27,45 @@ Three regimes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from itertools import islice
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .core import AttackerFamily, AttackerSpec, FiniteAF, IndexMap, LazyAF, \
     spot_check_attacker_spec
 from .errors import ClosureError, DomainError, IncompleteStageMap
-from .ordinals import (
-    NEVER,
-    ZERO,
-    AffineOrdinalExpr,
-    Ordinal,
-    StageValue,
-    _Never,
-)
+from .ordinals import NEVER, ZERO, Ordinal, StageValue
+
+
+# -- the stage kernel -----------------------------------------------------------
+
+
+def _stage_layers(nodes: Iterable[int], attackers, targets) -> Iterator[List[int]]:
+    """Yield the layers G_1 - G_0, G_2 - G_1, ... while they are nonempty.
+
+    `attackers[x]` and `targets[x]` list, for every node x, the attack
+    edges into and out of x inside the node set; the set must be closed
+    under attackers.  `pending[x]` counts the attackers of x not yet
+    defeated, so x joins the layer after the one that defeats its last
+    attacker.  Each argument is defeated once and each of its outgoing
+    edges decrements one count once: O(n+m) over the whole run.
+    """
+    pending = {x: len(attackers[x]) for x in nodes}
+    layer = [x for x, count in pending.items() if not count]
+    defeated = set()
+    while layer:
+        yield layer
+        nxt = []
+        for x in layer:
+            for d in targets[x]:
+                if d in defeated:
+                    continue
+                defeated.add(d)
+                for t in targets[d]:
+                    pending[t] -= 1
+                    if not pending[t]:
+                        nxt.append(t)
+        layer = nxt
 
 
 # -- finite engine ------------------------------------------------------------
@@ -51,25 +81,23 @@ class GroundedResult:
 
 
 def grounded_finite(af: FiniteAF) -> GroundedResult:
-    """Iterate the defense function from the empty set to its fixpoint.
+    """Least fixpoint of the defense function, with every argument's stage.
 
-    The result is the least fixpoint; the grounding ordinal is the least
-    k with G_k = G, a natural number bounded by the argument count.
+    The stages G_1 <= G_2 <= ... are built as layers by the counter-based
+    kernel in O(n+m) for n arguments and m attacks.  The stage of x is
+    the k with x in G_k - G_{k-1}, or NEVER; the grounding ordinal is the
+    least k with G_k = G, a natural number bounded by the argument count.
     """
-    stages: Dict[int, StageValue] = {}
-    current: frozenset = frozenset()
+    stages: Dict[int, StageValue] = dict.fromkeys(range(af.n), NEVER)
+    grounded = []
     k = 0
-    while True:
-        nxt = af.defense_step(current)
-        if nxt == current:
-            break
-        k += 1
-        for x in nxt - current:
-            stages[x] = Ordinal.from_int(k)
-        current = nxt
-    for x in range(af.n):
-        stages.setdefault(x, NEVER)
-    return GroundedResult(current, Ordinal.from_int(k), stages)
+    for k, layer in enumerate(_stage_layers(range(af.n), af._rev, af._fwd),
+                              start=1):
+        stage = Ordinal.from_int(k)
+        for x in layer:
+            stages[x] = stage
+        grounded += layer
+    return GroundedResult(frozenset(grounded), Ordinal.from_int(k), stages)
 
 
 def stages_finite(af: FiniteAF) -> Dict[int, StageValue]:
@@ -97,29 +125,21 @@ class OmegaApproximation:
     stabilized: bool
 
 
-def omega_approximation(af: LazyAF, window: int, steps: int,
-                        closure_cap: Optional[int] = None) -> OmegaApproximation:
-    """Iterate stages over the attacker closure of [0, window).
+def _attacker_closure(af: LazyAF, window: int,
+                      closure_cap: int) -> Dict[int, Tuple[int, ...]]:
+    """{x: explicit attackers of x} over the attacker closure of [0, window).
 
-    Every closure argument must have a purely explicit attacker spec;
-    family-presented attackers belong to the symbolic engine.  The
-    closure is grown by reverse reachability and capped: breaching the
-    cap is an error naming the offending argument, never a silent
-    truncation.
+    Grown by reverse reachability; a family-presented attacker spec is a
+    DomainError and breaching the cap a ClosureError naming the argument
+    being closed.
     """
-    if window < 1 or steps < 1:
-        raise ValueError("window and steps must be >= 1")
-    if closure_cap is None:
-        closure_cap = max(8 * window + 64, 256)
     hi = window if af.universe is None else min(window, af.universe)
-    closure = set()
     frontier = list(range(hi))
     attackers: Dict[int, Tuple[int, ...]] = {}
     while frontier:
         a = frontier.pop()
-        if a in closure:
+        if a in attackers:
             continue
-        closure.add(a)
         spec = af.attacker_spec(a)
         if spec.families:
             raise DomainError(
@@ -127,36 +147,52 @@ def omega_approximation(af: LazyAF, window: int, steps: int,
                 "use the symbolic engine")
         attackers[a] = spec.explicit
         for b in spec.explicit:
-            if b not in closure:
-                if len(closure) + len(frontier) >= closure_cap:
+            if b not in attackers:
+                if len(attackers) + len(frontier) >= closure_cap:
                     raise ClosureError(
                         f"attacker closure of window {window} exceeded cap "
                         f"{closure_cap} while closing argument {a}", a)
                 frontier.append(b)
+    return attackers
+
+
+def omega_approximation(af: LazyAF, window: int, steps: int,
+                        closure_cap: Optional[int] = None) -> OmegaApproximation:
+    """Stages of the attacker closure of [0, window), for up to `steps` rounds.
+
+    Every closure argument must have a purely explicit attacker spec;
+    family-presented attackers belong to the symbolic engine.  The
+    closure is grown by reverse reachability and capped: breaching the
+    cap is an error naming the offending argument, never a silent
+    truncation.  The rounds run the stage kernel of `grounded_finite`
+    over the closure, with target lists inverted from the attacker
+    specs, in O(closure + its attacks).  The result is `stabilized` only
+    when some round within `steps` adds no argument.
+    """
+    if window < 1 or steps < 1:
+        raise ValueError("window and steps must be >= 1")
+    if closure_cap is None:
+        closure_cap = max(8 * window + 64, 256)
+    attackers = _attacker_closure(af, window, closure_cap)
+    targets: Dict[int, List[int]] = {x: [] for x in attackers}
+    for x, xs in attackers.items():
+        for b in xs:
+            targets[b].append(x)
 
     stages: Dict[int, Ordinal] = {}
-    current: set = set()
-    stabilized = False
-    for k in range(1, steps + 1):
-        attacked = set()
-        for y in current:
-            for b in closure:
-                if af.attacks(y, b):
-                    attacked.add(b)
-        nxt = {x for x in closure if all(b in attacked for b in attackers[x])}
-        if nxt == current:
-            stabilized = True
-            break
-        for x in nxt - current:
-            stages[x] = Ordinal.from_int(k)
-        current = nxt
+    layers = _stage_layers(attackers, attackers, targets)
+    rounds = 0
+    for rounds, layer in enumerate(islice(layers, steps), start=1):
+        stage = Ordinal.from_int(rounds)
+        for x in layer:
+            stages[x] = stage
+    stabilized = rounds < steps
 
+    closure = frozenset(attackers)
     rest = closure - set(stages)
     if stabilized:
-        return OmegaApproximation(stages, frozenset(rest), frozenset(),
-                                  frozenset(closure), True)
-    return OmegaApproximation(stages, frozenset(), frozenset(rest),
-                              frozenset(closure), False)
+        return OmegaApproximation(stages, rest, frozenset(), closure, True)
+    return OmegaApproximation(stages, frozenset(), rest, closure, False)
 
 
 # -- symbolic stage maps --------------------------------------------------------

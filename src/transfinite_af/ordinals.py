@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from typing import Iterable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 
 class OrdinalParseError(ValueError):

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .core import Affine, FiniteAF, IndexMap, LazyAF, pair, unpair
+from .core import Affine, FiniteAF, pair, unpair
 from .errors import CapExceeded, DomainError
-from .grounded import grounded_finite
+from .grounded import GroundedResult, grounded_finite
 from .ordinals import NEVER, Ordinal
 from .trees import ChildFamily, ChildrenSpec, LazyTree, NodePath
 
@@ -45,19 +45,13 @@ def mran_of(seed: FrozenSet[int], sigma: NodePath) -> frozenset:
 
 
 def largest_self_defending(af: FiniteAF) -> frozenset:
-    """Greatest fixpoint from the full universe: drop any argument with
-    an attacker that the current set no longer counter-attacks.  Equals
-    the complement of G+."""
-    current = set(range(af.n))
-    while True:
-        doomed = [
-            x for x in current
-            if any(not any(z in current for z in af.attackers_of(y))
-                   for y in af.attackers_of(x))
-        ]
-        if not doomed:
-            return frozenset(current)
-        current.difference_update(doomed)
+    """The largest set that counter-attacks each of its attackers.
+
+    It equals the complement of G+, the arguments the grounded extension
+    attacks, so it costs one run of the O(n+m) stage kernel plus one pass
+    over the attacks of G.
+    """
+    return frozenset(range(af.n)) - af.plus_set(grounded_finite(af).grounded)
 
 
 @dataclass(frozen=True)
@@ -329,7 +323,12 @@ def build_Ta(af, a: int) -> LazyTree:
 
 def ta_rank(af: FiniteAF, a: int, state_cap: int = 250_000) -> Ordinal:
     """Exact rank of T^a; defined exactly when a is grounded."""
-    result = grounded_finite(af)
+    return _ta_rank(af, a, grounded_finite(af), state_cap)
+
+
+def _ta_rank(af: FiniteAF, a: int, result: GroundedResult,
+             state_cap: int = 250_000) -> Ordinal:
+    """ta_rank against an already computed grounded result of af."""
     if a not in result.grounded:
         raise DomainError(
             f"argument {af.name(a)} is not grounded; T^a has a path, not a rank")
@@ -349,9 +348,14 @@ def witness_path(af: FiniteAF, a: int, length: int) -> NodePath:
     attacked levels, the least counter-attacker outside G+ (else 0).
     The committed set never meets G+.
     """
+    return _witness_path(af, a, length, grounded_finite(af))
+
+
+def _witness_path(af: FiniteAF, a: int, length: int,
+                  result: GroundedResult) -> NodePath:
+    """witness_path against an already computed grounded result of af."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    result = grounded_finite(af)
     if a in result.grounded:
         raise DomainError(
             f"argument {af.name(a)} is grounded; T^a has no path")
@@ -436,7 +440,7 @@ def rank_stage_bridge_check(af: FiniteAF, state_cap: int = 250_000) -> BridgeRep
     states_checked = 0
 
     for a in sorted(result.grounded):
-        r = ta_rank(af, a, state_cap).as_int()
+        r = _ta_rank(af, a, result, state_cap).as_int()
         stage = stages[a]
         if stage is NEVER or stage > r + 1:
             violations.append(

@@ -1,10 +1,14 @@
 import json
+import random
 import re
 
 import pytest
 
+from transfinite_af.checks import eliminated_self_defending, iterated_defense_step
 from transfinite_af.cli import main
+from transfinite_af.constructions import materialize_spec, parse_generator_spec
 from transfinite_af.core import FiniteAF, format_apx, parse_apx
+from transfinite_af.ordinals import NEVER, format_ordinal
 
 
 CHAIN_APX = "arg(a0).\narg(a1).\narg(a2).\natt(a0,a1).\natt(a1,a2).\n"
@@ -55,6 +59,43 @@ def test_self_defending(capsys, chain_path):
     code, out, _ = run(capsys, "self-defending", f"apx:{chain_path}")
     assert code == 0
     assert json.loads(out)["largest_self_defending"] == ["a0", "a2"]
+
+
+def _oracle_stdout(af):
+    """What `grounded --stages` and `self-defending` print, from the
+    round-by-round reference engines."""
+    r = iterated_defense_step(af)
+    grounded = {
+        "grounded": [af.name(i) for i in sorted(r.grounded)],
+        "grounding_ordinal": format_ordinal(r.grounding_ordinal),
+        "stages": {af.name(i): "NEVER" if v is NEVER else format_ordinal(v)
+                   for i, v in r.stages.items()},
+    }
+    members = eliminated_self_defending(af)
+    defending = {"largest_self_defending": [af.name(i) for i in sorted(members)]}
+    return (json.dumps(grounded, sort_keys=True) + "\n",
+            json.dumps(defending, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("source", ["bs:truncate=40", "ord:w^2:truncate=4",
+                                    "random"])
+def test_finite_stdout_matches_reference_engines(capsys, tmp_path, source):
+    if source == "random":
+        # sparse, so that the stages run several rounds deep
+        rng = random.Random(5)
+        af = FiniteAF(120, [(rng.randrange(120), rng.randrange(120))
+                            for _ in range(180)])
+    else:
+        af = materialize_spec(parse_generator_spec(source))
+    path = tmp_path / "af.apx"
+    path.write_text(format_apx(af))
+    af = parse_apx(path.read_text())
+    want_grounded, want_defending = _oracle_stdout(af)
+
+    code, out, _ = run(capsys, "grounded", f"apx:{path}", "--stages")
+    assert code == 0 and out == want_grounded
+    code, out, _ = run(capsys, "self-defending", f"apx:{path}")
+    assert code == 0 and out == want_defending
 
 
 def test_tree_commands(capsys, tmp_path):

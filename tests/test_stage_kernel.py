@@ -1,0 +1,169 @@
+"""The O(n+m) stage kernel against the round-by-round engines it replaced.
+
+`grounded_finite`, `largest_self_defending` and `omega_approximation`
+must agree exactly with the reference loops kept in `checks.py`: the same
+grounded set, every stage, the grounding ordinal, the largest
+self-defending set, and every field of a window approximation.
+"""
+
+import random
+
+import pytest
+
+from transfinite_af.checks import (
+    eliminated_self_defending,
+    iterated_defense_step,
+    predicate_omega_approximation,
+)
+from transfinite_af.core import AttackerSpec, FiniteAF, LazyAF
+from transfinite_af.grounded import grounded_finite, omega_approximation
+from transfinite_af.ordinals import NEVER
+from transfinite_af.rank_analysis import largest_self_defending
+
+
+def cycle(n):
+    return FiniteAF(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def shaped_afs():
+    """Hand-picked shapes: empty, isolated, self-attacks, even and odd cycles."""
+    return [
+        FiniteAF(0),
+        FiniteAF(1),
+        FiniteAF(4),
+        FiniteAF(1, [(0, 0)]),
+        FiniteAF(3, [(0, 0), (0, 1), (1, 2)]),
+        FiniteAF(3, [(1, 1), (0, 1), (1, 2)]),
+        cycle(2), cycle(3), cycle(4), cycle(5),
+        # a chain feeding an even cycle, and one feeding an odd cycle
+        FiniteAF(5, [(0, 1), (1, 2), (2, 3), (3, 2), (4, 4)]),
+        FiniteAF(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 2), (5, 0)]),
+        # a long chain: one argument per two rounds
+        FiniteAF(40, [(i, i + 1) for i in range(39)]),
+    ]
+
+
+def random_afs(seed, count, max_args):
+    """Dense and sparse random AFs; self-attacks and cycles occur freely."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, max_args)
+        if rng.random() < 0.5:
+            p = rng.uniform(0.05, 0.5)
+            attacks = [(x, y) for x in range(n) for y in range(n)
+                       if rng.random() < p]
+        else:
+            attacks = [(rng.randrange(n), rng.randrange(n))
+                       for _ in range(rng.randint(0, 2 * n))]
+        out.append(FiniteAF(n, attacks))
+    return out
+
+
+CORPUS = shaped_afs() + random_afs(2026, 300, 14) + random_afs(7, 40, 80)
+
+
+def test_grounded_finite_matches_iterated_defense_step():
+    for af in CORPUS:
+        got = grounded_finite(af)
+        want = iterated_defense_step(af)
+        assert got.grounded == want.grounded, af.attack_pairs
+        assert got.grounding_ordinal == want.grounding_ordinal, af.attack_pairs
+        assert got.stages == want.stages, af.attack_pairs
+        assert sorted(got.stages) == list(range(af.n))
+
+
+def test_largest_self_defending_matches_elimination():
+    for af in CORPUS:
+        assert largest_self_defending(af) == eliminated_self_defending(af), \
+            af.attack_pairs
+
+
+def test_shapes_have_the_expected_stages():
+    assert grounded_finite(FiniteAF(0)).grounding_ordinal == 0
+    assert grounded_finite(FiniteAF(0)).stages == {}
+    assert largest_self_defending(FiniteAF(0)) == frozenset()
+    for n in (2, 3, 4, 5):
+        r = grounded_finite(cycle(n))
+        assert r.grounded == frozenset() and r.grounding_ordinal == 0
+        assert all(v is NEVER for v in r.stages.values())
+        # self-defence does not ask for conflict-freeness: a cycle of any
+        # length counter-attacks each of its own attackers
+        assert largest_self_defending(cycle(n)) == frozenset(range(n))
+    tail = FiniteAF(3, [(0, 1), (1, 2), (2, 1)])
+    assert largest_self_defending(tail) == frozenset({0, 2})
+    chain = grounded_finite(FiniteAF(40, [(i, i + 1) for i in range(39)]))
+    assert chain.grounding_ordinal == 20
+    assert chain.stages[38] == 20 and chain.stages[39] is NEVER
+
+
+# -- the window engine -----------------------------------------------------------
+
+
+def lazy_of(af: FiniteAF, doubled: bool = False) -> LazyAF:
+    """af as a lazy AF with universe n; `doubled` lists each attacker twice."""
+    def spec(i):
+        att = af.attackers_of(i)
+        return AttackerSpec(explicit=att + att if doubled else att)
+
+    return LazyAF(af.attacks, spec, universe=af.n)
+
+
+def infinite_chain():
+    def spec(i):
+        return AttackerSpec(explicit=(() if i == 0 else (i - 1,)))
+
+    return LazyAF(lambda x, y: y == x + 1, spec)
+
+
+def lattice():
+    """Over all of N: i is attacked by i+1 when i is even and by i-1 when
+    i > 0 is odd; every 3rd argument attacks itself too."""
+    def attacks(x, y):
+        return (y % 2 == 0 and x == y + 1) or (y % 2 == 1 and x == y - 1) \
+            or (x == y and y % 3 == 0)
+
+    def spec(i):
+        att = (i + 1,) if i % 2 == 0 else (i - 1,)
+        return AttackerSpec(explicit=att + ((i,) if i % 3 == 0 else ()))
+
+    return LazyAF(attacks, spec)
+
+
+def test_omega_matches_predicate_rounds_on_random_windows():
+    rng = random.Random(404)
+    for af in CORPUS[:120]:
+        if af.n == 0:
+            continue
+        for doubled in (False, True):
+            lazy = lazy_of(af, doubled)
+            window = rng.randint(1, af.n)
+            for steps in (1, 2, 3, af.n, af.n + 2):
+                got = omega_approximation(lazy, window, steps)
+                want = predicate_omega_approximation(lazy, window, steps)
+                assert got == want, (af.attack_pairs, window, steps)
+
+
+@pytest.mark.parametrize("make", [infinite_chain, lattice])
+def test_omega_matches_predicate_rounds_on_infinite_afs(make):
+    for window in (1, 2, 5, 10, 17):
+        for steps in range(1, 12):
+            got = omega_approximation(make(), window, steps)
+            want = predicate_omega_approximation(make(), window, steps)
+            assert got == want, (window, steps)
+
+
+def test_omega_not_stabilized_when_every_round_adds():
+    # the closure of window 10 has five nonempty rounds; with exactly five
+    # steps no round is seen to add nothing, so nothing is decided NEVER
+    approx = omega_approximation(infinite_chain(), window=10, steps=5)
+    assert not approx.stabilized
+    assert approx.stages == {0: 1, 2: 2, 4: 3, 6: 4, 8: 5}
+    assert approx.never == frozenset()
+    assert approx.unknown == frozenset({1, 3, 5, 7, 9})
+    assert approx.closure == frozenset(range(10))
+    assert approx == predicate_omega_approximation(infinite_chain(), 10, 5)
+
+    more = omega_approximation(infinite_chain(), window=10, steps=6)
+    assert more.stabilized and more.stages == approx.stages
+    assert more.never == frozenset({1, 3, 5, 7, 9}) and not more.unknown
