@@ -57,6 +57,10 @@ EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 
+# Cap on reduce's --depth and --length: path search and witness output
+# grow in proportion to them, so larger values are refused up front.
+MAX_PATH_LENGTH = 100_000
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -248,6 +252,10 @@ def _resolve_args(af: FiniteAF, names: str) -> frozenset:
 
 
 def cmd_reduce(args) -> int:
+    flag, size = (("--length", args.length) if args.reduce_command == "witness"
+                  else ("--depth", args.depth))
+    if size > MAX_PATH_LENGTH:
+        raise ValueError(f"{flag} {size} exceeds the cap of {MAX_PATH_LENGTH}")
     af = _require_finite(_materialize(args.af), "reduce")
     if args.reduce_command == "ts":
         seed = _resolve_args(af, args.set)
@@ -318,7 +326,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (KeyError, FileNotFoundError) as e:
+    except (KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except DomainError as e:

@@ -11,8 +11,11 @@ Index codings are generator-owned injective maps published here:
 * the lazy two-chain family interleaves a_i at 2i with b_i at 2i+1 (no
   padding).
 
-* disjoint unions place part p's argument j at pair(p, j); all-finite
-  unions are compacted to a finite AF instead.
+* unions place part p's argument j at pair(p, j).  One indexed union
+  serves both union(...) specs and limit ordinal targets (whose parts walk
+  the fundamental sequence); indices past a finite part's arguments, and
+  slices past the last part, are padding as above.  All-finite unions
+  are compacted to a finite AF instead.
 
 Tests address arguments through structured names (a_0_1, b3, u2_a0),
 never raw indices.
@@ -20,9 +23,10 @@ never raw indices.
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .core import (
     Affine,
@@ -37,8 +41,9 @@ from .core import (
     parse_apx,
     unpair,
 )
-from .errors import DomainError, UnsupportedExpression
-from .grounded import StageFamily, SymbolicStageMap, stages_finite
+from .errors import UnsupportedExpression
+from .grounded import StageFamily, SymbolicStageMap, _attacker_spec_of, \
+    stages_finite
 from .ordinals import (
     NEVER,
     ONE,
@@ -233,24 +238,29 @@ def baumann_spanring(truncate: Optional[int] = None):
         return y == 1 and x % 2 == 0 and (x // 2) % 2 == 1
 
     k_plus_1 = AffineOrdinalExpr.affine(1, 1)
+    odd_a = IndexMap.affine(4, 2)
 
     def spec(i: int) -> AttackerSpec:
         if i == 0:
             return AttackerSpec()
         if i == 1:
-            fam = AttackerFamily(IndexMap.affine(4, 2), 0, k_plus_1)
-            return AttackerSpec(families=(fam,))
+            return AttackerSpec(families=(AttackerFamily(odd_a, 0, k_plus_1),))
         return AttackerSpec(explicit=(i - 2,))
+
+    def family_all_never(fam: AttackerFamily) -> Optional[bool]:
+        # b_0's attackers, the odd a's, never enter G
+        return True if fam.index_map == odd_a else None
 
     w_plus_k_plus_1 = AffineOrdinalExpr(((ONE, 0, 1), (ZERO, 1, 1)))
     candidate = SymbolicStageMap(
         families=(
             StageFamily(IndexMap.affine(4, 0), k_plus_1),
-            StageFamily(IndexMap.affine(4, 2), NEVER),
+            StageFamily(odd_a, NEVER),
             StageFamily(IndexMap.affine(4, 1), w_plus_k_plus_1, k_start=1),
             StageFamily(IndexMap.affine(4, 3), NEVER),
         ),
         exceptions={1: Ordinal(((ONE, 1),)) + 1},  # b_0 enters just past w
+        family_all_never=family_all_never,
     )
 
     def naming(i: int) -> str:
@@ -260,62 +270,97 @@ def baumann_spanring(truncate: Optional[int] = None):
                   candidate_stages=candidate)
 
 
-# -- ordinal-targeted AFs ---------------------------------------------------------
+# -- indexed unions -----------------------------------------------------------------
 
 
-def _omega_union(parts: Callable[[int], LazyAF],
-                 part_candidate: Callable[[int], SymbolicStageMap],
-                 cofinal: Tuple[StageFamily, ...],
-                 sup_value: Ordinal) -> LazyAF:
-    """Union over all naturals of uniformly presented lazy parts."""
+class _Slice(NamedTuple):
+    """Part p of an indexed union, with what the union's callbacks need."""
 
-    cache: Dict[int, LazyAF] = {}
+    part: object  # FiniteAF | LazyAF | None past the last part
+    size: float  # arguments before the padding: inf for a lazy part
+    attacks: Callable[[int, int], bool]
+    stage: Optional[Callable[[int], object]]
 
-    def part(p: int) -> LazyAF:
-        if p not in cache:
-            cache[p] = parts(p)
-        return cache[p]
+
+def _union(parts: Callable[[int], object], families: Tuple[StageFamily, ...],
+           sup: Optional[Tuple[Ordinal, bool, Optional[int]]]) -> LazyAF:
+    """The union of parts(0), parts(1), ... with part p's argument j at pair(p, j).
+
+    parts(p) is a finite or lazy AF, or None past the last part.  Indices
+    past a finite part's n, and slices past the last part, are padding at
+    stage 1.  sup = (value, attained, witness) attaches a candidate stage
+    map: `families`, then each part's stages (lazy parts need candidates).
+    """
+    cache: Dict[int, _Slice] = {}
+
+    def slice_of(p: int) -> _Slice:
+        s = cache.get(p)
+        if s is None:
+            part = parts(p)
+            if part is None:
+                s = _Slice(None, 0, lambda jx, jy: False, None)
+            elif isinstance(part, FiniteAF):
+                s = _Slice(part, part.n,
+                           lambda jx, jy: (jx, jy) in part.attack_pairs,
+                           stages_finite(part).__getitem__ if sup else None)
+            else:
+                s = _Slice(part, math.inf, part.attacks,
+                           part.candidate_stages.stage_of if sup else None)
+            cache[p] = s
+        return s
 
     def predicate(x: int, y: int) -> bool:
         px, jx = unpair(x)
         py, jy = unpair(y)
-        return px == py and part(px).attacks(jx, jy)
+        return px == py and slice_of(px).attacks(jx, jy)
 
     def spec(x: int) -> AttackerSpec:
         p, j = unpair(x)
-        inner = part(p).attacker_spec(j)
-        explicit = tuple(pair(p, b) for b in inner.explicit)
-        families = tuple(
-            AttackerFamily(f.index_map.then(PairLeft(p)), f.k_start,
-                           f.defense_stage_expr)
-            for f in inner.families)
-        return AttackerSpec(explicit=explicit, families=families)
+        s = slice_of(p)
+        if j >= s.size:
+            return AttackerSpec()
+        inner = _attacker_spec_of(s.part, j)
+        return AttackerSpec(
+            explicit=tuple(pair(p, b) for b in inner.explicit),
+            families=tuple(replace(f, index_map=f.index_map.then(PairLeft(p)))
+                           for f in inner.families))
 
     def naming(x: int) -> str:
         p, j = unpair(x)
-        return f"u{p}_{part(p).name(j)}"
+        s = slice_of(p)
+        return f"pad_{x}" if j >= s.size else f"u{p}_{s.part.name(j)}"
 
-    def stage_of(x: int):
-        p, j = unpair(x)
-        return part_candidate(p).stage_of(j)
+    candidate = None
+    if sup is not None:
+        def stage_of(x: int):
+            p, j = unpair(x)
+            s = slice_of(p)
+            return ONE if j >= s.size else s.stage(j)
 
-    def family_all_never(fam: AttackerFamily) -> Optional[bool]:
-        if fam.index_map.steps and isinstance(fam.index_map.steps[-1], PairLeft):
-            p = fam.index_map.steps[-1].left
-            inner = AttackerFamily(IndexMap(fam.index_map.steps[:-1]),
-                                   fam.k_start, fam.defense_stage_expr)
-            return part_candidate(p).family_all_never(inner)
-        return None
+        def family_all_never(fam: AttackerFamily) -> Optional[bool]:
+            # attacker families come only from lazy parts, lifted by PairLeft
+            steps = fam.index_map.steps
+            if steps and isinstance(steps[-1], PairLeft):
+                s = slice_of(steps[-1].left)
+                if isinstance(s.part, LazyAF):
+                    return s.part.candidate_stages.family_all_never(
+                        replace(fam, index_map=IndexMap(steps[:-1])))
+            return None
 
-    candidate = SymbolicStageMap(
-        families=cofinal,
-        fallback=stage_of,
-        sup_value=sup_value,
-        sup_attained=False,
-        family_all_never=family_all_never,
-    )
+        value, attained, witness = sup
+        candidate = SymbolicStageMap(
+            families=families,
+            fallback=stage_of,
+            sup_value=value,
+            sup_attained=attained,
+            sup_witness=witness,
+            family_all_never=family_all_never,
+        )
     return LazyAF(predicate, spec, universe=None, naming=naming,
                   candidate_stages=candidate)
+
+
+# -- ordinal-targeted AFs ---------------------------------------------------------
 
 
 def ordinal_target_af(alpha, truncate: Optional[int] = None):
@@ -354,49 +399,27 @@ def ordinal_target_af(alpha, truncate: Optional[int] = None):
                 truncate_tree(tree, width=truncate)).af)
         return disjoint_union(parts)
 
-    def make_part(i: int) -> LazyAF:
-        return af_from_tree(build_tree_of_rank(fundamental_sequence(alpha, i)))
-
-    part_cache: Dict[int, LazyAF] = {}
-
-    def part_candidate(i: int) -> SymbolicStageMap:
-        if i not in part_cache:
-            part_cache[i] = make_part(i)
-        return part_cache[i].candidate_stages
-
-    def cached_part(i: int) -> LazyAF:
-        part_candidate(i)
-        return part_cache[i]
-
     root_stages = fundamental_sequence_expr(alpha).add_finite(1)
-    cofinal = (StageFamily(IndexMap((PairRight(0),)), root_stages),)
-    return _omega_union(cached_part, part_candidate, cofinal, alpha)
+    return _union(
+        lambda i: af_from_tree(build_tree_of_rank(fundamental_sequence(alpha, i))),
+        (StageFamily(IndexMap((PairRight(0),)), root_stages),),
+        (alpha, False, None))
 
 
 # -- disjoint unions ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnionLayout:
-    """How part-local indices embed into the union."""
-
-    embed: Callable[[int, int], int]
-
-    def __call__(self, p: int, j: int) -> int:
-        return self.embed(p, j)
-
-
 def disjoint_union_with_embedding(parts: List):
-    """(union AF, embedding).  Attacks stay within parts.
+    """(union AF, embedding (p, j) -> index).  Attacks stay within parts.
 
     All-finite unions compact the pairing codes into a finite AF; with
-    any lazy part the union lives on all of N, finite parts padded by
-    isolated arguments.
+    any lazy part the union is the indexed union of the list, whose
+    embedding is pair itself.
     """
     parts = list(parts)
     if not parts:
-        return FiniteAF(0), UnionLayout(lambda p, j: (_ for _ in ()).throw(
-            IndexError("empty union")))
+        return FiniteAF(0), lambda p, j: (_ for _ in ()).throw(
+            IndexError("empty union"))
     if all(isinstance(p, FiniteAF) for p in parts):
         coded = sorted((pair(p, j), p, j)
                        for p, part in enumerate(parts)
@@ -410,115 +433,29 @@ def disjoint_union_with_embedding(parts: List):
             for x, y in part.attack_pairs:
                 attacks.append((index[(p, x)], index[(p, y)]))
         af = FiniteAF(len(coded), attacks, names)
-        return af, UnionLayout(lambda p, j: index[(p, j)])
+        return af, lambda p, j: index[(p, j)]
 
-    def is_real(p: int, j: int) -> bool:
-        if p >= len(parts):
-            return False
-        part = parts[p]
-        return isinstance(part, LazyAF) or j < part.n
-
-    def in_part_attacks(p: int, jx: int, jy: int) -> bool:
-        part = parts[p]
-        if isinstance(part, FiniteAF):
-            return jx < part.n and jy < part.n and part.attacks(jx, jy)
-        return part.attacks(jx, jy)
-
-    def predicate(x: int, y: int) -> bool:
-        px, jx = unpair(x)
-        py, jy = unpair(y)
-        return px == py and px < len(parts) and in_part_attacks(px, jx, jy)
-
-    def spec(x: int) -> AttackerSpec:
-        p, j = unpair(x)
-        if not is_real(p, j):
-            return AttackerSpec()
-        part = parts[p]
-        if isinstance(part, FiniteAF):
-            return AttackerSpec(
-                explicit=tuple(pair(p, b) for b in part.attackers_of(j)))
-        inner = part.attacker_spec(j)
-        return AttackerSpec(
-            explicit=tuple(pair(p, b) for b in inner.explicit),
-            families=tuple(
-                AttackerFamily(f.index_map.then(PairLeft(p)), f.k_start,
-                               f.defense_stage_expr)
-                for f in inner.families))
-
-    def naming(x: int) -> str:
-        p, j = unpair(x)
-        if not is_real(p, j):
-            return f"pad_{x}"
-        return f"u{p}_{parts[p].name(j)}"
-
-    finite_stage_cache: Dict[int, Dict[int, object]] = {}
-
-    def part_stage(p: int, j: int):
-        part = parts[p]
-        if isinstance(part, FiniteAF):
-            if p not in finite_stage_cache:
-                finite_stage_cache[p] = stages_finite(part)
-            return finite_stage_cache[p][j]
-        if part.candidate_stages is None:
-            raise DomainError(f"lazy part {p} carries no candidate stage map")
-        return part.candidate_stages.stage_of(j)
-
-    candidate = None
+    families: List[StageFamily] = []
+    sup = None
     if all(isinstance(p, FiniteAF) or p.candidate_stages is not None
            for p in parts):
-        def stage_of(x: int):
-            p, j = unpair(x)
-            if not is_real(p, j):
-                return ONE
-            return part_stage(p, j)
-
         best, attained, witness = ONE, True, None
-        families: List[StageFamily] = []
         for p, part in enumerate(parts):
             if isinstance(part, FiniteAF):
-                stages = stages_finite(part)
-                for j in sorted(stages):
-                    v = stages[j]
-                    if v is not NEVER and v > best:
-                        best, attained, witness = v, True, pair(p, j)
+                cand = SymbolicStageMap.from_finite(stages_finite(part))
             else:
                 cand = part.candidate_stages
-                value, att, wit = cand.declared_sup()
-                for fam in cand.families:
-                    families.append(StageFamily(
-                        fam.index_map.then(PairLeft(p)), fam.stage, fam.k_start))
-                if value > best:
-                    best, attained = value, att
-                    witness = pair(p, wit) if att and wit is not None else None
+                families.extend(replace(f, index_map=f.index_map.then(PairLeft(p)))
+                                for f in cand.families)
+            value, att, wit = cand.declared_sup()
+            if value > best:
+                best, attained = value, att
+                witness = pair(p, wit) if att and wit is not None else None
+        sup = (best, attained, witness)
 
-        def family_all_never(fam: AttackerFamily) -> Optional[bool]:
-            if fam.index_map.steps and isinstance(fam.index_map.steps[-1], PairLeft):
-                p = fam.index_map.steps[-1].left
-                if p >= len(parts):
-                    return None
-                inner_map = IndexMap(fam.index_map.steps[:-1])
-                part = parts[p]
-                if isinstance(part, FiniteAF):
-                    members = [j for _, j in
-                               AttackerFamily(inner_map).members_below(part.n)]
-                    return all(part_stage(p, j) is NEVER for j in members)
-                inner = AttackerFamily(inner_map, fam.k_start,
-                                       fam.defense_stage_expr)
-                return part.candidate_stages.family_all_never(inner)
-            return None
-
-        candidate = SymbolicStageMap(
-            families=tuple(families),
-            fallback=stage_of,
-            sup_value=best,
-            sup_attained=attained,
-            sup_witness=witness,
-            family_all_never=family_all_never,
-        )
-
-    af = LazyAF(predicate, spec, universe=None, naming=naming,
-                candidate_stages=candidate)
-    return af, UnionLayout(lambda p, j: pair(p, j))
+    af = _union(lambda p: parts[p] if p < len(parts) else None,
+                tuple(families), sup)
+    return af, pair
 
 
 def disjoint_union(parts: List):
@@ -576,11 +513,25 @@ def _parse_truncate(piece: str) -> int:
     return value
 
 
+# Each level of a lazy union pairs its part's indices again, which about
+# doubles their digits, so deeper nesting makes sampled indices too large
+# to handle; the parser rejects it.
+MAX_UNION_NESTING = 8
+
+
 def parse_generator_spec(text: str) -> GeneratorSpec:
+    return _parse_spec(text, 0)
+
+
+def _parse_spec(text: str, depth: int) -> GeneratorSpec:
     text = text.strip()
     if text.startswith("union(") and text.endswith(")"):
+        if depth == MAX_UNION_NESTING:
+            raise GeneratorSpecError(
+                f"unions nested deeper than {MAX_UNION_NESTING} levels")
         inner = text[len("union("):-1]
-        parts = tuple(parse_generator_spec(p) for p in _split_top_level(inner))
+        parts = tuple(_parse_spec(p, depth + 1)
+                      for p in _split_top_level(inner))
         return GeneratorSpec("union", parts=parts)
     if text == "bs":
         return GeneratorSpec("bs")

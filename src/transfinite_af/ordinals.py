@@ -448,6 +448,10 @@ def sup(values) -> Ordinal:
 
 _TOKEN = re.compile(r"w|\d+|[\^*+()]")
 
+# The parser, comparison and formatting recurse once per level of
+# parenthesized exponents; past this depth input is rejected, not parsed.
+MAX_ORDINAL_NESTING = 100
+
 
 def _tokenize(text: str):
     tokens = []
@@ -469,6 +473,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.length = length
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -520,9 +525,15 @@ class _Parser:
         # parenthesized ordinal ("w^2+1" is w^2 + 1, not w^3)
         tok = self.peek()
         if tok == "(":
+            if self.depth == MAX_ORDINAL_NESTING:
+                raise OrdinalParseError(
+                    f"exponents nested deeper than {MAX_ORDINAL_NESTING} levels",
+                    self.pos())
             self.take()
+            self.depth += 1
             inner = self.parse_ordinal()
             self.expect(")")
+            self.depth -= 1
             return inner
         if tok == "w":
             self.take()

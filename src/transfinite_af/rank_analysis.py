@@ -27,7 +27,7 @@ from .ordinals import NEVER, Ordinal
 from .trees import ChildFamily, ChildrenSpec, LazyTree, NodePath
 
 __all__ = [
-    "pair", "unpair", "mran_of", "largest_self_defending",
+    "mran_of", "largest_self_defending",
     "SelfDefendingWitness", "build_self_defending_witness",
     "verify_self_defending_witness", "merge_witnesses",
     "build_TS", "ts_rank", "ts_path_exists", "TsDecision",

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from transfinite_af.checks import eliminated_self_defending, iterated_defense_step
-from transfinite_af.cli import main
+from transfinite_af.cli import MAX_PATH_LENGTH, main
 from transfinite_af.constructions import materialize_spec, parse_generator_spec
 from transfinite_af.core import FiniteAF, format_apx, parse_apx
 from transfinite_af.ordinals import NEVER, format_ordinal
@@ -157,6 +157,25 @@ def test_reduce_witness(capsys, chain_path):
     assert code == 3 and "grounded" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["ts", "--set", "a0", "--depth"],
+    ["ta", "--arg", "a1", "--depth"],
+    ["witness", "--arg", "a1", "--length"],
+])
+def test_reduce_sizes_are_capped(capsys, chain_path, command):
+    code, out, err = run(capsys, "reduce", command[0], "--af", f"apx:{chain_path}",
+                         *command[1:], str(MAX_PATH_LENGTH + 1))
+    assert code == 2 and out == ""
+    assert f"{command[-1]} {MAX_PATH_LENGTH + 1} exceeds the cap of " \
+        f"{MAX_PATH_LENGTH}" in err
+
+    code, out, _ = run(capsys, "reduce", command[0], "--af", f"apx:{chain_path}",
+                       *command[1:-1])
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc.get("prefix", doc.get("witness"))) == 100
+
+
 def test_check_passes(capsys):
     code, out, _ = run(capsys, "check", "lemmas", "--trials", "8",
                        "--max-args", "7", "--seed", "42")
@@ -237,6 +256,24 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     assert code == 2
     code, _, _ = run(capsys, "grounded", f"apx:{tmp_path}/missing.apx")
     assert code == 2
+
+
+def test_os_errors_exit_2(capsys, tmp_path):
+    code, _, err = run(capsys, "grounded", f"apx:{tmp_path}")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_deep_nesting_exits_2(capsys):
+    def nested(depth):
+        return "w^(" * depth + "1" + ")" * depth
+
+    code, _, err = run(capsys, "grounded", f"ord:{nested(400)}")
+    assert code == 2 and "nested deeper" in err
+    code, _, err = run(capsys, "tree", "build", "--ordinal", nested(3000))
+    assert code == 2 and "nested deeper" in err
+    code, _, err = run(capsys, "grounded",
+                       "union(" * 1000 + "bs:truncate=2" + ")" * 1000)
+    assert code == 2 and "nested deeper" in err
 
 
 def test_usage_error_exit_2(capsys):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from transfinite_af.constructions import (
+    MAX_UNION_NESTING,
     GeneratorSpec,
     GeneratorSpecError,
     af_from_finite_tree,
@@ -14,7 +15,8 @@ from transfinite_af.constructions import (
     ordinal_target_af,
     parse_generator_spec,
 )
-from transfinite_af.core import FiniteAF, format_apx, pair
+from transfinite_af.core import AttackerFamily, AttackerSpec, FiniteAF, \
+    PairLeft, format_apx, pair, unpair
 from transfinite_af.errors import UnsupportedExpression
 from transfinite_af.grounded import (
     grounded_finite,
@@ -22,7 +24,8 @@ from transfinite_af.grounded import (
     stages_finite,
     verify_symbolic_stages,
 )
-from transfinite_af.ordinals import NEVER, OMEGA, Ordinal, omega_power, parse_ordinal
+from transfinite_af.ordinals import NEVER, OMEGA, Ordinal, fundamental_sequence, \
+    omega_power, parse_ordinal
 from transfinite_af.trees import FiniteTree, build_tree_of_rank, truncate_tree
 
 W2 = OMEGA + OMEGA
@@ -236,11 +239,66 @@ def test_union_stage_preservation_random():
         assert grounded_finite(union).grounding_ordinal == sup_parts
 
 
+def test_two_chain_never_evidence_survives_union():
+    bs = baumann_spanring()
+    odd_a = bs.attacker_spec(1).families[0]
+    assert bs.candidate_stages.family_all_never(odd_a) is True
+    union = materialize_spec(parse_generator_spec("union(bs,ord:w)"))
+    b0 = pair(0, 1)
+    assert union.name(b0) == "u0_b0"
+    lifted = union.attacker_spec(b0).families[0]
+    assert union.candidate_stages.family_all_never(lifted) is True
+
+
 def test_union_lazy_with_finite_part_certifies():
     union = disjoint_union([baumann_spanring(), FiniteAF(3, [(0, 1), (1, 2)])])
     report = verify_symbolic_stages(union, union.candidate_stages, sample=40)
     assert report.ok, report.lines()
     assert report.grounding_ordinal == W2
+
+
+def _union_part(text):
+    """Part p of a union or limit-ordinal spec, or None past the last part."""
+    spec = parse_generator_spec(text)
+    if spec.kind == "union":
+        parts = [materialize_spec(s) for s in spec.parts]
+        return lambda p: parts[p] if p < len(parts) else None
+    alpha = parse_ordinal(spec.param)
+    return lambda p: af_from_tree(
+        build_tree_of_rank(fundamental_sequence(alpha, p)))
+
+
+@pytest.mark.parametrize("text", [
+    "ord:w", "ord:w^2", "ord:w^2*2+w", "union(bs,ord:w)",
+    "union(bs:truncate=3,ord:w^2,bs)", "union(ord:w*2,ord:5)"])
+def test_union_places_part_p_argument_j_at_pair(text):
+    union = materialize_spec(parse_generator_spec(text))
+    part_of = _union_part(text)
+    cand = union.candidate_stages
+    for x in range(160):
+        p, j = unpair(x)
+        part = part_of(p)
+        if part is None or (isinstance(part, FiniteAF) and j >= part.n):
+            assert union.name(x) == f"pad_{x}"
+            assert union.attacker_spec(x) == AttackerSpec()
+            assert cand.stage_of(x) == 1
+            continue
+        assert union.name(x) == f"u{p}_{part.name(j)}"
+        if isinstance(part, FiniteAF):
+            assert union.attacker_spec(x) == AttackerSpec(
+                explicit=tuple(pair(p, b) for b in part.attackers_of(j)))
+            assert cand.stage_of(x) == stages_finite(part)[j]
+            continue
+        inner = part.attacker_spec(j)
+        lifted = tuple(AttackerFamily(f.index_map.then(PairLeft(p)), f.k_start,
+                                      f.defense_stage_expr)
+                       for f in inner.families)
+        assert union.attacker_spec(x) == AttackerSpec(
+            explicit=tuple(pair(p, b) for b in inner.explicit), families=lifted)
+        assert cand.stage_of(x) == part.candidate_stages.stage_of(j)
+        for fam, own in zip(lifted, inner.families):
+            assert (cand.family_all_never(fam)
+                    == part.candidate_stages.family_all_never(own))
 
 
 # -- generator specs ----------------------------------------------------------------
@@ -260,6 +318,19 @@ def test_parse_generator_specs():
                 "ord:w:truncate=-1", "tree:"]:
         with pytest.raises(GeneratorSpecError):
             parse_generator_spec(bad)
+
+
+def test_parse_caps_union_nesting():
+    def nested(depth):
+        return "union(" * depth + "bs" + ")" * depth
+
+    spec = parse_generator_spec(nested(MAX_UNION_NESTING))
+    for _ in range(MAX_UNION_NESTING):
+        spec = spec.parts[0]
+    assert spec == GeneratorSpec("bs")
+    for depth in (MAX_UNION_NESTING + 1, 1000):
+        with pytest.raises(GeneratorSpecError, match="nested deeper"):
+            parse_generator_spec(nested(depth))
 
 
 def test_materialize_specs(tmp_path):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from transfinite_af.ordinals import (
+    MAX_ORDINAL_NESTING,
     NEVER,
     OMEGA,
     ONE,
@@ -152,6 +153,17 @@ def test_parse_errors():
     for bad in ["", "w^", "w++1", "(w", "w^()", "x", "w*", "3 3"]:
         with pytest.raises(OrdinalParseError):
             parse_ordinal(bad)
+
+
+def test_parse_caps_exponent_nesting():
+    def nested(depth):
+        return "w^(" * depth + "w" + ")" * depth
+
+    with pytest.warns(NoncanonicalOrdinalWarning):
+        deepest = parse_ordinal(nested(MAX_ORDINAL_NESTING))
+    assert format_ordinal(deepest).count("(") == MAX_ORDINAL_NESTING - 1
+    with pytest.raises(OrdinalParseError, match="nested deeper"):
+        parse_ordinal(nested(MAX_ORDINAL_NESTING + 1))
 
 
 def test_never_is_top():
