@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from typing import List, Optional
 
 from .checks import run_suites
@@ -57,9 +58,15 @@ EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 
-# Cap on reduce's --depth and --length: path search and witness output
-# grow in proportion to them, so larger values are refused up front.
+# Cap on reduce's --depth and --length and on tree search's --depth and
+# --width: path search and witness output grow in proportion to them, so
+# larger values are refused up front.
 MAX_PATH_LENGTH = 100_000
+
+
+def _check_size(flag: str, size: int) -> None:
+    if size > MAX_PATH_LENGTH:
+        raise ValueError(f"{flag} {size} exceeds the cap of {MAX_PATH_LENGTH}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,6 +239,8 @@ def cmd_tree(args) -> int:
         _emit(tree_to_json(finite))
         return EXIT_OK
     if args.tree_command == "search":
+        _check_size("--depth", args.depth)
+        _check_size("--width", args.width)
         if (args.input is None) == (args.ordinal is None):
             raise DomainError("search needs exactly one of --input/--ordinal")
         tree = (_load_tree(args.input).as_lazy() if args.input
@@ -252,10 +261,10 @@ def _resolve_args(af: FiniteAF, names: str) -> frozenset:
 
 
 def cmd_reduce(args) -> int:
-    flag, size = (("--length", args.length) if args.reduce_command == "witness"
-                  else ("--depth", args.depth))
-    if size > MAX_PATH_LENGTH:
-        raise ValueError(f"{flag} {size} exceeds the cap of {MAX_PATH_LENGTH}")
+    if args.reduce_command == "witness":
+        _check_size("--length", args.length)
+    else:
+        _check_size("--depth", args.depth)
     af = _require_finite(_materialize(args.af), "reduce")
     if args.reduce_command == "ts":
         seed = _resolve_args(af, args.set)
@@ -320,21 +329,27 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else EXIT_PARSE
-    try:
-        return _COMMANDS[args.command](args)
-    except (ApxParseError, OrdinalParseError, GeneratorSpecError,
-            ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except (KeyError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except TransfiniteAFError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
+    # Warnings print as one line without a source location; entering
+    # catch_warnings resets the show-once registry, so each call shows its
+    # own.
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr)
+        try:
+            return _COMMANDS[args.command](args)
+        except (ApxParseError, OrdinalParseError, GeneratorSpecError,
+                ValueError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_PARSE
+        except (KeyError, OSError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_PARSE
+        except DomainError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_DOMAIN
+        except TransfiniteAFError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from .core import (
     parse_apx,
     unpair,
 )
-from .errors import UnsupportedExpression
+from .errors import CapExceeded, UnsupportedExpression
 from .grounded import StageFamily, SymbolicStageMap, _attacker_spec_of, \
     stages_finite
 from .ordinals import (
@@ -54,8 +54,8 @@ from .ordinals import (
     fundamental_sequence_expr,
     parse_ordinal,
 )
-from .trees import FiniteTree, LazyTree, build_tree_of_rank, tree_from_json, \
-    truncate_tree
+from .trees import TRUNCATE_NODE_CAP, FiniteTree, LazyTree, build_tree_of_rank, \
+    tree_from_json, truncate_tree
 
 
 def _path_name(prefix: str, path) -> str:
@@ -86,35 +86,19 @@ class FiniteTreeAF:
 
 
 def af_from_finite_tree(tree: FiniteTree) -> FiniteTreeAF:
-    order = []
-    queue = [()]
-    while queue:
-        p = queue.pop(0)
-        order.append(p)
-        queue.extend(p + (s,) for s in tree.children(p))
-    a_index = {p: 2 * r for r, p in enumerate(order)}
-    b_index = {p: 2 * r + 1 for r, p in enumerate(order)}
-    attacks = []
-    for p in order:
+    a_index = {p: 2 * r for r, p in enumerate(tree.order)}
+    b_index = {p: 2 * r + 1 for r, p in enumerate(tree.order)}
+    attacks, names = [], []
+    for p in tree.order:
         attacks.append((a_index[p], b_index[p]))
         for s in tree.children(p):
             attacks.append((b_index[p + (s,)], a_index[p]))
-    names = [None] * (2 * len(order))
-    for p in order:
-        names[a_index[p]] = _path_name("a", p)
-        names[b_index[p]] = _path_name("b", p)
-    return FiniteTreeAF(FiniteAF(2 * len(order), attacks, names), tree,
-                        tuple(order), a_index, b_index)
+        names += (_path_name("a", p), _path_name("b", p))
+    return FiniteTreeAF(FiniteAF(len(names), attacks, names), tree,
+                        tree.order, a_index, b_index)
 
 
 # -- F_T over lazy trees -----------------------------------------------------
-
-
-def _code_of(path: Tuple[int, ...]) -> int:
-    c = 0
-    for s in path:
-        c = pair(c, s) + 1
-    return c
 
 
 def _decode(code: int) -> Tuple[int, ...]:
@@ -136,8 +120,7 @@ def af_from_tree(tree: LazyTree) -> LazyAF:
     supremum root_rank + 1 witnessed by the root argument.
     """
 
-    def is_node(path) -> bool:
-        return tree.member(path)
+    is_node = tree.member
 
     def predicate(x: int, y: int) -> bool:
         if x % 2 == 0 and y == x + 1:
@@ -392,12 +375,21 @@ def ordinal_target_af(alpha, truncate: Optional[int] = None):
             "cannot certify a symbolic stage map")
 
     if truncate is not None:
-        parts = []
+        # The parts share one node budget, spent before any AF is built; part
+        # i has rank >= i, so >= i+1 nodes, and too many parts fail up front.
+        if truncate * (truncate + 1) // 2 > TRUNCATE_NODE_CAP:
+            raise CapExceeded(f"expansion exceeded {TRUNCATE_NODE_CAP} nodes")
+        trees, used = [], 0
         for i in range(truncate):
             tree = build_tree_of_rank(fundamental_sequence(alpha, i))
-            parts.append(af_from_finite_tree(
-                truncate_tree(tree, width=truncate)).af)
-        return disjoint_union(parts)
+            try:
+                trees.append(truncate_tree(tree, width=truncate,
+                                           node_cap=TRUNCATE_NODE_CAP - used))
+            except CapExceeded:
+                raise CapExceeded(
+                    f"expansion exceeded {TRUNCATE_NODE_CAP} nodes") from None
+            used += len(trees[-1])
+        return disjoint_union([af_from_finite_tree(t).af for t in trees])
 
     root_stages = fundamental_sequence_expr(alpha).add_finite(1)
     return _union(

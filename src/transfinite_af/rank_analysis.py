@@ -24,7 +24,8 @@ from .core import Affine, FiniteAF, pair, unpair
 from .errors import CapExceeded, DomainError
 from .grounded import GroundedResult, grounded_finite
 from .ordinals import NEVER, Ordinal
-from .trees import ChildFamily, ChildrenSpec, LazyTree, NodePath
+from .trees import ChildFamily, ChildrenSpec, FiniteTree, LazyTree, NodePath, \
+    _expand
 
 __all__ = [
     "mran_of", "largest_self_defending",
@@ -119,7 +120,7 @@ def _attacker_children(af, n: int) -> ChildrenSpec:
                         families=fams)
 
 
-def _ts_children(af, seed: frozenset, level: int, mran: frozenset) -> ChildrenSpec:
+def _ts_children(af, level: int, mran: frozenset) -> ChildrenSpec:
     n, _ = unpair(level)
     if any(_attacks_safe(af, n, x) for x in mran):
         return _attacker_children(af, n)
@@ -131,7 +132,7 @@ def build_TS(af, seed) -> LazyTree:
     seed = frozenset(seed)
 
     def children_of(sigma: NodePath) -> ChildrenSpec:
-        return _ts_children(af, seed, len(sigma), mran_of(seed, sigma))
+        return _ts_children(af, len(sigma), mran_of(seed, sigma))
 
     return LazyTree(children_of=children_of)
 
@@ -215,26 +216,9 @@ def _ts_rank_states(af: FiniteAF, seed: frozenset, state_cap: int):
     return root_gap + memo[root_state], memo
 
 
-def expand_ts(af: FiniteAF, seed, node_cap: int = 50_000,
-              depth_cap: Optional[int] = None) -> "FiniteTree":
+def expand_ts(af: FiniteAF, seed, node_cap: int = 50_000) -> FiniteTree:
     """Materialize T_S node by node (pathless seeds only, König-finite)."""
-    from .trees import FiniteTree
-
-    seed = frozenset(seed)
-    paths = [()]
-    stack: List[NodePath] = [()]
-    while stack:
-        p = stack.pop()
-        if depth_cap is not None and len(p) >= depth_cap:
-            raise CapExceeded(f"T_S expansion passed depth {depth_cap}")
-        spec = _ts_children(af, seed, len(p), mran_of(seed, p))
-        for s in spec.symbols:
-            child = p + (s,)
-            paths.append(child)
-            if len(paths) > node_cap:
-                raise CapExceeded(f"T_S expansion exceeded {node_cap} nodes")
-            stack.append(child)
-    return FiniteTree(paths)
+    return _expand(build_TS(af, seed), node_cap)
 
 
 @dataclass(frozen=True)
@@ -316,7 +300,7 @@ def build_Ta(af, a: int) -> LazyTree:
                                 families=fams)
         i = sigma[0]
         seed = frozenset((i,))
-        return _ts_children(af, seed, len(sigma) - 1, mran_of(seed, sigma[1:]))
+        return _ts_children(af, len(sigma) - 1, mran_of(seed, sigma[1:]))
 
     return LazyTree(children_of=children_of)
 

@@ -81,25 +81,26 @@ NO_CHILDREN = ChildrenSpec()
 
 
 class FiniteTree:
-    """An explicit prefix-closed finite set of paths."""
+    """An explicit prefix-closed finite set of paths; `order` lists them
+    breadth-first with siblings ascending, i.e. sorted by (length, path)."""
 
-    __slots__ = ("paths", "_children")
+    __slots__ = ("paths", "order", "_children")
 
     def __init__(self, paths: Iterable[NodePath]):
         paths = frozenset(tuple(p) for p in paths)
         if not paths:
             raise ValueError("a tree must contain its root")
-        children: Dict[NodePath, list] = {p: [] for p in paths}
-        for p in paths:
+        order = sorted(paths, key=lambda p: (len(p), p))
+        children: Dict[NodePath, list] = {p: [] for p in order}
+        for p in order:
             if p:
                 parent = p[:-1]
                 if parent not in children:
                     raise ValueError(f"not prefix-closed: {list(p)} without {list(parent)}")
                 children[parent].append(p[-1])
-        if ROOT not in paths:
-            raise ValueError("missing the empty path (root)")
         self.paths = paths
-        self._children = {p: tuple(sorted(cs)) for p, cs in children.items()}
+        self.order = tuple(order)
+        self._children = {p: tuple(cs) for p, cs in children.items()}
 
     def __contains__(self, path: NodePath) -> bool:
         return tuple(path) in self.paths
@@ -116,7 +117,7 @@ class FiniteTree:
     def node_ranks(self) -> Dict[NodePath, int]:
         """Exact rank of every node: terminals 0, else max(child)+1."""
         ranks: Dict[NodePath, int] = {}
-        for p in sorted(self.paths, key=len, reverse=True):
+        for p in reversed(self.order):
             cs = self._children[p]
             ranks[p] = 0 if not cs else 1 + max(ranks[p + (c,)] for c in cs)
         return ranks
@@ -209,7 +210,9 @@ def _expand(tree: LazyTree, node_cap: int, width: Optional[int] = None,
         if spec.families and width is None:
             raise UnsupportedExpression(
                 f"node {list(p)} has family children; full expansion needs a width")
-        symbols = spec.first_symbols(width) if width is not None else spec.symbols
+        # a node with more than node_cap children fails the cap anyway
+        symbols = (spec.first_symbols(min(width, node_cap)) if width is not None
+                   else spec.symbols)
         for s in symbols:
             child = p + (s,)
             paths.append(child)
@@ -219,8 +222,13 @@ def _expand(tree: LazyTree, node_cap: int, width: Optional[int] = None,
     return FiniteTree(paths)
 
 
+# Default node cap of a truncation; truncated ordinal targets share it
+# across all their parts.
+TRUNCATE_NODE_CAP = 500_000
+
+
 def truncate_tree(tree: LazyTree, width: int, depth: Optional[int] = None,
-                  node_cap: int = 500_000) -> FiniteTree:
+                  node_cap: int = TRUNCATE_NODE_CAP) -> FiniteTree:
     """Finite sub-tree: families cut to their first `width` parameters.
 
     depth=None keeps whole branches and only terminates when the tree is
@@ -262,14 +270,16 @@ def bounded_path_search(tree, depth: int, width: int) -> PathSearchResult:
         if len(p) == depth:
             return PathSearchResult(True, p, depth)
         symbols = tree.children(p).first_symbols(width)
-        for s in reversed(symbols):
-            child = p + (s,)
-            if tree.member(child):
-                stack.append(child)
+        stack.extend(p + (s,) for s in reversed(symbols))
     return PathSearchResult(False, None, depth)
 
 
 # -- the rank-targeted builder ---------------------------------------------
+
+# A built tree remembers node ranks for at most this many path symbols
+# (the summed lengths of the remembered paths) and then starts over, so a
+# search through millions of nodes, or through very deep ones, holds few.
+RANK_MEMO_SYMBOLS = 1 << 20
 
 
 def build_tree_of_rank(alpha) -> LazyTree:
@@ -280,18 +290,30 @@ def build_tree_of_rank(alpha) -> LazyTree:
     children i with ranks walking the fundamental sequence.
     """
     alpha = alpha if isinstance(alpha, Ordinal) else Ordinal.from_int(alpha)
+    ranks: Dict[NodePath, Ordinal] = {}  # of visited nodes below the root
+    held = 0  # path symbols in ranks
+
+    def remember(path: NodePath, r: Ordinal) -> None:
+        nonlocal held
+        if held + len(path) > RANK_MEMO_SYMBOLS:
+            ranks.clear()
+            held = 0
+        ranks[path] = r
+        held += len(path)
 
     def rank_at(path: NodePath) -> Optional[Ordinal]:
-        r = alpha
-        for s in path:
-            if r.is_zero:
+        """The node's rank, one step from its nearest visited ancestor's
+        (the ancestors between are filled in); None off the tree."""
+        k, r = len(path), (ranks.get(path) if path else alpha)
+        while r is None:
+            k -= 1
+            r = ranks.get(path[:k]) if k else alpha
+        for j in range(k, len(path)):
+            s = path[j]
+            if r.is_zero or (r.is_successor and s != 0):
                 return None
-            if r.is_successor:
-                if s != 0:
-                    return None
-                r = r.predecessor()
-            else:
-                r = fundamental_sequence(r, s)
+            r = r.predecessor() if r.is_successor else fundamental_sequence(r, s)
+            remember(path if j + 1 == len(path) else path[:j + 1], r)
         return r
 
     def children_of(path: NodePath) -> ChildrenSpec:
@@ -403,5 +425,4 @@ def tree_from_json(text: str) -> FiniteTree:
 
 
 def tree_to_json(tree: FiniteTree) -> str:
-    nodes = sorted(tree.paths, key=lambda p: (len(p), p))
-    return json.dumps({"nodes": [list(p) for p in nodes]})
+    return json.dumps({"nodes": [list(p) for p in tree.order]})

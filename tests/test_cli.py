@@ -1,6 +1,9 @@
+import hashlib
 import json
 import random
 import re
+import time
+import warnings
 
 import pytest
 
@@ -158,19 +161,22 @@ def test_reduce_witness(capsys, chain_path):
 
 
 @pytest.mark.parametrize("command", [
-    ["ts", "--set", "a0", "--depth"],
-    ["ta", "--arg", "a1", "--depth"],
-    ["witness", "--arg", "a1", "--length"],
+    ["reduce", "ts", "--af", "AF", "--set", "a0", "--depth"],
+    ["reduce", "ta", "--af", "AF", "--arg", "a1", "--depth"],
+    ["reduce", "witness", "--af", "AF", "--arg", "a1", "--length"],
+    ["tree", "search", "--ordinal", "w^2", "--width", "3", "--depth"],
+    ["tree", "search", "--ordinal", "w^2", "--depth", "3", "--width"],
 ])
 def test_reduce_sizes_are_capped(capsys, chain_path, command):
-    code, out, err = run(capsys, "reduce", command[0], "--af", f"apx:{chain_path}",
-                         *command[1:], str(MAX_PATH_LENGTH + 1))
+    command = [f"apx:{chain_path}" if a == "AF" else a for a in command]
+    code, out, err = run(capsys, *command, str(MAX_PATH_LENGTH + 1))
     assert code == 2 and out == ""
     assert f"{command[-1]} {MAX_PATH_LENGTH + 1} exceeds the cap of " \
         f"{MAX_PATH_LENGTH}" in err
+    if command[0] == "tree":
+        return
 
-    code, out, _ = run(capsys, "reduce", command[0], "--af", f"apx:{chain_path}",
-                       *command[1:-1])
+    code, out, _ = run(capsys, *command[:-1])
     assert code == 0
     doc = json.loads(out)
     assert len(doc.get("prefix", doc.get("witness"))) == 100
@@ -274,6 +280,33 @@ def test_deep_nesting_exits_2(capsys):
     code, _, err = run(capsys, "grounded",
                        "union(" * 1000 + "bs:truncate=2" + ")" * 1000)
     assert code == 2 and "nested deeper" in err
+
+
+def test_noncanonical_ordinal_warns_once_per_call(capsys):
+    warning = "warning: ordinal 'w^(1)+1' normalized to 'w+1'\n"
+    with warnings.catch_warnings():
+        warnings.resetwarnings()  # the interpreter's once-per-location default
+        for _ in range(2):
+            code, _, err = run(capsys, "grounded", "ord:w^(1)+1")
+            assert code == 0 and err == warning
+        code, _, err = run(capsys, "grounded", "union(ord:w^(1)+1,ord:w^(1)+1)")
+        assert code == 0 and err == warning
+
+
+def test_truncated_limit_target_over_budget_exits_3(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gen", "ord:w:truncate=1000000")
+    assert code == 3 and out == ""
+    assert err == "error: expansion exceeded 500000 nodes\n"
+    assert time.perf_counter() - start < 5
+
+
+def test_gen_truncated_limit_target_output_is_pinned(capsys):
+    # sha256 of the output before the parts shared one node budget
+    code, out, _ = run(capsys, "gen", "ord:w*2:truncate=50")
+    assert code == 0 and out.count("arg(") == 2 * 65_025
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "a7f3f0825464344e75cf3260936685ed0e258798e9d273ec21d3bc69df1eb425"
 
 
 def test_usage_error_exit_2(capsys):

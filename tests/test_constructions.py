@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from transfinite_af import constructions
 from transfinite_af.constructions import (
     MAX_UNION_NESTING,
     GeneratorSpec,
@@ -17,7 +18,7 @@ from transfinite_af.constructions import (
 )
 from transfinite_af.core import AttackerFamily, AttackerSpec, FiniteAF, \
     PairLeft, format_apx, pair, unpair
-from transfinite_af.errors import UnsupportedExpression
+from transfinite_af.errors import CapExceeded, UnsupportedExpression
 from transfinite_af.grounded import (
     grounded_finite,
     omega_approximation,
@@ -196,6 +197,23 @@ def test_ordinal_target_truncations_climb():
             assert g.is_finite and Ordinal.from_int(g.as_int()) < alpha
             assert g.as_int() > prev
             prev = g.as_int()
+
+
+def test_truncated_limit_target_parts_share_one_node_budget(monkeypatch):
+    # the parts of ord:w^2:truncate=5 hold 2,915 tree nodes together,
+    # each of them fewer than 2,914
+    sizes = [len(truncate_tree(build_tree_of_rank(fundamental_sequence(
+        omega_power(2), i)), width=5)) for i in range(5)]
+    assert sum(sizes) == 2_915 and max(sizes) < 2_914
+    monkeypatch.setattr(constructions, "TRUNCATE_NODE_CAP", 2_915)
+    assert ordinal_target_af(omega_power(2), truncate=5).n == 2 * 2_915
+    monkeypatch.setattr(constructions, "TRUNCATE_NODE_CAP", 2_914)
+    with pytest.raises(CapExceeded, match="exceeded 2914 nodes"):
+        ordinal_target_af(omega_power(2), truncate=5)
+    # 1000 parts need at least 1+2+...+1000 = 500,500 nodes
+    monkeypatch.undo()
+    with pytest.raises(CapExceeded, match="exceeded 500000 nodes"):
+        ordinal_target_af(OMEGA, truncate=1000)
 
 
 # -- disjoint unions -----------------------------------------------------------------

@@ -1,9 +1,18 @@
 import random
+import tracemalloc
 
 import pytest
 
+from transfinite_af import trees
 from transfinite_af.errors import CapExceeded, DomainError, UnsupportedExpression
-from transfinite_af.ordinals import OMEGA, ZERO, Ordinal, omega_power
+from transfinite_af.ordinals import (
+    OMEGA,
+    ZERO,
+    Ordinal,
+    fundamental_sequence,
+    omega_power,
+    parse_ordinal,
+)
 from transfinite_af.trees import (
     ROOT,
     ChildFamily,
@@ -201,3 +210,124 @@ def test_tree_json_errors():
         tree_from_json("[]")
     with pytest.raises(ValueError):
         tree_from_json("{nope")
+
+
+# -- one node order, one expansion, ranks from the parent's -------------------
+
+
+def pop0_bfs_order(tree: FiniteTree):
+    """The breadth-first order F_T used to compute with its own queue."""
+    order, queue = [], [ROOT]
+    while queue:
+        p = queue.pop(0)
+        order.append(p)
+        queue.extend(p + (s,) for s in tree.children(p))
+    return order
+
+
+def root_walk_rank(alpha, path):
+    """Rank of `path` in build_tree_of_rank(alpha), walked from the root."""
+    r = alpha
+    for s in path:
+        if r.is_zero:
+            return None
+        if r.is_successor:
+            if s != 0:
+                return None
+            r = r.predecessor()
+        else:
+            r = fundamental_sequence(r, s)
+    return r
+
+
+def test_finite_tree_order_is_the_breadth_first_order():
+    rng = random.Random(23)
+    for _ in range(150):
+        t = random_finite_tree(rng)
+        assert list(t.order) == pop0_bfs_order(t)
+        assert list(t.order) == sorted(t.paths, key=lambda p: (len(p), p))
+        ranks = t.node_ranks()
+        for p in t.order:
+            assert list(t.children(p)) == sorted(t.children(p))
+            assert ranks[p] == definition_rank(t, p)
+
+
+@pytest.mark.parametrize("memo_symbols", [trees.RANK_MEMO_SYMBOLS, 50],
+                         ids=["memo", "tiny-memo"])
+@pytest.mark.parametrize("text", ["w", "w*2+3", "w^2", "w^3", "w^w"])
+def test_builder_ranks_match_root_walk_in_any_query_order(
+        monkeypatch, text, memo_symbols):
+    monkeypatch.setattr(trees, "RANK_MEMO_SYMBOLS", memo_symbols)
+    alpha = parse_ordinal(text)
+    nodes = list(truncate_tree(build_tree_of_rank(alpha), width=3).order)
+    random.Random(text).shuffle(nodes)
+    fresh = build_tree_of_rank(alpha)  # nothing visited yet
+    for p in nodes:
+        assert fresh.member(p)
+        assert fresh.declared_rank(p) == root_walk_rank(alpha, p)
+
+
+def test_builder_rejects_non_nodes_like_root_walk():
+    rng = random.Random(7)
+    for text in ("5", "w", "w*2+3", "w^2"):
+        alpha = parse_ordinal(text)
+        t = build_tree_of_rank(alpha)
+        misses = 0
+        for _ in range(300):
+            p = tuple(rng.randint(0, 6) for _ in range(rng.randint(1, 9)))
+            if root_walk_rank(alpha, p) is None:
+                misses += 1
+                assert not t.member(p)
+                with pytest.raises(DomainError):
+                    t.declared_rank(p)
+            else:
+                assert t.declared_rank(p) == root_walk_rank(alpha, p)
+        assert misses > 50
+
+
+def test_builder_fills_a_long_cold_path_without_recursion():
+    t = build_tree_of_rank(5000)
+    leaf = (0,) * 5000
+    assert t.declared_rank(leaf) == 0 and t.member(leaf)
+    assert not t.member(leaf + (0,))
+    assert not t.member((0,) * 4999 + (1,))
+    assert t.declared_rank((0,) * 2500) == 2500
+
+
+def test_truncation_enumerates_at_most_node_cap_children_per_node():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="exceeded 10 nodes"):
+            truncate_tree(build_tree_of_rank(OMEGA), width=2_000_000, node_cap=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_path_search_holds_a_bounded_rank_memo(monkeypatch):
+    monkeypatch.setattr(trees, "RANK_MEMO_SYMBOLS", 1000)
+    tree = build_tree_of_rank(omega_power(2))  # 39,172 nodes at width 6
+    tracemalloc.start()
+    try:
+        res = bounded_path_search(tree, depth=40, width=6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not res.found
+    assert peak < 512 << 10
+
+
+def test_truncation_steps_each_rank_once_from_its_parent(monkeypatch):
+    steps = []
+
+    def counted(r, i):
+        steps.append(i)
+        return fundamental_sequence(r, i)
+
+    monkeypatch.setattr(trees, "fundamental_sequence", counted)
+    alpha = omega_power(2)
+    ft = truncate_tree(build_tree_of_rank(alpha), width=5)
+    below_limits = [p for p in ft.order
+                    if p and root_walk_rank(alpha, p[:-1]).is_limit]
+    assert len(steps) == len(below_limits) == 975
