@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 property violation, 2 parse or configuration
-error, 3 domain-contract error (including verification failures).
+Exit codes: 0 success, 1 property violation, 2 usage, parse or
+configuration error (including a size option outside its bounds), 3
+domain-contract error (including verification failures).
 Output is deterministic for a fixed command line and seed; JSON is
 printed in one piece or not at all.
 """
@@ -16,30 +17,15 @@ import warnings
 from typing import List, Optional
 
 from .checks import run_suites
-from .constructions import (
-    GeneratorSpecError,
-    materialize_spec,
-    parse_generator_spec,
-)
-from .core import (
-    ApxParseError,
-    FiniteAF,
-    format_apx,
-    format_dot,
-)
+from .constructions import materialize_spec, parse_generator_spec
+from .core import FiniteAF, format_apx, format_dot
 from .errors import DomainError, TransfiniteAFError
 from .grounded import grounded_finite, verify_symbolic_stages
-from .ordinals import (
-    NEVER,
-    OrdinalParseError,
-    format_ordinal,
-    parse_ordinal,
-)
+from .ordinals import format_ordinal, parse_ordinal
 from .rank_analysis import (
-    _ta_rank,
-    _witness_path,
     expand_ts,
     largest_self_defending,
+    ta_rank,
     ts_path_exists,
     witness_path,
 )
@@ -48,6 +34,7 @@ from .trees import (
     bounded_path_search,
     build_tree_of_rank,
     rank_finite,
+    tree_document,
     tree_from_json,
     tree_to_json,
     truncate_tree,
@@ -63,10 +50,31 @@ EXIT_DOMAIN = 3
 # larger values are refused up front.
 MAX_PATH_LENGTH = 100_000
 
+# Every integer size option, by flag: (minimum, cap or None).  A flag
+# means the same size in every command that has it.
+_SIZE_BOUNDS = {
+    "--sample": (1, None),
+    "--cap": (1, None),
+    "--truncate-width": (1, None),
+    "--truncate-depth": (0, None),
+    "--depth": (1, MAX_PATH_LENGTH),
+    "--width": (1, MAX_PATH_LENGTH),
+    "--node-cap": (1, None),
+    "--length": (1, MAX_PATH_LENGTH),
+    "--trials": (0, None),
+    "--max-args": (1, None),
+}
 
-def _check_size(flag: str, size: int) -> None:
-    if size > MAX_PATH_LENGTH:
-        raise ValueError(f"{flag} {size} exceeds the cap of {MAX_PATH_LENGTH}")
+
+def _check_sizes(args) -> None:
+    for flag, (low, cap) in _SIZE_BOUNDS.items():
+        size = getattr(args, flag[2:].replace("-", "_"), None)
+        if size is None:
+            continue
+        if size < low:
+            raise ValueError(f"{flag} {size} is below the minimum of {low}")
+        if cap is not None and size > cap:
+            raise ValueError(f"{flag} {size} exceeds the cap of {cap}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,8 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     tb.add_argument("--truncate-width", type=int, default=10)
     tb.add_argument("--truncate-depth", type=int, default=None)
     ts = tsub.add_parser("search")
-    ts.add_argument("--input", help="finite-tree JSON file")
-    ts.add_argument("--ordinal", help="search a built rank-alpha tree instead")
+    source = ts.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="finite-tree JSON file")
+    source.add_argument("--ordinal", help="search a built rank-alpha tree instead")
     ts.add_argument("--depth", type=int, required=True)
     ts.add_argument("--width", type=int, required=True)
 
@@ -153,10 +162,6 @@ def _require_finite(af, what: str) -> FiniteAF:
     return af
 
 
-def _stage_string(v) -> str:
-    return "NEVER" if v is NEVER else format_ordinal(v)
-
-
 def cmd_grounded(args) -> int:
     af = _materialize(args.spec)
     if isinstance(af, FiniteAF):
@@ -166,7 +171,7 @@ def cmd_grounded(args) -> int:
             "grounding_ordinal": format_ordinal(result.grounding_ordinal),
         }
         if args.stages:
-            payload["stages"] = {af.name(i): _stage_string(v)
+            payload["stages"] = {af.name(i): str(v)
                                  for i, v in result.stages.items()}
         if args.format == "text":
             lines = [f"grounded: {' '.join(payload['grounded'])}",
@@ -187,10 +192,8 @@ def cmd_grounded(args) -> int:
         for line in report.lines():
             print(line, file=sys.stderr)
         return EXIT_DOMAIN
-    window = (args.sample if af.universe is None
-              else min(args.sample, af.universe))
-    stages = {af.name(i): _stage_string(af.candidate_stages.stage_of(i))
-              for i in range(window)}
+    window = report.checked
+    stages = {af.name(i): str(v) for i, v in report.stages.items()}
     payload = {
         "grounded": [name for name, v in sorted(stages.items())
                      if v != "NEVER"],
@@ -239,10 +242,6 @@ def cmd_tree(args) -> int:
         _emit(tree_to_json(finite))
         return EXIT_OK
     if args.tree_command == "search":
-        _check_size("--depth", args.depth)
-        _check_size("--width", args.width)
-        if (args.input is None) == (args.ordinal is None):
-            raise DomainError("search needs exactly one of --input/--ordinal")
         tree = (_load_tree(args.input).as_lazy() if args.input
                 else build_tree_of_rank(parse_ordinal(args.ordinal)))
         res = bounded_path_search(tree, depth=args.depth, width=args.width)
@@ -261,10 +260,6 @@ def _resolve_args(af: FiniteAF, names: str) -> frozenset:
 
 
 def cmd_reduce(args) -> int:
-    if args.reduce_command == "witness":
-        _check_size("--length", args.length)
-    else:
-        _check_size("--depth", args.depth)
     af = _require_finite(_materialize(args.af), "reduce")
     if args.reduce_command == "ts":
         seed = _resolve_args(af, args.set)
@@ -275,17 +270,16 @@ def cmd_reduce(args) -> int:
             tree = expand_ts(af, seed, node_cap=args.node_cap)
             payload = {"path_exists": False,
                        "rank": format_ordinal(decision.rank),
-                       "tree": json.loads(tree_to_json(tree))}
+                       "tree": tree_document(tree)}
         _emit(json.dumps(payload, sort_keys=True))
         return EXIT_OK
     if args.reduce_command == "ta":
         a = af.index_of(args.arg)
-        result = grounded_finite(af)
-        if a in result.grounded:
-            rank = _ta_rank(af, a, result)
-            payload = {"path_exists": False, "rank": format_ordinal(rank)}
+        if a in grounded_finite(af).grounded:
+            payload = {"path_exists": False,
+                       "rank": format_ordinal(ta_rank(af, a))}
         else:
-            prefix = _witness_path(af, a, args.depth, result)
+            prefix = witness_path(af, a, args.depth)
             payload = {"path_exists": True, "prefix": list(prefix)}
         _emit(json.dumps(payload, sort_keys=True))
         return EXIT_OK
@@ -336,17 +330,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         warnings.showwarning = lambda message, *_: print(
             f"warning: {message}", file=sys.stderr)
         try:
+            _check_sizes(args)
             return _COMMANDS[args.command](args)
-        except (ApxParseError, OrdinalParseError, GeneratorSpecError,
-                ValueError) as e:
+        # the parse errors of every input grammar subclass ValueError
+        except (ValueError, KeyError, OSError) as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_PARSE
-        except (KeyError, OSError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_PARSE
-        except DomainError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_DOMAIN
         except TransfiniteAFError as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_DOMAIN

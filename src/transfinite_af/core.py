@@ -383,8 +383,12 @@ def materialize(af: LazyAF, n: int) -> FiniteAF:
     return FiniteAF(n, attacks, names)
 
 
-def spot_check_attacker_spec(af: LazyAF, args: Iterable[int], bound: int,
-                             family_probe: int = 8) -> list:
+# spot_check_attacker_spec tests the first SPEC_FAMILY_PROBE members of
+# every attacker family.
+SPEC_FAMILY_PROBE = 8
+
+
+def spot_check_attacker_spec(af: LazyAF, args: Iterable[int], bound: int) -> list:
     """Probe spec soundness/completeness against the attack predicate.
 
     For each argument: every spec member must really attack it, and every
@@ -398,7 +402,7 @@ def spot_check_attacker_spec(af: LazyAF, args: Iterable[int], bound: int,
             if not af.attacks(b, a):
                 problems.append(f"spec of {a}: explicit attacker {b} does not attack")
         for fam in spec.families:
-            for k in range(fam.k_start, fam.k_start + family_probe):
+            for k in range(fam.k_start, fam.k_start + SPEC_FAMILY_PROBE):
                 m = fam.member(k)
                 if af.universe is not None and m >= af.universe:
                     break

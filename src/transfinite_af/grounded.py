@@ -296,13 +296,7 @@ def grounding_ordinal_from_stages(stages: Iterable[StageValue]) -> Ordinal:
     supremum, which is then a limit reached as the union of earlier
     levels.  Finite collections always attain their max.
     """
-    best = ZERO
-    for v in stages:
-        if v is NEVER:
-            continue
-        if v > best:
-            best = v
-    return best
+    return max((v for v in stages if v is not NEVER), default=ZERO)
 
 
 def grounding_ordinal_of(result) -> Ordinal:
@@ -335,9 +329,16 @@ class StageViolation:
 
 @dataclass
 class VerificationReport:
+    """The verdict on a candidate stage map, with the stages it checked:
+    {index: stage} for every sampled argument the map has a value for."""
+
     violations: List[StageViolation]
-    checked: int
+    stages: Dict[int, StageValue]
     grounding_ordinal: Optional[Ordinal]
+
+    @property
+    def checked(self) -> int:
+        return len(self.stages)
 
     @property
     def ok(self) -> bool:
@@ -356,12 +357,14 @@ def _attacker_spec_of(af, i: int) -> AttackerSpec:
     return af.attacker_spec(i)
 
 
+# The verifier samples the first FAMILY_PROBE members of a family.
+FAMILY_PROBE = 6
+
+
 class _Verifier:
-    def __init__(self, af, candidate: SymbolicStageMap, sample: int, probe: int):
+    def __init__(self, af, candidate: SymbolicStageMap):
         self.af = af
         self.candidate = candidate
-        self.sample = sample
-        self.probe = probe
         self.violations: List[StageViolation] = []
 
     def bad(self, subject, rule, message):
@@ -379,29 +382,18 @@ class _Verifier:
         spec = self.spec(b)
         best: StageValue = NEVER
         for c in spec.explicit:
-            v = self.stage(c)
-            if v is not NEVER and (best is NEVER or v < best):
-                best = v
+            best = min(best, self.stage(c))
         for fam in spec.families:
             prev = None
-            for k in range(fam.k_start, fam.k_start + self.probe):
+            for k in range(fam.k_start, fam.k_start + FAMILY_PROBE):
                 v = self.stage(fam.member(k))
-                if prev is not None and not self._stage_le(prev, v):
+                if prev is not None and prev > v:
                     self.bad(b, "fragment",
                              f"attacker family stages decrease at k={k}; "
                              "outside the supported monotone fragment")
                 prev = v
-                if v is not NEVER and (best is NEVER or v < best):
-                    best = v
+                best = min(best, v)
         return best
-
-    @staticmethod
-    def _stage_le(x: StageValue, y: StageValue) -> bool:
-        if x is NEVER:
-            return y is NEVER
-        if y is NEVER:
-            return True
-        return x <= y
 
     # -- rule (i): successor stages ------------------------------------
 
@@ -438,10 +430,10 @@ class _Verifier:
                          f"counter-attacked, yet stage is {s}")
                 failed = True
                 continue
-            for k in range(fam.k_start, fam.k_start + self.probe):
+            for k in range(fam.k_start, fam.k_start + FAMILY_PROBE):
                 got = self.minstage_concrete(fam.member(k))
                 want = dse.evaluate(k)
-                if got is NEVER or got != want:
+                if got != want:
                     self.bad(a, "closed-form",
                              f"defense closed form gives {want} at k={k}, "
                              f"samples give {got}")
@@ -469,10 +461,13 @@ class _Verifier:
                 and all(f.index_map.pure_affine is not None
                         for f in self.candidate.families)):
             return self._all_never_by_alignment(fam, aff)
+        return self._all_never_sampled(fam)
+
+    def _all_never_sampled(self, fam: AttackerFamily) -> bool:
         # local sampled acceptance; sound only up to the documented
         # well-founded cross-checks
         return all(self.stage(fam.member(k)) is NEVER
-                   for k in range(fam.k_start, fam.k_start + self.probe))
+                   for k in range(fam.k_start, fam.k_start + FAMILY_PROBE))
 
     def _all_never_by_alignment(self, fam: AttackerFamily, aff) -> bool:
         period = 1
@@ -487,8 +482,7 @@ class _Verifier:
             top = max(self.candidate.exceptions)
             thresholds.append((top - aff.b) // aff.a + 1)
         if period > 10_000:
-            return all(self.stage(fam.member(k)) is NEVER
-                       for k in range(fam.k_start, fam.k_start + self.probe))
+            return self._all_never_sampled(fam)
         stable = max(thresholds)
         for k in range(fam.k_start, stable + period + 1):
             try:
@@ -514,7 +508,7 @@ class _Verifier:
             if self.attacker_never_in_g_plus(b):
                 return
         for fam in spec.families:
-            for k in range(fam.k_start, fam.k_start + self.probe):
+            for k in range(fam.k_start, fam.k_start + FAMILY_PROBE):
                 if self.attacker_never_in_g_plus(fam.member(k)):
                     return
         if not spec.explicit and not spec.families:
@@ -522,17 +516,17 @@ class _Verifier:
         else:
             self.bad(a, "never",
                      "no attacker with all counter-attackers NEVER was found "
-                     f"within the first {self.probe} family members")
+                     f"within the first {FAMILY_PROBE} family members")
 
     # -- supremum / grounding ordinal -------------------------------------
 
-    def check_sup(self, sampled: List[Tuple[int, StageValue]]) -> Optional[Ordinal]:
+    def check_sup(self, stages: Dict[int, StageValue]) -> Optional[Ordinal]:
         try:
             value, attained, witness = self.candidate.declared_sup()
         except DomainError as e:
             self.bad("sup", "sup", str(e))
             return None
-        for i, s in sampled:
+        for i, s in stages.items():
             if s is NEVER:
                 continue
             if s > value:
@@ -546,7 +540,7 @@ class _Verifier:
                     self.bad("sup", "sup", "attained sup without a witness")
             else:
                 w = self.stage(witness)
-                if w is NEVER or w != value:
+                if w != value:
                     self.bad("sup", "sup",
                              f"witness {witness} has stage {w}, declared sup {value}")
         else:
@@ -570,8 +564,8 @@ class _Verifier:
         return value
 
 
-def verify_symbolic_stages(af, candidate: SymbolicStageMap, sample: int = 64,
-                           probe: int = 6) -> VerificationReport:
+def verify_symbolic_stages(af, candidate: SymbolicStageMap,
+                           sample: int = 64) -> VerificationReport:
     """Certify a candidate stage map against its AF.
 
     For each sampled argument: a successor stage must be exactly one
@@ -584,7 +578,7 @@ def verify_symbolic_stages(af, candidate: SymbolicStageMap, sample: int = 64,
     """
     if sample < 1:
         raise ValueError("sample must be >= 1")
-    v = _Verifier(af, candidate, sample, probe)
+    v = _Verifier(af, candidate)
     if isinstance(af, FiniteAF):
         indices = range(min(sample, af.n))
     else:
@@ -594,19 +588,18 @@ def verify_symbolic_stages(af, candidate: SymbolicStageMap, sample: int = 64,
             StageViolation("spec", "attacker-spec", msg)
             for msg in spot_check_attacker_spec(af, indices, bound=max(hi, 16)))
 
-    sampled = []
+    stages: Dict[int, StageValue] = {}
     for a in indices:
         try:
-            s = candidate.stage_of(a)
+            s = stages[a] = candidate.stage_of(a)
         except IncompleteStageMap as e:
             v.bad(a, "complete", str(e))
             continue
-        sampled.append((a, s))
         if s is NEVER:
             v.check_never(a)
         else:
             v.check_stage(a, s)
 
-    value = v.check_sup(sampled)
+    value = v.check_sup(stages)
     ordinal = value if not v.violations else None
-    return VerificationReport(v.violations, len(sampled), ordinal)
+    return VerificationReport(v.violations, stages, ordinal)

@@ -31,7 +31,34 @@ class NoncanonicalOrdinalWarning(UserWarning):
     """The input denoted an ordinal but was not in canonical form."""
 
 
-class Ordinal:
+class _StageOrder:
+    """Comparisons of stage values, all through `_compare` (`!=` is the
+    negation of `==`)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        c = _compare(self, other)
+        return c if c is NotImplemented else c == 0
+
+    def __lt__(self, other):
+        c = _compare(self, other)
+        return c if c is NotImplemented else c < 0
+
+    def __le__(self, other):
+        c = _compare(self, other)
+        return c if c is NotImplemented else c <= 0
+
+    def __gt__(self, other):
+        c = _compare(self, other)
+        return c if c is NotImplemented else c > 0
+
+    def __ge__(self, other):
+        c = _compare(self, other)
+        return c if c is NotImplemented else c >= 0
+
+
+class Ordinal(_StageOrder):
     """Immutable, hashable ordinal below epsilon_0 in Cantor normal form.
 
     ``terms`` is a tuple of (exponent, coefficient) pairs with exponents
@@ -123,48 +150,6 @@ class Ordinal:
             return NotImplemented
         return other + self
 
-    # -- comparison -----------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, _Never):
-            return False
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _cmp(self, other) == 0
-
-    def __lt__(self, other):
-        if isinstance(other, _Never):
-            return True
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _cmp(self, other) < 0
-
-    def __le__(self, other):
-        if isinstance(other, _Never):
-            return True
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _cmp(self, other) <= 0
-
-    def __gt__(self, other):
-        if isinstance(other, _Never):
-            return False
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _cmp(self, other) > 0
-
-    def __ge__(self, other):
-        if isinstance(other, _Never):
-            return False
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _cmp(self, other) >= 0
-
     def __hash__(self):
         if self._hash is None:
             if self.is_finite:
@@ -189,6 +174,21 @@ def _coerce(x) -> Optional[Ordinal]:
     if isinstance(x, int) and not isinstance(x, bool):
         return Ordinal.from_int(x)
     return None
+
+
+def _compare(x, y):
+    """-1, 0 or 1 as stage value x lies below, at or above y.
+
+    Stage values are ordinals, with ints standing for the finite ones,
+    and NEVER above them all; any other operand gives NotImplemented.
+    """
+    a = ZERO if x is NEVER else _coerce(x)
+    b = ZERO if y is NEVER else _coerce(y)
+    if a is None or b is None:
+        return NotImplemented
+    if x is NEVER or y is NEVER:
+        return (x is NEVER) - (y is NEVER)
+    return _cmp(a, b)
 
 
 def _cmp(x: Ordinal, y: Ordinal) -> int:
@@ -234,7 +234,7 @@ def is_limit(x) -> bool:
 # -- NEVER: top marker for stage maps ----------------------------------
 
 
-class _Never:
+class _Never(_StageOrder):
     """Singleton top element: NEVER > alpha for every ordinal alpha."""
 
     _instance = None
@@ -244,32 +244,10 @@ class _Never:
             cls._instance = super().__new__(cls)
         return cls._instance
 
+    __hash__ = object.__hash__
+
     def __repr__(self):
         return "NEVER"
-
-    def __lt__(self, other):
-        if isinstance(other, (_Never, Ordinal, int)):
-            return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, _Never):
-            return True
-        if isinstance(other, (Ordinal, int)):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, _Never):
-            return False
-        if isinstance(other, (Ordinal, int)):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (_Never, Ordinal, int)):
-            return True
-        return NotImplemented
 
 
 NEVER = _Never()
@@ -575,6 +553,15 @@ def parse_ordinal(text: str) -> Ordinal:
     return value
 
 
+def _omega_power_text(e: Ordinal) -> str:
+    """w^e for e > 0: w, w^e for a finite e or w, w^(e) otherwise."""
+    if e == ONE:
+        return "w"
+    if e.is_finite or e == OMEGA:
+        return f"w^{format_ordinal(e)}"
+    return f"w^({format_ordinal(e)})"
+
+
 def format_ordinal(x) -> str:
     o = _coerce(x)
     if o is None:
@@ -586,12 +573,7 @@ def format_ordinal(x) -> str:
         if e.is_zero:
             parts.append(str(c))
             continue
-        if e == ONE:
-            base = "w"
-        elif e.is_finite or e == OMEGA:
-            base = f"w^{format_ordinal(e)}"
-        else:
-            base = f"w^({format_ordinal(e)})"
+        base = _omega_power_text(e)
         parts.append(base if c == 1 else f"{base}*{c}")
     return "+".join(parts)
 
@@ -611,10 +593,7 @@ def format_affine_expr(expr: AffineOrdinalExpr) -> str:
         if e.is_zero:
             parts.append(coeff if simple else f"({coeff})")
         else:
-            base = "w" if e == ONE else (
-                f"w^{format_ordinal(e)}" if e.is_finite or e == OMEGA
-                else f"w^({format_ordinal(e)})"
-            )
+            base = _omega_power_text(e)
             if a == 0 and b == 1:
                 parts.append(base)
             else:

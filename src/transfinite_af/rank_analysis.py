@@ -22,8 +22,8 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .core import Affine, FiniteAF, pair, unpair
 from .errors import CapExceeded, DomainError
-from .grounded import GroundedResult, grounded_finite
-from .ordinals import NEVER, Ordinal
+from .grounded import grounded_finite
+from .ordinals import Ordinal
 from .trees import ChildFamily, ChildrenSpec, FiniteTree, LazyTree, NodePath, \
     _expand
 
@@ -137,7 +137,11 @@ def build_TS(af, seed) -> LazyTree:
     return LazyTree(children_of=children_of)
 
 
-def ts_rank(af: FiniteAF, seed, state_cap: int = 250_000) -> int:
+# Most (level, committed set) states a T_S rank exploration may hold.
+STATE_CAP = 250_000
+
+
+def ts_rank(af: FiniteAF, seed) -> int:
     """Exact rank of a pathless T_S by shared-state exhaustion.
 
     Requires seed & G+ nonempty (otherwise the tree has a path and no
@@ -145,7 +149,7 @@ def ts_rank(af: FiniteAF, seed, state_cap: int = 250_000) -> int:
     runs of single-child levels between attacked levels contribute their
     length.
     """
-    rank, _ = _ts_rank_states(af, frozenset(seed), state_cap)
+    rank, _ = _ts_rank_states(af, frozenset(seed))
     return rank
 
 
@@ -168,7 +172,7 @@ def _first_attacked_level(level: int, dset) -> Optional[int]:
     return best
 
 
-def _ts_rank_states(af: FiniteAF, seed: frozenset, state_cap: int):
+def _ts_rank_states(af: FiniteAF, seed: frozenset):
     """(root rank, {case-1 state: rank}) for a pathless T_S."""
 
     def entry(level: int, mran: frozenset):
@@ -204,9 +208,9 @@ def _ts_rank_states(af: FiniteAF, seed: frozenset, state_cap: int):
             if sub_state in memo:
                 results.append(1 + gap + memo[sub_state])
             else:
-                if len(memo) + len(stack) > state_cap:
+                if len(memo) + len(stack) > STATE_CAP:
                     raise CapExceeded(
-                        f"T_S rank exploration exceeded {state_cap} states")
+                        f"T_S rank exploration exceeded {STATE_CAP} states")
                 stack.append([sub_state, None, None])
                 advanced = True
                 break
@@ -235,8 +239,7 @@ class TsDecision:
         return f"TsDecision(no path, rank {self.rank})"
 
 
-def ts_path_exists(af: FiniteAF, seed, prefix_depth: int = 100,
-                   state_cap: int = 250_000) -> TsDecision:
+def ts_path_exists(af: FiniteAF, seed, prefix_depth: int = 100) -> TsDecision:
     """Decide whether T_S has a path, via the oracle seed & G+ = empty.
 
     The positive certificate extends levels by the least member of the
@@ -251,7 +254,7 @@ def ts_path_exists(af: FiniteAF, seed, prefix_depth: int = 100,
     result = grounded_finite(af)
     gplus = af.plus_set(result.grounded)
     if seed & gplus:
-        rank = ts_rank(af, seed, state_cap)
+        rank = ts_rank(af, seed)
         return TsDecision(False, None, Ordinal.from_int(rank))
     prefix = _defense_prefix(af, seed, gplus, prefix_depth)
     return TsDecision(True, prefix, None)
@@ -305,15 +308,9 @@ def build_Ta(af, a: int) -> LazyTree:
     return LazyTree(children_of=children_of)
 
 
-def ta_rank(af: FiniteAF, a: int, state_cap: int = 250_000) -> Ordinal:
+def ta_rank(af: FiniteAF, a: int) -> Ordinal:
     """Exact rank of T^a; defined exactly when a is grounded."""
-    return _ta_rank(af, a, grounded_finite(af), state_cap)
-
-
-def _ta_rank(af: FiniteAF, a: int, result: GroundedResult,
-             state_cap: int = 250_000) -> Ordinal:
-    """ta_rank against an already computed grounded result of af."""
-    if a not in result.grounded:
+    if a not in grounded_finite(af).grounded:
         raise DomainError(
             f"argument {af.name(a)} is not grounded; T^a has a path, not a rank")
     attackers = af.attackers_of(a)
@@ -321,7 +318,7 @@ def _ta_rank(af: FiniteAF, a: int, result: GroundedResult,
         return Ordinal.from_int(0)
     best = 0
     for i in attackers:
-        best = max(best, ts_rank(af, frozenset((i,)), state_cap))
+        best = max(best, ts_rank(af, frozenset((i,))))
     return Ordinal.from_int(best + 1)
 
 
@@ -332,14 +329,9 @@ def witness_path(af: FiniteAF, a: int, length: int) -> NodePath:
     attacked levels, the least counter-attacker outside G+ (else 0).
     The committed set never meets G+.
     """
-    return _witness_path(af, a, length, grounded_finite(af))
-
-
-def _witness_path(af: FiniteAF, a: int, length: int,
-                  result: GroundedResult) -> NodePath:
-    """witness_path against an already computed grounded result of af."""
     if length < 1:
         raise ValueError("length must be >= 1")
+    result = grounded_finite(af)
     if a in result.grounded:
         raise DomainError(
             f"argument {af.name(a)} is grounded; T^a has no path")
@@ -410,7 +402,7 @@ class BridgeReport:
         return not self.violations
 
 
-def rank_stage_bridge_check(af: FiniteAF, state_cap: int = 250_000) -> BridgeReport:
+def rank_stage_bridge_check(af: FiniteAF) -> BridgeReport:
     """Assert the two rank/stage bridges on a whole finite AF.
 
     For every grounded a: the exact rank r of T^a satisfies a in G_{r+1}.
@@ -424,23 +416,21 @@ def rank_stage_bridge_check(af: FiniteAF, state_cap: int = 250_000) -> BridgeRep
     states_checked = 0
 
     for a in sorted(result.grounded):
-        r = _ta_rank(af, a, result, state_cap).as_int()
+        r = ta_rank(af, a).as_int()
         stage = stages[a]
-        if stage is NEVER or stage > r + 1:
+        if stage > r + 1:
             violations.append(
                 f"grounded {af.name(a)}: stage {stage} exceeds T^a rank+1 = {r + 1}")
 
     for b in range(af.n):
         if b not in gplus:
             continue
-        _, memo = _ts_rank_states(af, frozenset((b,)), state_cap)
+        _, memo = _ts_rank_states(af, frozenset((b,)))
         for (level, mran), q in memo.items():
             states_checked += 1
             bound = Ordinal.from_int(q + 1)
-            hit = any(
-                stages[g] is not NEVER and stages[g] <= bound
-                for x in mran for g in af.attackers_of(x)
-            )
+            hit = any(stages[g] <= bound
+                      for x in mran for g in af.attackers_of(x))
             if not hit:
                 violations.append(
                     f"T_{{{af.name(b)}}} state (level {level}, committed "

@@ -424,5 +424,10 @@ def tree_from_json(text: str) -> FiniteTree:
     return FiniteTree(paths)
 
 
+def tree_document(tree: FiniteTree) -> dict:
+    """The JSON document of a finite tree: {"nodes": paths in tree.order}."""
+    return {"nodes": [list(p) for p in tree.order]}
+
+
 def tree_to_json(tree: FiniteTree) -> str:
-    return json.dumps({"nodes": [list(p) for p in tree.order]})
+    return json.dumps(tree_document(tree))

@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 from transfinite_af.checks import eliminated_self_defending, iterated_defense_step
-from transfinite_af.cli import MAX_PATH_LENGTH, main
+from transfinite_af.cli import MAX_PATH_LENGTH, _SIZE_BOUNDS, build_parser, main
 from transfinite_af.constructions import materialize_spec, parse_generator_spec
 from transfinite_af.core import FiniteAF, format_apx, parse_apx
 from transfinite_af.ordinals import NEVER, format_ordinal
@@ -311,3 +311,75 @@ def test_gen_truncated_limit_target_output_is_pinned(capsys):
 
 def test_usage_error_exit_2(capsys):
     assert main(["tree"]) == 2
+
+
+@pytest.mark.parametrize("command, minimum", [
+    (["reduce", "ts", "--af", "AF", "--set", "a0", "--depth"], 1),
+    (["reduce", "ts", "--af", "AF", "--set", "a1", "--node-cap"], 1),
+    (["reduce", "ta", "--af", "AF", "--arg", "a1", "--depth"], 1),
+    (["reduce", "witness", "--af", "AF", "--arg", "a1", "--length"], 1),
+    (["tree", "rank", "--input", "TREE", "--cap"], 1),
+    (["tree", "build", "--ordinal", "w", "--truncate-width"], 1),
+    (["tree", "build", "--ordinal", "w", "--truncate-depth"], 0),
+    (["tree", "search", "--ordinal", "w", "--width", "3", "--depth"], 1),
+    (["tree", "search", "--ordinal", "w", "--depth", "3", "--width"], 1),
+    (["check", "ordinals", "--trials"], 0),
+    (["check", "lemmas", "--trials", "1", "--max-args"], 1),
+    (["grounded", "bs", "--sample"], 1),
+    (["grounded", "AF", "--sample"], 1),
+])
+def test_sizes_below_their_minimum_exit_2(capsys, chain_path, tmp_path,
+                                          command, minimum):
+    tree = tmp_path / "t.json"
+    tree.write_text('{"nodes": [[], [0]]}')
+    command = [{"AF": f"apx:{chain_path}", "TREE": str(tree)}.get(a, a)
+               for a in command]
+    flag = command[-1]
+    for size in (minimum - 1, -4):
+        code, out, err = run(capsys, *command, str(size))
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} {size} is below the minimum of {minimum}\n"
+    code, _, err = run(capsys, *command, str(minimum))
+    assert "below the minimum" not in err
+
+
+@pytest.mark.parametrize("sources", [[], ["--input", "TREE", "--ordinal", "w"]])
+def test_tree_search_needs_exactly_one_source(capsys, tmp_path, sources):
+    tree = tmp_path / "t.json"
+    tree.write_text('{"nodes": [[]]}')
+    sources = [str(tree) if a == "TREE" else a for a in sources]
+    code, out, err = run(capsys, "tree", "search", *sources,
+                         "--depth", "3", "--width", "3")
+    assert code == 2 and out == ""
+    assert "--input" in err and "--ordinal" in err
+
+
+def test_every_integer_option_has_bounds():
+    def int_flags(parser):
+        for action in parser._actions:
+            if action.type is int:
+                yield from action.option_strings
+            if isinstance(action.choices, dict):  # the subcommands
+                for sub in action.choices.values():
+                    yield from int_flags(sub)
+
+    assert set(int_flags(build_parser())) == set(_SIZE_BOUNDS) | {"--seed"}
+
+
+@pytest.mark.parametrize("spec", ["bs", "ord:w*3+2", "ord:w^3+1",
+                                  "union(bs,ord:w)"])
+@pytest.mark.parametrize("sample", ["3", "97"])
+def test_lazy_grounded_prints_the_window_it_verified(capsys, spec, sample):
+    af = materialize_spec(parse_generator_spec(spec))
+    window = (int(sample) if af.universe is None
+              else min(int(sample), af.universe))
+    want = {af.name(i): str(af.candidate_stages.stage_of(i))
+            for i in range(window)}
+    code, out, _ = run(capsys, "grounded", spec, "--stages", "--sample", sample)
+    doc = json.loads(out)
+    assert code == 0 and doc["sample_window"] == window
+    assert doc["stages"] == want
+    assert doc["grounded"] == sorted(n for n, v in want.items() if v != "NEVER")
+    code, out, _ = run(capsys, "grounded", spec, "--format", "text",
+                       "--sample", sample)
+    assert code == 0 and f"(verified on {window} arguments)" in out

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from transfinite_af.constructions import materialize_spec, parse_generator_spec
 from transfinite_af.core import (
     AttackerFamily,
     AttackerSpec,
@@ -309,3 +310,24 @@ def test_incomplete_candidate():
     candidate = SymbolicStageMap(exceptions={0: ONE})
     report = verify_symbolic_stages(af, candidate, sample=3)
     assert any(v.rule == "complete" for v in report.violations)
+
+
+# Every lazy spec the CLI certifies (`ord:w^(w)` has no affine
+# fundamental sequence and so no candidate to check).
+LAZY_SPECS = ["bs", "ord:w", "ord:w*2", "ord:w*3+2", "ord:w+5", "ord:w*4+1",
+              "ord:w^2", "ord:w^3", "ord:w^3+1", "union(bs,ord:w)",
+              "union(ord:w,ord:w*2+1)", "union(bs,bs)",
+              "union(ord:w^2,ord:w+3)"]
+
+
+@pytest.mark.parametrize("spec", LAZY_SPECS)
+def test_report_carries_the_stages_it_checked(spec):
+    af = materialize_spec(parse_generator_spec(spec))
+    for sample in (3, 64, 97):
+        report = verify_symbolic_stages(af, af.candidate_stages, sample=sample)
+        window = sample if af.universe is None else min(sample, af.universe)
+        assert report.ok, report.lines()
+        assert report.checked == window
+        assert list(report.stages) == list(range(window))
+        for i in range(window):
+            assert report.stages[i] == af.candidate_stages.stage_of(i), (spec, i)

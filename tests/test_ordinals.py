@@ -6,6 +6,7 @@ w^i.  Comparison and addition are implemented from scratch on that
 model and never touch the package's CNF code paths.
 """
 
+import itertools
 import random
 
 import pytest
@@ -318,3 +319,48 @@ def test_addition_monotone_on_right(x, y):
     assert x <= x + y
     if y > ZERO:
         assert x < x + y
+
+
+# -- one order over stage values -----------------------------------------
+
+# Reference: the stage values in increasing order, equal ones sharing a
+# position (the int 3 is the finite ordinal 3); "x" and None are not stage
+# values, so they order against nothing and equal only themselves.
+STAGE_VALUES = [
+    ("0", Ordinal.from_int(0), 0), ("1", Ordinal.from_int(1), 1),
+    ("3", Ordinal.from_int(3), 2), ("int 3", 3, 2), ("w", OMEGA, 3),
+    ("w+1", OMEGA + 1, 4), ("w^w", omega_power(OMEGA), 5),
+    ("NEVER", NEVER, 6), ('"x"', "x", None), ("None", None, None),
+]
+COMPARISONS = {
+    "==": lambda x, y: x == y, "!=": lambda x, y: x != y,
+    "<": lambda x, y: x < y, "<=": lambda x, y: x <= y,
+    ">": lambda x, y: x > y, ">=": lambda x, y: x >= y,
+}
+
+
+def _reference(op, x, rx, y, ry):
+    if rx is not None and ry is not None:
+        return COMPARISONS[op](rx, ry)
+    both_str = type(x) is type(y) is str
+    if op in ("==", "!="):
+        return (x is y or both_str) == (op == "==")
+    return COMPARISONS[op]("x", "x") if both_str else TypeError
+
+
+@pytest.mark.parametrize("op", sorted(COMPARISONS))
+def test_stage_value_comparisons_match_reference_table(op):
+    for (nx, x, rx), (ny, y, ry) in itertools.product(STAGE_VALUES, repeat=2):
+        want = _reference(op, x, rx, y, ry)
+        if want is TypeError:
+            with pytest.raises(TypeError):
+                COMPARISONS[op](x, y)
+        else:
+            assert COMPARISONS[op](x, y) is want, f"{nx} {op} {ny}"
+
+
+def test_never_orders_against_no_bool_and_stays_hashable():
+    with pytest.raises(TypeError):
+        NEVER < True
+    assert {NEVER: 1}[NEVER] == 1
+    assert str(NEVER) == "NEVER" and str(OMEGA + 1) == "w+1"
