@@ -50,10 +50,14 @@ EXIT_DOMAIN = 3
 # larger values are refused up front.
 MAX_PATH_LENGTH = 100_000
 
+# Cap on grounded's --sample: the verifier checks every argument below the
+# window, and the largest built-in spec takes tens of seconds at the cap.
+MAX_SAMPLE = 100_000
+
 # Every integer size option, by flag: (minimum, cap or None).  A flag
 # means the same size in every command that has it.
 _SIZE_BOUNDS = {
-    "--sample": (1, None),
+    "--sample": (1, MAX_SAMPLE),
     "--cap": (1, None),
     "--truncate-width": (1, None),
     "--truncate-depth": (0, None),

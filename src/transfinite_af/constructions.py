@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .core import (
     Affine,
@@ -37,6 +37,7 @@ from .core import (
     LazyAF,
     PairLeft,
     PairRight,
+    least_right,
     pair,
     parse_apx,
     unpair,
@@ -133,6 +134,18 @@ def af_from_tree(tree: LazyTree) -> LazyAF:
             return parent == y // 2 and is_node(_decode(code))
         return False
 
+    def candidates(index: int, hi: int) -> list:
+        # a b is attacked only by its own a; an a only by the b's of its
+        # child slots, whose indices grow with the slot symbol
+        if index % 2 == 1:
+            return [index - 1] if index - 1 < hi else []
+        out = []
+        s = 0
+        while (x := _B_STEP.apply(pair(index // 2, s))) < hi:
+            out.append(x)
+            s += 1
+        return out
+
     def spec(index: int) -> AttackerSpec:
         if index % 2 == 1:
             path = _decode((index - 1) // 2)
@@ -187,7 +200,7 @@ def af_from_tree(tree: LazyTree) -> LazyAF:
         )
 
     return LazyAF(predicate, spec, universe=None, naming=naming,
-                  candidate_stages=candidate)
+                  candidate_stages=candidate, attacker_candidates=candidates)
 
 
 # -- the two-chain family ----------------------------------------------------------
@@ -220,6 +233,11 @@ def baumann_spanring(truncate: Optional[int] = None):
             return True
         return y == 1 and x % 2 == 0 and (x // 2) % 2 == 1
 
+    def candidates(i: int, hi: int):
+        if i == 1:
+            return range(2, hi, 4)
+        return [i - 2] if 2 <= i < hi + 2 else []
+
     k_plus_1 = AffineOrdinalExpr.affine(1, 1)
     odd_a = IndexMap.affine(4, 2)
 
@@ -250,7 +268,7 @@ def baumann_spanring(truncate: Optional[int] = None):
         return f"{'a' if i % 2 == 0 else 'b'}{i // 2}"
 
     return LazyAF(predicate, spec, universe=None, naming=naming,
-                  candidate_stages=candidate)
+                  candidate_stages=candidate, attacker_candidates=candidates)
 
 
 # -- indexed unions -----------------------------------------------------------------
@@ -262,6 +280,7 @@ class _Slice(NamedTuple):
     part: object  # FiniteAF | LazyAF | None past the last part
     size: float  # arguments before the padding: inf for a lazy part
     attacks: Callable[[int, int], bool]
+    candidates: Callable[[int, int], Iterable[int]]  # (j, m): see LazyAF
     stage: Optional[Callable[[int], object]]
 
 
@@ -281,13 +300,15 @@ def _union(parts: Callable[[int], object], families: Tuple[StageFamily, ...],
         if s is None:
             part = parts(p)
             if part is None:
-                s = _Slice(None, 0, lambda jx, jy: False, None)
+                s = _Slice(None, 0, lambda jx, jy: False, None, None)
             elif isinstance(part, FiniteAF):
                 s = _Slice(part, part.n,
                            lambda jx, jy: (jx, jy) in part.attack_pairs,
+                           lambda j, m: [c for c in part.attackers_of(j) if c < m],
                            stages_finite(part).__getitem__ if sup else None)
             else:
                 s = _Slice(part, math.inf, part.attacks,
+                           part.attacker_candidates or (lambda j, m: range(m)),
                            part.candidate_stages.stage_of if sup else None)
             cache[p] = s
         return s
@@ -296,6 +317,14 @@ def _union(parts: Callable[[int], object], families: Tuple[StageFamily, ...],
         px, jx = unpair(x)
         py, jy = unpair(y)
         return px == py and slice_of(px).attacks(jx, jy)
+
+    def candidates(y: int, hi: int) -> list:
+        # attacks stay inside a part, and pair(p, c) < hi exactly when c < m
+        p, j = unpair(y)
+        s = slice_of(p)
+        if j >= s.size:
+            return []
+        return [pair(p, c) for c in s.candidates(j, least_right(p, hi))]
 
     def spec(x: int) -> AttackerSpec:
         p, j = unpair(x)
@@ -340,7 +369,7 @@ def _union(parts: Callable[[int], object], families: Tuple[StageFamily, ...],
             family_all_never=family_all_never,
         )
     return LazyAF(predicate, spec, universe=None, naming=naming,
-                  candidate_stages=candidate)
+                  candidate_stages=candidate, attacker_candidates=candidates)
 
 
 # -- ordinal-targeted AFs ---------------------------------------------------------

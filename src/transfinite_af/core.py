@@ -38,6 +38,18 @@ def unpair(z: int) -> Tuple[int, int]:
     return w - y, y
 
 
+def least_right(n: int, bound: int) -> int:
+    """The least m with pair(n, m) >= bound.
+
+    pair(n, m) grows with m, and bound = pair(x, y) lies on the diagonal
+    x + y: row n reaches bound on that diagonal when n <= x, else on the
+    next one.
+    """
+    x, y = unpair(bound)
+    m = x + y - n if x >= n else x + y + 1 - n
+    return m if m > 0 else 0
+
+
 # -- index maps ------------------------------------------------------------
 
 
@@ -331,18 +343,28 @@ class LazyAF:
     never trusted blindly: spot_check_attacker_spec probes soundness and
     completeness on a window, and the stage verifier re-probes whatever
     it relies on.
+
+    attacker_candidates, when given, maps (a, hi) to the indices x < hi,
+    in increasing order, that the predicate's own definition leaves
+    possible as attackers of a: a superset of the true attackers of a
+    below hi.  It must be derived from the predicate alone, never read
+    from the attacker spec, since the spot check uses it to test that
+    spec for completeness.  None means every index below hi is possible.
     """
 
     def __init__(self, attack_predicate: Callable[[int, int], bool],
                  attacker_spec_fn: Callable[[int], AttackerSpec],
                  universe: Optional[int] = None,
                  naming: Optional[Callable[[int], str]] = None,
-                 candidate_stages=None):
+                 candidate_stages=None,
+                 attacker_candidates: Optional[
+                     Callable[[int, int], Iterable[int]]] = None):
         self._predicate = attack_predicate
         self._spec_fn = attacker_spec_fn
         self.universe = universe
         self._naming = naming
         self.candidate_stages = candidate_stages
+        self.attacker_candidates = attacker_candidates
         self._spec_cache = {}
 
     def _check(self, i: int):
@@ -393,7 +415,10 @@ def spot_check_attacker_spec(af: LazyAF, args: Iterable[int], bound: int) -> lis
 
     For each argument: every spec member must really attack it, and every
     attacker found by scanning indices < bound must appear in the spec.
-    Returns human-readable violation strings (empty = clean).
+    The scan covers af.attacker_candidates(a, bound) when the AF has that
+    hook, else every index below the bound; the indices it skips cannot
+    attack a by the predicate's definition.  Returns human-readable
+    violation strings (empty = clean).
     """
     problems = []
     for a in args:
@@ -410,7 +435,9 @@ def spot_check_attacker_spec(af: LazyAF, args: Iterable[int], bound: int) -> lis
                     problems.append(
                         f"spec of {a}: family member {m} (k={k}) does not attack")
         hi = bound if af.universe is None else min(bound, af.universe)
-        for x in range(hi):
+        scan = (range(hi) if af.attacker_candidates is None
+                else af.attacker_candidates(a, hi))
+        for x in scan:
             if af.attacks(x, a) and not spec.contains(x):
                 problems.append(f"spec of {a}: attacker {x} missing from spec")
     return problems

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .core import Affine, FiniteAF, pair, unpair
+from .core import Affine, FiniteAF, least_right, pair, unpair
 from .errors import CapExceeded, DomainError
 from .grounded import grounded_finite
 from .ordinals import Ordinal
@@ -161,15 +161,7 @@ def _dset(af: FiniteAF, mran) -> frozenset:
 
 
 def _first_attacked_level(level: int, dset) -> Optional[int]:
-    best = None
-    for n in dset:
-        m = 0
-        while pair(n, m) < level:
-            m += 1
-        v = pair(n, m)
-        if best is None or v < best:
-            best = v
-    return best
+    return min((pair(n, least_right(n, level)) for n in dset), default=None)
 
 
 def _ts_rank_states(af: FiniteAF, seed: frozenset):

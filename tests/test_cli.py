@@ -8,7 +8,8 @@ import warnings
 import pytest
 
 from transfinite_af.checks import eliminated_self_defending, iterated_defense_step
-from transfinite_af.cli import MAX_PATH_LENGTH, _SIZE_BOUNDS, build_parser, main
+from transfinite_af.cli import MAX_PATH_LENGTH, MAX_SAMPLE, _SIZE_BOUNDS, \
+    build_parser, main
 from transfinite_af.constructions import materialize_spec, parse_generator_spec
 from transfinite_af.core import FiniteAF, format_apx, parse_apx
 from transfinite_af.ordinals import NEVER, format_ordinal
@@ -180,6 +181,16 @@ def test_reduce_sizes_are_capped(capsys, chain_path, command):
     assert code == 0
     doc = json.loads(out)
     assert len(doc.get("prefix", doc.get("witness"))) == 100
+
+
+@pytest.mark.parametrize("spec", ["bs", "ord:w^3", "AF"])
+def test_sample_is_capped(capsys, chain_path, spec):
+    spec = f"apx:{chain_path}" if spec == "AF" else spec
+    start = time.perf_counter()
+    code, out, err = run(capsys, "grounded", spec, "--sample", str(MAX_SAMPLE + 1))
+    assert time.perf_counter() - start < 1.0  # refused before any work
+    assert code == 2 and out == ""
+    assert err == f"error: --sample {MAX_SAMPLE + 1} exceeds the cap of {MAX_SAMPLE}\n"
 
 
 def test_check_passes(capsys):

@@ -15,6 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from transfinite_af.cli import main
+from transfinite_af.constructions import materialize_spec, parse_generator_spec
+from transfinite_af.core import LazyAF
+from transfinite_af.errors import TransfiniteAFError
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::transfinite_af.ordinals.NoncanonicalOrdinalWarning")
@@ -119,6 +122,18 @@ def _run(*argv):
 def test_generator_specs_end_in_documented_exit_codes(spec):
     _run("grounded", spec, "--sample", "16")
     _run("gen", spec)
+    try:
+        af = materialize_spec(parse_generator_spec(spec))
+    except (ValueError, KeyError, TransfiniteAFError):
+        return
+    if isinstance(af, LazyAF):
+        # the spot check's candidates decide what a full scan decides
+        hi = 24
+        for a in range(hi):
+            cand = list(af.attacker_candidates(a, hi))
+            assert all(x < hi for x in cand)
+            assert [x for x in cand if af.attacks(x, a)] == \
+                [x for x in range(hi) if af.attacks(x, a)], (spec, a)
 
 
 @_FUZZ

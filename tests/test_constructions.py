@@ -17,7 +17,7 @@ from transfinite_af.constructions import (
     parse_generator_spec,
 )
 from transfinite_af.core import AttackerFamily, AttackerSpec, FiniteAF, \
-    PairLeft, format_apx, pair, unpair
+    LazyAF, PairLeft, format_apx, pair, spot_check_attacker_spec, unpair
 from transfinite_af.errors import CapExceeded, UnsupportedExpression
 from transfinite_af.grounded import (
     grounded_finite,
@@ -317,6 +317,79 @@ def test_union_places_part_p_argument_j_at_pair(text):
         for fam, own in zip(lifted, inner.families):
             assert (cand.family_all_never(fam)
                     == part.candidate_stages.family_all_never(own))
+
+
+# -- attacker candidates ---------------------------------------------------------
+
+
+def _without_hook(af, spec=None):
+    """The same AF with the full-scan spot check, optionally another spec."""
+    return LazyAF(af.attacks, spec or af.attacker_spec, af.universe,
+                  attacker_candidates=None)
+
+
+@pytest.mark.parametrize("text", [
+    "bs", "ord:w", "ord:w+3", "ord:w*3+1", "ord:w^2", "ord:w^2+w*2+1", "ord:w^3",
+    "union(bs,ord:w)", "union(ord:w,apx:chain.apx)",
+    "union(bs,union(ord:w^2,ord:5))"])
+def test_attacker_candidates_decide_what_the_full_scan_decides(tmp_path, text):
+    (tmp_path / "chain.apx").write_text(
+        format_apx(FiniteAF(4, [(0, 1), (1, 2), (2, 3), (3, 3)])))
+    af = materialize_spec(parse_generator_spec(text), str(tmp_path))
+    for hi in (16, 160):
+        for a in range(hi + 3):  # a past the window has no candidates in it
+            cand = list(af.attacker_candidates(a, hi))
+            assert cand == sorted(set(cand)) and all(x < hi for x in cand)
+            assert [x for x in cand if af.attacks(x, a)] == \
+                [x for x in range(hi) if af.attacks(x, a)], (a, hi)
+
+
+@pytest.mark.parametrize("text", ["bs", "ord:w+3", "union(bs,ord:w)", "ord:w^2"])
+def test_spot_check_through_candidates_finds_a_dropped_attacker(text):
+    af = materialize_spec(parse_generator_spec(text))
+    hi = 120
+    dropped = 0
+    for a in range(hi):
+        attackers = [x for x in range(hi) if af.attacks(x, a)]
+        if not attackers:
+            continue
+        x = attackers[-1]
+        spec = af.attacker_spec(a)
+        short = AttackerSpec(
+            tuple(b for b in spec.explicit if b != x),
+            tuple(f for f in spec.families if not f.contains(x)))
+
+        def spec_fn(i, a=a, short=short):
+            return short if i == a else af.attacker_spec(i)
+
+        hooked = LazyAF(af.attacks, spec_fn,
+                        attacker_candidates=af.attacker_candidates)
+        problems = spot_check_attacker_spec(hooked, [a], bound=hi)
+        assert f"spec of {a}: attacker {x} missing from spec" in problems
+        assert problems == spot_check_attacker_spec(
+            _without_hook(af, spec_fn), [a], bound=hi)
+        dropped += 1
+    assert dropped >= 10
+
+
+def test_spot_check_of_omega_squared_asks_a_tenth_of_the_full_scan():
+    def count_calls(af):
+        calls = 0
+        predicate = af.attacks
+
+        def attacks(x, y):
+            nonlocal calls
+            calls += 1
+            return predicate(x, y)
+
+        af.attacks = attacks
+        assert spot_check_attacker_spec(af, range(500), bound=500) == []
+        return calls
+
+    af = materialize_spec(parse_generator_spec("ord:w^2"))
+    full = count_calls(_without_hook(af))
+    assert full >= 500 * 500
+    assert count_calls(af) < full // 10
 
 
 # -- generator specs ----------------------------------------------------------------

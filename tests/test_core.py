@@ -14,6 +14,7 @@ from transfinite_af.core import (
     PairRight,
     format_apx,
     format_dot,
+    least_right,
     materialize,
     pair,
     parse_apx,
@@ -52,6 +53,15 @@ def test_pairing_bijection():
             assert unpair(z) == (x, y)
     # the image of [0,40)^2 under pairing covers an initial segment
     assert set(range(800)) <= set(seen)
+
+
+def test_least_right_matches_the_loop():
+    for n in range(40):
+        m = 0
+        for bound in range(2000):
+            while pair(n, m) < bound:
+                m += 1
+            assert least_right(n, bound) == m, (n, bound)
 
 
 # -- finite AF set operators (brute-force oracles inline) ----------------
@@ -222,6 +232,20 @@ def test_spot_check_flags_bad_specs():
     problems = spot_check_attacker_spec(bad, range(3), bound=10)
     assert any("does not attack" in p for p in problems)
     assert any("missing from spec" in p for p in problems)
+
+
+def test_spot_check_scans_only_the_candidates():
+    scanned = []
+
+    def attacks(x, y):
+        scanned.append((x, y))
+        return y == x + 1
+
+    hooked = LazyAF(attacks, lambda i: AttackerSpec(),
+                    attacker_candidates=lambda a, hi: [a - 1] if 0 < a <= hi else [])
+    assert spot_check_attacker_spec(hooked, range(4), bound=10) == [
+        f"spec of {a}: attacker {a - 1} missing from spec" for a in (1, 2, 3)]
+    assert scanned == [(0, 1), (1, 2), (2, 3)]
 
 
 # -- APX / DOT -------------------------------------------------------------
