@@ -6,8 +6,9 @@ reported, so the dump is the smallest AF (under that greedy strategy)
 still violating the property.
 
 The module also keeps slow, independent reference engines (an
-all-subsets least fixpoint and the round-by-round loops the stage
-kernel replaced) that the suites and tests compare the library against.
+all-subsets least fixpoint, the round-by-round loops the stage kernel
+replaced, and the T_S rank exploration on frozenset states) that the
+suites and tests compare the library against.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from .constructions import (
     disjoint_union_with_embedding,
     ordinal_target_af,
 )
-from .core import FiniteAF, LazyAF, format_apx, parse_apx
-from .errors import TransfiniteAFError
+from .core import FiniteAF, LazyAF, format_apx, least_right, pair, parse_apx, \
+    unpair
+from .errors import CapExceeded, DomainError, TransfiniteAFError
 from .grounded import (
     GroundedResult,
     OmegaApproximation,
@@ -44,6 +46,7 @@ from .ordinals import (
     parse_ordinal,
 )
 from .rank_analysis import (
+    STATE_CAP,
     build_self_defending_witness,
     largest_self_defending,
     merge_witnesses,
@@ -235,6 +238,73 @@ def predicate_omega_approximation(af: LazyAF, window: int, steps: int,
                                   frozenset(closure), True)
     return OmegaApproximation(stages, frozenset(), frozenset(rest),
                               frozenset(closure), False)
+
+
+# -- the T_S rank exploration on frozenset states, kept as a reference -----------
+
+
+def _dset(af: FiniteAF, mran) -> frozenset:
+    out = set()
+    for x in mran:
+        out.update(af.attackers_of(x))
+    return frozenset(out)
+
+
+def _first_attacked_level(level: int, dset) -> Optional[int]:
+    return min((pair(n, least_right(n, level)) for n in dset), default=None)
+
+
+def frozenset_ts_rank_states(af: FiniteAF, seed: frozenset):
+    """rank_analysis._ts_rank_states on (level, frozenset) states.
+
+    Every state rebuilds its attacker set from the whole committed set and
+    finds the next attacked level member by member; the library carries
+    both as bitmasks and decodes the level once per state.
+    """
+
+    def entry(level: int, mran: frozenset):
+        d = _dset(af, mran)
+        l1 = _first_attacked_level(level, d)
+        if l1 is None:
+            raise DomainError(
+                "no level ever attacks the committed set: T_S has a path")
+        return (l1, mran), l1 - level
+
+    memo: Dict[Tuple[int, frozenset], int] = {}
+    root_state, root_gap = entry(0, seed)
+    stack: List[list] = [[root_state, None, None]]
+    while stack:
+        state, children, results = stack[-1]
+        if state in memo:
+            stack.pop()
+            continue
+        level, mran = state
+        if children is None:
+            n = unpair(level)[0]
+            att = af.attackers_of(n) if n < af.n else ()
+            if not att:
+                memo[state] = 0
+                stack.pop()
+                continue
+            children = [entry(level + 1, mran | {i}) for i in att]
+            stack[-1][1] = children
+            stack[-1][2] = results = []
+        advanced = False
+        while len(results) < len(children):
+            sub_state, gap = children[len(results)]
+            if sub_state in memo:
+                results.append(1 + gap + memo[sub_state])
+            else:
+                if len(memo) + len(stack) > STATE_CAP:
+                    raise CapExceeded(
+                        f"T_S rank exploration exceeded {STATE_CAP} states")
+                stack.append([sub_state, None, None])
+                advanced = True
+                break
+        if not advanced and len(results) == len(children):
+            memo[state] = max(results)
+            stack.pop()
+    return root_gap + memo[root_state], memo
 
 
 # -- the lemma suite -------------------------------------------------------------

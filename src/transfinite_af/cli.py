@@ -321,10 +321,14 @@ _COMMANDS = {
 }
 
 
+# The one parser `main` uses: parsing leaves a parser as it was built, and
+# building one costs more than most requests.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else EXIT_PARSE
     # Warnings print as one line without a source location; entering

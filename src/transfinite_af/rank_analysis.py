@@ -17,10 +17,11 @@ makes rank computation by state sharing exact.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .core import Affine, FiniteAF, least_right, pair, unpair
+from .core import Affine, FiniteAF, unpair
 from .errors import CapExceeded, DomainError
 from .grounded import grounded_finite
 from .ordinals import Ordinal
@@ -153,57 +154,84 @@ def ts_rank(af: FiniteAF, seed) -> int:
     return rank
 
 
-def _dset(af: FiniteAF, mran) -> frozenset:
-    out = set()
-    for x in mran:
-        out.update(af.attackers_of(x))
-    return frozenset(out)
+def _mask(members) -> int:
+    """The int with bit i set for each member i."""
+    out = 0
+    for i in members:
+        out |= 1 << i
+    return out
 
 
-def _first_attacked_level(level: int, dset) -> Optional[int]:
-    return min((pair(n, least_right(n, level)) for n in dset), default=None)
+def _first_attacked_level(level: int, dmask: int) -> Optional[int]:
+    """The least level >= `level` whose index decodes to (n, m) with bit n
+    of dmask set; None when dmask is empty.
+
+    With (x, y) = unpair(level) on diagonal s = x + y, row n meets the
+    diagonal at pair(n, s - n) = T(s) + s - n, which is >= level exactly
+    when n <= x; so the largest such n wins, else the largest n <= s + 1 on
+    the next diagonal, else the smallest n at pair(n, 0) = T(n).
+    """
+    if not dmask:
+        return None
+    x, y = unpair(level)
+    s = x + y
+    below = dmask & ((2 << x) - 1)
+    if not below:
+        s += 1
+        below = dmask & ((2 << s) - 1)
+        if not below:
+            n = (dmask & -dmask).bit_length() - 1
+            return n * (n + 1) // 2
+    return s * (s + 1) // 2 + s - (below.bit_length() - 1)
 
 
 def _ts_rank_states(af: FiniteAF, seed: frozenset):
-    """(root rank, {case-1 state: rank}) for a pathless T_S."""
+    """(root rank, {case-1 state: rank}) for a pathless T_S.
 
-    def entry(level: int, mran: frozenset):
-        d = _dset(af, mran)
-        l1 = _first_attacked_level(level, d)
+    A state is (level, committed mask), bit i of the mask standing for
+    a_i.  Each stack entry also carries its attacker mask, the union of
+    its members' rows of `att`: a child's is its parent's `|` the row of
+    the one member it adds.
+    """
+    att = [_mask(af.attackers_of(x)) for x in range(af.n)]
+
+    def entry(level: int, cmask: int, dmask: int):
+        l1 = _first_attacked_level(level, dmask)
         if l1 is None:
             raise DomainError(
                 "no level ever attacks the committed set: T_S has a path")
-        return (l1, mran), l1 - level
+        return (l1, cmask), dmask, l1 - level
 
-    memo: Dict[Tuple[int, frozenset], int] = {}
-    root_state, root_gap = entry(0, seed)
-    stack: List[list] = [[root_state, None, None]]
+    memo: Dict[Tuple[int, int], int] = {}
+    seed_dmask = _mask(af.minus_set(seed))  # checks the seed's range too
+    root_state, root_dmask, root_gap = entry(0, _mask(seed), seed_dmask)
+    stack: List[list] = [[root_state, root_dmask, None, None]]
     while stack:
-        state, children, results = stack[-1]
+        state, dmask, children, results = stack[-1]
         if state in memo:
             stack.pop()
             continue
-        level, mran = state
+        level, cmask = state
         if children is None:
-            n = unpair(level)[0]
-            att = af.attackers_of(n) if n < af.n else ()
-            if not att:
+            attackers = af.attackers_of(unpair(level)[0])
+            if not attackers:
                 memo[state] = 0
                 stack.pop()
                 continue
-            children = [entry(level + 1, mran | {i}) for i in att]
-            stack[-1][1] = children
-            stack[-1][2] = results = []
+            children = [entry(level + 1, cmask | 1 << i, dmask | att[i])
+                        for i in attackers]
+            stack[-1][2] = children
+            stack[-1][3] = results = []
         advanced = False
         while len(results) < len(children):
-            sub_state, gap = children[len(results)]
+            sub_state, sub_dmask, gap = children[len(results)]
             if sub_state in memo:
                 results.append(1 + gap + memo[sub_state])
             else:
                 if len(memo) + len(stack) > STATE_CAP:
                     raise CapExceeded(
                         f"T_S rank exploration exceeded {STATE_CAP} states")
-                stack.append([sub_state, None, None])
+                stack.append([sub_state, sub_dmask, None, None])
                 advanced = True
                 break
         if not advanced and len(results) == len(children):
@@ -213,8 +241,31 @@ def _ts_rank_states(af: FiniteAF, seed: frozenset):
 
 
 def expand_ts(af: FiniteAF, seed, node_cap: int = 50_000) -> FiniteTree:
-    """Materialize T_S node by node (pathless seeds only, König-finite)."""
-    return _expand(build_TS(af, seed), node_cap)
+    """Materialize T_S node by node (pathless seeds only, König-finite).
+
+    The nodes of `build_TS`, with each node's attacker mask carried down
+    from its parent's instead of rebuilt from its path: a node is attacked
+    when bit n of its mask is set, for its level decoding to (n, m).
+    """
+    att = [_mask(af.attackers_of(x)) for x in range(af.n)]
+    attacked = [ChildrenSpec(symbols=tuple(i + 1 for i in af.attackers_of(n)))
+                for n in range(af.n)]
+    unattacked = ChildrenSpec(symbols=(0,))
+    # The attacker masks of the queued nodes, in queue order: `_expand`
+    # asks for children breadth-first, in the order it queued the nodes.
+    # Keyed by nothing but that order, they cost one int per queued node.
+    dmasks = deque([_mask(af.minus_set(frozenset(seed)))])
+
+    def children_of(sigma: NodePath) -> ChildrenSpec:
+        dmask = dmasks.popleft()
+        n = unpair(len(sigma))[0]
+        if dmask >> n & 1:
+            dmasks.extend(dmask | att[i] for i in af.attackers_of(n))
+            return attacked[n]
+        dmasks.append(dmask)
+        return unattacked
+
+    return _expand(LazyTree(children_of=children_of), node_cap)
 
 
 @dataclass(frozen=True)
@@ -418,14 +469,15 @@ def rank_stage_bridge_check(af: FiniteAF) -> BridgeReport:
         if b not in gplus:
             continue
         _, memo = _ts_rank_states(af, frozenset((b,)))
-        for (level, mran), q in memo.items():
+        for (level, cmask), q in memo.items():
             states_checked += 1
+            mran = [x for x in range(af.n) if cmask >> x & 1]
             bound = Ordinal.from_int(q + 1)
             hit = any(stages[g] <= bound
                       for x in mran for g in af.attackers_of(x))
             if not hit:
                 violations.append(
                     f"T_{{{af.name(b)}}} state (level {level}, committed "
-                    f"{sorted(mran)}) of rank {q}: no member of G_{q + 1} "
+                    f"{mran}) of rank {q}: no member of G_{q + 1} "
                     "attacks the committed set")
     return BridgeReport(violations, len(result.grounded), states_checked)

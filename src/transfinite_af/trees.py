@@ -200,6 +200,9 @@ def rank_finite(tree, node_cap: int = 200_000) -> Ordinal:
 
 def _expand(tree: LazyTree, node_cap: int, width: Optional[int] = None,
             depth: Optional[int] = None) -> FiniteTree:
+    """The nodes reached breadth-first: the tree's children are asked for
+    node by node, in the order the nodes were queued (each node's children
+    in the order its spec lists them), skipping nodes at `depth`."""
     paths = [ROOT]
     queue = deque([ROOT])
     while queue:

@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from transfinite_af import cli
 from transfinite_af.checks import eliminated_self_defending, iterated_defense_step
 from transfinite_af.cli import MAX_PATH_LENGTH, MAX_SAMPLE, _SIZE_BOUNDS, \
     build_parser, main
@@ -375,6 +376,33 @@ def test_every_integer_option_has_bounds():
                     yield from int_flags(sub)
 
     assert set(int_flags(build_parser())) == set(_SIZE_BOUNDS) | {"--seed"}
+
+
+def test_back_to_back_calls_print_what_a_fresh_parser_prints(
+        capsys, monkeypatch, chain_path):
+    af = f"apx:{chain_path}"
+    commands = [
+        ["grounded", af, "--stages"],
+        ["reduce", "ts", "--af", af, "--set", "a1"],
+        ["reduce", "ta", "--af", af, "--arg", "a2"],
+        ["reduce", "witness", "--af", af, "--arg", "a1", "--length", "5"],
+        ["gen", "bs:truncate=2"],
+        ["reduce", "ta", "--af", af, "--bogus"],
+        ["reduce", "witness", "--af", af, "--arg", "a1",
+         "--length", str(MAX_PATH_LENGTH + 1)],
+        ["reduce", "witness", "--af", af, "--arg", "a0"],
+        ["--help"],
+        ["reduce", "ts", "--help"],
+    ]
+    fresh = []
+    for argv in commands:
+        monkeypatch.setattr(cli, "_PARSER", build_parser())
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 2, 2, 3, 0, 0]
+
+    monkeypatch.setattr(cli, "_PARSER", build_parser())
+    monkeypatch.setattr(cli, "build_parser", None)  # main builds none
+    assert [run(capsys, *argv) for argv in commands] == fresh
 
 
 @pytest.mark.parametrize("spec", ["bs", "ord:w*3+2", "ord:w^3+1",

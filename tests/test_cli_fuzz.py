@@ -12,7 +12,7 @@ import contextlib
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from transfinite_af.cli import main
 from transfinite_af.constructions import materialize_spec, parse_generator_spec
@@ -117,8 +117,15 @@ def _run(*argv):
     assert "Traceback" not in err.getvalue()
 
 
+# Few generated specs build a lazy AF, so each built-in lazy spec is also
+# an explicit example and reaches the hook/full-scan check.
 @_FUZZ
 @given(_spec_texts())
+@example("bs")
+@example("ord:w")
+@example("ord:w^2")
+@example("union(bs,ord:w)")
+@example("union(ord:3:truncate=1,bs)")
 def test_generator_specs_end_in_documented_exit_codes(spec):
     _run("grounded", spec, "--sample", "16")
     _run("gen", spec)

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
-from transfinite_af.core import FiniteAF
-from transfinite_af.errors import DomainError
+from transfinite_af import checks, rank_analysis
+from transfinite_af.core import FiniteAF, pair, unpair
+from transfinite_af.errors import CapExceeded, DomainError
 from transfinite_af.grounded import grounded_finite, stages_finite
 from transfinite_af.ordinals import NEVER, Ordinal
 from transfinite_af.rank_analysis import (
@@ -22,7 +24,7 @@ from transfinite_af.rank_analysis import (
     verify_self_defending_witness,
     witness_path,
 )
-from transfinite_af.trees import bounded_path_search, rank_finite
+from transfinite_af.trees import _expand, bounded_path_search, rank_finite
 
 
 def chain(n=3):
@@ -145,6 +147,102 @@ def test_ts_agreement_with_oracle():
                 assert len(decision.prefix) == 40
             else:
                 assert decision.rank is not None
+
+
+def _small_seeds(af):
+    """Every seed of one or two members."""
+    singles = [frozenset((x,)) for x in range(af.n)]
+    pairs = [frozenset(p) for p in itertools.combinations(range(af.n), 2)]
+    return singles + pairs
+
+
+def _ts_corpus():
+    """Seeded AFs with their G+; one T_S here runs past level T(n), where
+    indices n >= af.n insert single-child steps."""
+    rng = random.Random(67)
+    afs = [random_af(rng, max_args=7) for _ in range(60)]
+    return [(af, af.plus_set(grounded_finite(af).grounded)) for af in afs]
+
+
+def _ts_outcome(explore, af, seed):
+    try:
+        return explore(af, seed)
+    except (DomainError, CapExceeded) as e:
+        return type(e), str(e)
+
+
+def test_ts_rank_states_match_the_frozenset_oracle(monkeypatch):
+    # a small cap lets seeds with a path end at the cap, as pathless ones
+    # with too many states do
+    monkeypatch.setattr(rank_analysis, "STATE_CAP", 400)
+    monkeypatch.setattr(checks, "STATE_CAP", 400)
+    outcomes = set()
+    for af, gplus in _ts_corpus():
+        for seed in _small_seeds(af) + [frozenset()]:
+            got = _ts_outcome(rank_analysis._ts_rank_states, af, seed)
+            want = _ts_outcome(checks.frozenset_ts_rank_states, af, seed)
+            if got[0] in (DomainError, CapExceeded):
+                assert got == want, (af.attack_pairs, seed)
+                outcomes.add(got[0])
+                continue
+            assert seed & gplus
+            rank, memo = got
+            decoded = [((level, frozenset(x for x in range(af.n)
+                                          if mask >> x & 1)), q)
+                       for (level, mask), q in memo.items()]
+            assert (rank, decoded) == (want[0], list(want[1].items()))
+            outcomes.add(int)
+    assert outcomes == {int, DomainError, CapExceeded}
+
+
+def test_expand_ts_matches_the_definitional_tree():
+    trees = padded = 0
+    for af, gplus in _ts_corpus():
+        for seed in _small_seeds(af):
+            if not seed & gplus:
+                continue
+            try:
+                want = _expand(build_TS(af, seed), 5_000)
+            except CapExceeded:
+                with pytest.raises(CapExceeded):
+                    expand_ts(af, seed, node_cap=5_000)
+                continue
+            got = expand_ts(af, seed, node_cap=5_000)
+            assert got.order == want.order
+            trees += 1
+            padded += any(unpair(len(p))[0] >= af.n and got.children(p) == (0,)
+                          for p in got.order)
+    assert trees > 100 and padded > 0
+
+
+def _least_attacked_level_by_stepping(level, dmask):
+    firsts = []
+    for n in range(dmask.bit_length()):
+        if dmask >> n & 1:
+            m = 0
+            while pair(n, m) < level:
+                m += 1
+            firsts.append(pair(n, m))
+    return min(firsts, default=None)
+
+
+def test_first_attacked_level_closed_form():
+    # every attacker set of 9 arguments on every level below 400, through
+    # each level's least row-n level
+    for level in range(400):
+        rows = [_least_attacked_level_by_stepping(level, 1 << n)
+                for n in range(9)]
+        for dmask in range(1 << 9):
+            want = min((rows[n] for n in range(9) if dmask >> n & 1),
+                       default=None)
+            assert rank_analysis._first_attacked_level(level, dmask) == want
+    # attackers that all lie beyond the next diagonal s + 1
+    for level in range(60):
+        x, y = unpair(level)
+        for dmask in (1 << (x + y + 2), 1 << 40, (1 << 25) | (1 << 31)):
+            assert rank_analysis._first_attacked_level(level, dmask) == \
+                _least_attacked_level_by_stepping(level, dmask)
+    assert rank_analysis._first_attacked_level(123, 0) is None
 
 
 # -- T^a -------------------------------------------------------------------------
