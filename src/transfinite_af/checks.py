@@ -7,13 +7,15 @@ still violating the property.
 
 The module also keeps slow, independent reference engines (an
 all-subsets least fixpoint, the round-by-round loops the stage kernel
-replaced, and the T_S rank exploration on frozenset states) that the
-suites and tests compare the library against.
+replaced, the T_S rank exploration on frozenset states, and the tree
+expansion keyed by paths) that the suites and tests compare the library
+against.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -25,7 +27,8 @@ from .constructions import (
 )
 from .core import FiniteAF, LazyAF, format_apx, least_right, pair, parse_apx, \
     unpair
-from .errors import CapExceeded, DomainError, TransfiniteAFError
+from .errors import CapExceeded, DomainError, TransfiniteAFError, \
+    UnsupportedExpression
 from .grounded import (
     GroundedResult,
     OmegaApproximation,
@@ -56,7 +59,7 @@ from .rank_analysis import (
     verify_self_defending_witness,
     witness_path,
 )
-from .trees import FiniteTree
+from .trees import ROOT, FiniteTree, LazyTree
 
 
 @dataclass
@@ -305,6 +308,36 @@ def frozenset_ts_rank_states(af: FiniteAF, seed: frozenset):
             memo[state] = max(results)
             stack.pop()
     return root_gap + memo[root_state], memo
+
+
+# -- the path-keyed tree expansion, kept as a reference ---------------------------
+
+
+def path_keyed_expand(tree: LazyTree, node_cap: int, width: Optional[int] = None,
+                      depth: Optional[int] = None) -> FiniteTree:
+    """trees._expand keyed by paths: every queued node is its whole path,
+    its children are asked for by path, and the validating FiniteTree
+    constructor orders and deduplicates the paths.  The library carries a
+    per-node state down a table of (parent, symbol) rows instead."""
+    paths = [ROOT]
+    queue = deque([ROOT])
+    while queue:
+        p = queue.popleft()
+        if depth is not None and len(p) >= depth:
+            continue
+        spec = tree.children(p)
+        if spec.families and width is None:
+            raise UnsupportedExpression(
+                f"node {list(p)} has family children; full expansion needs a width")
+        symbols = (spec.first_symbols(min(width, node_cap)) if width is not None
+                   else spec.symbols)
+        for s in symbols:
+            child = p + (s,)
+            paths.append(child)
+            if len(paths) > node_cap:
+                raise CapExceeded(f"expansion exceeded {node_cap} nodes")
+            queue.append(child)
+    return FiniteTree(paths)
 
 
 # -- the lemma suite -------------------------------------------------------------

@@ -30,6 +30,7 @@ from .rank_analysis import (
     witness_path,
 )
 from .trees import (
+    TRUNCATE_NODE_CAP,
     FiniteTree,
     bounded_path_search,
     build_tree_of_rank,
@@ -54,8 +55,13 @@ MAX_PATH_LENGTH = 100_000
 # window, and the largest built-in spec takes tens of seconds at the cap.
 MAX_SAMPLE = 100_000
 
+# Cap on check's --max-args: the random AFs draw one candidate attack per
+# ordered pair of arguments.
+MAX_CHECK_ARGS = 1_000
+
 # Every integer size option, by flag: (minimum, cap or None).  A flag
-# means the same size in every command that has it.
+# means the same size in every command that has it.  reduce ts's
+# --node-cap shares the truncations' node budget.
 _SIZE_BOUNDS = {
     "--sample": (1, MAX_SAMPLE),
     "--cap": (1, None),
@@ -63,10 +69,10 @@ _SIZE_BOUNDS = {
     "--truncate-depth": (0, None),
     "--depth": (1, MAX_PATH_LENGTH),
     "--width": (1, MAX_PATH_LENGTH),
-    "--node-cap": (1, None),
+    "--node-cap": (1, TRUNCATE_NODE_CAP),
     "--length": (1, MAX_PATH_LENGTH),
     "--trials": (0, None),
-    "--max-args": (1, None),
+    "--max-args": (1, MAX_CHECK_ARGS),
 }
 
 

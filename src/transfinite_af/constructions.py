@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .core import (
@@ -68,35 +69,49 @@ def _path_name(prefix: str, path) -> str:
 
 @dataclass(frozen=True)
 class FiniteTreeAF:
-    """F_T materialized: breadth-first node order fixes the indices."""
+    """F_T materialized: the tree's row r gives a_r at 2r and b_r at 2r+1."""
 
     af: FiniteAF
     tree: FiniteTree
-    order: Tuple[Tuple[int, ...], ...]
-    a_index: Dict[Tuple[int, ...], int]
-    b_index: Dict[Tuple[int, ...], int]
+
+    @property
+    def order(self) -> Tuple[Tuple[int, ...], ...]:
+        return self.tree.order
+
+    @cached_property
+    def a_index(self) -> Dict[Tuple[int, ...], int]:
+        return {p: 2 * r for r, p in enumerate(self.tree.order)}
+
+    @cached_property
+    def b_index(self) -> Dict[Tuple[int, ...], int]:
+        return {p: 2 * r + 1 for r, p in enumerate(self.tree.order)}
 
     def expected_stages(self) -> Dict[int, object]:
         """Candidate stages from node ranks: a at rank+1, b never."""
-        ranks = self.tree.node_ranks()
         out = {}
-        for p in self.order:
-            out[self.a_index[p]] = Ordinal.from_int(ranks[p] + 1)
-            out[self.b_index[p]] = NEVER
+        for r, rank in enumerate(self.tree.row_ranks()):
+            out[2 * r] = Ordinal.from_int(rank + 1)
+            out[2 * r + 1] = NEVER
         return out
 
 
+def _tree_af_table(tree: FiniteTree) -> Tuple[List[str], List[Tuple[int, int]]]:
+    """F_T's names and attacks by row: a_r attacks b_r, and b_r attacks
+    a of r's parent; each name is its parent's plus one symbol."""
+    parents, symbols = tree.parents, tree.symbols
+    suffixes = [""]
+    attacks = [(0, 1)]
+    for r in range(1, len(parents)):
+        p = parents[r]
+        suffixes.append(f"{suffixes[p]}_{symbols[r]}")
+        attacks += ((2 * r, 2 * r + 1), (2 * r + 1, 2 * p))
+    names = [n for sfx in suffixes for n in ("a" + sfx, "b" + sfx)]
+    return names, attacks
+
+
 def af_from_finite_tree(tree: FiniteTree) -> FiniteTreeAF:
-    a_index = {p: 2 * r for r, p in enumerate(tree.order)}
-    b_index = {p: 2 * r + 1 for r, p in enumerate(tree.order)}
-    attacks, names = [], []
-    for p in tree.order:
-        attacks.append((a_index[p], b_index[p]))
-        for s in tree.children(p):
-            attacks.append((b_index[p + (s,)], a_index[p]))
-        names += (_path_name("a", p), _path_name("b", p))
-    return FiniteTreeAF(FiniteAF(len(names), attacks, names), tree,
-                        tree.order, a_index, b_index)
+    names, attacks = _tree_af_table(tree)
+    return FiniteTreeAF(FiniteAF(len(names), attacks, names), tree)
 
 
 # -- F_T over lazy trees -----------------------------------------------------
@@ -418,7 +433,7 @@ def ordinal_target_af(alpha, truncate: Optional[int] = None):
                 raise CapExceeded(
                     f"expansion exceeded {TRUNCATE_NODE_CAP} nodes") from None
             used += len(trees[-1])
-        return disjoint_union([af_from_finite_tree(t).af for t in trees])
+        return _compact_union([_tree_af_table(t) for t in trees])[0]
 
     root_stages = fundamental_sequence_expr(alpha).add_finite(1)
     return _union(
@@ -428,6 +443,31 @@ def ordinal_target_af(alpha, truncate: Optional[int] = None):
 
 
 # -- disjoint unions ----------------------------------------------------------------
+
+
+def _compact_union(parts) -> Tuple[FiniteAF, List[int], List[int]]:
+    """The finite union of parts given as (names, attacks) by index.
+
+    Part p's argument j goes to the rank of pair(p, j) among all the
+    parts' codes, named u<p>_<its name>.  Returns the AF, the union index
+    of each part's arguments in turn, and where each part's run starts.
+    """
+    codes, offsets = [], []
+    for p, (names, _) in enumerate(parts):
+        offsets.append(len(codes))
+        # pair(p, j) with s = p + j on its diagonal
+        codes.extend(s * (s + 1) // 2 + s - p for s in range(p, p + len(names)))
+    ranked = sorted(range(len(codes)), key=codes.__getitem__)
+    index = [0] * len(codes)
+    for g, f in enumerate(ranked):
+        index[f] = g
+    flat_names, attacks = [], []
+    for p, (names, part_attacks) in enumerate(parts):
+        prefix, off = f"u{p}_", offsets[p]
+        flat_names += [prefix + nm for nm in names]
+        attacks += [(index[off + x], index[off + y]) for x, y in part_attacks]
+    af = FiniteAF(len(codes), attacks, [flat_names[f] for f in ranked])
+    return af, index, offsets
 
 
 def disjoint_union_with_embedding(parts: List):
@@ -442,19 +482,14 @@ def disjoint_union_with_embedding(parts: List):
         return FiniteAF(0), lambda p, j: (_ for _ in ()).throw(
             IndexError("empty union"))
     if all(isinstance(p, FiniteAF) for p in parts):
-        coded = sorted((pair(p, j), p, j)
-                       for p, part in enumerate(parts)
-                       for j in range(part.n))
-        index = {(p, j): g for g, (_, p, j) in enumerate(coded)}
-        attacks = []
-        names = []
-        for g, (_, p, j) in enumerate(coded):
-            names.append(f"u{p}_{parts[p].name(j)}")
-        for p, part in enumerate(parts):
-            for x, y in part.attack_pairs:
-                attacks.append((index[(p, x)], index[(p, y)]))
-        af = FiniteAF(len(coded), attacks, names)
-        return af, lambda p, j: index[(p, j)]
+        af, index, offsets = _compact_union(
+            [(part.names, part.attack_pairs) for part in parts])
+
+        def embed(p: int, j: int) -> int:
+            if not (0 <= p < len(parts) and 0 <= j < parts[p].n):
+                raise KeyError((p, j))
+            return index[offsets[p] + j]
+        return af, embed
 
     families: List[StageFamily] = []
     sup = None

@@ -496,16 +496,18 @@ def parse_apx(text: str) -> FiniteAF:
 
 
 def format_apx(af: FiniteAF) -> str:
-    lines = [f"arg({af.name(i)})." for i in range(af.n)]
-    lines += [f"att({af.name(x)},{af.name(y)})."
+    names = af.names
+    lines = [f"arg({nm})." for nm in names]
+    lines += [f"att({names[x]},{names[y]})."
               for x, y in sorted(af.attack_pairs)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def format_dot(af: FiniteAF) -> str:
+    names = af.names
     lines = ["digraph af {"]
-    lines += [f'  "{af.name(i)}";' for i in range(af.n)]
-    lines += [f'  "{af.name(x)}" -> "{af.name(y)}";'
+    lines += [f'  "{nm}";' for nm in names]
+    lines += [f'  "{names[x]}" -> "{names[y]}";'
               for x, y in sorted(af.attack_pairs)]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -17,7 +17,6 @@ makes rank computation by state sharing exact.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -26,7 +25,7 @@ from .errors import CapExceeded, DomainError
 from .grounded import grounded_finite
 from .ordinals import Ordinal
 from .trees import ChildFamily, ChildrenSpec, FiniteTree, LazyTree, NodePath, \
-    _expand
+    NodeStates, _expand
 
 __all__ = [
     "mran_of", "largest_self_defending",
@@ -243,29 +242,31 @@ def _ts_rank_states(af: FiniteAF, seed: frozenset):
 def expand_ts(af: FiniteAF, seed, node_cap: int = 50_000) -> FiniteTree:
     """Materialize T_S node by node (pathless seeds only, König-finite).
 
-    The nodes of `build_TS`, with each node's attacker mask carried down
-    from its parent's instead of rebuilt from its path: a node is attacked
-    when bit n of its mask is set, for its level decoding to (n, m).
+    The nodes of `build_TS`, each carrying its level and attacker mask
+    down from its parent instead of rebuilding them from its path: a
+    node is attacked when bit n of its mask is set, for its level
+    decoding to (n, m), and its child by symbol i + 1 adds a_i's row.
     """
     att = [_mask(af.attackers_of(x)) for x in range(af.n)]
     attacked = [ChildrenSpec(symbols=tuple(i + 1 for i in af.attackers_of(n)))
                 for n in range(af.n)]
     unattacked = ChildrenSpec(symbols=(0,))
-    # The attacker masks of the queued nodes, in queue order: `_expand`
-    # asks for children breadth-first, in the order it queued the nodes.
-    # Keyed by nothing but that order, they cost one int per queued node.
-    dmasks = deque([_mask(af.minus_set(frozenset(seed)))])
 
-    def children_of(sigma: NodePath) -> ChildrenSpec:
-        dmask = dmasks.popleft()
-        n = unpair(len(sigma))[0]
-        if dmask >> n & 1:
-            dmasks.extend(dmask | att[i] for i in af.attackers_of(n))
-            return attacked[n]
-        dmasks.append(dmask)
-        return unattacked
+    def children(state) -> ChildrenSpec:
+        level, dmask = state
+        n = unpair(level)[0]
+        return attacked[n] if dmask >> n & 1 else unattacked
 
-    return _expand(LazyTree(children_of=children_of), node_cap)
+    def child(state, symbol: int):
+        level, dmask = state
+        return level + 1, (dmask | att[symbol - 1] if symbol else dmask)
+
+    root = (0, _mask(af.minus_set(frozenset(seed))))
+    # queries by path, which the expansion makes none of, ask the definition
+    tree = build_TS(af, seed)
+    return _expand(LazyTree(children_of=tree.children,
+                            states=NodeStates(root, children, child)),
+                   node_cap)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Lazy prefix-closed trees over finite strings of naturals, with ranks.
 
-Finite trees carry their node set explicitly and can be ranked exactly.
-Lazy trees are given by a per-node children description (explicit
-symbols and/or affine symbol families) and, optionally, per-node rank
-annotations.  Ranks of infinite trees are never computed here, only
+Finite trees are explicit node tables and can be ranked exactly.  Lazy
+trees are given by a per-node children description (explicit symbols
+and/or affine symbol families), optionally the state an expansion
+carries from node to node instead of the path, and optionally per-node
+rank annotations.  Ranks of infinite trees are never computed here, only
 declared by builders and verified locally: computing suprema over
 genuinely infinite child sets is exactly what is hard, so the checkable
 surrogate is annotation consistency plus truncation cross-checks.
@@ -12,6 +13,7 @@ surrogate is annotation consistency plus truncation cross-checks.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Tuple
@@ -81,64 +83,139 @@ NO_CHILDREN = ChildrenSpec()
 
 
 class FiniteTree:
-    """An explicit prefix-closed finite set of paths; `order` lists them
-    breadth-first with siblings ascending, i.e. sorted by (length, path)."""
+    """An explicit finite prefix-closed tree, stored as a node table.
 
-    __slots__ = ("paths", "order", "_children")
+    Row i holds the index of its parent's row and the symbol that reaches
+    it from there (both -1 for the root, row 0).  Rows come breadth-first
+    with siblings ascending, i.e. in the order of the paths sorted by
+    (length, path), so parents never decrease and each node's children
+    are one run of rows.  `order`, `paths`, `children(path)`, membership
+    and `node_ranks()` speak in paths; they are built from the table when
+    first asked for.
+    """
+
+    __slots__ = ("parents", "symbols", "_order", "_row")
 
     def __init__(self, paths: Iterable[NodePath]):
-        paths = frozenset(tuple(p) for p in paths)
-        if not paths:
+        order = sorted(frozenset(tuple(p) for p in paths),
+                       key=lambda p: (len(p), p))
+        if not order:
             raise ValueError("a tree must contain its root")
-        order = sorted(paths, key=lambda p: (len(p), p))
-        children: Dict[NodePath, list] = {p: [] for p in order}
+        row: Dict[NodePath, int] = {}
+        parents, symbols = [], []
         for p in order:
             if p:
-                parent = p[:-1]
-                if parent not in children:
-                    raise ValueError(f"not prefix-closed: {list(p)} without {list(parent)}")
-                children[parent].append(p[-1])
-        self.paths = paths
-        self.order = tuple(order)
-        self._children = {p: tuple(cs) for p, cs in children.items()}
+                parent = row.get(p[:-1])
+                if parent is None:
+                    raise ValueError(
+                        f"not prefix-closed: {list(p)} without {list(p[:-1])}")
+                parents.append(parent)
+                symbols.append(p[-1])
+            else:
+                parents.append(-1)
+                symbols.append(-1)
+            row[p] = len(row)
+        self.parents = tuple(parents)
+        self.symbols = tuple(symbols)
+        self._order = tuple(order)
+        self._row = row
+
+    @classmethod
+    def _from_table(cls, parents, symbols) -> "FiniteTree":
+        """A tree from rows already in the table's order (unchecked)."""
+        tree = cls.__new__(cls)
+        tree.parents = tuple(parents)
+        tree.symbols = tuple(symbols)
+        tree._order = tree._row = None
+        return tree
+
+    @property
+    def order(self) -> Tuple[NodePath, ...]:
+        """Every node's path, row by row."""
+        if self._order is None:
+            order = [ROOT]
+            for i in range(1, len(self.parents)):
+                order.append(order[self.parents[i]] + (self.symbols[i],))
+            self._order = tuple(order)
+        return self._order
+
+    @property
+    def paths(self) -> frozenset:
+        return frozenset(self.order)
+
+    def _row_of(self, path: NodePath) -> int:
+        if self._row is None:
+            self._row = {p: i for i, p in enumerate(self.order)}
+        return self._row[tuple(path)]
 
     def __contains__(self, path: NodePath) -> bool:
-        return tuple(path) in self.paths
+        try:
+            self._row_of(path)
+        except KeyError:
+            return False
+        return True
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self.parents)
 
     def children(self, path: NodePath) -> Tuple[int, ...]:
-        return self._children[tuple(path)]
+        i = self._row_of(path)
+        lo = bisect_left(self.parents, i)
+        return self.symbols[lo:bisect_right(self.parents, i, lo)]
 
     def children_spec(self, path: NodePath) -> ChildrenSpec:
         return ChildrenSpec(symbols=self.children(path))
 
-    def node_ranks(self) -> Dict[NodePath, int]:
-        """Exact rank of every node: terminals 0, else max(child)+1."""
-        ranks: Dict[NodePath, int] = {}
-        for p in reversed(self.order):
-            cs = self._children[p]
-            ranks[p] = 0 if not cs else 1 + max(ranks[p + (c,)] for c in cs)
+    def row_ranks(self) -> list:
+        """Exact rank of every row: terminals 0, else max(child)+1."""
+        parents = self.parents
+        ranks = [0] * len(parents)
+        for i in range(len(parents) - 1, 0, -1):
+            r, p = ranks[i] + 1, parents[i]
+            if r > ranks[p]:
+                ranks[p] = r
         return ranks
 
+    def node_ranks(self) -> Dict[NodePath, int]:
+        """Exact rank of every node, by path."""
+        return dict(zip(self.order, self.row_ranks()))
+
     def rank(self) -> Ordinal:
-        return Ordinal.from_int(self.node_ranks()[ROOT])
+        return Ordinal.from_int(self.row_ranks()[0])
 
     def as_lazy(self) -> "LazyTree":
         return LazyTree(children_of=self.children_spec,
                         membership=self.__contains__)
 
+    # the table is canonical: equal node sets give equal tables
     def __eq__(self, other):
         if not isinstance(other, FiniteTree):
             return NotImplemented
-        return self.paths == other.paths
+        return self.symbols == other.symbols and self.parents == other.parents
 
     def __hash__(self):
-        return hash(self.paths)
+        return hash((self.parents, self.symbols))
 
     def __repr__(self):
-        return f"FiniteTree({len(self.paths)} nodes)"
+        return f"FiniteTree({len(self.parents)} nodes)"
+
+
+@dataclass(frozen=True)
+class NodeStates:
+    """What an expansion carries down a tree instead of asking by path.
+
+    `children` gives a node's children from the node's state, and `child`
+    gives a child's state from its parent's state and its symbol; the
+    root's state is `root`.  A node's path is the default state.
+    """
+
+    root: object
+    children: Callable[[object], ChildrenSpec]
+    child: Callable[[object, int], object]
+
+
+def _extend(path: NodePath, symbol: int) -> NodePath:
+    return path + (symbol,)
 
 
 class LazyTree:
@@ -146,15 +223,18 @@ class LazyTree:
 
     children_of is only ever called on members.  declared_rank_of, when
     present, must be total on members and is verified rather than
-    trusted (see check_declared_ranks).
+    trusted (see check_declared_ranks).  states, when given, must describe
+    the same children as children_of; expansions use it.
     """
 
     def __init__(self, children_of: Callable[[NodePath], ChildrenSpec],
                  declared_rank_of: Optional[Callable[[NodePath], Ordinal]] = None,
-                 membership: Optional[Callable[[NodePath], bool]] = None):
+                 membership: Optional[Callable[[NodePath], bool]] = None,
+                 states: Optional[NodeStates] = None):
         self._children_of = children_of
         self._declared_rank_of = declared_rank_of
         self._membership = membership
+        self.states = states or NodeStates(ROOT, children_of, _extend)
 
     def children(self, path: NodePath) -> ChildrenSpec:
         return self._children_of(tuple(path))
@@ -200,29 +280,44 @@ def rank_finite(tree, node_cap: int = 200_000) -> Ordinal:
 
 def _expand(tree: LazyTree, node_cap: int, width: Optional[int] = None,
             depth: Optional[int] = None) -> FiniteTree:
-    """The nodes reached breadth-first: the tree's children are asked for
-    node by node, in the order the nodes were queued (each node's children
-    in the order its spec lists them), skipping nodes at `depth`."""
-    paths = [ROOT]
-    queue = deque([ROOT])
-    while queue:
-        p = queue.popleft()
-        if depth is not None and len(p) >= depth:
-            continue
-        spec = tree.children(p)
-        if spec.families and width is None:
-            raise UnsupportedExpression(
-                f"node {list(p)} has family children; full expansion needs a width")
-        # a node with more than node_cap children fails the cap anyway
-        symbols = (spec.first_symbols(min(width, node_cap)) if width is not None
-                   else spec.symbols)
-        for s in symbols:
-            child = p + (s,)
-            paths.append(child)
-            if len(paths) > node_cap:
+    """The nodes reached breadth-first, level by level, as a node table:
+    each node's children come from its state (see NodeStates), sorted and
+    deduplicated, and get their states from it; nodes at `depth` are not
+    expanded."""
+    children, child = tree.states.children, tree.states.child
+    parents, symbols = [-1], [-1]
+    level, d, row = [tree.states.root], 0, 0
+    while level and (depth is None or d < depth):
+        below = []
+        for state in level:
+            spec = children(state)
+            syms = spec.symbols
+            if spec.families:
+                if width is None:
+                    raise UnsupportedExpression(
+                        f"node {list(_path_of(parents, symbols, row))} has "
+                        "family children; full expansion needs a width")
+                # a node with more than node_cap children fails the cap anyway
+                syms = spec.first_symbols(min(width, node_cap))
+            if len(syms) > 1:
+                syms = sorted(set(syms))
+            for s in syms:
+                parents.append(row)
+                symbols.append(s)
+                below.append(child(state, s))
+            if len(parents) > node_cap:
                 raise CapExceeded(f"expansion exceeded {node_cap} nodes")
-            queue.append(child)
-    return FiniteTree(paths)
+            row += 1
+        level, d = below, d + 1
+    return FiniteTree._from_table(parents, symbols)
+
+
+def _path_of(parents, symbols, row: int) -> NodePath:
+    path = []
+    while row > 0:
+        path.append(symbols[row])
+        row = parents[row]
+    return tuple(reversed(path))
 
 
 # Default node cap of a truncation; truncated ordinal targets share it
@@ -279,9 +374,11 @@ def bounded_path_search(tree, depth: int, width: int) -> PathSearchResult:
 
 # -- the rank-targeted builder ---------------------------------------------
 
-# A built tree remembers node ranks for at most this many path symbols
-# (the summed lengths of the remembered paths) and then starts over, so a
-# search through millions of nodes, or through very deep ones, holds few.
+# Expansions carry each node's rank down from its parent's.  Queries by
+# path (member, declared_rank, children) cannot, so a built tree remembers
+# the ranks they visit, for at most this many path symbols (the summed
+# lengths of the remembered paths), and then starts over: a search through
+# millions of nodes, or through very deep ones, holds few.
 RANK_MEMO_SYMBOLS = 1 << 20
 
 
@@ -326,13 +423,42 @@ def build_tree_of_rank(alpha) -> LazyTree:
         if r.is_zero:
             return NO_CHILDREN
         if r.is_successor:
-            return ChildrenSpec(symbols=(0,))
+            return _ONLY_CHILD
         fam = ChildFamily(IndexMap.affine(1, 0), 0, fundamental_sequence_expr(r))
         return ChildrenSpec(families=(fam,))
 
     return LazyTree(children_of=children_of,
                     declared_rank_of=rank_at,
-                    membership=lambda p: rank_at(p) is not None)
+                    membership=lambda p: rank_at(p) is not None,
+                    states=NodeStates(_split(alpha), _split_children,
+                                      _split_child))
+
+
+_ONLY_CHILD = ChildrenSpec(symbols=(0,))
+
+# Expansions carry a node's rank split as (lam, n), rank = lam + n with lam
+# zero or a limit, so a successor step is n - 1 and only a limit's
+# children are ordinal arithmetic.  They read no rank annotations, so a
+# limit's children are plain symbols.
+_EVERY_SYMBOL = ChildrenSpec(families=(ChildFamily(IndexMap.affine(1, 0)),))
+
+
+def _split(r: Ordinal) -> Tuple[Ordinal, int]:
+    if r.is_successor:
+        return Ordinal(r.terms[:-1]), r.terms[-1][1]
+    return r, 0
+
+
+def _split_children(state: Tuple[Ordinal, int]) -> ChildrenSpec:
+    lam, n = state
+    if n:
+        return _ONLY_CHILD
+    return _EVERY_SYMBOL if lam.terms else NO_CHILDREN
+
+
+def _split_child(state: Tuple[Ordinal, int], symbol: int) -> Tuple[Ordinal, int]:
+    lam, n = state
+    return (lam, n - 1) if n else _split(fundamental_sequence(lam, symbol))
 
 
 # -- declared-rank verification --------------------------------------------
@@ -428,8 +554,12 @@ def tree_from_json(text: str) -> FiniteTree:
 
 
 def tree_document(tree: FiniteTree) -> dict:
-    """The JSON document of a finite tree: {"nodes": paths in tree.order}."""
-    return {"nodes": [list(p) for p in tree.order]}
+    """The JSON document of a finite tree: {"nodes": paths in tree.order},
+    each path list built from its parent's."""
+    nodes = [[]]
+    for parent, s in zip(tree.parents[1:], tree.symbols[1:]):
+        nodes.append(nodes[parent] + [s])
+    return {"nodes": nodes}
 
 
 def tree_to_json(tree: FiniteTree) -> str:

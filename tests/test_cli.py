@@ -9,11 +9,13 @@ import pytest
 
 from transfinite_af import cli
 from transfinite_af.checks import eliminated_self_defending, iterated_defense_step
-from transfinite_af.cli import MAX_PATH_LENGTH, MAX_SAMPLE, _SIZE_BOUNDS, \
-    build_parser, main
+from transfinite_af.cli import MAX_CHECK_ARGS, MAX_PATH_LENGTH, MAX_SAMPLE, \
+    _SIZE_BOUNDS, build_parser, main
 from transfinite_af.constructions import materialize_spec, parse_generator_spec
 from transfinite_af.core import FiniteAF, format_apx, parse_apx
 from transfinite_af.ordinals import NEVER, format_ordinal
+from transfinite_af.rank_analysis import ts_rank
+from transfinite_af.trees import TRUNCATE_NODE_CAP
 
 
 CHAIN_APX = "arg(a0).\narg(a1).\narg(a2).\natt(a0,a1).\natt(a1,a2).\n"
@@ -182,6 +184,41 @@ def test_reduce_sizes_are_capped(capsys, chain_path, command):
     assert code == 0
     doc = json.loads(out)
     assert len(doc.get("prefix", doc.get("witness"))) == 100
+
+
+# T_S of {a9} is pathless with rank 78 but has more than 2,000,000 nodes
+TS_OVER_BUDGET_APX = "".join(f"arg(a{i}).\n" for i in range(13)) + "".join(
+    f"att(a{x},a{y}).\n" for x, y in [
+        (0, 3), (2, 9), (3, 5), (4, 11), (5, 2), (5, 5), (6, 4), (7, 4), (7, 9),
+        (8, 2), (8, 10), (9, 8), (11, 1), (11, 6), (11, 7), (11, 10), (12, 9),
+        (12, 10)])
+
+
+def test_reduce_ts_node_cap_is_capped(capsys, tmp_path):
+    path = tmp_path / "ts13.apx"
+    path.write_text(TS_OVER_BUDGET_APX)
+    assert ts_rank(parse_apx(TS_OVER_BUDGET_APX), {9}) == 78
+    command = ["reduce", "ts", "--af", f"apx:{path}", "--set", "a9"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *command, "--node-cap",
+                         str(TRUNCATE_NODE_CAP + 1))
+    assert time.perf_counter() - start < 1.0  # refused before any work
+    assert code == 2 and out == ""
+    assert err == f"error: --node-cap {TRUNCATE_NODE_CAP + 1} exceeds the " \
+        f"cap of {TRUNCATE_NODE_CAP}\n"
+    code, out, err = run(capsys, *command)
+    assert code == 3 and out == ""
+    assert err == "error: expansion exceeded 20000 nodes\n"
+
+
+def test_check_max_args_is_capped(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "lemmas", "--trials", "1",
+                         "--max-args", str(MAX_CHECK_ARGS + 1))
+    assert time.perf_counter() - start < 1.0  # refused before any work
+    assert code == 2 and out == ""
+    assert err == f"error: --max-args {MAX_CHECK_ARGS + 1} exceeds the cap " \
+        f"of {MAX_CHECK_ARGS}\n"
 
 
 @pytest.mark.parametrize("spec", ["bs", "ord:w^3", "AF"])

@@ -215,6 +215,24 @@ def test_expand_ts_matches_the_definitional_tree():
     assert trees > 100 and padded > 0
 
 
+def test_expand_ts_matches_the_path_keyed_expansion(same_nodes):
+    compared = capped = 0
+    for af, gplus in _ts_corpus():
+        for seed in _small_seeds(af):
+            if not seed & gplus:
+                continue
+            try:
+                want = checks.path_keyed_expand(build_TS(af, seed), 5_000)
+            except CapExceeded as e:
+                with pytest.raises(CapExceeded, match=str(e)):
+                    expand_ts(af, seed, node_cap=5_000)
+                capped += 1
+                continue
+            same_nodes(expand_ts(af, seed, node_cap=5_000), want)
+            compared += 1
+    assert compared > 100 and capped > 0
+
+
 def _least_attacked_level_by_stepping(level, dmask):
     firsts = []
     for n in range(dmask.bit_length()):

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from transfinite_af import trees
+from transfinite_af.checks import path_keyed_expand
 from transfinite_af.errors import CapExceeded, DomainError, UnsupportedExpression
 from transfinite_af.ordinals import (
     OMEGA,
@@ -331,3 +332,83 @@ def test_truncation_steps_each_rank_once_from_its_parent(monkeypatch):
     below_limits = [p for p in ft.order
                     if p and root_walk_rank(alpha, p[:-1]).is_limit]
     assert len(steps) == len(below_limits) == 975
+
+
+# -- node tables against the path-keyed expansion -------------------------------
+
+
+def random_ordinal_below_w4(rng):
+    """A seeded CNF below w^4 with up to three terms."""
+    exps = sorted(rng.sample(range(4), rng.randint(1, 3)), reverse=True)
+    terms = []
+    for e in exps:
+        c = rng.randint(1, 2)
+        terms.append(str(c) if e == 0 else
+                     ("w" if e == 1 else f"w^{e}") + (f"*{c}" if c > 1 else ""))
+    return parse_ordinal("+".join(terms))
+
+
+def expansion_outcomes(tree, **kw):
+    """(library, oracle) expansions of one tree, or their cap errors."""
+    out = []
+    for expand in (trees._expand, path_keyed_expand):
+        try:
+            out.append(expand(tree, **kw))
+        except CapExceeded as e:
+            out.append(str(e))
+    return out
+
+
+def test_built_tree_tables_match_the_path_keyed_expansion(same_nodes):
+    rng = random.Random(41)
+    compared = capped = 0
+    for _ in range(25):
+        alpha = random_ordinal_below_w4(rng)
+        for width in range(1, 7):
+            for depth in (None, rng.randint(0, 5)):
+                got, want = expansion_outcomes(
+                    build_tree_of_rank(alpha), node_cap=1_000, width=width,
+                    depth=depth)
+                if isinstance(want, str):
+                    assert got == want
+                    capped += 1
+                    continue
+                same_nodes(got, want)
+                if depth is None:
+                    assert got.rank() == rank_of_truncation(alpha, width)
+                compared += 1
+    assert compared > 150 and capped > 20
+
+
+def rank_of_truncation(alpha, width):
+    """The rank of build_tree_of_rank(alpha) cut to `width`, walked down."""
+    if alpha.is_zero:
+        return 0
+    if alpha.is_successor:
+        return 1 + rank_of_truncation(alpha.predecessor(), width)
+    return 1 + max(rank_of_truncation(fundamental_sequence(alpha, k), width)
+                   for k in range(width))
+
+
+def scrambled(tree, rng):
+    """tree.as_lazy() with each node's symbols shuffled, some repeated."""
+    def children_of(path):
+        symbols = list(tree.children(path))
+        if symbols and rng.random() < 0.3:
+            symbols.append(rng.choice(symbols))
+        rng.shuffle(symbols)
+        return ChildrenSpec(symbols=tuple(symbols))
+    return LazyTree(children_of=children_of, membership=tree.__contains__)
+
+
+def test_lazy_finite_tree_tables_match_the_path_keyed_expansion(same_nodes):
+    rng = random.Random(43)
+    for _ in range(80):
+        t = random_finite_tree(rng, max_nodes=40)
+        for lazy in (t.as_lazy(), scrambled(t, rng)):
+            for depth in (None, rng.randint(0, 4)):
+                got, want = expansion_outcomes(lazy, node_cap=100_000,
+                                               depth=depth)
+                same_nodes(got, want)
+                if depth is None:
+                    assert got == t
