@@ -8,8 +8,8 @@ still violating the property.
 The module also keeps slow, independent reference engines (an
 all-subsets least fixpoint, the round-by-round loops the stage kernel
 replaced, the T_S rank exploration on frozenset states, and the tree
-expansion keyed by paths) that the suites and tests compare the library
-against.
+expansion and F_T keyed by paths) that the suites and tests compare the
+library against.
 """
 
 from __future__ import annotations
@@ -20,13 +20,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .constructions import (
+    _B_STEP,
+    _decode,
+    _path_name,
     af_from_finite_tree,
     baumann_spanring,
     disjoint_union_with_embedding,
     ordinal_target_af,
 )
-from .core import FiniteAF, LazyAF, format_apx, least_right, pair, parse_apx, \
-    unpair
+from .core import AttackerFamily, AttackerSpec, FiniteAF, LazyAF, PairLeft, \
+    format_apx, least_right, pair, parse_apx, unpair
 from .errors import CapExceeded, DomainError, TransfiniteAFError, \
     UnsupportedExpression
 from .grounded import (
@@ -41,6 +44,7 @@ from .grounded import (
 from .ordinals import (
     NEVER,
     OMEGA,
+    ONE,
     ZERO,
     Ordinal,
     format_ordinal,
@@ -318,7 +322,8 @@ def path_keyed_expand(tree: LazyTree, node_cap: int, width: Optional[int] = None
     """trees._expand keyed by paths: every queued node is its whole path,
     its children are asked for by path, and the validating FiniteTree
     constructor orders and deduplicates the paths.  The library carries a
-    per-node state down a table of (parent, symbol) rows instead."""
+    per-node state down a table of (parent, symbol) rows instead.  Only
+    node_cap is held, not the library's path-symbol budget."""
     paths = [ROOT]
     queue = deque([ROOT])
     while queue:
@@ -338,6 +343,61 @@ def path_keyed_expand(tree: LazyTree, node_cap: int, width: Optional[int] = None
                 raise CapExceeded(f"expansion exceeded {node_cap} nodes")
             queue.append(child)
     return FiniteTree(paths)
+
+
+def path_keyed_tree_af(tree: LazyTree) -> LazyAF:
+    """constructions.af_from_tree keyed by paths: every index is decoded to
+    its node's path, and membership, children and declared ranks are asked
+    of the tree by path.  The library remembers each code's node state and
+    steps a new code's state from its parent code's instead.  Only the
+    predicate, specs, names and candidate stages are built, with no
+    candidate hook or family verdicts."""
+
+    def predicate(x: int, y: int) -> bool:
+        if x % 2 == 0 and y == x + 1:
+            return tree.member(_decode(x // 2))
+        if x % 2 == 1 and y % 2 == 0 and x > 1:
+            code = (x - 1) // 2
+            return unpair(code - 1)[0] == y // 2 and tree.member(_decode(code))
+        return False
+
+    def spec(index: int) -> AttackerSpec:
+        path = _decode(index // 2)
+        if not tree.member(path):
+            return AttackerSpec()
+        if index % 2 == 1:
+            return AttackerSpec(explicit=(index - 1,))
+        code = index // 2
+        children = tree.children(path)
+        explicit = tuple(2 * (pair(code, s) + 1) + 1 for s in children.symbols)
+        families = tuple(
+            AttackerFamily(fam.symbol_map.then(PairLeft(code)).then(_B_STEP),
+                           fam.k_start,
+                           fam.child_rank_expr.add_finite(1)
+                           if tree.has_rank_annotations
+                           and fam.child_rank_expr is not None else None)
+            for fam in children.families)
+        return AttackerSpec(explicit=explicit, families=families)
+
+    def naming(index: int) -> str:
+        path = _decode(index // 2)
+        if not tree.member(path):
+            return f"pad_{index}"
+        return _path_name("a" if index % 2 == 0 else "b", path)
+
+    candidate = None
+    if tree.has_rank_annotations:
+        def stage_of(index: int):
+            path = _decode(index // 2)
+            if not tree.member(path):
+                return ONE
+            return NEVER if index % 2 else tree.declared_rank(path) + 1
+
+        candidate = SymbolicStageMap(fallback=stage_of,
+                                     sup_value=tree.declared_rank(ROOT) + 1,
+                                     sup_attained=True, sup_witness=0)
+    return LazyAF(predicate, spec, universe=None, naming=naming,
+                  candidate_stages=candidate)
 
 
 # -- the lemma suite -------------------------------------------------------------

@@ -56,8 +56,8 @@ from .ordinals import (
     fundamental_sequence_expr,
     parse_ordinal,
 )
-from .trees import TRUNCATE_NODE_CAP, FiniteTree, LazyTree, build_tree_of_rank, \
-    tree_from_json, truncate_tree
+from .trees import OFF_TREE, TRUNCATE_NODE_CAP, TRUNCATE_SYMBOL_CAP, FiniteTree, \
+    LazyTree, build_tree_of_rank, tree_from_json, truncate_tree
 
 
 def _path_name(prefix: str, path) -> str:
@@ -135,18 +135,30 @@ def af_from_tree(tree: LazyTree) -> LazyAF:
     map (a_path at rank+1, b_path never, padding at 1) with the attained
     supremum root_rank + 1 witnessed by the root argument.
     """
+    nodes = tree.states
+    known = {0: nodes.root}  # node code -> its state, or OFF_TREE
 
-    is_node = tree.member
+    def state_of(code: int):
+        """The code's node state, one step from its parent code's."""
+        climb = []
+        while code not in known:
+            parent, s = unpair(code - 1)
+            climb.append((code, s))
+            code = parent
+        state = known[code]
+        for code, s in reversed(climb):
+            state = known[code] = tree.step(state, s)
+        return state
+
+    def is_node(code: int) -> bool:
+        return state_of(code) is not OFF_TREE
 
     def predicate(x: int, y: int) -> bool:
         if x % 2 == 0 and y == x + 1:
-            return is_node(_decode(x // 2))
-        if x % 2 == 1 and y % 2 == 0:
-            code = (x - 1) // 2
-            if code == 0:
-                return False
-            parent, _ = unpair(code - 1)
-            return parent == y // 2 and is_node(_decode(code))
+            return is_node(x // 2)
+        if x % 2 == 1 and y % 2 == 0 and x > 1:
+            code = x // 2
+            return unpair(code - 1)[0] == y // 2 and is_node(code)
         return False
 
     def candidates(index: int, hi: int) -> list:
@@ -162,16 +174,13 @@ def af_from_tree(tree: LazyTree) -> LazyAF:
         return out
 
     def spec(index: int) -> AttackerSpec:
-        if index % 2 == 1:
-            path = _decode((index - 1) // 2)
-            if not is_node(path):
-                return AttackerSpec()
-            return AttackerSpec(explicit=(index - 1,))
         code = index // 2
-        path = _decode(code)
-        if not is_node(path):
+        state = state_of(code)
+        if state is OFF_TREE:
             return AttackerSpec()
-        children = tree.children(path)
+        if index % 2 == 1:
+            return AttackerSpec(explicit=(index - 1,))
+        children = nodes.children(state)
         explicit = tuple(2 * (pair(code, s) + 1) + 1 for s in children.symbols)
         families = []
         for fam in children.families:
@@ -184,20 +193,17 @@ def af_from_tree(tree: LazyTree) -> LazyAF:
         return AttackerSpec(explicit=explicit, families=tuple(families))
 
     def naming(index: int) -> str:
-        path = _decode(index // 2)
-        if not is_node(path):
+        if not is_node(index // 2):
             return f"pad_{index}"
-        return _path_name("a" if index % 2 == 0 else "b", path)
+        return _path_name("a" if index % 2 == 0 else "b", _decode(index // 2))
 
     candidate = None
     if tree.has_rank_annotations:
         def stage_of(index: int):
-            path = _decode(index // 2)
-            if not is_node(path):
+            state = state_of(index // 2)
+            if state is OFF_TREE:
                 return ONE
-            if index % 2 == 1:
-                return NEVER
-            return tree.declared_rank(path) + 1
+            return NEVER if index % 2 else tree.state_rank(state) + 1
 
         def family_all_never(fam: AttackerFamily) -> Optional[bool]:
             # families minted by this generator end at the b-companion step
@@ -205,7 +211,7 @@ def af_from_tree(tree: LazyTree) -> LazyAF:
                 return True
             return None
 
-        root_rank = tree.declared_rank(())
+        root_rank = tree.state_rank(nodes.root)
         candidate = SymbolicStageMap(
             fallback=stage_of,
             sup_value=root_rank + 1,
@@ -419,20 +425,26 @@ def ordinal_target_af(alpha, truncate: Optional[int] = None):
             "cannot certify a symbolic stage map")
 
     if truncate is not None:
-        # The parts share one node budget, spent before any AF is built; part
-        # i has rank >= i, so >= i+1 nodes, and too many parts fail up front.
+        # The parts share the node and path-symbol budgets, spent before any
+        # AF is built; part i has rank >= i, so >= i+1 nodes on paths of
+        # >= i(i+1)/2 symbols, and too many parts fail up front.
         if truncate * (truncate + 1) // 2 > TRUNCATE_NODE_CAP:
             raise CapExceeded(f"expansion exceeded {TRUNCATE_NODE_CAP} nodes")
-        trees, used = [], 0
+        if (truncate - 1) * truncate * (truncate + 1) // 6 > TRUNCATE_SYMBOL_CAP:
+            raise CapExceeded(
+                f"expansion exceeded {TRUNCATE_SYMBOL_CAP} path symbols")
+        trees, used, held = [], 0, 0
         for i in range(truncate):
-            tree = build_tree_of_rank(fundamental_sequence(alpha, i))
-            try:
-                trees.append(truncate_tree(tree, width=truncate,
-                                           node_cap=TRUNCATE_NODE_CAP - used))
-            except CapExceeded:
+            part = truncate_tree(build_tree_of_rank(fundamental_sequence(alpha, i)),
+                                 width=truncate)
+            used += len(part)
+            held += part.path_symbols()
+            if used > TRUNCATE_NODE_CAP:
+                raise CapExceeded(f"expansion exceeded {TRUNCATE_NODE_CAP} nodes")
+            if held > TRUNCATE_SYMBOL_CAP:
                 raise CapExceeded(
-                    f"expansion exceeded {TRUNCATE_NODE_CAP} nodes") from None
-            used += len(trees[-1])
+                    f"expansion exceeded {TRUNCATE_SYMBOL_CAP} path symbols")
+            trees.append(part)
         return _compact_union([_tree_af_table(t) for t in trees])[0]
 
     root_stages = fundamental_sequence_expr(alpha).add_finite(1)

@@ -262,11 +262,7 @@ def expand_ts(af: FiniteAF, seed, node_cap: int = 50_000) -> FiniteTree:
         return level + 1, (dmask | att[symbol - 1] if symbol else dmask)
 
     root = (0, _mask(af.minus_set(frozenset(seed))))
-    # queries by path, which the expansion makes none of, ask the definition
-    tree = build_TS(af, seed)
-    return _expand(LazyTree(children_of=tree.children,
-                            states=NodeStates(root, children, child)),
-                   node_cap)
+    return _expand(LazyTree(states=NodeStates(root, children, child)), node_cap)
 
 
 @dataclass(frozen=True)

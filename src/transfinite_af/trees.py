@@ -1,10 +1,10 @@
 """Lazy prefix-closed trees over finite strings of naturals, with ranks.
 
 Finite trees are explicit node tables and can be ranked exactly.  Lazy
-trees are given by a per-node children description (explicit symbols
-and/or affine symbol families), optionally the state an expansion
-carries from node to node instead of the path, and optionally per-node
-rank annotations.  Ranks of infinite trees are never computed here, only
+trees are given by node states: the root's state, a node's children
+(explicit symbols and/or affine symbol families) from its state, a
+child's state from its parent's, and optionally a node's declared rank
+from its state.  Ranks of infinite trees are never computed here, only
 declared by builders and verified locally: computing suprema over
 genuinely infinite child sets is exactly what is hard, so the checkable
 surrogate is annotation consistency plus truncation cross-checks.
@@ -16,6 +16,7 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .errors import CapExceeded, DomainError, UnsupportedExpression
@@ -64,10 +65,6 @@ class ChildrenSpec:
     @property
     def is_terminal(self) -> bool:
         return not self.symbols and not self.families
-
-    @property
-    def is_explicit(self) -> bool:
-        return not self.families
 
     def contains(self, symbol: int) -> bool:
         return symbol in self.symbols or any(f.contains(symbol) for f in self.families)
@@ -184,8 +181,15 @@ class FiniteTree:
         return Ordinal.from_int(self.row_ranks()[0])
 
     def as_lazy(self) -> "LazyTree":
-        return LazyTree(children_of=self.children_spec,
-                        membership=self.__contains__)
+        return LazyTree(children_of=self.children_spec)
+
+    def path_symbols(self) -> int:
+        """The summed lengths of every node's path: the symbols that the
+        tree's JSON and F_T's names print."""
+        depths = [0] * len(self.parents)
+        for i in range(1, len(self.parents)):
+            depths[i] = depths[self.parents[i]] + 1
+        return sum(depths)
 
     # the table is canonical: equal node sets give equal tables
     def __eq__(self, other):
@@ -202,11 +206,12 @@ class FiniteTree:
 
 @dataclass(frozen=True)
 class NodeStates:
-    """What an expansion carries down a tree instead of asking by path.
+    """A lazy tree's nodes, each known by a state instead of its path.
 
     `children` gives a node's children from the node's state, and `child`
     gives a child's state from its parent's state and its symbol; the
-    root's state is `root`.  A node's path is the default state.
+    root's state is `root`.  `child` is only asked for children that
+    `children` lists.
     """
 
     root: object
@@ -214,51 +219,62 @@ class NodeStates:
     child: Callable[[object, int], object]
 
 
-def _extend(path: NodePath, symbol: int) -> NodePath:
-    return path + (symbol,)
+OFF_TREE = object()  # the state past a symbol that is no child
 
 
 class LazyTree:
-    """Tree given by a children enumerator; membership defaults to walking.
-
-    children_of is only ever called on members.  declared_rank_of, when
-    present, must be total on members and is verified rather than
-    trusted (see check_declared_ranks).  states, when given, must describe
-    the same children as children_of; expansions use it.
+    """A tree given by its node states: `states`, or `children_of` alone
+    with each node's path for its state.  declared_rank_of, when present,
+    gives a node's declared rank from its state; it must be total on
+    members and is verified rather than trusted (see check_declared_ranks).
+    Queries by path walk the states down from the root.
     """
 
-    def __init__(self, children_of: Callable[[NodePath], ChildrenSpec],
-                 declared_rank_of: Optional[Callable[[NodePath], Ordinal]] = None,
-                 membership: Optional[Callable[[NodePath], bool]] = None,
+    def __init__(self, children_of: Optional[Callable[[object], ChildrenSpec]] = None,
+                 declared_rank_of: Optional[Callable[[object], Ordinal]] = None,
                  states: Optional[NodeStates] = None):
-        self._children_of = children_of
+        if (children_of is None) == (states is None):
+            raise TypeError("give a lazy tree either children_of or states")
+        self.states = states or NodeStates(ROOT, children_of, lambda p, s: p + (s,))
         self._declared_rank_of = declared_rank_of
-        self._membership = membership
-        self.states = states or NodeStates(ROOT, children_of, _extend)
 
-    def children(self, path: NodePath) -> ChildrenSpec:
-        return self._children_of(tuple(path))
+    def step(self, state, symbol: int):
+        """The state of the child by `symbol` of the node with this state;
+        OFF_TREE when there is no such node."""
+        if state is OFF_TREE or not self.states.children(state).contains(symbol):
+            return OFF_TREE
+        return self.states.child(state, symbol)
+
+    def _walk(self, path: NodePath):
+        state = self.states.root
+        for s in path:
+            state = self.step(state, s)
+        return state
+
+    def _node(self, path: NodePath):
+        state = self._walk(path)
+        if state is OFF_TREE:
+            raise DomainError(f"{list(path)} is not a node of this tree")
+        return state
 
     def member(self, path: NodePath) -> bool:
-        path = tuple(path)
-        if self._membership is not None:
-            return bool(self._membership(path))
-        for i in range(len(path)):
-            if not self.children(path[:i]).contains(path[i]):
-                return False
-        return True
+        return self._walk(path) is not OFF_TREE
+
+    def children(self, path: NodePath) -> ChildrenSpec:
+        return self.states.children(self._node(path))
 
     @property
     def has_rank_annotations(self) -> bool:
         return self._declared_rank_of is not None
 
-    def declared_rank(self, path: NodePath) -> Ordinal:
+    def state_rank(self, state) -> Ordinal:
+        """The declared rank of the node with this state."""
         if self._declared_rank_of is None:
             raise DomainError("tree carries no rank annotations")
-        r = self._declared_rank_of(tuple(path))
-        if r is None:
-            raise DomainError(f"no rank annotation at {list(path)}")
-        return r
+        return self._declared_rank_of(state)
+
+    def declared_rank(self, path: NodePath) -> Ordinal:
+        return self.state_rank(self._node(path))
 
 
 # -- exact rank of finite expansions ------------------------------------
@@ -283,10 +299,11 @@ def _expand(tree: LazyTree, node_cap: int, width: Optional[int] = None,
     """The nodes reached breadth-first, level by level, as a node table:
     each node's children come from its state (see NodeStates), sorted and
     deduplicated, and get their states from it; nodes at `depth` are not
-    expanded."""
+    expanded.  Besides node_cap, the nodes' paths may hold at most
+    TRUNCATE_SYMBOL_CAP symbols in all."""
     children, child = tree.states.children, tree.states.child
     parents, symbols = [-1], [-1]
-    level, d, row = [tree.states.root], 0, 0
+    level, d, row, held = [tree.states.root], 0, 0, 0
     while level and (depth is None or d < depth):
         below = []
         for state in level:
@@ -294,9 +311,9 @@ def _expand(tree: LazyTree, node_cap: int, width: Optional[int] = None,
             syms = spec.symbols
             if spec.families:
                 if width is None:
-                    raise UnsupportedExpression(
-                        f"node {list(_path_of(parents, symbols, row))} has "
-                        "family children; full expansion needs a width")
+                    path = list(FiniteTree._from_table(parents, symbols).order[row])
+                    raise UnsupportedExpression(f"node {path} has family children; "
+                                                "full expansion needs a width")
                 # a node with more than node_cap children fails the cap anyway
                 syms = spec.first_symbols(min(width, node_cap))
             if len(syms) > 1:
@@ -309,20 +326,19 @@ def _expand(tree: LazyTree, node_cap: int, width: Optional[int] = None,
                 raise CapExceeded(f"expansion exceeded {node_cap} nodes")
             row += 1
         level, d = below, d + 1
+        held += d * len(below)
+        if held > TRUNCATE_SYMBOL_CAP:
+            raise CapExceeded(
+                f"expansion exceeded {TRUNCATE_SYMBOL_CAP} path symbols")
     return FiniteTree._from_table(parents, symbols)
 
 
-def _path_of(parents, symbols, row: int) -> NodePath:
-    path = []
-    while row > 0:
-        path.append(symbols[row])
-        row = parents[row]
-    return tuple(reversed(path))
-
-
-# Default node cap of a truncation; truncated ordinal targets share it
-# across all their parts.
+# Default node cap of a truncation, and the most path symbols (summed path
+# lengths, what a tree's JSON and F_T's names print: about n^2/2 for a
+# chain of n nodes) of any expansion.  Truncated ordinal targets share
+# both across all their parts.
 TRUNCATE_NODE_CAP = 500_000
+TRUNCATE_SYMBOL_CAP = 10_000_000
 
 
 def truncate_tree(tree: LazyTree, width: int, depth: Optional[int] = None,
@@ -362,24 +378,18 @@ def bounded_path_search(tree, depth: int, width: int) -> PathSearchResult:
         raise ValueError("depth and width must be >= 1")
     if isinstance(tree, FiniteTree):
         tree = tree.as_lazy()
-    stack = [ROOT]
+    children, child = tree.states.children, tree.states.child
+    stack = [(ROOT, tree.states.root)]
     while stack:
-        p = stack.pop()
+        p, state = stack.pop()
         if len(p) == depth:
             return PathSearchResult(True, p, depth)
-        symbols = tree.children(p).first_symbols(width)
-        stack.extend(p + (s,) for s in reversed(symbols))
+        symbols = children(state).first_symbols(width)
+        stack.extend((p + (s,), child(state, s)) for s in reversed(symbols))
     return PathSearchResult(False, None, depth)
 
 
 # -- the rank-targeted builder ---------------------------------------------
-
-# Expansions carry each node's rank down from its parent's.  Queries by
-# path (member, declared_rank, children) cannot, so a built tree remembers
-# the ranks they visit, for at most this many path symbols (the summed
-# lengths of the remembered paths), and then starts over: a search through
-# millions of nodes, or through very deep ones, holds few.
-RANK_MEMO_SYMBOLS = 1 << 20
 
 
 def build_tree_of_rank(alpha) -> LazyTree:
@@ -390,57 +400,38 @@ def build_tree_of_rank(alpha) -> LazyTree:
     children i with ranks walking the fundamental sequence.
     """
     alpha = alpha if isinstance(alpha, Ordinal) else Ordinal.from_int(alpha)
-    ranks: Dict[NodePath, Ordinal] = {}  # of visited nodes below the root
-    held = 0  # path symbols in ranks
-
-    def remember(path: NodePath, r: Ordinal) -> None:
-        nonlocal held
-        if held + len(path) > RANK_MEMO_SYMBOLS:
-            ranks.clear()
-            held = 0
-        ranks[path] = r
-        held += len(path)
-
-    def rank_at(path: NodePath) -> Optional[Ordinal]:
-        """The node's rank, one step from its nearest visited ancestor's
-        (the ancestors between are filled in); None off the tree."""
-        k, r = len(path), (ranks.get(path) if path else alpha)
-        while r is None:
-            k -= 1
-            r = ranks.get(path[:k]) if k else alpha
-        for j in range(k, len(path)):
-            s = path[j]
-            if r.is_zero or (r.is_successor and s != 0):
-                return None
-            r = r.predecessor() if r.is_successor else fundamental_sequence(r, s)
-            remember(path if j + 1 == len(path) else path[:j + 1], r)
-        return r
-
-    def children_of(path: NodePath) -> ChildrenSpec:
-        r = rank_at(path)
-        if r is None:
-            raise DomainError(f"{list(path)} is not a node of this tree")
-        if r.is_zero:
-            return NO_CHILDREN
-        if r.is_successor:
-            return _ONLY_CHILD
-        fam = ChildFamily(IndexMap.affine(1, 0), 0, fundamental_sequence_expr(r))
-        return ChildrenSpec(families=(fam,))
-
-    return LazyTree(children_of=children_of,
-                    declared_rank_of=rank_at,
-                    membership=lambda p: rank_at(p) is not None,
+    return LazyTree(declared_rank_of=_split_rank,
                     states=NodeStates(_split(alpha), _split_children,
                                       _split_child))
 
 
-_ONLY_CHILD = ChildrenSpec(symbols=(0,))
+# A built node's state is its rank split as (lam, n), rank = lam + n with
+# lam zero or a limit, so a successor step is n - 1 and only a limit's
+# children are ordinal arithmetic.
 
-# Expansions carry a node's rank split as (lam, n), rank = lam + n with lam
-# zero or a limit, so a successor step is n - 1 and only a limit's
-# children are ordinal arithmetic.  They read no rank annotations, so a
-# limit's children are plain symbols.
-_EVERY_SYMBOL = ChildrenSpec(families=(ChildFamily(IndexMap.affine(1, 0)),))
+_ONLY_CHILD = ChildrenSpec(symbols=(0,))
+_EVERY_SYMBOL = IndexMap.affine(1, 0)
+
+
+class _LimitFamily(ChildFamily):
+    """Child k of a node of limit rank lam has rank fundamental_sequence(lam,
+    k).  Expansions never read the ranks' closed form, so it is worked out
+    when first read; the symbol map is the identity."""
+
+    symbol_map = _EVERY_SYMBOL
+
+    def __init__(self, lam: Ordinal):
+        object.__setattr__(self, "_lam", lam)
+
+    @cached_property
+    def child_rank_expr(self) -> Optional[AffineOrdinalExpr]:
+        return fundamental_sequence_expr(self._lam)
+
+    def symbol(self, k: int) -> int:
+        return k
+
+    def contains(self, symbol: int) -> bool:
+        return symbol >= 0
 
 
 def _split(r: Ordinal) -> Tuple[Ordinal, int]:
@@ -449,11 +440,18 @@ def _split(r: Ordinal) -> Tuple[Ordinal, int]:
     return r, 0
 
 
+def _split_rank(state: Tuple[Ordinal, int]) -> Ordinal:
+    lam, n = state
+    return Ordinal(lam.terms + ((ZERO, n),)) if n else lam
+
+
 def _split_children(state: Tuple[Ordinal, int]) -> ChildrenSpec:
     lam, n = state
     if n:
         return _ONLY_CHILD
-    return _EVERY_SYMBOL if lam.terms else NO_CHILDREN
+    if not lam.terms:
+        return NO_CHILDREN
+    return ChildrenSpec(families=(_LimitFamily(lam),))
 
 
 def _split_child(state: Tuple[Ordinal, int], symbol: int) -> Tuple[Ordinal, int]:
@@ -486,47 +484,35 @@ def check_declared_ranks(tree: LazyTree, sample_width: int,
     """
     if not tree.has_rank_annotations:
         raise DomainError("tree carries no rank annotations")
+    children, child = tree.states.children, tree.states.child
     violations = []
     checked = 0
-    queue = deque([ROOT])
+    queue = deque([(ROOT, tree.states.root)])
     while queue:
-        p = queue.popleft()
-        declared = tree.declared_rank(p)
+        p, state = queue.popleft()
+        declared = tree.state_rank(state)
         checked += 1
-        spec = tree.children(p)
-        if spec.is_terminal:
-            if declared != ZERO:
-                violations.append(f"{list(p)}: terminal but declared {declared}")
-        elif spec.is_explicit:
-            child_ranks = [tree.declared_rank(p + (s,)) for s in spec.symbols]
-            want = max(child_ranks) + 1
-            if declared != want:
-                violations.append(
-                    f"{list(p)}: declared {declared}, children give {want}")
-        else:
-            best = ZERO
-            if spec.symbols:
-                best = max(tree.declared_rank(p + (s,)) for s in spec.symbols) + 1
-            for fam in spec.families:
-                if fam.child_rank_expr is None:
-                    raise UnsupportedExpression(
-                        f"{list(p)}: family child ranks are not affine-expressible")
-                for k in range(fam.k_start, fam.k_start + sample_width):
-                    child = p + (fam.symbol(k),)
-                    got = tree.declared_rank(child)
-                    want = fam.child_rank_expr.evaluate(k)
-                    if got != want:
-                        violations.append(
-                            f"{list(child)}: declared {got}, closed form gives {want}")
-                fam_sup = fam.child_rank_expr.successor_expr().sup_over(fam.k_start)[0]
-                if fam_sup > best:
-                    best = fam_sup
-            if declared != best:
-                violations.append(
-                    f"{list(p)}: declared {declared}, family sup gives {best}")
+        spec = children(state)
+        symbols = spec.first_symbols(sample_width)
+        kids = [child(state, s) for s in symbols]
+        rank_of = dict(zip(symbols, map(tree.state_rank, kids)))
+        want = max((rank_of[s] + 1 for s in spec.symbols), default=ZERO)
+        for fam in spec.families:
+            if fam.child_rank_expr is None:
+                raise UnsupportedExpression(
+                    f"{list(p)}: family child ranks are not affine-expressible")
+            for k in range(fam.k_start, fam.k_start + sample_width):
+                s = fam.symbol(k)
+                closed = fam.child_rank_expr.evaluate(k)
+                if rank_of[s] != closed:
+                    violations.append(f"{list(p + (s,))}: declared {rank_of[s]}, "
+                                      f"closed form gives {closed}")
+            want = max(want, fam.child_rank_expr.successor_expr().sup_over(
+                fam.k_start)[0])
+        if declared != want:
+            violations.append(f"{list(p)}: declared {declared}, children give {want}")
         if len(p) < sample_depth:
-            for s in spec.first_symbols(sample_width):
-                queue.append(p + (s,))
+            queue.extend((p + (s,), kid) for s, kid in zip(symbols, kids))
     return RankCheckReport(violations, checked)
 
 

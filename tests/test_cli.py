@@ -15,7 +15,7 @@ from transfinite_af.constructions import materialize_spec, parse_generator_spec
 from transfinite_af.core import FiniteAF, format_apx, parse_apx
 from transfinite_af.ordinals import NEVER, format_ordinal
 from transfinite_af.rank_analysis import ts_rank
-from transfinite_af.trees import TRUNCATE_NODE_CAP
+from transfinite_af.trees import TRUNCATE_NODE_CAP, TRUNCATE_SYMBOL_CAP
 
 
 CHAIN_APX = "arg(a0).\narg(a1).\narg(a2).\natt(a0,a1).\natt(a1,a2).\n"
@@ -54,6 +54,33 @@ def test_grounded_ord_w(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["grounding_ordinal"] == "w" and doc["verified"]
+
+
+def test_grounded_finite_text(capsys, chain_path):
+    code, out, err = run(capsys, "grounded", f"apx:{chain_path}", "--format", "text")
+    assert (code, out, err) == (0, "grounded: a0 a2\ngrounding ordinal: 2\n", "")
+    code, out, err = run(capsys, "grounded", f"apx:{chain_path}", "--format", "text",
+                         "--stages")
+    assert (code, err) == (0, "")
+    assert out == ("grounded: a0 a2\ngrounding ordinal: 2\n"
+                   "stage a0: 1\nstage a1: NEVER\nstage a2: 2\n")
+
+
+def test_grounded_lazy_text_with_stages(capsys):
+    code, out, err = run(capsys, "grounded", "ord:w*2+1", "--format", "text",
+                         "--stages", "--sample", "6")
+    assert (code, err) == (0, "")
+    assert out == ("grounding ordinal: w*2+1 (verified on 6 arguments)\n"
+                   "stage a: w*2+1\nstage a_0: w+1\nstage a_0_0: 1\n"
+                   "stage b: NEVER\nstage b_0: NEVER\nstage b_0_0: NEVER\n")
+
+
+def test_gen_output_file(capsys, tmp_path):
+    _, printed, _ = run(capsys, "gen", "ord:w:truncate=3")
+    target = tmp_path / "out.apx"
+    code, out, err = run(capsys, "gen", "ord:w:truncate=3", "-o", str(target))
+    assert (code, out, err) == (0, "", "")
+    assert target.read_text() == printed and printed.count("arg(") == 12
 
 
 def test_grounded_deterministic_output(capsys, chain_path):
@@ -350,6 +377,19 @@ def test_truncated_limit_target_over_budget_exits_3(capsys):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("command", [
+    ["gen", "ord:w:truncate=999"],  # refused up front: parts hold >= 166M
+    ["gen", "ord:w*2:truncate=70"],  # each part fits, their sum does not
+    ["tree", "build", "--ordinal", "100000", "--truncate-width", "1"],
+])
+def test_path_symbol_budget_exits_3(capsys, command):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *command)
+    assert code == 3 and out == ""
+    assert err == f"error: expansion exceeded {TRUNCATE_SYMBOL_CAP} path symbols\n"
+    assert time.perf_counter() - start < 5
+
+
 def test_gen_truncated_limit_target_output_is_pinned(capsys):
     # sha256 of the output before the parts shared one node budget
     code, out, _ = run(capsys, "gen", "ord:w*2:truncate=50")
@@ -459,3 +499,81 @@ def test_lazy_grounded_prints_the_window_it_verified(capsys, spec, sample):
     code, out, _ = run(capsys, "grounded", spec, "--format", "text",
                        "--sample", sample)
     assert code == 0 and f"(verified on {window} arguments)" in out
+
+
+# -- pinned outputs of a seeded command corpus ----------------------------------
+
+CORPUS_ORDINALS = ["3", "w", "w+2", "w*2", "w*2+1", "w^2", "w^2+w+1", "w^2*2",
+                   "w^3", "w^3+w^2+2"]
+CORPUS_LAZY_SPECS = ["bs", "ord:w", "ord:w+3", "ord:w*3+2", "ord:w^2",
+                     "ord:w^2*2+w", "ord:w^3", "ord:w^3+1", "union(bs,ord:w)",
+                     "union(ord:w^2,bs:truncate=3)",
+                     "union(ord:w*2,union(ord:5,bs))"]
+
+
+def seeded_corpus(rng, tmp_path):
+    """About a hundred quick commands over every tree builder, the
+    truncated targets, lazy verification and the reductions."""
+    for i in range(4):
+        n = rng.randint(1, 9)
+        density = rng.uniform(0.05, 0.5)
+        af = FiniteAF(n, [(x, y) for x in range(n) for y in range(n)
+                          if rng.random() < density])
+        path = tmp_path / f"af{i}.apx"
+        path.write_text(format_apx(af))
+        for _ in range(3):
+            seed = rng.sample(af.names, rng.randint(1, min(2, n)))
+            yield ["reduce", "ts", "--af", f"apx:{path}", "--set",
+                   ",".join(seed), "--depth", str(rng.randint(1, 12))]
+        for _ in range(2):
+            yield ["reduce", "ta", "--af", f"apx:{path}", "--arg",
+                   rng.choice(af.names), "--depth", str(rng.randint(1, 12))]
+            yield ["reduce", "witness", "--af", f"apx:{path}", "--arg",
+                   rng.choice(af.names), "--length", str(rng.randint(1, 12))]
+        yield ["grounded", f"apx:{path}", "--format", "text", "--stages"]
+        paths = [()]
+        for _ in range(rng.randint(0, 29)):
+            paths.append(rng.choice(paths) + (rng.randint(0, 3),))
+        tree = tmp_path / f"t{i}.json"
+        tree.write_text(json.dumps({"nodes": [list(p) for p in paths]}))
+        yield ["tree", "search", "--input", str(tree),
+               "--depth", str(rng.randint(1, 6)), "--width", str(rng.randint(1, 4))]
+    for _ in range(24):
+        argv = ["tree", "build", "--ordinal", rng.choice(CORPUS_ORDINALS),
+                "--truncate-width", str(rng.randint(1, 3))]
+        if rng.random() < 0.4:
+            argv += ["--truncate-depth", str(rng.randint(0, 6))]
+        yield argv
+    for _ in range(12):
+        yield ["tree", "search", "--ordinal", rng.choice(CORPUS_ORDINALS),
+               "--depth", str(rng.randint(1, 12)), "--width", str(rng.randint(1, 4))]
+    for _ in range(18):
+        argv = ["gen", f"ord:{rng.choice(CORPUS_ORDINALS)}:"
+                       f"truncate={rng.randint(1, 3)}"]
+        if rng.random() < 0.3:
+            argv += ["--format", "dot"]
+        yield argv
+    for _ in range(22):
+        argv = ["grounded", rng.choice(CORPUS_LAZY_SPECS),
+                "--sample", str(rng.randint(1, 60))]
+        if rng.random() < 0.7:
+            argv.append("--stages")
+        if rng.random() < 0.3:
+            argv += ["--format", "text"]
+        yield argv
+
+
+def test_seeded_corpus_output_is_pinned(capsys, tmp_path):
+    # sha256 of every command's exit code, stdout and stderr, recorded
+    # before lazy trees answered path queries from their node states
+    digest = hashlib.sha256()
+    count = 0
+    for argv in seeded_corpus(random.Random(2026), tmp_path):
+        code, out, err = run(capsys, *argv)
+        record = [[a.replace(str(tmp_path), "DIR") for a in argv], code, out,
+                  err.replace(str(tmp_path), "DIR")]
+        digest.update(json.dumps(record).encode())
+        count += 1
+    assert count == 112
+    assert digest.hexdigest() == \
+        "b599a4c788aa439365164c8ea780aade5838c8592e48b8bddc5a8f87590a5696"

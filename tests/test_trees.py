@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from transfinite_af import trees
-from transfinite_af.checks import path_keyed_expand
+from transfinite_af.checks import path_keyed_expand, path_keyed_tree_af
 from transfinite_af.errors import CapExceeded, DomainError, UnsupportedExpression
 from transfinite_af.ordinals import (
     OMEGA,
@@ -28,7 +28,8 @@ from transfinite_af.trees import (
     tree_to_json,
     truncate_tree,
 )
-from transfinite_af.core import IndexMap
+from transfinite_af.constructions import af_from_tree
+from transfinite_af.core import IndexMap, pair
 
 W2 = Ordinal(((Ordinal.from_int(1), 2),))  # w*2
 
@@ -253,19 +254,32 @@ def test_finite_tree_order_is_the_breadth_first_order():
             assert ranks[p] == definition_rank(t, p)
 
 
-@pytest.mark.parametrize("memo_symbols", [trees.RANK_MEMO_SYMBOLS, 50],
-                         ids=["memo", "tiny-memo"])
+def node_code(path):
+    """F_T's code of a node: c(root) = 0, c(p + (s,)) = pair(c(p), s) + 1."""
+    code = 0
+    for s in path:
+        code = pair(code, s) + 1
+    return code
+
+
+# F_T remembers the state of every code it is asked about: one F_T asked
+# about every node ("memo"), or a fresh one per node, which remembers only
+# that node's ancestors ("tiny-memo").
+@pytest.mark.parametrize("fresh_af", [False, True], ids=["memo", "tiny-memo"])
 @pytest.mark.parametrize("text", ["w", "w*2+3", "w^2", "w^3", "w^w"])
-def test_builder_ranks_match_root_walk_in_any_query_order(
-        monkeypatch, text, memo_symbols):
-    monkeypatch.setattr(trees, "RANK_MEMO_SYMBOLS", memo_symbols)
+def test_builder_ranks_match_root_walk_in_any_query_order(text, fresh_af):
     alpha = parse_ordinal(text)
     nodes = list(truncate_tree(build_tree_of_rank(alpha), width=3).order)
     random.Random(text).shuffle(nodes)
-    fresh = build_tree_of_rank(alpha)  # nothing visited yet
+    fresh = build_tree_of_rank(alpha)
+    ft = af_from_tree(fresh)  # nothing asked yet
     for p in nodes:
         assert fresh.member(p)
         assert fresh.declared_rank(p) == root_walk_rank(alpha, p)
+        if fresh_af:
+            ft = af_from_tree(fresh)
+        stage = ft.candidate_stages.stage_of(2 * node_code(p))
+        assert stage == root_walk_rank(alpha, p) + 1
 
 
 def test_builder_rejects_non_nodes_like_root_walk():
@@ -306,8 +320,9 @@ def test_truncation_enumerates_at_most_node_cap_children_per_node():
     assert peak < 1 << 20
 
 
-def test_path_search_holds_a_bounded_rank_memo(monkeypatch):
-    monkeypatch.setattr(trees, "RANK_MEMO_SYMBOLS", 1000)
+def test_path_search_holds_a_bounded_rank_memo():
+    # the search carries node states down one branch at a time and
+    # remembers no rank, so its peak stays small through every node
     tree = build_tree_of_rank(omega_power(2))  # 39,172 nodes at width 6
     tracemalloc.start()
     try:
@@ -398,7 +413,7 @@ def scrambled(tree, rng):
             symbols.append(rng.choice(symbols))
         rng.shuffle(symbols)
         return ChildrenSpec(symbols=tuple(symbols))
-    return LazyTree(children_of=children_of, membership=tree.__contains__)
+    return LazyTree(children_of=children_of)
 
 
 def test_lazy_finite_tree_tables_match_the_path_keyed_expansion(same_nodes):
@@ -412,3 +427,41 @@ def test_lazy_finite_tree_tables_match_the_path_keyed_expansion(same_nodes):
                 same_nodes(got, want)
                 if depth is None:
                     assert got == t
+
+
+# -- F_T from remembered node states against F_T asked by path -------------------
+
+
+def assert_same_tree_af(tree, n, rng):
+    """F_T of `tree`, asked about the indices below n in shuffled order,
+    answers as the path-keyed reference does: the predicate on every
+    candidate pair, each attacker spec, name and candidate stage."""
+    got, want = af_from_tree(tree), path_keyed_tree_af(tree)
+    indices = list(range(n))
+    rng.shuffle(indices)
+    for y in indices:
+        for x in got.attacker_candidates(y, n):
+            assert got.attacks(x, y) == want.attacks(x, y), (x, y)
+        a, b = got.attacker_spec(y), want.attacker_spec(y)
+        # scrambled trees list their symbols in a new order at every call
+        assert set(a.explicit) == set(b.explicit) and a.families == b.families, y
+        assert got.name(y) == want.name(y)
+        if want.candidate_stages is not None:
+            assert got.candidate_stages.stage_of(y) == \
+                want.candidate_stages.stage_of(y), y
+    if want.candidate_stages is None:
+        assert got.candidate_stages is None
+    else:
+        assert got.candidate_stages.declared_sup()[0] == \
+            want.candidate_stages.declared_sup()[0]
+
+
+def test_tree_af_states_match_the_path_keyed_reference():
+    rng = random.Random(47)
+    for _ in range(12):
+        assert_same_tree_af(build_tree_of_rank(random_ordinal_below_w4(rng)),
+                            600, rng)
+    for _ in range(10):
+        t = random_finite_tree(rng, max_nodes=40)
+        assert_same_tree_af(t.as_lazy(), 600, rng)
+        assert_same_tree_af(scrambled(t, rng), 600, rng)
