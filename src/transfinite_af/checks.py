@@ -396,7 +396,7 @@ def path_keyed_tree_af(tree: LazyTree) -> LazyAF:
         candidate = SymbolicStageMap(fallback=stage_of,
                                      sup_value=tree.declared_rank(ROOT) + 1,
                                      sup_attained=True, sup_witness=0)
-    return LazyAF(predicate, spec, universe=None, naming=naming,
+    return LazyAF(predicate, spec, naming=naming,
                   candidate_stages=candidate)
 
 

@@ -176,46 +176,37 @@ def cmd_grounded(args) -> int:
     af = _materialize(args.spec)
     if isinstance(af, FiniteAF):
         result = grounded_finite(af)
+        ordinal = format_ordinal(result.grounding_ordinal)
+        grounded = [af.name(i) for i in sorted(result.grounded)]
+        payload = {"grounded": grounded}
+        lines = [f"grounded: {' '.join(grounded)}",
+                 f"grounding ordinal: {ordinal}"]
+        stages = ({af.name(i): str(v) for i, v in result.stages.items()}
+                  if args.stages else None)
+    else:
+        if af.candidate_stages is None:
+            raise DomainError("lazy AF without a candidate stage map; "
+                              "nothing to verify")
+        report = verify_symbolic_stages(af, af.candidate_stages,
+                                        sample=args.sample)
+        if not report.ok:
+            for line in report.lines():
+                print(line, file=sys.stderr)
+            return EXIT_DOMAIN
+        ordinal = format_ordinal(report.grounding_ordinal)
+        stages = {af.name(i): str(v) for i, v in report.stages.items()}
         payload = {
-            "grounded": [af.name(i) for i in sorted(result.grounded)],
-            "grounding_ordinal": format_ordinal(result.grounding_ordinal),
+            "grounded": [name for name, v in sorted(stages.items())
+                         if v != "NEVER"],
+            "verified": True,
+            "sample_window": report.checked,
         }
-        if args.stages:
-            payload["stages"] = {af.name(i): str(v)
-                                 for i, v in result.stages.items()}
-        if args.format == "text":
-            lines = [f"grounded: {' '.join(payload['grounded'])}",
-                     f"grounding ordinal: {payload['grounding_ordinal']}"]
-            if args.stages:
-                lines += [f"stage {name}: {v}"
-                          for name, v in sorted(payload["stages"].items())]
-            _emit("\n".join(lines))
-        else:
-            _emit(json.dumps(payload, sort_keys=True))
-        return EXIT_OK
-
-    if af.candidate_stages is None:
-        raise DomainError("lazy AF without a candidate stage map; "
-                          "nothing to verify")
-    report = verify_symbolic_stages(af, af.candidate_stages, sample=args.sample)
-    if not report.ok:
-        for line in report.lines():
-            print(line, file=sys.stderr)
-        return EXIT_DOMAIN
-    window = report.checked
-    stages = {af.name(i): str(v) for i, v in report.stages.items()}
-    payload = {
-        "grounded": [name for name, v in sorted(stages.items())
-                     if v != "NEVER"],
-        "grounding_ordinal": format_ordinal(report.grounding_ordinal),
-        "verified": True,
-        "sample_window": window,
-    }
+        lines = [f"grounding ordinal: {ordinal} "
+                f"(verified on {report.checked} arguments)"]
+    payload["grounding_ordinal"] = ordinal
     if args.stages:
         payload["stages"] = stages
     if args.format == "text":
-        lines = [f"grounding ordinal: {payload['grounding_ordinal']} "
-                 f"(verified on {window} arguments)"]
         if args.stages:
             lines += [f"stage {name}: {v}" for name, v in sorted(stages.items())]
         _emit("\n".join(lines))

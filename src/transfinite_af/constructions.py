@@ -27,7 +27,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .core import (
     Affine,
@@ -44,8 +44,7 @@ from .core import (
     unpair,
 )
 from .errors import CapExceeded, UnsupportedExpression
-from .grounded import StageFamily, SymbolicStageMap, _attacker_spec_of, \
-    stages_finite
+from .grounded import StageFamily, SymbolicStageMap, stages_finite
 from .ordinals import (
     NEVER,
     ONE,
@@ -220,7 +219,7 @@ def af_from_tree(tree: LazyTree) -> LazyAF:
             family_all_never=family_all_never,
         )
 
-    return LazyAF(predicate, spec, universe=None, naming=naming,
+    return LazyAF(predicate, spec, naming=naming,
                   candidate_stages=candidate, attacker_candidates=candidates)
 
 
@@ -288,7 +287,7 @@ def baumann_spanring(truncate: Optional[int] = None):
     def naming(i: int) -> str:
         return f"{'a' if i % 2 == 0 else 'b'}{i // 2}"
 
-    return LazyAF(predicate, spec, universe=None, naming=naming,
+    return LazyAF(predicate, spec, naming=naming,
                   candidate_stages=candidate, attacker_candidates=candidates)
 
 
@@ -300,8 +299,6 @@ class _Slice(NamedTuple):
 
     part: object  # FiniteAF | LazyAF | None past the last part
     size: float  # arguments before the padding: inf for a lazy part
-    attacks: Callable[[int, int], bool]
-    candidates: Callable[[int, int], Iterable[int]]  # (j, m): see LazyAF
     stage: Optional[Callable[[int], object]]
 
 
@@ -321,15 +318,12 @@ def _union(parts: Callable[[int], object], families: Tuple[StageFamily, ...],
         if s is None:
             part = parts(p)
             if part is None:
-                s = _Slice(None, 0, lambda jx, jy: False, None, None)
+                s = _Slice(None, 0, None)
             elif isinstance(part, FiniteAF):
                 s = _Slice(part, part.n,
-                           lambda jx, jy: (jx, jy) in part.attack_pairs,
-                           lambda j, m: [c for c in part.attackers_of(j) if c < m],
                            stages_finite(part).__getitem__ if sup else None)
             else:
-                s = _Slice(part, math.inf, part.attacks,
-                           part.attacker_candidates or (lambda j, m: range(m)),
+                s = _Slice(part, math.inf,
                            part.candidate_stages.stage_of if sup else None)
             cache[p] = s
         return s
@@ -337,7 +331,10 @@ def _union(parts: Callable[[int], object], families: Tuple[StageFamily, ...],
     def predicate(x: int, y: int) -> bool:
         px, jx = unpair(x)
         py, jy = unpair(y)
-        return px == py and slice_of(px).attacks(jx, jy)
+        if px != py:
+            return False
+        s = slice_of(px)
+        return jx < s.size and jy < s.size and s.part.attacks(jx, jy)
 
     def candidates(y: int, hi: int) -> list:
         # attacks stay inside a part, and pair(p, c) < hi exactly when c < m
@@ -345,14 +342,15 @@ def _union(parts: Callable[[int], object], families: Tuple[StageFamily, ...],
         s = slice_of(p)
         if j >= s.size:
             return []
-        return [pair(p, c) for c in s.candidates(j, least_right(p, hi))]
+        return [pair(p, c)
+                for c in s.part.attacker_candidates(j, least_right(p, hi))]
 
     def spec(x: int) -> AttackerSpec:
         p, j = unpair(x)
         s = slice_of(p)
         if j >= s.size:
             return AttackerSpec()
-        inner = _attacker_spec_of(s.part, j)
+        inner = s.part.attacker_spec(j)
         return AttackerSpec(
             explicit=tuple(pair(p, b) for b in inner.explicit),
             families=tuple(replace(f, index_map=f.index_map.then(PairLeft(p)))
@@ -389,7 +387,7 @@ def _union(parts: Callable[[int], object], families: Tuple[StageFamily, ...],
             sup_witness=witness,
             family_all_never=family_all_never,
         )
-    return LazyAF(predicate, spec, universe=None, naming=naming,
+    return LazyAF(predicate, spec, naming=naming,
                   candidate_stages=candidate, attacker_candidates=candidates)
 
 

@@ -3,9 +3,11 @@
 Arguments are natural-number indices.  A finite AF stores the attack
 relation explicitly with adjacency in both directions (attacker lookups
 drive the tree reductions, so the reverse index matters).  A lazy AF is
-a total decidable attack predicate over an infinite (or prefix-bounded)
-universe together with a per-argument attacker description: a finite
-explicit list and/or affine-indexed infinite families.
+a total decidable attack predicate over all of N together with a
+per-argument attacker description: a finite explicit list and/or
+affine-indexed infinite families.  Both kinds answer the same attacker
+queries (`universe`, `attacker_spec`, `attacker_candidates`), so the
+engines ask them without knowing which kind they hold.
 
 All values are immutable after construction; every operation is pure.
 """
@@ -14,7 +16,9 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 
@@ -192,8 +196,15 @@ class AttackerSpec:
     def is_explicit(self) -> bool:
         return not self.families
 
+    # the spot check asks about every attacker of a spec, so a long
+    # explicit list is searched as a set
+    @cached_property
+    def _explicit_set(self) -> frozenset:
+        return frozenset(self.explicit)
+
     def contains(self, index: int) -> bool:
-        return index in self.explicit or any(f.contains(index) for f in self.families)
+        return (index in self._explicit_set
+                or any(f.contains(index) for f in self.families))
 
 
 # -- finite AFs ---------------------------------------------------------------
@@ -249,9 +260,12 @@ class FiniteAF:
             raise IndexError(f"argument index {i} out of range [0,{self.n})")
 
     def attacks(self, x: int, y: int) -> bool:
+        # every stored pair is in range, so only a miss needs the check
+        if (x, y) in self.attack_pairs:
+            return True
         self._check(x)
         self._check(y)
-        return (x, y) in self.attack_pairs
+        return False
 
     def attackers_of(self, x: int) -> Tuple[int, ...]:
         self._check(x)
@@ -260,6 +274,19 @@ class FiniteAF:
     def targets_of(self, x: int) -> Tuple[int, ...]:
         self._check(x)
         return self._fwd[x]
+
+    # -- the lazy AF's attacker queries (see LazyAF)
+
+    @property
+    def universe(self) -> int:
+        return self.n
+
+    def attacker_spec(self, x: int) -> AttackerSpec:
+        return AttackerSpec(explicit=self.attackers_of(x))
+
+    def attacker_candidates(self, x: int, hi: int) -> Tuple[int, ...]:
+        attackers = self.attackers_of(x)
+        return attackers[:bisect_left(attackers, hi)]
 
     def name(self, i: int) -> str:
         self._check(i)
@@ -335,8 +362,8 @@ class FiniteAF:
 class LazyAF:
     """An AF presented by a total attack predicate plus attacker specs.
 
-    universe is None for all of N, or an int bounding an explicit finite
-    prefix.  Any whole-universe scan must go through an explicit
+    Its universe is all of N, so `universe` is None (a finite AF's is its
+    argument count).  Any whole-universe scan must go through an explicit
     inspection window; there are no unbounded operations here.
 
     The attacker spec is declarative data about the predicate and is
@@ -349,26 +376,27 @@ class LazyAF:
     possible as attackers of a: a superset of the true attackers of a
     below hi.  It must be derived from the predicate alone, never read
     from the attacker spec, since the spot check uses it to test that
-    spec for completeness.  None means every index below hi is possible.
+    spec for completeness.  Without it every index below hi is possible.
     """
+
+    universe = None
 
     def __init__(self, attack_predicate: Callable[[int, int], bool],
                  attacker_spec_fn: Callable[[int], AttackerSpec],
-                 universe: Optional[int] = None,
                  naming: Optional[Callable[[int], str]] = None,
                  candidate_stages=None,
                  attacker_candidates: Optional[
                      Callable[[int, int], Iterable[int]]] = None):
         self._predicate = attack_predicate
         self._spec_fn = attacker_spec_fn
-        self.universe = universe
         self._naming = naming
         self.candidate_stages = candidate_stages
-        self.attacker_candidates = attacker_candidates
+        self.attacker_candidates = (attacker_candidates
+                                    or (lambda a, hi: range(hi)))
         self._spec_cache = {}
 
     def _check(self, i: int):
-        if i < 0 or (self.universe is not None and i >= self.universe):
+        if i < 0:
             raise IndexError(f"argument index {i} outside the universe")
 
     def attacks(self, x: int, y: int) -> bool:
@@ -396,8 +424,6 @@ def materialize(af: LazyAF, n: int) -> FiniteAF:
     result agree with the full AF exactly when the window is
     attacker-complete for the arguments of interest.
     """
-    if af.universe is not None:
-        n = min(n, af.universe)
     attacks = [(x, y) for x in range(n) for y in range(n) if af.attacks(x, y)]
     names = [af.name(i) for i in range(n)]
     if len(set(names)) != n:
@@ -410,14 +436,13 @@ def materialize(af: LazyAF, n: int) -> FiniteAF:
 SPEC_FAMILY_PROBE = 8
 
 
-def spot_check_attacker_spec(af: LazyAF, args: Iterable[int], bound: int) -> list:
+def spot_check_attacker_spec(af, args: Iterable[int], bound: int) -> list:
     """Probe spec soundness/completeness against the attack predicate.
 
     For each argument: every spec member must really attack it, and every
     attacker found by scanning indices < bound must appear in the spec.
-    The scan covers af.attacker_candidates(a, bound) when the AF has that
-    hook, else every index below the bound; the indices it skips cannot
-    attack a by the predicate's definition.  Returns human-readable
+    The scan covers af.attacker_candidates(a, bound); the indices it skips
+    cannot attack a by the predicate's definition.  Returns human-readable
     violation strings (empty = clean).
     """
     problems = []
@@ -429,15 +454,10 @@ def spot_check_attacker_spec(af: LazyAF, args: Iterable[int], bound: int) -> lis
         for fam in spec.families:
             for k in range(fam.k_start, fam.k_start + SPEC_FAMILY_PROBE):
                 m = fam.member(k)
-                if af.universe is not None and m >= af.universe:
-                    break
                 if not af.attacks(m, a):
                     problems.append(
                         f"spec of {a}: family member {m} (k={k}) does not attack")
-        hi = bound if af.universe is None else min(bound, af.universe)
-        scan = (range(hi) if af.attacker_candidates is None
-                else af.attacker_candidates(a, hi))
-        for x in scan:
+        for x in af.attacker_candidates(a, bound):
             if af.attacks(x, a) and not spec.contains(x):
                 problems.append(f"spec of {a}: attacker {x} missing from spec")
     return problems

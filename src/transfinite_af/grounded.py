@@ -351,12 +351,6 @@ class VerificationReport:
         return [str(v) for v in self.violations]
 
 
-def _attacker_spec_of(af, i: int) -> AttackerSpec:
-    if isinstance(af, FiniteAF):
-        return AttackerSpec(explicit=af.attackers_of(i))
-    return af.attacker_spec(i)
-
-
 # The verifier samples the first FAMILY_PROBE members of a family.
 FAMILY_PROBE = 6
 
@@ -374,7 +368,7 @@ class _Verifier:
         return self.candidate.stage_of(i)
 
     def spec(self, i: int) -> AttackerSpec:
-        return _attacker_spec_of(self.af, i)
+        return self.af.attacker_spec(i)
 
     # minstage(b) = least stage among the counter-attackers of b; NEVER
     # when b is never counter-attacked (in particular when unattacked).
@@ -575,18 +569,17 @@ def verify_symbolic_stages(af, candidate: SymbolicStageMap,
     counter-attackers are all NEVER.  The declared stage supremum, from
     which the grounding ordinal is read off, is cross-checked against
     samples and certified cofinal by an affine family when unattained.
+    The window is [0, sample) clipped to af.universe; its attacker specs
+    are spot-checked against the attack predicate first.
     """
     if sample < 1:
         raise ValueError("sample must be >= 1")
     v = _Verifier(af, candidate)
-    if isinstance(af, FiniteAF):
-        indices = range(min(sample, af.n))
-    else:
-        hi = sample if af.universe is None else min(sample, af.universe)
-        indices = range(hi)
-        v.violations.extend(
-            StageViolation("spec", "attacker-spec", msg)
-            for msg in spot_check_attacker_spec(af, indices, bound=max(hi, 16)))
+    hi = sample if af.universe is None else min(sample, af.universe)
+    indices = range(hi)
+    v.violations.extend(
+        StageViolation("spec", "attacker-spec", msg)
+        for msg in spot_check_attacker_spec(af, indices, bound=max(hi, 16)))
 
     stages: Dict[int, StageValue] = {}
     for a in indices:

@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .core import Affine, FiniteAF, unpair
+from .core import FiniteAF, unpair
 from .errors import CapExceeded, DomainError
 from .grounded import grounded_finite
 from .ordinals import Ordinal
-from .trees import ChildFamily, ChildrenSpec, FiniteTree, LazyTree, NodePath, \
-    NodeStates, _expand
+from .trees import ChildrenSpec, FiniteTree, LazyTree, NodePath, NodeStates, \
+    _expand
 
 __all__ = [
     "mran_of", "largest_self_defending",
@@ -101,33 +101,20 @@ def merge_witnesses(w1: SelfDefendingWitness,
 # -- T_S ---------------------------------------------------------------------
 
 
-def _attacks_safe(af, x: int, y: int) -> bool:
-    if isinstance(af, FiniteAF) and (x >= af.n or y >= af.n):
-        return False
-    return af.attacks(x, y)
+def _attacks_safe(af: FiniteAF, x: int, y: int) -> bool:
+    return x < af.n and y < af.n and af.attacks(x, y)
 
 
-def _attacker_children(af, n: int) -> ChildrenSpec:
-    """Children {i+1 : a_i attacks a_n} for a case-1 level."""
-    if isinstance(af, FiniteAF):
-        if n >= af.n:
-            return ChildrenSpec()
-        return ChildrenSpec(symbols=tuple(i + 1 for i in af.attackers_of(n)))
-    spec = af.attacker_spec(n)
-    fams = tuple(ChildFamily(f.index_map.then(Affine(1, 1)), f.k_start)
-                 for f in spec.families)
-    return ChildrenSpec(symbols=tuple(i + 1 for i in sorted(spec.explicit)),
-                        families=fams)
-
-
-def _ts_children(af, level: int, mran: frozenset) -> ChildrenSpec:
+def _ts_children(af: FiniteAF, level: int, mran: frozenset) -> ChildrenSpec:
+    """Children {i+1 : a_i attacks a_n} when a_n attacks the committed
+    set, for level decoding to (n, m); else the single child 0."""
     n, _ = unpair(level)
     if any(_attacks_safe(af, n, x) for x in mran):
-        return _attacker_children(af, n)
+        return ChildrenSpec(symbols=tuple(i + 1 for i in af.attackers_of(n)))
     return ChildrenSpec(symbols=(0,))
 
 
-def build_TS(af, seed) -> LazyTree:
+def build_TS(af: FiniteAF, seed) -> LazyTree:
     """The tree whose paths describe self-defending supersets of the seed."""
     seed = frozenset(seed)
 
@@ -329,18 +316,12 @@ def _defense_prefix(af: FiniteAF, seed: frozenset, gplus: frozenset,
 # -- T^a ---------------------------------------------------------------------
 
 
-def build_Ta(af, a: int) -> LazyTree:
+def build_Ta(af: FiniteAF, a: int) -> LazyTree:
     """Root plus, below each attacker a_i of a, the subtree T_{{a_i}}."""
 
     def children_of(sigma: NodePath) -> ChildrenSpec:
         if not sigma:
-            if isinstance(af, FiniteAF):
-                return ChildrenSpec(symbols=af.attackers_of(a))
-            spec = af.attacker_spec(a)
-            fams = tuple(ChildFamily(f.index_map, f.k_start)
-                         for f in spec.families)
-            return ChildrenSpec(symbols=tuple(sorted(spec.explicit)),
-                                families=fams)
+            return ChildrenSpec(symbols=af.attackers_of(a))
         i = sigma[0]
         seed = frozenset((i,))
         return _ts_children(af, len(sigma) - 1, mran_of(seed, sigma[1:]))

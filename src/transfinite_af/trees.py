@@ -373,19 +373,29 @@ def bounded_path_search(tree, depth: int, width: int) -> PathSearchResult:
 
     Finds a prefix of exactly `depth` symbols if one exists under the
     truncation; a negative answer never claims global nonexistence.
+    Depth first over one shared path: a stack entry is (depth, symbol,
+    state) of a node, and the nodes pushed are held to TRUNCATE_NODE_CAP.
     """
     if depth < 1 or width < 1:
         raise ValueError("depth and width must be >= 1")
     if isinstance(tree, FiniteTree):
         tree = tree.as_lazy()
     children, child = tree.states.children, tree.states.child
-    stack = [(ROOT, tree.states.root)]
+    path: list = []
+    stack = [(0, None, tree.states.root)]
+    pushed = 0
     while stack:
-        p, state = stack.pop()
-        if len(p) == depth:
-            return PathSearchResult(True, p, depth)
+        d, s, state = stack.pop()
+        if d:
+            del path[d - 1:]
+            path.append(s)
+        if d == depth:
+            return PathSearchResult(True, tuple(path), depth)
         symbols = children(state).first_symbols(width)
-        stack.extend((p + (s,), child(state, s)) for s in reversed(symbols))
+        pushed += len(symbols)
+        if pushed > TRUNCATE_NODE_CAP:
+            raise CapExceeded(f"path search exceeded {TRUNCATE_NODE_CAP} nodes")
+        stack.extend((d + 1, s, child(state, s)) for s in reversed(symbols))
     return PathSearchResult(False, None, depth)
 
 

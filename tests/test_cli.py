@@ -390,6 +390,25 @@ def test_path_symbol_budget_exits_3(capsys, command):
     assert time.perf_counter() - start < 5
 
 
+def test_tree_search_of_a_long_chain_is_linear(capsys):
+    # one shared path: the parent copied each node's path, 4.2 s at 40,000
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "tree", "search", "--ordinal", "100000",
+                       "--depth", "100000", "--width", "1")
+    assert code == 0
+    assert json.loads(out) == {"found": True, "prefix": [0] * 100_000}
+    assert time.perf_counter() - start < 2
+
+
+def test_tree_search_node_budget_exits_3(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "tree", "search", "--ordinal", "w^3",
+                         "--depth", "1000", "--width", "8")
+    assert code == 3 and out == ""
+    assert err == f"error: path search exceeded {TRUNCATE_NODE_CAP} nodes\n"
+    assert time.perf_counter() - start < 5
+
+
 def test_gen_truncated_limit_target_output_is_pinned(capsys):
     # sha256 of the output before the parts shared one node budget
     code, out, _ = run(capsys, "gen", "ord:w*2:truncate=50")

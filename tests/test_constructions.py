@@ -324,7 +324,7 @@ def test_union_places_part_p_argument_j_at_pair(text):
 
 def _without_hook(af, spec=None):
     """The same AF with the full-scan spot check, optionally another spec."""
-    return LazyAF(af.attacks, spec or af.attacker_spec, af.universe,
+    return LazyAF(af.attacks, spec or af.attacker_spec,
                   attacker_candidates=None)
 
 

@@ -3,7 +3,8 @@
 `grounded_finite`, `largest_self_defending` and `omega_approximation`
 must agree exactly with the reference loops kept in `checks.py`: the same
 grounded set, every stage, the grounding ordinal, the largest
-self-defending set, and every field of a window approximation.
+self-defending set, and every field of a window approximation.  A finite
+AF answers the attacker queries the engines ask as its lazy view does.
 """
 
 import random
@@ -15,9 +16,11 @@ from transfinite_af.checks import (
     iterated_defense_step,
     predicate_omega_approximation,
 )
-from transfinite_af.core import AttackerSpec, FiniteAF, LazyAF
-from transfinite_af.grounded import grounded_finite, omega_approximation
-from transfinite_af.ordinals import NEVER
+from transfinite_af.core import AttackerSpec, FiniteAF, LazyAF, \
+    spot_check_attacker_spec
+from transfinite_af.grounded import SymbolicStageMap, grounded_finite, \
+    omega_approximation, stages_finite, verify_symbolic_stages
+from transfinite_af.ordinals import NEVER, Ordinal
 from transfinite_af.rank_analysis import largest_self_defending
 
 
@@ -101,12 +104,13 @@ def test_shapes_have_the_expected_stages():
 
 
 def lazy_of(af: FiniteAF, doubled: bool = False) -> LazyAF:
-    """af as a lazy AF with universe n; `doubled` lists each attacker twice."""
+    """af as a lazy AF, asked only below n; `doubled` lists each attacker
+    twice."""
     def spec(i):
         att = af.attackers_of(i)
         return AttackerSpec(explicit=att + att if doubled else att)
 
-    return LazyAF(af.attacks, spec, universe=af.n)
+    return LazyAF(af.attacks, spec)
 
 
 def infinite_chain():
@@ -167,3 +171,71 @@ def test_omega_not_stabilized_when_every_round_adds():
     more = omega_approximation(infinite_chain(), window=10, steps=6)
     assert more.stabilized and more.stages == approx.stages
     assert more.never == frozenset({1, 3, 5, 7, 9}) and not more.unknown
+
+
+# -- one query interface ----------------------------------------------------------
+
+
+def test_finite_af_answers_the_lazy_queries():
+    rng = random.Random(77)
+    for af in CORPUS[:200]:
+        lazy = lazy_of(af)
+        assert af.universe == af.n and lazy.universe is None
+        for a in range(af.n):
+            assert af.attacker_spec(a) == lazy.attacker_spec(a) == \
+                AttackerSpec(explicit=af.attackers_of(a))
+            for hi in {0, a, rng.randint(0, af.n), af.n, af.n + 5}:
+                below = [x for x in range(min(hi, af.n)) if af.attacks(x, a)]
+                assert list(af.attacker_candidates(a, hi)) == below, (a, hi)
+                # the lazy view scans in full: a superset, in order
+                full = list(lazy.attacker_candidates(a, min(hi, af.n)))
+                assert full == list(range(min(hi, af.n)))
+        assert spot_check_attacker_spec(af, range(af.n), bound=af.n + 16) == []
+
+
+def _perturbed(stages, rng):
+    x = rng.choice(sorted(stages))
+    tampered = dict(stages)
+    if stages[x] is NEVER:
+        tampered[x] = Ordinal.from_int(rng.randint(1, len(stages) + 1))
+    elif rng.random() < 0.5:
+        tampered[x] = stages[x] + 1
+    else:
+        tampered[x] = NEVER
+    return tampered
+
+
+def total_view(af: FiniteAF) -> LazyAF:
+    """lazy_of(af) over all of N: indices past n attack nothing."""
+    return LazyAF(lambda x, y: max(x, y) < af.n and af.attacks(x, y),
+                  lazy_of(af).attacker_spec)
+
+
+def test_verifier_reports_alike_on_a_finite_af_and_its_lazy_view():
+    rng = random.Random(515)
+    for af in CORPUS[:160]:
+        if af.n == 0:
+            continue
+        exact = stages_finite(af)
+        for stages in (exact, _perturbed(exact, rng)):
+            candidate = SymbolicStageMap.from_finite(stages)
+            for sample in {1, rng.randint(1, af.n), af.n}:
+                got = verify_symbolic_stages(af, candidate, sample)
+                assert got == verify_symbolic_stages(total_view(af), candidate,
+                                                     sample), sample
+            # a window past the arguments is clipped to them
+            whole = verify_symbolic_stages(af, candidate, af.n)
+            assert verify_symbolic_stages(af, candidate, af.n + 7) == whole
+            assert whole.checked == af.n
+            assert whole.ok == (stages is exact), stages
+
+
+def test_omega_reports_alike_on_a_finite_af_and_its_lazy_view():
+    rng = random.Random(616)
+    for af in CORPUS[:160]:
+        if af.n == 0:
+            continue
+        for window in {1, rng.randint(1, af.n), af.n}:
+            for steps in (1, 3, af.n + 2):
+                assert omega_approximation(af, window, steps) == \
+                    omega_approximation(lazy_of(af), window, steps)

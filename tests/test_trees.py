@@ -334,6 +334,24 @@ def test_path_search_holds_a_bounded_rank_memo():
     assert peak < 512 << 10
 
 
+def test_path_search_counts_every_pushed_node(monkeypatch):
+    # a chain of rank 30 pushes one node per level: 30 fit a budget of
+    # 30, not one of 29
+    chain = build_tree_of_rank(30)
+    monkeypatch.setattr(trees, "TRUNCATE_NODE_CAP", 30)
+    assert bounded_path_search(chain, depth=30, width=3).prefix == (0,) * 30
+    monkeypatch.setattr(trees, "TRUNCATE_NODE_CAP", 29)
+    with pytest.raises(CapExceeded, match="path search exceeded 29 nodes"):
+        bounded_path_search(chain, depth=30, width=3)
+    # under a limit every pushed sibling counts: w at width 4 pushes
+    # 4 + (0 + 1 + 2 + 3) nodes before it answers
+    monkeypatch.setattr(trees, "TRUNCATE_NODE_CAP", 10)
+    assert not bounded_path_search(build_tree_of_rank(OMEGA), 9, 4).found
+    monkeypatch.setattr(trees, "TRUNCATE_NODE_CAP", 9)
+    with pytest.raises(CapExceeded):
+        bounded_path_search(build_tree_of_rank(OMEGA), 9, 4)
+
+
 def test_truncation_steps_each_rank_once_from_its_parent(monkeypatch):
     steps = []
 
