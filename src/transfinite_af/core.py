@@ -441,24 +441,31 @@ def spot_check_attacker_spec(af, args: Iterable[int], bound: int) -> list:
 
     For each argument: every spec member must really attack it, and every
     attacker found by scanning indices < bound must appear in the spec.
-    The scan covers af.attacker_candidates(a, bound); the indices it skips
-    cannot attack a by the predicate's definition.  Returns human-readable
-    violation strings (empty = clean).
+    The scan covers af.attacker_candidates(a, bound) less the members
+    already probed; the indices it skips cannot attack a by the
+    predicate's definition.  Returns human-readable violation strings
+    (empty = clean).
     """
     problems = []
+    attacks = af.attacks
     for a in args:
         spec = af.attacker_spec(a)
         for b in spec.explicit:
-            if not af.attacks(b, a):
+            if not attacks(b, a):
                 problems.append(f"spec of {a}: explicit attacker {b} does not attack")
+        probed = set()
         for fam in spec.families:
             for k in range(fam.k_start, fam.k_start + SPEC_FAMILY_PROBE):
                 m = fam.member(k)
-                if not af.attacks(m, a):
+                probed.add(m)
+                if not attacks(m, a):
                     problems.append(
                         f"spec of {a}: family member {m} (k={k}) does not attack")
+        # the spec's members asked above cannot be missing from it, so the
+        # scan asks each pair once
+        asked = spec._explicit_set | probed if probed else spec._explicit_set
         for x in af.attacker_candidates(a, bound):
-            if af.attacks(x, a) and not spec.contains(x):
+            if x not in asked and attacks(x, a) and not spec.contains(x):
                 problems.append(f"spec of {a}: attacker {x} missing from spec")
     return problems
 

@@ -10,6 +10,13 @@ absent.
 
 Stage maps use NEVER as an adjoined top element: it compares greater
 than every ordinal.
+
+Public input is validated: `Ordinal(terms)` and `parse_ordinal` check
+that the terms are in Cantor normal form.  Arithmetic builds its results
+in that form by construction and returns them through the unchecked
+`Ordinal._canonical`.  The naturals below SMALL_NATURALS are shared
+instances, so equal small values are often the same object, which
+comparison checks first.
 """
 
 from __future__ import annotations
@@ -87,12 +94,21 @@ class Ordinal(_StageOrder):
     # -- construction helpers ------------------------------------------
 
     @staticmethod
+    def _canonical(terms: Tuple[Tuple["Ordinal", int], ...]) -> "Ordinal":
+        """The ordinal of terms already in Cantor normal form (unchecked);
+        only arithmetic that builds such terms calls it."""
+        o = object.__new__(Ordinal)
+        o.terms = terms
+        o._hash = None
+        return o
+
+    @staticmethod
     def from_int(n: int) -> "Ordinal":
         if n < 0:
             raise ValueError("ordinals are non-negative")
-        if n == 0:
-            return ZERO
-        return Ordinal(((ZERO, n),))
+        if n < SMALL_NATURALS:
+            return _NATURALS[n]
+        return _canonical(((ZERO, n),))
 
     # -- structure ------------------------------------------------------
 
@@ -124,25 +140,39 @@ class Ordinal(_StageOrder):
         if not self.is_successor:
             raise ValueError(f"{self} is not a successor ordinal")
         head, (e, c) = self.terms[:-1], self.terms[-1]
-        if c > 1:
-            return Ordinal(head + ((e, c - 1),))
-        return Ordinal(head)
+        if not head:
+            return Ordinal.from_int(c - 1)
+        return _canonical(head + ((e, c - 1),) if c > 1 else head)
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other) -> "Ordinal":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other.terms:
+        if type(other) is not Ordinal:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        mine, theirs = self.terms, other.terms
+        if not theirs:
             return self
-        e = other.terms[0][0]
-        keep = tuple(t for t in self.terms if _cmp(t[0], e) > 0)
-        merged = list(other.terms)
-        for ex, c in self.terms:
-            if _cmp(ex, e) == 0:
-                merged[0] = (e, c + merged[0][1])
-        return Ordinal(keep + tuple(merged))
+        if not mine:
+            return other
+        # the terms of self below the addend's head exponent e are absorbed,
+        # and a term at e adds its coefficient to the head's
+        e, c = theirs[0]
+        if not e.terms:
+            ex, cx = mine[-1]
+            if ex.terms:
+                return _canonical(mine + theirs)
+            if len(mine) == 1:
+                return Ordinal.from_int(cx + c)
+            return _canonical(mine[:-1] + ((ex, cx + c),))
+        for i, (ex, cx) in enumerate(mine):
+            order = _cmp(ex, e)
+            if order < 0:
+                return _canonical(mine[:i] + theirs)
+            if order == 0:
+                return _canonical(mine[:i] + ((e, cx + c),) + theirs[1:])
+        return _canonical(mine + theirs)
 
     def __radd__(self, other) -> "Ordinal":
         other = _coerce(other)
@@ -182,6 +212,8 @@ def _compare(x, y):
     Stage values are ordinals, with ints standing for the finite ones,
     and NEVER above them all; any other operand gives NotImplemented.
     """
+    if type(x) is Ordinal and type(y) is Ordinal:
+        return _cmp(x, y)
     a = ZERO if x is NEVER else _coerce(x)
     b = ZERO if y is NEVER else _coerce(y)
     if a is None or b is None:
@@ -192,27 +224,42 @@ def _compare(x, y):
 
 
 def _cmp(x: Ordinal, y: Ordinal) -> int:
-    for (e1, c1), (e2, c2) in zip(x.terms, y.terms):
-        c = _cmp(e1, e2)
-        if c:
-            return c
+    if x is y:
+        return 0
+    xt, yt = x.terms, y.terms
+    for (e1, c1), (e2, c2) in zip(xt, yt):
+        if e1 is not e2:
+            c = _cmp(e1, e2)
+            if c:
+                return c
         if c1 != c2:
             return -1 if c1 < c2 else 1
-    if len(x.terms) == len(y.terms):
+    if len(xt) == len(yt):
         return 0
-    return -1 if len(x.terms) < len(y.terms) else 1
+    return -1 if len(xt) < len(yt) else 1
 
 
-ZERO = Ordinal(())
-ONE = Ordinal(((ZERO, 1),))
-OMEGA = Ordinal(((ONE, 1),))
+_canonical = Ordinal._canonical
+
+ZERO = _canonical(())
+# Ordinal.from_int(n) for n < SMALL_NATURALS is one shared instance
+SMALL_NATURALS = 64
+_NATURALS = (ZERO,) + tuple(_canonical(((ZERO, n),))
+                            for n in range(1, SMALL_NATURALS))
+ONE = _NATURALS[1]
+OMEGA = _canonical(((ONE, 1),))
+
+
+def _monomial(e: Ordinal, c: int) -> Ordinal:
+    """w^e * c for c >= 1."""
+    return _canonical(((e, c),)) if e.terms else Ordinal.from_int(c)
 
 
 def omega_power(e) -> Ordinal:
     e = _coerce(e)
     if e is None:
         raise TypeError("exponent must be an Ordinal or int")
-    return Ordinal(((e, 1),))
+    return _monomial(e, 1)
 
 
 def compare(x, y) -> str:
@@ -272,12 +319,15 @@ def fundamental_sequence(x, i: int) -> Ordinal:
     if i < 0:
         raise ValueError("sequence index must be a natural number")
     head, (e, c) = o.terms[:-1], o.terms[-1]
-    base = Ordinal(head + (((e, c - 1),) if c > 1 else ()))
-    if e.is_successor:
-        if i == 0:
-            return base
-        return base + Ordinal(((e.predecessor(), i),))
-    return base + omega_power(fundamental_sequence(e, i))
+    # every exponent of base is at least e, above the last term's exponent
+    base = head + ((e, c - 1),) if c > 1 else head
+    if not e.is_successor:
+        last = (fundamental_sequence(e, i), 1)
+    elif i:
+        last = (e.predecessor(), i)
+    else:
+        return _canonical(base) if base else ZERO
+    return _canonical(base + (last,)) if base else _monomial(*last)
 
 
 def fundamental_sequence_expr(x) -> Optional["AffineOrdinalExpr"]:
@@ -352,12 +402,15 @@ class AffineOrdinalExpr:
     def evaluate(self, k: int) -> Ordinal:
         if k < 0:
             raise ValueError("k must be a natural number")
+        # the exponents are strictly decreasing; zero coefficients drop out
         out = []
         for e, a, b in self.terms:
             c = a * k + b
             if c:
                 out.append((e, c))
-        return Ordinal(tuple(out))
+        if len(out) == 1:
+            return _monomial(*out[0])
+        return _canonical(tuple(out)) if out else ZERO
 
     def sup_over(self, k_start: int = 0) -> Tuple[Ordinal, bool]:
         """Least upper bound of {self(k) : k >= k_start}.
@@ -371,7 +424,8 @@ class AffineOrdinalExpr:
         prefix = []
         for e, a, b in self.terms:
             if a > 0:
-                return Ordinal(tuple(prefix)) + omega_power(e + ONE), False
+                # w^(e+1) may merge with the prefix's last term
+                return _canonical(tuple(prefix)) + omega_power(e + ONE), False
             prefix.append((e, b))
         raise AssertionError("unreachable")
 

@@ -374,7 +374,8 @@ def bounded_path_search(tree, depth: int, width: int) -> PathSearchResult:
     Finds a prefix of exactly `depth` symbols if one exists under the
     truncation; a negative answer never claims global nonexistence.
     Depth first over one shared path: a stack entry is (depth, symbol,
-    state) of a node, and the nodes pushed are held to TRUNCATE_NODE_CAP.
+    parent's state) of a node, whose own state is stepped when it is
+    popped, and the nodes pushed are held to TRUNCATE_NODE_CAP.
     """
     if depth < 1 or width < 1:
         raise ValueError("depth and width must be >= 1")
@@ -387,6 +388,7 @@ def bounded_path_search(tree, depth: int, width: int) -> PathSearchResult:
     while stack:
         d, s, state = stack.pop()
         if d:
+            state = child(state, s)
             del path[d - 1:]
             path.append(s)
         if d == depth:
@@ -395,7 +397,7 @@ def bounded_path_search(tree, depth: int, width: int) -> PathSearchResult:
         pushed += len(symbols)
         if pushed > TRUNCATE_NODE_CAP:
             raise CapExceeded(f"path search exceeded {TRUNCATE_NODE_CAP} nodes")
-        stack.extend((d + 1, s, child(state, s)) for s in reversed(symbols))
+        stack.extend((d + 1, s, state) for s in reversed(symbols))
     return PathSearchResult(False, None, depth)
 
 
@@ -446,13 +448,18 @@ class _LimitFamily(ChildFamily):
 
 def _split(r: Ordinal) -> Tuple[Ordinal, int]:
     if r.is_successor:
-        return Ordinal(r.terms[:-1]), r.terms[-1][1]
+        head = r.terms[:-1]
+        return Ordinal._canonical(head) if head else ZERO, r.terms[-1][1]
     return r, 0
 
 
 def _split_rank(state: Tuple[Ordinal, int]) -> Ordinal:
     lam, n = state
-    return Ordinal(lam.terms + ((ZERO, n),)) if n else lam
+    if not n:
+        return lam
+    if not lam.terms:
+        return Ordinal.from_int(n)
+    return Ordinal._canonical(lam.terms + ((ZERO, n),))
 
 
 def _split_children(state: Tuple[Ordinal, int]) -> ChildrenSpec:

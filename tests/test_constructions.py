@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,8 +17,8 @@ from transfinite_af.constructions import (
     ordinal_target_af,
     parse_generator_spec,
 )
-from transfinite_af.core import AttackerFamily, AttackerSpec, FiniteAF, \
-    LazyAF, PairLeft, format_apx, pair, spot_check_attacker_spec, unpair
+from transfinite_af.core import SPEC_FAMILY_PROBE, AttackerFamily, AttackerSpec, \
+    FiniteAF, LazyAF, PairLeft, format_apx, pair, spot_check_attacker_spec, unpair
 from transfinite_af.errors import CapExceeded, UnsupportedExpression
 from transfinite_af.grounded import (
     grounded_finite,
@@ -370,6 +371,61 @@ def test_spot_check_through_candidates_finds_a_dropped_attacker(text):
             _without_hook(af, spec_fn), [a], bound=hi)
         dropped += 1
     assert dropped >= 10
+
+
+def _spot_check_asking_every_candidate(af, args, bound):
+    """The spot check with a scan that asks every candidate, probed or not."""
+    problems = []
+    for a in args:
+        spec = af.attacker_spec(a)
+        for b in spec.explicit:
+            if not af.attacks(b, a):
+                problems.append(f"spec of {a}: explicit attacker {b} does not attack")
+        for fam in spec.families:
+            for k in range(fam.k_start, fam.k_start + SPEC_FAMILY_PROBE):
+                m = fam.member(k)
+                if not af.attacks(m, a):
+                    problems.append(
+                        f"spec of {a}: family member {m} (k={k}) does not attack")
+        for x in af.attacker_candidates(a, bound):
+            if af.attacks(x, a) and not spec.contains(x):
+                problems.append(f"spec of {a}: attacker {x} missing from spec")
+    return problems
+
+
+@pytest.mark.parametrize("text", ["bs", "ord:w+3", "union(bs,ord:w)", "ord:w^2"])
+def test_spot_check_asks_each_pair_once_and_reports_as_the_full_scan(text):
+    af = materialize_spec(parse_generator_spec(text))
+    hi, rng = 80, random.Random(text)
+
+    def perturbed(a):
+        # drop an explicit attacker or a family, claim a non-attacker
+        spec = af.attacker_spec(a)
+        explicit, families = list(spec.explicit), list(spec.families)
+        if explicit and rng.random() < 0.5:
+            explicit.remove(rng.choice(explicit))
+        if families and rng.random() < 0.3:
+            families.pop(rng.randrange(len(families)))
+        if rng.random() < 0.5:
+            fake = rng.randrange(hi)
+            if not af.attacks(fake, a):
+                explicit.append(fake)
+        return AttackerSpec(tuple(explicit), tuple(families))
+
+    specs = {a: perturbed(a) for a in range(hi)}
+    asked = Counter()
+
+    def attacks(x, y):
+        asked[x, y] += 1
+        return af.attacks(x, y)
+
+    hooked = LazyAF(attacks, specs.__getitem__,
+                    attacker_candidates=af.attacker_candidates)
+    problems = spot_check_attacker_spec(hooked, range(hi), bound=hi)
+    assert any("missing from spec" in p for p in problems)
+    assert any("does not attack" in p for p in problems)
+    assert max(asked.values()) == 1
+    assert problems == _spot_check_asking_every_candidate(hooked, range(hi), hi)
 
 
 def test_spot_check_of_omega_squared_asks_a_tenth_of_the_full_scan():

@@ -5,6 +5,10 @@ The engines ask an AF the same attacker queries whatever its kind
 places may test whether an AF is finite or lazy: the CLI's engine
 choice, the generators' all-finite compaction and finite parts' exact
 stages, and FiniteAF.__eq__.
+
+Ordinals from public input are validated; only the ordinal arithmetic
+and the rank-built trees' state helpers, which build Cantor normal forms
+by construction, may skip that through `Ordinal._canonical`.
 """
 
 import ast
@@ -17,26 +21,41 @@ AF_KINDS = {"FiniteAF", "LazyAF"}
 KIND_CHECKS_ALLOWED = {"cli.py", "constructions.py"}
 
 
-def kind_checks(path: Path) -> list:
-    """(scope, line) of every isinstance call whose class names an AF kind;
-    the scope is the dotted path of the enclosing classes and functions."""
+def find(path: Path, matches) -> list:
+    """(scope, line) of every node that `matches`; the scope is the dotted
+    path of the enclosing classes and functions."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = scope + (node.name,)
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "isinstance" and len(node.args) == 2):
-            named = {n.id if isinstance(n, ast.Name) else n.attr
-                     for n in ast.walk(node.args[1])
-                     if isinstance(n, (ast.Name, ast.Attribute))}
-            if named & AF_KINDS:
-                found.append((".".join(scope), node.lineno))
+        if matches(node):
+            found.append((".".join(scope), node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(path.read_text()), ())
     return found
+
+
+def kind_checks(path: Path) -> list:
+    """Every isinstance call whose class names an AF kind."""
+    def is_kind_check(node):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            return False
+        named = {n.id if isinstance(n, ast.Name) else n.attr
+                 for n in ast.walk(node.args[1])
+                 if isinstance(n, (ast.Name, ast.Attribute))}
+        return bool(named & AF_KINDS)
+
+    return find(path, is_kind_check)
+
+
+def canonical_uses(path: Path) -> list:
+    """Every use of the name `_canonical`, called or aliased."""
+    return find(path, lambda node: "_canonical" in (
+        getattr(node, "id", None), getattr(node, "attr", None)))
 
 
 def test_only_the_engine_choice_asks_an_af_its_kind():
@@ -55,3 +74,24 @@ def test_the_guard_sees_the_allowed_kind_checks():
     assert [scope for scope, _ in kind_checks(SRC / "core.py")] == \
         ["FiniteAF.__eq__"]
     assert kind_checks(SRC / "cli.py") and kind_checks(SRC / "constructions.py")
+
+
+CANONICAL_ALLOWED = {"ordinals.py", "trees.py"}
+PARSER_SCOPES = ("_Parser", "parse_ordinal")
+
+
+def test_only_arithmetic_builds_unchecked_ordinals():
+    stray = {path.name: canonical_uses(path) for path in sorted(SRC.glob("*.py"))
+             if path.name not in CANONICAL_ALLOWED and canonical_uses(path)}
+    assert stray == {}
+    in_parser = [(scope, line) for scope, line in canonical_uses(SRC / "ordinals.py")
+                 if scope.split(".")[0] in PARSER_SCOPES]
+    assert in_parser == []
+
+
+def test_the_guard_sees_the_allowed_canonical_uses():
+    scopes = {scope for scope, _ in canonical_uses(SRC / "ordinals.py")}
+    assert {"Ordinal.from_int", "Ordinal.__add__", "fundamental_sequence",
+            "AffineOrdinalExpr.evaluate"} <= scopes
+    assert {scope for scope, _ in canonical_uses(SRC / "trees.py")} == \
+        {"_split", "_split_rank"}

@@ -17,6 +17,7 @@ from transfinite_af.ordinals import (
     NEVER,
     OMEGA,
     ONE,
+    SMALL_NATURALS,
     ZERO,
     AffineOrdinalExpr,
     NoncanonicalOrdinalWarning,
@@ -31,6 +32,7 @@ from transfinite_af.ordinals import (
     parse_ordinal,
     sup,
 )
+from transfinite_af.trees import _split, _split_rank
 
 
 # -- independent polynomial oracle (ordinals below w^w) -----------------
@@ -364,3 +366,125 @@ def test_never_orders_against_no_bool_and_stays_hashable():
         NEVER < True
     assert {NEVER: 1}[NEVER] == 1
     assert str(NEVER) == "NEVER" and str(OMEGA + 1) == "w+1"
+
+
+# -- arithmetic builds canonical results ----------------------------------
+
+
+def validated(o):
+    """o rebuilt through the validating constructor, exponents first."""
+    return Ordinal(tuple((validated(e), c) for e, c in o.terms))
+
+
+def validated_poly(p):
+    """The ordinal of a polynomial, built only by the validating constructor."""
+    return Ordinal(tuple(
+        (Ordinal(((Ordinal(()), i),)) if i else Ordinal(()), c)
+        for i, c in reversed(list(enumerate(poly_trim(p)))) if c))
+
+
+def assert_canonical(r, p=None, probes=()):
+    """r passes the validating constructor, and, when its polynomial p is
+    known, it orders against every probe polynomial as p does."""
+    assert validated(r) == r and validated(r).terms == r.terms
+    if p is not None:
+        assert compare(r, validated_poly(p)) == "EQ"
+        for q in probes:
+            want = {-1: "LT", 0: "EQ", 1: "GT"}[poly_cmp(p, q)]
+            assert compare(r, validated_poly(q)) == want
+
+
+def poly_fundamental(p, i):
+    """fundamental_sequence on a limit below w^w: w^d*c becomes w^d*(c-1) + w^(d-1)*i."""
+    p = poly_trim(p)
+    d = next(j for j, c in enumerate(p) if c)
+    out = list(p)
+    out[d] -= 1
+    out[d - 1] = i
+    return out
+
+
+def test_arithmetic_results_are_canonical_and_ordered_by_the_poly_oracle():
+    rng = random.Random(47)
+    for _ in range(600):
+        p, q = random_poly(rng), random_poly(rng)
+        probes = [random_poly(rng) for _ in range(4)] + [p, q]
+        x, y = validated_poly(p), validated_poly(q)
+        assert_canonical(x + y, poly_add(p, q), probes)
+        assert_canonical(x + 1, poly_add(p, [1]), probes)
+        if poly_trim(p) and p[0]:
+            assert_canonical(x.predecessor(), [p[0] - 1] + p[1:], probes)
+        if len(poly_trim(p)) == 1 and len(poly_trim(q)) == 1:
+            # finite + finite and the predecessor of a finite are shared
+            small = [r for r in (x + y, x.predecessor()) if r < SMALL_NATURALS]
+            assert all(r is Ordinal.from_int(r.as_int()) for r in small)
+        if poly_trim(p) and not p[0]:
+            for i in (0, 1, rng.randint(2, 70)):
+                assert_canonical(fundamental_sequence(x, i), poly_fundamental(p, i),
+                                 probes)
+            lam, n = _split(x)
+            assert (lam, n) == (x, 0) and _split_rank((lam, n)) is x
+        if poly_trim(p) and p[0]:
+            lam, n = _split(x)
+            assert_canonical(lam, [0] + p[1:], probes)
+            assert n == p[0]
+            assert_canonical(_split_rank((lam, n)), p, probes)
+    for _ in range(300):
+        x, y = random_ordinal(rng, 3), random_ordinal(rng, 3)
+        assert_canonical(x + y)
+        if x.is_successor:
+            assert_canonical(x.predecessor())
+            assert_canonical(_split(x)[0])
+            assert_canonical(_split_rank(_split(x)))
+        if x.is_limit:
+            for i in range(4):
+                assert_canonical(fundamental_sequence(x, i))
+
+
+def test_affine_results_are_canonical_and_ordered_by_the_poly_oracle():
+    rng = random.Random(48)
+    for _ in range(300):
+        degree = rng.randint(0, 3)
+        terms = [(Ordinal.from_int(d), 0, rng.randint(1, 4))
+                 for d in range(degree + 3, degree, -1) if rng.random() < 0.5]
+        terms.append((Ordinal.from_int(degree), rng.randint(0, 3), rng.randint(0, 4)))
+        if degree and rng.random() < 0.5:
+            terms.append((ZERO, 0, rng.randint(1, 5)))
+        try:
+            expr = AffineOrdinalExpr(tuple(terms))
+        except ValueError:
+            continue
+        probes = [random_poly(rng, degree=6) for _ in range(4)]
+
+        def poly_at(k):
+            p = [0] * (degree + 4)
+            for e, a, b in expr.terms:
+                p[e.as_int()] = a * k + b
+            return p
+
+        for k in (0, 1, rng.randint(2, 90)):
+            assert_canonical(expr.evaluate(k), poly_at(k), probes)
+        value, attained = expr.sup_over()
+        if attained:
+            assert_canonical(value, poly_at(0), probes)
+        else:
+            e, a, b = next(t for t in expr.terms if t[1])
+            prefix = [0] * (degree + 4)
+            for ex, _, bx in expr.terms[:expr.terms.index((e, a, b))]:
+                prefix[ex.as_int()] = bx
+            top = [0] * (e.as_int() + 1) + [1]
+            assert_canonical(value, poly_add(prefix, top), probes)
+
+
+def test_small_naturals_are_shared_and_hash_as_ints():
+    for n in list(range(SMALL_NATURALS + 3)) + [10**12]:
+        o = Ordinal.from_int(n)
+        assert hash(o) == hash(n) and o == n
+        assert (o is Ordinal.from_int(n)) == (n < SMALL_NATURALS)
+    assert ONE is Ordinal.from_int(1) and ZERO is Ordinal.from_int(0)
+    assert Ordinal.from_int(3) + Ordinal.from_int(4) is Ordinal.from_int(7)
+    assert Ordinal.from_int(8).predecessor() is Ordinal.from_int(7)
+    assert fundamental_sequence(OMEGA, 5) is Ordinal.from_int(5)
+    # the validating constructor builds a new, equal value
+    assert Ordinal(((ZERO, 5),)) == Ordinal.from_int(5)
+    assert Ordinal(((ZERO, 5),)) is not Ordinal.from_int(5)

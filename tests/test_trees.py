@@ -20,6 +20,7 @@ from transfinite_af.trees import (
     ChildrenSpec,
     FiniteTree,
     LazyTree,
+    NodeStates,
     bounded_path_search,
     build_tree_of_rank,
     check_declared_ranks,
@@ -350,6 +351,39 @@ def test_path_search_counts_every_pushed_node(monkeypatch):
     monkeypatch.setattr(trees, "TRUNCATE_NODE_CAP", 9)
     with pytest.raises(CapExceeded):
         bounded_path_search(build_tree_of_rank(OMEGA), 9, 4)
+
+
+def _wide_tree(calls):
+    """Every node has a family of children; `child` counts its calls."""
+    every = ChildrenSpec(families=(ChildFamily(IndexMap.affine(1, 0)),))
+
+    def child(state, symbol):
+        calls["child"] += 1
+        return state + 1
+
+    def children(state):
+        calls["children"] += 1
+        return every
+
+    return LazyTree(states=NodeStates(0, children, child))
+
+
+def test_path_search_steps_a_state_when_it_pops_its_node():
+    # the root's 100,000 pushed children hold no state: only the two
+    # nodes popped on the way down are stepped
+    calls = {"child": 0, "children": 0}
+    res = bounded_path_search(_wide_tree(calls), depth=2, width=100_000)
+    assert res.prefix == (0, 0)
+    assert calls == {"child": 2, "children": 2}
+
+
+def test_path_search_refuses_at_the_same_pushed_count():
+    # 100,000 pushed per popped node: the sixth push passes the
+    # 500,000-node budget, after five nodes below the root were stepped
+    calls = {"child": 0, "children": 0}
+    with pytest.raises(CapExceeded, match="exceeded 500000 nodes"):
+        bounded_path_search(_wide_tree(calls), depth=10, width=100_000)
+    assert calls == {"child": 5, "children": 6}
 
 
 def test_truncation_steps_each_rank_once_from_its_parent(monkeypatch):
