@@ -7,9 +7,9 @@ still violating the property.
 
 The module also keeps slow, independent reference engines (an
 all-subsets least fixpoint, the round-by-round loops the stage kernel
-replaced, the T_S rank exploration on frozenset states, and the tree
-expansion and F_T keyed by paths) that the suites and tests compare the
-library against.
+replaced, the T_S rank exploration on frozenset states, and T_S, T^a,
+the tree expansion and F_T keyed by paths) that the suites and tests
+compare the library against.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .rank_analysis import (
     verify_self_defending_witness,
     witness_path,
 )
-from .trees import ROOT, FiniteTree, LazyTree
+from .trees import ROOT, ChildrenSpec, FiniteTree, LazyTree, NodePath
 
 
 @dataclass
@@ -312,6 +312,47 @@ def frozenset_ts_rank_states(af: FiniteAF, seed: frozenset):
             memo[state] = max(results)
             stack.pop()
     return root_gap + memo[root_state], memo
+
+
+# -- T_S and T^a keyed by paths, kept as references ----------------------------
+
+
+def mran_of(seed, sigma: NodePath) -> frozenset:
+    """The argument set a branch has committed to defending."""
+    return frozenset(seed) | {s - 1 for s in sigma if s >= 1}
+
+
+def _path_keyed_ts_children(af: FiniteAF, level: int,
+                            mran: frozenset) -> ChildrenSpec:
+    """Children {i+1 : a_i attacks a_n} when a_n attacks the committed
+    set, for level decoding to (n, m); else the single child 0."""
+    n, _ = unpair(level)
+    if n < af.n and any(x < af.n and af.attacks(n, x) for x in mran):
+        return ChildrenSpec(symbols=tuple(i + 1 for i in af.attackers_of(n)))
+    return ChildrenSpec(symbols=(0,))
+
+
+def path_keyed_ts(af: FiniteAF, seed) -> LazyTree:
+    """rank_analysis.build_TS keyed by paths: every node rebuilds its
+    committed set from the seed and its whole path and asks the attack
+    relation about each member.  The library carries (level, committed
+    mask, attacker mask) states down the tree instead."""
+    seed = frozenset(seed)
+    return LazyTree(children_of=lambda sigma: _path_keyed_ts_children(
+        af, len(sigma), mran_of(seed, sigma)))
+
+
+def path_keyed_ta(af: FiniteAF, a: int) -> LazyTree:
+    """rank_analysis.build_Ta keyed by paths: the root's children are a's
+    attackers, and below symbol i lies the path-keyed T_{a_i}."""
+
+    def children_of(sigma: NodePath) -> ChildrenSpec:
+        if not sigma:
+            return ChildrenSpec(symbols=af.attackers_of(a))
+        return _path_keyed_ts_children(af, len(sigma) - 1,
+                                       mran_of((sigma[0],), sigma[1:]))
+
+    return LazyTree(children_of=children_of)
 
 
 # -- the path-keyed tree expansion, kept as a reference ---------------------------

@@ -299,21 +299,6 @@ def grounding_ordinal_from_stages(stages: Iterable[StageValue]) -> Ordinal:
     return max((v for v in stages if v is not NEVER), default=ZERO)
 
 
-def grounding_ordinal_of(result) -> Ordinal:
-    """Extract the grounding ordinal from any engine output."""
-    if isinstance(result, GroundedResult):
-        return result.grounding_ordinal
-    if isinstance(result, VerificationReport):
-        if result.grounding_ordinal is None:
-            raise DomainError("verification failed; no certified grounding ordinal")
-        return result.grounding_ordinal
-    if isinstance(result, SymbolicStageMap):
-        return result.declared_sup()[0]
-    if isinstance(result, dict):
-        return grounding_ordinal_from_stages(result.values())
-    return grounding_ordinal_from_stages(result)
-
-
 # -- the verifier ----------------------------------------------------------------
 
 

@@ -11,14 +11,18 @@ the pathless tree (finitely branching, so exhaustion terminates).
 Levels of T_S consider argument a_n at every level whose index decodes
 to (n, m); over a finite AF the indices n beyond the argument count
 belong to no argument, attack nothing, and simply insert single-child
-steps.  Subtrees depend only on (level, committed set), which is what
-makes rank computation by state sharing exact.
+steps.  One state machine, `_ts_states`, defines both trees over
+(level, committed mask, attacker mask) states.  The builders, the
+expansion and the rank exploration all step it; the exploration only
+adds a closed-form skip to the next attacked level.  A subtree depends
+only on (level, committed set), so one rank memo keyed by it serves
+every seed over the same AF.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import FiniteAF, unpair
 from .errors import CapExceeded, DomainError
@@ -28,18 +32,13 @@ from .trees import ChildrenSpec, FiniteTree, LazyTree, NodePath, NodeStates, \
     _expand
 
 __all__ = [
-    "mran_of", "largest_self_defending",
+    "largest_self_defending",
     "SelfDefendingWitness", "build_self_defending_witness",
     "verify_self_defending_witness", "merge_witnesses",
     "build_TS", "ts_rank", "ts_path_exists", "TsDecision",
     "build_Ta", "ta_rank", "witness_path", "ta_path_violations",
     "rank_stage_bridge_check", "BridgeReport", "expand_ts",
 ]
-
-
-def mran_of(seed: FrozenSet[int], sigma: NodePath) -> frozenset:
-    """The argument set a branch has committed to defending."""
-    return frozenset(seed) | {s - 1 for s in sigma if s >= 1}
 
 
 # -- self-defending extensions -------------------------------------------
@@ -105,26 +104,68 @@ def _attacks_safe(af: FiniteAF, x: int, y: int) -> bool:
     return x < af.n and y < af.n and af.attacks(x, y)
 
 
-def _ts_children(af: FiniteAF, level: int, mran: frozenset) -> ChildrenSpec:
-    """Children {i+1 : a_i attacks a_n} when a_n attacks the committed
-    set, for level decoding to (n, m); else the single child 0."""
-    n, _ = unpair(level)
-    if any(_attacks_safe(af, n, x) for x in mran):
-        return ChildrenSpec(symbols=tuple(i + 1 for i in af.attackers_of(n)))
-    return ChildrenSpec(symbols=(0,))
+def _mask(members) -> int:
+    """The int with bit i set for each member i."""
+    out = 0
+    for i in members:
+        out |= 1 << i
+    return out
+
+
+def _ts_states(af: FiniteAF, root=None) -> NodeStates:
+    """T_S and T^a over one AF as node states, the root's state `root`.
+
+    A T_S state is (level, committed mask, attacker mask): bit i of the
+    committed mask stands for a_i, and the attacker mask is the union of
+    the committed members' attacker rows.  Level (n, m) is attacked when
+    bit n of the attacker mask is set; its children are then i + 1 for
+    each attacker a_i of a_n, and symbol i + 1 commits a_i.  An
+    unattacked level has the single child 0.  T^a's root is the state a:
+    its children are a's attackers, and its child by symbol i is
+    T_{{a_i}}'s root.  The rank exploration brings its own roots.
+    """
+    att = [_mask(af.attackers_of(x)) for x in range(af.n)]
+    attacked = [None] * af.n  # each built when first asked for
+    unattacked = ChildrenSpec(symbols=(0,))
+
+    def children(state) -> ChildrenSpec:
+        try:
+            level, _, dmask = state
+        except TypeError:  # T^a's root, the state a
+            return ChildrenSpec(symbols=af.attackers_of(state))
+        n = unpair(level)[0]
+        if not dmask >> n & 1:
+            return unattacked
+        if attacked[n] is None:
+            attacked[n] = ChildrenSpec(
+                symbols=tuple(i + 1 for i in af.attackers_of(n)))
+        return attacked[n]
+
+    def child(state, symbol: int):
+        try:
+            level, cmask, dmask = state
+        except TypeError:  # T^a's root
+            return 0, 1 << symbol, att[symbol]
+        if not symbol:
+            return level + 1, cmask, dmask
+        return level + 1, cmask | 1 << symbol - 1, dmask | att[symbol - 1]
+
+    return NodeStates(root, children, child)
+
+
+def _ts_root(af: FiniteAF, seed) -> Tuple[int, int, int]:
+    """T_S's root state: level 0 with the seed committed."""
+    seed = frozenset(seed)
+    dmask = _mask(af.minus_set(seed))  # checks the seed's range too
+    return 0, _mask(seed), dmask
 
 
 def build_TS(af: FiniteAF, seed) -> LazyTree:
     """The tree whose paths describe self-defending supersets of the seed."""
-    seed = frozenset(seed)
-
-    def children_of(sigma: NodePath) -> ChildrenSpec:
-        return _ts_children(af, len(sigma), mran_of(seed, sigma))
-
-    return LazyTree(children_of=children_of)
+    return LazyTree(states=_ts_states(af, _ts_root(af, seed)))
 
 
-# Most (level, committed set) states a T_S rank exploration may hold.
+# Most (level, committed set) states one T_S rank memo may hold.
 STATE_CAP = 250_000
 
 
@@ -136,16 +177,7 @@ def ts_rank(af: FiniteAF, seed) -> int:
     runs of single-child levels between attacked levels contribute their
     length.
     """
-    rank, _ = _ts_rank_states(af, frozenset(seed))
-    return rank
-
-
-def _mask(members) -> int:
-    """The int with bit i set for each member i."""
-    out = 0
-    for i in members:
-        out |= 1 << i
-    return out
+    return _ts_rank_states(_ts_states(af), [_ts_root(af, seed)], {})[0]
 
 
 def _first_attacked_level(level: int, dmask: int) -> Optional[int]:
@@ -171,85 +203,63 @@ def _first_attacked_level(level: int, dmask: int) -> Optional[int]:
     return s * (s + 1) // 2 + s - (below.bit_length() - 1)
 
 
-def _ts_rank_states(af: FiniteAF, seed: frozenset):
-    """(root rank, {case-1 state: rank}) for a pathless T_S.
+def _ts_rank_states(states: NodeStates, roots,
+                    memo: Dict[Tuple[int, int], int]) -> List[int]:
+    """The rank of the pathless T_S at each root, filling `memo` with
+    {case-1 state: rank}; STATE_CAP bounds the memo, which may be shared
+    by every root over one AF.
 
-    A state is (level, committed mask), bit i of the mask standing for
-    a_i.  Each stack entry also carries its attacker mask, the union of
-    its members' rows of `att`: a child's is its parent's `|` the row of
-    the one member it adds.
+    A memo state is (level, committed mask), the attacker mask riding
+    along on the stack, and each node is skipped down to its first
+    attacked level.
     """
-    att = [_mask(af.attackers_of(x)) for x in range(af.n)]
+    children, child = states.children, states.child
 
-    def entry(level: int, cmask: int, dmask: int):
+    def entry(state):
+        level, cmask, dmask = state
         l1 = _first_attacked_level(level, dmask)
         if l1 is None:
             raise DomainError(
                 "no level ever attacks the committed set: T_S has a path")
         return (l1, cmask), dmask, l1 - level
 
-    memo: Dict[Tuple[int, int], int] = {}
-    seed_dmask = _mask(af.minus_set(seed))  # checks the seed's range too
-    root_state, root_dmask, root_gap = entry(0, _mask(seed), seed_dmask)
-    stack: List[list] = [[root_state, root_dmask, None, None]]
-    while stack:
-        state, dmask, children, results = stack[-1]
-        if state in memo:
+    ranks = []
+    for root in roots:
+        root_state, root_dmask, root_gap = entry(root)
+        # [state, attacker mask, children's entries, next child, best rank]
+        stack = [[root_state, root_dmask, None, 0, 0]]
+        if root_state in memo:  # explored from an earlier root
             stack.pop()
-            continue
-        level, cmask = state
-        if children is None:
-            attackers = af.attackers_of(unpair(level)[0])
-            if not attackers:
-                memo[state] = 0
-                stack.pop()
-                continue
-            children = [entry(level + 1, cmask | 1 << i, dmask | att[i])
-                        for i in attackers]
-            stack[-1][2] = children
-            stack[-1][3] = results = []
-        advanced = False
-        while len(results) < len(children):
-            sub_state, sub_dmask, gap = children[len(results)]
-            if sub_state in memo:
-                results.append(1 + gap + memo[sub_state])
+        while stack:
+            top = stack[-1]
+            state, dmask, kids, i, best = top
+            if kids is None:
+                node = state + (dmask,)
+                kids = top[2] = [entry(child(node, s))
+                                 for s in children(node).symbols]
+            while i < len(kids):
+                sub_state, sub_dmask, gap = kids[i]
+                q = memo.get(sub_state)
+                if q is None:
+                    if len(memo) + len(stack) > STATE_CAP:
+                        raise CapExceeded(
+                            f"T_S rank exploration exceeded {STATE_CAP} states")
+                    top[3], top[4] = i, best
+                    stack.append([sub_state, sub_dmask, None, 0, 0])
+                    break
+                if q + gap + 1 > best:
+                    best = q + gap + 1
+                i += 1
             else:
-                if len(memo) + len(stack) > STATE_CAP:
-                    raise CapExceeded(
-                        f"T_S rank exploration exceeded {STATE_CAP} states")
-                stack.append([sub_state, sub_dmask, None, None])
-                advanced = True
-                break
-        if not advanced and len(results) == len(children):
-            memo[state] = max(results)
-            stack.pop()
-    return root_gap + memo[root_state], memo
+                memo[state] = best
+                stack.pop()
+        ranks.append(root_gap + memo[root_state])
+    return ranks
 
 
 def expand_ts(af: FiniteAF, seed, node_cap: int = 50_000) -> FiniteTree:
-    """Materialize T_S node by node (pathless seeds only, König-finite).
-
-    The nodes of `build_TS`, each carrying its level and attacker mask
-    down from its parent instead of rebuilding them from its path: a
-    node is attacked when bit n of its mask is set, for its level
-    decoding to (n, m), and its child by symbol i + 1 adds a_i's row.
-    """
-    att = [_mask(af.attackers_of(x)) for x in range(af.n)]
-    attacked = [ChildrenSpec(symbols=tuple(i + 1 for i in af.attackers_of(n)))
-                for n in range(af.n)]
-    unattacked = ChildrenSpec(symbols=(0,))
-
-    def children(state) -> ChildrenSpec:
-        level, dmask = state
-        n = unpair(level)[0]
-        return attacked[n] if dmask >> n & 1 else unattacked
-
-    def child(state, symbol: int):
-        level, dmask = state
-        return level + 1, (dmask | att[symbol - 1] if symbol else dmask)
-
-    root = (0, _mask(af.minus_set(frozenset(seed))))
-    return _expand(LazyTree(states=NodeStates(root, children, child)), node_cap)
+    """Materialize T_S node by node (pathless seeds only, König-finite)."""
+    return _expand(build_TS(af, seed), node_cap)
 
 
 @dataclass(frozen=True)
@@ -318,15 +328,7 @@ def _defense_prefix(af: FiniteAF, seed: frozenset, gplus: frozenset,
 
 def build_Ta(af: FiniteAF, a: int) -> LazyTree:
     """Root plus, below each attacker a_i of a, the subtree T_{{a_i}}."""
-
-    def children_of(sigma: NodePath) -> ChildrenSpec:
-        if not sigma:
-            return ChildrenSpec(symbols=af.attackers_of(a))
-        i = sigma[0]
-        seed = frozenset((i,))
-        return _ts_children(af, len(sigma) - 1, mran_of(seed, sigma[1:]))
-
-    return LazyTree(children_of=children_of)
+    return LazyTree(states=_ts_states(af, a))
 
 
 def ta_rank(af: FiniteAF, a: int) -> Ordinal:
@@ -334,13 +336,13 @@ def ta_rank(af: FiniteAF, a: int) -> Ordinal:
     if a not in grounded_finite(af).grounded:
         raise DomainError(
             f"argument {af.name(a)} is not grounded; T^a has a path, not a rank")
-    attackers = af.attackers_of(a)
-    if not attackers:
-        return Ordinal.from_int(0)
-    best = 0
-    for i in attackers:
-        best = max(best, ts_rank(af, frozenset((i,))))
-    return Ordinal.from_int(best + 1)
+    return Ordinal.from_int(_ta_rank(build_Ta(af, a).states, a, {}))
+
+
+def _ta_rank(states: NodeStates, a: int, memo: dict) -> int:
+    """T^a's rank: one more than its largest T_{{a_i}} rank, 0 if none."""
+    roots = [states.child(a, i) for i in states.children(a).symbols]
+    return max(_ts_rank_states(states, roots, memo), default=-1) + 1
 
 
 def witness_path(af: FiniteAF, a: int, length: int) -> NodePath:
@@ -428,34 +430,31 @@ def rank_stage_bridge_check(af: FiniteAF) -> BridgeReport:
 
     For every grounded a: the exact rank r of T^a satisfies a in G_{r+1}.
     For every explored T_{{b}} state of rank q (b in G+): some member of
-    G_{q+1} attacks the committed set.
+    G_{q+1} attacks the committed set.  One memo serves every tree, so
+    each state is checked once.
     """
     result = grounded_finite(af)
     stages = result.stages
     gplus = af.plus_set(result.grounded)
     violations = []
-    states_checked = 0
+    states = _ts_states(af)
+    memo: Dict[Tuple[int, int], int] = {}
 
     for a in sorted(result.grounded):
-        r = ta_rank(af, a).as_int()
+        r = _ta_rank(states, a, memo)
         stage = stages[a]
         if stage > r + 1:
             violations.append(
                 f"grounded {af.name(a)}: stage {stage} exceeds T^a rank+1 = {r + 1}")
 
-    for b in range(af.n):
-        if b not in gplus:
-            continue
-        _, memo = _ts_rank_states(af, frozenset((b,)))
-        for (level, cmask), q in memo.items():
-            states_checked += 1
-            mran = [x for x in range(af.n) if cmask >> x & 1]
-            bound = Ordinal.from_int(q + 1)
-            hit = any(stages[g] <= bound
-                      for x in mran for g in af.attackers_of(x))
-            if not hit:
-                violations.append(
-                    f"T_{{{af.name(b)}}} state (level {level}, committed "
-                    f"{mran}) of rank {q}: no member of G_{q + 1} "
-                    "attacks the committed set")
-    return BridgeReport(violations, len(result.grounded), states_checked)
+    _ts_rank_states(states, [_ts_root(af, (b,)) for b in sorted(gplus)], memo)
+    for (level, cmask), q in memo.items():
+        mran = [x for x in range(af.n) if cmask >> x & 1]
+        bound = Ordinal.from_int(q + 1)
+        hit = any(stages[g] <= bound
+                  for x in mran for g in af.attackers_of(x))
+        if not hit:
+            violations.append(
+                f"T_S state (level {level}, committed {mran}) of rank {q}: "
+                f"no member of G_{q + 1} attacks the committed set")
+    return BridgeReport(violations, len(result.grounded), len(memo))

@@ -373,32 +373,33 @@ def bounded_path_search(tree, depth: int, width: int) -> PathSearchResult:
 
     Finds a prefix of exactly `depth` symbols if one exists under the
     truncation; a negative answer never claims global nonexistence.
-    Depth first over one shared path: a stack entry is (depth, symbol,
-    parent's state) of a node, whose own state is stepped when it is
-    popped, and the nodes pushed are held to TRUNCATE_NODE_CAP.
+    Depth first: the stack holds one level per node on the current path,
+    [state, its children's symbols, the index of the next one to enter],
+    and the children listed are held to TRUNCATE_NODE_CAP.
     """
     if depth < 1 or width < 1:
         raise ValueError("depth and width must be >= 1")
     if isinstance(tree, FiniteTree):
         tree = tree.as_lazy()
     children, child = tree.states.children, tree.states.child
-    path: list = []
-    stack = [(0, None, tree.states.root)]
-    pushed = 0
-    while stack:
-        d, s, state = stack.pop()
-        if d:
-            state = child(state, s)
-            del path[d - 1:]
-            path.append(s)
-        if d == depth:
-            return PathSearchResult(True, tuple(path), depth)
+    stack, listed, state = [], 0, tree.states.root
+    while True:
         symbols = children(state).first_symbols(width)
-        pushed += len(symbols)
-        if pushed > TRUNCATE_NODE_CAP:
+        listed += len(symbols)
+        if listed > TRUNCATE_NODE_CAP:
             raise CapExceeded(f"path search exceeded {TRUNCATE_NODE_CAP} nodes")
-        stack.extend((d + 1, s, state) for s in reversed(symbols))
-    return PathSearchResult(False, None, depth)
+        stack.append([state, symbols, 0])
+        while stack and stack[-1][2] == len(stack[-1][1]):
+            stack.pop()
+        if not stack:
+            return PathSearchResult(False, None, depth)
+        top = stack[-1]
+        state = child(top[0], top[1][top[2]])
+        top[2] += 1
+        if len(stack) == depth:
+            # each level's last entered symbol spells the path
+            return PathSearchResult(
+                True, tuple(syms[i - 1] for _, syms, i in stack), depth)
 
 
 # -- the rank-targeted builder ---------------------------------------------

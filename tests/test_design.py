@@ -9,6 +9,9 @@ stages, and FiniteAF.__eq__.
 Ordinals from public input are validated; only the ordinal arithmetic
 and the rank-built trees' state helpers, which build Cantor normal forms
 by construction, may skip that through `Ordinal._canonical`.
+
+T_S and T^a are defined once, by the state machine `_ts_states`: no
+other code in rank_analysis.py builds children or node states.
 """
 
 import ast
@@ -95,3 +98,13 @@ def test_the_guard_sees_the_allowed_canonical_uses():
             "AffineOrdinalExpr.evaluate"} <= scopes
     assert {scope for scope, _ in canonical_uses(SRC / "trees.py")} == \
         {"_split", "_split_rank"}
+
+
+TREE_PARTS = {"ChildrenSpec", "NodeStates"}
+
+
+def test_only_the_ts_state_machine_builds_tree_nodes():
+    builds = find(SRC / "rank_analysis.py", lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in TREE_PARTS))
+    assert {scope.split(".")[0] for scope, _ in builds} == {"_ts_states"}

@@ -21,7 +21,6 @@ from transfinite_af.grounded import (
     VerificationReport,
     grounded_finite,
     grounding_ordinal_from_stages,
-    grounding_ordinal_of,
     omega_approximation,
     stages_finite,
     verify_symbolic_stages,
@@ -125,12 +124,12 @@ def test_stage_chain_is_monotone_and_stops_by_n():
         assert af.defense_step(current) == current
 
 
-def test_grounding_ordinal_of_dispatch():
+def test_grounding_ordinal_of_results_and_stages():
     r = grounded_finite(chain())
-    assert grounding_ordinal_of(r) == 2
-    assert grounding_ordinal_of(r.stages) == 2
-    assert grounding_ordinal_of([NEVER, Ordinal.from_int(3), ONE]) == 3
-    assert grounding_ordinal_of([]) == ZERO
+    assert r.grounding_ordinal == 2
+    assert grounding_ordinal_from_stages(r.stages.values()) == 2
+    assert grounding_ordinal_from_stages([NEVER, Ordinal.from_int(3), ONE]) == 3
+    assert grounding_ordinal_from_stages([]) == ZERO
 
 
 # -- omega approximation ------------------------------------------------------

@@ -15,7 +15,6 @@ from transfinite_af.rank_analysis import (
     expand_ts,
     largest_self_defending,
     merge_witnesses,
-    mran_of,
     rank_stage_bridge_check,
     ta_path_violations,
     ta_rank,
@@ -24,7 +23,12 @@ from transfinite_af.rank_analysis import (
     verify_self_defending_witness,
     witness_path,
 )
-from transfinite_af.trees import _expand, bounded_path_search, rank_finite
+from transfinite_af.trees import (
+    OFF_TREE,
+    _expand,
+    bounded_path_search,
+    rank_finite,
+)
 
 
 def chain(n=3):
@@ -82,8 +86,8 @@ def test_witness_certificates_and_union_closure():
 
 
 def test_mran():
-    assert mran_of(frozenset({5}), (0, 3, 0, 1)) == {5, 2, 0}
-    assert mran_of(frozenset(), ()) == frozenset()
+    assert checks.mran_of(frozenset({5}), (0, 3, 0, 1)) == {5, 2, 0}
+    assert checks.mran_of(frozenset(), ()) == frozenset()
 
 
 def test_ts_examples_two_chain():
@@ -171,6 +175,19 @@ def _ts_outcome(explore, af, seed):
         return type(e), str(e)
 
 
+def _rank_states(af, seed):
+    """_ts_rank_states on one seed with a memo of its own: (rank, memo)."""
+    memo = {}
+    [rank] = rank_analysis._ts_rank_states(
+        rank_analysis._ts_states(af), [rank_analysis._ts_root(af, seed)], memo)
+    return rank, memo
+
+
+def _decoded(af, memo):
+    return [((level, frozenset(x for x in range(af.n) if mask >> x & 1)), q)
+            for (level, mask), q in memo.items()]
+
+
 def test_ts_rank_states_match_the_frozenset_oracle(monkeypatch):
     # a small cap lets seeds with a path end at the cap, as pathless ones
     # with too many states do
@@ -179,7 +196,7 @@ def test_ts_rank_states_match_the_frozenset_oracle(monkeypatch):
     outcomes = set()
     for af, gplus in _ts_corpus():
         for seed in _small_seeds(af) + [frozenset()]:
-            got = _ts_outcome(rank_analysis._ts_rank_states, af, seed)
+            got = _ts_outcome(_rank_states, af, seed)
             want = _ts_outcome(checks.frozenset_ts_rank_states, af, seed)
             if got[0] in (DomainError, CapExceeded):
                 assert got == want, (af.attack_pairs, seed)
@@ -187,22 +204,95 @@ def test_ts_rank_states_match_the_frozenset_oracle(monkeypatch):
                 continue
             assert seed & gplus
             rank, memo = got
-            decoded = [((level, frozenset(x for x in range(af.n)
-                                          if mask >> x & 1)), q)
-                       for (level, mask), q in memo.items()]
+            decoded = _decoded(af, memo)
             assert (rank, decoded) == (want[0], list(want[1].items()))
             outcomes.add(int)
     assert outcomes == {int, DomainError, CapExceeded}
 
 
+def test_one_rank_memo_serves_every_seed_of_an_af():
+    shared = 0
+    for af, gplus in _ts_corpus():
+        seeds = [s for s in _small_seeds(af) if s & gplus]
+        memo = {}
+        ranks = rank_analysis._ts_rank_states(
+            rank_analysis._ts_states(af),
+            [rank_analysis._ts_root(af, s) for s in seeds], memo)
+        union, singles, single_rank, explored = {}, {}, {}, 0
+        for seed, rank in zip(seeds, ranks):
+            want_rank, want_memo = checks.frozenset_ts_rank_states(af, seed)
+            assert rank == want_rank
+            union.update(want_memo)
+            explored += len(want_memo)
+            if len(seed) == 1:
+                singles.update(want_memo)
+                single_rank[min(seed)] = rank
+        assert dict(_decoded(af, memo)) == union
+        shared += explored > len(union)
+        # T^a and the bridge ask the same memo: T^a is one more than its
+        # attackers' T_S, and the bridge checks each T_{b} state once
+        for a in grounded_finite(af).grounded:
+            want = max((single_rank[i] for i in af.attackers_of(a)),
+                       default=-1) + 1
+            assert ta_rank(af, a) == want
+        bridge = rank_stage_bridge_check(af)
+        assert bridge.ok
+        assert bridge.states_checked == len(singles)
+    assert shared > 5
+
+
+def test_ta_rank_holds_all_its_attackers_trees_to_one_cap(monkeypatch):
+    # a0 <- a1 <- a3 <- a5 <- a7 and a0 <- a2 <- a4 <- a6 <- a8: a0 is
+    # grounded, and T_{a1} and T_{a2} explore five states each
+    af = FiniteAF(9, [(1, 0), (2, 0), (3, 1), (4, 2), (5, 3), (6, 4),
+                      (7, 5), (8, 6)])
+    monkeypatch.setattr(rank_analysis, "STATE_CAP", 8)
+    assert ts_rank(af, {1}) == 28 and ts_rank(af, {2}) == 36
+    with pytest.raises(CapExceeded, match="exceeded 8 states"):
+        ta_rank(af, 0)
+    monkeypatch.setattr(rank_analysis, "STATE_CAP", 9)
+    assert ta_rank(af, 0) == 37
+
+
+def test_ts_builders_match_the_path_keyed_oracles(same_nodes):
+    # T_S and T^a, node for node: children and membership on every node of
+    # a width-(n+1), depth-12 expansion while it holds at most 1,000 nodes
+    checked = 0
+    for af, _ in _ts_corpus():
+        pairs = [(build_TS(af, s), checks.path_keyed_ts(af, s))
+                 for s in _small_seeds(af) + [frozenset()]]
+        pairs += [(build_Ta(af, a), checks.path_keyed_ta(af, a))
+                  for a in range(af.n)]
+        for tree, oracle in pairs:
+            level, seen = [((), tree.states.root)], 0
+            for _ in range(13):
+                below = []
+                for p, state in level:
+                    assert state is not OFF_TREE
+                    spec = tree.states.children(state)
+                    # a path-keyed node's state is its path
+                    assert spec == oracle.states.children(p)
+                    assert tree.step(state, af.n + 1) is OFF_TREE
+                    below += [(p + (s,), tree.step(state, s))
+                              for s in spec.first_symbols(af.n + 1)]
+                seen += len(level)
+                level = below
+                if seen > 1_000:
+                    break
+            else:
+                checked += 1
+    assert checked > 800
+
+
 def test_expand_ts_matches_the_definitional_tree():
+    # the definitional tree is the path-keyed T_S, whose node states are paths
     trees = padded = 0
     for af, gplus in _ts_corpus():
         for seed in _small_seeds(af):
             if not seed & gplus:
                 continue
             try:
-                want = _expand(build_TS(af, seed), 5_000)
+                want = _expand(checks.path_keyed_ts(af, seed), 5_000)
             except CapExceeded:
                 with pytest.raises(CapExceeded):
                     expand_ts(af, seed, node_cap=5_000)
@@ -222,7 +312,8 @@ def test_expand_ts_matches_the_path_keyed_expansion(same_nodes):
             if not seed & gplus:
                 continue
             try:
-                want = checks.path_keyed_expand(build_TS(af, seed), 5_000)
+                want = checks.path_keyed_expand(checks.path_keyed_ts(af, seed),
+                                                5_000)
             except CapExceeded as e:
                 with pytest.raises(CapExceeded, match=str(e)):
                     expand_ts(af, seed, node_cap=5_000)
@@ -325,7 +416,7 @@ def test_witness_paths_random():
             path = witness_path(af, a, 40)
             assert len(path) == 40
             assert ta_path_violations(af, a, path, gplus) == []
-            committed = mran_of(frozenset(), path[1:]) | {path[0]}
+            committed = checks.mran_of(frozenset(), path[1:]) | {path[0]}
             assert not (committed & gplus)
             assert build_Ta(af, a).member(path[:12])
 
