@@ -8,13 +8,14 @@ still violating the property.
 The module also keeps slow, independent reference engines (an
 all-subsets least fixpoint, the round-by-round loops the stage kernel
 replaced, the T_S rank exploration on frozenset states, and T_S, T^a,
-the tree expansion and F_T keyed by paths) that the suites and tests
-compare the library against.
+the tree expansion and F_T keyed by paths, and the per-line APX parser)
+that the suites and tests compare the library against.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -28,8 +29,8 @@ from .constructions import (
     disjoint_union_with_embedding,
     ordinal_target_af,
 )
-from .core import AttackerFamily, AttackerSpec, FiniteAF, LazyAF, PairLeft, \
-    format_apx, least_right, pair, parse_apx, unpair
+from .core import ApxParseError, AttackerFamily, AttackerSpec, FiniteAF, LazyAF, \
+    PairLeft, format_apx, least_right, pair, parse_apx, unpair
 from .errors import CapExceeded, DomainError, TransfiniteAFError, \
     UnsupportedExpression
 from .grounded import (
@@ -439,6 +440,47 @@ def path_keyed_tree_af(tree: LazyTree) -> LazyAF:
                                      sup_attained=True, sup_witness=0)
     return LazyAF(predicate, spec, naming=naming,
                   candidate_stages=candidate)
+
+
+# -- the per-line APX parser, kept as a reference -----------------------------------
+
+
+_ARG_LINE = re.compile(r"arg\(([a-zA-Z0-9_]+)\)\.\Z")
+_ATT_LINE = re.compile(r"att\(([a-zA-Z0-9_]+),\s*([a-zA-Z0-9_]+)\)\.\Z")
+
+
+def per_line_parse_apx(text: str) -> FiniteAF:
+    """parse_apx line by line: strip the comment and the spaces, match the
+    statement, and build through the validating constructor."""
+    names = []
+    seen = set()
+    attacks = []
+    pending = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("%", 1)[0].strip()
+        if not line:
+            continue
+        m = _ARG_LINE.match(line)
+        if m:
+            nm = m.group(1)
+            if nm in seen:
+                raise ApxParseError(f"duplicate argument {nm!r}", lineno)
+            seen.add(nm)
+            names.append(nm)
+            continue
+        m = _ATT_LINE.match(line)
+        if m:
+            pending.append((m.group(1), m.group(2), lineno))
+            continue
+        raise ApxParseError(f"unrecognized line {line!r}", lineno)
+    index = {nm: i for i, nm in enumerate(names)}
+    for x, y, lineno in pending:
+        if x not in index:
+            raise ApxParseError(f"attack references unknown argument {x!r}", lineno)
+        if y not in index:
+            raise ApxParseError(f"attack references unknown argument {y!r}", lineno)
+        attacks.append((index[x], index[y]))
+    return FiniteAF(len(names), attacks, names)
 
 
 # -- the lemma suite -------------------------------------------------------------

@@ -25,7 +25,7 @@ from .ordinals import format_ordinal, parse_ordinal
 from .rank_analysis import (
     expand_ts,
     largest_self_defending,
-    ta_rank,
+    ta_path_exists,
     ts_path_exists,
     witness_path,
 )
@@ -176,13 +176,17 @@ def cmd_grounded(args) -> int:
     af = _materialize(args.spec)
     if isinstance(af, FiniteAF):
         result = grounded_finite(af)
+        names = af.names
         ordinal = format_ordinal(result.grounding_ordinal)
-        grounded = [af.name(i) for i in sorted(result.grounded)]
+        grounded = [names[i] for i in sorted(result.grounded)]
         payload = {"grounded": grounded}
         lines = [f"grounded: {' '.join(grounded)}",
                  f"grounding ordinal: {ordinal}"]
-        stages = ({af.name(i): str(v) for i, v in result.stages.items()}
-                  if args.stages else None)
+        stages = None
+        if args.stages:
+            # the stage map shares one value per stage: render each once
+            text = {v: str(v) for v in set(result.stages.values())}
+            stages = {names[i]: text[v] for i, v in result.stages.items()}
     else:
         if af.candidate_stages is None:
             raise DomainError("lazy AF without a candidate stage map; "
@@ -219,7 +223,7 @@ def cmd_self_defending(args) -> int:
     af = _require_finite(_materialize(args.spec), "self-defending")
     members = largest_self_defending(af)
     _emit(json.dumps(
-        {"largest_self_defending": [af.name(i) for i in sorted(members)]},
+        {"largest_self_defending": [af.names[i] for i in sorted(members)]},
         sort_keys=True))
     return EXIT_OK
 
@@ -275,13 +279,13 @@ def cmd_reduce(args) -> int:
         _emit(json.dumps(payload, sort_keys=True))
         return EXIT_OK
     if args.reduce_command == "ta":
-        a = af.index_of(args.arg)
-        if a in grounded_finite(af).grounded:
-            payload = {"path_exists": False,
-                       "rank": format_ordinal(ta_rank(af, a))}
+        decision = ta_path_exists(af, af.index_of(args.arg),
+                                  prefix_depth=args.depth)
+        if decision.path_exists:
+            payload = {"path_exists": True, "prefix": list(decision.prefix)}
         else:
-            prefix = witness_path(af, a, args.depth)
-            payload = {"path_exists": True, "prefix": list(prefix)}
+            payload = {"path_exists": False,
+                       "rank": format_ordinal(decision.rank)}
         _emit(json.dumps(payload, sort_keys=True))
         return EXIT_OK
     if args.reduce_command == "witness":

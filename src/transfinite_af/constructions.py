@@ -109,8 +109,9 @@ def _tree_af_table(tree: FiniteTree) -> Tuple[List[str], List[Tuple[int, int]]]:
 
 
 def af_from_finite_tree(tree: FiniteTree) -> FiniteTreeAF:
+    # one name per node path, so the names are unique by construction
     names, attacks = _tree_af_table(tree)
-    return FiniteTreeAF(FiniteAF(len(names), attacks, names), tree)
+    return FiniteTreeAF(FiniteAF._built(len(names), attacks, names), tree)
 
 
 # -- F_T over lazy trees -----------------------------------------------------
@@ -246,7 +247,7 @@ def baumann_spanring(truncate: Optional[int] = None):
         names = []
         for i in range(n):
             names += [f"a{i}", f"b{i}"]
-        return FiniteAF(2 * n, attacks, names)
+        return FiniteAF._built(2 * n, attacks, names)
 
     def predicate(x: int, y: int) -> bool:
         if y == x + 2 and x % 2 == y % 2:
@@ -461,6 +462,8 @@ def _compact_union(parts) -> Tuple[FiniteAF, List[int], List[int]]:
     Part p's argument j goes to the rank of pair(p, j) among all the
     parts' codes, named u<p>_<its name>.  Returns the AF, the union index
     of each part's arguments in turn, and where each part's run starts.
+    The parts' names are valid and unique within each part, and the
+    prefix keeps them apart across parts, so the AF is built unchecked.
     """
     codes, offsets = [], []
     for p, (names, _) in enumerate(parts):
@@ -476,7 +479,7 @@ def _compact_union(parts) -> Tuple[FiniteAF, List[int], List[int]]:
         prefix, off = f"u{p}_", offsets[p]
         flat_names += [prefix + nm for nm in names]
         attacks += [(index[off + x], index[off + y]) for x, y in part_attacks]
-    af = FiniteAF(len(codes), attacks, [flat_names[f] for f in ranked])
+    af = FiniteAF._built(len(codes), attacks, [flat_names[f] for f in ranked])
     return af, index, offsets
 
 

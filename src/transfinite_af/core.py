@@ -226,21 +226,13 @@ class FiniteAF:
                  names: Optional[Sequence[str]] = None):
         if n < 0:
             raise ValueError("argument count must be >= 0")
-        self.n = n
         pairs = frozenset((int(x), int(y)) for x, y in attacks)
         for x, y in pairs:
             if not (0 <= x < n and 0 <= y < n):
                 raise ValueError(f"attack ({x},{y}) out of range for n={n}")
-        self.attack_pairs = pairs
-        fwd = [[] for _ in range(n)]
-        rev = [[] for _ in range(n)]
-        for x, y in pairs:
-            fwd[x].append(y)
-            rev[y].append(x)
-        self._fwd = tuple(tuple(sorted(t)) for t in fwd)
-        self._rev = tuple(tuple(sorted(t)) for t in rev)
         if names is None:
             names = tuple(f"a{i}" for i in range(n))
+            name_index = None
         else:
             names = tuple(names)
             if len(names) != n:
@@ -248,10 +240,45 @@ class FiniteAF:
             for nm in names:
                 if not _NAME_RE.match(nm):
                     raise ValueError(f"bad argument name {nm!r}")
-            if len(set(names)) != n:
+            name_index = {nm: i for i, nm in enumerate(names)}
+            if len(name_index) != n:
                 raise ValueError("argument names must be unique")
+        self._fill(n, pairs, names, name_index)
+
+    @classmethod
+    def _built(cls, n: int, pairs, names: Sequence[str],
+               name_index: Optional[dict] = None) -> "FiniteAF":
+        """A FiniteAF from data valid by construction, checked nowhere.
+
+        The caller guarantees every pair lies in range(n) and the names
+        are n unique matches of [a-zA-Z0-9_]+; `name_index`, when given,
+        maps each name to its index.  Only the parser and the generators,
+        whose tables are valid as built, may call it.
+        """
+        af = object.__new__(cls)
+        af._fill(n, frozenset(pairs), tuple(names), name_index)
+        return af
+
+    def _fill(self, n: int, pairs: frozenset, names: tuple,
+              name_index: Optional[dict]) -> None:
+        """The one place adjacency is built: each attack row sorted in
+        place, then the attacker rows filled in attacker order, which
+        leaves them sorted too."""
+        fwd = [[] for _ in range(n)]
+        for x, y in pairs:
+            fwd[x].append(y)
+        rev = [[] for _ in range(n)]
+        for x, row in enumerate(fwd):
+            row.sort()
+            for y in row:
+                rev[y].append(x)
+        self.n = n
+        self.attack_pairs = pairs
+        self._fwd = tuple(map(tuple, fwd))
+        self._rev = tuple(map(tuple, rev))
         self.names = names
-        self._name_index = {nm: i for i, nm in enumerate(names)}
+        self._name_index = (name_index if name_index is not None
+                            else {nm: i for i, nm in enumerate(names)})
 
     # -- basic queries
 
@@ -481,52 +508,53 @@ class ApxParseError(ValueError):
         self.line = line
 
 
-_ARG_RE = re.compile(r"arg\(([a-zA-Z0-9_]+)\)\.\Z")
-_ATT_RE = re.compile(r"att\(([a-zA-Z0-9_]+),\s*([a-zA-Z0-9_]+)\)\.\Z")
+# One APX line: optional statement, optional % comment, whitespace
+# around both.  \s matches exactly the characters str.isspace accepts,
+# the ones str.strip removes, and a line from splitlines holds no "\n".
+_APX_LINE = re.compile(
+    r"\s*(?:arg\(([a-zA-Z0-9_]+)\)\.|att\(([a-zA-Z0-9_]+),\s*([a-zA-Z0-9_]+)\)\.)?"
+    r"\s*(?:%.*)?")
 
 
 def parse_apx(text: str) -> FiniteAF:
     """Parse APX: arg(<name>). / att(<x>,<y>). lines, % comments.
 
     The order of arg lines fixes the argument enumeration, bit-exact:
-    the first arg line is index 0, and so on.
+    the first arg line is index 0, and so on.  Line errors (duplicate
+    arguments, unrecognized lines) are reported in line order before
+    any attack that names an unknown argument.
     """
-    names = []
-    seen = set()
+    index = {}
     attacks = []
-    pending = []
+    match = _APX_LINE.fullmatch
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
-            continue
-        m = _ARG_RE.match(line)
-        if m:
-            nm = m.group(1)
-            if nm in seen:
+        m = match(raw)
+        if m is None:
+            line = raw.split("%", 1)[0].strip()
+            raise ApxParseError(f"unrecognized line {line!r}", lineno)
+        nm, x, y = m.groups()
+        if nm is not None:
+            if nm in index:
                 raise ApxParseError(f"duplicate argument {nm!r}", lineno)
-            seen.add(nm)
-            names.append(nm)
-            continue
-        m = _ATT_RE.match(line)
-        if m:
-            pending.append((m.group(1), m.group(2), lineno))
-            continue
-        raise ApxParseError(f"unrecognized line {line!r}", lineno)
-    index = {nm: i for i, nm in enumerate(names)}
-    for x, y, lineno in pending:
-        if x not in index:
-            raise ApxParseError(f"attack references unknown argument {x!r}", lineno)
-        if y not in index:
-            raise ApxParseError(f"attack references unknown argument {y!r}", lineno)
-        attacks.append((index[x], index[y]))
-    return FiniteAF(len(names), attacks, names)
+            index[nm] = len(index)
+        elif x is not None:
+            attacks.append((x, y, lineno))
+    try:
+        pairs = [(index[x], index[y]) for x, y, _ in attacks]
+    except KeyError:
+        x, y, lineno = next(a for a in attacks
+                            if a[0] not in index or a[1] not in index)
+        unknown = x if x not in index else y
+        raise ApxParseError(f"attack references unknown argument {unknown!r}",
+                            lineno) from None
+    return FiniteAF._built(len(index), pairs, tuple(index), index)
 
 
 def format_apx(af: FiniteAF) -> str:
     names = af.names
     lines = [f"arg({nm})." for nm in names]
     lines += [f"att({names[x]},{names[y]})."
-              for x, y in sorted(af.attack_pairs)]
+              for x, row in enumerate(af._fwd) for y in row]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -535,6 +563,6 @@ def format_dot(af: FiniteAF) -> str:
     lines = ["digraph af {"]
     lines += [f'  "{nm}";' for nm in names]
     lines += [f'  "{names[x]}" -> "{names[y]}";'
-              for x, y in sorted(af.attack_pairs)]
+              for x, row in enumerate(af._fwd) for y in row]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -21,13 +21,14 @@ every seed over the same AF.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .core import FiniteAF, unpair
 from .errors import CapExceeded, DomainError
 from .grounded import grounded_finite
-from .ordinals import Ordinal
+from .ordinals import NEVER, Ordinal
 from .trees import ChildrenSpec, FiniteTree, LazyTree, NodePath, NodeStates, \
     _expand
 
@@ -36,7 +37,7 @@ __all__ = [
     "SelfDefendingWitness", "build_self_defending_witness",
     "verify_self_defending_witness", "merge_witnesses",
     "build_TS", "ts_rank", "ts_path_exists", "TsDecision",
-    "build_Ta", "ta_rank", "witness_path", "ta_path_violations",
+    "build_Ta", "ta_rank", "ta_path_exists", "witness_path", "ta_path_violations",
     "rank_stage_bridge_check", "BridgeReport", "expand_ts",
 ]
 
@@ -336,7 +337,11 @@ def ta_rank(af: FiniteAF, a: int) -> Ordinal:
     if a not in grounded_finite(af).grounded:
         raise DomainError(
             f"argument {af.name(a)} is not grounded; T^a has a path, not a rank")
-    return Ordinal.from_int(_ta_rank(build_Ta(af, a).states, a, {}))
+    return _exact_ta_rank(af, a)
+
+
+def _exact_ta_rank(af: FiniteAF, a: int) -> Ordinal:
+    return Ordinal.from_int(_ta_rank(_ts_states(af, a), a, {}))
 
 
 def _ta_rank(states: NodeStates, a: int, memo: dict) -> int:
@@ -358,12 +363,29 @@ def witness_path(af: FiniteAF, a: int, length: int) -> NodePath:
     if a in result.grounded:
         raise DomainError(
             f"argument {af.name(a)} is grounded; T^a has no path")
-    gplus = af.plus_set(result.grounded)
+    return _witness_path(af, a, result.grounded, length)
+
+
+def _witness_path(af: FiniteAF, a: int, grounded: frozenset,
+                  length: int) -> NodePath:
+    gplus = af.plus_set(grounded)
     first = next((i for i in af.attackers_of(a) if i not in gplus), None)
     if first is None:
         raise AssertionError("non-grounded argument with every attacker in G+")
     rest = _defense_prefix(af, frozenset((first,)), gplus, length - 1)
     return (first,) + rest
+
+
+def ta_path_exists(af: FiniteAF, a: int, prefix_depth: int = 100) -> TsDecision:
+    """Decide whether T^a has a path, via the oracle: exactly when a is
+    not grounded.  One grounding gives the certificate: witness_path's
+    prefix of prefix_depth symbols, or ta_rank's exact rank."""
+    if prefix_depth < 1:
+        raise ValueError("prefix_depth must be >= 1")
+    grounded = grounded_finite(af).grounded
+    if a in grounded:
+        return TsDecision(False, None, _exact_ta_rank(af, a))
+    return TsDecision(True, _witness_path(af, a, grounded, prefix_depth), None)
 
 
 def ta_path_violations(af: FiniteAF, a: int, path: NodePath,
@@ -434,26 +456,27 @@ def rank_stage_bridge_check(af: FiniteAF) -> BridgeReport:
     each state is checked once.
     """
     result = grounded_finite(af)
-    stages = result.stages
     gplus = af.plus_set(result.grounded)
+    # a finite AF's stages are naturals (NEVER above them all); each
+    # argument's least attacker stage is computed once
+    stage = [math.inf if v is NEVER else v.as_int()
+             for v in map(result.stages.__getitem__, range(af.n))]
+    least_attacker = [min(map(stage.__getitem__, af.attackers_of(x)),
+                          default=math.inf) for x in range(af.n)]
     violations = []
     states = _ts_states(af)
     memo: Dict[Tuple[int, int], int] = {}
 
     for a in sorted(result.grounded):
         r = _ta_rank(states, a, memo)
-        stage = stages[a]
-        if stage > r + 1:
-            violations.append(
-                f"grounded {af.name(a)}: stage {stage} exceeds T^a rank+1 = {r + 1}")
+        if stage[a] > r + 1:
+            violations.append(f"grounded {af.name(a)}: stage {stage[a]} "
+                              f"exceeds T^a rank+1 = {r + 1}")
 
     _ts_rank_states(states, [_ts_root(af, (b,)) for b in sorted(gplus)], memo)
     for (level, cmask), q in memo.items():
         mran = [x for x in range(af.n) if cmask >> x & 1]
-        bound = Ordinal.from_int(q + 1)
-        hit = any(stages[g] <= bound
-                  for x in mran for g in af.attackers_of(x))
-        if not hit:
+        if min(map(least_attacker.__getitem__, mran), default=math.inf) > q + 1:
             violations.append(
                 f"T_S state (level {level}, committed {mran}) of rank {q}: "
                 f"no member of G_{q + 1} attacks the committed set")

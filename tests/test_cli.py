@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+import sys
 import time
 import warnings
 
@@ -13,6 +14,7 @@ from transfinite_af.cli import MAX_CHECK_ARGS, MAX_PATH_LENGTH, MAX_SAMPLE, \
     _SIZE_BOUNDS, build_parser, main
 from transfinite_af.constructions import materialize_spec, parse_generator_spec
 from transfinite_af.core import FiniteAF, format_apx, parse_apx
+from transfinite_af.grounded import grounded_finite
 from transfinite_af.ordinals import NEVER, format_ordinal
 from transfinite_af.rank_analysis import ts_rank
 from transfinite_af.trees import TRUNCATE_NODE_CAP, TRUNCATE_SYMBOL_CAP
@@ -178,6 +180,28 @@ def test_reduce_ta(capsys, tmp_path):
                        "--arg", "x")
     assert code == 0
     assert json.loads(out) == {"path_exists": False, "rank": "0"}
+
+
+@pytest.mark.parametrize("arg, want", [
+    ("a0", {"path_exists": False, "rank": "0"}),
+    ("a1", {"path_exists": True, "prefix": [0] * 5}),
+    ("a2", {"path_exists": False, "rank": "1"}),
+])
+def test_reduce_ta_grounds_once(capsys, chain_path, monkeypatch, arg, want):
+    calls = []
+
+    def counting(af):
+        calls.append(af)
+        return grounded_finite(af)
+
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("transfinite_af")
+                and getattr(module, "grounded_finite", None) is grounded_finite):
+            monkeypatch.setattr(module, "grounded_finite", counting)
+    code, out, _ = run(capsys, "reduce", "ta", "--af", f"apx:{chain_path}",
+                       "--arg", arg, "--depth", "5")
+    assert code == 0 and json.loads(out) == want
+    assert len(calls) == 1
 
 
 def test_reduce_witness(capsys, chain_path):

@@ -92,21 +92,33 @@ def _spec_texts(draw):
     return draw(_mutated(text, _SPEC_JUNK, ("insert", "replace")))
 
 
+# Every separator str.splitlines breaks a line at, and spaces that
+# str.strip removes but that break no line.
+_SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029"]
+_SPACES = ["", "", " ", "\t", "\x1f", "\xa0", "\u3000"]
+
+
 @st.composite
 def _apx_texts(draw):
-    """Up to 6 arguments, 20 attacks and 4 odd lines, shuffled: 30 lines."""
+    """Up to 6 arguments, 20 attacks and 4 odd lines, shuffled: 30 lines,
+    with spaces around statements and after commas, and any separators."""
     names = draw(st.lists(st.sampled_from(["a0", "a1", "a2", "a3", "b_1", "c"]),
                           unique=True, max_size=6))
+    space = st.sampled_from(_SPACES)
     lines = [f"arg({name})." for name in names]
     if names:
-        lines += draw(st.lists(st.builds("att({},{}).".format,
-                                         st.sampled_from(names),
+        lines += draw(st.lists(st.builds("att({},{}{}).".format,
+                                         st.sampled_from(names), space,
                                          st.sampled_from(names)),
                                max_size=20))
     lines += draw(st.lists(st.sampled_from(
-        ["", "% comment", "arg(a0).", "arg(a-1).", "att(a0,z).", "junk"]),
-        max_size=4))
-    return draw(_mutated("\n".join(draw(st.permutations(lines)))))
+        ["", "% comment", "arg(a0).", "arg(a-1).", "att(a0,z).", "att(a0 ,a1).",
+         "junk"]), max_size=4))
+    text = "".join(draw(space) + line + draw(space)
+                   + draw(st.sampled_from(_SEPARATORS))
+                   for line in draw(st.permutations(lines)))
+    return draw(_mutated(text))
 
 
 def _run(*argv):

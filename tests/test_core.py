@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from transfinite_af.checks import per_line_parse_apx
 from transfinite_af.core import (
     Affine,
     ApxParseError,
@@ -143,8 +145,41 @@ def test_range_errors():
         af.attacks(0, 3)
     with pytest.raises(IndexError):
         af.plus_set({5})
-    with pytest.raises(ValueError):
-        FiniteAF(2, [(0, 2)])
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-1,), "argument count must be >= 0"),
+    ((2, [(0, 2)]), "attack (0,2) out of range for n=2"),
+    ((2, [(-1, 0)]), "attack (-1,0) out of range for n=2"),
+    ((2, [], ["p"]), "need one name per argument"),
+    ((2, [], ["p", "q-r"]), "bad argument name 'q-r'"),
+    ((2, [], ["p", ""]), "bad argument name ''"),
+    ((2, [], ["p", "p"]), "argument names must be unique"),
+])
+def test_the_public_constructor_validates(args, message):
+    with pytest.raises(ValueError) as err:
+        FiniteAF(*args)
+    assert str(err.value) == message
+
+
+def _tables(af):
+    return (af.n, af.attack_pairs, af._fwd, af._rev, af.names, af._name_index)
+
+
+def test_the_unchecked_builder_builds_what_the_constructor_builds():
+    rng = random.Random(13)
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        attacks = [(rng.randrange(n), rng.randrange(n))
+                   for _ in range(rng.randint(0, 3 * n))] if n else []
+        names = rng.sample([f"x{i}" for i in range(3 * n)], n)
+        af = FiniteAF(n, attacks, names)
+        assert _tables(FiniteAF._built(n, attacks, names)) == _tables(af)
+        assert af._fwd == tuple(tuple(sorted(y for x, y in af.attack_pairs
+                                             if x == i)) for i in range(n))
+        assert af._rev == tuple(tuple(sorted(x for x, y in af.attack_pairs
+                                             if y == i)) for i in range(n))
+        assert af._name_index == {nm: i for i, nm in enumerate(names)}
 
 
 def test_remove_argument_reindexes():
@@ -284,6 +319,98 @@ def test_apx_errors():
         parse_apx("argument(a).\n")
     with pytest.raises(ApxParseError):
         parse_apx("arg(a-b).\n")
+
+
+def _parsed(parse, text):
+    """The AF's tables, or the parse error's message and line."""
+    try:
+        return _tables(parse(text))
+    except ApxParseError as e:
+        return ("error", str(e), e.line)
+
+
+# every separator str.splitlines breaks a line at
+SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+              "\x85", "\u2028", "\u2029"]
+# spaces str.strip removes that break no line
+SPACES = ["", " ", "\t", "\x1f", "\xa0", "\u2003", "\u3000"]
+
+APX_CASES = [
+    "",
+    "\n\n",
+    "% only a comment",
+    "%stage a 1",
+    "arg(a).%stage a 1\narg(b). % b\natt(a,b).%",
+    "arg(a).\narg(b).\natt(a, b).\natt(b,\u2003a).\natt(a,\ta).",
+    "\u3000arg(a).\xa0\n\x1fatt(a,a).\u2003% x",
+    "arg(a).\narg(b).\natt(a ,b).",
+    "arg(a).\natt(a,b).\narg(b).",
+    "arg(a).\natt(a,a).\natt(a,a).",
+    "arg(a).\narg(a).",
+    "arg(a).\natt(z,a).",
+    "arg(a).\natt(a,z).",
+    "att(x,a).\natt(a,y).\narg(a).",
+    "arg(a).\x1farg(b).",
+    "arg(a). arg(b).",
+    "arg(a)",
+    "arg(a-1).",
+    "junk\narg(a).\narg(a).",
+    "arg(a).\narg(a).\njunk",
+    "att(q,r).\njunk",
+] + ["arg(a).%sarg(b).%satt(a,c)." % (sep, sep) for sep in SEPARATORS] + [
+    "arg(a).%s%sjunk" % (sep, sep) for sep in SEPARATORS]
+
+
+@st.composite
+def _apx_lines(draw):
+    """Up to 6 arguments and 8 attacks among them, shuffled, with spaces,
+    comments and separators of every kind; a third of the texts get one
+    faulty line (a duplicate, an unknown name or a malformed statement)."""
+    names = draw(st.lists(st.sampled_from(["a", "b", "c_1", "Z9", "d", "e"]),
+                          unique=True, max_size=6))
+    space = st.sampled_from(SPACES)
+    stmts = [f"arg({nm})." for nm in names] + [""] * draw(st.integers(0, 2))
+    if names:
+        known = st.sampled_from(names)
+        stmts += draw(st.lists(st.builds("att({},{}{}).".format, known, space,
+                                         known), max_size=8))
+    if draw(st.integers(0, 2)) == 0:
+        stmts.append(draw(st.sampled_from(
+            ["arg(a).", "att(a,z).", "att(z,a).", "arg(a-b).", "att(a ,b).",
+             "att(a,b)", "arg(a).arg(b).", "junk"])))
+    comment = st.sampled_from(["", "%", "% note", "%stage a 1", "%%"])
+    return "".join(draw(space) + stmt + draw(space) + draw(comment)
+                   + draw(st.sampled_from(SEPARATORS))
+                   for stmt in draw(st.permutations(stmts)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_apx_lines())
+@example(APX_SAMPLE)
+def test_parse_apx_matches_the_per_line_parser(text):
+    assert _parsed(parse_apx, text) == _parsed(per_line_parse_apx, text)
+
+
+@pytest.mark.parametrize("text", APX_CASES)
+def test_parse_apx_matches_the_per_line_parser_on_edge_cases(text):
+    assert _parsed(parse_apx, text) == _parsed(per_line_parse_apx, text)
+
+
+def test_apx_output_follows_the_adjacency_rows():
+    rng = random.Random(5)
+    for _ in range(50):
+        n = rng.randint(1, 9)
+        af = FiniteAF(n, [(rng.randrange(n), rng.randrange(n))
+                          for _ in range(2 * n)])
+        attacks = sorted(af.attack_pairs)
+        names = af.names
+        assert format_apx(af) == "".join(
+            [f"arg({nm}).\n" for nm in names]
+            + [f"att({names[x]},{names[y]}).\n" for x, y in attacks])
+        assert format_dot(af) == "".join(
+            ["digraph af {\n"] + [f'  "{nm}";\n' for nm in names]
+            + [f'  "{names[x]}" -> "{names[y]}";\n' for x, y in attacks]
+            + ["}\n"])
 
 
 def test_dot_contains_graph():

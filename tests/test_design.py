@@ -10,6 +10,10 @@ Ordinals from public input are validated; only the ordinal arithmetic
 and the rank-built trees' state helpers, which build Cantor normal forms
 by construction, may skip that through `Ordinal._canonical`.
 
+Finite AFs from public input are validated; only the APX parser and the
+generators, whose tables are valid by construction, may skip that
+through `FiniteAF._built`.
+
 T_S and T^a are defined once, by the state machine `_ts_states`: no
 other code in rank_analysis.py builds children or node states.
 """
@@ -55,9 +59,9 @@ def kind_checks(path: Path) -> list:
     return find(path, is_kind_check)
 
 
-def canonical_uses(path: Path) -> list:
-    """Every use of the name `_canonical`, called or aliased."""
-    return find(path, lambda node: "_canonical" in (
+def uses(path: Path, name: str) -> list:
+    """Every use of `name`, called or aliased."""
+    return find(path, lambda node: name in (
         getattr(node, "id", None), getattr(node, "attr", None)))
 
 
@@ -84,20 +88,38 @@ PARSER_SCOPES = ("_Parser", "parse_ordinal")
 
 
 def test_only_arithmetic_builds_unchecked_ordinals():
-    stray = {path.name: canonical_uses(path) for path in sorted(SRC.glob("*.py"))
-             if path.name not in CANONICAL_ALLOWED and canonical_uses(path)}
+    stray = {path.name: uses(path, "_canonical")
+             for path in sorted(SRC.glob("*.py"))
+             if path.name not in CANONICAL_ALLOWED and uses(path, "_canonical")}
     assert stray == {}
-    in_parser = [(scope, line) for scope, line in canonical_uses(SRC / "ordinals.py")
+    in_parser = [(scope, line)
+                 for scope, line in uses(SRC / "ordinals.py", "_canonical")
                  if scope.split(".")[0] in PARSER_SCOPES]
     assert in_parser == []
 
 
 def test_the_guard_sees_the_allowed_canonical_uses():
-    scopes = {scope for scope, _ in canonical_uses(SRC / "ordinals.py")}
+    scopes = {scope for scope, _ in uses(SRC / "ordinals.py", "_canonical")}
     assert {"Ordinal.from_int", "Ordinal.__add__", "fundamental_sequence",
             "AffineOrdinalExpr.evaluate"} <= scopes
-    assert {scope for scope, _ in canonical_uses(SRC / "trees.py")} == \
+    assert {scope for scope, _ in uses(SRC / "trees.py", "_canonical")} == \
         {"_split", "_split_rank"}
+
+
+BUILT_ALLOWED = {"core.py", "constructions.py"}
+
+
+def test_only_the_parser_and_generators_build_unchecked_afs():
+    stray = {path.name: uses(path, "_built") for path in sorted(SRC.glob("*.py"))
+             if path.name not in BUILT_ALLOWED and uses(path, "_built")}
+    assert stray == {}
+
+
+def test_the_guard_sees_the_allowed_built_uses():
+    assert {scope for scope, _ in uses(SRC / "core.py", "_built")} == \
+        {"parse_apx"}
+    assert {scope for scope, _ in uses(SRC / "constructions.py", "_built")} == \
+        {"af_from_finite_tree", "baumann_spanring", "_compact_union"}
 
 
 TREE_PARTS = {"ChildrenSpec", "NodeStates"}
