@@ -393,7 +393,7 @@ def path_keyed_tree_af(tree: LazyTree) -> LazyAF:
     of the tree by path.  The library remembers each code's node state and
     steps a new code's state from its parent code's instead.  Only the
     predicate, specs, names and candidate stages are built, with no
-    candidate hook or family verdicts."""
+    candidate hook or family verdicts, so its NEVER claims do not verify."""
 
     def predicate(x: int, y: int) -> bool:
         if x % 2 == 0 and y == x + 1:
@@ -435,9 +435,8 @@ def path_keyed_tree_af(tree: LazyTree) -> LazyAF:
                 return ONE
             return NEVER if index % 2 else tree.declared_rank(path) + 1
 
-        candidate = SymbolicStageMap(fallback=stage_of,
-                                     sup_value=tree.declared_rank(ROOT) + 1,
-                                     sup_attained=True, sup_witness=0)
+        candidate = SymbolicStageMap(
+            fallback=stage_of, sup=(tree.declared_rank(ROOT) + 1, True, 0))
     return LazyAF(predicate, spec, naming=naming,
                   candidate_stages=candidate)
 

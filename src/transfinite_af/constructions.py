@@ -211,12 +211,9 @@ def af_from_tree(tree: LazyTree) -> LazyAF:
                 return True
             return None
 
-        root_rank = tree.state_rank(nodes.root)
         candidate = SymbolicStageMap(
             fallback=stage_of,
-            sup_value=root_rank + 1,
-            sup_attained=True,
-            sup_witness=0,
+            sup=(tree.state_rank(nodes.root) + 1, True, 0),
             family_all_never=family_all_never,
         )
 
@@ -379,13 +376,10 @@ def _union(parts: Callable[[int], object], families: Tuple[StageFamily, ...],
                         replace(fam, index_map=IndexMap(steps[:-1])))
             return None
 
-        value, attained, witness = sup
         candidate = SymbolicStageMap(
             families=families,
             fallback=stage_of,
-            sup_value=value,
-            sup_attained=attained,
-            sup_witness=witness,
+            sup=sup,
             family_all_never=family_all_never,
         )
     return LazyAF(predicate, spec, naming=naming,

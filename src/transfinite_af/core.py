@@ -121,10 +121,6 @@ class IndexMap:
     def affine(a: int, b: int) -> "IndexMap":
         return IndexMap((Affine(a, b),))
 
-    @staticmethod
-    def identity() -> "IndexMap":
-        return IndexMap((Affine(1, 0),))
-
     def then(self, step) -> "IndexMap":
         return IndexMap(self.steps + (step,))
 
@@ -173,17 +169,6 @@ class AttackerFamily:
         k = self.index_map.invert(index)
         return k is not None and k >= self.k_start
 
-    def members_below(self, bound: int) -> list:
-        """(k, index) pairs with index < bound; maps increase, so finite."""
-        out = []
-        k = self.k_start
-        while True:
-            v = self.index_map(k)
-            if v >= bound:
-                return out
-            out.append((k, v))
-            k += 1
-
 
 @dataclass(frozen=True)
 class AttackerSpec:
@@ -191,10 +176,6 @@ class AttackerSpec:
 
     explicit: Tuple[int, ...] = ()
     families: Tuple[AttackerFamily, ...] = ()
-
-    @property
-    def is_explicit(self) -> bool:
-        return not self.families
 
     # the spot check asks about every attacker of a spec, so a long
     # explicit list is searched as a set
@@ -297,10 +278,6 @@ class FiniteAF:
     def attackers_of(self, x: int) -> Tuple[int, ...]:
         self._check(x)
         return self._rev[x]
-
-    def targets_of(self, x: int) -> Tuple[int, ...]:
-        self._check(x)
-        return self._fwd[x]
 
     # -- the lazy AF's attacker queries (see LazyAF)
 

@@ -21,7 +21,9 @@ Three regimes:
   rule and its minimality are checked exactly through affine ordinal
   sups, the NEVER rule is checked locally (co-inductively), and family
   closed forms are validated against concrete samples before any
-  symbolic use.
+  symbolic use.  A claim that a whole attacker family is NEVER is
+  accepted only on the generator's verdict or by affine alignment over
+  a full period; otherwise it fails.
 """
 
 from __future__ import annotations
@@ -221,29 +223,25 @@ class SymbolicStageMap:
     Finitely many explicit exceptions, finitely many affine stage
     families, and (for generator-structured AFs whose universe has no
     finite family decomposition) a total fallback callable.  Maps with a
-    fallback must declare their stage supremum; affine-complete maps
-    compute it.
+    fallback must declare their stage supremum as sup = (value, attained,
+    witness); affine-complete maps compute it.
 
     family_all_never, when provided, answers "is stage(map(k)) NEVER for
     every k of this attacker family" exactly for generator-owned
-    structure; without it the verifier falls back to affine alignment or
-    sampling.
+    structure; without it the verifier tries affine alignment, and a
+    family it cannot prove all-NEVER is not.
     """
 
     def __init__(self, families: Tuple[StageFamily, ...] = (),
                  exceptions: Optional[Dict[int, StageValue]] = None,
                  fallback: Optional[Callable[[int], StageValue]] = None,
-                 sup_value: Optional[Ordinal] = None,
-                 sup_attained: Optional[bool] = None,
-                 sup_witness: Optional[int] = None,
+                 sup: Optional[Tuple[Ordinal, bool, Optional[int]]] = None,
                  family_all_never: Optional[Callable[[AttackerFamily],
                                                      Optional[bool]]] = None):
         self.families = tuple(families)
         self.exceptions = dict(exceptions or {})
         self.fallback = fallback
-        self._sup_value = sup_value
-        self._sup_attained = sup_attained
-        self._sup_witness = sup_witness
+        self._sup = sup
         self._family_all_never = family_all_never
 
     @staticmethod
@@ -268,8 +266,8 @@ class SymbolicStageMap:
 
     def declared_sup(self) -> Tuple[Ordinal, bool, Optional[int]]:
         """(value, attained, witness) for the sup of all non-NEVER stages."""
-        if self._sup_value is not None:
-            return self._sup_value, bool(self._sup_attained), self._sup_witness
+        if self._sup is not None:
+            return self._sup
         if self.fallback is not None:
             raise DomainError(
                 "stage maps with a fallback must declare their supremum")
@@ -287,16 +285,6 @@ class SymbolicStageMap:
                 best, attained = value, att
                 witness = fam.index_map(fam.k_start) if att else None
         return best, attained, witness
-
-
-def grounding_ordinal_from_stages(stages: Iterable[StageValue]) -> Ordinal:
-    """Least alpha with G_alpha = G, from the collection of least stages.
-
-    The maximum when attained (some argument enters last), otherwise the
-    supremum, which is then a limit reached as the union of earlier
-    levels.  Finite collections always attain their max.
-    """
-    return max((v for v in stages if v is not NEVER), default=ZERO)
 
 
 # -- the verifier ----------------------------------------------------------------
@@ -431,6 +419,8 @@ class _Verifier:
 
     # -- rule (ii): NEVER ------------------------------------------------
 
+    # Every member of fam is NEVER: on the generator's verdict, or by
+    # affine alignment; a family proved neither way is not all-NEVER.
     def family_members_all_never(self, fam: AttackerFamily) -> bool:
         answer = self.candidate.family_all_never(fam)
         if answer is not None:
@@ -440,13 +430,7 @@ class _Verifier:
                 and all(f.index_map.pure_affine is not None
                         for f in self.candidate.families)):
             return self._all_never_by_alignment(fam, aff)
-        return self._all_never_sampled(fam)
-
-    def _all_never_sampled(self, fam: AttackerFamily) -> bool:
-        # local sampled acceptance; sound only up to the documented
-        # well-founded cross-checks
-        return all(self.stage(fam.member(k)) is NEVER
-                   for k in range(fam.k_start, fam.k_start + FAMILY_PROBE))
+        return False
 
     def _all_never_by_alignment(self, fam: AttackerFamily, aff) -> bool:
         period = 1
@@ -461,7 +445,7 @@ class _Verifier:
             top = max(self.candidate.exceptions)
             thresholds.append((top - aff.b) // aff.a + 1)
         if period > 10_000:
-            return self._all_never_sampled(fam)
+            return False
         stable = max(thresholds)
         for k in range(fam.k_start, stable + period + 1):
             try:

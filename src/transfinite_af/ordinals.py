@@ -384,13 +384,6 @@ class AffineOrdinalExpr:
         self.terms = terms
 
     @staticmethod
-    def constant(x) -> "AffineOrdinalExpr":
-        o = _coerce(x)
-        if o is None:
-            raise TypeError("constant expects an ordinal")
-        return AffineOrdinalExpr(tuple((e, 0, c) for e, c in o.terms))
-
-    @staticmethod
     def affine(a: int, b: int) -> "AffineOrdinalExpr":
         """The finite-valued family k -> a*k + b."""
         return AffineOrdinalExpr(((ZERO, a, b),))
@@ -429,10 +422,6 @@ class AffineOrdinalExpr:
             prefix.append((e, b))
         raise AssertionError("unreachable")
 
-    def min_over(self, k_start: int = 0) -> Ordinal:
-        # nondecreasing in k, so the minimum sits at the first member
-        return self.evaluate(k_start)
-
     def add_finite(self, n: int) -> "AffineOrdinalExpr":
         if n < 0:
             raise ValueError("can only add naturals")
@@ -442,9 +431,6 @@ class AffineOrdinalExpr:
             e, a, b = self.terms[-1]
             return AffineOrdinalExpr(self.terms[:-1] + ((e, a, b + n),))
         return AffineOrdinalExpr(self.terms + ((ZERO, 0, n),))
-
-    def successor_expr(self) -> "AffineOrdinalExpr":
-        return self.add_finite(1)
 
     def __eq__(self, other):
         if not isinstance(other, AffineOrdinalExpr):

@@ -317,8 +317,6 @@ def _defense_prefix(af: FiniteAF, seed: frozenset, gplus: frozenset,
             if j not in mran:
                 mran.add(j)
                 dset.update(af.attackers_of(j))
-            if j in gplus:
-                raise AssertionError("defense prefix left the complement of G+")
         else:
             path.append(0)
     return tuple(path)

@@ -62,10 +62,6 @@ class ChildrenSpec:
     symbols: Tuple[int, ...] = ()
     families: Tuple[ChildFamily, ...] = ()
 
-    @property
-    def is_terminal(self) -> bool:
-        return not self.symbols and not self.families
-
     def contains(self, symbol: int) -> bool:
         return symbol in self.symbols or any(f.contains(symbol) for f in self.families)
 
@@ -525,7 +521,7 @@ def check_declared_ranks(tree: LazyTree, sample_width: int,
                 if rank_of[s] != closed:
                     violations.append(f"{list(p + (s,))}: declared {rank_of[s]}, "
                                       f"closed form gives {closed}")
-            want = max(want, fam.child_rank_expr.successor_expr().sup_over(
+            want = max(want, fam.child_rank_expr.add_finite(1).sup_over(
                 fam.k_start)[0])
         if declared != want:
             violations.append(f"{list(p)}: declared {declared}, children give {want}")

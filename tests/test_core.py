@@ -134,7 +134,7 @@ def test_set_ops_against_brute_force():
             for y in range(n):
                 assert (x in af.plus_set({y})) == (y in af.minus_set({x}))
         # defense depends only on s+
-        u = s | frozenset(x for x in range(n) if not af.targets_of(x))
+        u = s | frozenset(x for x in range(n) if not af.plus_set({x}))
         if af.plus_set(u) == af.plus_set(s):
             assert af.defense_step(u) == af.defense_step(s)
 
@@ -214,7 +214,7 @@ def test_index_map_roundtrip():
 
 def test_attacker_family_members_below():
     fam = AttackerFamily(IndexMap.affine(4, 2))
-    assert fam.members_below(20) == [(0, 2), (1, 6), (2, 10), (3, 14), (4, 18)]
+    assert [v for v in range(20) if fam.contains(v)] == [2, 6, 10, 14, 18]
     assert fam.contains(10)
     assert not fam.contains(11)
     shifted = AttackerFamily(IndexMap.affine(4, 2), k_start=2)

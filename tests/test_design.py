@@ -16,6 +16,10 @@ through `FiniteAF._built`.
 
 T_S and T^a are defined once, by the state machine `_ts_states`: no
 other code in rank_analysis.py builds children or node states.
+
+Every function, method and class of the library outside checks.py is
+named by some library code or exported in `__all__`; the few that only
+the tests read are listed with the reason they stay.
 """
 
 import ast
@@ -130,3 +134,48 @@ def test_only_the_ts_state_machine_builds_tree_nodes():
         isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id in TREE_PARTS))
     assert {scope.split(".")[0] for scope, _ in builds} == {"_ts_states"}
+
+
+
+DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+# Members kept for the tests alone, each with the reason it stays.
+TEST_READ_ALLOWED = {
+    # tests/test_acceptance.py reads them
+    "constructions.py": {"FiniteTreeAF.a_index", "FiniteTreeAF.b_index"},
+    "trees.py": {"FiniteTree.node_ranks"},
+}
+
+
+def unnamed_definitions() -> dict:
+    """{module: {dotted scope}} of every function, method and class, in a
+    library module other than checks.py, whose name no library module
+    mentions outside its own definition and `__all__` does not export."""
+    named = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    exported = set(transfinite_af.__all__)
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "checks.py":
+            continue
+        for scope, _ in find(path, lambda node: isinstance(node, DEFINITIONS)):
+            name = scope.rsplit(".", 1)[-1]
+            if not (name in named or name.startswith("__") or scope in exported):
+                found.setdefault(path.name, set()).add(scope)
+    return found
+
+
+def test_every_library_member_has_a_library_caller():
+    stray = {name: scopes - TEST_READ_ALLOWED.get(name, set())
+             for name, scopes in unnamed_definitions().items()}
+    assert {name: scopes for name, scopes in stray.items() if scopes} == {}
+
+
+def test_the_guard_sees_the_members_only_tests_read():
+    assert unnamed_definitions() == TEST_READ_ALLOWED

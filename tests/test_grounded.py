@@ -20,7 +20,6 @@ from transfinite_af.grounded import (
     SymbolicStageMap,
     VerificationReport,
     grounded_finite,
-    grounding_ordinal_from_stages,
     omega_approximation,
     stages_finite,
     verify_symbolic_stages,
@@ -109,7 +108,8 @@ def test_least_fixpoint_and_invariants():
                     assert any(
                         r.stages[c] is not NEVER and r.stages[c] <= beta
                         for c in af.attackers_of(b))
-        assert grounding_ordinal_from_stages(r.stages.values()) == r.grounding_ordinal
+        assert r.grounding_ordinal == max(
+            (v for v in r.stages.values() if v is not NEVER), default=ZERO)
 
 
 def test_stage_chain_is_monotone_and_stops_by_n():
@@ -127,9 +127,8 @@ def test_stage_chain_is_monotone_and_stops_by_n():
 def test_grounding_ordinal_of_results_and_stages():
     r = grounded_finite(chain())
     assert r.grounding_ordinal == 2
-    assert grounding_ordinal_from_stages(r.stages.values()) == 2
-    assert grounding_ordinal_from_stages([NEVER, Ordinal.from_int(3), ONE]) == 3
-    assert grounding_ordinal_from_stages([]) == ZERO
+    assert max(v for v in r.stages.values() if v is not NEVER) == 2
+    assert grounded_finite(FiniteAF(0)).grounding_ordinal == ZERO
 
 
 # -- omega approximation ------------------------------------------------------
@@ -262,6 +261,188 @@ def test_two_chain_truncations_grow_without_bound():
     assert prev == 21  # truncate to 2m args = m index pairs: stage m/2+1
 
 
+# -- one hand-built case per verifier rule ---------------------------------
+
+
+def found(report):
+    """The (rule, subject) pairs of a report's violations."""
+    return {(v.rule, v.subject) for v in report.violations}
+
+
+def messages(report, rule, subject):
+    return [v.message for v in report.violations
+            if (v.rule, v.subject) == (rule, subject)]
+
+
+def bs_stages():
+    """bs's candidate stage map.  Maps rebuilt from its families and
+    exceptions have no family_all_never, so only the verifier can vouch
+    for b_0's attacker family, the odd a's, being NEVER."""
+    return materialize_spec(parse_generator_spec("bs")).candidate_stages
+
+
+@pytest.mark.parametrize("sample", [16, 64])
+def test_unproven_never_family_fails_closed(sample):
+    # a fallback rules out alignment, and the family is not sampled
+    own = bs_stages()
+    candidate = SymbolicStageMap(families=own.families,
+                                 exceptions=own.exceptions,
+                                 fallback=own.stage_of, sup=own.declared_sup())
+    report = verify_symbolic_stages(two_chain_lazy(), candidate, sample=sample)
+    assert found(report) == {("never", "3")}
+    assert report.grounding_ordinal is None
+
+
+def test_alignment_past_its_period_cap_fails_closed():
+    own = bs_stages()
+    aligned = SymbolicStageMap(families=own.families, exceptions=own.exceptions)
+    assert verify_symbolic_stages(two_chain_lazy(), aligned, sample=16).ok
+    # odd a's again, at period 4 * 10007 / gcd(4, 4 * 10007) = 10007
+    wide = StageFamily(IndexMap.affine(4 * 10007, 2), NEVER)
+    candidate = SymbolicStageMap(families=own.families + (wide,),
+                                 exceptions=own.exceptions)
+    report = verify_symbolic_stages(two_chain_lazy(), candidate, sample=16)
+    assert found(report) == {("never", "3")}
+
+
+def family_attacked_lazy(decreasing=False):
+    """0 is attacked by 1, and 1 by the family 2, 4, 6, ...; the rest is
+    unattacked, except that when `decreasing` 3 attacks 2 and 5 attacks 3,
+    so the family's stages start 2, 1, 1, ..."""
+    extra = {(3, 2), (5, 3)} if decreasing else set()
+    family = AttackerFamily(IndexMap.affine(2, 2))
+
+    def pred(x, y):
+        return ((x, y) == (1, 0) or (y == 1 and x >= 2 and x % 2 == 0)
+                or (x, y) in extra)
+
+    def spec(i):
+        if i == 1:
+            return AttackerSpec(families=(family,))
+        return AttackerSpec(explicit=tuple(x for x, y in sorted(extra) if y == i)
+                            + ((1,) if i == 0 else ()))
+
+    return LazyAF(pred, spec)
+
+
+def family_attacked_candidate(exceptions):
+    stage_one = StageFamily(IndexMap.affine(1, 2), AffineOrdinalExpr.affine(0, 1))
+    return SymbolicStageMap(families=(stage_one,), exceptions=exceptions)
+
+
+def test_verifier_reads_minstage_through_an_attacker_family():
+    af = family_attacked_lazy()
+    exact = {0: Ordinal.from_int(2), 1: NEVER}
+    # 0 is defended at 2 through the family; 1 is NEVER through member 2
+    assert verify_symbolic_stages(af, family_attacked_candidate(exact),
+                                  sample=8).ok
+    report = verify_symbolic_stages(
+        af, family_attacked_candidate({**exact, 0: Ordinal.from_int(3)}),
+        sample=8)
+    assert found(report) == {("least", "0")}
+    assert "defense completes at 1+1" in messages(report, "least", "0")[0]
+
+
+def test_verifier_flags_a_decreasing_attacker_family():
+    two = Ordinal.from_int(2)
+    exact = {0: two, 1: NEVER, 2: two, 3: NEVER}
+    report = verify_symbolic_stages(family_attacked_lazy(decreasing=True),
+                                    family_attacked_candidate(exact), sample=8)
+    assert found(report) == {("fragment", "1")}
+    assert "decrease at k=1" in messages(report, "fragment", "1")[0]
+
+
+def test_verifier_rejects_a_limit_stage():
+    report = verify_symbolic_stages(
+        FiniteAF(1), SymbolicStageMap(exceptions={0: OMEGA}), sample=1)
+    assert found(report) == {("successor", "0")}
+
+
+def test_verifier_bounds_a_never_defended_family():
+    # 0 is attacked by the odd arguments, which nothing attacks
+    def spec(i):
+        if i == 0:
+            return AttackerSpec(families=(
+                AttackerFamily(IndexMap.affine(2, 1), 0, NEVER),))
+        return AttackerSpec()
+
+    af = LazyAF(lambda x, y: y == 0 and x % 2 == 1, spec)
+    report = verify_symbolic_stages(
+        af, SymbolicStageMap(
+            families=(StageFamily(IndexMap.affine(1, 1),
+                                  AffineOrdinalExpr.affine(0, 1)),),
+            exceptions={0: Ordinal.from_int(2)}),
+        sample=8)
+    assert found(report) == {("bound", "0")}
+    assert "never counter-attacked" in messages(report, "bound", "0")[0]
+
+
+def test_verifier_bounds_a_family_sup_above_the_predecessor():
+    # b_0's attackers are defended at 1, 2, 3, ..., which reach w
+    tampered = SymbolicStageMap(families=two_chain_candidate().families,
+                                exceptions={1: Ordinal.from_int(5)})
+    report = verify_symbolic_stages(two_chain_lazy(), tampered, sample=4)
+    assert found(report) == {("bound", "1")}
+    assert messages(report, "bound", "1") == \
+        ["family defense stages reach w > 4"]
+
+
+def test_verifier_rejects_never_when_every_family_member_is_answered():
+    # b_0 claimed NEVER, but each odd a is counter-attacked by the a before it
+    tampered = SymbolicStageMap(families=two_chain_candidate().families,
+                                exceptions={1: NEVER})
+    report = verify_symbolic_stages(two_chain_lazy(), tampered, sample=4)
+    assert found(report) == {("never", "1")}
+    assert "within the first 6 family members" in \
+        messages(report, "never", "1")[0]
+
+
+CHAIN_STAGES = {0: ONE, 1: NEVER, 2: Ordinal.from_int(2)}
+
+
+@pytest.mark.parametrize("sup, subject, message", [
+    (None, "sup", "stage maps with a fallback must declare their supremum"),
+    ((ONE, True, 0), "2", "stage 2 exceeds declared sup 1"),
+    ((Ordinal.from_int(2), False, None), "2",
+     "stage 2 attains a sup declared unattained"),
+    ((Ordinal.from_int(2), True, None), "sup", "attained sup without a witness"),
+    ((Ordinal.from_int(2), True, 0), "sup",
+     "witness 0 has stage 1, declared sup 2"),
+    ((Ordinal.from_int(3), False, None), "sup",
+     "unattained sup 3 must be a limit"),
+    ((OMEGA, False, None), "sup",
+     "no affine stage family certifies cofinality at w"),
+])
+def test_verifier_rejects_a_bad_declared_sup(sup, subject, message):
+    candidate = SymbolicStageMap(exceptions=CHAIN_STAGES,
+                                 fallback=CHAIN_STAGES.__getitem__, sup=sup)
+    report = verify_symbolic_stages(chain(), candidate, sample=3)
+    assert message in messages(report, "sup", subject)
+    assert {rule for rule, _ in found(report)} == {"sup"}
+    assert report.grounding_ordinal is None
+
+
+def test_verifier_rejects_a_family_above_the_declared_sup():
+    candidate = SymbolicStageMap(families=two_chain_candidate().families,
+                                 exceptions={1: OMEGA + 1},
+                                 sup=(OMEGA, False, None))
+    report = verify_symbolic_stages(two_chain_lazy(), candidate, sample=1)
+    assert found(report) == {("sup", "sup")}
+    assert messages(report, "sup", "sup") == \
+        ["family stages reach w*2 beyond declared sup w"]
+
+
+def test_verifier_spot_checks_attacker_families():
+    # b_0's attackers listed as the even a's, which do not attack it
+    base = two_chain_lazy()
+    even_a = AttackerFamily(IndexMap.affine(4, 0))
+    af = LazyAF(base.attacks, lambda i: AttackerSpec(families=(even_a,))
+                if i == 1 else base.attacker_spec(i))
+    report = verify_symbolic_stages(af, two_chain_candidate(), sample=4)
+    assert "spec of 1: family member 0 (k=0) does not attack" in \
+        messages(report, "attacker-spec", "spec")
+
+
 # -- verifier on finite AFs ----------------------------------------------------
 
 
@@ -316,7 +497,7 @@ def test_incomplete_candidate():
 LAZY_SPECS = ["bs", "ord:w", "ord:w*2", "ord:w*3+2", "ord:w+5", "ord:w*4+1",
               "ord:w^2", "ord:w^3", "ord:w^3+1", "union(bs,ord:w)",
               "union(ord:w,ord:w*2+1)", "union(bs,bs)",
-              "union(ord:w^2,ord:w+3)"]
+              "union(ord:w^2,ord:w+3)", "union(ord:w*2,union(ord:5,bs))"]
 
 
 @pytest.mark.parametrize("spec", LAZY_SPECS)

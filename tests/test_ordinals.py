@@ -265,7 +265,6 @@ def test_affine_expr_validation():
         AffineOrdinalExpr(((ZERO, 0, 0),))
     expr = AffineOrdinalExpr.affine(2, 1)
     assert expr.evaluate(3) == 7
-    assert expr.min_over(2) == 5
     assert expr.add_finite(4).evaluate(0) == 5
 
 
@@ -274,7 +273,7 @@ def test_stage_expr_helpers():
     assert expr.evaluate(0) == OMEGA + 1
     value, attained = expr.sup_over(1)
     assert value == poly_to_ordinal([0, 2]) and not attained
-    const = AffineOrdinalExpr.constant(OMEGA + 3)
+    const = AffineOrdinalExpr(((ONE, 0, 1), (ZERO, 0, 3)))  # w + 3
     assert const.is_constant and const.sup_over() == (OMEGA + 3, True)
 
 

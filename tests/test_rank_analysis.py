@@ -24,6 +24,7 @@ from transfinite_af.rank_analysis import (
     witness_path,
 )
 from transfinite_af.trees import (
+    NO_CHILDREN,
     OFF_TREE,
     _expand,
     bounded_path_search,
@@ -360,7 +361,7 @@ def test_first_attacked_level_closed_form():
 def test_ta_unattacked_argument():
     af = FiniteAF(1)
     tree = build_Ta(af, 0)
-    assert tree.children(()).is_terminal
+    assert tree.children(()) == NO_CHILDREN
     assert ta_rank(af, 0) == 0
     assert stages_finite(af)[0] == 1
 
@@ -377,6 +378,28 @@ def test_ta_chain_examples():
     assert path[0] == 0
     assert ta_path_violations(af, 1, path,
                               af.plus_set(grounded_finite(af).grounded)) == []
+
+
+# a0 <-> a1, a2 -> a1 and a3 -> a2: G = {a3} and G+ = {a2}; a1's witness
+# path is (0, 0, 1, 0, 0, 1, ...)
+PATH_CHECK_AF = FiniteAF(4, [(0, 1), (1, 0), (2, 1), (3, 2)])
+
+
+@pytest.mark.parametrize("path, problem", [
+    ((1,), "first symbol 1 does not attack 1"),
+    ((2,), "first symbol 2 lies in G+"),
+    ((0, 0, 0), "level 1: a_1 attacks the committed set but the path "
+                "claims otherwise"),
+    ((0, 1), "level 0: extension by 1 at an unattacked level"),
+    ((0, 0, 4), "level 1: symbol 4 but a_3 does not attack a_1"),
+    ((0, 0, 3), "level 1: committed argument 2 is in G+"),
+])
+def test_ta_path_violations_names_each_bad_step(path, problem):
+    af = PATH_CHECK_AF
+    gplus = af.plus_set(grounded_finite(af).grounded)
+    assert gplus == {2}
+    assert witness_path(af, 1, 6) == (0, 0, 1, 0, 0, 1)
+    assert ta_path_violations(af, 1, path, gplus) == [problem]
 
 
 def test_ta_search_never_finds_paths_for_grounded_args():
