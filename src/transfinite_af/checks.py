@@ -29,7 +29,7 @@ from .constructions import (
     disjoint_union_with_embedding,
     ordinal_target_af,
 )
-from .core import ApxParseError, AttackerFamily, AttackerSpec, FiniteAF, LazyAF, \
+from .core import ApxParseError, AttackerSpec, Family, FiniteAF, LazyAF, \
     PairLeft, format_apx, least_right, pair, parse_apx, unpair
 from .errors import CapExceeded, DomainError, TransfiniteAFError, \
     UnsupportedExpression
@@ -413,11 +413,9 @@ def path_keyed_tree_af(tree: LazyTree) -> LazyAF:
         children = tree.children(path)
         explicit = tuple(2 * (pair(code, s) + 1) + 1 for s in children.symbols)
         families = tuple(
-            AttackerFamily(fam.symbol_map.then(PairLeft(code)).then(_B_STEP),
-                           fam.k_start,
-                           fam.child_rank_expr.add_finite(1)
-                           if tree.has_rank_annotations
-                           and fam.child_rank_expr is not None else None)
+            Family(fam.index_map.then(PairLeft(code)).then(_B_STEP), fam.k_start,
+                   fam.expr.add_finite(1)
+                   if tree.has_rank_annotations and fam.expr is not None else None)
             for fam in children.families)
         return AttackerSpec(explicit=explicit, families=families)
 

@@ -31,8 +31,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .core import (
     Affine,
-    AttackerFamily,
     AttackerSpec,
+    Family,
     FiniteAF,
     IndexMap,
     LazyAF,
@@ -44,7 +44,7 @@ from .core import (
     unpair,
 )
 from .errors import CapExceeded, UnsupportedExpression
-from .grounded import StageFamily, SymbolicStageMap, stages_finite
+from .grounded import SymbolicStageMap, stages_finite
 from .ordinals import (
     NEVER,
     ONE,
@@ -185,10 +185,10 @@ def af_from_tree(tree: LazyTree) -> LazyAF:
         families = []
         for fam in children.families:
             dse = None
-            if tree.has_rank_annotations and fam.child_rank_expr is not None:
-                dse = fam.child_rank_expr.add_finite(1)
-            families.append(AttackerFamily(
-                fam.symbol_map.then(PairLeft(code)).then(_B_STEP),
+            if tree.has_rank_annotations and fam.expr is not None:
+                dse = fam.expr.add_finite(1)
+            families.append(Family(
+                fam.index_map.then(PairLeft(code)).then(_B_STEP),
                 fam.k_start, dse))
         return AttackerSpec(explicit=explicit, families=tuple(families))
 
@@ -205,7 +205,7 @@ def af_from_tree(tree: LazyTree) -> LazyAF:
                 return ONE
             return NEVER if index % 2 else tree.state_rank(state) + 1
 
-        def family_all_never(fam: AttackerFamily) -> Optional[bool]:
+        def family_all_never(fam: Family) -> Optional[bool]:
             # families minted by this generator end at the b-companion step
             if fam.index_map.steps and fam.index_map.steps[-1] == _B_STEP:
                 return True
@@ -263,20 +263,20 @@ def baumann_spanring(truncate: Optional[int] = None):
         if i == 0:
             return AttackerSpec()
         if i == 1:
-            return AttackerSpec(families=(AttackerFamily(odd_a, 0, k_plus_1),))
+            return AttackerSpec(families=(Family(odd_a, 0, k_plus_1),))
         return AttackerSpec(explicit=(i - 2,))
 
-    def family_all_never(fam: AttackerFamily) -> Optional[bool]:
+    def family_all_never(fam: Family) -> Optional[bool]:
         # b_0's attackers, the odd a's, never enter G
         return True if fam.index_map == odd_a else None
 
     w_plus_k_plus_1 = AffineOrdinalExpr(((ONE, 0, 1), (ZERO, 1, 1)))
     candidate = SymbolicStageMap(
         families=(
-            StageFamily(IndexMap.affine(4, 0), k_plus_1),
-            StageFamily(odd_a, NEVER),
-            StageFamily(IndexMap.affine(4, 1), w_plus_k_plus_1, k_start=1),
-            StageFamily(IndexMap.affine(4, 3), NEVER),
+            Family(IndexMap.affine(4, 0), expr=k_plus_1),
+            Family(odd_a, expr=NEVER),
+            Family(IndexMap.affine(4, 1), 1, w_plus_k_plus_1),
+            Family(IndexMap.affine(4, 3), expr=NEVER),
         ),
         exceptions={1: Ordinal(((ONE, 1),)) + 1},  # b_0 enters just past w
         family_all_never=family_all_never,
@@ -300,7 +300,7 @@ class _Slice(NamedTuple):
     stage: Optional[Callable[[int], object]]
 
 
-def _union(parts: Callable[[int], object], families: Tuple[StageFamily, ...],
+def _union(parts: Callable[[int], object], families: Tuple[Family, ...],
            sup: Optional[Tuple[Ordinal, bool, Optional[int]]]) -> LazyAF:
     """The union of parts(0), parts(1), ... with part p's argument j at pair(p, j).
 
@@ -366,7 +366,7 @@ def _union(parts: Callable[[int], object], families: Tuple[StageFamily, ...],
             s = slice_of(p)
             return ONE if j >= s.size else s.stage(j)
 
-        def family_all_never(fam: AttackerFamily) -> Optional[bool]:
+        def family_all_never(fam: Family) -> Optional[bool]:
             # attacker families come only from lazy parts, lifted by PairLeft
             steps = fam.index_map.steps
             if steps and isinstance(steps[-1], PairLeft):
@@ -407,6 +407,9 @@ def ordinal_target_af(alpha, truncate: Optional[int] = None):
         beta = alpha.predecessor()
         tree = build_tree_of_rank(beta)
         if truncate is not None:
+            if truncate < 1:
+                raise ValueError(f"truncate={truncate} keeps no node of the "
+                                 f"tree behind successor target {alpha}; use >= 1")
             return af_from_finite_tree(truncate_tree(tree, width=truncate)).af
         if beta.is_finite:
             return af_from_finite_tree(truncate_tree(tree, width=1)).af
@@ -443,7 +446,7 @@ def ordinal_target_af(alpha, truncate: Optional[int] = None):
     root_stages = fundamental_sequence_expr(alpha).add_finite(1)
     return _union(
         lambda i: af_from_tree(build_tree_of_rank(fundamental_sequence(alpha, i))),
-        (StageFamily(IndexMap((PairRight(0),)), root_stages),),
+        (Family(IndexMap((PairRight(0),)), expr=root_stages),),
         (alpha, False, None))
 
 
@@ -498,7 +501,7 @@ def disjoint_union_with_embedding(parts: List):
             return index[offsets[p] + j]
         return af, embed
 
-    families: List[StageFamily] = []
+    families: List[Family] = []
     sup = None
     if all(isinstance(p, FiniteAF) or p.candidate_stages is not None
            for p in parts):

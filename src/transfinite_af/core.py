@@ -5,7 +5,7 @@ relation explicitly with adjacency in both directions (attacker lookups
 drive the tree reductions, so the reverse index matters).  A lazy AF is
 a total decidable attack predicate over all of N together with a
 per-argument attacker description: a finite explicit list and/or
-affine-indexed infinite families.  Both kinds answer the same attacker
+affine families (`Family`).  Both kinds answer the same attacker
 queries (`universe`, `attacker_spec`, `attacker_candidates`), so the
 engines ask them without knowing which kind they hold.
 
@@ -145,22 +145,23 @@ class IndexMap:
         return None
 
 
-# -- attacker descriptions --------------------------------------------------
+# -- affine families ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class AttackerFamily:
-    """An infinite family of attackers {index_map(k) : k >= k_start}.
+class Family:
+    """An infinite family {index_map(k) : k >= k_start} of tree children,
+    attackers or stage-map arguments.
 
-    defense_stage_expr, when present, is the closed form (affine in k) of
-    the least stage among the counter-attackers of member k.  It is
-    generator-supplied and always validated against samples before any
-    symbolic use; NEVER means no member is ever counter-attacked.
+    expr, when present, is member k's affine closed form in k: a child's
+    declared rank, the least stage among attacker k's counter-attackers
+    (NEVER: none is ever counter-attacked), or a stage.  Generators
+    supply it, and it is checked on samples before any symbolic use.
     """
 
     index_map: IndexMap
     k_start: int = 0
-    defense_stage_expr: object = None  # AffineOrdinalExpr | NEVER | None
+    expr: object = None  # AffineOrdinalExpr | NEVER | None
 
     def member(self, k: int) -> int:
         return self.index_map(k)
@@ -175,7 +176,7 @@ class AttackerSpec:
     """Complete description of the attackers of one argument."""
 
     explicit: Tuple[int, ...] = ()
-    families: Tuple[AttackerFamily, ...] = ()
+    families: Tuple[Family, ...] = ()
 
     # the spot check asks about every attacker of a spec, so a long
     # explicit list is searched as a set

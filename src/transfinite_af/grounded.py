@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .core import AttackerFamily, AttackerSpec, FiniteAF, IndexMap, LazyAF, \
+from .core import AttackerSpec, Family, FiniteAF, LazyAF, \
     spot_check_attacker_spec
 from .errors import ClosureError, DomainError, IncompleteStageMap
 from .ordinals import NEVER, ZERO, Ordinal, StageValue
@@ -200,23 +200,6 @@ def omega_approximation(af: LazyAF, window: int, steps: int,
 # -- symbolic stage maps --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StageFamily:
-    """Closed-form stages for an affine-indexed family of arguments."""
-
-    index_map: IndexMap
-    stage: object  # AffineOrdinalExpr | NEVER
-    k_start: int = 0
-
-    def lookup(self, index: int) -> Optional[StageValue]:
-        k = self.index_map.invert(index)
-        if k is None or k < self.k_start:
-            return None
-        if self.stage is NEVER:
-            return NEVER
-        return self.stage.evaluate(k)
-
-
 class SymbolicStageMap:
     """Candidate per-argument least stages for a lazy AF.
 
@@ -232,11 +215,11 @@ class SymbolicStageMap:
     family it cannot prove all-NEVER is not.
     """
 
-    def __init__(self, families: Tuple[StageFamily, ...] = (),
+    def __init__(self, families: Tuple[Family, ...] = (),
                  exceptions: Optional[Dict[int, StageValue]] = None,
                  fallback: Optional[Callable[[int], StageValue]] = None,
                  sup: Optional[Tuple[Ordinal, bool, Optional[int]]] = None,
-                 family_all_never: Optional[Callable[[AttackerFamily],
+                 family_all_never: Optional[Callable[[Family],
                                                      Optional[bool]]] = None):
         self.families = tuple(families)
         self.exceptions = dict(exceptions or {})
@@ -252,14 +235,14 @@ class SymbolicStageMap:
         if index in self.exceptions:
             return self.exceptions[index]
         for fam in self.families:
-            v = fam.lookup(index)
-            if v is not None:
-                return v
+            k = fam.index_map.invert(index)
+            if k is not None and k >= fam.k_start:
+                return NEVER if fam.expr is NEVER else fam.expr.evaluate(k)
         if self.fallback is not None:
             return self.fallback(index)
         raise IncompleteStageMap(f"no stage value for argument {index}")
 
-    def family_all_never(self, family: AttackerFamily) -> Optional[bool]:
+    def family_all_never(self, family: Family) -> Optional[bool]:
         if self._family_all_never is not None:
             return self._family_all_never(family)
         return None
@@ -278,9 +261,9 @@ class SymbolicStageMap:
             if v > best or (v == best and not attained):
                 best, attained, witness = v, True, idx
         for fam in self.families:
-            if fam.stage is NEVER:
+            if fam.expr is NEVER:
                 continue
-            value, att = fam.stage.sup_over(fam.k_start)
+            value, att = fam.expr.sup_over(fam.k_start)
             if value > best or (value == best and att and not attained):
                 best, attained = value, att
                 witness = fam.index_map(fam.k_start) if att else None
@@ -385,7 +368,7 @@ class _Verifier:
             elif m > tight:
                 tight = m
         for fam in spec.families:
-            dse = fam.defense_stage_expr
+            dse = fam.expr
             if dse is None:
                 self.bad(a, "closed-form",
                          "attacker family lacks a defense stage closed form")
@@ -419,9 +402,9 @@ class _Verifier:
 
     # -- rule (ii): NEVER ------------------------------------------------
 
-    # Every member of fam is NEVER: on the generator's verdict, or by
-    # affine alignment; a family proved neither way is not all-NEVER.
-    def family_members_all_never(self, fam: AttackerFamily) -> bool:
+    # Is every member of fam NEVER: the generator's verdict, else affine
+    # alignment; None when neither settles it, so it is not proved.
+    def family_members_all_never(self, fam: Family) -> Optional[bool]:
         answer = self.candidate.family_all_never(fam)
         if answer is not None:
             return bool(answer)
@@ -430,9 +413,9 @@ class _Verifier:
                 and all(f.index_map.pure_affine is not None
                         for f in self.candidate.families)):
             return self._all_never_by_alignment(fam, aff)
-        return False
+        return None
 
-    def _all_never_by_alignment(self, fam: AttackerFamily, aff) -> bool:
+    def _all_never_by_alignment(self, fam: Family, aff) -> Optional[bool]:
         period = 1
         thresholds = [fam.k_start]
         for sf in self.candidate.families:
@@ -445,39 +428,45 @@ class _Verifier:
             top = max(self.candidate.exceptions)
             thresholds.append((top - aff.b) // aff.a + 1)
         if period > 10_000:
-            return False
+            return None
         stable = max(thresholds)
         for k in range(fam.k_start, stable + period + 1):
             try:
                 if self.stage(fam.member(k)) is not NEVER:
                     return False
             except IncompleteStageMap:
-                return False
+                return None
         return True
 
-    def attacker_never_in_g_plus(self, b: int) -> bool:
+    # True when every counter-attacker of b is NEVER, False when one is
+    # not, else the first family of them not proved all-NEVER.
+    def attacker_never_in_g_plus(self, b: int):
         spec = self.spec(b)
         for c in spec.explicit:
             if self.stage(c) is not NEVER:
                 return False
         for fam in spec.families:
-            if not self.family_members_all_never(fam):
-                return False
+            verdict = self.family_members_all_never(fam)
+            if verdict is not True:
+                return False if verdict is False else fam
         return True
 
     def check_never(self, a: int):
         spec = self.spec(a)
-        for b in spec.explicit:
-            if self.attacker_never_in_g_plus(b):
+        unproven = None
+        for b in chain(spec.explicit, (
+                fam.member(k) for fam in spec.families
+                for k in range(fam.k_start, fam.k_start + FAMILY_PROBE))):
+            verdict = self.attacker_never_in_g_plus(b)
+            if verdict is True:
                 return
-        for fam in spec.families:
-            for k in range(fam.k_start, fam.k_start + FAMILY_PROBE):
-                if self.attacker_never_in_g_plus(fam.member(k)):
-                    return
+            if verdict is not False and unproven is None:
+                unproven = (f"attacker {b}'s counter-attacker family "
+                            f"{verdict.index_map} is not proved all-NEVER")
         if not spec.explicit and not spec.families:
             self.bad(a, "never", "claimed NEVER but the argument is unattacked")
         else:
-            self.bad(a, "never",
+            self.bad(a, "never", unproven or
                      "no attacker with all counter-attackers NEVER was found "
                      f"within the first {FAMILY_PROBE} family members")
 
@@ -512,9 +501,9 @@ class _Verifier:
                          f"unattained sup {value} must be a limit")
             cofinal = False
             for fam in self.candidate.families:
-                if fam.stage is NEVER:
+                if fam.expr is NEVER:
                     continue
-                fam_sup, fam_att = fam.stage.sup_over(fam.k_start)
+                fam_sup, fam_att = fam.expr.sup_over(fam.k_start)
                 if fam_sup > value:
                     self.bad("sup", "sup",
                              f"family stages reach {fam_sup} beyond declared "

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .errors import CapExceeded, DomainError, UnsupportedExpression
-from .core import IndexMap
+from .core import Family, IndexMap
 from .ordinals import (
     ZERO,
     AffineOrdinalExpr,
@@ -35,32 +35,11 @@ ROOT: NodePath = ()
 
 
 @dataclass(frozen=True)
-class ChildFamily:
-    """Infinitely many children: symbols {symbol_map(k) : k >= k_start}.
-
-    child_rank_expr, when present, gives the declared rank of the child
-    reached by symbol_map(k) as an affine closed form in k; it is what
-    makes the rank of the parent verifiable.
-    """
-
-    symbol_map: IndexMap
-    k_start: int = 0
-    child_rank_expr: Optional[AffineOrdinalExpr] = None
-
-    def symbol(self, k: int) -> int:
-        return self.symbol_map(k)
-
-    def contains(self, symbol: int) -> bool:
-        k = self.symbol_map.invert(symbol)
-        return k is not None and k >= self.k_start
-
-
-@dataclass(frozen=True)
 class ChildrenSpec:
     """Children of one node: finite symbols plus affine families."""
 
     symbols: Tuple[int, ...] = ()
-    families: Tuple[ChildFamily, ...] = ()
+    families: Tuple[Family, ...] = ()
 
     def contains(self, symbol: int) -> bool:
         return symbol in self.symbols or any(f.contains(symbol) for f in self.families)
@@ -68,7 +47,7 @@ class ChildrenSpec:
     def first_symbols(self, width: int) -> Tuple[int, ...]:
         out = list(self.symbols)
         for fam in self.families:
-            out.extend(fam.symbol(k) for k in range(fam.k_start, fam.k_start + width))
+            out.extend(map(fam.member, range(fam.k_start, fam.k_start + width)))
         return tuple(out)
 
 
@@ -276,18 +255,15 @@ class LazyTree:
 # -- exact rank of finite expansions ------------------------------------
 
 
-def rank_finite(tree, node_cap: int = 200_000) -> Ordinal:
-    """Exact rank of a tree with finitely many nodes.
+def rank_finite(tree: FiniteTree, node_cap: int = 200_000) -> Ordinal:
+    """Exact rank of a finite tree of at most node_cap nodes.
 
     Bottom-up recursion per the rank definition; the finite sup is a
-    max.  Lazy trees must be explicit everywhere (truncate families
-    first) and are expanded subject to node_cap.
+    max.
     """
-    if isinstance(tree, FiniteTree):
-        if len(tree) > node_cap:
-            raise CapExceeded(f"tree has {len(tree)} nodes, cap {node_cap}")
-        return tree.rank()
-    return _expand(tree, node_cap=node_cap).rank()
+    if len(tree) > node_cap:
+        raise CapExceeded(f"tree has {len(tree)} nodes, cap {node_cap}")
+    return tree.rank()
 
 
 def _expand(tree: LazyTree, node_cap: int, width: Optional[int] = None,
@@ -422,21 +398,21 @@ _ONLY_CHILD = ChildrenSpec(symbols=(0,))
 _EVERY_SYMBOL = IndexMap.affine(1, 0)
 
 
-class _LimitFamily(ChildFamily):
+class _LimitFamily(Family):
     """Child k of a node of limit rank lam has rank fundamental_sequence(lam,
     k).  Expansions never read the ranks' closed form, so it is worked out
-    when first read; the symbol map is the identity."""
+    when first read; the index map is the identity."""
 
-    symbol_map = _EVERY_SYMBOL
+    index_map = _EVERY_SYMBOL
 
     def __init__(self, lam: Ordinal):
         object.__setattr__(self, "_lam", lam)
 
     @cached_property
-    def child_rank_expr(self) -> Optional[AffineOrdinalExpr]:
+    def expr(self) -> Optional[AffineOrdinalExpr]:
         return fundamental_sequence_expr(self._lam)
 
-    def symbol(self, k: int) -> int:
+    def member(self, k: int) -> int:
         return k
 
     def contains(self, symbol: int) -> bool:
@@ -512,17 +488,16 @@ def check_declared_ranks(tree: LazyTree, sample_width: int,
         rank_of = dict(zip(symbols, map(tree.state_rank, kids)))
         want = max((rank_of[s] + 1 for s in spec.symbols), default=ZERO)
         for fam in spec.families:
-            if fam.child_rank_expr is None:
+            if fam.expr is None:
                 raise UnsupportedExpression(
                     f"{list(p)}: family child ranks are not affine-expressible")
             for k in range(fam.k_start, fam.k_start + sample_width):
-                s = fam.symbol(k)
-                closed = fam.child_rank_expr.evaluate(k)
+                s = fam.member(k)
+                closed = fam.expr.evaluate(k)
                 if rank_of[s] != closed:
                     violations.append(f"{list(p + (s,))}: declared {rank_of[s]}, "
                                       f"closed form gives {closed}")
-            want = max(want, fam.child_rank_expr.add_finite(1).sup_over(
-                fam.k_start)[0])
+            want = max(want, fam.expr.add_finite(1).sup_over(fam.k_start)[0])
         if declared != want:
             violations.append(f"{list(p)}: declared {declared}, children give {want}")
         if len(p) < sample_depth:

@@ -364,6 +364,18 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_zero_truncation_of_a_successor_target_exits_2(capsys):
+    for argv, target in [(("gen", "ord:3:truncate=0"), "3"),
+                         (("grounded", "ord:w+1:truncate=0"), "w+1")]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err == ("error: truncate=0 keeps no node of the tree behind "
+                       f"successor target {target}; use >= 1\n")
+    # limit targets and bs truncate to the empty AF
+    for spec in ("ord:w:truncate=0", "bs:truncate=0"):
+        assert run(capsys, "gen", spec)[0] == 0
+
+
 def test_os_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "grounded", f"apx:{tmp_path}")
     assert code == 2 and err.startswith("error:")

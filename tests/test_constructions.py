@@ -17,7 +17,7 @@ from transfinite_af.constructions import (
     ordinal_target_af,
     parse_generator_spec,
 )
-from transfinite_af.core import SPEC_FAMILY_PROBE, AttackerFamily, AttackerSpec, \
+from transfinite_af.core import SPEC_FAMILY_PROBE, AttackerSpec, Family, \
     FiniteAF, LazyAF, PairLeft, format_apx, pair, spot_check_attacker_spec, unpair
 from transfinite_af.errors import CapExceeded, UnsupportedExpression
 from transfinite_af.grounded import (
@@ -309,8 +309,7 @@ def test_union_places_part_p_argument_j_at_pair(text):
             assert cand.stage_of(x) == stages_finite(part)[j]
             continue
         inner = part.attacker_spec(j)
-        lifted = tuple(AttackerFamily(f.index_map.then(PairLeft(p)), f.k_start,
-                                      f.defense_stage_expr)
+        lifted = tuple(Family(f.index_map.then(PairLeft(p)), f.k_start, f.expr)
                        for f in inner.families)
         assert union.attacker_spec(x) == AttackerSpec(
             explicit=tuple(pair(p, b) for b in inner.explicit), families=lifted)

@@ -7,8 +7,8 @@ from transfinite_af.checks import per_line_parse_apx
 from transfinite_af.core import (
     Affine,
     ApxParseError,
-    AttackerFamily,
     AttackerSpec,
+    Family,
     FiniteAF,
     IndexMap,
     LazyAF,
@@ -213,11 +213,11 @@ def test_index_map_roundtrip():
 
 
 def test_attacker_family_members_below():
-    fam = AttackerFamily(IndexMap.affine(4, 2))
+    fam = Family(IndexMap.affine(4, 2))
     assert [v for v in range(20) if fam.contains(v)] == [2, 6, 10, 14, 18]
     assert fam.contains(10)
     assert not fam.contains(11)
-    shifted = AttackerFamily(IndexMap.affine(4, 2), k_start=2)
+    shifted = Family(IndexMap.affine(4, 2), k_start=2)
     assert not shifted.contains(2)
     assert shifted.contains(10)
 

@@ -17,6 +17,10 @@ through `FiniteAF._built`.
 T_S and T^a are defined once, by the state machine `_ts_states`: no
 other code in rank_analysis.py builds children or node states.
 
+Children of a tree node, attackers of an argument and arguments of a
+stage map come in one affine family type, `core.Family`: no other
+library class has a `k_start` field unless it subclasses Family.
+
 Every function, method and class of the library outside checks.py is
 named by some library code or exported in `__all__`; the few that only
 the tests read are listed with the reason they stay.
@@ -135,6 +139,53 @@ def test_only_the_ts_state_machine_builds_tree_nodes():
         and node.func.id in TREE_PARTS))
     assert {scope.split(".")[0] for scope, _ in builds} == {"_ts_states"}
 
+
+def classes() -> dict:
+    """{(module, class): (its base names, whether it stores a k_start)}
+    over every library class; a store is an assignment to k_start (a
+    field, or self.k_start) or the string "k_start" inside the class."""
+    table = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = {b.id if isinstance(b, ast.Name) else b.attr
+                     for b in node.bases if isinstance(b, (ast.Name, ast.Attribute))}
+            stores = any(
+                (getattr(n, "id", None) == "k_start" or getattr(n, "attr", None)
+                 == "k_start") and isinstance(getattr(n, "ctx", None), ast.Store)
+                or isinstance(n, ast.Constant) and n.value == "k_start"
+                for n in ast.walk(node))
+            table[(path.name, node.name)] = bases, stores
+    return table
+
+
+def subclasses(table: dict, roots: set) -> set:
+    """The roots and every class that inherits from one, by base name."""
+    found = set(roots)
+    while True:
+        names = {name for _, name in found}
+        more = {key for key, (bases, _) in table.items()
+                if key not in found and bases & names}
+        if not more:
+            return found
+        found |= more
+
+
+def k_start_classes(table: dict) -> set:
+    """Every class that stores a k_start or inherits one."""
+    return subclasses(table, {key for key, (_, stores) in table.items() if stores})
+
+
+def test_family_is_the_one_affine_family_type():
+    table = classes()
+    assert k_start_classes(table) - subclasses(table, {("core.py", "Family")}) \
+        == set()
+
+
+def test_the_guard_sees_family_and_its_subclass():
+    assert k_start_classes(classes()) == \
+        {("core.py", "Family"), ("trees.py", "_LimitFamily")}
 
 
 DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)

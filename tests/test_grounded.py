@@ -5,8 +5,8 @@ import pytest
 
 from transfinite_af.constructions import materialize_spec, parse_generator_spec
 from transfinite_af.core import (
-    AttackerFamily,
     AttackerSpec,
+    Family,
     FiniteAF,
     IndexMap,
     LazyAF,
@@ -16,7 +16,6 @@ from transfinite_af.errors import ClosureError, DomainError, IncompleteStageMap
 from transfinite_af.grounded import (
     GroundedResult,
     OmegaApproximation,
-    StageFamily,
     SymbolicStageMap,
     VerificationReport,
     grounded_finite,
@@ -169,7 +168,7 @@ def test_omega_insufficient_steps_reports_unknown():
 
 
 def test_omega_rejects_families_in_window():
-    fam = AttackerFamily(IndexMap.affine(2, 1))
+    fam = Family(IndexMap.affine(2, 1))
 
     def spec(i):
         return AttackerSpec(families=(fam,)) if i == 0 else AttackerSpec()
@@ -209,7 +208,7 @@ def two_chain_lazy():
         if i == 0:
             return AttackerSpec()
         if i == 1:
-            fam = AttackerFamily(IndexMap.affine(4, 2), 0, k_plus_1)
+            fam = Family(IndexMap.affine(4, 2), 0, k_plus_1)
             return AttackerSpec(families=(fam,))
         return AttackerSpec(explicit=(i - 2,))
 
@@ -219,10 +218,10 @@ def two_chain_lazy():
 def two_chain_candidate():
     w_plus_k_plus_1 = AffineOrdinalExpr(((ONE, 0, 1), (ZERO, 1, 1)))
     families = (
-        StageFamily(IndexMap.affine(4, 0), AffineOrdinalExpr.affine(1, 1)),
-        StageFamily(IndexMap.affine(4, 2), NEVER),
-        StageFamily(IndexMap.affine(4, 1), w_plus_k_plus_1, k_start=1),
-        StageFamily(IndexMap.affine(4, 3), NEVER),
+        Family(IndexMap.affine(4, 0), expr=AffineOrdinalExpr.affine(1, 1)),
+        Family(IndexMap.affine(4, 2), expr=NEVER),
+        Family(IndexMap.affine(4, 1), 1, w_plus_k_plus_1),
+        Family(IndexMap.affine(4, 3), expr=NEVER),
     )
     return SymbolicStageMap(families=families, exceptions={1: OMEGA + 1})
 
@@ -241,7 +240,7 @@ def test_verifier_catches_two_chain_tampering():
     report = verify_symbolic_stages(two_chain_lazy(), bad, sample=40)
     assert not report.ok
     # a_{2k} family shifted by one
-    fams = (StageFamily(IndexMap.affine(4, 0), AffineOrdinalExpr.affine(1, 2)),) \
+    fams = (Family(IndexMap.affine(4, 0), expr=AffineOrdinalExpr.affine(1, 2)),) \
         + base.families[1:]
     report = verify_symbolic_stages(
         two_chain_lazy(), SymbolicStageMap(families=fams, exceptions={1: OMEGA + 1}),
@@ -281,6 +280,11 @@ def bs_stages():
     return materialize_spec(parse_generator_spec("bs")).candidate_stages
 
 
+# b_1 (3) fails for its one attacker b_0 (1), whose attackers are the odd a's
+ODD_A_UNPROVEN = ("attacker 1's counter-attacker family "
+                  f"{IndexMap.affine(4, 2)} is not proved all-NEVER")
+
+
 @pytest.mark.parametrize("sample", [16, 64])
 def test_unproven_never_family_fails_closed(sample):
     # a fallback rules out alignment, and the family is not sampled
@@ -290,6 +294,7 @@ def test_unproven_never_family_fails_closed(sample):
                                  fallback=own.stage_of, sup=own.declared_sup())
     report = verify_symbolic_stages(two_chain_lazy(), candidate, sample=sample)
     assert found(report) == {("never", "3")}
+    assert messages(report, "never", "3") == [ODD_A_UNPROVEN]
     assert report.grounding_ordinal is None
 
 
@@ -298,11 +303,12 @@ def test_alignment_past_its_period_cap_fails_closed():
     aligned = SymbolicStageMap(families=own.families, exceptions=own.exceptions)
     assert verify_symbolic_stages(two_chain_lazy(), aligned, sample=16).ok
     # odd a's again, at period 4 * 10007 / gcd(4, 4 * 10007) = 10007
-    wide = StageFamily(IndexMap.affine(4 * 10007, 2), NEVER)
+    wide = Family(IndexMap.affine(4 * 10007, 2), expr=NEVER)
     candidate = SymbolicStageMap(families=own.families + (wide,),
                                  exceptions=own.exceptions)
     report = verify_symbolic_stages(two_chain_lazy(), candidate, sample=16)
     assert found(report) == {("never", "3")}
+    assert messages(report, "never", "3") == [ODD_A_UNPROVEN]
 
 
 def family_attacked_lazy(decreasing=False):
@@ -310,7 +316,7 @@ def family_attacked_lazy(decreasing=False):
     unattacked, except that when `decreasing` 3 attacks 2 and 5 attacks 3,
     so the family's stages start 2, 1, 1, ..."""
     extra = {(3, 2), (5, 3)} if decreasing else set()
-    family = AttackerFamily(IndexMap.affine(2, 2))
+    family = Family(IndexMap.affine(2, 2))
 
     def pred(x, y):
         return ((x, y) == (1, 0) or (y == 1 and x >= 2 and x % 2 == 0)
@@ -326,7 +332,7 @@ def family_attacked_lazy(decreasing=False):
 
 
 def family_attacked_candidate(exceptions):
-    stage_one = StageFamily(IndexMap.affine(1, 2), AffineOrdinalExpr.affine(0, 1))
+    stage_one = Family(IndexMap.affine(1, 2), expr=AffineOrdinalExpr.affine(0, 1))
     return SymbolicStageMap(families=(stage_one,), exceptions=exceptions)
 
 
@@ -363,14 +369,14 @@ def test_verifier_bounds_a_never_defended_family():
     def spec(i):
         if i == 0:
             return AttackerSpec(families=(
-                AttackerFamily(IndexMap.affine(2, 1), 0, NEVER),))
+                Family(IndexMap.affine(2, 1), 0, NEVER),))
         return AttackerSpec()
 
     af = LazyAF(lambda x, y: y == 0 and x % 2 == 1, spec)
     report = verify_symbolic_stages(
         af, SymbolicStageMap(
-            families=(StageFamily(IndexMap.affine(1, 1),
-                                  AffineOrdinalExpr.affine(0, 1)),),
+            families=(Family(IndexMap.affine(1, 1),
+                             expr=AffineOrdinalExpr.affine(0, 1)),),
             exceptions={0: Ordinal.from_int(2)}),
         sample=8)
     assert found(report) == {("bound", "0")}
@@ -435,7 +441,7 @@ def test_verifier_rejects_a_family_above_the_declared_sup():
 def test_verifier_spot_checks_attacker_families():
     # b_0's attackers listed as the even a's, which do not attack it
     base = two_chain_lazy()
-    even_a = AttackerFamily(IndexMap.affine(4, 0))
+    even_a = Family(IndexMap.affine(4, 0))
     af = LazyAF(base.attacks, lambda i: AttackerSpec(families=(even_a,))
                 if i == 1 else base.attacker_spec(i))
     report = verify_symbolic_stages(af, two_chain_candidate(), sample=4)

@@ -16,7 +16,6 @@ from transfinite_af.ordinals import (
 )
 from transfinite_af.trees import (
     ROOT,
-    ChildFamily,
     ChildrenSpec,
     FiniteTree,
     LazyTree,
@@ -30,7 +29,7 @@ from transfinite_af.trees import (
     truncate_tree,
 )
 from transfinite_af.constructions import af_from_tree
-from transfinite_af.core import IndexMap, pair
+from transfinite_af.core import Family, IndexMap, pair
 
 W2 = Ordinal(((Ordinal.from_int(1), 2),))  # w*2
 
@@ -92,7 +91,7 @@ def counterexample_tree():
 
     def children(p):
         if not p or len(p) - 1 < p[0]:
-            return ChildrenSpec(families=(ChildFamily(IndexMap.affine(1, 0)),))
+            return ChildrenSpec(families=(Family(IndexMap.affine(1, 0)),))
         return ChildrenSpec()
 
     return LazyTree(children_of=children)
@@ -355,7 +354,7 @@ def test_path_search_counts_every_pushed_node(monkeypatch):
 
 def _wide_tree(calls):
     """Every node has a family of children; `child` counts its calls."""
-    every = ChildrenSpec(families=(ChildFamily(IndexMap.affine(1, 0)),))
+    every = ChildrenSpec(families=(Family(IndexMap.affine(1, 0)),))
 
     def child(state, symbol):
         calls["child"] += 1
