@@ -218,8 +218,6 @@ def predicate_omega_approximation(af: LazyAF, window: int, steps: int,
     """
     if window < 1 or steps < 1:
         raise ValueError("window and steps must be >= 1")
-    if closure_cap is None:
-        closure_cap = max(8 * window + 64, 256)
     attackers = _attacker_closure(af, window, closure_cap)
     closure = set(attackers)
 

@@ -43,7 +43,7 @@ from .core import (
     parse_apx,
     unpair,
 )
-from .errors import CapExceeded, UnsupportedExpression
+from .errors import UnsupportedExpression
 from .grounded import SymbolicStageMap, stages_finite
 from .ordinals import (
     NEVER,
@@ -55,8 +55,8 @@ from .ordinals import (
     fundamental_sequence_expr,
     parse_ordinal,
 )
-from .trees import OFF_TREE, TRUNCATE_NODE_CAP, TRUNCATE_SYMBOL_CAP, FiniteTree, \
-    LazyTree, build_tree_of_rank, tree_from_json, truncate_tree
+from .trees import OFF_TREE, TRUNCATE_NODE_CAP, FiniteTree, LazyTree, _expand, \
+    build_tree_of_rank, expansion_budgets, tree_from_json, truncate_tree
 
 
 def _path_name(prefix: str, path) -> str:
@@ -421,26 +421,15 @@ def ordinal_target_af(alpha, truncate: Optional[int] = None):
             "cannot certify a symbolic stage map")
 
     if truncate is not None:
-        # The parts share the node and path-symbol budgets, spent before any
-        # AF is built; part i has rank >= i, so >= i+1 nodes on paths of
-        # >= i(i+1)/2 symbols, and too many parts fail up front.
-        if truncate * (truncate + 1) // 2 > TRUNCATE_NODE_CAP:
-            raise CapExceeded(f"expansion exceeded {TRUNCATE_NODE_CAP} nodes")
-        if (truncate - 1) * truncate * (truncate + 1) // 6 > TRUNCATE_SYMBOL_CAP:
-            raise CapExceeded(
-                f"expansion exceeded {TRUNCATE_SYMBOL_CAP} path symbols")
-        trees, used, held = [], 0, 0
-        for i in range(truncate):
-            part = truncate_tree(build_tree_of_rank(fundamental_sequence(alpha, i)),
-                                 width=truncate)
-            used += len(part)
-            held += part.path_symbols()
-            if used > TRUNCATE_NODE_CAP:
-                raise CapExceeded(f"expansion exceeded {TRUNCATE_NODE_CAP} nodes")
-            if held > TRUNCATE_SYMBOL_CAP:
-                raise CapExceeded(
-                    f"expansion exceeded {TRUNCATE_SYMBOL_CAP} path symbols")
-            trees.append(part)
+        # The parts spend from one pair of budgets before any AF is built.
+        # Part i has rank >= i, so >= i+1 nodes on paths of >= i(i+1)/2
+        # symbols: too many parts fail up front, on a pair of their own.
+        nodes, path_symbols = expansion_budgets(TRUNCATE_NODE_CAP)
+        nodes.spend(truncate * (truncate + 1) // 2)
+        path_symbols.spend((truncate - 1) * truncate * (truncate + 1) // 6)
+        budgets = expansion_budgets(TRUNCATE_NODE_CAP)
+        trees = [_expand(build_tree_of_rank(fundamental_sequence(alpha, i)),
+                         *budgets, width=truncate) for i in range(truncate)]
         return _compact_union([_tree_af_table(t) for t in trees])[0]
 
     root_stages = fundamental_sequence_expr(alpha).add_finite(1)

@@ -1,7 +1,8 @@
-"""Shared exception types.
+"""Shared exception types, and the budget behind every cap.
 
 Parse-type errors subclass ValueError and live next to their parsers;
-everything here is a runtime/domain failure.
+everything here is a runtime/domain failure.  Every cap is a `Budget`, the
+only library code outside checks.py's oracles that raises CapExceeded.
 """
 
 
@@ -25,12 +26,14 @@ class IncompleteStageMap(TransfiniteAFError):
     """A candidate stage map has no value for a required argument."""
 
 
-class ClosureError(TransfiniteAFError):
-    """Attacker closure could not be computed for a window.
+class Budget:
+    """A cap on one count: `spend(k)` adds k to `used` and raises
+    CapExceeded, "<what> exceeded <cap> <unit>", once `used` passes `cap`."""
 
-    Carries the argument whose attackers forced the breach.
-    """
+    def __init__(self, what: str, cap: int, unit: str):
+        self.what, self.cap, self.unit, self.used = what, cap, unit, 0
 
-    def __init__(self, message: str, argument: int):
-        super().__init__(message)
-        self.argument = argument
+    def spend(self, k: int) -> None:
+        self.used += k
+        if self.used > self.cap:
+            raise CapExceeded(f"{self.what} exceeded {self.cap} {self.unit}")

@@ -35,7 +35,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .core import AttackerSpec, Family, FiniteAF, LazyAF, \
     spot_check_attacker_spec
-from .errors import ClosureError, DomainError, IncompleteStageMap
+from .errors import Budget, DomainError, IncompleteStageMap
 from .ordinals import NEVER, ZERO, Ordinal, StageValue
 
 
@@ -127,21 +127,26 @@ class OmegaApproximation:
     stabilized: bool
 
 
-def _attacker_closure(af: LazyAF, window: int,
-                      closure_cap: int) -> Dict[int, Tuple[int, ...]]:
+def _attacker_closure(af: LazyAF, window: int, closure_cap: Optional[int]
+                      ) -> Dict[int, Tuple[int, ...]]:
     """{x: explicit attackers of x} over the attacker closure of [0, window).
 
-    Grown by reverse reachability; a family-presented attacker spec is a
-    DomainError and breaching the cap a ClosureError naming the argument
-    being closed.
+    Grown by reverse reachability, each argument queued once when first
+    seen; a family-presented attacker spec is a DomainError, and more
+    distinct arguments than closure_cap (by default max(8 * window + 64,
+    256)) are CapExceeded.
     """
+    if closure_cap is None:
+        closure_cap = max(8 * window + 64, 256)
+    budget = Budget(f"attacker closure of window {window}", closure_cap,
+                    "arguments")
     hi = window if af.universe is None else min(window, af.universe)
     frontier = list(range(hi))
+    seen = set(frontier)
+    budget.spend(hi)
     attackers: Dict[int, Tuple[int, ...]] = {}
     while frontier:
         a = frontier.pop()
-        if a in attackers:
-            continue
         spec = af.attacker_spec(a)
         if spec.families:
             raise DomainError(
@@ -149,11 +154,9 @@ def _attacker_closure(af: LazyAF, window: int,
                 "use the symbolic engine")
         attackers[a] = spec.explicit
         for b in spec.explicit:
-            if b not in attackers:
-                if len(attackers) + len(frontier) >= closure_cap:
-                    raise ClosureError(
-                        f"attacker closure of window {window} exceeded cap "
-                        f"{closure_cap} while closing argument {a}", a)
+            if b not in seen:
+                seen.add(b)
+                budget.spend(1)
                 frontier.append(b)
     return attackers
 
@@ -165,16 +168,14 @@ def omega_approximation(af: LazyAF, window: int, steps: int,
     Every closure argument must have a purely explicit attacker spec;
     family-presented attackers belong to the symbolic engine.  The
     closure is grown by reverse reachability and capped: breaching the
-    cap is an error naming the offending argument, never a silent
-    truncation.  The rounds run the stage kernel of `grounded_finite`
-    over the closure, with target lists inverted from the attacker
-    specs, in O(closure + its attacks).  The result is `stabilized` only
-    when some round within `steps` adds no argument.
+    cap is an error, never a silent truncation.  The rounds run the stage
+    kernel of `grounded_finite` over the closure, with target lists
+    inverted from the attacker specs, in O(closure + its attacks).  The
+    result is `stabilized` only when some round within `steps` adds no
+    argument.
     """
     if window < 1 or steps < 1:
         raise ValueError("window and steps must be >= 1")
-    if closure_cap is None:
-        closure_cap = max(8 * window + 64, 256)
     attackers = _attacker_closure(af, window, closure_cap)
     targets: Dict[int, List[int]] = {x: [] for x in attackers}
     for x, xs in attackers.items():

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .core import FiniteAF, unpair
-from .errors import CapExceeded, DomainError
+from .errors import Budget, DomainError
 from .grounded import grounded_finite
 from .ordinals import NEVER, Ordinal
 from .trees import ChildrenSpec, FiniteTree, LazyTree, NodePath, NodeStates, \
-    _expand
+    _expand, expansion_budgets
 
 __all__ = [
     "largest_self_defending",
@@ -170,6 +170,11 @@ def build_TS(af: FiniteAF, seed) -> LazyTree:
 STATE_CAP = 250_000
 
 
+def _state_budget() -> Budget:
+    """A fresh budget of STATE_CAP states, for one rank memo."""
+    return Budget("T_S rank exploration", STATE_CAP, "states")
+
+
 def ts_rank(af: FiniteAF, seed) -> int:
     """Exact rank of a pathless T_S by shared-state exhaustion.
 
@@ -178,7 +183,8 @@ def ts_rank(af: FiniteAF, seed) -> int:
     runs of single-child levels between attacked levels contribute their
     length.
     """
-    return _ts_rank_states(_ts_states(af), [_ts_root(af, seed)], {})[0]
+    return _ts_rank_states(_ts_states(af), [_ts_root(af, seed)], {},
+                           _state_budget())[0]
 
 
 def _first_attacked_level(level: int, dmask: int) -> Optional[int]:
@@ -204,11 +210,12 @@ def _first_attacked_level(level: int, dmask: int) -> Optional[int]:
     return s * (s + 1) // 2 + s - (below.bit_length() - 1)
 
 
-def _ts_rank_states(states: NodeStates, roots,
-                    memo: Dict[Tuple[int, int], int]) -> List[int]:
+def _ts_rank_states(states: NodeStates, roots, memo: Dict[Tuple[int, int], int],
+                    budget: Budget) -> List[int]:
     """The rank of the pathless T_S at each root, filling `memo` with
-    {case-1 state: rank}; STATE_CAP bounds the memo, which may be shared
-    by every root over one AF.
+    {case-1 state: rank}.  The memo, shared by every root over one AF, goes
+    with its budget: each state held (memoized or on the stack) but the
+    first is spent, and only a push below a root checks the cap.
 
     A memo state is (level, committed mask), the attacker mask riding
     along on the stack, and each node is skipped down to its first
@@ -231,6 +238,8 @@ def _ts_rank_states(states: NodeStates, roots,
         stack = [[root_state, root_dmask, None, 0, 0]]
         if root_state in memo:  # explored from an earlier root
             stack.pop()
+        elif memo:  # a later root is spent, unchecked
+            budget.used += 1
         while stack:
             top = stack[-1]
             state, dmask, kids, i, best = top
@@ -242,9 +251,7 @@ def _ts_rank_states(states: NodeStates, roots,
                 sub_state, sub_dmask, gap = kids[i]
                 q = memo.get(sub_state)
                 if q is None:
-                    if len(memo) + len(stack) > STATE_CAP:
-                        raise CapExceeded(
-                            f"T_S rank exploration exceeded {STATE_CAP} states")
+                    budget.spend(1)
                     top[3], top[4] = i, best
                     stack.append([sub_state, sub_dmask, None, 0, 0])
                     break
@@ -260,7 +267,7 @@ def _ts_rank_states(states: NodeStates, roots,
 
 def expand_ts(af: FiniteAF, seed, node_cap: int = 50_000) -> FiniteTree:
     """Materialize T_S node by node (pathless seeds only, König-finite)."""
-    return _expand(build_TS(af, seed), node_cap)
+    return _expand(build_TS(af, seed), *expansion_budgets(node_cap))
 
 
 @dataclass(frozen=True)
@@ -339,13 +346,13 @@ def ta_rank(af: FiniteAF, a: int) -> Ordinal:
 
 
 def _exact_ta_rank(af: FiniteAF, a: int) -> Ordinal:
-    return Ordinal.from_int(_ta_rank(_ts_states(af, a), a, {}))
+    return Ordinal.from_int(_ta_rank(_ts_states(af, a), a, {}, _state_budget()))
 
 
-def _ta_rank(states: NodeStates, a: int, memo: dict) -> int:
+def _ta_rank(states: NodeStates, a: int, memo: dict, budget: Budget) -> int:
     """T^a's rank: one more than its largest T_{{a_i}} rank, 0 if none."""
     roots = [states.child(a, i) for i in states.children(a).symbols]
-    return max(_ts_rank_states(states, roots, memo), default=-1) + 1
+    return max(_ts_rank_states(states, roots, memo, budget), default=-1) + 1
 
 
 def witness_path(af: FiniteAF, a: int, length: int) -> NodePath:
@@ -464,14 +471,16 @@ def rank_stage_bridge_check(af: FiniteAF) -> BridgeReport:
     violations = []
     states = _ts_states(af)
     memo: Dict[Tuple[int, int], int] = {}
+    budget = _state_budget()
 
     for a in sorted(result.grounded):
-        r = _ta_rank(states, a, memo)
+        r = _ta_rank(states, a, memo, budget)
         if stage[a] > r + 1:
             violations.append(f"grounded {af.name(a)}: stage {stage[a]} "
                               f"exceeds T^a rank+1 = {r + 1}")
 
-    _ts_rank_states(states, [_ts_root(af, (b,)) for b in sorted(gplus)], memo)
+    _ts_rank_states(states, [_ts_root(af, (b,)) for b in sorted(gplus)], memo,
+                    budget)
     for (level, cmask), q in memo.items():
         mran = [x for x in range(af.n) if cmask >> x & 1]
         if min(map(least_attacker.__getitem__, mran), default=math.inf) > q + 1:

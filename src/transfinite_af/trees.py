@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from .errors import CapExceeded, DomainError, UnsupportedExpression
+from .errors import Budget, DomainError, UnsupportedExpression
 from .core import Family, IndexMap
 from .ordinals import (
     ZERO,
@@ -158,14 +158,6 @@ class FiniteTree:
     def as_lazy(self) -> "LazyTree":
         return LazyTree(children_of=self.children_spec)
 
-    def path_symbols(self) -> int:
-        """The summed lengths of every node's path: the symbols that the
-        tree's JSON and F_T's names print."""
-        depths = [0] * len(self.parents)
-        for i in range(1, len(self.parents)):
-            depths[i] = depths[self.parents[i]] + 1
-        return sum(depths)
-
     # the table is canonical: equal node sets give equal tables
     def __eq__(self, other):
         if not isinstance(other, FiniteTree):
@@ -261,47 +253,39 @@ def rank_finite(tree: FiniteTree, node_cap: int = 200_000) -> Ordinal:
     Bottom-up recursion per the rank definition; the finite sup is a
     max.
     """
-    if len(tree) > node_cap:
-        raise CapExceeded(f"tree has {len(tree)} nodes, cap {node_cap}")
+    Budget("tree rank", node_cap, "nodes").spend(len(tree))
     return tree.rank()
 
 
-def _expand(tree: LazyTree, node_cap: int, width: Optional[int] = None,
-            depth: Optional[int] = None) -> FiniteTree:
+def _expand(tree: LazyTree, nodes: Budget, path_symbols: Budget,
+            width: Optional[int] = None, depth: Optional[int] = None) -> FiniteTree:
     """The nodes reached breadth-first, level by level, as a node table:
     each node's children come from its state (see NodeStates), sorted and
     deduplicated, and get their states from it; nodes at `depth` are not
-    expanded.  Besides node_cap, the nodes' paths may hold at most
-    TRUNCATE_SYMBOL_CAP symbols in all."""
+    expanded, and families are cut to their first `width` members.  Each
+    row spends its nodes and each level its path symbols."""
     children, child = tree.states.children, tree.states.child
     parents, symbols = [-1], [-1]
-    level, d, row, held = [tree.states.root], 0, 0, 0
+    nodes.spend(1)
+    level, d, row = [tree.states.root], 0, 0
     while level and (depth is None or d < depth):
         below = []
         for state in level:
             spec = children(state)
             syms = spec.symbols
             if spec.families:
-                if width is None:
-                    path = list(FiniteTree._from_table(parents, symbols).order[row])
-                    raise UnsupportedExpression(f"node {path} has family children; "
-                                                "full expansion needs a width")
-                # a node with more than node_cap children fails the cap anyway
-                syms = spec.first_symbols(min(width, node_cap))
+                # a node with more children than the budget fails it anyway
+                syms = spec.first_symbols(min(width, nodes.cap))
             if len(syms) > 1:
                 syms = sorted(set(syms))
             for s in syms:
                 parents.append(row)
                 symbols.append(s)
                 below.append(child(state, s))
-            if len(parents) > node_cap:
-                raise CapExceeded(f"expansion exceeded {node_cap} nodes")
+            nodes.spend(len(syms))
             row += 1
         level, d = below, d + 1
-        held += d * len(below)
-        if held > TRUNCATE_SYMBOL_CAP:
-            raise CapExceeded(
-                f"expansion exceeded {TRUNCATE_SYMBOL_CAP} path symbols")
+        path_symbols.spend(d * len(below))
     return FiniteTree._from_table(parents, symbols)
 
 
@@ -313,6 +297,12 @@ TRUNCATE_NODE_CAP = 500_000
 TRUNCATE_SYMBOL_CAP = 10_000_000
 
 
+def expansion_budgets(node_cap: int) -> Tuple[Budget, Budget]:
+    """Fresh node and path-symbol budgets for one expansion."""
+    return (Budget("expansion", node_cap, "nodes"),
+            Budget("expansion", TRUNCATE_SYMBOL_CAP, "path symbols"))
+
+
 def truncate_tree(tree: LazyTree, width: int, depth: Optional[int] = None,
                   node_cap: int = TRUNCATE_NODE_CAP) -> FiniteTree:
     """Finite sub-tree: families cut to their first `width` parameters.
@@ -322,7 +312,7 @@ def truncate_tree(tree: LazyTree, width: int, depth: Optional[int] = None,
     """
     if width < 1:
         raise ValueError("width must be >= 1")
-    return _expand(tree, node_cap=node_cap, width=width, depth=depth)
+    return _expand(tree, *expansion_budgets(node_cap), width=width, depth=depth)
 
 
 # -- bounded path search --------------------------------------------------
@@ -354,12 +344,11 @@ def bounded_path_search(tree, depth: int, width: int) -> PathSearchResult:
     if isinstance(tree, FiniteTree):
         tree = tree.as_lazy()
     children, child = tree.states.children, tree.states.child
-    stack, listed, state = [], 0, tree.states.root
+    stack, state = [], tree.states.root
+    listed = Budget("path search", TRUNCATE_NODE_CAP, "nodes")
     while True:
         symbols = children(state).first_symbols(width)
-        listed += len(symbols)
-        if listed > TRUNCATE_NODE_CAP:
-            raise CapExceeded(f"path search exceeded {TRUNCATE_NODE_CAP} nodes")
+        listed.spend(len(symbols))
         stack.append([state, symbols, 0])
         while stack and stack[-1][2] == len(stack[-1][1]):
             stack.pop()

@@ -405,6 +405,17 @@ def test_noncanonical_ordinal_warns_once_per_call(capsys):
         assert code == 0 and err == warning
 
 
+def test_tree_rank_over_its_cap_exits_3(capsys, tmp_path):
+    tree = tmp_path / "t.json"
+    tree.write_text('{"nodes": [[], [0], [1]]}')
+    code, out, err = run(capsys, "tree", "rank", "--input", str(tree),
+                         "--cap", "2")
+    assert (code, out, err) == (3, "", "error: tree rank exceeded 2 nodes\n")
+    code, out, _ = run(capsys, "tree", "rank", "--input", str(tree),
+                       "--cap", "3")
+    assert code == 0 and json.loads(out)["rank"] == "1"
+
+
 def test_truncated_limit_target_over_budget_exits_3(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "gen", "ord:w:truncate=1000000")

@@ -21,6 +21,11 @@ Children of a tree node, attackers of an argument and arguments of a
 stage map come in one affine family type, `core.Family`: no other
 library class has a `k_start` field unless it subclasses Family.
 
+Every cap is a budget: only `errors.Budget.spend` constructs CapExceeded,
+so each refusal reads "<what> exceeded <cap> <unit>" and each engine's
+`used` against `cap` is read in one place.  The oracles in checks.py are
+reference implementations and keep their own checks.
+
 Every function, method and class of the library outside checks.py is
 named by some library code or exported in `__all__`; the few that only
 the tests read are listed with the reason they stay.
@@ -186,6 +191,25 @@ def test_family_is_the_one_affine_family_type():
 def test_the_guard_sees_family_and_its_subclass():
     assert k_start_classes(classes()) == \
         {("core.py", "Family"), ("trees.py", "_LimitFamily")}
+
+
+def cap_refusals(path: Path) -> list:
+    """Every call of CapExceeded, by name or as an attribute."""
+    return find(path, lambda node: isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "CapExceeded"
+        or getattr(node.func, "attr", None) == "CapExceeded"))
+
+
+def test_only_the_budget_raises_cap_exceeded():
+    stray = {path.name: cap_refusals(path) for path in sorted(SRC.glob("*.py"))
+             if path.name != "checks.py" and cap_refusals(path)}
+    assert {name: [scope for scope, _ in calls]
+            for name, calls in stray.items()} == {"errors.py": ["Budget.spend"]}
+
+
+def test_the_guard_sees_the_oracles_own_cap_checks():
+    assert {scope for scope, _ in cap_refusals(SRC / "checks.py")} == \
+        {"frozenset_ts_rank_states", "path_keyed_expand"}
 
 
 DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)

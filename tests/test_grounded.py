@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from transfinite_af import checks
 from transfinite_af.constructions import materialize_spec, parse_generator_spec
 from transfinite_af.core import (
     AttackerSpec,
@@ -12,7 +13,7 @@ from transfinite_af.core import (
     LazyAF,
     materialize,
 )
-from transfinite_af.errors import ClosureError, DomainError, IncompleteStageMap
+from transfinite_af.errors import CapExceeded, DomainError, IncompleteStageMap
 from transfinite_af.grounded import (
     GroundedResult,
     OmegaApproximation,
@@ -183,9 +184,39 @@ def test_omega_closure_cap_names_argument():
         return AttackerSpec(explicit=(2 * i + 10,))
 
     af = LazyAF(lambda x, y: x == 2 * y + 10, spec)
-    with pytest.raises(ClosureError) as info:
+    with pytest.raises(CapExceeded) as info:
         omega_approximation(af, window=4, steps=3, closure_cap=20)
-    assert info.value.argument >= 0
+    assert str(info.value) == "attacker closure of window 4 exceeded 20 arguments"
+
+
+def complete_window(n, attacks):
+    """A lazy AF whose window [0, n) has the attacks `attacks(x, y)` among
+    its own arguments and no attacker from outside it."""
+    def pred(x, y):
+        return x < n and y < n and attacks(x, y)
+
+    def spec(y):
+        return AttackerSpec(explicit=tuple(
+            x for x in range(n) if pred(x, y)))
+
+    return LazyAF(pred, spec)
+
+
+def test_omega_closure_cap_counts_distinct_arguments():
+    # every window argument is an attacker of the others: queued once per
+    # attacked argument, the closure of 64 would count 2,080 against the
+    # default cap of 576
+    for attacks in (lambda x, y: x != y, lambda x, y: x < y):
+        af = complete_window(64, attacks)
+        got = omega_approximation(af, window=64, steps=70)
+        assert got.closure == frozenset(range(64))
+        assert got == checks.predicate_omega_approximation(af, window=64,
+                                                            steps=70)
+    af = complete_window(10, lambda x, y: x != y)
+    assert omega_approximation(af, window=10, steps=3, closure_cap=10).closure \
+        == frozenset(range(10))
+    with pytest.raises(CapExceeded, match="window 10 exceeded 9 arguments"):
+        omega_approximation(af, window=10, steps=3, closure_cap=9)
 
 
 # -- hand-built two-chain lazy AF for the verifier -----------------------------

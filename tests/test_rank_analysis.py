@@ -28,6 +28,7 @@ from transfinite_af.trees import (
     OFF_TREE,
     _expand,
     bounded_path_search,
+    expansion_budgets,
     rank_finite,
 )
 
@@ -180,7 +181,8 @@ def _rank_states(af, seed):
     """_ts_rank_states on one seed with a memo of its own: (rank, memo)."""
     memo = {}
     [rank] = rank_analysis._ts_rank_states(
-        rank_analysis._ts_states(af), [rank_analysis._ts_root(af, seed)], memo)
+        rank_analysis._ts_states(af), [rank_analysis._ts_root(af, seed)], memo,
+        rank_analysis._state_budget())
     return rank, memo
 
 
@@ -218,7 +220,8 @@ def test_one_rank_memo_serves_every_seed_of_an_af():
         memo = {}
         ranks = rank_analysis._ts_rank_states(
             rank_analysis._ts_states(af),
-            [rank_analysis._ts_root(af, s) for s in seeds], memo)
+            [rank_analysis._ts_root(af, s) for s in seeds], memo,
+            rank_analysis._state_budget())
         union, singles, single_rank, explored = {}, {}, {}, 0
         for seed, rank in zip(seeds, ranks):
             want_rank, want_memo = checks.frozenset_ts_rank_states(af, seed)
@@ -293,7 +296,8 @@ def test_expand_ts_matches_the_definitional_tree():
             if not seed & gplus:
                 continue
             try:
-                want = _expand(checks.path_keyed_ts(af, seed), 5_000)
+                want = _expand(checks.path_keyed_ts(af, seed),
+                               *expansion_budgets(5_000))
             except CapExceeded:
                 with pytest.raises(CapExceeded):
                     expand_ts(af, seed, node_cap=5_000)

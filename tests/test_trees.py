@@ -416,8 +416,11 @@ def random_ordinal_below_w4(rng):
 
 def expansion_outcomes(tree, **kw):
     """(library, oracle) expansions of one tree, or their cap errors."""
+    def library(tree, node_cap, **kw):
+        return trees._expand(tree, *trees.expansion_budgets(node_cap), **kw)
+
     out = []
-    for expand in (trees._expand, path_keyed_expand):
+    for expand in (library, path_keyed_expand):
         try:
             out.append(expand(tree, **kw))
         except CapExceeded as e:
