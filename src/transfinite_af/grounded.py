@@ -302,9 +302,7 @@ class VerificationReport:
         return not self.violations
 
     def lines(self) -> List[str]:
-        if self.ok:
-            return [f"verified {self.checked} arguments; "
-                    f"grounding ordinal {self.grounding_ordinal}"]
+        """The violations, one line each."""
         return [str(v) for v in self.violations]
 
 

@@ -178,7 +178,8 @@ class NodeStates:
     `children` gives a node's children from the node's state, and `child`
     gives a child's state from its parent's state and its symbol; the
     root's state is `root`.  `child` is only asked for children that
-    `children` lists.
+    `children` lists.  States are hashable, and both answers depend on
+    the state alone: an expansion asks them once per distinct state.
     """
 
     root: object
@@ -263,25 +264,31 @@ def _expand(tree: LazyTree, nodes: Budget, path_symbols: Budget,
     each node's children come from its state (see NodeStates), sorted and
     deduplicated, and get their states from it; nodes at `depth` are not
     expanded, and families are cut to their first `width` members.  Each
-    row spends its nodes and each level its path symbols."""
+    distinct state's children and their states are worked out once per
+    call and reused by every node with an equal state.  Each row spends
+    its nodes and each level its path symbols."""
     children, child = tree.states.children, tree.states.child
+    seen = {}  # state -> (its children's symbols, their states)
     parents, symbols = [-1], [-1]
     nodes.spend(1)
     level, d, row = [tree.states.root], 0, 0
     while level and (depth is None or d < depth):
         below = []
         for state in level:
-            spec = children(state)
-            syms = spec.symbols
-            if spec.families:
-                # a node with more children than the budget fails it anyway
-                syms = spec.first_symbols(min(width, nodes.cap))
-            if len(syms) > 1:
-                syms = sorted(set(syms))
-            for s in syms:
-                parents.append(row)
-                symbols.append(s)
-                below.append(child(state, s))
+            kids = seen.get(state)
+            if kids is None:
+                spec = children(state)
+                syms = spec.symbols
+                if spec.families:
+                    # a node with more children than the budget fails it anyway
+                    syms = spec.first_symbols(min(width, nodes.cap))
+                if len(syms) > 1:
+                    syms = sorted(set(syms))
+                kids = seen[state] = syms, [child(state, s) for s in syms]
+            syms, states = kids
+            parents.extend([row] * len(syms))
+            symbols.extend(syms)
+            below.extend(states)
             nodes.spend(len(syms))
             row += 1
         level, d = below, d + 1

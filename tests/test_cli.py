@@ -437,6 +437,17 @@ def test_path_symbol_budget_exits_3(capsys, command):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("ordinal", ["w^(w^2)", "w^3"])
+def test_truncation_refusal_expands_each_state_once(capsys, ordinal):
+    # equal node states share their children: the parent stepped every
+    # node and took 3.7 s and 1.9 s
+    start = time.perf_counter()
+    code, out, err = run(capsys, "tree", "build", "--ordinal", ordinal,
+                         "--truncate-width", "4")
+    assert (code, out, err) == (3, "", "error: expansion exceeded 500000 nodes\n")
+    assert time.perf_counter() - start < 2
+
+
 def test_tree_search_of_a_long_chain_is_linear(capsys):
     # one shared path: the parent copied each node's path, 4.2 s at 40,000
     start = time.perf_counter()

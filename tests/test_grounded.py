@@ -342,6 +342,23 @@ def test_alignment_past_its_period_cap_fails_closed():
     assert messages(report, "never", "3") == [ODD_A_UNPROVEN]
 
 
+def test_alignment_meeting_a_member_without_a_stage_fails_closed():
+    # the odd a's family starts at k = 2 and the exception covers a_2 = 2,
+    # so the sample [0, 4) is complete but alignment meets 6, which has
+    # no stage value
+    own = bs_stages()
+    odd_a = IndexMap.affine(4, 2)
+    families = tuple(Family(odd_a, 2, NEVER) if f.index_map == odd_a else f
+                     for f in own.families)
+    candidate = SymbolicStageMap(families=families,
+                                 exceptions={**own.exceptions, 2: NEVER})
+    with pytest.raises(IncompleteStageMap):
+        candidate.stage_of(6)
+    report = verify_symbolic_stages(two_chain_lazy(), candidate, sample=4)
+    assert found(report) == {("never", "3")}
+    assert messages(report, "never", "3") == [ODD_A_UNPROVEN]
+
+
 def family_attacked_lazy(decreasing=False):
     """0 is attacked by 1, and 1 by the family 2, 4, 6, ...; the rest is
     unattacked, except that when `decreasing` 3 attacks 2 and 5 attacks 3,

@@ -6,7 +6,7 @@ import pytest
 from transfinite_af import checks, rank_analysis
 from transfinite_af.core import FiniteAF, pair, unpair
 from transfinite_af.errors import CapExceeded, DomainError
-from transfinite_af.grounded import grounded_finite, stages_finite
+from transfinite_af.grounded import GroundedResult, grounded_finite, stages_finite
 from transfinite_af.ordinals import NEVER, Ordinal
 from transfinite_af.rank_analysis import (
     build_self_defending_witness,
@@ -466,3 +466,20 @@ def test_bridge_random():
     for _ in range(120):
         report = rank_stage_bridge_check(random_af(rng))
         assert report.ok, report.violations
+
+
+def test_bridge_reports_stages_one_round_late(monkeypatch):
+    # a grounded_finite that puts every grounded argument one round late
+    def late(af):
+        result = grounded_finite(af)
+        return GroundedResult(
+            result.grounded, result.grounding_ordinal + 1,
+            {x: s if s is NEVER else s + 1 for x, s in result.stages.items()})
+
+    monkeypatch.setattr(rank_analysis, "grounded_finite", late)
+    report = rank_stage_bridge_check(FiniteAF(2, [(0, 1)]))
+    assert report.violations == [
+        "grounded a0: stage 2 exceeds T^a rank+1 = 1",
+        "T_S state (level 0, committed [1]) of rank 0: "
+        "no member of G_1 attacks the committed set",
+    ]

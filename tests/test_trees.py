@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from transfinite_af import trees
+from transfinite_af import rank_analysis, trees
 from transfinite_af.checks import path_keyed_expand, path_keyed_tree_af
 from transfinite_af.errors import CapExceeded, DomainError, UnsupportedExpression
 from transfinite_af.ordinals import (
@@ -11,6 +11,7 @@ from transfinite_af.ordinals import (
     ZERO,
     Ordinal,
     fundamental_sequence,
+    fundamental_sequence_expr,
     omega_power,
     parse_ordinal,
 )
@@ -29,7 +30,7 @@ from transfinite_af.trees import (
     truncate_tree,
 )
 from transfinite_af.constructions import af_from_tree
-from transfinite_af.core import Family, IndexMap, pair
+from transfinite_af.core import Family, FiniteAF, IndexMap, pair
 
 W2 = Ordinal(((Ordinal.from_int(1), 2),))  # w*2
 
@@ -172,6 +173,28 @@ def test_check_declared_ranks_examples():
     lone = LazyTree(children_of=lambda p: ChildrenSpec(),
                     declared_rank_of=lambda p: ZERO)
     assert check_declared_ranks(lone, 4, 4).ok
+
+
+def test_check_declared_ranks_rejects_an_off_by_one_closed_form():
+    # the root (rank w) hangs child k of rank k, each a chain; the family
+    # claims rank k + 1 for child k
+    every = IndexMap.affine(1, 0)
+    off = Family(every, expr=fundamental_sequence_expr(OMEGA).add_finite(1))
+
+    def children(state):
+        if state == "root":
+            return ChildrenSpec(families=(off,))
+        return ChildrenSpec(symbols=(0,)) if state else ChildrenSpec()
+
+    def rank(state):
+        return OMEGA if state == "root" else Ordinal.from_int(state)
+
+    tree = LazyTree(states=NodeStates(
+        "root", children, lambda state, s: s if state == "root" else state - 1),
+        declared_rank_of=rank)
+    report = check_declared_ranks(tree, sample_width=3, sample_depth=3)
+    assert report.violations == [f"[{k}]: declared {k}, closed form gives {k + 1}"
+                                 for k in range(3)]
 
 
 def test_check_declared_ranks_rejects_non_affine():
@@ -389,15 +412,69 @@ def test_truncation_steps_each_rank_once_from_its_parent(monkeypatch):
     steps = []
 
     def counted(r, i):
-        steps.append(i)
+        steps.append((r, i))
         return fundamental_sequence(r, i)
 
     monkeypatch.setattr(trees, "fundamental_sequence", counted)
     alpha = omega_power(2)
     ft = truncate_tree(build_tree_of_rank(alpha), width=5)
-    below_limits = [p for p in ft.order
-                    if p and root_walk_rank(alpha, p[:-1]).is_limit]
-    assert len(steps) == len(below_limits) == 975
+    # each (limit, symbol) pair below a limit node is stepped once, from
+    # the parent's rank: 5 limits times width 5, none walked from the root
+    below_limits = {(root_walk_rank(alpha, p[:-1]), p[-1]) for p in ft.order
+                    if p and root_walk_rank(alpha, p[:-1]).is_limit}
+    assert len(ft) == 2916
+    assert set(steps) == below_limits and len(steps) == len(below_limits) == 25
+
+
+def _row_states(states, ft):
+    """The state of every row of an expansion, stepped from its parent's."""
+    out = [states.root]
+    for parent, s in zip(ft.parents[1:], ft.symbols[1:]):
+        out.append(states.child(out[parent], s))
+    return out
+
+
+def _counted(states, asked):
+    """`states` with every `children` and `child` question recorded."""
+    def children(state):
+        asked["children"].append(state)
+        return states.children(state)
+
+    def child(state, symbol):
+        asked["child"].append((state, symbol))
+        return states.child(state, symbol)
+
+    return NodeStates(states.root, children, child)
+
+
+def _ts_expansion(monkeypatch, asked):
+    ts_states = rank_analysis._ts_states
+    monkeypatch.setattr(rank_analysis, "_ts_states",
+                        lambda af, root=None: _counted(ts_states(af, root), asked))
+    af = FiniteAF(6, [(0, 1), (1, 0), (2, 3), (4, 1), (5, 0), (5, 1), (5, 2)])
+    return (rank_analysis.expand_ts(af, {0}),
+            ts_states(af, rank_analysis._ts_root(af, {0})))
+
+
+def _rank_built_expansion(monkeypatch, asked):
+    tree = build_tree_of_rank(parse_ordinal("w^2+w*2+3"))
+    states = tree.states
+    tree.states = _counted(states, asked)
+    return truncate_tree(tree, width=4), states
+
+
+@pytest.mark.parametrize("expansion", [_rank_built_expansion, _ts_expansion])
+def test_expansion_asks_each_distinct_state_once(monkeypatch, expansion):
+    asked = {"children": [], "child": []}
+    ft, states = expansion(monkeypatch, asked)
+    rows = _row_states(states, ft)
+    distinct = set(rows)
+    steps = {(rows[p], s) for p, s in zip(ft.parents[1:], ft.symbols[1:])}
+    assert len(distinct) < len(ft) // 3  # the states do repeat
+    assert len(asked["children"]) == len(set(asked["children"]))
+    assert set(asked["children"]) == distinct
+    assert len(asked["child"]) == len(set(asked["child"]))
+    assert set(asked["child"]) == steps
 
 
 # -- node tables against the path-keyed expansion -------------------------------
