@@ -343,7 +343,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _COMMANDS[args.command](args)
         # the parse errors of every input grammar subclass ValueError
         except (ValueError, KeyError, OSError) as e:
-            print(f"error: {e}", file=sys.stderr)
+            # str() of a KeyError is the repr of its message
+            print(f"error: {e.args[0] if isinstance(e, KeyError) else e}",
+                  file=sys.stderr)
             return EXIT_PARSE
         except TransfiniteAFError as e:
             print(f"error: {e}", file=sys.stderr)

@@ -492,20 +492,49 @@ class ApxParseError(ValueError):
 _APX_LINE = re.compile(
     r"\s*(?:arg\(([a-zA-Z0-9_]+)\)\.|att\(([a-zA-Z0-9_]+),\s*([a-zA-Z0-9_]+)\)\.)?"
     r"\s*(?:%.*)?")
+_APX_NAMES = re.compile(r"[a-zA-Z0-9_]+(?:\n[a-zA-Z0-9_]+)*")
 
 
 def parse_apx(text: str) -> FiniteAF:
     """Parse APX: arg(<name>). / att(<x>,<y>). lines, % comments.
 
+    Canonical text (format_apx's: no spaces, comments on their own lines)
+    is read by slicing; all else, and every error, by the per-line reader.
     The order of arg lines fixes the argument enumeration, bit-exact:
     the first arg line is index 0, and so on.  Line errors (duplicate
     arguments, unrecognized lines) are reported in line order before
     any attack that names an unknown argument.
     """
+    lines = text.splitlines()
+    names, index, pairs = _read_canonical(lines) or _read_per_line(lines)
+    return FiniteAF._built(len(names), pairs, names, index)
+
+
+def _read_canonical(lines):
+    """(names, index, pairs) of a canonical text, else None; never raises."""
+    names, attacks = [], []
+    for line in lines:
+        head = line[:4]
+        if head == "att(" and line[-2:] == ")." and " " not in line:
+            attacks.append(line[4:-2].partition(","))
+        elif head == "arg(" and line[-2:] == ").":
+            names.append(line[4:-2])
+        elif line and line[0] != "%":
+            return None
+    index = dict(zip(names, range(len(names))))
+    if len(index) != len(names) or not _APX_NAMES.fullmatch("\n".join(names)):
+        return None
+    try:
+        return names, index, [(index[x], index[y]) for x, _, y in attacks]
+    except KeyError:
+        return None
+
+
+def _read_per_line(lines):
     index = {}
     attacks = []
     match = _APX_LINE.fullmatch
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         m = match(raw)
         if m is None:
             line = raw.split("%", 1)[0].strip()
@@ -518,14 +547,13 @@ def parse_apx(text: str) -> FiniteAF:
         elif x is not None:
             attacks.append((x, y, lineno))
     try:
-        pairs = [(index[x], index[y]) for x, y, _ in attacks]
+        return tuple(index), index, [(index[x], index[y]) for x, y, _ in attacks]
     except KeyError:
         x, y, lineno = next(a for a in attacks
                             if a[0] not in index or a[1] not in index)
         unknown = x if x not in index else y
         raise ApxParseError(f"attack references unknown argument {unknown!r}",
                             lineno) from None
-    return FiniteAF._built(len(index), pairs, tuple(index), index)
 
 
 def format_apx(af: FiniteAF) -> str:

@@ -8,14 +8,14 @@ import warnings
 
 import pytest
 
-from transfinite_af import cli
+from transfinite_af import checks, cli
 from transfinite_af.checks import eliminated_self_defending, iterated_defense_step
 from transfinite_af.cli import MAX_CHECK_ARGS, MAX_PATH_LENGTH, MAX_SAMPLE, \
     _SIZE_BOUNDS, build_parser, main
 from transfinite_af.constructions import materialize_spec, parse_generator_spec
 from transfinite_af.core import FiniteAF, format_apx, parse_apx
-from transfinite_af.grounded import grounded_finite
-from transfinite_af.ordinals import NEVER, format_ordinal
+from transfinite_af.grounded import GroundedResult, grounded_finite
+from transfinite_af.ordinals import NEVER, Ordinal, format_ordinal
 from transfinite_af.rank_analysis import ts_rank
 from transfinite_af.trees import TRUNCATE_NODE_CAP, TRUNCATE_SYMBOL_CAP
 
@@ -315,6 +315,33 @@ def test_check_inject_exact_passes(capsys, tmp_path):
     assert code == 0
 
 
+def test_check_lemmas_catches_a_grounded_that_drops_its_last_layer(
+        capsys, monkeypatch):
+    def short(af):
+        result = grounded_finite(af)
+        k = result.grounding_ordinal
+        last = {x for x, s in result.stages.items() if s == k}
+        return GroundedResult(
+            result.grounded - last, Ordinal.from_int(max(k.as_int() - 1, 0)),
+            {x: NEVER if x in last else s for x, s in result.stages.items()})
+
+    sizes = []
+    minimize_af = checks.minimize_af
+
+    def minimized(af, violates):
+        small = minimize_af(af, violates)
+        sizes.append((af.n, small.n))
+        return small
+
+    monkeypatch.setattr(checks, "grounded_finite", short)
+    monkeypatch.setattr(checks, "minimize_af", minimized)
+    code, out, _ = run(capsys, "check", "lemmas", "--trials", "3",
+                       "--max-args", "8", "--seed", "1")
+    assert code == 1
+    assert "grounded is not the least fixpoint" in out
+    assert sizes and all(small <= n for n, small in sizes)
+
+
 def test_check_emit_plot(capsys, tmp_path):
     csv = tmp_path / "growth.csv"
     code, _, _ = run(capsys, "check", "constructions", "--trials", "2",
@@ -374,6 +401,19 @@ def test_zero_truncation_of_a_successor_target_exits_2(capsys):
     # limit targets and bs truncate to the empty AF
     for spec in ("ord:w:truncate=0", "bs:truncate=0"):
         assert run(capsys, "gen", spec)[0] == 0
+
+
+def test_unknown_argument_names_print_the_message_itself(
+        capsys, chain_path, tmp_path):
+    stages = tmp_path / "stages.apx"
+    stages.write_text(CHAIN_APX + "%stage zz 1\n")
+    for argv, name in [
+            (("reduce", "ta", "--af", f"apx:{chain_path}", "--arg", "zz"), "zz"),
+            (("reduce", "ts", "--af", f"apx:{chain_path}", "--set", "a0,,a1"), ""),
+            (("check", "lemmas", "--inject", str(stages)), "zz")]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: unknown argument name {name!r}\n"
 
 
 def test_os_errors_exit_2(capsys, tmp_path):

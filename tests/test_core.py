@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from transfinite_af import core
 from transfinite_af.checks import per_line_parse_apx
+from transfinite_af.constructions import materialize_spec, parse_generator_spec
 from transfinite_af.core import (
     Affine,
     ApxParseError,
@@ -357,6 +359,21 @@ APX_CASES = [
     "junk\narg(a).\narg(a).",
     "arg(a).\narg(a).\njunk",
     "att(q,r).\njunk",
+    # lines a reader of prefixes and suffixes could misread
+    "arg(a).).",
+    "arg(a).%).",
+    "arg(a).\natt(a,b,c).",
+    "arg(a).\natt(a,).",
+    "arg(a).\natt(,a).",
+    "arg().",
+    "arg(a).\narg(b).\natt(a,b).att(b,a).",
+    # isalnum, but outside [a-zA-Z0-9_]
+    "arg(\xe9).",
+    "arg(\u0663).",
+    "arg(\uff41).",
+    # spaces inside an attack (valid)
+    "arg(a).\narg(b).\natt(a, b).",
+    "arg(a).\narg(b).\natt(a,\u2003b).",
 ] + ["arg(a).%sarg(b).%satt(a,c)." % (sep, sep) for sep in SEPARATORS] + [
     "arg(a).%s%sjunk" % (sep, sep) for sep in SEPARATORS]
 
@@ -394,6 +411,88 @@ def test_parse_apx_matches_the_per_line_parser(text):
 @pytest.mark.parametrize("text", APX_CASES)
 def test_parse_apx_matches_the_per_line_parser_on_edge_cases(text):
     assert _parsed(parse_apx, text) == _parsed(per_line_parse_apx, text)
+
+
+# Lines that start or end as a statement does but are none, for a reader
+# that looks only at a line's two ends.  Most arg faults name q, which no
+# canonical text declares, so a misread cannot hide as a duplicate;
+# arg(a). is one whenever a is declared.
+SLICE_FAULTS = [
+    "arg(q).).", "arg(q).%).", "arg().", "arg(q,b).", "arg(q-b).", "arg(q)",
+    "arg(q)x", "arg(q) ", "Arg(q).", "%arg(q).", "arg(\xe9).", "arg(\u0663).",
+    "arg(\uff41).", "arg(a).",
+    "att(a,b,c).", "att(a,).", "att(,a).", "att(a,b).att(b,a).", "att(ab).",
+    "att(a,b)x", "att(a,b) ", "Att(a,b).", "att(a,z).",
+]
+
+
+@pytest.mark.parametrize("fault", SLICE_FAULTS)
+def test_parse_apx_matches_the_per_line_parser_on_slice_faults(fault):
+    for text in (fault, "arg(a).\narg(b).\n" + fault):
+        assert _parsed(parse_apx, text) == _parsed(per_line_parse_apx, text)
+
+
+@st.composite
+def _canonical_apx(draw, faults=True):
+    """Canonical APX as format_apx writes it, with comment lines and
+    separators of every kind but no spaces; with `faults`, half of the
+    texts get one line from SLICE_FAULTS or a duplicate declaration."""
+    names = draw(st.lists(st.sampled_from(["a", "b", "c_1", "Z9", "d", "e"]),
+                          unique=True, max_size=6))
+    stmts = [f"arg({nm})." for nm in names] + draw(st.lists(
+        st.sampled_from(["", "%", "% note", "%stage a 1"]), max_size=3))
+    fault = st.sampled_from(SLICE_FAULTS)
+    if names:
+        known = st.sampled_from(names)
+        stmts += draw(st.lists(st.builds("att({},{}).".format, known, known),
+                               max_size=8))
+        fault |= known.map("arg({}).".format)   # a duplicate
+    if faults and draw(st.booleans()):
+        stmts.append(draw(fault))
+    return "".join(stmt + draw(st.sampled_from(SEPARATORS))
+                   for stmt in draw(st.permutations(stmts)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_canonical_apx())
+def test_parse_apx_matches_the_per_line_parser_on_canonical_text(text):
+    assert _parsed(parse_apx, text) == _parsed(per_line_parse_apx, text)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_canonical_apx(faults=False))
+def test_the_canonical_reader_reads_every_canonical_text(text):
+    read = core._read_canonical(text.splitlines())
+    assert (read is None) == ("arg(" not in text)
+
+
+@pytest.mark.parametrize("other", ["att(a, a).", "att(a,a). % note", " arg(b)."])
+def test_the_canonical_reader_stops_at_the_first_other_line(other):
+    lines = iter(["arg(a).", "att(a,a).", other, "arg(c).", "att(c,a)."])
+    assert core._read_canonical(lines) is None
+    assert list(lines) == ["arg(c).", "att(c,a)."]
+
+
+def test_canonical_text_never_reaches_the_per_line_reader(monkeypatch):
+    rng = random.Random(11)
+    names = rng.sample([f"x{i}_{c}" for i in range(20) for c in "aZ9"], 30)
+    afs = [materialize_spec(parse_generator_spec(spec))
+           for spec in ("bs:truncate=40", "ord:w*2:truncate=5")]
+    afs.append(FiniteAF(30, [(rng.randrange(30), rng.randrange(30))
+                             for _ in range(60)], names))
+    reached = []
+    per_line = core._read_per_line
+    monkeypatch.setattr(core, "_read_per_line",
+                        lambda lines: reached.append(lines) or per_line(lines))
+    for af in afs:
+        text = format_apx(af)
+        assert _tables(parse_apx(text)) == _tables(af)
+        assert reached == []
+        spaced = text.replace(",", ", ")
+        commented = text.replace(").\n", "). % note\n", 1)
+        for other in (spaced, commented):
+            assert _tables(parse_apx(other)) == _tables(per_line_parse_apx(other))
+            assert reached.pop() == other.splitlines() and reached == []
 
 
 def test_apx_output_follows_the_adjacency_rows():

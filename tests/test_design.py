@@ -26,6 +26,11 @@ so each refusal reads "<what> exceeded <cap> <unit>" and each engine's
 `used` against `cap` is read in one place.  The oracles in checks.py are
 reference implementations and keep their own checks.
 
+APX text has one definition, the per-line reader `_read_per_line`: it
+is the only code in core.py that constructs ApxParseError, so every
+parse error keeps one message and line; the canonical reader in front
+of it returns None on anything it does not accept and never raises.
+
 Every function, method and class of the library outside checks.py is
 named by some library code or exported in `__all__`; the few that only
 the tests read are listed with the reason they stay.
@@ -193,11 +198,15 @@ def test_the_guard_sees_family_and_its_subclass():
         {("core.py", "Family"), ("trees.py", "_LimitFamily")}
 
 
+def calls(path: Path, name: str) -> list:
+    """Every call of `name`, by name or as an attribute."""
+    return find(path, lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
 def cap_refusals(path: Path) -> list:
     """Every call of CapExceeded, by name or as an attribute."""
-    return find(path, lambda node: isinstance(node, ast.Call) and (
-        getattr(node.func, "id", None) == "CapExceeded"
-        or getattr(node.func, "attr", None) == "CapExceeded"))
+    return calls(path, "CapExceeded")
 
 
 def test_only_the_budget_raises_cap_exceeded():
@@ -210,6 +219,11 @@ def test_only_the_budget_raises_cap_exceeded():
 def test_the_guard_sees_the_oracles_own_cap_checks():
     assert {scope for scope, _ in cap_refusals(SRC / "checks.py")} == \
         {"frozenset_ts_rank_states", "path_keyed_expand"}
+
+
+def test_only_the_per_line_reader_raises_apx_parse_errors():
+    assert {scope for scope, _ in calls(SRC / "core.py", "ApxParseError")} == \
+        {"_read_per_line"}
 
 
 DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
