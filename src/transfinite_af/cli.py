@@ -35,7 +35,6 @@ from .trees import (
     bounded_path_search,
     build_tree_of_rank,
     rank_finite,
-    tree_document,
     tree_from_json,
     tree_to_json,
     truncate_tree,
@@ -270,13 +269,15 @@ def cmd_reduce(args) -> int:
         seed = _resolve_args(af, args.set)
         decision = ts_path_exists(af, seed, prefix_depth=args.depth)
         if decision.path_exists:
-            payload = {"path_exists": True, "prefix": list(decision.prefix)}
+            _emit(json.dumps({"path_exists": True,
+                              "prefix": list(decision.prefix)}, sort_keys=True))
         else:
             tree = expand_ts(af, seed, node_cap=args.node_cap)
-            payload = {"path_exists": False,
-                       "rank": format_ordinal(decision.rank),
-                       "tree": tree_document(tree)}
-        _emit(json.dumps(payload, sort_keys=True))
+            head = json.dumps({"path_exists": False,
+                               "rank": format_ordinal(decision.rank)},
+                              sort_keys=True)
+            # "tree" sorts after every other key, so it closes the object
+            _emit(f'{head[:-1]}, "tree": {tree_to_json(tree)}}}')
         return EXIT_OK
     if args.reduce_command == "ta":
         decision = ta_path_exists(af, af.index_of(args.arg),

@@ -524,14 +524,10 @@ def tree_from_json(text: str) -> FiniteTree:
     return FiniteTree(paths)
 
 
-def tree_document(tree: FiniteTree) -> dict:
-    """The JSON document of a finite tree: {"nodes": paths in tree.order},
-    each path list built from its parent's."""
-    nodes = [[]]
-    for parent, s in zip(tree.parents[1:], tree.symbols[1:]):
-        nodes.append(nodes[parent] + [s])
-    return {"nodes": nodes}
-
-
 def tree_to_json(tree: FiniteTree) -> str:
-    return json.dumps(tree_document(tree))
+    """{"nodes": [[], [0], [0, 0], ...]}, paths in tree.order, as json.dumps
+    writes it; each path's text is its parent's plus ", <symbol>"."""
+    texts = [""]
+    for parent, s in zip(tree.parents[1:], tree.symbols[1:]):
+        texts.append(f"{texts[parent]}, {s}" if parent else str(s))
+    return '{"nodes": [[' + "], [".join(texts) + ']]}'

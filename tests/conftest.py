@@ -1,9 +1,11 @@
 """Shared test helpers."""
 
+import json
+
 import pytest
 
 from transfinite_af.constructions import af_from_finite_tree
-from transfinite_af.trees import tree_document
+from transfinite_af.trees import tree_to_json
 
 
 def _path_views(paths):
@@ -37,7 +39,7 @@ def assert_same_nodes(got, want):
         assert p in got and got.children(p) == tuple(kids[p])
     assert got.node_ranks() == ranks
     assert got.rank().as_int() == ranks[()]
-    assert tree_document(got) == {"nodes": [list(p) for p in order]}
+    assert json.loads(tree_to_json(got)) == {"nodes": [list(p) for p in order]}
     ft = af_from_finite_tree(got)
     assert (ft.af.names, ft.af.attack_pairs) == _path_named_ft(order)
 

@@ -9,14 +9,15 @@ import warnings
 import pytest
 
 from transfinite_af import checks, cli
-from transfinite_af.checks import eliminated_self_defending, iterated_defense_step
+from transfinite_af.checks import eliminated_self_defending, \
+    iterated_defense_step, path_keyed_expand
 from transfinite_af.cli import MAX_CHECK_ARGS, MAX_PATH_LENGTH, MAX_SAMPLE, \
     _SIZE_BOUNDS, build_parser, main
 from transfinite_af.constructions import materialize_spec, parse_generator_spec
 from transfinite_af.core import FiniteAF, format_apx, parse_apx
 from transfinite_af.grounded import GroundedResult, grounded_finite
 from transfinite_af.ordinals import NEVER, Ordinal, format_ordinal
-from transfinite_af.rank_analysis import ts_rank
+from transfinite_af.rank_analysis import TsDecision, build_TS, ts_rank
 from transfinite_af.trees import TRUNCATE_NODE_CAP, TRUNCATE_SYMBOL_CAP
 
 
@@ -171,6 +172,29 @@ def test_reduce_ts(capsys, chain_path):
     doc = json.loads(out)
     assert not doc["path_exists"]
     assert doc["rank"] == "0" and doc["tree"]["nodes"] == [[]]
+
+
+def test_reduce_ts_prints_the_pathless_object_as_json_dumps_does(
+        capsys, tmp_path):
+    rng = random.Random(61)
+    printed = 0
+    for i in range(12):
+        n, density = rng.randint(3, 9), rng.uniform(0.05, 0.25)
+        af = FiniteAF(n, [(x, y) for x in range(n) for y in range(n)
+                          if rng.random() < density])
+        path = tmp_path / f"af{i}.apx"
+        path.write_text(format_apx(af))
+        g_plus = af.plus_set(grounded_finite(af).grounded)
+        for x in sorted(g_plus)[:2]:
+            tree = path_keyed_expand(build_TS(af, {x}), node_cap=50_000)
+            want = json.dumps({"path_exists": False, "rank": str(ts_rank(af, {x})),
+                               "tree": {"nodes": [list(p) for p in tree.order]}},
+                              sort_keys=True)
+            code, out, _ = run(capsys, "reduce", "ts", "--af", f"apx:{path}",
+                               "--set", af.names[x])
+            assert code == 0 and out == want + "\n"
+            printed += len(tree) > 1
+    assert printed > 10
 
 
 def test_reduce_ta(capsys, tmp_path):
@@ -339,6 +363,31 @@ def test_check_lemmas_catches_a_grounded_that_drops_its_last_layer(
                        "--max-args", "8", "--seed", "1")
     assert code == 1
     assert "grounded is not the least fixpoint" in out
+    assert sizes and all(small <= n for n, small in sizes)
+
+
+def test_check_lemmas_catches_a_ts_path_question_that_flips(
+        capsys, monkeypatch):
+    ts_path_exists = checks.ts_path_exists
+
+    def flipped(af, seed, prefix_depth=100):
+        d = ts_path_exists(af, seed, prefix_depth=prefix_depth)
+        return TsDecision(not d.path_exists, d.prefix, d.rank)
+
+    sizes = []
+    minimize_af = checks.minimize_af
+
+    def minimized(af, violates):
+        small = minimize_af(af, violates)
+        sizes.append((af.n, small.n))
+        return small
+
+    monkeypatch.setattr(checks, "ts_path_exists", flipped)
+    monkeypatch.setattr(checks, "minimize_af", minimized)
+    code, out, _ = run(capsys, "check", "lemmas", "--trials", "3",
+                       "--max-args", "8", "--seed", "1")
+    assert code == 1
+    assert "T_S path question disagrees with the oracle" in out
     assert sizes and all(small <= n for n, small in sizes)
 
 

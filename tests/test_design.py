@@ -31,6 +31,10 @@ is the only code in core.py that constructs ApxParseError, so every
 parse error keeps one message and line; the canonical reader in front
 of it returns None on anything it does not accept and never raises.
 
+Tree JSON has one writer, `trees.tree_to_json`: no other library code
+outside checks.py builds a "nodes" document, as a dict or as text, and
+the dict-building `tree_document` it replaced stays gone.
+
 Every function, method and class of the library outside checks.py is
 named by some library code or exported in `__all__`; the few that only
 the tests read are listed with the reason they stay.
@@ -224,6 +228,59 @@ def test_the_guard_sees_the_oracles_own_cap_checks():
 def test_only_the_per_line_reader_raises_apx_parse_errors():
     assert {scope for scope, _ in calls(SRC / "core.py", "ApxParseError")} == \
         {"_read_per_line"}
+
+
+def nodes_documents(path: Path) -> list:
+    """Every dict or keyword keyed "nodes", and every string other than a
+    docstring that holds the JSON key text '"nodes":'."""
+    docstrings = {(node.value.lineno, node.value.col_offset)
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Expr)
+                  and isinstance(node.value, ast.Constant)}
+
+    def writes(node):
+        if isinstance(node, ast.Dict):
+            return any(isinstance(k, ast.Constant) and k.value == "nodes"
+                       for k in node.keys)
+        if isinstance(node, ast.keyword):
+            return node.arg == "nodes"
+        return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and '"nodes":' in node.value
+                and (node.lineno, node.col_offset) not in docstrings)
+
+    return find(path, writes)
+
+
+def mentions(path: Path, name: str) -> list:
+    """Every use, definition or import of `name`."""
+    return find(path, lambda node: name in (
+        getattr(node, "id", None), getattr(node, "attr", None),
+        getattr(node, "name", None)))
+
+
+def test_tree_to_json_is_the_one_tree_json_writer():
+    writers = {path.name: {scope for scope, _ in nodes_documents(path)}
+               for path in sorted(SRC.glob("*.py")) if path.name != "checks.py"}
+    assert {name: scopes for name, scopes in writers.items() if scopes} == \
+        {"trees.py": {"tree_to_json"}}
+    named = {path.name: mentions(path, "tree_document")
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in named.items() if found} == {}
+
+
+def test_the_guard_sees_a_second_tree_json_writer(tmp_path):
+    path = tmp_path / "writer.py"
+    path.write_text(
+        'from .trees import tree_document\n'
+        'def tree_document(tree):\n'
+        '    """{"nodes": [[], [0]]}"""\n'
+        '    return {"nodes": [[]]}\n'
+        'def spliced(tree):\n'
+        '    return \'{"nodes": [[\' + "]]}" or dict(nodes=[])\n')
+    assert nodes_documents(path) == \
+        [("tree_document", 4), ("spliced", 6), ("spliced", 6)]
+    assert [scope for scope, _ in mentions(path, "tree_document")] == \
+        ["", "tree_document"]
 
 
 DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)

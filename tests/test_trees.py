@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 
@@ -224,6 +225,46 @@ def test_tree_json_roundtrip():
     t = FiniteTree([(), (0,), (0, 0), (1,)])
     assert tree_from_json(tree_to_json(t)) == t
     assert tree_to_json(t) == '{"nodes": [[], [0], [1], [0, 0]]}'
+
+
+def ts_trees(rng, count):
+    """T_S of seeded random AFs: whole for pathless seeds, else cut to a
+    depth (T_S has no families, so the width cuts nothing)."""
+    for _ in range(count):
+        n, density = rng.randint(1, 9), rng.uniform(0.05, 0.5)
+        af = FiniteAF(n, [(x, y) for x in range(n) for y in range(n)
+                          if rng.random() < density])
+        for seed in [set()] + [{x} for x in range(n)]:
+            if not rank_analysis.ts_path_exists(af, seed).path_exists:
+                yield rank_analysis.expand_ts(af, seed)
+            yield truncate_tree(rank_analysis.build_TS(af, seed), width=1,
+                                depth=rng.randint(0, 6), node_cap=5_000)
+
+
+def test_tree_json_is_what_json_dumps_writes():
+    rng = random.Random(53)
+    chain = [tuple([0] * k) for k in range(40)]
+    fan = [ROOT] + [(s,) for s in [*range(10), *rng.sample(range(10, 100), 40),
+                                   *rng.sample(range(100, 1_000), 100)]]
+    built = [truncate_tree(build_tree_of_rank(parse_ordinal(a)), width)
+             for a in ("w", "w^2+3", "w^3") for width in (1, 2, 3)]
+    for _ in range(20):
+        try:
+            built.append(truncate_tree(
+                build_tree_of_rank(random_ordinal_below_w4(rng)),
+                rng.randint(1, 4), node_cap=2_000))
+        except CapExceeded:
+            pass
+    assert len(built) > 20
+    tables = [FiniteTree([ROOT]), FiniteTree(chain), FiniteTree(fan),
+              *built, *ts_trees(rng, 12)]
+    assert len(chain) == 40 and len(fan) == 151
+    assert {len(str(s)) for (s,) in fan[1:]} == {1, 2, 3}
+    assert sum(len(t) > 100 for t in tables) > 5
+    for t in tables:
+        want = json.dumps({"nodes": [list(p) for p in t.order]})
+        assert tree_to_json(t) == want
+        assert tree_from_json(tree_to_json(t)) == t
 
 
 def test_tree_json_errors():
