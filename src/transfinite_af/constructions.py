@@ -94,24 +94,24 @@ class FiniteTreeAF:
         return out
 
 
-def _tree_af_table(tree: FiniteTree) -> Tuple[List[str], List[Tuple[int, int]]]:
-    """F_T's names and attacks by row: a_r attacks b_r, and b_r attacks
-    a of r's parent; each name is its parent's plus one symbol."""
+def _tree_af_table(tree: FiniteTree) -> Tuple[List[str], List[Tuple[int, ...]]]:
+    """F_T's names and attack rows by tree row: a_r attacks b_r, and b_r
+    attacks a of r's parent; each name is its parent's plus one symbol."""
     parents, symbols = tree.parents, tree.symbols
     suffixes = [""]
-    attacks = [(0, 1)]
     for r in range(1, len(parents)):
-        p = parents[r]
-        suffixes.append(f"{suffixes[p]}_{symbols[r]}")
-        attacks += ((2 * r, 2 * r + 1), (2 * r + 1, 2 * p))
+        suffixes.append(f"{suffixes[parents[r]]}_{symbols[r]}")
     names = [n for sfx in suffixes for n in ("a" + sfx, "b" + sfx)]
-    return names, attacks
+    rows = [()] * len(names)
+    rows[0::2] = [(b,) for b in range(1, len(names), 2)]
+    rows[3::2] = [(2 * p,) for p in parents[1:]]
+    return names, rows
 
 
 def af_from_finite_tree(tree: FiniteTree) -> FiniteTreeAF:
     # one name per node path, so the names are unique by construction
-    names, attacks = _tree_af_table(tree)
-    return FiniteTreeAF(FiniteAF._built(len(names), attacks, names), tree)
+    names, rows = _tree_af_table(tree)
+    return FiniteTreeAF(FiniteAF._built(rows, names), tree)
 
 
 # -- F_T over lazy trees -----------------------------------------------------
@@ -235,16 +235,15 @@ def baumann_spanring(truncate: Optional[int] = None):
         if truncate < 0:
             raise ValueError("truncate must be >= 0")
         n = truncate
-        attacks = []
-        for i in range(n - 1):
-            attacks.append((2 * i, 2 * i + 2))
-            attacks.append((2 * i + 1, 2 * i + 3))
-        for i in range(1, n, 2):
-            attacks.append((2 * i, 1))
-        names = []
+        rows, names = [], []
         for i in range(n):
+            a_next = b_next = ()
+            if i < n - 1:
+                a_next, b_next = (2 * i + 2,), (2 * i + 3,)
+            # odd a's attack b_0, at index 1, before their next a
+            rows += ((1,) + a_next if i % 2 else a_next, b_next)
             names += [f"a{i}", f"b{i}"]
-        return FiniteAF._built(2 * n, attacks, names)
+        return FiniteAF._built(rows, names)
 
     def predicate(x: int, y: int) -> bool:
         if y == x + 2 and x % 2 == y % 2:
@@ -443,13 +442,14 @@ def ordinal_target_af(alpha, truncate: Optional[int] = None):
 
 
 def _compact_union(parts) -> Tuple[FiniteAF, List[int], List[int]]:
-    """The finite union of parts given as (names, attacks) by index.
+    """The finite union of parts given as (names, attack rows) by index.
 
     Part p's argument j goes to the rank of pair(p, j) among all the
     parts' codes, named u<p>_<its name>.  Returns the AF, the union index
     of each part's arguments in turn, and where each part's run starts.
     The parts' names are valid and unique within each part, and the
-    prefix keeps them apart across parts, so the AF is built unchecked.
+    prefix keeps them apart across parts, so the AF is built unchecked;
+    the rank grows with j within a part, so remapped rows stay sorted.
     """
     codes, offsets = [], []
     for p, (names, _) in enumerate(parts):
@@ -460,12 +460,14 @@ def _compact_union(parts) -> Tuple[FiniteAF, List[int], List[int]]:
     index = [0] * len(codes)
     for g, f in enumerate(ranked):
         index[f] = g
-    flat_names, attacks = [], []
-    for p, (names, part_attacks) in enumerate(parts):
+    flat_names, flat_rows = [], []
+    for p, (names, rows) in enumerate(parts):
         prefix, off = f"u{p}_", offsets[p]
+        to_union = index[off:off + len(names)].__getitem__
         flat_names += [prefix + nm for nm in names]
-        attacks += [(index[off + x], index[off + y]) for x, y in part_attacks]
-    af = FiniteAF._built(len(codes), attacks, [flat_names[f] for f in ranked])
+        flat_rows += [tuple(map(to_union, row)) for row in rows]
+    af = FiniteAF._built([flat_rows[f] for f in ranked],
+                         [flat_names[f] for f in ranked])
     return af, index, offsets
 
 
@@ -482,7 +484,7 @@ def disjoint_union_with_embedding(parts: List):
             IndexError("empty union"))
     if all(isinstance(p, FiniteAF) for p in parts):
         af, index, offsets = _compact_union(
-            [(part.names, part.attack_pairs) for part in parts])
+            [(part.names, part._fwd) for part in parts])
 
         def embed(p: int, j: int) -> int:
             if not (0 <= p < len(parts) and 0 <= j < parts[p].n):

@@ -1,15 +1,17 @@
 """Argumentation frameworks: finite and lazily presented.
 
 Arguments are natural-number indices.  A finite AF stores the attack
-relation explicitly with adjacency in both directions (attacker lookups
-drive the tree reductions, so the reverse index matters).  A lazy AF is
+relation explicitly as one sorted row of targets per argument, and
+builds the attacker rows from them on first use (attacker lookups drive
+the grounded stages and the tree reductions).  A lazy AF is
 a total decidable attack predicate over all of N together with a
 per-argument attacker description: a finite explicit list and/or
 affine families (`Family`).  Both kinds answer the same attacker
 queries (`universe`, `attacker_spec`, `attacker_candidates`), so the
 engines ask them without knowing which kind they hold.
 
-All values are immutable after construction; every operation is pure.
+All values are immutable after construction (a finite AF's tables built
+on first use never change what it answers); every operation is pure.
 """
 
 from __future__ import annotations
@@ -195,14 +197,29 @@ class AttackerSpec:
 _NAME_RE = re.compile(r"[a-zA-Z0-9_]+\Z")
 
 
+def _rows(n: int, pairs) -> Tuple[Tuple[int, ...], ...]:
+    """The attack rows over range(n) of a set of (attacker, target)
+    pairs: row x holds the targets of x in increasing order."""
+    rows = [[] for _ in range(n)]
+    for x, y in pairs:
+        rows[x].append(y)
+    for row in rows:
+        row.sort()
+    return tuple(map(tuple, rows))
+
+
 class FiniteAF:
     """A finite AF over arguments 0..n-1 with an explicit attack relation.
 
     Self-attacks are permitted.  Display names default to a0..a{n-1};
     custom names must be unique and match [a-zA-Z0-9_]+.
+
+    The attack rows `_fwd` are the one stored relation: row x holds the
+    targets of x, sorted and duplicate-free.  The attack set, the
+    attacker rows and the name index are built from them on first use.
     """
 
-    __slots__ = ("n", "attack_pairs", "_fwd", "_rev", "names", "_name_index")
+    __slots__ = ("n", "_fwd", "names", "_pair_set", "_rev_rows", "_name_map")
 
     def __init__(self, n: int, attacks: Iterable[Tuple[int, int]] = (),
                  names: Optional[Sequence[str]] = None):
@@ -225,42 +242,65 @@ class FiniteAF:
             name_index = {nm: i for i, nm in enumerate(names)}
             if len(name_index) != n:
                 raise ValueError("argument names must be unique")
-        self._fill(n, pairs, names, name_index)
+        self._fill(_rows(n, pairs), names, name_index, pairs)
 
     @classmethod
-    def _built(cls, n: int, pairs, names: Sequence[str],
-               name_index: Optional[dict] = None) -> "FiniteAF":
+    def _built(cls, rows, names: Sequence[str],
+               name_index: Optional[dict] = None,
+               pairs: Optional[frozenset] = None) -> "FiniteAF":
         """A FiniteAF from data valid by construction, checked nowhere.
 
-        The caller guarantees every pair lies in range(n) and the names
-        are n unique matches of [a-zA-Z0-9_]+; `name_index`, when given,
-        maps each name to its index.  Only the parser and the generators,
-        whose tables are valid as built, may call it.
+        The caller guarantees one row per argument, each a sorted,
+        duplicate-free run of targets in range(len(rows)), and that the
+        names are len(rows) unique matches of [a-zA-Z0-9_]+.
+        `name_index`, when given, maps each name to its index, and
+        `pairs`, when given, is the set of the rows' attacks.  Only the
+        parser and the generators, whose tables are valid as built, may
+        call it.
         """
         af = object.__new__(cls)
-        af._fill(n, frozenset(pairs), tuple(names), name_index)
+        af._fill(tuple(rows), tuple(names), name_index, pairs)
         return af
 
-    def _fill(self, n: int, pairs: frozenset, names: tuple,
-              name_index: Optional[dict]) -> None:
-        """The one place adjacency is built: each attack row sorted in
-        place, then the attacker rows filled in attacker order, which
-        leaves them sorted too."""
-        fwd = [[] for _ in range(n)]
-        for x, y in pairs:
-            fwd[x].append(y)
-        rev = [[] for _ in range(n)]
-        for x, row in enumerate(fwd):
-            row.sort()
-            for y in row:
-                rev[y].append(x)
-        self.n = n
-        self.attack_pairs = pairs
-        self._fwd = tuple(map(tuple, fwd))
-        self._rev = tuple(map(tuple, rev))
+    def _fill(self, rows: tuple, names: tuple, name_index: Optional[dict],
+              pairs: Optional[frozenset]) -> None:
+        self.n = len(rows)
+        self._fwd = rows
         self.names = names
-        self._name_index = (name_index if name_index is not None
-                            else {nm: i for i, nm in enumerate(names)})
+        self._name_map = name_index
+        self._pair_set = pairs
+        self._rev_rows = None
+
+    # -- tables built on first use
+
+    @property
+    def attack_pairs(self) -> frozenset:
+        """The attack relation as a set of (attacker, target) pairs."""
+        pairs = self._pair_set
+        if pairs is None:
+            pairs = self._pair_set = frozenset(
+                (x, y) for x, row in enumerate(self._fwd) for y in row)
+        return pairs
+
+    @property
+    def _rev(self) -> Tuple[Tuple[int, ...], ...]:
+        """The one place attacker rows are built: filled in attacker
+        order from the sorted attack rows, which leaves them sorted too."""
+        rev = self._rev_rows
+        if rev is None:
+            rows = [[] for _ in range(self.n)]
+            for x, row in enumerate(self._fwd):
+                for y in row:
+                    rows[y].append(x)
+            rev = self._rev_rows = tuple(map(tuple, rows))
+        return rev
+
+    @property
+    def _name_index(self) -> dict:
+        index = self._name_map
+        if index is None:
+            index = self._name_map = {nm: i for i, nm in enumerate(self.names)}
+        return index
 
     # -- basic queries
 
@@ -268,9 +308,12 @@ class FiniteAF:
         if not (0 <= i < self.n):
             raise IndexError(f"argument index {i} out of range [0,{self.n})")
 
+    # The engines call these two per pair and per argument, so a table
+    # already built is read from its slot, skipping the accessor's call.
+
     def attacks(self, x: int, y: int) -> bool:
         # every stored pair is in range, so only a miss needs the check
-        if (x, y) in self.attack_pairs:
+        if (x, y) in (self._pair_set or self.attack_pairs):
             return True
         self._check(x)
         self._check(y)
@@ -278,7 +321,8 @@ class FiniteAF:
 
     def attackers_of(self, x: int) -> Tuple[int, ...]:
         self._check(x)
-        return self._rev[x]
+        # in range, so n > 0 and built attacker rows are a non-empty tuple
+        return (self._rev_rows or self._rev)[x]
 
     # -- the lazy AF's attacker queries (see LazyAF)
 
@@ -352,13 +396,13 @@ class FiniteAF:
     def __eq__(self, other):
         if not isinstance(other, FiniteAF):
             return NotImplemented
-        return self.n == other.n and self.attack_pairs == other.attack_pairs
+        return self.n == other.n and self._fwd == other._fwd
 
     def __hash__(self):
-        return hash((self.n, self.attack_pairs))
+        return hash((self.n, self._fwd))
 
     def __repr__(self):
-        return f"FiniteAF(n={self.n}, attacks={len(self.attack_pairs)})"
+        return f"FiniteAF(n={self.n}, attacks={sum(map(len, self._fwd))})"
 
 
 # -- lazy AFs -----------------------------------------------------------------
@@ -506,12 +550,13 @@ def parse_apx(text: str) -> FiniteAF:
     any attack that names an unknown argument.
     """
     lines = text.splitlines()
-    names, index, pairs = _read_canonical(lines) or _read_per_line(lines)
-    return FiniteAF._built(len(names), pairs, names, index)
+    names, index, attacks = _read_canonical(lines) or _read_per_line(lines)
+    pairs = frozenset(attacks)
+    return FiniteAF._built(_rows(len(names), pairs), names, index, pairs)
 
 
 def _read_canonical(lines):
-    """(names, index, pairs) of a canonical text, else None; never raises."""
+    """(names, index, attacks) of a canonical text, else None; never raises."""
     names, attacks = [], []
     for line in lines:
         head = line[:4]

@@ -496,3 +496,99 @@ def test_materialize_specs(tmp_path):
     union = materialize_spec(
         parse_generator_spec("union(apx:chain.apx,ord:2)"), str(tmp_path))
     assert grounded_finite(union).grounding_ordinal == 2
+
+
+# -- finite AFs built from attack rows -------------------------------------------
+
+
+def _tables(af):
+    return (af.n, af.attack_pairs, af._fwd, af._rev, af.names, af._name_index)
+
+
+def assert_built_as_from_pairs(got, n, pairs, names):
+    """`got`, built from rows, is the AF the constructor builds from pairs."""
+    want = FiniteAF(n, pairs, names)
+    assert _tables(got) == _tables(want)
+    assert got == want and hash(got) == hash(want)
+
+
+def _ft_pairs(tree):
+    """F_T's names and attacks, straight from the tree's paths and parents."""
+    names = [side + "".join(f"_{s}" for s in p) for p in tree.order for side in "ab"]
+    pairs = {(2 * r, 2 * r + 1) for r in range(len(tree.order))}
+    pairs |= {(2 * r + 1, 2 * tree.parents[r]) for r in range(1, len(tree.order))}
+    return names, pairs
+
+
+def _union_pairs(parts):
+    """The compact union of (names, pairs) parts: part p's argument j goes
+    to the rank of pair(p, j) among the parts' codes."""
+    codes = sorted(pair(p, j) for p, (names, _) in enumerate(parts)
+                   for j in range(len(names)))
+    rank = {c: g for g, c in enumerate(codes)}
+    names = [None] * len(codes)
+    pairs = set()
+    for p, (part_names, part_pairs) in enumerate(parts):
+        for j, nm in enumerate(part_names):
+            names[rank[pair(p, j)]] = f"u{p}_{nm}"
+        pairs |= {(rank[pair(p, x)], rank[pair(p, y)]) for x, y in part_pairs}
+    return names, pairs
+
+
+def test_tree_afs_are_built_as_from_their_pairs():
+    rng = random.Random(29)
+    for _ in range(40):
+        beta = Ordinal.from_int(rng.randint(0, 4))
+        for _ in range(rng.randint(0, 3)):
+            beta = OMEGA + beta
+        for _ in range(rng.randint(0, 2)):
+            beta = omega_power(2) + beta
+        tree = truncate_tree(build_tree_of_rank(beta), width=rng.randint(1, 3))
+        names, pairs = _ft_pairs(tree)
+        assert_built_as_from_pairs(af_from_finite_tree(tree).af,
+                                   len(names), pairs, names)
+
+
+def test_bs_truncations_are_built_as_from_their_pairs():
+    for n in range(41):
+        pairs = {(2 * i, 2 * i + 2) for i in range(n - 1)}
+        pairs |= {(2 * i + 1, 2 * i + 3) for i in range(n - 1)}
+        pairs |= {(2 * i, 1) for i in range(1, n, 2)}
+        names = [nm for i in range(n) for nm in (f"a{i}", f"b{i}")]
+        assert_built_as_from_pairs(baumann_spanring(truncate=n),
+                                   2 * n, pairs, names)
+
+
+@pytest.mark.parametrize("alpha", ["w", "w*3", "w^2", "w^2+w", "w^2*2"])
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_truncated_limit_targets_are_built_as_from_their_pairs(alpha, width):
+    limit = parse_ordinal(alpha)
+    parts = [_ft_pairs(truncate_tree(
+        build_tree_of_rank(fundamental_sequence(limit, i)), width=width))
+        for i in range(width)]
+    names, pairs = _union_pairs(parts)
+    af = materialize_spec(parse_generator_spec(f"ord:{alpha}:truncate={width}"))
+    assert_built_as_from_pairs(af, len(names), pairs, names)
+
+
+def test_finite_unions_are_built_as_from_their_pairs():
+    rng = random.Random(31)
+    for _ in range(60):
+        parts = []
+        for _ in range(rng.randint(1, 4)):
+            n = rng.randint(0, 6)
+            parts.append(FiniteAF(n, [(x, y) for x in range(n) for y in range(n)
+                                      if rng.random() < 0.3]))
+        names, pairs = _union_pairs([(part.names, part.attack_pairs)
+                                     for part in parts])
+        assert_built_as_from_pairs(disjoint_union(parts),
+                                   len(names), pairs, names)
+
+
+@pytest.mark.parametrize("text", ["ord:w^2:truncate=4", "ord:w*3+2:truncate=5"])
+def test_generated_afs_build_only_the_tables_asked_for(text):
+    af = materialize_spec(parse_generator_spec(text))
+    format_apx(af)
+    assert af._rev_rows is None and af._pair_set is None
+    grounded_finite(af)
+    assert af._rev_rows is not None and af._pair_set is None

@@ -176,7 +176,8 @@ def test_the_unchecked_builder_builds_what_the_constructor_builds():
                    for _ in range(rng.randint(0, 3 * n))] if n else []
         names = rng.sample([f"x{i}" for i in range(3 * n)], n)
         af = FiniteAF(n, attacks, names)
-        assert _tables(FiniteAF._built(n, attacks, names)) == _tables(af)
+        assert _tables(FiniteAF._built(core._rows(n, frozenset(attacks)),
+                                       names)) == _tables(af)
         assert af._fwd == tuple(tuple(sorted(y for x, y in af.attack_pairs
                                              if x == i)) for i in range(n))
         assert af._rev == tuple(tuple(sorted(x for x, y in af.attack_pairs

@@ -14,6 +14,10 @@ Finite AFs from public input are validated; only the APX parser and the
 generators, whose tables are valid by construction, may skip that
 through `FiniteAF._built`.
 
+A finite AF stores only its attack rows; the attack set `attack_pairs`
+is built from them on first use.  Outside core.py and checks.py no
+library module reads it, so no engine or generator forces the set.
+
 T_S and T^a are defined once, by the state machine `_ts_states`: no
 other code in rank_analysis.py builds children or node states.
 
@@ -142,6 +146,24 @@ def test_the_guard_sees_the_allowed_built_uses():
         {"parse_apx"}
     assert {scope for scope, _ in uses(SRC / "constructions.py", "_built")} == \
         {"af_from_finite_tree", "baumann_spanring", "_compact_union"}
+
+
+PAIRS_ALLOWED = {"core.py", "checks.py"}
+
+
+def test_no_engine_or_generator_reads_the_attack_set():
+    stray = {path.name: uses(path, "attack_pairs")
+             for path in sorted(SRC.glob("*.py"))
+             if path.name not in PAIRS_ALLOWED and uses(path, "attack_pairs")}
+    assert stray == {}
+
+
+def test_the_guard_sees_the_allowed_attack_set_reads():
+    assert {scope for scope, _ in uses(SRC / "core.py", "attack_pairs")} == \
+        {"FiniteAF.attacks", "FiniteAF.is_conflict_free",
+         "FiniteAF.remove_argument"}
+    assert {scope for scope, _ in uses(SRC / "checks.py", "attack_pairs")} == \
+        {"bitmask_least_fixpoint"}
 
 
 TREE_PARTS = {"ChildrenSpec", "NodeStates"}
