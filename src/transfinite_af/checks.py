@@ -697,7 +697,7 @@ def run_construction_suite(trials: int, seed: int) -> SuiteResult:
         if grounded_finite(ordinal_target_af(k)).grounding_ordinal != k:
             result.violations.append(f"ordinal target {k} misses its mark")
 
-    for text in ("w", "w*2"):
+    for text in ("w", "w*2", "w^2", "w^2+w"):
         result.checks += 1
         alpha = parse_ordinal(text)
         af = ordinal_target_af(alpha)

@@ -11,11 +11,12 @@ Index codings are generator-owned injective maps published here:
 * the lazy two-chain family interleaves a_i at 2i with b_i at 2i+1 (no
   padding).
 
-* unions place part p's argument j at pair(p, j).  One indexed union
-  serves both union(...) specs and limit ordinal targets (whose parts walk
-  the fundamental sequence); indices past a finite part's arguments, and
-  slices past the last part, are padding as above.  All-finite unions
-  are compacted to a finite AF instead.
+* unions place part p's argument j at pair(p, j); indices past a finite
+  part's arguments, and slices past the last part, are padding as above.
+  All-finite unions are compacted to a finite AF instead.  A limit
+  ordinal target alpha is F_T of the rank-alpha tree below its root, and
+  root child p's subtree, the rank-alpha[p] tree, is coded and named as
+  union part p: its node code c has a at pair(p, 2c), b at pair(p, 2c+1).
 
 Tests address arguments through structured names (a_0_1, b3, u2_a0),
 never raw indices.
@@ -43,7 +44,7 @@ from .core import (
     parse_apx,
     unpair,
 )
-from .errors import UnsupportedExpression
+from .errors import Budget, UnsupportedExpression
 from .grounded import SymbolicStageMap, stages_finite
 from .ordinals import (
     NEVER,
@@ -125,100 +126,147 @@ def _decode(code: int) -> Tuple[int, ...]:
     return tuple(reversed(syms))
 
 
-_B_STEP = Affine(2, 3)  # child code -> companion b index, see af_from_tree
+_B_STEP = Affine(2, 3)  # child code -> companion b index, see _tree_af
 
 
-def af_from_tree(tree: LazyTree) -> LazyAF:
+def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
+             sup: Optional[Tuple[Ordinal, bool, Optional[int]]]) -> LazyAF:
     """F_T of a lazy tree: b_child attacks a_parent, a attacks its own b.
 
-    When the tree is rank-annotated the result carries a candidate stage
-    map (a_path at rank+1, b_path never, padding at 1) with the attained
-    supremum root_rank + 1 witnessed by the root argument.
+    Node code c has its a at j = 2c and its b at 2c+1; a code of no node
+    is padding pad_<j>.  Plain, the root has code 0 and j is the index.
+    As a forest the root is dropped, root child p's subtree is coded on
+    its own with p at code 0, and its j sits at pair(p, j), named
+    u<p>_<name>.  sup = (value, attained, witness) attaches the candidate
+    stage map: `families`, then a at rank+1, b never, padding at 1.  A
+    code's state is stepped from its parent code's, and each distinct
+    (state, symbol) once per AF.
     """
-    nodes = tree.states
+    nodes, annotated = tree.states, tree.has_rank_annotations
+    stepped = {}  # (state, symbol) -> the child's state, or OFF_TREE
     known = {0: nodes.root}  # node code -> its state, or OFF_TREE
+    tables = {}  # forest: root child p -> its subtree's `known`
 
-    def state_of(code: int):
-        """The code's node state, one step from its parent code's."""
+    def child_state(state, s):
+        kid = stepped.get((state, s))
+        if kid is None:
+            kid = stepped[state, s] = tree.step(state, s)
+        return kid
+
+    def split(x: int):
+        """A forest index's root child p, its j, and p's `known`."""
+        p, j = unpair(x)
+        t = tables.get(p)
+        if t is None:
+            t = tables[p] = {0: child_state(nodes.root, p)}
+        return p, j, t
+
+    def state_of(t: dict, code: int):
         climb = []
-        while code not in known:
+        while code not in t:
             parent, s = unpair(code - 1)
             climb.append((code, s))
             code = parent
-        state = known[code]
+        state = t[code]
         for code, s in reversed(climb):
-            state = known[code] = tree.step(state, s)
+            state = t[code] = child_state(state, s)
         return state
 
-    def is_node(code: int) -> bool:
-        return state_of(code) is not OFF_TREE
-
     def predicate(x: int, y: int) -> bool:
+        t = known
+        if forest:
+            (p, x, t), (q, y) = split(x), unpair(y)
+            if p != q:
+                return False
         if x % 2 == 0 and y == x + 1:
-            return is_node(x // 2)
+            return state_of(t, x // 2) is not OFF_TREE
         if x % 2 == 1 and y % 2 == 0 and x > 1:
             code = x // 2
-            return unpair(code - 1)[0] == y // 2 and is_node(code)
+            return (unpair(code - 1)[0] == y // 2
+                    and state_of(t, code) is not OFF_TREE)
         return False
 
     def candidates(index: int, hi: int) -> list:
         # a b is attacked only by its own a; an a only by the b's of its
-        # child slots, whose indices grow with the slot symbol
+        # child slots, whose indices grow with the slot symbol; in a
+        # forest, pair(p, c) < hi exactly when c < least_right(p, hi)
+        if forest:
+            p, index = unpair(index)
+            hi = least_right(p, hi)
         if index % 2 == 1:
-            return [index - 1] if index - 1 < hi else []
-        out = []
-        s = 0
-        while (x := _B_STEP.apply(pair(index // 2, s))) < hi:
-            out.append(x)
-            s += 1
-        return out
+            out = [index - 1] if index - 1 < hi else []
+        else:
+            out, s = [], 0
+            while (x := _B_STEP.apply(pair(index // 2, s))) < hi:
+                out.append(x)
+                s += 1
+        return [pair(p, c) for c in out] if forest else out
 
     def spec(index: int) -> AttackerSpec:
+        t, tail = known, (_B_STEP,)
+        if forest:
+            p, index, t = split(index)
+            tail = (_B_STEP, PairLeft(p))
         code = index // 2
-        state = state_of(code)
+        state = state_of(t, code)
         if state is OFF_TREE:
             return AttackerSpec()
         if index % 2 == 1:
-            return AttackerSpec(explicit=(index - 1,))
-        children = nodes.children(state)
-        explicit = tuple(2 * (pair(code, s) + 1) + 1 for s in children.symbols)
-        families = []
-        for fam in children.families:
-            dse = None
-            if tree.has_rank_annotations and fam.expr is not None:
-                dse = fam.expr.add_finite(1)
-            families.append(Family(
-                fam.index_map.then(PairLeft(code)).then(_B_STEP),
-                fam.k_start, dse))
-        return AttackerSpec(explicit=explicit, families=tuple(families))
+            explicit, lifted = (index - 1,), ()
+        else:
+            children = nodes.children(state)
+            explicit = tuple(2 * (pair(code, s) + 1) + 1 for s in children.symbols)
+            lifted = tuple(Family(
+                IndexMap(fam.index_map.steps + (PairLeft(code),) + tail),
+                fam.k_start,
+                fam.expr.add_finite(1) if annotated and fam.expr is not None else None)
+                for fam in children.families)
+        if forest:
+            explicit = tuple(pair(p, b) for b in explicit)
+        return AttackerSpec(explicit=explicit, families=lifted)
 
     def naming(index: int) -> str:
-        if not is_node(index // 2):
-            return f"pad_{index}"
-        return _path_name("a" if index % 2 == 0 else "b", _decode(index // 2))
+        t, prefix = known, ""
+        if forest:
+            p, index, t = split(index)
+            prefix = f"u{p}_"
+        if state_of(t, index // 2) is OFF_TREE:
+            return f"{prefix}pad_{index}"
+        return prefix + _path_name("ab"[index % 2], _decode(index // 2))
 
     candidate = None
-    if tree.has_rank_annotations:
+    if sup is not None:
         def stage_of(index: int):
-            state = state_of(index // 2)
+            t = known
+            if forest:
+                _, index, t = split(index)
+            state = state_of(t, index // 2)
             if state is OFF_TREE:
                 return ONE
             return NEVER if index % 2 else tree.state_rank(state) + 1
 
         def family_all_never(fam: Family) -> Optional[bool]:
-            # families minted by this generator end at the b-companion step
-            if fam.index_map.steps and fam.index_map.steps[-1] == _B_STEP:
-                return True
-            return None
+            # families minted here end at the b-companion step, in a
+            # forest followed by the part's PairLeft
+            steps = fam.index_map.steps
+            if forest:
+                steps = steps[:-1] if steps and isinstance(steps[-1], PairLeft) else ()
+            return True if steps and steps[-1] == _B_STEP else None
 
-        candidate = SymbolicStageMap(
-            fallback=stage_of,
-            sup=(tree.state_rank(nodes.root) + 1, True, 0),
-            family_all_never=family_all_never,
-        )
-
+        candidate = SymbolicStageMap(families=families, fallback=stage_of,
+                                     sup=sup, family_all_never=family_all_never)
     return LazyAF(predicate, spec, naming=naming,
                   candidate_stages=candidate, attacker_candidates=candidates)
+
+
+def af_from_tree(tree: LazyTree) -> LazyAF:
+    """F_T of a lazy tree, coded plain (see _tree_af).  A rank-annotated
+    tree's stage map has the attained supremum root_rank + 1, witnessed
+    by the root argument."""
+    sup = None
+    if tree.has_rank_annotations:
+        sup = (tree.state_rank(tree.states.root) + 1, True, 0)
+    return _tree_af(tree, False, (), sup)
 
 
 # -- the two-chain family ----------------------------------------------------------
@@ -234,6 +282,8 @@ def baumann_spanring(truncate: Optional[int] = None):
     if truncate is not None:
         if truncate < 0:
             raise ValueError("truncate must be >= 0")
+        # N pairs of arguments, held to the cap of N tree nodes' F_T
+        Budget("two-chain family", TRUNCATE_NODE_CAP, "argument pairs").spend(truncate)
         n = truncate
         rows, names = [], []
         for i in range(n):
@@ -299,31 +349,22 @@ class _Slice(NamedTuple):
     stage: Optional[Callable[[int], object]]
 
 
-def _union(parts: Callable[[int], object], families: Tuple[Family, ...],
+def _union(parts: List, stage_maps: List[SymbolicStageMap],
+           families: Tuple[Family, ...],
            sup: Optional[Tuple[Ordinal, bool, Optional[int]]]) -> LazyAF:
-    """The union of parts(0), parts(1), ... with part p's argument j at pair(p, j).
+    """The union of a list of AFs with part p's argument j at pair(p, j).
 
-    parts(p) is a finite or lazy AF, or None past the last part.  Indices
-    past a finite part's n, and slices past the last part, are padding at
-    stage 1.  sup = (value, attained, witness) attaches a candidate stage
-    map: `families`, then each part's stages (lazy parts need candidates).
+    Indices past a finite part's n, and slices past the last part, are
+    padding at stage 1.  sup = (value, attained, witness) attaches a
+    candidate stage map: `families`, then each part's from `stage_maps`.
     """
-    cache: Dict[int, _Slice] = {}
+    slices = [_Slice(part, math.inf if part.universe is None else part.universe,
+                     stage_maps[p].stage_of if sup else None)
+              for p, part in enumerate(parts)]
+    past = _Slice(None, 0, None)
 
     def slice_of(p: int) -> _Slice:
-        s = cache.get(p)
-        if s is None:
-            part = parts(p)
-            if part is None:
-                s = _Slice(None, 0, None)
-            elif isinstance(part, FiniteAF):
-                s = _Slice(part, part.n,
-                           stages_finite(part).__getitem__ if sup else None)
-            else:
-                s = _Slice(part, math.inf,
-                           part.candidate_stages.stage_of if sup else None)
-            cache[p] = s
-        return s
+        return slices[p] if p < len(slices) else past
 
     def predicate(x: int, y: int) -> bool:
         px, jx = unpair(x)
@@ -375,12 +416,8 @@ def _union(parts: Callable[[int], object], families: Tuple[Family, ...],
                         replace(fam, index_map=IndexMap(steps[:-1])))
             return None
 
-        candidate = SymbolicStageMap(
-            families=families,
-            fallback=stage_of,
-            sup=sup,
-            family_all_never=family_all_never,
-        )
+        candidate = SymbolicStageMap(families=families, fallback=stage_of,
+                                     sup=sup, family_all_never=family_all_never)
     return LazyAF(predicate, spec, naming=naming,
                   candidate_stages=candidate, attacker_candidates=candidates)
 
@@ -391,11 +428,12 @@ def _union(parts: Callable[[int], object], families: Tuple[Family, ...],
 def ordinal_target_af(alpha, truncate: Optional[int] = None):
     """An AF whose grounding ordinal is exactly alpha.
 
-    Successors beta+1 ride on a tree of rank beta; limits take the union
-    of the targets walking the fundamental sequence, so the grounding
-    ordinal is the supremum of the parts'.  alpha = 0 is the empty AF.
-    Width-w truncations build the F of the width-truncated trees
-    (truncate-then-build), unions keeping their first w parts.
+    Successors beta+1 ride on a tree of rank beta; a limit is F_T of the
+    rank-alpha tree below its root, the union of the targets walking the
+    fundamental sequence (coded as one, see the module docstring), so the
+    grounding ordinal is the supremum of the parts'.  alpha = 0 is the
+    empty AF.  Width-w truncations build the F of the width-truncated
+    trees (truncate-then-build), unions keeping their first w parts.
     """
     alpha = alpha if isinstance(alpha, Ordinal) else Ordinal.from_int(alpha)
 
@@ -432,10 +470,9 @@ def ordinal_target_af(alpha, truncate: Optional[int] = None):
         return _compact_union([_tree_af_table(t) for t in trees])[0]
 
     root_stages = fundamental_sequence_expr(alpha).add_finite(1)
-    return _union(
-        lambda i: af_from_tree(build_tree_of_rank(fundamental_sequence(alpha, i))),
-        (Family(IndexMap((PairRight(0),)), expr=root_stages),),
-        (alpha, False, None))
+    return _tree_af(build_tree_of_rank(alpha), True,
+                    (Family(IndexMap((PairRight(0),)), expr=root_stages),),
+                    (alpha, False, None))
 
 
 # -- disjoint unions ----------------------------------------------------------------
@@ -493,7 +530,7 @@ def disjoint_union_with_embedding(parts: List):
         return af, embed
 
     families: List[Family] = []
-    sup = None
+    stage_maps, sup = [], None
     if all(isinstance(p, FiniteAF) or p.candidate_stages is not None
            for p in parts):
         best, attained, witness = ONE, True, None
@@ -504,14 +541,14 @@ def disjoint_union_with_embedding(parts: List):
                 cand = part.candidate_stages
                 families.extend(replace(f, index_map=f.index_map.then(PairLeft(p)))
                                 for f in cand.families)
+            stage_maps.append(cand)
             value, att, wit = cand.declared_sup()
             if value > best:
                 best, attained = value, att
                 witness = pair(p, wit) if att and wit is not None else None
         sup = (best, attained, witness)
 
-    af = _union(lambda p: parts[p] if p < len(parts) else None,
-                tuple(families), sup)
+    af = _union(parts, stage_maps, tuple(families), sup)
     return af, pair
 
 

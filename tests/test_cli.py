@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from transfinite_af import checks, cli
+from transfinite_af import checks, cli, constructions, trees
 from transfinite_af.checks import eliminated_self_defending, \
     iterated_defense_step, path_keyed_expand
 from transfinite_af.cli import MAX_CHECK_ARGS, MAX_PATH_LENGTH, MAX_SAMPLE, \
@@ -511,6 +511,38 @@ def test_truncated_limit_target_over_budget_exits_3(capsys):
     assert code == 3 and out == ""
     assert err == "error: expansion exceeded 500000 nodes\n"
     assert time.perf_counter() - start < 5
+
+
+def test_bs_truncation_over_the_node_cap_exits_3(capsys):
+    # refused before any row is built: N argument pairs, as N tree nodes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gen", f"bs:truncate={TRUNCATE_NODE_CAP + 1}")
+    assert (code, out) == (3, "")
+    assert err == (f"error: two-chain family exceeded {TRUNCATE_NODE_CAP} "
+                   "argument pairs\n")
+    assert time.perf_counter() - start < 1
+
+
+def test_bs_truncation_up_to_the_cap_is_unchanged(capsys, monkeypatch):
+    # the cap lowered so that its edge builds in milliseconds
+    monkeypatch.setattr(constructions, "TRUNCATE_NODE_CAP", 40)
+    code, out, _ = run(capsys, "gen", "bs:truncate=40")
+    assert code == 0
+    # sha256 of the output before bs truncations were capped
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "a099c8c8cb228ad59313ace83f6c6bf9787e1870d798a8792c1ce09c3e2a7a05"
+    assert run(capsys, "grounded", "bs:truncate=41") == (
+        3, "", "error: two-chain family exceeded 40 argument pairs\n")
+
+
+def test_limit_children_shifted_by_one_fail_the_closed_form(capsys, monkeypatch):
+    # seeded mutant: child k of every limit gets child k+1's rank
+    real = trees._split_child
+    monkeypatch.setattr(trees, "_split_child",
+                        lambda state, s: real(state, s if state[1] else s + 1))
+    code, out, err = run(capsys, "grounded", "ord:w^2", "--sample", "64")
+    assert code == 3 and out == ""
+    assert "[closed-form]" in err
 
 
 @pytest.mark.parametrize("command", [

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -18,7 +19,8 @@ from transfinite_af.constructions import (
     parse_generator_spec,
 )
 from transfinite_af.core import SPEC_FAMILY_PROBE, AttackerSpec, Family, \
-    FiniteAF, LazyAF, PairLeft, format_apx, pair, spot_check_attacker_spec, unpair
+    FiniteAF, IndexMap, LazyAF, PairLeft, PairRight, format_apx, least_right, \
+    pair, spot_check_attacker_spec, unpair
 from transfinite_af.errors import CapExceeded, UnsupportedExpression
 from transfinite_af.grounded import (
     grounded_finite,
@@ -288,16 +290,31 @@ def _union_part(text):
 
 
 @pytest.mark.parametrize("text", [
-    "ord:w", "ord:w^2", "ord:w^2*2+w", "union(bs,ord:w)",
-    "union(bs:truncate=3,ord:w^2,bs)", "union(ord:w*2,ord:5)"])
+    "ord:w", "ord:w^2", "ord:w^3", "ord:w^2*2+w", "ord:w^2+w*2",
+    "union(bs,ord:w)", "union(bs:truncate=3,ord:w^2,bs)",
+    "union(ord:w*2,ord:5)"])
 def test_union_places_part_p_argument_j_at_pair(text):
+    # the reference builds each part as an AF of its own: a limit target
+    # is one F_T over its rank tree, which must answer as that union does
     union = materialize_spec(parse_generator_spec(text))
     part_of = _union_part(text)
+    parts = {p: part_of(p) for p in range(18)}  # each p with pair(p, 0) < 160
     cand = union.candidate_stages
     for x in range(160):
         p, j = unpair(x)
-        part = part_of(p)
-        if part is None or (isinstance(part, FiniteAF) and j >= part.n):
+        part = parts[p]
+        # the part's arguments before the padding
+        n = 0 if part is None else part.universe
+        n = math.inf if n is None else n
+        for y in range(160):
+            q, k = unpair(y)
+            want = p == q and j < n and k < n and part.attacks(j, k)
+            assert union.attacks(x, y) == want, (x, y)
+        for hi in (1, x, x + 1, 97, 160):
+            want = [] if j >= n else [
+                pair(p, c) for c in part.attacker_candidates(j, least_right(p, hi))]
+            assert list(union.attacker_candidates(x, hi)) == want, (x, hi)
+        if j >= n:
             assert union.name(x) == f"pad_{x}"
             assert union.attacker_spec(x) == AttackerSpec()
             assert cand.stage_of(x) == 1
@@ -317,6 +334,45 @@ def test_union_places_part_p_argument_j_at_pair(text):
         for fam, own in zip(lifted, inner.families):
             assert (cand.family_all_never(fam)
                     == part.candidate_stages.family_all_never(own))
+    # no verdict on a family no part minted: a limit's root stages, or
+    # part 0's arguments all lifted
+    for index_map in (IndexMap((PairRight(0),)),
+                      IndexMap.affine(1, 0).then(PairLeft(0))):
+        assert cand.family_all_never(Family(index_map)) is None
+
+
+def test_limit_targets_are_built_without_the_indexed_union(monkeypatch):
+    monkeypatch.setattr(constructions, "_union", None)
+    for text in ("w", "w^2", "w^2+w*2"):
+        af = ordinal_target_af(parse_ordinal(text))
+        assert verify_symbolic_stages(af, af.candidate_stages, sample=64).ok
+
+
+# Counted before limit targets were built as one F_T: that build makes
+# each ask cheaper and must not change which ones are made.  Asks are the
+# spot check's, the verification's only predicate calls; members are every
+# Family.member the verification samples, the spot check's probes included.
+@pytest.mark.parametrize("text, asks, members", [
+    ("bs", 185, 14), ("ord:w*3+2", 187, 70), ("union(bs,ord:w)", 34, 14),
+    ("ord:w^2", 453, 616), ("ord:w^3", 586, 882)])
+def test_verification_work_at_sample_150_is_pinned(monkeypatch, text, asks,
+                                                   members):
+    af = materialize_spec(parse_generator_spec(text))
+    counts = Counter()
+    attacks, member = af.attacks, Family.member
+
+    def counted_attacks(x, y):
+        counts["asks"] += 1
+        return attacks(x, y)
+
+    def counted_member(fam, k):
+        counts["members"] += 1
+        return member(fam, k)
+
+    monkeypatch.setattr(af, "attacks", counted_attacks)
+    monkeypatch.setattr(Family, "member", counted_member)
+    assert verify_symbolic_stages(af, af.candidate_stages, sample=150).ok
+    assert counts == {"asks": asks, "members": members}
 
 
 # -- attacker candidates ---------------------------------------------------------
