@@ -43,7 +43,6 @@ from .ordinals import (
     compare,
     format_ordinal,
     fundamental_sequence,
-    is_limit,
     omega_power,
     parse_ordinal,
     sup,
@@ -63,7 +62,6 @@ from .trees import (
     LazyTree,
     bounded_path_search,
     build_tree_of_rank,
-    check_declared_ranks,
     rank_finite,
     tree_from_json,
     tree_to_json,
@@ -77,10 +75,10 @@ __all__ = [
     "VerificationReport", "ZERO",
     "af_from_finite_tree", "af_from_tree", "baumann_spanring",
     "bounded_path_search", "build_Ta", "build_TS", "build_tree_of_rank",
-    "check_declared_ranks", "compare", "disjoint_union",
+    "compare", "disjoint_union",
     "disjoint_union_with_embedding", "format_apx", "format_dot",
     "format_ordinal", "fundamental_sequence", "grounded_finite",
-    "is_limit", "largest_self_defending",
+    "largest_self_defending",
     "materialize", "materialize_spec", "omega_approximation", "omega_power",
     "ordinal_target_af", "pair", "parse_apx", "parse_generator_spec",
     "parse_ordinal", "rank_finite", "rank_stage_bridge_check",

@@ -9,7 +9,9 @@ The module also keeps slow, independent reference engines (an
 all-subsets least fixpoint, the round-by-round loops the stage kernel
 replaced, the T_S rank exploration on frozenset states, and T_S, T^a,
 the tree expansion and F_T keyed by paths, and the per-line APX parser)
-that the suites and tests compare the library against.
+that the suites and tests compare the library against, the queries of a
+tree by path that those references and the tests ask, and the local
+check of a lazy tree's declared ranks.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ from .rank_analysis import (
     verify_self_defending_witness,
     witness_path,
 )
-from .trees import ROOT, ChildrenSpec, FiniteTree, LazyTree, NodePath
+from .trees import ROOT, ChildrenSpec, FiniteTree, LazyTree, NodePath, \
+    NodeStates
 
 
 @dataclass
@@ -313,6 +316,37 @@ def frozenset_ts_rank_states(af: FiniteAF, seed: frozenset):
     return root_gap + memo[root_state], memo
 
 
+# -- trees keyed by paths, and queries by path -------------------------------------
+
+
+def path_keyed_tree(children_of: Callable[[NodePath], ChildrenSpec],
+                    declared_rank_of: Optional[Callable[[NodePath], Ordinal]] = None
+                    ) -> LazyTree:
+    """A lazy tree whose node states are the nodes' paths."""
+    return LazyTree(NodeStates(ROOT, children_of, lambda p, s: p + (s,)),
+                    declared_rank_of)
+
+
+def node_state(tree, path: NodePath):
+    """The state of the node at `path` in any tree with `states`, walked
+    down from the root; DomainError when there is no such node."""
+    states = tree.states
+    state = states.root
+    for s in path:
+        if not states.children(state).contains(s):
+            raise DomainError(f"{list(path)} is not a node of this tree")
+        state = states.child(state, s)
+    return state
+
+
+def children_at(tree, path: NodePath) -> ChildrenSpec:
+    return tree.states.children(node_state(tree, path))
+
+
+def declared_rank_at(tree: LazyTree, path: NodePath) -> Ordinal:
+    return tree.state_rank(node_state(tree, path))
+
+
 # -- T_S and T^a keyed by paths, kept as references ----------------------------
 
 
@@ -337,7 +371,7 @@ def path_keyed_ts(af: FiniteAF, seed) -> LazyTree:
     relation about each member.  The library carries (level, committed
     mask, attacker mask) states down the tree instead."""
     seed = frozenset(seed)
-    return LazyTree(children_of=lambda sigma: _path_keyed_ts_children(
+    return path_keyed_tree(lambda sigma: _path_keyed_ts_children(
         af, len(sigma), mran_of(seed, sigma)))
 
 
@@ -351,13 +385,13 @@ def path_keyed_ta(af: FiniteAF, a: int) -> LazyTree:
         return _path_keyed_ts_children(af, len(sigma) - 1,
                                        mran_of((sigma[0],), sigma[1:]))
 
-    return LazyTree(children_of=children_of)
+    return path_keyed_tree(children_of)
 
 
 # -- the path-keyed tree expansion, kept as a reference ---------------------------
 
 
-def path_keyed_expand(tree: LazyTree, node_cap: int, width: Optional[int] = None,
+def path_keyed_expand(tree, node_cap: int, width: Optional[int] = None,
                       depth: Optional[int] = None) -> FiniteTree:
     """trees._expand keyed by paths: every queued node is its whole path,
     its children are asked for by path, and the validating FiniteTree
@@ -370,7 +404,7 @@ def path_keyed_expand(tree: LazyTree, node_cap: int, width: Optional[int] = None
         p = queue.popleft()
         if depth is not None and len(p) >= depth:
             continue
-        spec = tree.children(p)
+        spec = children_at(tree, p)
         if spec.families and width is None:
             raise UnsupportedExpression(
                 f"node {list(p)} has family children; full expansion needs a width")
@@ -408,7 +442,7 @@ def path_keyed_tree_af(tree: LazyTree) -> LazyAF:
         if index % 2 == 1:
             return AttackerSpec(explicit=(index - 1,))
         code = index // 2
-        children = tree.children(path)
+        children = children_at(tree, path)
         explicit = tuple(2 * (pair(code, s) + 1) + 1 for s in children.symbols)
         families = tuple(
             Family(fam.index_map.then(PairLeft(code)).then(_B_STEP), fam.k_start,
@@ -429,12 +463,68 @@ def path_keyed_tree_af(tree: LazyTree) -> LazyAF:
             path = _decode(index // 2)
             if not tree.member(path):
                 return ONE
-            return NEVER if index % 2 else tree.declared_rank(path) + 1
+            return NEVER if index % 2 else declared_rank_at(tree, path) + 1
 
         candidate = SymbolicStageMap(
-            fallback=stage_of, sup=(tree.declared_rank(ROOT) + 1, True, 0))
+            fallback=stage_of, sup=(declared_rank_at(tree, ROOT) + 1, True, 0))
     return LazyAF(predicate, spec, naming=naming,
                   candidate_stages=candidate)
+
+
+# -- declared-rank verification --------------------------------------------------
+
+
+@dataclass
+class RankCheckReport:
+    violations: list
+    nodes_checked: int
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def check_declared_ranks(tree: LazyTree, sample_width: int,
+                         sample_depth: int) -> RankCheckReport:
+    """Verify rank annotations locally on a width/depth sample.
+
+    Explicit nodes must satisfy the rank recursion exactly.  Family
+    nodes must carry an affine closed form for their child ranks; the
+    form is validated pointwise on the sample and then summed exactly
+    through the ordinal module.  Trees whose family ranks are not
+    affine-expressible are rejected, not guessed.
+    """
+    if not tree.has_rank_annotations:
+        raise DomainError("tree carries no rank annotations")
+    children, child = tree.states.children, tree.states.child
+    violations = []
+    checked = 0
+    queue = deque([(ROOT, tree.states.root)])
+    while queue:
+        p, state = queue.popleft()
+        declared = tree.state_rank(state)
+        checked += 1
+        spec = children(state)
+        symbols = spec.first_symbols(sample_width)
+        kids = [child(state, s) for s in symbols]
+        rank_of = dict(zip(symbols, map(tree.state_rank, kids)))
+        want = max((rank_of[s] + 1 for s in spec.symbols), default=ZERO)
+        for fam in spec.families:
+            if fam.expr is None:
+                raise UnsupportedExpression(
+                    f"{list(p)}: family child ranks are not affine-expressible")
+            for k in range(fam.k_start, fam.k_start + sample_width):
+                s = fam.member(k)
+                closed = fam.expr.evaluate(k)
+                if rank_of[s] != closed:
+                    violations.append(f"{list(p + (s,))}: declared {rank_of[s]}, "
+                                      f"closed form gives {closed}")
+            want = max(want, fam.expr.add_finite(1).sup_over(fam.k_start)[0])
+        if declared != want:
+            violations.append(f"{list(p)}: declared {declared}, children give {want}")
+        if len(p) < sample_depth:
+            queue.extend((p + (s,), kid) for s, kid in zip(symbols, kids))
+    return RankCheckReport(violations, checked)
 
 
 # -- the per-line APX parser, kept as a reference -----------------------------------
@@ -627,6 +717,7 @@ def run_ordinal_suite(trials: int, seed: int) -> SuiteResult:
         if parse_ordinal(format_ordinal(x)) != x:
             result.violations.append(f"parse/format roundtrip broken at {x}")
         if x.is_limit:
+            expr = fundamental_sequence_expr(x)
             prev = None
             for i in range(5):
                 v = fundamental_sequence(x, i)
@@ -634,8 +725,12 @@ def run_ordinal_suite(trials: int, seed: int) -> SuiteResult:
                     result.violations.append(
                         f"fundamental sequence not increasing below {x}")
                     break
+                if expr is not None and v != expr.evaluate(i):
+                    result.violations.append(
+                        f"fundamental sequence of {x} at {i} is {v}, "
+                        f"closed form gives {expr.evaluate(i)}")
+                    break
                 prev = v
-            expr = fundamental_sequence_expr(x)
             if expr is not None:
                 value, attained = expr.sup_over()
                 if attained or value != x:

@@ -246,7 +246,7 @@ def cmd_tree(args) -> int:
         _emit(tree_to_json(finite))
         return EXIT_OK
     if args.tree_command == "search":
-        tree = (_load_tree(args.input).as_lazy() if args.input
+        tree = (_load_tree(args.input) if args.input
                 else build_tree_of_rank(parse_ordinal(args.ordinal)))
         res = bounded_path_search(tree, depth=args.depth, width=args.width)
         if res.found:

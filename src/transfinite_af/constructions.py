@@ -669,5 +669,11 @@ def materialize_spec(spec: GeneratorSpec, base_dir: str = "."):
         alpha = parse_ordinal(spec.param)
         return ordinal_target_af(alpha, truncate=spec.truncate)
     if spec.kind == "union":
-        return disjoint_union([materialize_spec(p, base_dir) for p in spec.parts])
+        # the parts share one budget; a lazy part spends nothing
+        budget = Budget("union", 2 * TRUNCATE_NODE_CAP, "arguments")
+        parts = []
+        for p in spec.parts:
+            parts.append(materialize_spec(p, base_dir))
+            budget.spend(parts[-1].universe or 0)
+        return disjoint_union(parts)
     raise GeneratorSpecError(f"unknown generator kind {spec.kind!r}")

@@ -271,13 +271,6 @@ def compare(x, y) -> str:
     return "LT" if c < 0 else ("EQ" if c == 0 else "GT")
 
 
-def is_limit(x) -> bool:
-    o = _coerce(x)
-    if o is None:
-        raise TypeError("is_limit expects an ordinal")
-    return o.is_limit
-
-
 # -- NEVER: top marker for stage maps ----------------------------------
 
 

@@ -5,21 +5,21 @@ trees are given by node states: the root's state, a node's children
 (explicit symbols and/or affine symbol families) from its state, a
 child's state from its parent's, and optionally a node's declared rank
 from its state.  Ranks of infinite trees are never computed here, only
-declared by builders and verified locally: computing suprema over
-genuinely infinite child sets is exactly what is hard, so the checkable
-surrogate is annotation consistency plus truncation cross-checks.
+declared by builders and verified locally (checks.check_declared_ranks):
+computing suprema over genuinely infinite child sets is exactly what is
+hard, so the checkable surrogate is annotation consistency plus
+truncation cross-checks.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from .errors import Budget, DomainError, UnsupportedExpression
+from .errors import Budget, DomainError
 from .core import Family, IndexMap
 from .ordinals import (
     ZERO,
@@ -61,12 +61,12 @@ class FiniteTree:
     it from there (both -1 for the root, row 0).  Rows come breadth-first
     with siblings ascending, i.e. in the order of the paths sorted by
     (length, path), so parents never decrease and each node's children
-    are one run of rows.  `order`, `paths`, `children(path)`, membership
-    and `node_ranks()` speak in paths; they are built from the table when
-    first asked for.
+    are one run of rows.  `states` reads the table as node states over
+    row numbers; `order` and `node_ranks()` speak in paths and are built
+    from the table when first asked for.
     """
 
-    __slots__ = ("parents", "symbols", "_order", "_row")
+    __slots__ = ("parents", "symbols", "_order")
 
     def __init__(self, paths: Iterable[NodePath]):
         order = sorted(frozenset(tuple(p) for p in paths),
@@ -90,7 +90,6 @@ class FiniteTree:
         self.parents = tuple(parents)
         self.symbols = tuple(symbols)
         self._order = tuple(order)
-        self._row = row
 
     @classmethod
     def _from_table(cls, parents, symbols) -> "FiniteTree":
@@ -98,7 +97,7 @@ class FiniteTree:
         tree = cls.__new__(cls)
         tree.parents = tuple(parents)
         tree.symbols = tuple(symbols)
-        tree._order = tree._row = None
+        tree._order = None
         return tree
 
     @property
@@ -111,32 +110,25 @@ class FiniteTree:
             self._order = tuple(order)
         return self._order
 
-    @property
-    def paths(self) -> frozenset:
-        return frozenset(self.order)
-
-    def _row_of(self, path: NodePath) -> int:
-        if self._row is None:
-            self._row = {p: i for i, p in enumerate(self.order)}
-        return self._row[tuple(path)]
-
-    def __contains__(self, path: NodePath) -> bool:
-        try:
-            self._row_of(path)
-        except KeyError:
-            return False
-        return True
-
     def __len__(self) -> int:
         return len(self.parents)
 
-    def children(self, path: NodePath) -> Tuple[int, ...]:
-        i = self._row_of(path)
-        lo = bisect_left(self.parents, i)
-        return self.symbols[lo:bisect_right(self.parents, i, lo)]
+    @property
+    def states(self) -> NodeStates:
+        """The nodes with their row numbers for states: the root is row 0,
+        and a row's children are its run of rows."""
+        return NodeStates(0, self._row_children, self._row_child)
 
-    def children_spec(self, path: NodePath) -> ChildrenSpec:
-        return ChildrenSpec(symbols=self.children(path))
+    def _run(self, row: int) -> Tuple[int, int]:
+        lo = bisect_left(self.parents, row)
+        return lo, bisect_right(self.parents, row, lo)
+
+    def _row_children(self, row: int) -> ChildrenSpec:
+        lo, hi = self._run(row)
+        return ChildrenSpec(symbols=self.symbols[lo:hi])
+
+    def _row_child(self, row: int, symbol: int) -> int:
+        return bisect_left(self.symbols, symbol, *self._run(row))
 
     def row_ranks(self) -> list:
         """Exact rank of every row: terminals 0, else max(child)+1."""
@@ -154,9 +146,6 @@ class FiniteTree:
 
     def rank(self) -> Ordinal:
         return Ordinal.from_int(self.row_ranks()[0])
-
-    def as_lazy(self) -> "LazyTree":
-        return LazyTree(children_of=self.children_spec)
 
     # the table is canonical: equal node sets give equal tables
     def __eq__(self, other):
@@ -191,19 +180,15 @@ OFF_TREE = object()  # the state past a symbol that is no child
 
 
 class LazyTree:
-    """A tree given by its node states: `states`, or `children_of` alone
-    with each node's path for its state.  declared_rank_of, when present,
+    """A tree given by its node states.  declared_rank_of, when present,
     gives a node's declared rank from its state; it must be total on
-    members and is verified rather than trusted (see check_declared_ranks).
-    Queries by path walk the states down from the root.
+    members and is verified rather than trusted (see
+    checks.check_declared_ranks).
     """
 
-    def __init__(self, children_of: Optional[Callable[[object], ChildrenSpec]] = None,
-                 declared_rank_of: Optional[Callable[[object], Ordinal]] = None,
-                 states: Optional[NodeStates] = None):
-        if (children_of is None) == (states is None):
-            raise TypeError("give a lazy tree either children_of or states")
-        self.states = states or NodeStates(ROOT, children_of, lambda p, s: p + (s,))
+    def __init__(self, states: NodeStates,
+                 declared_rank_of: Optional[Callable[[object], Ordinal]] = None):
+        self.states = states
         self._declared_rank_of = declared_rank_of
 
     def step(self, state, symbol: int):
@@ -219,17 +204,8 @@ class LazyTree:
             state = self.step(state, s)
         return state
 
-    def _node(self, path: NodePath):
-        state = self._walk(path)
-        if state is OFF_TREE:
-            raise DomainError(f"{list(path)} is not a node of this tree")
-        return state
-
     def member(self, path: NodePath) -> bool:
         return self._walk(path) is not OFF_TREE
-
-    def children(self, path: NodePath) -> ChildrenSpec:
-        return self.states.children(self._node(path))
 
     @property
     def has_rank_annotations(self) -> bool:
@@ -240,9 +216,6 @@ class LazyTree:
         if self._declared_rank_of is None:
             raise DomainError("tree carries no rank annotations")
         return self._declared_rank_of(state)
-
-    def declared_rank(self, path: NodePath) -> Ordinal:
-        return self.state_rank(self._node(path))
 
 
 # -- exact rank of finite expansions ------------------------------------
@@ -310,8 +283,8 @@ def expansion_budgets(node_cap: int) -> Tuple[Budget, Budget]:
             Budget("expansion", TRUNCATE_SYMBOL_CAP, "path symbols"))
 
 
-def truncate_tree(tree: LazyTree, width: int, depth: Optional[int] = None,
-                  node_cap: int = TRUNCATE_NODE_CAP) -> FiniteTree:
+def truncate_tree(tree: LazyTree, width: int,
+                  depth: Optional[int] = None) -> FiniteTree:
     """Finite sub-tree: families cut to their first `width` parameters.
 
     depth=None keeps whole branches and only terminates when the tree is
@@ -319,7 +292,8 @@ def truncate_tree(tree: LazyTree, width: int, depth: Optional[int] = None,
     """
     if width < 1:
         raise ValueError("width must be >= 1")
-    return _expand(tree, *expansion_budgets(node_cap), width=width, depth=depth)
+    return _expand(tree, *expansion_budgets(TRUNCATE_NODE_CAP), width=width,
+                   depth=depth)
 
 
 # -- bounded path search --------------------------------------------------
@@ -338,7 +312,8 @@ class PathSearchResult:
 
 
 def bounded_path_search(tree, depth: int, width: int) -> PathSearchResult:
-    """Search the width-truncated tree for a string of the given length.
+    """Search the width-truncated tree (any tree with `states`) for a
+    string of the given length.
 
     Finds a prefix of exactly `depth` symbols if one exists under the
     truncation; a negative answer never claims global nonexistence.
@@ -348,8 +323,6 @@ def bounded_path_search(tree, depth: int, width: int) -> PathSearchResult:
     """
     if depth < 1 or width < 1:
         raise ValueError("depth and width must be >= 1")
-    if isinstance(tree, FiniteTree):
-        tree = tree.as_lazy()
     children, child = tree.states.children, tree.states.child
     stack, state = [], tree.states.root
     listed = Budget("path search", TRUNCATE_NODE_CAP, "nodes")
@@ -381,9 +354,8 @@ def build_tree_of_rank(alpha) -> LazyTree:
     children i with ranks walking the fundamental sequence.
     """
     alpha = alpha if isinstance(alpha, Ordinal) else Ordinal.from_int(alpha)
-    return LazyTree(declared_rank_of=_split_rank,
-                    states=NodeStates(_split(alpha), _split_children,
-                                      _split_child))
+    return LazyTree(NodeStates(_split(alpha), _split_children, _split_child),
+                    _split_rank)
 
 
 # A built node's state is its rank split as (lam, n), rank = lam + n with
@@ -443,62 +415,6 @@ def _split_children(state: Tuple[Ordinal, int]) -> ChildrenSpec:
 def _split_child(state: Tuple[Ordinal, int], symbol: int) -> Tuple[Ordinal, int]:
     lam, n = state
     return (lam, n - 1) if n else _split(fundamental_sequence(lam, symbol))
-
-
-# -- declared-rank verification --------------------------------------------
-
-
-@dataclass
-class RankCheckReport:
-    violations: list
-    nodes_checked: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_declared_ranks(tree: LazyTree, sample_width: int,
-                         sample_depth: int) -> RankCheckReport:
-    """Verify rank annotations locally on a width/depth sample.
-
-    Explicit nodes must satisfy the rank recursion exactly.  Family
-    nodes must carry an affine closed form for their child ranks; the
-    form is validated pointwise on the sample and then summed exactly
-    through the ordinal module.  Trees whose family ranks are not
-    affine-expressible are rejected, not guessed.
-    """
-    if not tree.has_rank_annotations:
-        raise DomainError("tree carries no rank annotations")
-    children, child = tree.states.children, tree.states.child
-    violations = []
-    checked = 0
-    queue = deque([(ROOT, tree.states.root)])
-    while queue:
-        p, state = queue.popleft()
-        declared = tree.state_rank(state)
-        checked += 1
-        spec = children(state)
-        symbols = spec.first_symbols(sample_width)
-        kids = [child(state, s) for s in symbols]
-        rank_of = dict(zip(symbols, map(tree.state_rank, kids)))
-        want = max((rank_of[s] + 1 for s in spec.symbols), default=ZERO)
-        for fam in spec.families:
-            if fam.expr is None:
-                raise UnsupportedExpression(
-                    f"{list(p)}: family child ranks are not affine-expressible")
-            for k in range(fam.k_start, fam.k_start + sample_width):
-                s = fam.member(k)
-                closed = fam.expr.evaluate(k)
-                if rank_of[s] != closed:
-                    violations.append(f"{list(p + (s,))}: declared {rank_of[s]}, "
-                                      f"closed form gives {closed}")
-            want = max(want, fam.expr.add_finite(1).sup_over(fam.k_start)[0])
-        if declared != want:
-            violations.append(f"{list(p)}: declared {declared}, children give {want}")
-        if len(p) < sample_depth:
-            queue.extend((p + (s,), kid) for s, kid in zip(symbols, kids))
-    return RankCheckReport(violations, checked)
 
 
 # -- finite-tree JSON --------------------------------------------------------

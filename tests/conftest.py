@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from transfinite_af.checks import children_at, node_state
 from transfinite_af.constructions import af_from_finite_tree
 from transfinite_af.trees import tree_to_json
 
@@ -31,12 +32,14 @@ def _path_named_ft(order):
 
 def assert_same_nodes(got, want):
     """`got`, a node table, holds `want`'s nodes, node for node: paths,
-    order, children, ranks, tree JSON and the F_T built from it."""
-    order, kids, ranks = _path_views(want.paths)
+    order, each node's state (its row) and children, ranks, tree JSON and
+    the F_T built from it."""
+    order, kids, ranks = _path_views(want.order)
     assert got == want and len(got) == len(order)
-    assert list(got.order) == order and got.paths == want.paths
-    for p in order:
-        assert p in got and got.children(p) == tuple(kids[p])
+    assert list(got.order) == order and set(got.order) == set(want.order)
+    for row, p in enumerate(order):
+        assert node_state(got, p) == row
+        assert children_at(got, p).symbols == tuple(kids[p])
     assert got.node_ranks() == ranks
     assert got.rank().as_int() == ranks[()]
     assert json.loads(tree_to_json(got)) == {"nodes": [list(p) for p in order]}

@@ -13,7 +13,8 @@ from transfinite_af.checks import eliminated_self_defending, \
     iterated_defense_step, path_keyed_expand
 from transfinite_af.cli import MAX_CHECK_ARGS, MAX_PATH_LENGTH, MAX_SAMPLE, \
     _SIZE_BOUNDS, build_parser, main
-from transfinite_af.constructions import materialize_spec, parse_generator_spec
+from transfinite_af.constructions import FiniteTreeAF, materialize_spec, \
+    parse_generator_spec
 from transfinite_af.core import FiniteAF, format_apx, parse_apx
 from transfinite_af.grounded import GroundedResult, grounded_finite
 from transfinite_af.ordinals import NEVER, Ordinal, format_ordinal
@@ -391,6 +392,60 @@ def test_check_lemmas_catches_a_ts_path_question_that_flips(
     assert sizes and all(small <= n for n, small in sizes)
 
 
+def test_check_lemmas_catches_a_witness_path_with_a_wrong_symbol(
+        capsys, monkeypatch):
+    witness_path = checks.witness_path
+
+    def shifted(af, a, length):
+        path = witness_path(af, a, length)
+        return (path[0] + 1,) + path[1:]
+
+    sizes = []
+    minimize_af = checks.minimize_af
+
+    def minimized(af, violates):
+        small = minimize_af(af, violates)
+        sizes.append((af.n, small.n))
+        return small
+
+    monkeypatch.setattr(checks, "witness_path", shifted)
+    monkeypatch.setattr(checks, "minimize_af", minimized)
+    code, out, _ = run(capsys, "check", "lemmas", "--trials", "3",
+                       "--max-args", "8", "--seed", "1")
+    assert code == 1
+    assert "witness path through T^" in out
+    assert sizes and all(small <= n for n, small in sizes)
+
+
+def test_check_constructions_catches_a_tree_af_missing_an_attack(
+        capsys, monkeypatch):
+    af_from_finite_tree = checks.af_from_finite_tree
+
+    def dropped(tree):
+        # the root's a no longer attacks its b
+        ft = af_from_finite_tree(tree)
+        attacks = sorted(ft.af.attack_pairs - {(0, 1)})
+        return FiniteTreeAF(FiniteAF(ft.af.n, attacks, ft.af.names), tree)
+
+    monkeypatch.setattr(checks, "af_from_finite_tree", dropped)
+    code, out, _ = run(capsys, "check", "constructions", "--trials", "10")
+    assert code == 1
+    assert "tree-AF stages disagree with node ranks" in out
+
+
+def test_check_ordinals_catches_a_shifted_fundamental_sequence(
+        capsys, monkeypatch):
+    # still increasing and below x, so only the closed form sees it
+    fundamental_sequence = checks.fundamental_sequence
+    monkeypatch.setattr(checks, "fundamental_sequence",
+                        lambda x, i: fundamental_sequence(x, i + 1))
+    code, out, _ = run(capsys, "check", "ordinals", "--trials", "50")
+    assert code == 1
+    assert re.search(r"fundamental sequence of \S+ at 0 is \S+, "
+                     r"closed form gives \S+", out)
+    assert "not increasing" not in out
+
+
 def test_check_emit_plot(capsys, tmp_path):
     csv = tmp_path / "growth.csv"
     code, _, _ = run(capsys, "check", "constructions", "--trials", "2",
@@ -533,6 +588,26 @@ def test_bs_truncation_up_to_the_cap_is_unchanged(capsys, monkeypatch):
         "a099c8c8cb228ad59313ace83f6c6bf9787e1870d798a8792c1ce09c3e2a7a05"
     assert run(capsys, "grounded", "bs:truncate=41") == (
         3, "", "error: two-chain family exceeded 40 argument pairs\n")
+
+
+def test_union_parts_share_one_arguments_budget(capsys, monkeypatch):
+    # the cap lowered to 40: each part fits its own cap of 80 arguments,
+    # and the union's parts share one budget of 80
+    monkeypatch.setattr(constructions, "TRUNCATE_NODE_CAP", 40)
+    refused = (3, "", "error: union exceeded 80 arguments\n")
+    assert run(capsys, "gen", "union(bs:truncate=30,bs:truncate=30)") == refused
+    assert run(capsys, "gen", "union(bs:truncate=10,"
+               "union(bs:truncate=20,bs:truncate=20))") == refused
+    assert run(capsys, "gen", "union(bs:truncate=40,bs:truncate=40,"
+               "bs:truncate=40,union(bs:truncate=40,bs:truncate=40))") == refused
+    # a lazy part spends nothing
+    assert materialize_spec(parse_generator_spec(
+        "union(bs:truncate=40,bs,ord:w)")).universe is None
+    code, out, _ = run(capsys, "gen", "union(bs:truncate=20,bs:truncate=20)")
+    assert code == 0
+    # sha256 of the output before a union's parts shared a budget
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "164857c6477b04f0706f51d0416343f6f2b627c5d9b1f99d88648f7812ec5a9f"
 
 
 def test_limit_children_shifted_by_one_fail_the_closed_form(capsys, monkeypatch):

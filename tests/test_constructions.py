@@ -30,7 +30,8 @@ from transfinite_af.grounded import (
 )
 from transfinite_af.ordinals import NEVER, OMEGA, Ordinal, fundamental_sequence, \
     omega_power, parse_ordinal
-from transfinite_af.trees import FiniteTree, build_tree_of_rank, truncate_tree
+from transfinite_af.trees import FiniteTree, LazyTree, build_tree_of_rank, \
+    truncate_tree
 
 W2 = OMEGA + OMEGA
 
@@ -92,7 +93,7 @@ def test_ft_verifier_accepts_expected_stages():
 
 def test_ft_lazy_matches_finite_materialization():
     tree = chain_tree(2)
-    lazy = af_from_tree(tree.as_lazy())
+    lazy = af_from_tree(LazyTree(tree.states))
     finite = af_from_finite_tree(tree)
     fin_stages = stages_finite(finite.af)
     approx = omega_approximation(lazy, window=8, steps=10)

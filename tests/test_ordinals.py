@@ -27,7 +27,6 @@ from transfinite_af.ordinals import (
     format_ordinal,
     fundamental_sequence,
     fundamental_sequence_expr,
-    is_limit,
     omega_power,
     parse_ordinal,
     sup,

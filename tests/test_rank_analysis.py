@@ -305,7 +305,8 @@ def test_expand_ts_matches_the_definitional_tree():
             got = expand_ts(af, seed, node_cap=5_000)
             assert got.order == want.order
             trees += 1
-            padded += any(unpair(len(p))[0] >= af.n and got.children(p) == (0,)
+            padded += any(unpair(len(p))[0] >= af.n
+                          and checks.children_at(got, p).symbols == (0,)
                           for p in got.order)
     assert trees > 100 and padded > 0
 
@@ -365,7 +366,7 @@ def test_first_attacked_level_closed_form():
 def test_ta_unattacked_argument():
     af = FiniteAF(1)
     tree = build_Ta(af, 0)
-    assert tree.children(()) == NO_CHILDREN
+    assert checks.children_at(tree, ()) == NO_CHILDREN
     assert ta_rank(af, 0) == 0
     assert stages_finite(af)[0] == 1
 

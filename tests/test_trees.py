@@ -5,7 +5,14 @@ import tracemalloc
 import pytest
 
 from transfinite_af import rank_analysis, trees
-from transfinite_af.checks import path_keyed_expand, path_keyed_tree_af
+from transfinite_af.checks import (
+    check_declared_ranks,
+    children_at,
+    declared_rank_at,
+    path_keyed_expand,
+    path_keyed_tree,
+    path_keyed_tree_af,
+)
 from transfinite_af.errors import CapExceeded, DomainError, UnsupportedExpression
 from transfinite_af.ordinals import (
     OMEGA,
@@ -24,7 +31,6 @@ from transfinite_af.trees import (
     NodeStates,
     bounded_path_search,
     build_tree_of_rank,
-    check_declared_ranks,
     rank_finite,
     tree_from_json,
     tree_to_json,
@@ -38,7 +44,7 @@ W2 = Ordinal(((Ordinal.from_int(1), 2),))  # w*2
 
 def definition_rank(tree: FiniteTree, path=ROOT):
     """Independent recursion straight from the rank definition."""
-    kids = tree.children(path)
+    kids = children_at(tree, path).symbols
     if not kids:
         return 0
     return max(definition_rank(tree, path + (c,)) + 1 for c in kids)
@@ -85,7 +91,7 @@ def test_rank_cap():
 
 
 def full_binary():
-    return LazyTree(children_of=lambda p: ChildrenSpec(symbols=(0, 1)))
+    return path_keyed_tree(lambda p: ChildrenSpec(symbols=(0, 1)))
 
 
 def counterexample_tree():
@@ -96,7 +102,7 @@ def counterexample_tree():
             return ChildrenSpec(families=(Family(IndexMap.affine(1, 0)),))
         return ChildrenSpec()
 
-    return LazyTree(children_of=children)
+    return path_keyed_tree(children)
 
 
 def test_search_examples():
@@ -119,11 +125,11 @@ def test_search_finds_deep_strings_in_counterexample():
 def test_build_rank_zero_and_successors():
     t0 = build_tree_of_rank(0)
     assert t0.member(()) and not t0.member((0,))
-    assert t0.declared_rank(()) == ZERO
+    assert declared_rank_at(t0, ()) == ZERO
 
     t2 = build_tree_of_rank(2)
     assert t2.member((0, 0)) and not t2.member((0, 0, 0)) and not t2.member((1,))
-    assert [t2.declared_rank((0,) * i).as_int() for i in range(3)] == [2, 1, 0]
+    assert [declared_rank_at(t2, (0,) * i).as_int() for i in range(3)] == [2, 1, 0]
     assert rank_finite(truncate_tree(t2, width=5)) == 2
 
 
@@ -133,8 +139,8 @@ def test_build_rank_omega():
     assert t.member((3, 0, 0, 0)) and not t.member((3, 0, 0, 0, 0))
     for w in (1, 3, 8, 20):
         assert rank_finite(truncate_tree(t, width=w)) == w
-    assert t.declared_rank(()) == OMEGA
-    assert t.declared_rank((5,)) == 5
+    assert declared_rank_at(t, ()) == OMEGA
+    assert declared_rank_at(t, (5,)) == 5
 
 
 def test_build_ranks_are_cofinal_and_below_alpha():
@@ -164,15 +170,14 @@ def test_check_declared_ranks_accepts_builder_output():
 def test_check_declared_ranks_examples():
     # root declared 5 over a single child declared 2: violation at the root
     ranks = {(): Ordinal.from_int(5), (0,): Ordinal.from_int(2)}
-    bad = LazyTree(
-        children_of=lambda p: ChildrenSpec(symbols=(0,)) if p == () else ChildrenSpec(),
-        declared_rank_of=lambda p: ranks.get(p),
+    bad = path_keyed_tree(
+        lambda p: ChildrenSpec(symbols=(0,)) if p == () else ChildrenSpec(),
+        lambda p: ranks.get(p),
     )
     report = check_declared_ranks(bad, sample_width=4, sample_depth=4)
     assert not report.ok and "[]" in report.violations[0]
 
-    lone = LazyTree(children_of=lambda p: ChildrenSpec(),
-                    declared_rank_of=lambda p: ZERO)
+    lone = path_keyed_tree(lambda p: ChildrenSpec(), lambda p: ZERO)
     assert check_declared_ranks(lone, 4, 4).ok
 
 
@@ -238,24 +243,26 @@ def ts_trees(rng, count):
             if not rank_analysis.ts_path_exists(af, seed).path_exists:
                 yield rank_analysis.expand_ts(af, seed)
             yield truncate_tree(rank_analysis.build_TS(af, seed), width=1,
-                                depth=rng.randint(0, 6), node_cap=5_000)
+                                depth=rng.randint(0, 6))
 
 
-def test_tree_json_is_what_json_dumps_writes():
+def test_tree_json_is_what_json_dumps_writes(monkeypatch):
     rng = random.Random(53)
     chain = [tuple([0] * k) for k in range(40)]
     fan = [ROOT] + [(s,) for s in [*range(10), *rng.sample(range(10, 100), 40),
                                    *rng.sample(range(100, 1_000), 100)]]
     built = [truncate_tree(build_tree_of_rank(parse_ordinal(a)), width)
              for a in ("w", "w^2+3", "w^3") for width in (1, 2, 3)]
+    monkeypatch.setattr(trees, "TRUNCATE_NODE_CAP", 2_000)
     for _ in range(20):
         try:
             built.append(truncate_tree(
                 build_tree_of_rank(random_ordinal_below_w4(rng)),
-                rng.randint(1, 4), node_cap=2_000))
+                rng.randint(1, 4)))
         except CapExceeded:
             pass
     assert len(built) > 20
+    monkeypatch.setattr(trees, "TRUNCATE_NODE_CAP", 5_000)  # for ts_trees
     tables = [FiniteTree([ROOT]), FiniteTree(chain), FiniteTree(fan),
               *built, *ts_trees(rng, 12)]
     assert len(chain) == 40 and len(fan) == 151
@@ -287,7 +294,7 @@ def pop0_bfs_order(tree: FiniteTree):
     while queue:
         p = queue.pop(0)
         order.append(p)
-        queue.extend(p + (s,) for s in tree.children(p))
+        queue.extend(p + (s,) for s in children_at(tree, p).symbols)
     return order
 
 
@@ -311,10 +318,11 @@ def test_finite_tree_order_is_the_breadth_first_order():
     for _ in range(150):
         t = random_finite_tree(rng)
         assert list(t.order) == pop0_bfs_order(t)
-        assert list(t.order) == sorted(t.paths, key=lambda p: (len(p), p))
+        assert list(t.order) == sorted(set(t.order), key=lambda p: (len(p), p))
         ranks = t.node_ranks()
         for p in t.order:
-            assert list(t.children(p)) == sorted(t.children(p))
+            kids = children_at(t, p).symbols
+            assert list(kids) == sorted(kids)
             assert ranks[p] == definition_rank(t, p)
 
 
@@ -339,7 +347,7 @@ def test_builder_ranks_match_root_walk_in_any_query_order(text, fresh_af):
     ft = af_from_tree(fresh)  # nothing asked yet
     for p in nodes:
         assert fresh.member(p)
-        assert fresh.declared_rank(p) == root_walk_rank(alpha, p)
+        assert declared_rank_at(fresh, p) == root_walk_rank(alpha, p)
         if fresh_af:
             ft = af_from_tree(fresh)
         stage = ft.candidate_stages.stage_of(2 * node_code(p))
@@ -358,26 +366,27 @@ def test_builder_rejects_non_nodes_like_root_walk():
                 misses += 1
                 assert not t.member(p)
                 with pytest.raises(DomainError):
-                    t.declared_rank(p)
+                    declared_rank_at(t, p)
             else:
-                assert t.declared_rank(p) == root_walk_rank(alpha, p)
+                assert declared_rank_at(t, p) == root_walk_rank(alpha, p)
         assert misses > 50
 
 
 def test_builder_fills_a_long_cold_path_without_recursion():
     t = build_tree_of_rank(5000)
     leaf = (0,) * 5000
-    assert t.declared_rank(leaf) == 0 and t.member(leaf)
+    assert declared_rank_at(t, leaf) == 0 and t.member(leaf)
     assert not t.member(leaf + (0,))
     assert not t.member((0,) * 4999 + (1,))
-    assert t.declared_rank((0,) * 2500) == 2500
+    assert declared_rank_at(t, (0,) * 2500) == 2500
 
 
-def test_truncation_enumerates_at_most_node_cap_children_per_node():
+def test_truncation_enumerates_at_most_node_cap_children_per_node(monkeypatch):
+    monkeypatch.setattr(trees, "TRUNCATE_NODE_CAP", 10)
     tracemalloc.start()
     try:
         with pytest.raises(CapExceeded, match="exceeded 10 nodes"):
-            truncate_tree(build_tree_of_rank(OMEGA), width=2_000_000, node_cap=10)
+            truncate_tree(build_tree_of_rank(OMEGA), width=2_000_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -578,21 +587,22 @@ def rank_of_truncation(alpha, width):
 
 
 def scrambled(tree, rng):
-    """tree.as_lazy() with each node's symbols shuffled, some repeated."""
+    """A finite tree keyed by paths, each node's symbols shuffled, some
+    repeated."""
     def children_of(path):
-        symbols = list(tree.children(path))
+        symbols = list(children_at(tree, path).symbols)
         if symbols and rng.random() < 0.3:
             symbols.append(rng.choice(symbols))
         rng.shuffle(symbols)
         return ChildrenSpec(symbols=tuple(symbols))
-    return LazyTree(children_of=children_of)
+    return path_keyed_tree(children_of)
 
 
 def test_lazy_finite_tree_tables_match_the_path_keyed_expansion(same_nodes):
     rng = random.Random(43)
     for _ in range(80):
         t = random_finite_tree(rng, max_nodes=40)
-        for lazy in (t.as_lazy(), scrambled(t, rng)):
+        for lazy in (LazyTree(t.states), scrambled(t, rng)):
             for depth in (None, rng.randint(0, 4)):
                 got, want = expansion_outcomes(lazy, node_cap=100_000,
                                                depth=depth)
@@ -635,5 +645,5 @@ def test_tree_af_states_match_the_path_keyed_reference():
                             600, rng)
     for _ in range(10):
         t = random_finite_tree(rng, max_nodes=40)
-        assert_same_tree_af(t.as_lazy(), 600, rng)
+        assert_same_tree_af(LazyTree(t.states), 600, rng)
         assert_same_tree_af(scrambled(t, rng), 600, rng)
