@@ -18,7 +18,6 @@ from .core import (
     LazyAF,
     format_apx,
     format_dot,
-    materialize,
     pair,
     parse_apx,
     spot_check_attacker_spec,
@@ -40,12 +39,10 @@ from .ordinals import (
     ZERO,
     AffineOrdinalExpr,
     Ordinal,
-    compare,
     format_ordinal,
     fundamental_sequence,
     omega_power,
     parse_ordinal,
-    sup,
 )
 from .rank_analysis import (
     build_Ta,
@@ -75,15 +72,13 @@ __all__ = [
     "VerificationReport", "ZERO",
     "af_from_finite_tree", "af_from_tree", "baumann_spanring",
     "bounded_path_search", "build_Ta", "build_TS", "build_tree_of_rank",
-    "compare", "disjoint_union",
-    "disjoint_union_with_embedding", "format_apx", "format_dot",
-    "format_ordinal", "fundamental_sequence", "grounded_finite",
-    "largest_self_defending",
-    "materialize", "materialize_spec", "omega_approximation", "omega_power",
-    "ordinal_target_af", "pair", "parse_apx", "parse_generator_spec",
-    "parse_ordinal", "rank_finite", "rank_stage_bridge_check",
-    "spot_check_attacker_spec", "stages_finite", "sup", "ta_path_exists",
-    "ta_rank",
-    "tree_from_json", "tree_to_json", "truncate_tree", "ts_path_exists",
-    "unpair", "verify_symbolic_stages", "witness_path",
+    "disjoint_union", "disjoint_union_with_embedding", "format_apx",
+    "format_dot", "format_ordinal", "fundamental_sequence",
+    "grounded_finite", "largest_self_defending", "materialize_spec",
+    "omega_approximation", "omega_power", "ordinal_target_af", "pair",
+    "parse_apx", "parse_generator_spec", "parse_ordinal", "rank_finite",
+    "rank_stage_bridge_check", "spot_check_attacker_spec",
+    "stages_finite", "ta_path_exists", "ta_rank", "tree_from_json",
+    "tree_to_json", "truncate_tree", "ts_path_exists", "unpair",
+    "verify_symbolic_stages", "witness_path",
 ]

@@ -1,17 +1,19 @@
 """Seeded property suites behind the `check` command.
 
 Each suite runs randomized instances and collects violations; a failing
-finite-AF property is shrunk by greedy argument removal before being
-reported, so the dump is the smallest AF (under that greedy strategy)
-still violating the property.
+finite-AF property is shrunk by greedy argument removal
+(`remove_argument`) before being reported, so the dump is the smallest
+AF (under that greedy strategy) still violating the property.  The lemma
+suite also builds, merges and verifies self-defending witnesses.
 
 The module also keeps slow, independent reference engines (an
 all-subsets least fixpoint, the round-by-round loops the stage kernel
-replaced, the T_S rank exploration on frozenset states, and T_S, T^a,
-the tree expansion and F_T keyed by paths, and the per-line APX parser)
-that the suites and tests compare the library against, the queries of a
-tree by path that those references and the tests ask, and the local
-check of a lazy tree's declared ranks.
+replaced, the O(n^2) restriction of a lazy AF to a window
+(`materialize`), the T_S rank exploration on frozenset states, and T_S,
+T^a, the tree expansion and F_T keyed by paths, and the per-line APX
+parser) that the suites and tests compare the library against, the
+queries of a tree by path that those references and the tests ask, and
+the local check of a lazy tree's declared ranks.
 """
 
 from __future__ import annotations
@@ -57,13 +59,10 @@ from .ordinals import (
 )
 from .rank_analysis import (
     STATE_CAP,
-    build_self_defending_witness,
     largest_self_defending,
-    merge_witnesses,
     rank_stage_bridge_check,
     ta_path_violations,
     ts_path_exists,
-    verify_self_defending_witness,
     witness_path,
 )
 from .trees import ROOT, ChildrenSpec, FiniteTree, LazyTree, NodePath, \
@@ -115,13 +114,22 @@ def random_finite_tree(rng: random.Random, max_nodes: int) -> FiniteTree:
     return FiniteTree(paths)
 
 
+def remove_argument(af: FiniteAF, i: int) -> FiniteAF:
+    """af without argument i, the others renumbered in order."""
+    kept = [o for o in range(af.n) if o != i]
+    index = {old: new for new, old in enumerate(kept)}
+    attacks = [(index[x], index[y]) for x, y in af.attack_pairs
+               if x != i and y != i]
+    return FiniteAF(af.n - 1, attacks, [af.names[o] for o in kept])
+
+
 def minimize_af(af: FiniteAF, violates: Callable[[FiniteAF], bool]) -> FiniteAF:
     """Greedy argument removal preserving the violation."""
     changed = True
     while changed and af.n > 1:
         changed = False
         for i in range(af.n):
-            smaller = af.remove_argument(i)
+            smaller = remove_argument(af, i)
             try:
                 if violates(smaller):
                     af = smaller
@@ -247,6 +255,19 @@ def predicate_omega_approximation(af: LazyAF, window: int, steps: int,
                                   frozenset(closure), True)
     return OmegaApproximation(stages, frozenset(), frozenset(rest),
                               frozenset(closure), False)
+
+
+def materialize(af: LazyAF, n: int) -> FiniteAF:
+    """The finite restriction of a lazy AF to arguments below n, asking
+    the attack predicate about all n^2 pairs.
+
+    Faithful for attack edges inside the window; stages computed on the
+    result agree with the full AF exactly when the window is
+    attacker-complete for the arguments of interest.
+    """
+    attacks = [(x, y) for x in range(n) for y in range(n) if af.attacks(x, y)]
+    names = [af.name(i) for i in range(n)]
+    return FiniteAF(n, attacks, names if len(set(names)) == n else None)
 
 
 # -- the T_S rank exploration on frozenset states, kept as a reference -----------
@@ -568,6 +589,49 @@ def per_line_parse_apx(text: str) -> FiniteAF:
     return FiniteAF(len(names), attacks, names)
 
 
+# -- self-defending witnesses, for the lemma suite -------------------------------
+
+
+@dataclass(frozen=True)
+class SelfDefendingWitness:
+    """A set with, for every attacker of it, a chosen counter-attacker.
+
+    Not necessarily conflict-free.
+    """
+
+    members: frozenset
+    defenders: Tuple[Tuple[int, int], ...]  # (attacker, member attacking it)
+
+
+def build_self_defending_witness(af: FiniteAF, members) -> Optional[SelfDefendingWitness]:
+    """The witness choosing each attacker's least counter-attacker among
+    the members, or None when some attacker has none."""
+    members = frozenset(members)
+    defenders = []
+    for y in sorted(af.minus_set(members)):
+        chosen = next((x for x in sorted(members) if af.attacks(x, y)), None)
+        if chosen is None:
+            return None
+        defenders.append((y, chosen))
+    return SelfDefendingWitness(members, tuple(defenders))
+
+
+def verify_self_defending_witness(af: FiniteAF, w: SelfDefendingWitness) -> bool:
+    """Whether every attacker of the members meets its chosen member."""
+    cert = dict(w.defenders)
+    return all(cert.get(y) in w.members and af.attacks(cert[y], y)
+               for y in af.minus_set(w.members))
+
+
+def merge_witnesses(w1: SelfDefendingWitness,
+                    w2: SelfDefendingWitness) -> SelfDefendingWitness:
+    """Union of self-defending sets is self-defending; certificates merge."""
+    members = w1.members | w2.members
+    cert = dict(w2.defenders)
+    cert.update(w1.defenders)
+    return SelfDefendingWitness(members, tuple(sorted(cert.items())))
+
+
 # -- the lemma suite -------------------------------------------------------------
 
 
@@ -711,7 +775,7 @@ def run_ordinal_suite(trials: int, seed: int) -> SuiteResult:
             result.violations.append(f"trichotomy broken for {x} vs {y}")
         if not (x <= x + y) or (y > ZERO and not (x < x + y)):
             result.violations.append(f"addition not monotone: {x} + {y}")
-        s = x.successor()
+        s = x + 1
         if not (x < s) or s.predecessor() != x:
             result.violations.append(f"successor/predecessor broken at {x}")
         if parse_ordinal(format_ordinal(x)) != x:

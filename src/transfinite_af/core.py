@@ -382,17 +382,6 @@ class FiniteAF:
         s = self._as_extension(s)
         return all(not (x, y) in self.attack_pairs for x in s for y in s)
 
-    # -- editing (used by counterexample minimization)
-
-    def remove_argument(self, i: int) -> "FiniteAF":
-        self._check(i)
-        remap = {old: new for new, old in
-                 enumerate(o for o in range(self.n) if o != i)}
-        attacks = [(remap[x], remap[y]) for x, y in self.attack_pairs
-                   if x != i and y != i]
-        names = tuple(self.names[o] for o in range(self.n) if o != i)
-        return FiniteAF(self.n - 1, attacks, names)
-
     def __eq__(self, other):
         if not isinstance(other, FiniteAF):
             return NotImplemented
@@ -464,20 +453,6 @@ class LazyAF:
     def name(self, i: int) -> str:
         self._check(i)
         return self._naming(i) if self._naming else f"x{i}"
-
-
-def materialize(af: LazyAF, n: int) -> FiniteAF:
-    """The finite restriction of a lazy AF to arguments below n.
-
-    Faithful for attack edges inside the window; stages computed on the
-    result agree with the full AF exactly when the window is
-    attacker-complete for the arguments of interest.
-    """
-    attacks = [(x, y) for x in range(n) for y in range(n) if af.attacks(x, y)]
-    names = [af.name(i) for i in range(n)]
-    if len(set(names)) != n:
-        names = None
-    return FiniteAF(n, attacks, names)
 
 
 # spot_check_attacker_spec tests the first SPEC_FAMILY_PROBE members of

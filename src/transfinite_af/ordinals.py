@@ -3,8 +3,8 @@
 An ordinal is a sum  w^e1*c1 + ... + w^ek*ck  with strictly decreasing
 exponents (themselves ordinals) and positive integer coefficients.  The
 module provides exactly what stage maps, tree ranks and fundamental
-sequences need: comparison, addition, successor/predecessor, suprema of
-finite sets and of affine families, and Wainer-style fundamental
+sequences need: comparison, addition (a successor is x + 1),
+predecessors, suprema of affine families, and Wainer-style fundamental
 sequences.  General multiplication and exponentiation are deliberately
 absent.
 
@@ -133,9 +133,6 @@ class Ordinal(_StageOrder):
             raise ValueError(f"{self} is not a natural number")
         return self.terms[0][1] if self.terms else 0
 
-    def successor(self) -> "Ordinal":
-        return self + ONE
-
     def predecessor(self) -> "Ordinal":
         if not self.is_successor:
             raise ValueError(f"{self} is not a successor ordinal")
@@ -260,15 +257,6 @@ def omega_power(e) -> Ordinal:
     if e is None:
         raise TypeError("exponent must be an Ordinal or int")
     return _monomial(e, 1)
-
-
-def compare(x, y) -> str:
-    """Total order on ordinals, reported as 'LT', 'EQ' or 'GT'."""
-    a, b = _coerce(x), _coerce(y)
-    if a is None or b is None:
-        raise TypeError("compare expects ordinals")
-    c = _cmp(a, b)
-    return "LT" if c < 0 else ("EQ" if c == 0 else "GT")
 
 
 # -- NEVER: top marker for stage maps ----------------------------------
@@ -435,24 +423,6 @@ class AffineOrdinalExpr:
 
     def __repr__(self):
         return f"AffineOrdinalExpr({format_affine_expr(self)!r})"
-
-
-def sup(values) -> Ordinal:
-    """Supremum of a finite collection of ordinals, or of an affine family.
-
-    Finite collections have their maximum as supremum; sup of the empty
-    collection is 0.  Affine families delegate to their exact rule.
-    """
-    if isinstance(values, AffineOrdinalExpr):
-        return values.sup_over()[0]
-    best = ZERO
-    for v in values:
-        o = _coerce(v)
-        if o is None:
-            raise TypeError("sup expects ordinals")
-        if o > best:
-            best = o
-    return best
 
 
 # -- text format --------------------------------------------------------

@@ -32,16 +32,6 @@ from .ordinals import NEVER, Ordinal
 from .trees import ChildrenSpec, FiniteTree, LazyTree, NodePath, NodeStates, \
     _expand, expansion_budgets
 
-__all__ = [
-    "largest_self_defending",
-    "SelfDefendingWitness", "build_self_defending_witness",
-    "verify_self_defending_witness", "merge_witnesses",
-    "build_TS", "ts_rank", "ts_path_exists", "TsDecision",
-    "build_Ta", "ta_rank", "ta_path_exists", "witness_path", "ta_path_violations",
-    "rank_stage_bridge_check", "BridgeReport", "expand_ts",
-]
-
-
 # -- self-defending extensions -------------------------------------------
 
 
@@ -53,49 +43,6 @@ def largest_self_defending(af: FiniteAF) -> frozenset:
     over the attacks of G.
     """
     return frozenset(range(af.n)) - af.plus_set(grounded_finite(af).grounded)
-
-
-@dataclass(frozen=True)
-class SelfDefendingWitness:
-    """A set with, for every attacker of it, a chosen counter-attacker.
-
-    Not necessarily conflict-free.
-    """
-
-    members: frozenset
-    defenders: Tuple[Tuple[int, int], ...]  # (attacker, member attacking it)
-
-    def defender_map(self) -> Dict[int, int]:
-        return dict(self.defenders)
-
-
-def build_self_defending_witness(af: FiniteAF, members) -> Optional[SelfDefendingWitness]:
-    members = frozenset(members)
-    defenders = []
-    for y in sorted(af.minus_set(members)):
-        chosen = next((x for x in sorted(members) if af.attacks(x, y)), None)
-        if chosen is None:
-            return None
-        defenders.append((y, chosen))
-    return SelfDefendingWitness(members, tuple(defenders))
-
-
-def verify_self_defending_witness(af: FiniteAF, w: SelfDefendingWitness) -> bool:
-    cert = w.defender_map()
-    for y in af.minus_set(w.members):
-        x = cert.get(y)
-        if x is None or x not in w.members or not af.attacks(x, y):
-            return False
-    return True
-
-
-def merge_witnesses(w1: SelfDefendingWitness,
-                    w2: SelfDefendingWitness) -> SelfDefendingWitness:
-    """Union of self-defending sets is self-defending; certificates merge."""
-    members = w1.members | w2.members
-    cert = dict(w2.defenders)
-    cert.update(w1.defenders)
-    return SelfDefendingWitness(members, tuple(sorted(cert.items())))
 
 
 # -- T_S ---------------------------------------------------------------------

@@ -424,7 +424,8 @@ def tree_from_json(text: str) -> FiniteTree:
     """{"nodes": [[], [0], [0,0], ...]}; must be prefix-closed."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    # the decoder recurses once per level of nesting
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ValueError(f"bad tree JSON: {e}") from None
     if not isinstance(doc, dict) or "nodes" not in doc:
         raise ValueError('tree JSON must be an object with a "nodes" list')
@@ -434,7 +435,7 @@ def tree_from_json(text: str) -> FiniteTree:
     paths = []
     for node in nodes:
         if not isinstance(node, list) or not all(
-                isinstance(s, int) and s >= 0 for s in node):
+                type(s) is int and s >= 0 for s in node):
             raise ValueError(f"bad node path {node!r}")
         paths.append(tuple(node))
     return FiniteTree(paths)

@@ -525,7 +525,15 @@ def test_os_errors_exit_2(capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
-def test_deep_nesting_exits_2(capsys):
+def tree_loading_commands(path):
+    """Every command that reads a tree JSON file."""
+    return [["tree", "rank", "--input", path],
+            ["tree", "search", "--input", path, "--depth", "1", "--width", "1"],
+            ["grounded", f"tree:{path}"],
+            ["grounded", f"union(tree:{path})"]]
+
+
+def test_deep_nesting_exits_2(capsys, tmp_path):
     def nested(depth):
         return "w^(" * depth + "1" + ")" * depth
 
@@ -536,6 +544,12 @@ def test_deep_nesting_exits_2(capsys):
     code, _, err = run(capsys, "grounded",
                        "union(" * 1000 + "bs:truncate=2" + ")" * 1000)
     assert code == 2 and "nested deeper" in err
+    tree = tmp_path / "t.json"
+    tree.write_text("[" * 2000)
+    for argv in tree_loading_commands(str(tree)):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: bad tree JSON: ")
+        assert "Traceback" not in err
 
 
 def test_noncanonical_ordinal_warns_once_per_call(capsys):
@@ -558,6 +572,13 @@ def test_tree_rank_over_its_cap_exits_3(capsys, tmp_path):
     code, out, _ = run(capsys, "tree", "rank", "--input", str(tree),
                        "--cap", "3")
     assert code == 0 and json.loads(out)["rank"] == "1"
+
+
+def test_boolean_tree_symbols_exit_2(capsys, tmp_path):
+    tree = tmp_path / "t.json"
+    tree.write_text('{"nodes": [[], [true], [false]]}')
+    for argv in tree_loading_commands(str(tree)) + [["gen", f"tree:{tree}"]]:
+        assert run(capsys, *argv) == (2, "", "error: bad node path [True]\n")
 
 
 def test_truncated_limit_target_over_budget_exits_3(capsys):

@@ -1,15 +1,18 @@
-"""Fuzz the CLI's input grammars: generator specs, ordinals and APX files.
+"""Fuzz the CLI's input grammars: generator specs, ordinals, APX files
+and tree JSON.
 
 Every input must end in a documented exit code (0 success, 2 parse or
 configuration error, 3 domain error) and never in an uncaught exception.
 Sizes stay small enough for a few CLI runs per example: truncations up to
 50 on the two-chain family and on ordinals below w*2 (larger ordinals get
 truncations up to 3, since their trees grow as a power of the width),
-nesting up to 120 levels, and at most 30 APX lines.
+nesting up to 120 levels, at most 30 APX lines, and tree JSON of at most
+8 odd paths or a small `tree build` output, nested up to 3000 levels.
 """
 
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -121,12 +124,45 @@ def _apx_texts(draw):
     return draw(_mutated(text))
 
 
-def _run(*argv):
+_TREE_ORDINALS = ["0", "2", "w", "w+1", "w*2", "w^2"]
+_TREE_JUNK = '[]{},:" -.0123456789eEtrufalsn'
+# Symbols that are not naturals, among some that are.
+_ODD_SYMBOLS = st.one_of(st.integers(0, 3), st.integers(-2, -1), st.booleans(),
+                         st.floats(0, 3))
+
+
+@st.composite
+def _tree_json_texts(draw):
+    """A `tree build` output, a list of paths with odd symbols that may not
+    be prefix-closed, or up to 3000 levels of nested lists; then perhaps
+    one character inserted, deleted or replaced."""
+    kind = draw(st.sampled_from(["built", "paths", "nested"]))
+    if kind == "built":
+        text = _run("tree", "build", "--ordinal",
+                    draw(st.sampled_from(_TREE_ORDINALS)),
+                    "--truncate-width", "2", "--truncate-depth", "3")
+    elif kind == "paths":
+        symbols = _ODD_SYMBOLS if draw(st.booleans()) else st.integers(0, 3)
+        paths = draw(st.lists(st.lists(symbols, max_size=3), max_size=8))
+        if draw(st.booleans()):
+            paths = [p[:i] for p in paths for i in range(len(p) + 1)]
+        text = json.dumps({"nodes": paths})
+    else:
+        depth = draw(st.integers(1, 3000))
+        text = "[" * depth + "]" * depth
+        if draw(st.booleans()):
+            text = '{"nodes": [[], ' + text + "]}"
+    return draw(_mutated(text, _TREE_JUNK))
+
+
+def _run(*argv) -> str:
+    """The command's stdout, once it ends in a documented exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     assert code in (0, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    return out.getvalue()
 
 
 # Few generated specs build a lazy AF, so each built-in lazy spec is also
@@ -174,3 +210,15 @@ def test_apx_files_end_in_documented_exit_codes(tmp_path_factory, text):
     _run("reduce", "ts", "--af", f"apx:{path}", "--set", "a0,a1")
     _run("reduce", "witness", "--af", f"apx:{path}", "--arg", "a1",
          "--length", "20")
+
+
+@_FUZZ
+@given(_tree_json_texts())
+@example('{"nodes": [[], [true], [false]]}')
+@example("[" * 2000)
+def test_tree_json_ends_in_documented_exit_codes(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("tree") / "fuzz.json"
+    path.write_text(text)
+    _run("tree", "rank", "--input", str(path))
+    _run("tree", "search", "--input", str(path), "--depth", "4", "--width", "2")
+    _run("grounded", f"tree:{path}", "--stages")

@@ -159,7 +159,7 @@ def test_bs_truncations():
 
 
 def test_bs_truncation_matches_lazy_prefix():
-    from transfinite_af.core import materialize
+    from transfinite_af.checks import materialize
 
     lazy = baumann_spanring()
     fin = baumann_spanring(truncate=7)

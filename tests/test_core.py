@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from transfinite_af import core
-from transfinite_af.checks import per_line_parse_apx
+from transfinite_af.checks import materialize, per_line_parse_apx, \
+    remove_argument
 from transfinite_af.constructions import materialize_spec, parse_generator_spec
 from transfinite_af.core import (
     Affine,
@@ -19,7 +20,6 @@ from transfinite_af.core import (
     format_apx,
     format_dot,
     least_right,
-    materialize,
     pair,
     parse_apx,
     spot_check_attacker_spec,
@@ -187,7 +187,7 @@ def test_the_unchecked_builder_builds_what_the_constructor_builds():
 
 def test_remove_argument_reindexes():
     af = FiniteAF(3, [(0, 1), (1, 2), (2, 0)], names=["p", "q", "r"])
-    smaller = af.remove_argument(1)
+    smaller = remove_argument(af, 1)
     assert smaller.n == 2
     assert smaller.attack_pairs == frozenset({(1, 0)})
     assert smaller.names == ("p", "r")

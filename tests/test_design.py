@@ -39,12 +39,17 @@ Tree JSON has one writer, `trees.tree_to_json`: no other library code
 outside checks.py builds a "nodes" document, as a dict or as text, and
 the dict-building `tree_document` it replaced stays gone.
 
-Every function, method and class of the library outside checks.py is
-named by some library code or exported in `__all__`; the few that only
-the tests read are listed with the reason they stay.
+Every function, method and class of the library outside checks.py has a
+caller there too; the few that only the tests or the bench read are
+listed with the reason they stay.  Neither an `__all__` export nor a
+mention in checks.py keeps a member, and a module-level function is
+called only where its own module names it or another module imports it
+from there, so a local variable of the same name elsewhere does not
+count.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import transfinite_af
@@ -160,10 +165,9 @@ def test_no_engine_or_generator_reads_the_attack_set():
 
 def test_the_guard_sees_the_allowed_attack_set_reads():
     assert {scope for scope, _ in uses(SRC / "core.py", "attack_pairs")} == \
-        {"FiniteAF.attacks", "FiniteAF.is_conflict_free",
-         "FiniteAF.remove_argument"}
+        {"FiniteAF.attacks", "FiniteAF.is_conflict_free"}
     assert {scope for scope, _ in uses(SRC / "checks.py", "attack_pairs")} == \
-        {"bitmask_least_fixpoint"}
+        {"bitmask_least_fixpoint", "remove_argument"}
 
 
 TREE_PARTS = {"ChildrenSpec", "NodeStates"}
@@ -306,44 +310,132 @@ def test_the_guard_sees_a_second_tree_json_writer(tmp_path):
 
 
 DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-# Members kept for the tests alone, each with the reason it stays.
-TEST_READ_ALLOWED = {
-    # tests/test_acceptance.py reads them
-    "constructions.py": {"FiniteTreeAF.a_index", "FiniteTreeAF.b_index"},
-    "trees.py": {"FiniteTree.node_ranks"},
+ACCEPTANCE = "tests/test_acceptance.py reads it"
+# Members that only code outside the library reads, each with the reason
+# it stays.
+OUTSIDE_READ_ALLOWED = {
+    "constructions.py": {"FiniteTreeAF.a_index": ACCEPTANCE,
+                         "FiniteTreeAF.b_index": ACCEPTANCE,
+                         "FiniteTreeAF.expected_stages": "the bench calls it"},
+    "core.py": {"FiniteAF.defense_step": "the bench tracer patches it",
+                "FiniteAF.is_conflict_free": ACCEPTANCE},
+    "grounded.py": {"omega_approximation": "the bench calls it"},
+    "rank_analysis.py": {
+        "build_Ta": ACCEPTANCE,
+        "ta_rank": ACCEPTANCE,
+        "ta_path_violations": "the bench calls it",
+        "rank_stage_bridge_check":
+            "check lemmas runs it over the private T_S state machine"},
+    "trees.py": {"FiniteTree.node_ranks": ACCEPTANCE},
 }
 
 
-def unnamed_definitions() -> dict:
+def definitions(tree: ast.Module) -> list:
+    """(scope, node, whether a class holds it) of every function, method
+    and class; the scope is the tuple of the enclosing names and its own."""
+    found = []
+
+    def visit(node, scope, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, DEFINITIONS):
+                found.append((scope + (child.name,), child, in_class))
+                visit(child, scope + (child.name,),
+                      isinstance(child, ast.ClassDef))
+            else:
+                visit(child, scope, in_class)
+
+    visit(tree, (), False)
+    return found
+
+
+def bare_names(node) -> Counter:
+    return Counter(n.id for n in ast.walk(node) if isinstance(n, ast.Name))
+
+
+def unnamed_definitions(src: Path = SRC) -> dict:
     """{module: {dotted scope}} of every function, method and class, in a
-    library module other than checks.py, whose name no library module
-    mentions outside its own definition and `__all__` does not export."""
-    named = set()
-    for path in SRC.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name)
-    exported = set(transfinite_af.__all__)
+    module of `src` other than checks.py, that no such module calls.
+
+    Only modules other than __init__.py and checks.py count as callers,
+    and an `__all__` entry is no call.  A method is called when one of
+    them reads its name as an attribute.  A function or class is called
+    when its own module names it outside its definition or, at module
+    level, when another module imports it from its module."""
+    modules = {path.name: ast.parse(path.read_text())
+               for path in sorted(src.glob("*.py"))
+               if path.name not in ("__init__.py", "checks.py")}
+    attributes, imported = set(), set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported.update((f"{node.module}.py", alias.name)
+                                for alias in node.names)
     found = {}
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "checks.py":
-            continue
-        for scope, _ in find(path, lambda node: isinstance(node, DEFINITIONS)):
-            name = scope.rsplit(".", 1)[-1]
-            if not (name in named or name.startswith("__") or scope in exported):
-                found.setdefault(path.name, set()).add(scope)
+    for module, tree in modules.items():
+        named = bare_names(tree)
+        for scope, node, method in definitions(tree):
+            name = scope[-1]
+            if name.startswith("__"):
+                continue
+            if method:
+                called = name in attributes
+            else:
+                called = (named[name] > bare_names(node)[name]
+                          or len(scope) == 1 and (module, name) in imported)
+            if not called:
+                found.setdefault(module, set()).add(".".join(scope))
     return found
 
 
 def test_every_library_member_has_a_library_caller():
-    stray = {name: scopes - TEST_READ_ALLOWED.get(name, set())
+    stray = {name: scopes - OUTSIDE_READ_ALLOWED.get(name, {}).keys()
              for name, scopes in unnamed_definitions().items()}
     assert {name: scopes for name, scopes in stray.items() if scopes} == {}
 
 
 def test_the_guard_sees_the_members_only_tests_read():
-    assert unnamed_definitions() == TEST_READ_ALLOWED
+    assert unnamed_definitions() == \
+        {name: set(reasons) for name, reasons in OUTSIDE_READ_ALLOWED.items()}
+
+
+def plant(tmp_path: Path, modules: dict) -> Path:
+    """A package of the given {file name: source} in tmp_path."""
+    for name, text in modules.items():
+        (tmp_path / name).write_text(text)
+    return tmp_path
+
+
+def test_the_guard_sees_a_function_only_all_exports(tmp_path):
+    package = plant(tmp_path, {
+        "__init__.py": 'from .mod import exported, used\n'
+                       '__all__ = ["exported", "used"]\n',
+        "mod.py": '__all__ = ["exported", "used"]\n'
+                  'def exported():\n    pass\n'
+                  'def used():\n    pass\n',
+        "cli.py": "from .mod import used\nused()\n"})
+    assert unnamed_definitions(package) == {"mod.py": {"exported"}}
+
+
+def test_the_guard_sees_a_function_only_checks_names(tmp_path):
+    package = plant(tmp_path, {
+        "mod.py": "class Box:\n    def checked(self):\n        pass\n"
+                  "def reference():\n    pass\n"
+                  "def engine():\n    pass\n",
+        "cli.py": "from .mod import engine\nengine()\n",
+        "checks.py": "from .mod import Box, reference\n"
+                     "reference()\nBox().checked()\n"})
+    assert unnamed_definitions(package) == \
+        {"mod.py": {"Box", "Box.checked", "reference"}}
+
+
+def test_the_guard_sees_a_function_only_a_local_variable_names(tmp_path):
+    package = plant(tmp_path, {
+        "ordinals.py": "def sup(values):\n    return sup(values[1:])\n"
+                       "def best(values):\n    return max(values)\n",
+        "grounded.py": "from .ordinals import best\n"
+                       "def stage(values):\n    sup = best(values)\n"
+                       "    return sup\n"
+                       "stage([0])\n"})
+    assert unnamed_definitions(package) == {"ordinals.py": {"sup"}}

@@ -11,7 +11,6 @@ from transfinite_af.core import (
     FiniteAF,
     IndexMap,
     LazyAF,
-    materialize,
 )
 from transfinite_af.errors import CapExceeded, DomainError, IncompleteStageMap
 from transfinite_af.grounded import (
@@ -153,7 +152,7 @@ def test_omega_on_infinite_chain():
 def test_omega_matches_finite_engine():
     af = infinite_chain()
     approx = omega_approximation(af, window=10, steps=12)
-    fin = stages_finite(materialize(af, 10))
+    fin = stages_finite(checks.materialize(af, 10))
     for i in range(10):
         if i in approx.stages:
             assert approx.stages[i] == fin[i]
@@ -283,7 +282,7 @@ def test_two_chain_truncations_grow_without_bound():
     af = two_chain_lazy()
     prev = 0
     for m in (4, 10, 20, 40):
-        fin = materialize(af, 2 * m)
+        fin = checks.materialize(af, 2 * m)
         stage = stages_finite(fin)[1]
         assert stage is not NEVER
         assert stage.as_int() > prev

@@ -9,18 +9,15 @@ from transfinite_af.errors import CapExceeded, DomainError
 from transfinite_af.grounded import GroundedResult, grounded_finite, stages_finite
 from transfinite_af.ordinals import NEVER, Ordinal
 from transfinite_af.rank_analysis import (
-    build_self_defending_witness,
     build_Ta,
     build_TS,
     expand_ts,
     largest_self_defending,
-    merge_witnesses,
     rank_stage_bridge_check,
     ta_path_violations,
     ta_rank,
     ts_path_exists,
     ts_rank,
-    verify_self_defending_witness,
     witness_path,
 )
 from transfinite_af.trees import (
@@ -72,14 +69,14 @@ def test_witness_certificates_and_union_closure():
     for _ in range(150):
         af = random_af(rng)
         big = largest_self_defending(af)
-        w = build_self_defending_witness(af, big)
-        assert w is not None and verify_self_defending_witness(af, w)
+        w = checks.build_self_defending_witness(af, big)
+        assert w is not None and checks.verify_self_defending_witness(af, w)
         members = [frozenset({x}) for x in big]
-        witnesses = [build_self_defending_witness(af, m) for m in members]
+        witnesses = [checks.build_self_defending_witness(af, m) for m in members]
         witnesses = [w2 for w2 in witnesses if w2 is not None]
         for i in range(len(witnesses) - 1):
-            merged = merge_witnesses(witnesses[i], witnesses[i + 1])
-            assert verify_self_defending_witness(af, merged)
+            merged = checks.merge_witnesses(witnesses[i], witnesses[i + 1])
+            assert checks.verify_self_defending_witness(af, merged)
             built += 1
     assert built > 20
 
