@@ -3,8 +3,8 @@
 Arguments are natural-number indices.  A finite AF stores the attack
 relation explicitly as one sorted row of targets per argument, and
 builds the attacker rows from them on first use (attacker lookups drive
-the grounded stages and the tree reductions).  A lazy AF is
-a total decidable attack predicate over all of N together with a
+the tree reductions; the grounded stages read only the rows).  A lazy
+AF is a total decidable attack predicate over all of N together with a
 per-argument attacker description: a finite explicit list and/or
 affine families (`Family`).  Both kinds answer the same attacker
 queries (`universe`, `attacker_spec`, `attacker_candidates`), so the
@@ -21,6 +21,8 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, repeat
+from operator import add, lt, mul
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 
@@ -198,8 +200,8 @@ _NAME_RE = re.compile(r"[a-zA-Z0-9_]+\Z")
 
 
 def _rows(n: int, pairs) -> Tuple[Tuple[int, ...], ...]:
-    """The attack rows over range(n) of a set of (attacker, target)
-    pairs: row x holds the targets of x in increasing order."""
+    """The attack rows over range(n) of (attacker, target) pairs, none
+    repeated: row x holds the targets of x in increasing order."""
     rows = [[] for _ in range(n)]
     for x, y in pairs:
         rows[x].append(y)
@@ -511,43 +513,85 @@ class ApxParseError(ValueError):
 _APX_LINE = re.compile(
     r"\s*(?:arg\(([a-zA-Z0-9_]+)\)\.|att\(([a-zA-Z0-9_]+),\s*([a-zA-Z0-9_]+)\)\.)?"
     r"\s*(?:%.*)?")
-_APX_NAMES = re.compile(r"[a-zA-Z0-9_]+(?:\n[a-zA-Z0-9_]+)*")
+# The characters of a name, [a-zA-Z0-9_], which _read_blocks deletes.
+_NAME_BYTES = (b"ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+               b"abcdefghijklmnopqrstuvwxyz0123456789_")
 
 
 def parse_apx(text: str) -> FiniteAF:
-    """Parse APX: arg(<name>). / att(<x>,<y>). lines, % comments.
+    r"""Parse APX: arg(<name>). / att(<x>,<y>). lines, % comments.
 
-    Canonical text (format_apx's: no spaces, comments on their own lines)
-    is read by slicing; all else, and every error, by the per-line reader.
-    The order of arg lines fixes the argument enumeration, bit-exact:
-    the first arg line is index 0, and so on.  Line errors (duplicate
-    arguments, unrecognized lines) are reported in line order before
-    any attack that names an unknown argument.
+    Text in format_apx's layout (every arg line, then every att line,
+    no spaces or comments, each line ended by "\n") is read in
+    whole-text passes by the block reader; all else, and every error, by
+    the per-line reader.  The order of arg lines fixes the argument
+    enumeration, bit-exact: the first arg line is index 0, and so on.
+    Line errors (duplicate arguments, unrecognized lines) are reported in
+    line order before any attack that names an unknown argument.
     """
-    lines = text.splitlines()
-    names, index, attacks = _read_canonical(lines) or _read_per_line(lines)
+    read = _read_blocks(text)
+    if read is not None:
+        return FiniteAF._built(*read)
+    names, index, attacks = _read_per_line(text.splitlines())
     pairs = frozenset(attacks)
     return FiniteAF._built(_rows(len(names), pairs), names, index, pairs)
 
 
-def _read_canonical(lines):
-    """(names, index, attacks) of a canonical text, else None; never raises."""
-    names, attacks = [], []
-    for line in lines:
-        head = line[:4]
-        if head == "att(" and line[-2:] == ")." and " " not in line:
-            attacks.append(line[4:-2].partition(","))
-        elif head == "arg(" and line[-2:] == ").":
-            names.append(line[4:-2])
-        elif line and line[0] != "%":
-            return None
-    index = dict(zip(names, range(len(names))))
-    if len(index) != len(names) or not _APX_NAMES.fullmatch("\n".join(names)):
+def _read_blocks(text: str):
+    r"""(rows, names, index, pairs) of text in format_apx's layout, else
+    None; never raises.
+
+    The text, ASCII so that it encodes one byte per character, is cut
+    once at its first "\natt(", which must follow ").": the names are
+    the name block split at ").\narg(", and the attack lines the attack
+    block split at ").\natt(", each line's two names split at ",".  With
+    n names and m attack lines so split, the text is in the layout
+    exactly when deleting the name characters from it leaves "().\n" * n
+    + "(,).\n" * m: its n - 1 and m - 1 separators and the cut then
+    account for every ").\n(" left, so between two of them lies nothing
+    on an arg line and one comma on an att line.  What is left is
+    compared first, with the n and m it implies, so other text is
+    refused after that one pass; the splits must then find the same n
+    and m.  Attack lines in format_apx's order (the (attacker, target)
+    keys strictly increase) repeat no attack and give the rows as they
+    come; others are deduplicated through `pairs`, the set of attacks,
+    else None.
+    """
+    if not (text.startswith("arg(") and text.endswith(").\n")
+            and text.isascii()):
+        return None
+    skeleton = text.encode().translate(None, _NAME_BYTES)
+    m = skeleton.count(b",")
+    n = (len(skeleton) - 5 * m) // 4
+    if skeleton != b"().\n" * n + b"(,).\n" * m:
+        return None
+    cut = text.find("\natt(")
+    if cut < 0:
+        names, parts, lines = text[4:-3].split(").\narg("), [], 0
+    elif text.startswith(").", cut - 2):
+        names = text[4:cut - 2].split(").\narg(")
+        # one piece per comma; rejoined at ").\natt(" and split there,
+        # the pieces count the separators too
+        commas = text[cut + 5:-3].split(",")
+        parts = ").\natt(".join(commas).split(").\natt(")
+        lines = len(parts) - len(commas) + 1
+    else:
+        return None
+    if (len(names), lines) != (n, m):
+        return None
+    index = dict(zip(names, range(n)))
+    if len(index) < n or "" in index:
         return None
     try:
-        return names, index, [(index[x], index[y]) for x, _, y in attacks]
+        ids = list(map(index.__getitem__, parts))
     except KeyError:
         return None
+    xs, ys = ids[0::2], ids[1::2]
+    keys = list(map(add, map(mul, xs, repeat(n)), ys))
+    if all(map(lt, keys, islice(keys, 1, None))):
+        return _rows(n, zip(xs, ys)), names, index, None
+    pairs = frozenset(zip(xs, ys))
+    return _rows(n, pairs), names, index, pairs
 
 
 def _read_per_line(lines):

@@ -29,9 +29,10 @@ Three regimes:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .core import AttackerSpec, Family, FiniteAF, LazyAF, \
     spot_check_attacker_spec
@@ -42,17 +43,17 @@ from .ordinals import NEVER, ZERO, Ordinal, StageValue
 # -- the stage kernel -----------------------------------------------------------
 
 
-def _stage_layers(nodes: Iterable[int], attackers, targets) -> Iterator[List[int]]:
+def _stage_layers(pending: Dict[int, int], targets) -> Iterator[List[int]]:
     """Yield the layers G_1 - G_0, G_2 - G_1, ... while they are nonempty.
 
-    `attackers[x]` and `targets[x]` list, for every node x, the attack
-    edges into and out of x inside the node set; the set must be closed
-    under attackers.  `pending[x]` counts the attackers of x not yet
-    defeated, so x joins the layer after the one that defeats its last
-    attacker.  Each argument is defeated once and each of its outgoing
-    edges decrements one count once: O(n+m) over the whole run.
+    `pending[x]` counts, for every node x, the attackers of x inside the
+    node set not yet defeated, and `targets[x]` lists the attack edges
+    out of x inside the set; the set must be closed under attackers.
+    The counts are spent as the run goes: x joins the layer after the one
+    that defeats its last attacker.  Each argument is defeated once and
+    each of its outgoing edges decrements one count once: O(n+m) over
+    the whole run.
     """
-    pending = {x: len(attackers[x]) for x in nodes}
     layer = [x for x, count in pending.items() if not count]
     defeated = set()
     while layer:
@@ -86,15 +87,18 @@ def grounded_finite(af: FiniteAF) -> GroundedResult:
     """Least fixpoint of the defense function, with every argument's stage.
 
     The stages G_1 <= G_2 <= ... are built as layers by the counter-based
-    kernel in O(n+m) for n arguments and m attacks.  The stage of x is
-    the k with x in G_k - G_{k-1}, or NEVER; the grounding ordinal is the
-    least k with G_k = G, a natural number bounded by the argument count.
+    kernel in O(n+m) for n arguments and m attacks, from the attack rows
+    alone: each argument's count of attackers is its number of entries
+    in the rows, so no attacker row is built.  The stage of x is the k
+    with x in G_k - G_{k-1}, or NEVER; the grounding ordinal is the least
+    k with G_k = G, a natural number bounded by the argument count.
     """
     stages: Dict[int, StageValue] = dict.fromkeys(range(af.n), NEVER)
+    pending = dict.fromkeys(range(af.n), 0)
+    pending.update(Counter(chain.from_iterable(af._fwd)))
     grounded = []
     k = 0
-    for k, layer in enumerate(_stage_layers(range(af.n), af._rev, af._fwd),
-                              start=1):
+    for k, layer in enumerate(_stage_layers(pending, af._fwd), start=1):
         stage = Ordinal.from_int(k)
         for x in layer:
             stages[x] = stage
@@ -183,7 +187,8 @@ def omega_approximation(af: LazyAF, window: int, steps: int,
             targets[b].append(x)
 
     stages: Dict[int, Ordinal] = {}
-    layers = _stage_layers(attackers, attackers, targets)
+    layers = _stage_layers({x: len(xs) for x, xs in attackers.items()},
+                           targets)
     rounds = 0
     for rounds, layer in enumerate(islice(layers, steps), start=1):
         stage = Ordinal.from_int(rounds)

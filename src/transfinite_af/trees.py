@@ -14,6 +14,7 @@ truncation cross-checks.
 from __future__ import annotations
 
 import json
+import reprlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -420,6 +421,10 @@ def _split_child(state: Tuple[Ordinal, int], symbol: int) -> Tuple[Ordinal, int]
 # -- finite-tree JSON --------------------------------------------------------
 
 
+# A bad node path is quoted in its error by at most this many characters.
+NODE_REPR_LIMIT = 80
+
+
 def tree_from_json(text: str) -> FiniteTree:
     """{"nodes": [[], [0], [0,0], ...]}; must be prefix-closed."""
     try:
@@ -436,7 +441,12 @@ def tree_from_json(text: str) -> FiniteTree:
     for node in nodes:
         if not isinstance(node, list) or not all(
                 type(s) is int and s >= 0 for s in node):
-            raise ValueError(f"bad node path {node!r}")
+            # reprlib stops at a few levels and items; long symbols are
+            # cut here, so the message stays one short line
+            quoted = reprlib.repr(node)
+            if len(quoted) > NODE_REPR_LIMIT:
+                quoted = quoted[:NODE_REPR_LIMIT - 3] + "..."
+            raise ValueError(f"bad node path {quoted}")
         paths.append(tuple(node))
     return FiniteTree(paths)
 

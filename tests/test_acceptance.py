@@ -23,7 +23,6 @@ from transfinite_af.constructions import (
 )
 from transfinite_af.core import FiniteAF
 from transfinite_af.grounded import (
-    SymbolicStageMap,
     grounded_finite,
     stages_finite,
     verify_symbolic_stages,
@@ -31,7 +30,6 @@ from transfinite_af.grounded import (
 from transfinite_af.ordinals import (
     NEVER,
     OMEGA,
-    ZERO,
     AffineOrdinalExpr,
     Ordinal,
     format_ordinal,

@@ -1,13 +1,17 @@
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
+import transfinite_af
 from transfinite_af import checks, cli, constructions, trees
 from transfinite_af.checks import eliminated_self_defending, \
     iterated_defense_step, path_keyed_expand
@@ -579,6 +583,24 @@ def test_boolean_tree_symbols_exit_2(capsys, tmp_path):
     tree.write_text('{"nodes": [[], [true], [false]]}')
     for argv in tree_loading_commands(str(tree)) + [["gen", f"tree:{tree}"]]:
         assert run(capsys, *argv) == (2, "", "error: bad node path [True]\n")
+
+
+def test_a_bad_node_is_quoted_in_one_short_line(capsys, tmp_path):
+    tree = tmp_path / "t.json"
+    tree.write_text('{"nodes": [[], [' + ", ".join(["1" * 45] * 50) + ", -1]]}")
+    code, out, err = run(capsys, "tree", "rank", "--input", str(tree))
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith("error: bad node path [1111") and len(err) <= 121
+    # as deep as the JSON decoder reads from the command line; the
+    # command runs on its own, as the test's stack would leave less room
+    tree.write_text('{"nodes": [[], ' + "[" * 986 + "]" * 986 + "]}")
+    src = str(Path(transfinite_af.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "transfinite_af.cli", "tree", "rank",
+         "--input", str(tree)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (2, "", "error: bad node path [[[[[[[...]]]]]]]\n")
 
 
 def test_truncated_limit_target_over_budget_exits_3(capsys):

@@ -648,4 +648,4 @@ def test_generated_afs_build_only_the_tables_asked_for(text):
     format_apx(af)
     assert af._rev_rows is None and af._pair_set is None
     grounded_finite(af)
-    assert af._rev_rows is not None and af._pair_set is None
+    assert af._rev_rows is None and af._pair_set is None

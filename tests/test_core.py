@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -424,6 +425,15 @@ SLICE_FAULTS = [
     "arg(\uff41).", "arg(a).",
     "att(a,b,c).", "att(a,).", "att(,a).", "att(a,b).att(b,a).", "att(ab).",
     "att(a,b)x", "att(a,b) ", "Att(a,b).", "att(a,z).",
+    # format_apx's layout split or reordered: a name or an attack over
+    # two lines, an arg line after an att line, "\r\n" line ends, and
+    # (last) an attack line with no final newline
+    "arg(q\nr).\n", "att(a,\nb).\n", "att(a\n,b).\n", "att(a,b).\narg(q).\n",
+    "arg(q).\r\natt(a,q).\r\n", "att(a,b).\r\n", "att(a,b).",
+    # a comma missing from one line and repeated on the next; a name
+    # character after a statement, which a reader may take for part of
+    # the next line's name; a lone surrogate, which no encoding takes
+    "att(a).\natt(a,b,b).", "arg(q).q", "arg(q\ud800).",
 ]
 
 
@@ -460,18 +470,82 @@ def test_parse_apx_matches_the_per_line_parser_on_canonical_text(text):
     assert _parsed(parse_apx, text) == _parsed(per_line_parse_apx, text)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(_canonical_apx(faults=False))
-def test_the_canonical_reader_reads_every_canonical_text(text):
-    read = core._read_canonical(text.splitlines())
-    assert (read is None) == ("arg(" not in text)
+_LAYOUT = re.compile(r"(?:arg\(\w+\)\.\n)+(?:att\(\w+,\w+\)\.\n)*", re.ASCII)
 
 
-@pytest.mark.parametrize("other", ["att(a, a).", "att(a,a). % note", " arg(b)."])
-def test_the_canonical_reader_stops_at_the_first_other_line(other):
-    lines = iter(["arg(a).", "att(a,a).", other, "arg(c).", "att(c,a)."])
-    assert core._read_canonical(lines) is None
-    assert list(lines) == ["arg(c).", "att(c,a)."]
+def in_layout(text):
+    """Whether the block reader reads the text: format_apx's layout, every
+    name declared once and every attack between declared names."""
+    if not _LAYOUT.fullmatch(text):
+        return False
+    names = re.findall(r"^arg\((\w+)\)", text, re.ASCII | re.MULTILINE)
+    attacks = re.findall(r"^att\((\w+),(\w+)\)", text, re.ASCII | re.MULTILINE)
+    return (len(set(names)) == len(names)
+            and {nm for pair in attacks for nm in pair} <= set(names))
+
+
+@st.composite
+def _layout_apx(draw, faults=False):
+    """Text in format_apx's layout, its attack lines drawn in any order
+    and with repeats; with `faults`, one line from SLICE_FAULTS goes in
+    anywhere."""
+    names = draw(st.lists(st.text("ab_Z9", min_size=1, max_size=4),
+                          min_size=1, max_size=8, unique=True))
+    known = st.sampled_from(names)
+    lines = [f"arg({nm})." for nm in names] + [
+        f"att({x},{y})." for x, y in draw(st.lists(st.tuples(known, known),
+                                                   max_size=16))]
+    if faults:
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(SLICE_FAULTS)))
+    return "".join(line + "\n" for line in lines)
+
+
+# Texts in format_apx's layout that format_apx does not write: no attack,
+# a repeated attack, attacks out of row order.
+LAYOUT_CASES = [
+    "arg(a).\n",
+    "arg(a).\narg(b).\n",
+    "arg(a).\narg(b).\natt(a,b).\natt(a,b).\n",
+    "arg(a).\narg(b).\natt(b,a).\natt(a,b).\n",
+    "arg(a).\narg(b).\natt(a,b).\natt(a,a).\n",
+    "arg(a).\narg(b).\natt(b,b).\natt(a,b).\natt(b,b).\n",
+]
+
+
+@pytest.mark.parametrize("text", LAYOUT_CASES)
+def test_the_block_reader_reads_the_layout_in_any_attack_order(text):
+    assert core._read_blocks(text) is not None
+    assert _parsed(parse_apx, text) == _parsed(per_line_parse_apx, text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_layout_apx())
+def test_layout_text_never_reaches_the_per_line_reader(text):
+    reached = []
+    per_line = core._read_per_line
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_read_per_line",
+                      lambda lines: reached.append(lines) or per_line(lines))
+        got = _parsed(parse_apx, text)
+    assert reached == []
+    assert got == _parsed(per_line_parse_apx, text)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_layout_apx(faults=True) | _canonical_apx())
+def test_the_block_reader_reads_exactly_the_layout(text):
+    assert (core._read_blocks(text) is not None) == in_layout(text)
+    assert _parsed(parse_apx, text) == _parsed(per_line_parse_apx, text)
+
+
+@pytest.mark.parametrize("fault", SLICE_FAULTS)
+def test_the_block_reader_reads_a_fault_line_only_in_the_layout(fault):
+    for text in ("arg(a).\narg(b).\n" + fault + "\n",
+                 "arg(a).\narg(b).\n" + fault + "\natt(a,b).\n",
+                 "arg(a).\narg(b).\natt(b,a).\n" + fault + "\n"):
+        assert (core._read_blocks(text) is not None) == in_layout(text)
+        assert _parsed(parse_apx, text) == _parsed(per_line_parse_apx, text)
 
 
 def test_canonical_text_never_reaches_the_per_line_reader(monkeypatch):

@@ -32,8 +32,9 @@ reference implementations and keep their own checks.
 
 APX text has one definition, the per-line reader `_read_per_line`: it
 is the only code in core.py that constructs ApxParseError, so every
-parse error keeps one message and line; the canonical reader in front
-of it returns None on anything it does not accept and never raises.
+parse error keeps one message and line; the block reader in front of
+it, which reads format_apx's layout in whole-text passes, returns None
+on any other text and never raises.
 
 Tree JSON has one writer, `trees.tree_to_json`: no other library code
 outside checks.py builds a "nodes" document, as a dict or as text, and
@@ -46,6 +47,9 @@ mention in checks.py keeps a member, and a module-level function is
 called only where its own module names it or another module imports it
 from there, so a local variable of the same name elsewhere does not
 count.
+
+Every name a test module imports is read in that module; a test
+function's parameter that names an imported fixture reads it.
 """
 
 import ast
@@ -439,3 +443,44 @@ def test_the_guard_sees_a_function_only_a_local_variable_names(tmp_path):
                        "    return sup\n"
                        "stage([0])\n"})
     assert unnamed_definitions(package) == {"ordinals.py": {"sup"}}
+
+
+TESTS = Path(__file__).parent
+
+
+def unread_imports(path: Path) -> list:
+    """(line, name) of every name the module imports and never reads;
+    a function parameter of the same name, as a pytest fixture is asked
+    for, reads it.  `from __future__` imports bind no name."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.arg):
+            read.add(node.arg)
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+def test_every_test_import_is_read():
+    unread = {path.name: unread_imports(path)
+              for path in sorted(TESTS.glob("*.py"))}
+    assert {name: found for name, found in unread.items() if found} == {}
+
+
+def test_the_guard_sees_an_unread_test_import(tmp_path):
+    module = plant(tmp_path, {"test_planted.py":
+        "from __future__ import annotations\n"
+        "import itertools\n"
+        "import os.path\n"
+        "from conftest import tmp_af\n"
+        "from transfinite_af.core import FiniteAF, parse_apx as parse\n"
+        "def test_reads(tmp_af):\n"
+        "    assert parse(os.path.sep) == FiniteAF\n"}) / "test_planted.py"
+    assert unread_imports(module) == [(2, "itertools")]

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -14,10 +13,7 @@ from transfinite_af.core import (
 )
 from transfinite_af.errors import CapExceeded, DomainError, IncompleteStageMap
 from transfinite_af.grounded import (
-    GroundedResult,
-    OmegaApproximation,
     SymbolicStageMap,
-    VerificationReport,
     grounded_finite,
     omega_approximation,
     stages_finite,

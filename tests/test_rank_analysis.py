@@ -7,7 +7,7 @@ from transfinite_af import checks, rank_analysis
 from transfinite_af.core import FiniteAF, pair, unpair
 from transfinite_af.errors import CapExceeded, DomainError
 from transfinite_af.grounded import GroundedResult, grounded_finite, stages_finite
-from transfinite_af.ordinals import NEVER, Ordinal
+from transfinite_af.ordinals import NEVER
 from transfinite_af.rank_analysis import (
     build_Ta,
     build_TS,

@@ -16,8 +16,8 @@ from transfinite_af.checks import (
     iterated_defense_step,
     predicate_omega_approximation,
 )
-from transfinite_af.core import AttackerSpec, FiniteAF, LazyAF, \
-    spot_check_attacker_spec
+from transfinite_af.core import AttackerSpec, FiniteAF, LazyAF, format_apx, \
+    parse_apx, spot_check_attacker_spec
 from transfinite_af.grounded import SymbolicStageMap, grounded_finite, \
     omega_approximation, stages_finite, verify_symbolic_stages
 from transfinite_af.ordinals import NEVER, Ordinal
@@ -80,6 +80,29 @@ def test_largest_self_defending_matches_elimination():
     for af in CORPUS:
         assert largest_self_defending(af) == eliminated_self_defending(af), \
             af.attack_pairs
+
+
+def test_parsed_afs_ground_from_their_attack_rows_alone():
+    """grounded and self-defending on a parsed AF build neither the
+    attacker rows nor the attack set, and agree with the references."""
+    rng = random.Random(24)
+    for _ in range(60):
+        n = rng.randint(4, 40)
+        # argument 0 attacks itself, 1 and 2 attack each other, and the
+        # last argument is isolated
+        attacks = {(0, 0), (1, 2), (2, 1)} | {
+            (rng.randrange(n - 1), rng.randrange(n - 1))
+            for _ in range(rng.randint(0, 2 * n))}
+        af = FiniteAF(n, attacks, [f"x{rng.randrange(99)}_{i}" for i in range(n)])
+        parsed = parse_apx(format_apx(af))
+        got = grounded_finite(parsed)
+        members = largest_self_defending(parsed)
+        assert parsed._rev_rows is None and parsed._pair_set is None
+        want = iterated_defense_step(af)
+        assert (got.grounded, got.grounding_ordinal, got.stages) == \
+            (want.grounded, want.grounding_ordinal, want.stages), attacks
+        assert got.stages[n - 1] == 1
+        assert members == eliminated_self_defending(af), attacks
 
 
 def test_shapes_have_the_expected_stages():
