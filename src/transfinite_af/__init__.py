@@ -5,17 +5,16 @@ from .constructions import (
     af_from_tree,
     baumann_spanring,
     disjoint_union,
-    disjoint_union_with_embedding,
     materialize_spec,
     ordinal_target_af,
     parse_generator_spec,
 )
 from .core import (
-    AttackerSpec,
     Family,
     FiniteAF,
     IndexMap,
     LazyAF,
+    Members,
     format_apx,
     format_dot,
     pair,
@@ -66,19 +65,18 @@ from .trees import (
 )
 
 __all__ = [
-    "AffineOrdinalExpr", "AttackerSpec", "Family", "FiniteAF",
-    "FiniteTree", "GroundedResult", "IndexMap", "LazyAF", "LazyTree",
+    "AffineOrdinalExpr", "Family", "FiniteAF", "FiniteTree",
+    "GroundedResult", "IndexMap", "LazyAF", "LazyTree", "Members",
     "NEVER", "OMEGA", "ONE", "Ordinal", "SymbolicStageMap",
     "VerificationReport", "ZERO",
     "af_from_finite_tree", "af_from_tree", "baumann_spanring",
     "bounded_path_search", "build_Ta", "build_TS", "build_tree_of_rank",
-    "disjoint_union", "disjoint_union_with_embedding", "format_apx",
-    "format_dot", "format_ordinal", "fundamental_sequence",
-    "grounded_finite", "largest_self_defending", "materialize_spec",
-    "omega_approximation", "omega_power", "ordinal_target_af", "pair",
-    "parse_apx", "parse_generator_spec", "parse_ordinal", "rank_finite",
-    "rank_stage_bridge_check", "spot_check_attacker_spec",
-    "stages_finite", "ta_path_exists", "ta_rank", "tree_from_json",
-    "tree_to_json", "truncate_tree", "ts_path_exists", "unpair",
-    "verify_symbolic_stages", "witness_path",
+    "disjoint_union", "format_apx", "format_dot", "format_ordinal",
+    "fundamental_sequence", "grounded_finite", "largest_self_defending",
+    "materialize_spec", "omega_approximation", "omega_power",
+    "ordinal_target_af", "pair", "parse_apx", "parse_generator_spec",
+    "parse_ordinal", "rank_finite", "rank_stage_bridge_check",
+    "spot_check_attacker_spec", "stages_finite", "ta_path_exists",
+    "ta_rank", "tree_from_json", "tree_to_json", "truncate_tree",
+    "ts_path_exists", "unpair", "verify_symbolic_stages", "witness_path",
 ]

@@ -30,10 +30,10 @@ from .constructions import (
     _path_name,
     af_from_finite_tree,
     baumann_spanring,
-    disjoint_union_with_embedding,
+    disjoint_union,
     ordinal_target_af,
 )
-from .core import ApxParseError, AttackerSpec, Family, FiniteAF, LazyAF, \
+from .core import ApxParseError, Family, FiniteAF, LazyAF, Members, \
     PairLeft, format_apx, least_right, pair, parse_apx, unpair
 from .errors import CapExceeded, DomainError, TransfiniteAFError, \
     UnsupportedExpression
@@ -65,8 +65,7 @@ from .rank_analysis import (
     ts_path_exists,
     witness_path,
 )
-from .trees import ROOT, ChildrenSpec, FiniteTree, LazyTree, NodePath, \
-    NodeStates
+from .trees import ROOT, FiniteTree, LazyTree, NodePath, NodeStates
 
 
 @dataclass
@@ -340,7 +339,7 @@ def frozenset_ts_rank_states(af: FiniteAF, seed: frozenset):
 # -- trees keyed by paths, and queries by path -------------------------------------
 
 
-def path_keyed_tree(children_of: Callable[[NodePath], ChildrenSpec],
+def path_keyed_tree(children_of: Callable[[NodePath], Members],
                     declared_rank_of: Optional[Callable[[NodePath], Ordinal]] = None
                     ) -> LazyTree:
     """A lazy tree whose node states are the nodes' paths."""
@@ -360,7 +359,7 @@ def node_state(tree, path: NodePath):
     return state
 
 
-def children_at(tree, path: NodePath) -> ChildrenSpec:
+def children_at(tree, path: NodePath) -> Members:
     return tree.states.children(node_state(tree, path))
 
 
@@ -377,13 +376,13 @@ def mran_of(seed, sigma: NodePath) -> frozenset:
 
 
 def _path_keyed_ts_children(af: FiniteAF, level: int,
-                            mran: frozenset) -> ChildrenSpec:
+                            mran: frozenset) -> Members:
     """Children {i+1 : a_i attacks a_n} when a_n attacks the committed
     set, for level decoding to (n, m); else the single child 0."""
     n, _ = unpair(level)
     if n < af.n and any(x < af.n and af.attacks(n, x) for x in mran):
-        return ChildrenSpec(symbols=tuple(i + 1 for i in af.attackers_of(n)))
-    return ChildrenSpec(symbols=(0,))
+        return Members(tuple(i + 1 for i in af.attackers_of(n)))
+    return Members((0,))
 
 
 def path_keyed_ts(af: FiniteAF, seed) -> LazyTree:
@@ -400,9 +399,9 @@ def path_keyed_ta(af: FiniteAF, a: int) -> LazyTree:
     """rank_analysis.build_Ta keyed by paths: the root's children are a's
     attackers, and below symbol i lies the path-keyed T_{a_i}."""
 
-    def children_of(sigma: NodePath) -> ChildrenSpec:
+    def children_of(sigma: NodePath) -> Members:
         if not sigma:
-            return ChildrenSpec(symbols=af.attackers_of(a))
+            return af.attacker_spec(a)
         return _path_keyed_ts_children(af, len(sigma) - 1,
                                        mran_of((sigma[0],), sigma[1:]))
 
@@ -429,8 +428,8 @@ def path_keyed_expand(tree, node_cap: int, width: Optional[int] = None,
         if spec.families and width is None:
             raise UnsupportedExpression(
                 f"node {list(p)} has family children; full expansion needs a width")
-        symbols = (spec.first_symbols(min(width, node_cap)) if width is not None
-                   else spec.symbols)
+        symbols = (spec.first(min(width, node_cap)) if width is not None
+                   else spec.explicit)
         for s in symbols:
             child = p + (s,)
             paths.append(child)
@@ -456,21 +455,21 @@ def path_keyed_tree_af(tree: LazyTree) -> LazyAF:
             return unpair(code - 1)[0] == y // 2 and tree.member(_decode(code))
         return False
 
-    def spec(index: int) -> AttackerSpec:
+    def spec(index: int) -> Members:
         path = _decode(index // 2)
         if not tree.member(path):
-            return AttackerSpec()
+            return Members()
         if index % 2 == 1:
-            return AttackerSpec(explicit=(index - 1,))
+            return Members(explicit=(index - 1,))
         code = index // 2
         children = children_at(tree, path)
-        explicit = tuple(2 * (pair(code, s) + 1) + 1 for s in children.symbols)
+        explicit = tuple(2 * (pair(code, s) + 1) + 1 for s in children.explicit)
         families = tuple(
             Family(fam.index_map.then(PairLeft(code)).then(_B_STEP), fam.k_start,
                    fam.expr.add_finite(1)
                    if tree.has_rank_annotations and fam.expr is not None else None)
             for fam in children.families)
-        return AttackerSpec(explicit=explicit, families=families)
+        return Members(explicit=explicit, families=families)
 
     def naming(index: int) -> str:
         path = _decode(index // 2)
@@ -526,10 +525,10 @@ def check_declared_ranks(tree: LazyTree, sample_width: int,
         declared = tree.state_rank(state)
         checked += 1
         spec = children(state)
-        symbols = spec.first_symbols(sample_width)
+        symbols = spec.first(sample_width)
         kids = [child(state, s) for s in symbols]
         rank_of = dict(zip(symbols, map(tree.state_rank, kids)))
-        want = max((rank_of[s] + 1 for s in spec.symbols), default=ZERO)
+        want = max((rank_of[s] + 1 for s in spec.explicit), default=ZERO)
         for fam in spec.families:
             if fam.expr is None:
                 raise UnsupportedExpression(
@@ -837,11 +836,11 @@ def run_construction_suite(trials: int, seed: int) -> SuiteResult:
                 f"{len(ft.tree)}-node tree (seed state)")
 
         parts = [random_finite_af(rng, 5), random_finite_af(rng, 5)]
-        union, embed = disjoint_union_with_embedding(parts)
+        union = disjoint_union(parts)
         got = stages_finite(union)
         for p, part in enumerate(parts):
             for j, v in stages_finite(part).items():
-                if got[embed(p, j)] != v:
+                if got[union.index_of(f"u{p}_{part.name(j)}")] != v:
                     result.violations.append(
                         f"union does not preserve stages at part {p} "
                         f"argument {j}")

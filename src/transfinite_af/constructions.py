@@ -32,11 +32,11 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .core import (
     Affine,
-    AttackerSpec,
     Family,
     FiniteAF,
     IndexMap,
     LazyAF,
+    Members,
     PairLeft,
     PairRight,
     least_right,
@@ -48,12 +48,14 @@ from .errors import Budget, UnsupportedExpression
 from .grounded import SymbolicStageMap, stages_finite
 from .ordinals import (
     NEVER,
+    OMEGA,
     ONE,
     ZERO,
     AffineOrdinalExpr,
     Ordinal,
     fundamental_sequence,
     fundamental_sequence_expr,
+    omega_power,
     parse_ordinal,
 )
 from .trees import OFF_TREE, TRUNCATE_NODE_CAP, FiniteTree, LazyTree, _expand, \
@@ -202,7 +204,7 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
                 s += 1
         return [pair(p, c) for c in out] if forest else out
 
-    def spec(index: int) -> AttackerSpec:
+    def spec(index: int) -> Members:
         t, tail = known, (_B_STEP,)
         if forest:
             p, index, t = split(index)
@@ -210,12 +212,12 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
         code = index // 2
         state = state_of(t, code)
         if state is OFF_TREE:
-            return AttackerSpec()
+            return Members()
         if index % 2 == 1:
             explicit, lifted = (index - 1,), ()
         else:
             children = nodes.children(state)
-            explicit = tuple(2 * (pair(code, s) + 1) + 1 for s in children.symbols)
+            explicit = tuple(2 * (pair(code, s) + 1) + 1 for s in children.explicit)
             lifted = tuple(Family(
                 IndexMap(fam.index_map.steps + (PairLeft(code),) + tail),
                 fam.k_start,
@@ -223,7 +225,7 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
                 for fam in children.families)
         if forest:
             explicit = tuple(pair(p, b) for b in explicit)
-        return AttackerSpec(explicit=explicit, families=lifted)
+        return Members(explicit=explicit, families=lifted)
 
     def naming(index: int) -> str:
         t, prefix = known, ""
@@ -308,12 +310,12 @@ def baumann_spanring(truncate: Optional[int] = None):
     k_plus_1 = AffineOrdinalExpr.affine(1, 1)
     odd_a = IndexMap.affine(4, 2)
 
-    def spec(i: int) -> AttackerSpec:
+    def spec(i: int) -> Members:
         if i == 0:
-            return AttackerSpec()
+            return Members()
         if i == 1:
-            return AttackerSpec(families=(Family(odd_a, 0, k_plus_1),))
-        return AttackerSpec(explicit=(i - 2,))
+            return Members(families=(Family(odd_a, 0, k_plus_1),))
+        return Members(explicit=(i - 2,))
 
     def family_all_never(fam: Family) -> Optional[bool]:
         # b_0's attackers, the odd a's, never enter G
@@ -383,13 +385,13 @@ def _union(parts: List, stage_maps: List[SymbolicStageMap],
         return [pair(p, c)
                 for c in s.part.attacker_candidates(j, least_right(p, hi))]
 
-    def spec(x: int) -> AttackerSpec:
+    def spec(x: int) -> Members:
         p, j = unpair(x)
         s = slice_of(p)
         if j >= s.size:
-            return AttackerSpec()
+            return Members()
         inner = s.part.attacker_spec(j)
-        return AttackerSpec(
+        return Members(
             explicit=tuple(pair(p, b) for b in inner.explicit),
             families=tuple(replace(f, index_map=f.index_map.then(PairLeft(p)))
                            for f in inner.families))
@@ -425,6 +427,13 @@ def _union(parts: List, stage_maps: List[SymbolicStageMap],
 # -- ordinal-targeted AFs ---------------------------------------------------------
 
 
+# A rank tree of rank >= w^w has a node of rank w^w: every node of rank
+# above w^w has a child of rank at least w^w, and ranks fall along a path.
+# That node's children w^k have no affine closed form in k, while below
+# w^w every exponent is finite and every fundamental sequence has one.
+_OMEGA_TO_THE_OMEGA = omega_power(OMEGA)
+
+
 def ordinal_target_af(alpha, truncate: Optional[int] = None):
     """An AF whose grounding ordinal is exactly alpha.
 
@@ -433,9 +442,16 @@ def ordinal_target_af(alpha, truncate: Optional[int] = None):
     fundamental sequence (coded as one, see the module docstring), so the
     grounding ordinal is the supremum of the parts'.  alpha = 0 is the
     empty AF.  Width-w truncations build the F of the width-truncated
-    trees (truncate-then-build), unions keeping their first w parts.
+    trees (truncate-then-build), unions keeping their first w parts;
+    untruncated, alpha must be below w^w.
     """
     alpha = alpha if isinstance(alpha, Ordinal) else Ordinal.from_int(alpha)
+
+    if truncate is None and alpha >= _OMEGA_TO_THE_OMEGA:
+        raise UnsupportedExpression(
+            f"target {alpha} is at least w^w: its rank tree has a node of rank "
+            "w^w, whose fundamental sequence is not affine-expressible; "
+            "cannot certify a symbolic stage map")
 
     if alpha.is_zero:
         return FiniteAF(0)
@@ -452,11 +468,6 @@ def ordinal_target_af(alpha, truncate: Optional[int] = None):
             return af_from_finite_tree(truncate_tree(tree, width=1)).af
         return af_from_tree(tree)
 
-    if fundamental_sequence_expr(alpha) is None:
-        raise UnsupportedExpression(
-            f"fundamental sequence of {alpha} is not affine-expressible; "
-            "cannot certify a symbolic stage map")
-
     if truncate is not None:
         # The parts spend from one pair of budgets before any AF is built.
         # Part i has rank >= i, so >= i+1 nodes on paths of >= i(i+1)/2
@@ -467,7 +478,7 @@ def ordinal_target_af(alpha, truncate: Optional[int] = None):
         budgets = expansion_budgets(TRUNCATE_NODE_CAP)
         trees = [_expand(build_tree_of_rank(fundamental_sequence(alpha, i)),
                          *budgets, width=truncate) for i in range(truncate)]
-        return _compact_union([_tree_af_table(t) for t in trees])[0]
+        return _compact_union([_tree_af_table(t) for t in trees])
 
     root_stages = fundamental_sequence_expr(alpha).add_finite(1)
     return _tree_af(build_tree_of_rank(alpha), True,
@@ -478,15 +489,14 @@ def ordinal_target_af(alpha, truncate: Optional[int] = None):
 # -- disjoint unions ----------------------------------------------------------------
 
 
-def _compact_union(parts) -> Tuple[FiniteAF, List[int], List[int]]:
+def _compact_union(parts) -> FiniteAF:
     """The finite union of parts given as (names, attack rows) by index.
 
     Part p's argument j goes to the rank of pair(p, j) among all the
-    parts' codes, named u<p>_<its name>.  Returns the AF, the union index
-    of each part's arguments in turn, and where each part's run starts.
-    The parts' names are valid and unique within each part, and the
-    prefix keeps them apart across parts, so the AF is built unchecked;
-    the rank grows with j within a part, so remapped rows stay sorted.
+    parts' codes, named u<p>_<its name>.  The parts' names are valid and
+    unique within each part, and the prefix keeps them apart across
+    parts, so the AF is built unchecked; the rank grows with j within a
+    part, so remapped rows stay sorted.
     """
     codes, offsets = [], []
     for p, (names, _) in enumerate(parts):
@@ -503,31 +513,20 @@ def _compact_union(parts) -> Tuple[FiniteAF, List[int], List[int]]:
         to_union = index[off:off + len(names)].__getitem__
         flat_names += [prefix + nm for nm in names]
         flat_rows += [tuple(map(to_union, row)) for row in rows]
-    af = FiniteAF._built([flat_rows[f] for f in ranked],
-                         [flat_names[f] for f in ranked])
-    return af, index, offsets
+    return FiniteAF._built([flat_rows[f] for f in ranked],
+                           [flat_names[f] for f in ranked])
 
 
-def disjoint_union_with_embedding(parts: List):
-    """(union AF, embedding (p, j) -> index).  Attacks stay within parts.
+def disjoint_union(parts: List):
+    """The union of finitely many AFs; attacks stay within parts.
 
     All-finite unions compact the pairing codes into a finite AF; with
-    any lazy part the union is the indexed union of the list, whose
-    embedding is pair itself.
+    any lazy part the union is the indexed union of the list, part p's
+    argument j at pair(p, j).  Either way it is named u<p>_<its name>.
     """
     parts = list(parts)
-    if not parts:
-        return FiniteAF(0), lambda p, j: (_ for _ in ()).throw(
-            IndexError("empty union"))
     if all(isinstance(p, FiniteAF) for p in parts):
-        af, index, offsets = _compact_union(
-            [(part.names, part._fwd) for part in parts])
-
-        def embed(p: int, j: int) -> int:
-            if not (0 <= p < len(parts) and 0 <= j < parts[p].n):
-                raise KeyError((p, j))
-            return index[offsets[p] + j]
-        return af, embed
+        return _compact_union([(part.names, part._fwd) for part in parts])
 
     families: List[Family] = []
     stage_maps, sup = [], None
@@ -548,13 +547,7 @@ def disjoint_union_with_embedding(parts: List):
                 witness = pair(p, wit) if att and wit is not None else None
         sup = (best, attained, witness)
 
-    af = _union(parts, stage_maps, tuple(families), sup)
-    return af, pair
-
-
-def disjoint_union(parts: List):
-    """Union of finitely many AFs; see disjoint_union_with_embedding."""
-    return disjoint_union_with_embedding(parts)[0]
+    return _union(parts, stage_maps, tuple(families), sup)
 
 
 # -- generator spec grammar -----------------------------------------------------------

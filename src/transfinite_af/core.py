@@ -20,7 +20,6 @@ import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice, repeat
 from operator import add, lt, mul
 from typing import Callable, Iterable, Optional, Sequence, Tuple
@@ -176,21 +175,22 @@ class Family:
 
 
 @dataclass(frozen=True)
-class AttackerSpec:
-    """Complete description of the attackers of one argument."""
+class Members:
+    """Finitely many explicit members plus affine families: a tree node's
+    children (as symbols) or an argument's attackers (as indices)."""
 
     explicit: Tuple[int, ...] = ()
     families: Tuple[Family, ...] = ()
 
-    # the spot check asks about every attacker of a spec, so a long
-    # explicit list is searched as a set
-    @cached_property
-    def _explicit_set(self) -> frozenset:
-        return frozenset(self.explicit)
+    def contains(self, i: int) -> bool:
+        return i in self.explicit or any(f.contains(i) for f in self.families)
 
-    def contains(self, index: int) -> bool:
-        return (index in self._explicit_set
-                or any(f.contains(index) for f in self.families))
+    def first(self, width: int) -> Tuple[int, ...]:
+        """The explicit members, then each family's first `width`."""
+        out = list(self.explicit)
+        for fam in self.families:
+            out.extend(map(fam.member, range(fam.k_start, fam.k_start + width)))
+        return tuple(out)
 
 
 # -- finite AFs ---------------------------------------------------------------
@@ -332,8 +332,8 @@ class FiniteAF:
     def universe(self) -> int:
         return self.n
 
-    def attacker_spec(self, x: int) -> AttackerSpec:
-        return AttackerSpec(explicit=self.attackers_of(x))
+    def attacker_spec(self, x: int) -> Members:
+        return Members(explicit=self.attackers_of(x))
 
     def attacker_candidates(self, x: int, hi: int) -> Tuple[int, ...]:
         attackers = self.attackers_of(x)
@@ -422,7 +422,7 @@ class LazyAF:
     universe = None
 
     def __init__(self, attack_predicate: Callable[[int, int], bool],
-                 attacker_spec_fn: Callable[[int], AttackerSpec],
+                 attacker_spec_fn: Callable[[int], Members],
                  naming: Optional[Callable[[int], str]] = None,
                  candidate_stages=None,
                  attacker_candidates: Optional[
@@ -444,7 +444,7 @@ class LazyAF:
         self._check(y)
         return bool(self._predicate(x, y))
 
-    def attacker_spec(self, x: int) -> AttackerSpec:
+    def attacker_spec(self, x: int) -> Members:
         self._check(x)
         spec = self._spec_cache.get(x)
         if spec is None:
@@ -479,17 +479,16 @@ def spot_check_attacker_spec(af, args: Iterable[int], bound: int) -> list:
         for b in spec.explicit:
             if not attacks(b, a):
                 problems.append(f"spec of {a}: explicit attacker {b} does not attack")
-        probed = set()
+        # the spec's members asked here cannot be missing from it, so the
+        # scan below asks each pair once
+        asked = set(spec.explicit)
         for fam in spec.families:
             for k in range(fam.k_start, fam.k_start + SPEC_FAMILY_PROBE):
                 m = fam.member(k)
-                probed.add(m)
+                asked.add(m)
                 if not attacks(m, a):
                     problems.append(
                         f"spec of {a}: family member {m} (k={k}) does not attack")
-        # the spec's members asked above cannot be missing from it, so the
-        # scan asks each pair once
-        asked = spec._explicit_set | probed if probed else spec._explicit_set
         for x in af.attacker_candidates(a, bound):
             if x not in asked and attacks(x, a) and not spec.contains(x):
                 problems.append(f"spec of {a}: attacker {x} missing from spec")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .core import AttackerSpec, Family, FiniteAF, LazyAF, \
+from .core import Family, FiniteAF, LazyAF, Members, \
     spot_check_attacker_spec
 from .errors import Budget, DomainError, IncompleteStageMap
 from .ordinals import NEVER, ZERO, Ordinal, StageValue
@@ -89,13 +89,17 @@ def grounded_finite(af: FiniteAF) -> GroundedResult:
     The stages G_1 <= G_2 <= ... are built as layers by the counter-based
     kernel in O(n+m) for n arguments and m attacks, from the attack rows
     alone: each argument's count of attackers is its number of entries
-    in the rows, so no attacker row is built.  The stage of x is the k
+    in the rows, so no attacker row is built (attacker rows built
+    already give the counts as their lengths).  The stage of x is the k
     with x in G_k - G_{k-1}, or NEVER; the grounding ordinal is the least
     k with G_k = G, a natural number bounded by the argument count.
     """
     stages: Dict[int, StageValue] = dict.fromkeys(range(af.n), NEVER)
-    pending = dict.fromkeys(range(af.n), 0)
-    pending.update(Counter(chain.from_iterable(af._fwd)))
+    if af._rev_rows is not None:  # built already: the counts are O(n)
+        pending = dict(enumerate(map(len, af._rev_rows)))
+    else:
+        pending = dict.fromkeys(range(af.n), 0)
+        pending.update(Counter(chain.from_iterable(af._fwd)))
     grounded = []
     k = 0
     for k, layer in enumerate(_stage_layers(pending, af._fwd), start=1):
@@ -327,7 +331,7 @@ class _Verifier:
     def stage(self, i: int) -> StageValue:
         return self.candidate.stage_of(i)
 
-    def spec(self, i: int) -> AttackerSpec:
+    def spec(self, i: int) -> Members:
         return self.af.attacker_spec(i)
 
     # minstage(b) = least stage among the counter-attackers of b; NEVER

@@ -25,11 +25,11 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .core import FiniteAF, unpair
+from .core import FiniteAF, Members, unpair
 from .errors import Budget, DomainError
 from .grounded import grounded_finite
 from .ordinals import NEVER, Ordinal
-from .trees import ChildrenSpec, FiniteTree, LazyTree, NodePath, NodeStates, \
+from .trees import FiniteTree, LazyTree, NodePath, NodeStates, \
     _expand, expansion_budgets
 
 # -- self-defending extensions -------------------------------------------
@@ -74,19 +74,18 @@ def _ts_states(af: FiniteAF, root=None) -> NodeStates:
     """
     att = [_mask(af.attackers_of(x)) for x in range(af.n)]
     attacked = [None] * af.n  # each built when first asked for
-    unattacked = ChildrenSpec(symbols=(0,))
+    unattacked = Members((0,))
 
-    def children(state) -> ChildrenSpec:
+    def children(state) -> Members:
         try:
             level, _, dmask = state
         except TypeError:  # T^a's root, the state a
-            return ChildrenSpec(symbols=af.attackers_of(state))
+            return af.attacker_spec(state)
         n = unpair(level)[0]
         if not dmask >> n & 1:
             return unattacked
         if attacked[n] is None:
-            attacked[n] = ChildrenSpec(
-                symbols=tuple(i + 1 for i in af.attackers_of(n)))
+            attacked[n] = Members(tuple(i + 1 for i in af.attackers_of(n)))
         return attacked[n]
 
     def child(state, symbol: int):
@@ -193,7 +192,7 @@ def _ts_rank_states(states: NodeStates, roots, memo: Dict[Tuple[int, int], int],
             if kids is None:
                 node = state + (dmask,)
                 kids = top[2] = [entry(child(node, s))
-                                 for s in children(node).symbols]
+                                 for s in children(node).explicit]
             while i < len(kids):
                 sub_state, sub_dmask, gap = kids[i]
                 q = memo.get(sub_state)
@@ -298,7 +297,7 @@ def _exact_ta_rank(af: FiniteAF, a: int) -> Ordinal:
 
 def _ta_rank(states: NodeStates, a: int, memo: dict, budget: Budget) -> int:
     """T^a's rank: one more than its largest T_{{a_i}} rank, 0 if none."""
-    roots = [states.child(a, i) for i in states.children(a).symbols]
+    roots = [states.child(a, i) for i in states.children(a).explicit]
     return max(_ts_rank_states(states, roots, memo, budget), default=-1) + 1
 
 

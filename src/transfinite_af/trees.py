@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .errors import Budget, DomainError
-from .core import Family, IndexMap
+from .core import Family, IndexMap, Members
 from .ordinals import (
     ZERO,
     AffineOrdinalExpr,
@@ -35,24 +35,7 @@ NodePath = Tuple[int, ...]
 ROOT: NodePath = ()
 
 
-@dataclass(frozen=True)
-class ChildrenSpec:
-    """Children of one node: finite symbols plus affine families."""
-
-    symbols: Tuple[int, ...] = ()
-    families: Tuple[Family, ...] = ()
-
-    def contains(self, symbol: int) -> bool:
-        return symbol in self.symbols or any(f.contains(symbol) for f in self.families)
-
-    def first_symbols(self, width: int) -> Tuple[int, ...]:
-        out = list(self.symbols)
-        for fam in self.families:
-            out.extend(map(fam.member, range(fam.k_start, fam.k_start + width)))
-        return tuple(out)
-
-
-NO_CHILDREN = ChildrenSpec()
+NO_CHILDREN = Members()
 
 
 class FiniteTree:
@@ -124,9 +107,9 @@ class FiniteTree:
         lo = bisect_left(self.parents, row)
         return lo, bisect_right(self.parents, row, lo)
 
-    def _row_children(self, row: int) -> ChildrenSpec:
+    def _row_children(self, row: int) -> Members:
         lo, hi = self._run(row)
-        return ChildrenSpec(symbols=self.symbols[lo:hi])
+        return Members(self.symbols[lo:hi])
 
     def _row_child(self, row: int, symbol: int) -> int:
         return bisect_left(self.symbols, symbol, *self._run(row))
@@ -173,7 +156,7 @@ class NodeStates:
     """
 
     root: object
-    children: Callable[[object], ChildrenSpec]
+    children: Callable[[object], Members]
     child: Callable[[object, int], object]
 
 
@@ -252,10 +235,10 @@ def _expand(tree: LazyTree, nodes: Budget, path_symbols: Budget,
             kids = seen.get(state)
             if kids is None:
                 spec = children(state)
-                syms = spec.symbols
+                syms = spec.explicit
                 if spec.families:
                     # a node with more children than the budget fails it anyway
-                    syms = spec.first_symbols(min(width, nodes.cap))
+                    syms = spec.first(min(width, nodes.cap))
                 if len(syms) > 1:
                     syms = sorted(set(syms))
                 kids = seen[state] = syms, [child(state, s) for s in syms]
@@ -328,7 +311,7 @@ def bounded_path_search(tree, depth: int, width: int) -> PathSearchResult:
     stack, state = [], tree.states.root
     listed = Budget("path search", TRUNCATE_NODE_CAP, "nodes")
     while True:
-        symbols = children(state).first_symbols(width)
+        symbols = children(state).first(width)
         listed.spend(len(symbols))
         stack.append([state, symbols, 0])
         while stack and stack[-1][2] == len(stack[-1][1]):
@@ -363,7 +346,7 @@ def build_tree_of_rank(alpha) -> LazyTree:
 # lam zero or a limit, so a successor step is n - 1 and only a limit's
 # children are ordinal arithmetic.
 
-_ONLY_CHILD = ChildrenSpec(symbols=(0,))
+_ONLY_CHILD = Members((0,))
 _EVERY_SYMBOL = IndexMap.affine(1, 0)
 
 
@@ -404,13 +387,13 @@ def _split_rank(state: Tuple[Ordinal, int]) -> Ordinal:
     return Ordinal._canonical(lam.terms + ((ZERO, n),))
 
 
-def _split_children(state: Tuple[Ordinal, int]) -> ChildrenSpec:
+def _split_children(state: Tuple[Ordinal, int]) -> Members:
     lam, n = state
     if n:
         return _ONLY_CHILD
     if not lam.terms:
         return NO_CHILDREN
-    return ChildrenSpec(families=(_LimitFamily(lam),))
+    return Members(families=(_LimitFamily(lam),))
 
 
 def _split_child(state: Tuple[Ordinal, int], symbol: int) -> Tuple[Ordinal, int]:

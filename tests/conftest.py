@@ -39,7 +39,7 @@ def assert_same_nodes(got, want):
     assert list(got.order) == order and set(got.order) == set(want.order)
     for row, p in enumerate(order):
         assert node_state(got, p) == row
-        assert children_at(got, p).symbols == tuple(kids[p])
+        assert children_at(got, p).explicit == tuple(kids[p])
     assert got.node_ranks() == ranks
     assert got.rank().as_int() == ranks[()]
     assert json.loads(tree_to_json(got)) == {"nodes": [list(p) for p in order]}

@@ -20,7 +20,8 @@ from transfinite_af.cli import MAX_CHECK_ARGS, MAX_PATH_LENGTH, MAX_SAMPLE, \
 from transfinite_af.constructions import FiniteTreeAF, materialize_spec, \
     parse_generator_spec
 from transfinite_af.core import FiniteAF, format_apx, parse_apx
-from transfinite_af.grounded import GroundedResult, grounded_finite
+from transfinite_af.grounded import GroundedResult, VerificationReport, \
+    grounded_finite
 from transfinite_af.ordinals import NEVER, Ordinal, format_ordinal
 from transfinite_af.rank_analysis import TsDecision, build_TS, ts_rank
 from transfinite_af.trees import TRUNCATE_NODE_CAP, TRUNCATE_SYMBOL_CAP
@@ -437,6 +438,35 @@ def test_check_constructions_catches_a_tree_af_missing_an_attack(
     assert "tree-AF stages disagree with node ranks" in out
 
 
+def test_check_constructions_catches_a_union_that_moves_a_stage(
+        capsys, monkeypatch):
+    disjoint_union = checks.disjoint_union
+
+    def moved(parts):
+        # part 0 loses its first attack inside the union
+        first = parts[0]
+        attacks = sorted(first.attack_pairs)[1:]
+        return disjoint_union([FiniteAF(first.n, attacks, first.names)]
+                              + list(parts[1:]))
+
+    monkeypatch.setattr(checks, "disjoint_union", moved)
+    code, out, _ = run(capsys, "check", "constructions", "--trials", "10")
+    assert code == 1
+    assert "union does not preserve stages at part 0" in out
+
+
+def test_check_lemmas_catches_a_verifier_that_accepts_every_map(
+        capsys, monkeypatch):
+    def accepting(af, candidate, sample):
+        return VerificationReport([], {}, None)
+
+    monkeypatch.setattr(checks, "verify_symbolic_stages", accepting)
+    code, out, _ = run(capsys, "check", "lemmas", "--trials", "3",
+                       "--max-args", "8", "--seed", "1")
+    assert code == 1
+    assert "verifier accepted a perturbed stage map" in out
+
+
 def test_check_ordinals_catches_a_shifted_fundamental_sequence(
         capsys, monkeypatch):
     # still increasing and below x, so only the closed form sees it
@@ -661,6 +691,15 @@ def test_limit_children_shifted_by_one_fail_the_closed_form(capsys, monkeypatch)
     code, out, err = run(capsys, "grounded", "ord:w^2", "--sample", "64")
     assert code == 3 and out == ""
     assert "[closed-form]" in err
+
+
+@pytest.mark.parametrize("ordinal", ["w^w", "w^w+1", "w^(w+1)", "w^(w^2)"])
+def test_lazy_targets_from_w_to_the_w_on_exit_3_with_one_line(capsys, ordinal):
+    # the parent built w^w+1 and w^(w+1) and printed [closed-form] lines
+    code, out, err = run(capsys, "grounded", f"ord:{ordinal}")
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: target {ordinal} is at least w^w")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", [

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -13,13 +14,12 @@ from transfinite_af.constructions import (
     af_from_tree,
     baumann_spanring,
     disjoint_union,
-    disjoint_union_with_embedding,
     materialize_spec,
     ordinal_target_af,
     parse_generator_spec,
 )
-from transfinite_af.core import SPEC_FAMILY_PROBE, AttackerSpec, Family, \
-    FiniteAF, IndexMap, LazyAF, PairLeft, PairRight, format_apx, least_right, \
+from transfinite_af.core import SPEC_FAMILY_PROBE, Family, FiniteAF, \
+    IndexMap, LazyAF, Members, PairLeft, PairRight, format_apx, least_right, \
     pair, spot_check_attacker_spec, unpair
 from transfinite_af.errors import CapExceeded, UnsupportedExpression
 from transfinite_af.grounded import (
@@ -191,6 +191,28 @@ def test_ordinal_target_rejects_non_affine_limits():
         ordinal_target_af(omega_power(OMEGA))
 
 
+@pytest.mark.parametrize("text", ["w^w", "w^w+1", "w^(w+1)", "w^w*2+w",
+                                  "w^(w^2)"])
+def test_untruncated_targets_from_w_to_the_w_on_are_refused_up_front(
+        monkeypatch, text):
+    # every such rank tree has a node of rank w^w: no AF is built
+    monkeypatch.setattr(constructions, "_tree_af", None)
+    with pytest.raises(UnsupportedExpression,
+                       match=re.escape(f"target {text} is at least w^w")):
+        ordinal_target_af(parse_ordinal(text))
+
+
+@pytest.mark.parametrize("width, args, ordinal", [(2, 12, 3), (3, 86, 8)])
+def test_truncating_w_to_the_w_asks_for_no_closed_form(width, args, ordinal):
+    alpha = omega_power(OMEGA)
+    af = ordinal_target_af(alpha, truncate=width)
+    parts = [af_from_finite_tree(truncate_tree(build_tree_of_rank(
+        fundamental_sequence(alpha, i)), width=width)).af for i in range(width)]
+    union = disjoint_union(parts)
+    assert (af.n, af.names, af) == (args, union.names, union)
+    assert grounded_finite(af).grounding_ordinal == ordinal
+
+
 def test_ordinal_target_truncations_climb():
     for alpha, widths in ((OMEGA, range(1, 13)), (W2, range(1, 9)),
                           (omega_power(2), range(1, 5))):
@@ -226,19 +248,20 @@ def test_truncated_limit_target_parts_share_one_node_budget(monkeypatch):
 def test_union_of_chain_and_cycle():
     chain = FiniteAF(3, [(0, 1), (1, 2)])
     cycle = FiniteAF(2, [(0, 1), (1, 0)])
-    union, embed = disjoint_union_with_embedding([chain, cycle])
+    union = disjoint_union([chain, cycle])
     r = grounded_finite(union)
-    assert r.grounded == {embed(0, 0), embed(0, 2)}
+    assert r.grounded == {union.index_of(f"u0_{chain.name(0)}"),
+                          union.index_of(f"u0_{chain.name(2)}")}
     assert r.grounding_ordinal == 2
 
 
 def test_union_with_empty_is_isomorphic():
     chain = FiniteAF(3, [(0, 1), (1, 2)])
-    union, embed = disjoint_union_with_embedding([chain, FiniteAF(0)])
+    union = disjoint_union([chain, FiniteAF(0)])
     stages = stages_finite(union)
     original = stages_finite(chain)
     for j in range(3):
-        assert stages[embed(0, j)] == original[j]
+        assert stages[union.index_of(f"u0_{chain.name(j)}")] == original[j]
 
 
 def test_union_stage_preservation_random():
@@ -250,11 +273,11 @@ def test_union_stage_preservation_random():
     rng = random.Random(71)
     for _ in range(60):
         parts = [random_part(rng), random_part(rng)]
-        union, embed = disjoint_union_with_embedding(parts)
+        union = disjoint_union(parts)
         got = stages_finite(union)
         for p, part in enumerate(parts):
             for j, v in stages_finite(part).items():
-                assert got[embed(p, j)] == v
+                assert got[union.index_of(f"u{p}_{part.name(j)}")] == v
         sup_parts = max(
             (grounded_finite(part).grounding_ordinal.as_int() for part in parts),
             default=0)
@@ -317,19 +340,19 @@ def test_union_places_part_p_argument_j_at_pair(text):
             assert list(union.attacker_candidates(x, hi)) == want, (x, hi)
         if j >= n:
             assert union.name(x) == f"pad_{x}"
-            assert union.attacker_spec(x) == AttackerSpec()
+            assert union.attacker_spec(x) == Members()
             assert cand.stage_of(x) == 1
             continue
         assert union.name(x) == f"u{p}_{part.name(j)}"
         if isinstance(part, FiniteAF):
-            assert union.attacker_spec(x) == AttackerSpec(
+            assert union.attacker_spec(x) == Members(
                 explicit=tuple(pair(p, b) for b in part.attackers_of(j)))
             assert cand.stage_of(x) == stages_finite(part)[j]
             continue
         inner = part.attacker_spec(j)
         lifted = tuple(Family(f.index_map.then(PairLeft(p)), f.k_start, f.expr)
                        for f in inner.families)
-        assert union.attacker_spec(x) == AttackerSpec(
+        assert union.attacker_spec(x) == Members(
             explicit=tuple(pair(p, b) for b in inner.explicit), families=lifted)
         assert cand.stage_of(x) == part.candidate_stages.stage_of(j)
         for fam, own in zip(lifted, inner.families):
@@ -412,7 +435,7 @@ def test_spot_check_through_candidates_finds_a_dropped_attacker(text):
             continue
         x = attackers[-1]
         spec = af.attacker_spec(a)
-        short = AttackerSpec(
+        short = Members(
             tuple(b for b in spec.explicit if b != x),
             tuple(f for f in spec.families if not f.contains(x)))
 
@@ -466,7 +489,7 @@ def test_spot_check_asks_each_pair_once_and_reports_as_the_full_scan(text):
             fake = rng.randrange(hi)
             if not af.attacks(fake, a):
                 explicit.append(fake)
-        return AttackerSpec(tuple(explicit), tuple(families))
+        return Members(tuple(explicit), tuple(families))
 
     specs = {a: perturbed(a) for a in range(hi)}
     asked = Counter()

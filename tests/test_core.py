@@ -11,11 +11,11 @@ from transfinite_af.constructions import materialize_spec, parse_generator_spec
 from transfinite_af.core import (
     Affine,
     ApxParseError,
-    AttackerSpec,
     Family,
     FiniteAF,
     IndexMap,
     LazyAF,
+    Members,
     PairLeft,
     PairRight,
     format_apx,
@@ -233,7 +233,7 @@ def infinite_chain():
     """a0 -> a1 -> a2 -> ...: attackers of a_{i+1} are {a_i}."""
 
     def spec(i):
-        return AttackerSpec(explicit=(() if i == 0 else (i - 1,)))
+        return Members(explicit=(() if i == 0 else (i - 1,)))
 
     return LazyAF(lambda x, y: y == x + 1, spec)
 
@@ -242,7 +242,7 @@ def test_lazy_af_basics():
     af = infinite_chain()
     assert af.attacks(3, 4)
     assert not af.attacks(4, 3)
-    assert af.attacker_spec(0) == AttackerSpec()
+    assert af.attacker_spec(0) == Members()
     assert af.attacker_spec(5).explicit == (4,)
     with pytest.raises(IndexError):
         af.attacks(-1, 0)
@@ -262,10 +262,10 @@ def test_spot_check_flags_bad_specs():
     def broken_spec(i):
         # claims a1 is unattacked and invents an attacker for a0
         if i == 0:
-            return AttackerSpec(explicit=(3,))
+            return Members(explicit=(3,))
         if i == 1:
-            return AttackerSpec()
-        return AttackerSpec(explicit=(i - 1,))
+            return Members()
+        return Members(explicit=(i - 1,))
 
     bad = LazyAF(lambda x, y: y == x + 1, broken_spec)
     problems = spot_check_attacker_spec(bad, range(3), bound=10)
@@ -280,7 +280,7 @@ def test_spot_check_scans_only_the_candidates():
         scanned.append((x, y))
         return y == x + 1
 
-    hooked = LazyAF(attacks, lambda i: AttackerSpec(),
+    hooked = LazyAF(attacks, lambda i: Members(),
                     attacker_candidates=lambda a, hi: [a - 1] if 0 < a <= hi else [])
     assert spot_check_attacker_spec(hooked, range(4), bound=10) == [
         f"spec of {a}: attacker {a - 1} missing from spec" for a in (1, 2, 3)]

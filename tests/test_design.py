@@ -23,7 +23,10 @@ other code in rank_analysis.py builds children or node states.
 
 Children of a tree node, attackers of an argument and arguments of a
 stage map come in one affine family type, `core.Family`: no other
-library class has a `k_start` field unless it subclasses Family.
+library class has a `k_start` field unless it subclasses Family.  A
+node's children and an argument's attackers are one member-set type,
+`core.Members` (explicit members plus families): only it, Family and
+Family's subclass define `contains`.
 
 Every cap is a budget: only `errors.Budget.spend` constructs CapExceeded,
 so each refusal reads "<what> exceeded <cap> <unit>" and each engine's
@@ -41,8 +44,10 @@ outside checks.py builds a "nodes" document, as a dict or as text, and
 the dict-building `tree_document` it replaced stays gone.
 
 Every function, method and class of the library outside checks.py has a
-caller there too; the few that only the tests or the bench read are
-listed with the reason they stay.  Neither an `__all__` export nor a
+caller there too, and that caller is live itself: a member that only
+dead members call is dead as well.  The few that only the tests or the
+bench read are listed with the reason they stay, and what they call
+stays live with them.  Neither an `__all__` export nor a
 mention in checks.py keeps a member, and a module-level function is
 called only where its own module names it or another module imports it
 from there, so a local variable of the same name elsewhere does not
@@ -53,7 +58,6 @@ function's parameter that names an imported fixture reads it.
 """
 
 import ast
-from collections import Counter
 from pathlib import Path
 
 import transfinite_af
@@ -174,7 +178,7 @@ def test_the_guard_sees_the_allowed_attack_set_reads():
         {"bitmask_least_fixpoint", "remove_argument"}
 
 
-TREE_PARTS = {"ChildrenSpec", "NodeStates"}
+TREE_PARTS = {"Members", "NodeStates"}
 
 
 def test_only_the_ts_state_machine_builds_tree_nodes():
@@ -230,6 +234,33 @@ def test_family_is_the_one_affine_family_type():
 def test_the_guard_sees_family_and_its_subclass():
     assert k_start_classes(classes()) == \
         {("core.py", "Family"), ("trees.py", "_LimitFamily")}
+
+
+def membership_classes(src: Path = SRC) -> set:
+    """(module, class) of every library class that defines `contains`."""
+    return {(path.name, node.name) for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(f, ast.FunctionDef) and f.name == "contains"
+                for f in node.body)}
+
+
+MEMBERSHIP = {("core.py", "Family"), ("trees.py", "_LimitFamily"),
+              ("core.py", "Members")}
+
+
+def test_members_is_the_one_member_set_type():
+    assert membership_classes() == MEMBERSHIP
+
+
+def test_the_guard_sees_a_second_member_set_type(tmp_path):
+    (tmp_path / "trees.py").write_text(
+        "class ChildrenSpec:\n"
+        "    def contains(self, symbol):\n"
+        "        return symbol in self.symbols\n"
+        "def contains(spec, symbol):\n"
+        "    return spec.contains(symbol)\n")
+    assert membership_classes(tmp_path) == {("trees.py", "ChildrenSpec")}
 
 
 def calls(path: Path, name: str) -> list:
@@ -352,56 +383,93 @@ def definitions(tree: ast.Module) -> list:
     return found
 
 
-def bare_names(node) -> Counter:
-    return Counter(n.id for n in ast.walk(node) if isinstance(n, ast.Name))
+def references(tree: ast.Module) -> list:
+    """(scope, kind, name) of every attribute read ("attr"), bare name
+    ("name") and relative import ("import", (module file, name)); the
+    scope is that of the innermost definition holding it, () at module
+    level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute):
+                found.append((scope, "attr", child.attr))
+            elif isinstance(child, ast.Name):
+                found.append((scope, "name", child.id))
+            elif isinstance(child, ast.ImportFrom) and child.level == 1:
+                found.extend((scope, "import", (f"{child.module}.py", a.name))
+                             for a in child.names)
+            visit(child, scope + (child.name,)
+                  if isinstance(child, DEFINITIONS) else scope)
+
+    visit(tree, ())
+    return found
 
 
-def unnamed_definitions(src: Path = SRC) -> dict:
+def unnamed_definitions(src: Path = SRC, allowed: dict = None) -> dict:
     """{module: {dotted scope}} of every function, method and class, in a
-    module of `src` other than checks.py, that no such module calls.
+    module of `src` other than checks.py, that no live code of such a
+    module calls.
 
     Only modules other than __init__.py and checks.py count as callers,
     and an `__all__` entry is no call.  A method is called when one of
     them reads its name as an attribute.  A function or class is called
     when its own module names it outside its definition or, at module
-    level, when another module imports it from its module."""
+    level, when another module imports it from its module.  Code counts
+    while the definition holding it is live: the reported members'
+    bodies are dropped and the question asked again until nothing more
+    is reported.  The `allowed` members ({module: names}) stay live."""
+    allowed = allowed or {}
     modules = {path.name: ast.parse(path.read_text())
                for path in sorted(src.glob("*.py"))
                if path.name not in ("__init__.py", "checks.py")}
-    attributes, imported = set(), set()
-    for tree in modules.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute):
-                attributes.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and node.level == 1:
-                imported.update((f"{node.module}.py", alias.name)
-                                for alias in node.names)
-    found = {}
-    for module, tree in modules.items():
-        named = bare_names(tree)
-        for scope, node, method in definitions(tree):
+    refs = [(module,) + ref for module, tree in modules.items()
+            for ref in references(tree)]
+    members = [(module, scope, method) for module, tree in modules.items()
+               for scope, _, method in definitions(tree)
+               if not scope[-1].startswith("__")
+               and ".".join(scope) not in allowed.get(module, ())]
+    dead = set()
+    while True:
+        live = [(module, scope, kind, name) for module, scope, kind, name in refs
+                if not any(scope[:len(d)] == d for m, d in dead if m == module)]
+        attributes = {name for _, _, kind, name in live if kind == "attr"}
+        imported = {name for _, _, kind, name in live if kind == "import"}
+        named = {}  # (module, bare name) -> the scopes naming it
+        for module, scope, kind, name in live:
+            if kind == "name":
+                named.setdefault((module, name), set()).add(scope)
+        found = set()
+        for module, scope, method in members:
             name = scope[-1]
-            if name.startswith("__"):
-                continue
             if method:
                 called = name in attributes
             else:
-                called = (named[name] > bare_names(node)[name]
-                          or len(scope) == 1 and (module, name) in imported)
+                called = any(s[:len(scope)] != scope
+                             for s in named.get((module, name), ())) or \
+                    len(scope) == 1 and (module, name) in imported
             if not called:
-                found.setdefault(module, set()).add(".".join(scope))
-    return found
+                found.add((module, scope))
+        if found == dead:
+            break
+        dead = found
+    out = {}
+    for module, scope in dead:
+        out.setdefault(module, set()).add(".".join(scope))
+    return out
 
 
 def test_every_library_member_has_a_library_caller():
-    stray = {name: scopes - OUTSIDE_READ_ALLOWED.get(name, {}).keys()
-             for name, scopes in unnamed_definitions().items()}
-    assert {name: scopes for name, scopes in stray.items() if scopes} == {}
+    assert unnamed_definitions(allowed=OUTSIDE_READ_ALLOWED) == {}
 
 
 def test_the_guard_sees_the_members_only_tests_read():
-    assert unnamed_definitions() == \
-        {name: set(reasons) for name, reasons in OUTSIDE_READ_ALLOWED.items()}
+    # without the list: the listed members, and what only they call
+    only_theirs = {"grounded.py": {"OmegaApproximation", "_attacker_closure"},
+                   "rank_analysis.py": {"BridgeReport", "_attacks_safe"}}
+    assert unnamed_definitions() == {
+        name: set(reasons) | only_theirs.get(name, set())
+        for name, reasons in OUTSIDE_READ_ALLOWED.items()}
 
 
 def plant(tmp_path: Path, modules: dict) -> Path:
@@ -432,6 +500,20 @@ def test_the_guard_sees_a_function_only_checks_names(tmp_path):
                      "reference()\nBox().checked()\n"})
     assert unnamed_definitions(package) == \
         {"mod.py": {"Box", "Box.checked", "reference"}}
+
+
+def test_the_guard_sees_a_function_only_a_dead_function_calls(tmp_path):
+    package = plant(tmp_path, {
+        "mod.py": "def reference():\n    pass\n"
+                  "def engine():\n    return reference()\n"
+                  "def kept():\n    return helper()\n"
+                  "def helper():\n    pass\n",
+        "cli.py": "print()\n"})
+    assert unnamed_definitions(package) == \
+        {"mod.py": {"engine", "reference", "kept", "helper"}}
+    # an allowed member stays live, and so do its callees
+    assert unnamed_definitions(package, {"mod.py": {"kept": "reason"}}) == \
+        {"mod.py": {"engine", "reference"}}
 
 
 def test_the_guard_sees_a_function_only_a_local_variable_names(tmp_path):

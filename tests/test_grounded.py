@@ -5,11 +5,11 @@ import pytest
 from transfinite_af import checks
 from transfinite_af.constructions import materialize_spec, parse_generator_spec
 from transfinite_af.core import (
-    AttackerSpec,
     Family,
     FiniteAF,
     IndexMap,
     LazyAF,
+    Members,
 )
 from transfinite_af.errors import CapExceeded, DomainError, IncompleteStageMap
 from transfinite_af.grounded import (
@@ -131,7 +131,7 @@ def test_grounding_ordinal_of_results_and_stages():
 
 def infinite_chain():
     def spec(i):
-        return AttackerSpec(explicit=(() if i == 0 else (i - 1,)))
+        return Members(explicit=(() if i == 0 else (i - 1,)))
 
     return LazyAF(lambda x, y: y == x + 1, spec)
 
@@ -167,7 +167,7 @@ def test_omega_rejects_families_in_window():
     fam = Family(IndexMap.affine(2, 1))
 
     def spec(i):
-        return AttackerSpec(families=(fam,)) if i == 0 else AttackerSpec()
+        return Members(families=(fam,)) if i == 0 else Members()
 
     af = LazyAF(lambda x, y: y == 0 and x % 2 == 1, spec)
     with pytest.raises(DomainError):
@@ -176,7 +176,7 @@ def test_omega_rejects_families_in_window():
 
 def test_omega_closure_cap_names_argument():
     def spec(i):
-        return AttackerSpec(explicit=(2 * i + 10,))
+        return Members(explicit=(2 * i + 10,))
 
     af = LazyAF(lambda x, y: x == 2 * y + 10, spec)
     with pytest.raises(CapExceeded) as info:
@@ -191,7 +191,7 @@ def complete_window(n, attacks):
         return x < n and y < n and attacks(x, y)
 
     def spec(y):
-        return AttackerSpec(explicit=tuple(
+        return Members(explicit=tuple(
             x for x in range(n) if pred(x, y)))
 
     return LazyAF(pred, spec)
@@ -232,11 +232,11 @@ def two_chain_lazy():
 
     def spec(i):
         if i == 0:
-            return AttackerSpec()
+            return Members()
         if i == 1:
             fam = Family(IndexMap.affine(4, 2), 0, k_plus_1)
-            return AttackerSpec(families=(fam,))
-        return AttackerSpec(explicit=(i - 2,))
+            return Members(families=(fam,))
+        return Members(explicit=(i - 2,))
 
     return LazyAF(pred, spec)
 
@@ -367,8 +367,8 @@ def family_attacked_lazy(decreasing=False):
 
     def spec(i):
         if i == 1:
-            return AttackerSpec(families=(family,))
-        return AttackerSpec(explicit=tuple(x for x, y in sorted(extra) if y == i)
+            return Members(families=(family,))
+        return Members(explicit=tuple(x for x, y in sorted(extra) if y == i)
                             + ((1,) if i == 0 else ()))
 
     return LazyAF(pred, spec)
@@ -411,9 +411,9 @@ def test_verifier_bounds_a_never_defended_family():
     # 0 is attacked by the odd arguments, which nothing attacks
     def spec(i):
         if i == 0:
-            return AttackerSpec(families=(
+            return Members(families=(
                 Family(IndexMap.affine(2, 1), 0, NEVER),))
-        return AttackerSpec()
+        return Members()
 
     af = LazyAF(lambda x, y: y == 0 and x % 2 == 1, spec)
     report = verify_symbolic_stages(
@@ -485,7 +485,7 @@ def test_verifier_spot_checks_attacker_families():
     # b_0's attackers listed as the even a's, which do not attack it
     base = two_chain_lazy()
     even_a = Family(IndexMap.affine(4, 0))
-    af = LazyAF(base.attacks, lambda i: AttackerSpec(families=(even_a,))
+    af = LazyAF(base.attacks, lambda i: Members(families=(even_a,))
                 if i == 1 else base.attacker_spec(i))
     report = verify_symbolic_stages(af, two_chain_candidate(), sample=4)
     assert "spec of 1: family member 0 (k=0) does not attack" in \

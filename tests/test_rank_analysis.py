@@ -275,7 +275,7 @@ def test_ts_builders_match_the_path_keyed_oracles(same_nodes):
                     assert spec == oracle.states.children(p)
                     assert tree.step(state, af.n + 1) is OFF_TREE
                     below += [(p + (s,), tree.step(state, s))
-                              for s in spec.first_symbols(af.n + 1)]
+                              for s in spec.first(af.n + 1)]
                 seen += len(level)
                 level = below
                 if seen > 1_000:
@@ -303,7 +303,7 @@ def test_expand_ts_matches_the_definitional_tree():
             assert got.order == want.order
             trees += 1
             padded += any(unpair(len(p))[0] >= af.n
-                          and checks.children_at(got, p).symbols == (0,)
+                          and checks.children_at(got, p).explicit == (0,)
                           for p in got.order)
     assert trees > 100 and padded > 0
 

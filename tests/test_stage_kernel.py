@@ -11,12 +11,13 @@ import random
 
 import pytest
 
+from transfinite_af import grounded
 from transfinite_af.checks import (
     eliminated_self_defending,
     iterated_defense_step,
     predicate_omega_approximation,
 )
-from transfinite_af.core import AttackerSpec, FiniteAF, LazyAF, format_apx, \
+from transfinite_af.core import FiniteAF, LazyAF, Members, format_apx, \
     parse_apx, spot_check_attacker_spec
 from transfinite_af.grounded import SymbolicStageMap, grounded_finite, \
     omega_approximation, stages_finite, verify_symbolic_stages
@@ -105,6 +106,23 @@ def test_parsed_afs_ground_from_their_attack_rows_alone():
         assert members == eliminated_self_defending(af), attacks
 
 
+def test_built_attacker_rows_give_the_counts(monkeypatch):
+    """Once an AF's attacker rows are built, grounding reads the counts
+    from their lengths instead of passing over every attack again."""
+    rng = random.Random(25)
+    for _ in range(30):
+        n = rng.randint(1, 30)
+        af = FiniteAF(n, {(rng.randrange(n), rng.randrange(n))
+                          for _ in range(rng.randint(0, 3 * n))})
+        want = iterated_defense_step(af)
+        af.attackers_of(0)  # builds the attacker rows
+        with monkeypatch.context() as m:
+            m.setattr(grounded, "Counter", None)
+            got = grounded_finite(af)
+        assert (got.grounded, got.grounding_ordinal, got.stages) == \
+            (want.grounded, want.grounding_ordinal, want.stages)
+
+
 def test_shapes_have_the_expected_stages():
     assert grounded_finite(FiniteAF(0)).grounding_ordinal == 0
     assert grounded_finite(FiniteAF(0)).stages == {}
@@ -131,14 +149,14 @@ def lazy_of(af: FiniteAF, doubled: bool = False) -> LazyAF:
     twice."""
     def spec(i):
         att = af.attackers_of(i)
-        return AttackerSpec(explicit=att + att if doubled else att)
+        return Members(explicit=att + att if doubled else att)
 
     return LazyAF(af.attacks, spec)
 
 
 def infinite_chain():
     def spec(i):
-        return AttackerSpec(explicit=(() if i == 0 else (i - 1,)))
+        return Members(explicit=(() if i == 0 else (i - 1,)))
 
     return LazyAF(lambda x, y: y == x + 1, spec)
 
@@ -152,7 +170,7 @@ def lattice():
 
     def spec(i):
         att = (i + 1,) if i % 2 == 0 else (i - 1,)
-        return AttackerSpec(explicit=att + ((i,) if i % 3 == 0 else ()))
+        return Members(explicit=att + ((i,) if i % 3 == 0 else ()))
 
     return LazyAF(attacks, spec)
 
@@ -206,7 +224,7 @@ def test_finite_af_answers_the_lazy_queries():
         assert af.universe == af.n and lazy.universe is None
         for a in range(af.n):
             assert af.attacker_spec(a) == lazy.attacker_spec(a) == \
-                AttackerSpec(explicit=af.attackers_of(a))
+                Members(explicit=af.attackers_of(a))
             for hi in {0, a, rng.randint(0, af.n), af.n, af.n + 5}:
                 below = [x for x in range(min(hi, af.n)) if af.attacks(x, a)]
                 assert list(af.attacker_candidates(a, hi)) == below, (a, hi)

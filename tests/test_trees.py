@@ -25,7 +25,6 @@ from transfinite_af.ordinals import (
 )
 from transfinite_af.trees import (
     ROOT,
-    ChildrenSpec,
     FiniteTree,
     LazyTree,
     NodeStates,
@@ -37,14 +36,14 @@ from transfinite_af.trees import (
     truncate_tree,
 )
 from transfinite_af.constructions import af_from_tree
-from transfinite_af.core import Family, FiniteAF, IndexMap, pair
+from transfinite_af.core import Family, FiniteAF, IndexMap, Members, pair
 
 W2 = Ordinal(((Ordinal.from_int(1), 2),))  # w*2
 
 
 def definition_rank(tree: FiniteTree, path=ROOT):
     """Independent recursion straight from the rank definition."""
-    kids = children_at(tree, path).symbols
+    kids = children_at(tree, path).explicit
     if not kids:
         return 0
     return max(definition_rank(tree, path + (c,)) + 1 for c in kids)
@@ -91,7 +90,7 @@ def test_rank_cap():
 
 
 def full_binary():
-    return path_keyed_tree(lambda p: ChildrenSpec(symbols=(0, 1)))
+    return path_keyed_tree(lambda p: Members(explicit=(0, 1)))
 
 
 def counterexample_tree():
@@ -99,8 +98,8 @@ def counterexample_tree():
 
     def children(p):
         if not p or len(p) - 1 < p[0]:
-            return ChildrenSpec(families=(Family(IndexMap.affine(1, 0)),))
-        return ChildrenSpec()
+            return Members(families=(Family(IndexMap.affine(1, 0)),))
+        return Members()
 
     return path_keyed_tree(children)
 
@@ -171,13 +170,13 @@ def test_check_declared_ranks_examples():
     # root declared 5 over a single child declared 2: violation at the root
     ranks = {(): Ordinal.from_int(5), (0,): Ordinal.from_int(2)}
     bad = path_keyed_tree(
-        lambda p: ChildrenSpec(symbols=(0,)) if p == () else ChildrenSpec(),
+        lambda p: Members(explicit=(0,)) if p == () else Members(),
         lambda p: ranks.get(p),
     )
     report = check_declared_ranks(bad, sample_width=4, sample_depth=4)
     assert not report.ok and "[]" in report.violations[0]
 
-    lone = path_keyed_tree(lambda p: ChildrenSpec(), lambda p: ZERO)
+    lone = path_keyed_tree(lambda p: Members(), lambda p: ZERO)
     assert check_declared_ranks(lone, 4, 4).ok
 
 
@@ -189,8 +188,8 @@ def test_check_declared_ranks_rejects_an_off_by_one_closed_form():
 
     def children(state):
         if state == "root":
-            return ChildrenSpec(families=(off,))
-        return ChildrenSpec(symbols=(0,)) if state else ChildrenSpec()
+            return Members(families=(off,))
+        return Members(explicit=(0,)) if state else Members()
 
     def rank(state):
         return OMEGA if state == "root" else Ordinal.from_int(state)
@@ -294,7 +293,7 @@ def pop0_bfs_order(tree: FiniteTree):
     while queue:
         p = queue.pop(0)
         order.append(p)
-        queue.extend(p + (s,) for s in children_at(tree, p).symbols)
+        queue.extend(p + (s,) for s in children_at(tree, p).explicit)
     return order
 
 
@@ -321,7 +320,7 @@ def test_finite_tree_order_is_the_breadth_first_order():
         assert list(t.order) == sorted(set(t.order), key=lambda p: (len(p), p))
         ranks = t.node_ranks()
         for p in t.order:
-            kids = children_at(t, p).symbols
+            kids = children_at(t, p).explicit
             assert list(kids) == sorted(kids)
             assert ranks[p] == definition_rank(t, p)
 
@@ -427,7 +426,7 @@ def test_path_search_counts_every_pushed_node(monkeypatch):
 
 def _wide_tree(calls):
     """Every node has a family of children; `child` counts its calls."""
-    every = ChildrenSpec(families=(Family(IndexMap.affine(1, 0)),))
+    every = Members(families=(Family(IndexMap.affine(1, 0)),))
 
     def child(state, symbol):
         calls["child"] += 1
@@ -590,11 +589,11 @@ def scrambled(tree, rng):
     """A finite tree keyed by paths, each node's symbols shuffled, some
     repeated."""
     def children_of(path):
-        symbols = list(children_at(tree, path).symbols)
+        symbols = list(children_at(tree, path).explicit)
         if symbols and rng.random() < 0.3:
             symbols.append(rng.choice(symbols))
         rng.shuffle(symbols)
-        return ChildrenSpec(symbols=tuple(symbols))
+        return Members(explicit=tuple(symbols))
     return path_keyed_tree(children_of)
 
 
