@@ -9,11 +9,12 @@ suite also builds, merges and verifies self-defending witnesses.
 The module also keeps slow, independent reference engines (an
 all-subsets least fixpoint, the round-by-round loops the stage kernel
 replaced, the O(n^2) restriction of a lazy AF to a window
-(`materialize`), the T_S rank exploration on frozenset states, and T_S,
-T^a, the tree expansion and F_T keyed by paths, and the per-line APX
-parser) that the suites and tests compare the library against, the
-queries of a tree by path that those references and the tests ask, and
-the local check of a lazy tree's declared ranks.
+(`materialize`), the T_S rank exploration on frozenset states, T_S's
+defense prefix decoded level by level, T_S, T^a, the tree expansion and
+F_T keyed by paths, and the per-line APX parser) that the suites and
+tests compare the library against, the queries of a tree by path that
+those references and the tests ask, and the local check of a lazy
+tree's declared ranks.
 """
 
 from __future__ import annotations
@@ -406,6 +407,34 @@ def path_keyed_ta(af: FiniteAF, a: int) -> LazyTree:
                                        mran_of((sigma[0],), sigma[1:]))
 
     return path_keyed_tree(children_of)
+
+
+def per_level_defense_prefix(af: FiniteAF, seed: frozenset, gplus: frozenset,
+                             depth: int) -> NodePath:
+    """rank_analysis._defense_prefix level by level: every level is
+    decoded with unpair, and every attacked level searches its least
+    counter-attacker outside G+ afresh.  The library walks the levels
+    diagonal by diagonal and finds each counter-attacker once."""
+    mran = set(seed)
+    dset = set()
+    for x in mran:
+        dset.update(af.attackers_of(x))
+    path = []
+    for level in range(depth):
+        n = unpair(level)[0]
+        if n in dset:
+            j = next((i for i in af.attackers_of(n) if i not in gplus), None)
+            if j is None:
+                raise AssertionError(
+                    f"attacker {n} of the committed set has no counter-attacker "
+                    "outside G+; the complement of G+ failed to defend itself")
+            path.append(j + 1)
+            if j not in mran:
+                mran.add(j)
+                dset.update(af.attackers_of(j))
+        else:
+            path.append(0)
+    return tuple(path)
 
 
 # -- the path-keyed tree expansion, kept as a reference ---------------------------

@@ -197,7 +197,9 @@ def cmd_grounded(args) -> int:
                 print(line, file=sys.stderr)
             return EXIT_DOMAIN
         ordinal = format_ordinal(report.grounding_ordinal)
-        stages = {af.name(i): str(v) for i, v in report.stages.items()}
+        # as in the finite branch, render each distinct stage once
+        text = {v: str(v) for v in set(report.stages.values())}
+        stages = {af.name(i): text[v] for i, v in report.stages.items()}
         payload = {
             "grounded": [name for name, v in sorted(stages.items())
                          if v != "NEVER"],

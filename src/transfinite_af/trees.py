@@ -14,10 +14,12 @@ truncation cross-checks.
 from __future__ import annotations
 
 import json
+import re
 import reprlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .errors import Budget, DomainError
@@ -221,19 +223,25 @@ def _expand(tree: LazyTree, nodes: Budget, path_symbols: Budget,
     each node's children come from its state (see NodeStates), sorted and
     deduplicated, and get their states from it; nodes at `depth` are not
     expanded, and families are cut to their first `width` members.  Each
-    distinct state's children and their states are worked out once per
-    call and reused by every node with an equal state.  Each row spends
-    its nodes and each level its path symbols."""
+    distinct state gets an id when first reached, and its children's
+    symbols and ids are worked out once per call, when a node with that
+    id is first expanded; a level is a list of ids, so a node costs a
+    list index, not a hash of its state.  Each row spends its nodes and
+    each level its path symbols."""
     children, child = tree.states.children, tree.states.child
-    seen = {}  # state -> (its children's symbols, their states)
+    states = [tree.states.root]  # id -> state
+    ids = {states[0]: 0}  # state -> id
+    # id -> (its children's symbols, their ids); breadth-first, ids are
+    # first expanded in the order they were given
+    kids = []
     parents, symbols = [-1], [-1]
     nodes.spend(1)
-    level, d, row = [tree.states.root], 0, 0
+    level, d, row = [0], 0, 0
     while level and (depth is None or d < depth):
         below = []
-        for state in level:
-            kids = seen.get(state)
-            if kids is None:
+        for i in level:
+            if i == len(kids):
+                state = states[i]
                 spec = children(state)
                 syms = spec.explicit
                 if spec.families:
@@ -241,12 +249,20 @@ def _expand(tree: LazyTree, nodes: Budget, path_symbols: Budget,
                     syms = spec.first(min(width, nodes.cap))
                 if len(syms) > 1:
                     syms = sorted(set(syms))
-                kids = seen[state] = syms, [child(state, s) for s in syms]
-            syms, states = kids
-            parents.extend([row] * len(syms))
-            symbols.extend(syms)
-            below.extend(states)
-            nodes.spend(len(syms))
+                below_ids = []
+                for s in syms:
+                    sub = child(state, s)
+                    k = ids.setdefault(sub, len(states))
+                    if k == len(states):
+                        states.append(sub)
+                    below_ids.append(k)
+                kids.append((syms, below_ids))
+            syms, below_ids = kids[i]
+            if syms:  # a leaf only takes its row
+                parents.extend([row] * len(syms))
+                symbols.extend(syms)
+                below.extend(below_ids)
+                nodes.spend(len(syms))
             row += 1
         level, d = below, d + 1
         path_symbols.spend(d * len(below))
@@ -407,12 +423,34 @@ def _split_child(state: Tuple[Ordinal, int], symbol: int) -> Tuple[Ordinal, int]
 # A bad node path is quoted in its error by at most this many characters.
 NODE_REPR_LIMIT = 80
 
+# The JSON decoder recurses once per level of nesting, so how deep it can
+# read depends on its caller's stack; deeper input is refused up front
+# (objects count as lists here).  A tree document nests three levels: the
+# object, "nodes" and a path.
+MAX_JSON_NESTING = 100
+
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
+_NOT_BRACKETS = bytes(sorted(set(range(256)) - set(b"[]{}")))
+_NESTING_STEP = [0] * 256  # each byte's change of depth
+_NESTING_STEP[ord("[")] = _NESTING_STEP[ord("{")] = 1
+_NESTING_STEP[ord("]")] = _NESTING_STEP[ord("}")] = -1
+
+
+def _nesting(text: str) -> int:
+    """The deepest nesting of lists and objects outside JSON strings."""
+    brackets = _JSON_STRING.sub("", text).encode(errors="ignore").translate(
+        None, _NOT_BRACKETS)
+    return max(accumulate(map(_NESTING_STEP.__getitem__, brackets)),
+               default=0)
+
 
 def tree_from_json(text: str) -> FiniteTree:
     """{"nodes": [[], [0], [0,0], ...]}; must be prefix-closed."""
+    if _nesting(text) > MAX_JSON_NESTING:
+        raise ValueError(f"bad tree JSON: lists nested deeper than "
+                         f"{MAX_JSON_NESTING} levels")
     try:
         doc = json.loads(text)
-    # the decoder recurses once per level of nesting
     except (json.JSONDecodeError, RecursionError) as e:
         raise ValueError(f"bad tree JSON: {e}") from None
     if not isinstance(doc, dict) or "nodes" not in doc:

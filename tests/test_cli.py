@@ -245,6 +245,26 @@ def test_reduce_witness(capsys, chain_path):
     assert code == 3 and "grounded" in err
 
 
+@pytest.mark.parametrize("command, digest", [
+    (["witness", "--arg", "a", "--length"],
+     "978ed431527264bacdb39ad079910e5328fb3f6f55f662cd1709d4740acfde9b"),
+    (["ta", "--arg", "a", "--depth"],
+     "fb47b163e5befea93274923529e416ac1686a3738d0adee284c67e6004340fca"),
+    (["ts", "--set", "b", "--depth"],
+     "54d34ce36cc873391ff5cad380dcd1a5ea121d64d28b7d51e0609aa5b0405156"),
+])
+def test_reduce_prefixes_at_the_length_cap_are_pinned(capsys, tmp_path,
+                                                      command, digest):
+    # sha256 of the output while every level was decoded on its own
+    path = tmp_path / "three.apx"
+    path.write_text("arg(a).\narg(b).\narg(c).\n"
+                    "att(a,b).\natt(b,a).\natt(c,a).\n")
+    code, out, err = run(capsys, "reduce", command[0], "--af", f"apx:{path}",
+                         *command[1:], str(MAX_PATH_LENGTH))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("command", [
     ["reduce", "ts", "--af", "AF", "--set", "a0", "--depth"],
     ["reduce", "ta", "--af", "AF", "--arg", "a1", "--depth"],
@@ -621,16 +641,40 @@ def test_a_bad_node_is_quoted_in_one_short_line(capsys, tmp_path):
     code, out, err = run(capsys, "tree", "rank", "--input", str(tree))
     assert (code, out) == (2, "") and err.count("\n") == 1
     assert err.startswith("error: bad node path [1111") and len(err) <= 121
-    # as deep as the JSON decoder reads from the command line; the
-    # command runs on its own, as the test's stack would leave less room
-    tree.write_text('{"nodes": [[], ' + "[" * 986 + "]" * 986 + "]}")
+    # deeper than the nesting cap, as deep as the JSON decoder reads from
+    # the command line; the command runs on its own, with a fresh stack
+    deep_node_tree(tree)
     src = str(Path(transfinite_af.__file__).parents[1])
     done = subprocess.run(
         [sys.executable, "-m", "transfinite_af.cli", "tree", "rank",
          "--input", str(tree)], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == \
-        (2, "", "error: bad node path [[[[[[[...]]]]]]]\n")
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", TOO_DEEP)
+
+
+def deep_node_tree(path):
+    """A tree file whose second node is nested 986 levels deep."""
+    path.write_text('{"nodes": [[], ' + "[" * 986 + "]" * 986 + "]}")
+
+
+TOO_DEEP = (f"error: bad tree JSON: lists nested deeper than "
+            f"{trees.MAX_JSON_NESTING} levels\n")
+
+
+def test_tree_json_nesting_refusal_does_not_depend_on_the_stack(capsys,
+                                                               tmp_path):
+    # the decoder alone read this file's node in a fresh process but
+    # recursed out 60 frames deeper
+    tree = tmp_path / "t.json"
+    deep_node_tree(tree)
+
+    def below(frames):
+        if frames:
+            return below(frames - 1)
+        return run(capsys, "tree", "rank", "--input", str(tree))
+
+    for frames in (0, 60, 300):
+        assert below(frames) == (2, "", TOO_DEEP)
 
 
 def test_truncated_limit_target_over_budget_exits_3(capsys):

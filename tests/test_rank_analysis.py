@@ -446,6 +446,42 @@ def test_witness_paths_random():
             assert build_Ta(af, a).member(path[:12])
 
 
+def ends_mid_diagonal(depth):
+    """Whether the prefix of `depth` levels stops inside a diagonal, i.e.
+    its last level does not decode to row 0."""
+    return unpair(depth - 1)[0] != 0
+
+
+def test_defense_prefixes_match_the_per_level_oracle():
+    rng = random.Random(26)
+    compared = mid_diagonal = witnessed = 0
+    for _ in range(40):
+        n = rng.randint(6, 16)
+        p = rng.uniform(0.05, 0.45)
+        af = FiniteAF(n, [(x, y) for x in range(n) for y in range(n)
+                          if rng.random() < p])
+        grounded = grounded_finite(af).grounded
+        gplus = af.plus_set(grounded)
+        outside = [x for x in range(n) if x not in gplus]
+        for depth in (1, 2, 3, 10, 11, 300, rng.randint(1, 300),
+                      rng.randint(1, 300)):
+            mid_diagonal += ends_mid_diagonal(depth)
+            seed = frozenset(rng.sample(outside, min(len(outside),
+                                                     rng.randint(0, 3))))
+            want = checks.per_level_defense_prefix(af, seed, gplus, depth)
+            assert rank_analysis._defense_prefix(af, seed, gplus, depth) == want
+            assert ts_path_exists(af, seed, prefix_depth=depth).prefix == want
+            for a in sorted(set(range(n)) - grounded)[:2]:
+                first = min(set(af.attackers_of(a)) - gplus)
+                want = (first,) + checks.per_level_defense_prefix(
+                    af, frozenset((first,)), gplus, depth - 1)
+                assert witness_path(af, a, depth) == want
+                assert ta_path_violations(af, a, want, gplus) == []
+                witnessed += 1
+            compared += 1
+    assert compared == 320 and mid_diagonal > 150 and witnessed > 100
+
+
 # -- the bridge -------------------------------------------------------------------
 
 

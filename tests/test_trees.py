@@ -24,6 +24,7 @@ from transfinite_af.ordinals import (
     parse_ordinal,
 )
 from transfinite_af.trees import (
+    NO_CHILDREN,
     ROOT,
     FiniteTree,
     LazyTree,
@@ -524,6 +525,45 @@ def test_expansion_asks_each_distinct_state_once(monkeypatch, expansion):
     assert set(asked["children"]) == distinct
     assert len(asked["child"]) == len(set(asked["child"]))
     assert set(asked["child"]) == steps
+
+
+class HashCountedState:
+    """A node state that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __init__(self, level, residue):
+        self.value = level, residue
+
+    def __eq__(self, other):
+        return self.value == other.value
+
+    def __hash__(self):
+        HashCountedState.hashes += 1
+        return hash(self.value)
+
+
+def test_expansion_hashes_each_step_once_not_each_node(same_nodes):
+    # six levels of three children over three residues: the table's 1,093
+    # rows hold 19 distinct states and 48 distinct steps
+    def children(state):
+        level, _ = state.value
+        return Members((0, 1, 2)) if level < 6 else NO_CHILDREN
+
+    def child(state, symbol):
+        level, residue = state.value
+        return HashCountedState(level + 1, (residue + symbol) % 3)
+
+    tree = LazyTree(NodeStates(HashCountedState(0, 0), children, child))
+    HashCountedState.hashes = 0
+    ft = trees._expand(tree, *trees.expansion_budgets(10_000))
+    hashes = HashCountedState.hashes
+    rows = _row_states(tree.states, ft)
+    steps = {(rows[p].value, s) for p, s in zip(ft.parents[1:], ft.symbols[1:])}
+    assert (len(ft), len({r.value for r in rows}), len(steps)) == (1093, 19, 48)
+    assert hashes <= len(steps) + 1
+    assert hashes * 20 < len(ft)
+    same_nodes(ft, path_keyed_expand(tree, node_cap=10_000))
 
 
 # -- node tables against the path-keyed expansion -------------------------------
