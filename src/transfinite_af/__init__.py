@@ -47,7 +47,6 @@ from .rank_analysis import (
     build_Ta,
     build_TS,
     largest_self_defending,
-    rank_stage_bridge_check,
     ta_path_exists,
     ta_rank,
     ts_path_exists,
@@ -75,8 +74,8 @@ __all__ = [
     "fundamental_sequence", "grounded_finite", "largest_self_defending",
     "materialize_spec", "omega_approximation", "omega_power",
     "ordinal_target_af", "pair", "parse_apx", "parse_generator_spec",
-    "parse_ordinal", "rank_finite", "rank_stage_bridge_check",
-    "spot_check_attacker_spec", "stages_finite", "ta_path_exists",
-    "ta_rank", "tree_from_json", "tree_to_json", "truncate_tree",
-    "ts_path_exists", "unpair", "verify_symbolic_stages", "witness_path",
+    "parse_ordinal", "rank_finite", "spot_check_attacker_spec",
+    "stages_finite", "ta_path_exists", "ta_rank", "tree_from_json",
+    "tree_to_json", "truncate_tree", "ts_path_exists", "unpair",
+    "verify_symbolic_stages", "witness_path",
 ]

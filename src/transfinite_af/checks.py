@@ -13,12 +13,14 @@ replaced, the O(n^2) restriction of a lazy AF to a window
 defense prefix decoded level by level, T_S, T^a, the tree expansion and
 F_T keyed by paths, and the per-line APX parser) that the suites and
 tests compare the library against, the queries of a tree by path that
-those references and the tests ask, and the local check of a lazy
-tree's declared ranks.
+those references and the tests ask, the local check of a lazy tree's
+declared ranks, and the rank/stage bridge check the lemma suite runs over
+the T_S state machine.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from collections import deque
@@ -60,13 +62,17 @@ from .ordinals import (
 )
 from .rank_analysis import (
     STATE_CAP,
+    _state_budget,
+    _ta_rank,
+    _ts_rank_states,
+    _ts_root,
+    _ts_states,
     largest_self_defending,
-    rank_stage_bridge_check,
     ta_path_violations,
     ts_path_exists,
     witness_path,
 )
-from .trees import ROOT, FiniteTree, LazyTree, NodePath, NodeStates
+from .trees import ROOT, FiniteTree, LazyTree, NodePath
 
 
 @dataclass
@@ -344,28 +350,30 @@ def path_keyed_tree(children_of: Callable[[NodePath], Members],
                     declared_rank_of: Optional[Callable[[NodePath], Ordinal]] = None
                     ) -> LazyTree:
     """A lazy tree whose node states are the nodes' paths."""
-    return LazyTree(NodeStates(ROOT, children_of, lambda p, s: p + (s,)),
-                    declared_rank_of)
+    return LazyTree(ROOT, children_of, lambda p, s: p + (s,), declared_rank_of)
 
 
 def node_state(tree, path: NodePath):
-    """The state of the node at `path` in any tree with `states`, walked
-    down from the root; DomainError when there is no such node."""
-    states = tree.states
-    state = states.root
+    """The state of the node at `path` in any tree, finite or lazy (its
+    `root`, `children` and `child`), walked down from the root;
+    DomainError when there is no such node."""
+    state = tree.root
     for s in path:
-        if not states.children(state).contains(s):
+        if not tree.children(state).contains(s):
             raise DomainError(f"{list(path)} is not a node of this tree")
-        state = states.child(state, s)
+        state = tree.child(state, s)
     return state
 
 
 def children_at(tree, path: NodePath) -> Members:
-    return tree.states.children(node_state(tree, path))
+    return tree.children(node_state(tree, path))
 
 
 def declared_rank_at(tree: LazyTree, path: NodePath) -> Ordinal:
-    return tree.state_rank(node_state(tree, path))
+    state = node_state(tree, path)
+    if tree.declared_rank is None:
+        raise DomainError("tree carries no rank annotations")
+    return tree.declared_rank(state)
 
 
 # -- T_S and T^a keyed by paths, kept as references ----------------------------
@@ -496,7 +504,8 @@ def path_keyed_tree_af(tree: LazyTree) -> LazyAF:
         families = tuple(
             Family(fam.index_map.then(PairLeft(code)).then(_B_STEP), fam.k_start,
                    fam.expr.add_finite(1)
-                   if tree.has_rank_annotations and fam.expr is not None else None)
+                   if tree.declared_rank is not None and fam.expr is not None
+                   else None)
             for fam in children.families)
         return Members(explicit=explicit, families=families)
 
@@ -507,7 +516,7 @@ def path_keyed_tree_af(tree: LazyTree) -> LazyAF:
         return _path_name("a" if index % 2 == 0 else "b", path)
 
     candidate = None
-    if tree.has_rank_annotations:
+    if tree.declared_rank is not None:
         def stage_of(index: int):
             path = _decode(index // 2)
             if not tree.member(path):
@@ -543,20 +552,21 @@ def check_declared_ranks(tree: LazyTree, sample_width: int,
     through the ordinal module.  Trees whose family ranks are not
     affine-expressible are rejected, not guessed.
     """
-    if not tree.has_rank_annotations:
+    rank = tree.declared_rank
+    if rank is None:
         raise DomainError("tree carries no rank annotations")
-    children, child = tree.states.children, tree.states.child
+    children, child = tree.children, tree.child
     violations = []
     checked = 0
-    queue = deque([(ROOT, tree.states.root)])
+    queue = deque([(ROOT, tree.root)])
     while queue:
         p, state = queue.popleft()
-        declared = tree.state_rank(state)
+        declared = rank(state)
         checked += 1
         spec = children(state)
         symbols = spec.first(sample_width)
         kids = [child(state, s) for s in symbols]
-        rank_of = dict(zip(symbols, map(tree.state_rank, kids)))
+        rank_of = dict(zip(symbols, map(rank, kids)))
         want = max((rank_of[s] + 1 for s in spec.explicit), default=ZERO)
         for fam in spec.families:
             if fam.expr is None:
@@ -658,6 +668,58 @@ def merge_witnesses(w1: SelfDefendingWitness,
     cert = dict(w2.defenders)
     cert.update(w1.defenders)
     return SelfDefendingWitness(members, tuple(sorted(cert.items())))
+
+
+# -- the rank/stage bridge -----------------------------------------------------
+
+
+@dataclass
+class BridgeReport:
+    violations: List[str]
+    grounded_checked: int
+    states_checked: int
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def rank_stage_bridge_check(af: FiniteAF) -> BridgeReport:
+    """Assert the two rank/stage bridges on a whole finite AF.
+
+    For every grounded a: the exact rank r of T^a satisfies a in G_{r+1}.
+    For every explored T_{{b}} state of rank q (b in G+): some member of
+    G_{q+1} attacks the committed set.  One memo serves every tree, so
+    each state is checked once.
+    """
+    result = grounded_finite(af)
+    gplus = af.plus_set(result.grounded)
+    # a finite AF's stages are naturals (NEVER above them all); each
+    # argument's least attacker stage is computed once
+    stage = [math.inf if v is NEVER else v.as_int()
+             for v in map(result.stages.__getitem__, range(af.n))]
+    least_attacker = [min(map(stage.__getitem__, af.attackers_of(x)),
+                          default=math.inf) for x in range(af.n)]
+    violations = []
+    tree = _ts_states(af)
+    memo: Dict[Tuple[int, int], int] = {}
+    budget = _state_budget()
+
+    for a in sorted(result.grounded):
+        r = _ta_rank(tree, a, memo, budget)
+        if stage[a] > r + 1:
+            violations.append(f"grounded {af.name(a)}: stage {stage[a]} "
+                              f"exceeds T^a rank+1 = {r + 1}")
+
+    _ts_rank_states(tree, [_ts_root(af, (b,)) for b in sorted(gplus)], memo,
+                    budget)
+    for (level, cmask), q in memo.items():
+        mran = [x for x in range(af.n) if cmask >> x & 1]
+        if min(map(least_attacker.__getitem__, mran), default=math.inf) > q + 1:
+            violations.append(
+                f"T_S state (level {level}, committed {mran}) of rank {q}: "
+                f"no member of G_{q + 1} attacks the committed set")
+    return BridgeReport(violations, len(result.grounded), len(memo))
 
 
 # -- the lemma suite -------------------------------------------------------------

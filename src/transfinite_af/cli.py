@@ -161,7 +161,7 @@ def _emit(text: str, output: Optional[str] = None) -> None:
 
 
 def _materialize(spec_text: str):
-    return materialize_spec(parse_generator_spec(spec_text), base_dir=".")
+    return materialize_spec(parse_generator_spec(spec_text))
 
 
 def _require_finite(af, what: str) -> FiniteAF:

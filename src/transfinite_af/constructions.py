@@ -25,7 +25,6 @@ never raw indices.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -144,9 +143,9 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
     code's state is stepped from its parent code's, and each distinct
     (state, symbol) once per AF.
     """
-    nodes, annotated = tree.states, tree.has_rank_annotations
+    annotated = tree.declared_rank is not None
     stepped = {}  # (state, symbol) -> the child's state, or OFF_TREE
-    known = {0: nodes.root}  # node code -> its state, or OFF_TREE
+    known = {0: tree.root}  # node code -> its state, or OFF_TREE
     tables = {}  # forest: root child p -> its subtree's `known`
 
     def child_state(state, s):
@@ -160,7 +159,7 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
         p, j = unpair(x)
         t = tables.get(p)
         if t is None:
-            t = tables[p] = {0: child_state(nodes.root, p)}
+            t = tables[p] = {0: child_state(tree.root, p)}
         return p, j, t
 
     def state_of(t: dict, code: int):
@@ -216,7 +215,7 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
         if index % 2 == 1:
             explicit, lifted = (index - 1,), ()
         else:
-            children = nodes.children(state)
+            children = tree.children(state)
             explicit = tuple(2 * (pair(code, s) + 1) + 1 for s in children.explicit)
             lifted = tuple(Family(
                 IndexMap(fam.index_map.steps + (PairLeft(code),) + tail),
@@ -245,7 +244,7 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
             state = state_of(t, index // 2)
             if state is OFF_TREE:
                 return ONE
-            return NEVER if index % 2 else tree.state_rank(state) + 1
+            return NEVER if index % 2 else tree.declared_rank(state) + 1
 
         def family_all_never(fam: Family) -> Optional[bool]:
             # families minted here end at the b-companion step, in a
@@ -266,8 +265,8 @@ def af_from_tree(tree: LazyTree) -> LazyAF:
     tree's stage map has the attained supremum root_rank + 1, witnessed
     by the root argument."""
     sup = None
-    if tree.has_rank_annotations:
-        sup = (tree.state_rank(tree.states.root) + 1, True, 0)
+    if tree.declared_rank is not None:
+        sup = (tree.declared_rank(tree.root) + 1, True, 0)
     return _tree_af(tree, False, (), sup)
 
 
@@ -459,14 +458,12 @@ def ordinal_target_af(alpha, truncate: Optional[int] = None):
     if alpha.is_successor:
         beta = alpha.predecessor()
         tree = build_tree_of_rank(beta)
-        if truncate is not None:
-            if truncate < 1:
-                raise ValueError(f"truncate={truncate} keeps no node of the "
-                                 f"tree behind successor target {alpha}; use >= 1")
-            return af_from_finite_tree(truncate_tree(tree, width=truncate)).af
-        if beta.is_finite:
-            return af_from_finite_tree(truncate_tree(tree, width=1)).af
-        return af_from_tree(tree)
+        if truncate is None and not beta.is_finite:
+            return af_from_tree(tree)
+        if truncate is not None and truncate < 1:
+            raise ValueError(f"truncate={truncate} keeps no node of the "
+                             f"tree behind successor target {alpha}; use >= 1")
+        return af_from_finite_tree(truncate_tree(tree, width=truncate or 1)).af
 
     if truncate is not None:
         # The parts spend from one pair of budgets before any AF is built.
@@ -648,13 +645,13 @@ def _parse_spec(text: str, depth: int) -> GeneratorSpec:
     raise GeneratorSpecError(f"unrecognized generator spec {text!r}")
 
 
-def materialize_spec(spec: GeneratorSpec, base_dir: str = "."):
+def materialize_spec(spec: GeneratorSpec):
     """Turn a parsed generator spec into an AF."""
     if spec.kind == "apx":
-        with open(os.path.join(base_dir, spec.param)) as fh:
+        with open(spec.param) as fh:
             return parse_apx(fh.read())
     if spec.kind == "tree":
-        with open(os.path.join(base_dir, spec.param)) as fh:
+        with open(spec.param) as fh:
             return af_from_finite_tree(tree_from_json(fh.read())).af
     if spec.kind == "bs":
         return baumann_spanring(truncate=spec.truncate)
@@ -666,7 +663,7 @@ def materialize_spec(spec: GeneratorSpec, base_dir: str = "."):
         budget = Budget("union", 2 * TRUNCATE_NODE_CAP, "arguments")
         parts = []
         for p in spec.parts:
-            parts.append(materialize_spec(p, base_dir))
+            parts.append(materialize_spec(p))
             budget.spend(parts[-1].universe or 0)
         return disjoint_union(parts)
     raise GeneratorSpecError(f"unknown generator kind {spec.kind!r}")

@@ -217,11 +217,12 @@ class FiniteAF:
     custom names must be unique and match [a-zA-Z0-9_]+.
 
     The attack rows `_fwd` are the one stored relation: row x holds the
-    targets of x, sorted and duplicate-free.  The attack set, the
-    attacker rows and the name index are built from them on first use.
+    targets of x, sorted and duplicate-free.  The attacker rows and the
+    name index are built from them on first use, and the attack set on
+    each read.
     """
 
-    __slots__ = ("n", "_fwd", "names", "_pair_set", "_rev_rows", "_name_map")
+    __slots__ = ("n", "_fwd", "names", "_rev_rows", "_name_map")
 
     def __init__(self, n: int, attacks: Iterable[Tuple[int, int]] = (),
                  names: Optional[Sequence[str]] = None):
@@ -244,45 +245,38 @@ class FiniteAF:
             name_index = {nm: i for i, nm in enumerate(names)}
             if len(name_index) != n:
                 raise ValueError("argument names must be unique")
-        self._fill(_rows(n, pairs), names, name_index, pairs)
+        self._fill(_rows(n, pairs), names, name_index)
 
     @classmethod
     def _built(cls, rows, names: Sequence[str],
-               name_index: Optional[dict] = None,
-               pairs: Optional[frozenset] = None) -> "FiniteAF":
+               name_index: Optional[dict] = None) -> "FiniteAF":
         """A FiniteAF from data valid by construction, checked nowhere.
 
         The caller guarantees one row per argument, each a sorted,
         duplicate-free run of targets in range(len(rows)), and that the
         names are len(rows) unique matches of [a-zA-Z0-9_]+.
-        `name_index`, when given, maps each name to its index, and
-        `pairs`, when given, is the set of the rows' attacks.  Only the
+        `name_index`, when given, maps each name to its index.  Only the
         parser and the generators, whose tables are valid as built, may
         call it.
         """
         af = object.__new__(cls)
-        af._fill(tuple(rows), tuple(names), name_index, pairs)
+        af._fill(tuple(rows), tuple(names), name_index)
         return af
 
-    def _fill(self, rows: tuple, names: tuple, name_index: Optional[dict],
-              pairs: Optional[frozenset]) -> None:
+    def _fill(self, rows: tuple, names: tuple,
+              name_index: Optional[dict]) -> None:
         self.n = len(rows)
         self._fwd = rows
         self.names = names
         self._name_map = name_index
-        self._pair_set = pairs
         self._rev_rows = None
-
-    # -- tables built on first use
 
     @property
     def attack_pairs(self) -> frozenset:
         """The attack relation as a set of (attacker, target) pairs."""
-        pairs = self._pair_set
-        if pairs is None:
-            pairs = self._pair_set = frozenset(
-                (x, y) for x, row in enumerate(self._fwd) for y in row)
-        return pairs
+        return frozenset((x, y) for x, row in enumerate(self._fwd) for y in row)
+
+    # -- tables built on first use
 
     @property
     def _rev(self) -> Tuple[Tuple[int, ...], ...]:
@@ -310,20 +304,17 @@ class FiniteAF:
         if not (0 <= i < self.n):
             raise IndexError(f"argument index {i} out of range [0,{self.n})")
 
-    # The engines call these two per pair and per argument, so a table
-    # already built is read from its slot, skipping the accessor's call.
-
     def attacks(self, x: int, y: int) -> bool:
-        # every stored pair is in range, so only a miss needs the check
-        if (x, y) in (self._pair_set or self.attack_pairs):
-            return True
         self._check(x)
         self._check(y)
-        return False
+        row = self._fwd[x]
+        i = bisect_left(row, y)
+        return i < len(row) and row[i] == y
 
     def attackers_of(self, x: int) -> Tuple[int, ...]:
         self._check(x)
-        # in range, so n > 0 and built attacker rows are a non-empty tuple
+        # the engines call this per argument, so built attacker rows are
+        # read from their slot; in range, n > 0 and they are non-empty
         return (self._rev_rows or self._rev)[x]
 
     # -- the lazy AF's attacker queries (see LazyAF)
@@ -382,7 +373,7 @@ class FiniteAF:
 
     def is_conflict_free(self, s) -> bool:
         s = self._as_extension(s)
-        return all(not (x, y) in self.attack_pairs for x in s for y in s)
+        return s.isdisjoint(self.plus_set(s))
 
     def __eq__(self, other):
         if not isinstance(other, FiniteAF):
@@ -532,12 +523,11 @@ def parse_apx(text: str) -> FiniteAF:
     if read is not None:
         return FiniteAF._built(*read)
     names, index, attacks = _read_per_line(text.splitlines())
-    pairs = frozenset(attacks)
-    return FiniteAF._built(_rows(len(names), pairs), names, index, pairs)
+    return FiniteAF._built(_rows(len(names), frozenset(attacks)), names, index)
 
 
 def _read_blocks(text: str):
-    r"""(rows, names, index, pairs) of text in format_apx's layout, else
+    r"""(rows, names, index) of text in format_apx's layout, else
     None; never raises.
 
     The text, ASCII so that it encodes one byte per character, is cut
@@ -553,8 +543,7 @@ def _read_blocks(text: str):
     refused after that one pass; the splits must then find the same n
     and m.  Attack lines in format_apx's order (the (attacker, target)
     keys strictly increase) repeat no attack and give the rows as they
-    come; others are deduplicated through `pairs`, the set of attacks,
-    else None.
+    come; others are deduplicated through the set of attacks.
     """
     if not (text.startswith("arg(") and text.endswith(").\n")
             and text.isascii()):
@@ -588,9 +577,8 @@ def _read_blocks(text: str):
     xs, ys = ids[0::2], ids[1::2]
     keys = list(map(add, map(mul, xs, repeat(n)), ys))
     if all(map(lt, keys, islice(keys, 1, None))):
-        return _rows(n, zip(xs, ys)), names, index, None
-    pairs = frozenset(zip(xs, ys))
-    return _rows(n, pairs), names, index, pairs
+        return _rows(n, zip(xs, ys)), names, index
+    return _rows(n, frozenset(zip(xs, ys))), names, index
 
 
 def _read_per_line(lines):

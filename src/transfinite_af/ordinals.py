@@ -422,7 +422,7 @@ class AffineOrdinalExpr:
         return hash(self.terms)
 
     def __repr__(self):
-        return f"AffineOrdinalExpr({format_affine_expr(self)!r})"
+        return f"AffineOrdinalExpr({self.terms!r})"
 
 
 # -- text format --------------------------------------------------------
@@ -578,27 +578,4 @@ def format_ordinal(x) -> str:
             continue
         base = _omega_power_text(e)
         parts.append(base if c == 1 else f"{base}*{c}")
-    return "+".join(parts)
-
-
-def format_affine_expr(expr: AffineOrdinalExpr) -> str:
-    if not expr.terms:
-        return "0"
-    parts = []
-    for e, a, b in expr.terms:
-        if a == 0:
-            coeff = str(b)
-            simple = True
-        else:
-            k_part = "k" if a == 1 else f"{a}*k"
-            coeff = f"{k_part}+{b}" if b else k_part
-            simple = False
-        if e.is_zero:
-            parts.append(coeff if simple else f"({coeff})")
-        else:
-            base = _omega_power_text(e)
-            if a == 0 and b == 1:
-                parts.append(base)
-            else:
-                parts.append(f"{base}*({coeff})" if not simple else f"{base}*{coeff}")
     return "+".join(parts)

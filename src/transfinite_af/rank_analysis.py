@@ -21,16 +21,14 @@ every seed over the same AF.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .core import FiniteAF, Members, unpair
 from .errors import Budget, DomainError
 from .grounded import grounded_finite
-from .ordinals import NEVER, Ordinal
-from .trees import FiniteTree, LazyTree, NodePath, NodeStates, \
-    _expand, expansion_budgets
+from .ordinals import Ordinal
+from .trees import FiniteTree, LazyTree, NodePath, _expand, expansion_budgets
 
 # -- self-defending extensions -------------------------------------------
 
@@ -60,8 +58,8 @@ def _mask(members) -> int:
     return out
 
 
-def _ts_states(af: FiniteAF, root=None) -> NodeStates:
-    """T_S and T^a over one AF as node states, the root's state `root`.
+def _ts_states(af: FiniteAF, root=None) -> LazyTree:
+    """T_S and T^a over one AF as a lazy tree, the root's state `root`.
 
     A T_S state is (level, committed mask, attacker mask): bit i of the
     committed mask stands for a_i, and the attacker mask is the union of
@@ -97,7 +95,7 @@ def _ts_states(af: FiniteAF, root=None) -> NodeStates:
             return level + 1, cmask, dmask
         return level + 1, cmask | 1 << symbol - 1, dmask | att[symbol - 1]
 
-    return NodeStates(root, children, child)
+    return LazyTree(root, children, child)
 
 
 def _ts_root(af: FiniteAF, seed) -> Tuple[int, int, int]:
@@ -109,7 +107,7 @@ def _ts_root(af: FiniteAF, seed) -> Tuple[int, int, int]:
 
 def build_TS(af: FiniteAF, seed) -> LazyTree:
     """The tree whose paths describe self-defending supersets of the seed."""
-    return LazyTree(states=_ts_states(af, _ts_root(af, seed)))
+    return _ts_states(af, _ts_root(af, seed))
 
 
 # Most (level, committed set) states one T_S rank memo may hold.
@@ -156,7 +154,7 @@ def _first_attacked_level(level: int, dmask: int) -> Optional[int]:
     return s * (s + 1) // 2 + s - (below.bit_length() - 1)
 
 
-def _ts_rank_states(states: NodeStates, roots, memo: Dict[Tuple[int, int], int],
+def _ts_rank_states(tree: LazyTree, roots, memo: Dict[Tuple[int, int], int],
                     budget: Budget) -> List[int]:
     """The rank of the pathless T_S at each root, filling `memo` with
     {case-1 state: rank}.  The memo, shared by every root over one AF, goes
@@ -167,7 +165,7 @@ def _ts_rank_states(states: NodeStates, roots, memo: Dict[Tuple[int, int], int],
     along on the stack, and each node is skipped down to its first
     attacked level.
     """
-    children, child = states.children, states.child
+    children, child = tree.children, tree.child
 
     def entry(state):
         level, cmask, dmask = state
@@ -315,7 +313,7 @@ def _defense_prefix(af: FiniteAF, seed: frozenset, gplus: frozenset,
 
 def build_Ta(af: FiniteAF, a: int) -> LazyTree:
     """Root plus, below each attacker a_i of a, the subtree T_{{a_i}}."""
-    return LazyTree(states=_ts_states(af, a))
+    return _ts_states(af, a)
 
 
 def ta_rank(af: FiniteAF, a: int) -> Ordinal:
@@ -330,10 +328,10 @@ def _exact_ta_rank(af: FiniteAF, a: int) -> Ordinal:
     return Ordinal.from_int(_ta_rank(_ts_states(af, a), a, {}, _state_budget()))
 
 
-def _ta_rank(states: NodeStates, a: int, memo: dict, budget: Budget) -> int:
+def _ta_rank(tree: LazyTree, a: int, memo: dict, budget: Budget) -> int:
     """T^a's rank: one more than its largest T_{{a_i}} rank, 0 if none."""
-    roots = [states.child(a, i) for i in states.children(a).explicit]
-    return max(_ts_rank_states(states, roots, memo, budget), default=-1) + 1
+    roots = [tree.child(a, i) for i in tree.children(a).explicit]
+    return max(_ts_rank_states(tree, roots, memo, budget), default=-1) + 1
 
 
 def witness_path(af: FiniteAF, a: int, length: int) -> NodePath:
@@ -418,54 +416,3 @@ def ta_path_violations(af: FiniteAF, a: int, path: NodePath,
                     dset.update(af.attackers_of(j))
     return problems
 
-
-# -- the rank/stage bridge -----------------------------------------------------
-
-
-@dataclass
-class BridgeReport:
-    violations: List[str]
-    grounded_checked: int
-    states_checked: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def rank_stage_bridge_check(af: FiniteAF) -> BridgeReport:
-    """Assert the two rank/stage bridges on a whole finite AF.
-
-    For every grounded a: the exact rank r of T^a satisfies a in G_{r+1}.
-    For every explored T_{{b}} state of rank q (b in G+): some member of
-    G_{q+1} attacks the committed set.  One memo serves every tree, so
-    each state is checked once.
-    """
-    result = grounded_finite(af)
-    gplus = af.plus_set(result.grounded)
-    # a finite AF's stages are naturals (NEVER above them all); each
-    # argument's least attacker stage is computed once
-    stage = [math.inf if v is NEVER else v.as_int()
-             for v in map(result.stages.__getitem__, range(af.n))]
-    least_attacker = [min(map(stage.__getitem__, af.attackers_of(x)),
-                          default=math.inf) for x in range(af.n)]
-    violations = []
-    states = _ts_states(af)
-    memo: Dict[Tuple[int, int], int] = {}
-    budget = _state_budget()
-
-    for a in sorted(result.grounded):
-        r = _ta_rank(states, a, memo, budget)
-        if stage[a] > r + 1:
-            violations.append(f"grounded {af.name(a)}: stage {stage[a]} "
-                              f"exceeds T^a rank+1 = {r + 1}")
-
-    _ts_rank_states(states, [_ts_root(af, (b,)) for b in sorted(gplus)], memo,
-                    budget)
-    for (level, cmask), q in memo.items():
-        mran = [x for x in range(af.n) if cmask >> x & 1]
-        if min(map(least_attacker.__getitem__, mran), default=math.inf) > q + 1:
-            violations.append(
-                f"T_S state (level {level}, committed {mran}) of rank {q}: "
-                f"no member of G_{q + 1} attacks the committed set")
-    return BridgeReport(violations, len(result.grounded), len(memo))

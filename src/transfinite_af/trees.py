@@ -1,14 +1,16 @@
 """Lazy prefix-closed trees over finite strings of naturals, with ranks.
 
-Finite trees are explicit node tables and can be ranked exactly.  Lazy
-trees are given by node states: the root's state, a node's children
-(explicit symbols and/or affine symbol families) from its state, a
-child's state from its parent's, and optionally a node's declared rank
-from its state.  Ranks of infinite trees are never computed here, only
-declared by builders and verified locally (checks.check_declared_ranks):
-computing suprema over genuinely infinite child sets is exactly what is
-hard, so the checkable surrogate is annotation consistency plus
-truncation cross-checks.
+Every tree answers the same three questions about its nodes, each known
+by a state instead of its path: `root` is the root's state,
+`children(state)` a node's children (explicit symbols and/or affine
+symbol families), and `child(state, symbol)` a child's state.  A finite
+tree is an explicit node table whose states are its row numbers, and can
+be ranked exactly; a lazy tree is given by the three callbacks and
+optionally a node's declared rank from its state.  Ranks of infinite
+trees are never computed here, only declared by builders and verified
+locally (checks.check_declared_ranks): computing suprema over genuinely
+infinite child sets is exactly what is hard, so the checkable surrogate
+is annotation consistency plus truncation cross-checks.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from .errors import Budget, DomainError
+from .errors import Budget
 from .core import Family, IndexMap, Members
 from .ordinals import (
     ZERO,
@@ -47,12 +49,15 @@ class FiniteTree:
     it from there (both -1 for the root, row 0).  Rows come breadth-first
     with siblings ascending, i.e. in the order of the paths sorted by
     (length, path), so parents never decrease and each node's children
-    are one run of rows.  `states` reads the table as node states over
-    row numbers; `order` and `node_ranks()` speak in paths and are built
-    from the table when first asked for.
+    are one run of rows.  A node's state is its row number: the root is
+    row 0, and a row's children are its run of rows.  `order` and
+    `node_ranks()` speak in paths and are built from the table when
+    first asked for.
     """
 
     __slots__ = ("parents", "symbols", "_order")
+
+    root = 0
 
     def __init__(self, paths: Iterable[NodePath]):
         order = sorted(frozenset(tuple(p) for p in paths),
@@ -99,21 +104,15 @@ class FiniteTree:
     def __len__(self) -> int:
         return len(self.parents)
 
-    @property
-    def states(self) -> NodeStates:
-        """The nodes with their row numbers for states: the root is row 0,
-        and a row's children are its run of rows."""
-        return NodeStates(0, self._row_children, self._row_child)
-
     def _run(self, row: int) -> Tuple[int, int]:
         lo = bisect_left(self.parents, row)
         return lo, bisect_right(self.parents, row, lo)
 
-    def _row_children(self, row: int) -> Members:
+    def children(self, row: int) -> Members:
         lo, hi = self._run(row)
         return Members(self.symbols[lo:hi])
 
-    def _row_child(self, row: int, symbol: int) -> int:
+    def child(self, row: int, symbol: int) -> int:
         return bisect_left(self.symbols, symbol, *self._run(row))
 
     def row_ranks(self) -> list:
@@ -146,62 +145,40 @@ class FiniteTree:
         return f"FiniteTree({len(self.parents)} nodes)"
 
 
+OFF_TREE = object()  # the state past a symbol that is no child
+
+
 @dataclass(frozen=True)
-class NodeStates:
-    """A lazy tree's nodes, each known by a state instead of its path.
+class LazyTree:
+    """A tree given by its node states.
 
     `children` gives a node's children from the node's state, and `child`
     gives a child's state from its parent's state and its symbol; the
     root's state is `root`.  `child` is only asked for children that
     `children` lists.  States are hashable, and both answers depend on
     the state alone: an expansion asks them once per distinct state.
+    `declared_rank`, when present, gives a node's declared rank from its
+    state; it must be total on members and is verified rather than
+    trusted (see checks.check_declared_ranks).
     """
 
     root: object
     children: Callable[[object], Members]
     child: Callable[[object, int], object]
-
-
-OFF_TREE = object()  # the state past a symbol that is no child
-
-
-class LazyTree:
-    """A tree given by its node states.  declared_rank_of, when present,
-    gives a node's declared rank from its state; it must be total on
-    members and is verified rather than trusted (see
-    checks.check_declared_ranks).
-    """
-
-    def __init__(self, states: NodeStates,
-                 declared_rank_of: Optional[Callable[[object], Ordinal]] = None):
-        self.states = states
-        self._declared_rank_of = declared_rank_of
+    declared_rank: Optional[Callable[[object], Ordinal]] = None
 
     def step(self, state, symbol: int):
         """The state of the child by `symbol` of the node with this state;
         OFF_TREE when there is no such node."""
-        if state is OFF_TREE or not self.states.children(state).contains(symbol):
+        if state is OFF_TREE or not self.children(state).contains(symbol):
             return OFF_TREE
-        return self.states.child(state, symbol)
-
-    def _walk(self, path: NodePath):
-        state = self.states.root
-        for s in path:
-            state = self.step(state, s)
-        return state
+        return self.child(state, symbol)
 
     def member(self, path: NodePath) -> bool:
-        return self._walk(path) is not OFF_TREE
-
-    @property
-    def has_rank_annotations(self) -> bool:
-        return self._declared_rank_of is not None
-
-    def state_rank(self, state) -> Ordinal:
-        """The declared rank of the node with this state."""
-        if self._declared_rank_of is None:
-            raise DomainError("tree carries no rank annotations")
-        return self._declared_rank_of(state)
+        state = self.root
+        for s in path:
+            state = self.step(state, s)
+        return state is not OFF_TREE
 
 
 # -- exact rank of finite expansions ------------------------------------
@@ -217,10 +194,10 @@ def rank_finite(tree: FiniteTree, node_cap: int = 200_000) -> Ordinal:
     return tree.rank()
 
 
-def _expand(tree: LazyTree, nodes: Budget, path_symbols: Budget,
+def _expand(tree, nodes: Budget, path_symbols: Budget,
             width: Optional[int] = None, depth: Optional[int] = None) -> FiniteTree:
     """The nodes reached breadth-first, level by level, as a node table:
-    each node's children come from its state (see NodeStates), sorted and
+    each node's children come from its state (see LazyTree), sorted and
     deduplicated, and get their states from it; nodes at `depth` are not
     expanded, and families are cut to their first `width` members.  Each
     distinct state gets an id when first reached, and its children's
@@ -228,8 +205,8 @@ def _expand(tree: LazyTree, nodes: Budget, path_symbols: Budget,
     id is first expanded; a level is a list of ids, so a node costs a
     list index, not a hash of its state.  Each row spends its nodes and
     each level its path symbols."""
-    children, child = tree.states.children, tree.states.child
-    states = [tree.states.root]  # id -> state
+    children, child = tree.children, tree.child
+    states = [tree.root]  # id -> state
     ids = {states[0]: 0}  # state -> id
     # id -> (its children's symbols, their ids); breadth-first, ids are
     # first expanded in the order they were given
@@ -312,8 +289,8 @@ class PathSearchResult:
 
 
 def bounded_path_search(tree, depth: int, width: int) -> PathSearchResult:
-    """Search the width-truncated tree (any tree with `states`) for a
-    string of the given length.
+    """Search the width-truncated tree (finite or lazy) for a string of
+    the given length.
 
     Finds a prefix of exactly `depth` symbols if one exists under the
     truncation; a negative answer never claims global nonexistence.
@@ -323,8 +300,8 @@ def bounded_path_search(tree, depth: int, width: int) -> PathSearchResult:
     """
     if depth < 1 or width < 1:
         raise ValueError("depth and width must be >= 1")
-    children, child = tree.states.children, tree.states.child
-    stack, state = [], tree.states.root
+    children, child = tree.children, tree.child
+    stack, state = [], tree.root
     listed = Budget("path search", TRUNCATE_NODE_CAP, "nodes")
     while True:
         symbols = children(state).first(width)
@@ -354,8 +331,7 @@ def build_tree_of_rank(alpha) -> LazyTree:
     children i with ranks walking the fundamental sequence.
     """
     alpha = alpha if isinstance(alpha, Ordinal) else Ordinal.from_int(alpha)
-    return LazyTree(NodeStates(_split(alpha), _split_children, _split_child),
-                    _split_rank)
+    return LazyTree(_split(alpha), _split_children, _split_child, _split_rank)
 
 
 # A built node's state is its rank split as (lam, n), rank = lam + n with

@@ -549,6 +549,16 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_a_missing_file_is_named_as_the_spec_gives_it(capsys, tmp_path,
+                                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for spec, name in [("apx:nope.apx", "nope.apx"), ("tree:t.json", "t.json"),
+                       ("union(bs,apx:nope.apx)", "nope.apx")]:
+        code, out, err = run(capsys, "grounded", spec)
+        assert (code, out, err) == (
+            2, "", f"error: [Errno 2] No such file or directory: '{name}'\n")
+
+
 def test_zero_truncation_of_a_successor_target_exits_2(capsys):
     for argv, target in [(("gen", "ord:3:truncate=0"), "3"),
                          (("grounded", "ord:w+1:truncate=0"), "w+1")]:

@@ -93,7 +93,7 @@ def test_ft_verifier_accepts_expected_stages():
 
 def test_ft_lazy_matches_finite_materialization():
     tree = chain_tree(2)
-    lazy = af_from_tree(LazyTree(tree.states))
+    lazy = af_from_tree(LazyTree(tree.root, tree.children, tree.child))
     finite = af_from_finite_tree(tree)
     fin_stages = stages_finite(finite.af)
     approx = omega_approximation(lazy, window=8, steps=10)
@@ -412,10 +412,12 @@ def _without_hook(af, spec=None):
     "bs", "ord:w", "ord:w+3", "ord:w*3+1", "ord:w^2", "ord:w^2+w*2+1", "ord:w^3",
     "union(bs,ord:w)", "union(ord:w,apx:chain.apx)",
     "union(bs,union(ord:w^2,ord:5))"])
-def test_attacker_candidates_decide_what_the_full_scan_decides(tmp_path, text):
+def test_attacker_candidates_decide_what_the_full_scan_decides(
+        tmp_path, monkeypatch, text):
     (tmp_path / "chain.apx").write_text(
         format_apx(FiniteAF(4, [(0, 1), (1, 2), (2, 3), (3, 3)])))
-    af = materialize_spec(parse_generator_spec(text), str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    af = materialize_spec(parse_generator_spec(text))
     for hi in (16, 160):
         for a in range(hi + 3):  # a past the window has no candidates in it
             cand = list(af.attacker_candidates(a, hi))
@@ -562,19 +564,18 @@ def test_parse_caps_union_nesting():
 def test_materialize_specs(tmp_path):
     apx = tmp_path / "chain.apx"
     apx.write_text(format_apx(FiniteAF(3, [(0, 1), (1, 2)])))
-    af = materialize_spec(parse_generator_spec("apx:chain.apx"), str(tmp_path))
+    af = materialize_spec(parse_generator_spec(f"apx:{apx}"))
     assert af.n == 3
 
     tree = tmp_path / "t.json"
     tree.write_text('{"nodes": [[], [0], [0, 0]]}')
-    af = materialize_spec(parse_generator_spec("tree:t.json"), str(tmp_path))
+    af = materialize_spec(parse_generator_spec(f"tree:{tree}"))
     assert grounded_finite(af).grounding_ordinal == 3
 
-    af = materialize_spec(parse_generator_spec("ord:4"), str(tmp_path))
+    af = materialize_spec(parse_generator_spec("ord:4"))
     assert grounded_finite(af).grounding_ordinal == 4
 
-    union = materialize_spec(
-        parse_generator_spec("union(apx:chain.apx,ord:2)"), str(tmp_path))
+    union = materialize_spec(parse_generator_spec(f"union(apx:{apx},ord:2)"))
     assert grounded_finite(union).grounding_ordinal == 2
 
 
@@ -669,6 +670,6 @@ def test_finite_unions_are_built_as_from_their_pairs():
 def test_generated_afs_build_only_the_tables_asked_for(text):
     af = materialize_spec(parse_generator_spec(text))
     format_apx(af)
-    assert af._rev_rows is None and af._pair_set is None
+    assert af._rev_rows is None
     grounded_finite(af)
-    assert af._rev_rows is None and af._pair_set is None
+    assert af._rev_rows is None

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from transfinite_af import checks, rank_analysis
+from transfinite_af.checks import rank_stage_bridge_check
 from transfinite_af.core import FiniteAF, pair, unpair
 from transfinite_af.errors import CapExceeded, DomainError
 from transfinite_af.grounded import GroundedResult, grounded_finite, stages_finite
@@ -13,7 +14,6 @@ from transfinite_af.rank_analysis import (
     build_TS,
     expand_ts,
     largest_self_defending,
-    rank_stage_bridge_check,
     ta_path_violations,
     ta_rank,
     ts_path_exists,
@@ -265,14 +265,14 @@ def test_ts_builders_match_the_path_keyed_oracles(same_nodes):
         pairs += [(build_Ta(af, a), checks.path_keyed_ta(af, a))
                   for a in range(af.n)]
         for tree, oracle in pairs:
-            level, seen = [((), tree.states.root)], 0
+            level, seen = [((), tree.root)], 0
             for _ in range(13):
                 below = []
                 for p, state in level:
                     assert state is not OFF_TREE
-                    spec = tree.states.children(state)
+                    spec = tree.children(state)
                     # a path-keyed node's state is its path
-                    assert spec == oracle.states.children(p)
+                    assert spec == oracle.children(p)
                     assert tree.step(state, af.n + 1) is OFF_TREE
                     below += [(p + (s,), tree.step(state, s))
                               for s in spec.first(af.n + 1)]
@@ -510,7 +510,7 @@ def test_bridge_reports_stages_one_round_late(monkeypatch):
             result.grounded, result.grounding_ordinal + 1,
             {x: s if s is NEVER else s + 1 for x, s in result.stages.items()})
 
-    monkeypatch.setattr(rank_analysis, "grounded_finite", late)
+    monkeypatch.setattr(checks, "grounded_finite", late)
     report = rank_stage_bridge_check(FiniteAF(2, [(0, 1)]))
     assert report.violations == [
         "grounded a0: stage 2 exceeds T^a rank+1 = 1",

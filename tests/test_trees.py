@@ -28,7 +28,6 @@ from transfinite_af.trees import (
     ROOT,
     FiniteTree,
     LazyTree,
-    NodeStates,
     bounded_path_search,
     build_tree_of_rank,
     rank_finite,
@@ -195,9 +194,8 @@ def test_check_declared_ranks_rejects_an_off_by_one_closed_form():
     def rank(state):
         return OMEGA if state == "root" else Ordinal.from_int(state)
 
-    tree = LazyTree(states=NodeStates(
-        "root", children, lambda state, s: s if state == "root" else state - 1),
-        declared_rank_of=rank)
+    tree = LazyTree("root", children,
+                    lambda state, s: s if state == "root" else state - 1, rank)
     report = check_declared_ranks(tree, sample_width=3, sample_depth=3)
     assert report.violations == [f"[{k}]: declared {k}, closed form gives {k + 1}"
                                  for k in range(3)]
@@ -437,7 +435,7 @@ def _wide_tree(calls):
         calls["children"] += 1
         return every
 
-    return LazyTree(states=NodeStates(0, children, child))
+    return LazyTree(0, children, child)
 
 
 def test_path_search_steps_a_state_when_it_pops_its_node():
@@ -476,25 +474,25 @@ def test_truncation_steps_each_rank_once_from_its_parent(monkeypatch):
     assert set(steps) == below_limits and len(steps) == len(below_limits) == 25
 
 
-def _row_states(states, ft):
+def _row_states(tree, ft):
     """The state of every row of an expansion, stepped from its parent's."""
-    out = [states.root]
+    out = [tree.root]
     for parent, s in zip(ft.parents[1:], ft.symbols[1:]):
-        out.append(states.child(out[parent], s))
+        out.append(tree.child(out[parent], s))
     return out
 
 
-def _counted(states, asked):
-    """`states` with every `children` and `child` question recorded."""
+def _counted(tree, asked):
+    """`tree` with every `children` and `child` question recorded."""
     def children(state):
         asked["children"].append(state)
-        return states.children(state)
+        return tree.children(state)
 
     def child(state, symbol):
         asked["child"].append((state, symbol))
-        return states.child(state, symbol)
+        return tree.child(state, symbol)
 
-    return NodeStates(states.root, children, child)
+    return LazyTree(tree.root, children, child)
 
 
 def _ts_expansion(monkeypatch, asked):
@@ -508,16 +506,14 @@ def _ts_expansion(monkeypatch, asked):
 
 def _rank_built_expansion(monkeypatch, asked):
     tree = build_tree_of_rank(parse_ordinal("w^2+w*2+3"))
-    states = tree.states
-    tree.states = _counted(states, asked)
-    return truncate_tree(tree, width=4), states
+    return truncate_tree(_counted(tree, asked), width=4), tree
 
 
 @pytest.mark.parametrize("expansion", [_rank_built_expansion, _ts_expansion])
 def test_expansion_asks_each_distinct_state_once(monkeypatch, expansion):
     asked = {"children": [], "child": []}
-    ft, states = expansion(monkeypatch, asked)
-    rows = _row_states(states, ft)
+    ft, tree = expansion(monkeypatch, asked)
+    rows = _row_states(tree, ft)
     distinct = set(rows)
     steps = {(rows[p], s) for p, s in zip(ft.parents[1:], ft.symbols[1:])}
     assert len(distinct) < len(ft) // 3  # the states do repeat
@@ -554,11 +550,11 @@ def test_expansion_hashes_each_step_once_not_each_node(same_nodes):
         level, residue = state.value
         return HashCountedState(level + 1, (residue + symbol) % 3)
 
-    tree = LazyTree(NodeStates(HashCountedState(0, 0), children, child))
+    tree = LazyTree(HashCountedState(0, 0), children, child)
     HashCountedState.hashes = 0
     ft = trees._expand(tree, *trees.expansion_budgets(10_000))
     hashes = HashCountedState.hashes
-    rows = _row_states(tree.states, ft)
+    rows = _row_states(tree, ft)
     steps = {(rows[p].value, s) for p, s in zip(ft.parents[1:], ft.symbols[1:])}
     assert (len(ft), len({r.value for r in rows}), len(steps)) == (1093, 19, 48)
     assert hashes <= len(steps) + 1
@@ -641,7 +637,7 @@ def test_lazy_finite_tree_tables_match_the_path_keyed_expansion(same_nodes):
     rng = random.Random(43)
     for _ in range(80):
         t = random_finite_tree(rng, max_nodes=40)
-        for lazy in (LazyTree(t.states), scrambled(t, rng)):
+        for lazy in (LazyTree(t.root, t.children, t.child), scrambled(t, rng)):
             for depth in (None, rng.randint(0, 4)):
                 got, want = expansion_outcomes(lazy, node_cap=100_000,
                                                depth=depth)
@@ -684,5 +680,5 @@ def test_tree_af_states_match_the_path_keyed_reference():
                             600, rng)
     for _ in range(10):
         t = random_finite_tree(rng, max_nodes=40)
-        assert_same_tree_af(LazyTree(t.states), 600, rng)
+        assert_same_tree_af(LazyTree(t.root, t.children, t.child), 600, rng)
         assert_same_tree_af(scrambled(t, rng), 600, rng)
