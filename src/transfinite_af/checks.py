@@ -194,20 +194,15 @@ def iterated_defense_step(af: FiniteAF) -> GroundedResult:
     Theta(rounds * (n+m)); the library computes the same result with its
     O(n+m) stage kernel.
     """
-    stages: Dict[int, object] = {}
+    layers = []
     current: frozenset = frozenset()
-    k = 0
     while True:
         nxt = af.defense_step(current)
         if nxt == current:
             break
-        k += 1
-        for x in nxt - current:
-            stages[x] = Ordinal.from_int(k)
+        layers.append(tuple(sorted(nxt - current)))
         current = nxt
-    for x in range(af.n):
-        stages.setdefault(x, NEVER)
-    return GroundedResult(current, Ordinal.from_int(k), stages)
+    return GroundedResult(tuple(layers), af.n)
 
 
 def eliminated_self_defending(af: FiniteAF) -> frozenset:

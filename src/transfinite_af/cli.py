@@ -183,9 +183,13 @@ def cmd_grounded(args) -> int:
                  f"grounding ordinal: {ordinal}"]
         stages = None
         if args.stages:
-            # the stage map shares one value per stage: render each once
-            text = {v: str(v) for v in set(result.stages.values())}
-            stages = {names[i]: text[v] for i, v in result.stages.items()}
+            # one text per layer, into its members' slots: no stage map
+            slots = ["NEVER"] * af.n
+            for k, layer in enumerate(result.layers, start=1):
+                text = str(k)
+                for x in layer:
+                    slots[x] = text
+            stages = dict(zip(names, slots))
     else:
         if af.candidate_stages is None:
             raise DomainError("lazy AF without a candidate stage map; "
@@ -197,7 +201,7 @@ def cmd_grounded(args) -> int:
                 print(line, file=sys.stderr)
             return EXIT_DOMAIN
         ordinal = format_ordinal(report.grounding_ordinal)
-        # as in the finite branch, render each distinct stage once
+        # render each distinct stage once
         text = {v: str(v) for v in set(report.stages.values())}
         stages = {af.name(i): text[v] for i, v in report.stages.items()}
         payload = {

@@ -20,7 +20,7 @@ import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import add, lt, mul
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
@@ -305,8 +305,9 @@ class FiniteAF:
             raise IndexError(f"argument index {i} out of range [0,{self.n})")
 
     def attacks(self, x: int, y: int) -> bool:
-        self._check(x)
-        self._check(y)
+        if not (0 <= x < self.n and 0 <= y < self.n):
+            self._check(x)
+            self._check(y)
         row = self._fwd[x]
         i = bisect_left(row, y)
         return i < len(row) and row[i] == y
@@ -342,8 +343,9 @@ class FiniteAF:
 
     def _as_extension(self, s) -> frozenset:
         s = frozenset(s)
-        for x in s:
-            self._check(x)
+        if s and (min(s) < 0 or max(s) >= self.n):
+            for x in s:  # name the first bad member, as a member check would
+                self._check(x)
         return s
 
     # -- the primitive set operators
@@ -351,22 +353,15 @@ class FiniteAF:
     def plus_set(self, s) -> frozenset:
         """S+ = arguments attacked by S."""
         s = self._as_extension(s)
-        out = set()
-        for y in s:
-            out.update(self._fwd[y])
-        return frozenset(out)
+        return frozenset(chain.from_iterable(map(self._fwd.__getitem__, s)))
 
     def minus_set(self, s) -> frozenset:
         """S- = arguments attacking S."""
         s = self._as_extension(s)
-        out = set()
-        for y in s:
-            out.update(self._rev[y])
-        return frozenset(out)
+        return frozenset(chain.from_iterable(map(self._rev.__getitem__, s)))
 
     def defense_step(self, s) -> frozenset:
         """All x whose every attacker is attacked by s; monotone in s."""
-        s = self._as_extension(s)
         s_plus = self.plus_set(s)
         return frozenset(x for x in range(self.n)
                          if all(a in s_plus for a in self._rev[x]))

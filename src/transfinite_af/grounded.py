@@ -7,8 +7,8 @@ Three regimes:
   labelling of Modgil & Caminada 2009 and of Nofal, Atkinson & Dunne,
   Computer J. 2021).  Every argument counts its attackers not yet
   defeated; an argument entering G_k defeats its targets, and an
-  argument whose count drops to 0 joins G_{k+1}.  Each attack is touched
-  a constant number of times, so a run costs O(n+m).
+  argument whose count drops to 0 joins G_{k+1}, so a run costs O(n+m).
+  The result keeps the layers and builds a stage map only when read.
 
 * finitary lazy AFs: an attacker-closed window is iterated with the same
   kernel; stages are exact for every argument of the closure (the
@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -76,38 +77,46 @@ def _stage_layers(pending: Dict[int, int], targets) -> Iterator[List[int]]:
 
 @dataclass(frozen=True)
 class GroundedResult:
-    """The grounded extension with its stage bookkeeping."""
+    """A finite AF's stage layers G_1 - G_0, G_2 - G_1, ... (none empty) over
+    its n arguments; the stage map, x to its k or NEVER, is built on read."""
 
-    grounded: frozenset
-    grounding_ordinal: Ordinal
-    stages: Dict[int, StageValue]
+    layers: Tuple[Tuple[int, ...], ...]
+    n: int
+
+    @property
+    def grounding_ordinal(self) -> Ordinal:
+        return Ordinal.from_int(len(self.layers))
+
+    @cached_property
+    def grounded(self) -> frozenset:
+        return frozenset(chain.from_iterable(self.layers))
+
+    @cached_property
+    def stages(self) -> Dict[int, StageValue]:
+        stages: Dict[int, StageValue] = dict.fromkeys(range(self.n), NEVER)
+        for k, layer in enumerate(self.layers, start=1):
+            stage = Ordinal.from_int(k)
+            for x in layer:
+                stages[x] = stage
+        return stages
 
 
 def grounded_finite(af: FiniteAF) -> GroundedResult:
-    """Least fixpoint of the defense function, with every argument's stage.
+    """Least fixpoint of the defense function, as its stage layers.
 
     The stages G_1 <= G_2 <= ... are built as layers by the counter-based
     kernel in O(n+m) for n arguments and m attacks, from the attack rows
     alone: each argument's count of attackers is its number of entries
-    in the rows, so no attacker row is built (attacker rows built
-    already give the counts as their lengths).  The stage of x is the k
-    with x in G_k - G_{k-1}, or NEVER; the grounding ordinal is the least
-    k with G_k = G, a natural number bounded by the argument count.
+    in the rows, so no attacker row is built (built ones give the counts
+    as their lengths).  The grounding ordinal is the number of layers.
     """
-    stages: Dict[int, StageValue] = dict.fromkeys(range(af.n), NEVER)
     if af._rev_rows is not None:  # built already: the counts are O(n)
         pending = dict(enumerate(map(len, af._rev_rows)))
     else:
         pending = dict.fromkeys(range(af.n), 0)
         pending.update(Counter(chain.from_iterable(af._fwd)))
-    grounded = []
-    k = 0
-    for k, layer in enumerate(_stage_layers(pending, af._fwd), start=1):
-        stage = Ordinal.from_int(k)
-        for x in layer:
-            stages[x] = stage
-        grounded += layer
-    return GroundedResult(frozenset(grounded), Ordinal.from_int(k), stages)
+    return GroundedResult(tuple(map(tuple, _stage_layers(pending, af._fwd))),
+                          af.n)
 
 
 def stages_finite(af: FiniteAF) -> Dict[int, StageValue]:

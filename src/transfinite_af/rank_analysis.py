@@ -240,8 +240,7 @@ def ts_path_exists(af: FiniteAF, seed, prefix_depth: int = 100) -> TsDecision:
     for x in seed:
         if not (0 <= x < af.n):
             raise IndexError(f"seed argument {x} out of range")
-    result = grounded_finite(af)
-    gplus = af.plus_set(result.grounded)
+    gplus = af.plus_set(grounded_finite(af).grounded)
     if seed & gplus:
         rank = ts_rank(af, seed)
         return TsDecision(False, None, Ordinal.from_int(rank))

@@ -22,7 +22,7 @@ from transfinite_af.constructions import FiniteTreeAF, materialize_spec, \
 from transfinite_af.core import FiniteAF, format_apx, parse_apx
 from transfinite_af.grounded import GroundedResult, VerificationReport, \
     grounded_finite
-from transfinite_af.ordinals import NEVER, Ordinal, format_ordinal
+from transfinite_af.ordinals import NEVER, format_ordinal
 from transfinite_af.rank_analysis import TsDecision, build_TS, ts_rank
 from transfinite_af.trees import TRUNCATE_NODE_CAP, TRUNCATE_SYMBOL_CAP
 
@@ -369,11 +369,7 @@ def test_check_lemmas_catches_a_grounded_that_drops_its_last_layer(
         capsys, monkeypatch):
     def short(af):
         result = grounded_finite(af)
-        k = result.grounding_ordinal
-        last = {x for x, s in result.stages.items() if s == k}
-        return GroundedResult(
-            result.grounded - last, Ordinal.from_int(max(k.as_int() - 1, 0)),
-            {x: NEVER if x in last else s for x, s in result.stages.items()})
+        return GroundedResult(result.layers[:-1], result.n)
 
     sizes = []
     minimize_af = checks.minimize_af
@@ -986,3 +982,39 @@ def test_seeded_corpus_output_is_pinned(capsys, tmp_path):
     assert count == 112
     assert digest.hexdigest() == \
         "b599a4c788aa439365164c8ea780aade5838c8592e48b8bddc5a8f87590a5696"
+
+
+def finite_grounding_corpus(rng, tmp_path):
+    """The finite-ground shapes as APX files: deep bs truncations, the
+    F_T of truncated limit targets, and sparse random AFs."""
+    specs = ["bs:truncate=30", "bs:truncate=47", "bs:truncate=60",
+             "ord:w*2:truncate=5", "ord:w^2+1:truncate=3"]
+    afs = [materialize_spec(parse_generator_spec(s)) for s in specs]
+    for _ in range(3):
+        n = rng.randint(60, 120)
+        afs.append(FiniteAF(n, [(rng.randrange(n), rng.randrange(n))
+                                for _ in range(rng.randint(n, 2 * n))]))
+    for i, af in enumerate(afs):
+        path = tmp_path / f"af{i}.apx"
+        path.write_text(format_apx(af))
+        yield path
+
+
+def test_finite_grounding_output_is_pinned(capsys, tmp_path):
+    # sha256 of every command's exit code, stdout and stderr, recorded
+    # while grounded_finite still built a stage map on every run
+    digest = hashlib.sha256()
+    count = 0
+    for path in finite_grounding_corpus(random.Random(28), tmp_path):
+        spec = f"apx:{path}"
+        for argv in (["grounded", spec, "--stages"],
+                     ["grounded", spec, "--stages", "--format", "text"],
+                     ["grounded", spec], ["self-defending", spec]):
+            code, out, err = run(capsys, *argv)
+            record = [[a.replace(str(tmp_path), "DIR") for a in argv], code,
+                      out, err.replace(str(tmp_path), "DIR")]
+            digest.update(json.dumps(record).encode())
+            count += 1
+    assert count == 32
+    assert digest.hexdigest() == \
+        "c50ca0693d0363aa1ade61814a59c8db67ae09341f0a86050de1a79c0728ecc4"

@@ -148,6 +148,19 @@ def test_range_errors():
         af.attacks(0, 3)
     with pytest.raises(IndexError):
         af.plus_set({5})
+    # a query names its first index out of range, the attacker before the
+    # target
+    for x, y, bad in [(0, 3, 3), (-1, 0, -1), (4, 9, 4), (2, -2, -2)]:
+        with pytest.raises(IndexError) as err:
+            af.attacks(x, y)
+        assert str(err.value) == f"argument index {bad} out of range [0,3)"
+    for op in (af.plus_set, af.minus_set, af.is_conflict_free):
+        for s, bad in [({5}, 5), ([-1], -1), ({0, 1, 5}, 5), ((2, -4, 0), -4),
+                       (range(4), 3)]:
+            with pytest.raises(IndexError) as err:
+                op(s)
+            assert str(err.value) == \
+                f"argument index {bad} out of range [0,3)", (op, s)
 
 
 @pytest.mark.parametrize("args, message", [

@@ -14,6 +14,10 @@ Finite AFs from public input are validated; only the APX parser and the
 generators, whose tables are valid by construction, may skip that
 through `FiniteAF._built`.
 
+A finite grounding is its stage layers: only `grounded_finite` and its
+round-by-round reference in checks.py build a `GroundedResult`, so no
+engine hands out a stage map in place of the layers it came from.
+
 A finite AF stores only its attack rows; the attack set `attack_pairs`
 is built from them on each read.  No library module outside checks.py
 reads it, so no engine or generator builds the set.
@@ -159,6 +163,16 @@ def test_the_guard_sees_the_allowed_built_uses():
         {"parse_apx"}
     assert {scope for scope, _ in uses(SRC / "constructions.py", "_built")} == \
         {"af_from_finite_tree", "baumann_spanring", "_compact_union"}
+
+
+def test_only_the_grounding_engines_build_grounded_results():
+    def builds(node):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "GroundedResult")
+    assert {(path.name, scope) for path in sorted(SRC.glob("*.py"))
+            for scope, _ in find(path, builds)} == \
+        {("grounded.py", "grounded_finite"),
+         ("checks.py", "iterated_defense_step")}
 
 
 PAIRS_ALLOWED = {"checks.py"}

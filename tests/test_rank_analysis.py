@@ -8,7 +8,6 @@ from transfinite_af.checks import rank_stage_bridge_check
 from transfinite_af.core import FiniteAF, pair, unpair
 from transfinite_af.errors import CapExceeded, DomainError
 from transfinite_af.grounded import GroundedResult, grounded_finite, stages_finite
-from transfinite_af.ordinals import NEVER
 from transfinite_af.rank_analysis import (
     build_Ta,
     build_TS,
@@ -506,9 +505,7 @@ def test_bridge_reports_stages_one_round_late(monkeypatch):
     # a grounded_finite that puts every grounded argument one round late
     def late(af):
         result = grounded_finite(af)
-        return GroundedResult(
-            result.grounded, result.grounding_ordinal + 1,
-            {x: s if s is NEVER else s + 1 for x, s in result.stages.items()})
+        return GroundedResult(((),) + result.layers, result.n)
 
     monkeypatch.setattr(checks, "grounded_finite", late)
     report = rank_stage_bridge_check(FiniteAF(2, [(0, 1)]))

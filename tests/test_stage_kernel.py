@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from transfinite_af import grounded
+from transfinite_af import cli, grounded, rank_analysis
 from transfinite_af.checks import (
     eliminated_self_defending,
     iterated_defense_step,
@@ -22,7 +22,8 @@ from transfinite_af.core import FiniteAF, LazyAF, Members, format_apx, \
 from transfinite_af.grounded import SymbolicStageMap, grounded_finite, \
     omega_approximation, stages_finite, verify_symbolic_stages
 from transfinite_af.ordinals import NEVER, Ordinal
-from transfinite_af.rank_analysis import largest_self_defending
+from transfinite_af.rank_analysis import largest_self_defending, \
+    ta_path_exists, ts_path_exists, witness_path
 
 
 def cycle(n):
@@ -75,6 +76,49 @@ def test_grounded_finite_matches_iterated_defense_step():
         assert got.grounding_ordinal == want.grounding_ordinal, af.attack_pairs
         assert got.stages == want.stages, af.attack_pairs
         assert sorted(got.stages) == list(range(af.n))
+        assert all(got.layers), af.attack_pairs
+        # pairwise disjoint: their sizes add up to the size of their union
+        assert sum(map(len, got.layers)) == len(got.grounded), af.attack_pairs
+        assert [sorted(layer) for layer in got.layers] == \
+            [list(layer) for layer in want.layers], af.attack_pairs
+
+
+def _stage_map_fails(monkeypatch):
+    """Make reading any GroundedResult's stage map fail the test."""
+    def read(result):
+        pytest.fail("a stage map was built")
+    monkeypatch.setattr(grounded.GroundedResult, "stages", property(read))
+
+
+def test_grounding_alone_builds_no_stage_map(monkeypatch, tmp_path):
+    _stage_map_fails(monkeypatch)
+    for af in CORPUS:
+        largest_self_defending(af)
+        ts_path_exists(af, frozenset(range(min(af.n, 2))))
+        for a in range(min(af.n, 3)):
+            ta_path_exists(af, a)
+            if a not in grounded_finite(af).grounded:
+                witness_path(af, a, 5)
+    for i, af in enumerate(CORPUS[::8]):
+        path = tmp_path / f"af{i}.apx"
+        path.write_text(format_apx(af))
+        spec = f"apx:{path}"
+        for argv in (["grounded", spec], ["grounded", spec, "--stages"],
+                     ["grounded", spec, "--stages", "--format", "text"],
+                     ["self-defending", spec]):
+            assert cli.main(argv) == 0, argv
+
+
+def test_the_stage_map_guard_catches_a_grounding_that_reads_it(monkeypatch):
+    def reading(af):
+        result = grounded_finite(af)
+        result.stages
+        return result
+
+    _stage_map_fails(monkeypatch)
+    monkeypatch.setattr(rank_analysis, "grounded_finite", reading)
+    with pytest.raises(pytest.fail.Exception, match="a stage map was built"):
+        largest_self_defending(CORPUS[-1])
 
 
 def test_largest_self_defending_matches_elimination():
