@@ -329,16 +329,106 @@ _COMMANDS = {
 }
 
 
+def compile_table(parser, path=(), defaults=None) -> dict:
+    """The rows `_fast_args` reads, by leaf command path (("reduce", "ts")).
+
+    A row holds the leaf's exact option strings mapped to (action, the
+    type converter argparse calls), its positionals as such pairs, the
+    default of every dest on the path with each subcommand dest set to
+    its token, its required actions, and its mutually exclusive groups
+    with their `required`.  A leaf with an action other than help,
+    store_true or a one-value store that has no string default to
+    convert, two actions on one dest, or prefix characters other than "-"
+    gets no row, nor does any command below a parser with flags or
+    positionals of its own.
+    """
+    actions = [a for a in parser._actions if type(a) is not argparse._HelpAction]
+    if parser.prefix_chars != "-" or parser.fromfile_prefix_chars is not None:
+        return {}
+    defaults = {**(defaults or {}), **parser._defaults, **{
+        a.dest: a.default for a in actions
+        if argparse.SUPPRESS not in (a.dest, a.default)}}
+    sub = actions[0] if len(actions) == 1 else None
+    if type(sub) is argparse._SubParsersAction and sub.dest is not argparse.SUPPRESS:
+        table = {}
+        for name, child in sub.choices.items():
+            table.update(compile_table(child, path + (name,),
+                                       {**defaults, sub.dest: name}))
+        return table
+    if len({a.dest for a in actions}) < len(actions) or not all(
+            type(a) is argparse._StoreTrueAction
+            or type(a) is argparse._StoreAction and a.nargs is None
+            and not (isinstance(a.default, str) and a.type is not None)
+            for a in actions):
+        return {}
+    convert = {a: parser._registry_get("type", a.type, a.type) for a in actions}
+    return {path: (
+        {s: (a, convert[a]) for a in actions for s in a.option_strings},
+        [(a, convert[a]) for a in actions if not a.option_strings],
+        defaults,
+        [a for a in actions if a.required],
+        [(g._group_actions, g.required) for g in parser._mutually_exclusive_groups],
+    )}
+
+
+def _fast_args(argv) -> Optional[argparse.Namespace]:
+    """`_PARSER.parse_args(argv)` read through `_TABLE`, or None unless
+    argv is plain: a row's exact subcommand tokens, then exact flags of
+    its leaf, each given once and, if it takes a value, followed by one
+    not starting with "-", and positionals filling exactly; each value
+    converts with its action's type into its choices, and every required
+    action and group rule holds.  argparse reads everything else."""
+    depth = next((n for n in _DEPTHS if tuple(argv[:n]) in _TABLE), None)
+    if depth is None:
+        return None
+    flags, positionals, defaults, required, groups = _TABLE[tuple(argv[:depth])]
+    given, words, tokens = {}, [], iter(argv[depth:])
+    for token in tokens:
+        if token[:1] != "-":
+            words.append(token)
+            continue
+        action, convert = flags.get(token, (None, None))
+        if action is None or action in given:
+            return None
+        text = None if action.nargs == 0 else next(tokens, "-")
+        if text is not None and text[:1] == "-":
+            return None
+        given[action] = convert, text
+    if len(words) != len(positionals):
+        return None
+    given.update((a, (convert, w)) for (a, convert), w in zip(positionals, words))
+    values, seen = dict(defaults), set()
+    for action, (convert, text) in given.items():
+        try:
+            value = action.const if text is None else convert(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        # argparse counts an action as present unless it set the default
+        if text is None or value is not action.default:
+            seen.add(action)
+    if any(len(seen.intersection(group)) > 1 or needed and seen.isdisjoint(group)
+           for group, needed in groups) or not all(a in given for a in required):
+        return None
+    return argparse.Namespace(**values)
+
+
 # The one parser `main` uses: parsing leaves a parser as it was built, and
-# building one costs more than most requests.
+# building one costs more than most requests.  Plain argv skips it.
 _PARSER = build_parser()
+_TABLE = compile_table(_PARSER)
+_DEPTHS = sorted({len(path) for path in _TABLE})
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as e:
-        return e.code if e.code is not None else EXIT_PARSE
+    args = _fast_args(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = _PARSER.parse_args(argv)
+        except SystemExit as e:
+            return e.code if e.code is not None else EXIT_PARSE
     # Warnings print as one line without a source location; entering
     # catch_warnings resets the show-once registry, so each call shows its
     # own.

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -885,6 +887,109 @@ def test_back_to_back_calls_print_what_a_fresh_parser_prints(
     monkeypatch.setattr(cli, "_PARSER", build_parser())
     monkeypatch.setattr(cli, "build_parser", None)  # main builds none
     assert [run(capsys, *argv) for argv in commands] == fresh
+
+
+def test_plain_argv_of_every_leaf_command_skips_argparse(
+        capsys, monkeypatch, chain_path, tmp_path):
+    tree = tmp_path / "t.json"
+    tree.write_text('{"nodes": [[], [0], [0, 0]]}')
+    af = f"apx:{chain_path}"
+    commands = [
+        ["grounded", af, "--stages", "--format", "text"],
+        ["self-defending", af],
+        ["tree", "rank", "--input", str(tree), "--cap", "10"],
+        ["tree", "build", "--ordinal", "w+1", "--truncate-width", "2"],
+        ["tree", "search", "--depth", "3", "--ordinal", "w", "--width", "2"],
+        ["reduce", "ts", "--af", af, "--set", "a1", "--node-cap", "50"],
+        ["reduce", "ta", "--af", af, "--arg", "a2", "--depth", "4"],
+        ["reduce", "witness", "--af", af, "--arg", "a1", "--length", "5"],
+        ["check", "ordinals", "--trials", "1", "--seed", "3"],
+        ["gen", "bs:truncate=2", "--format", "dot"],
+    ]
+    assert {tuple(argv[:2 if argv[0] in ("tree", "reduce") else 1])
+            for argv in commands} == set(cli._TABLE)
+    # what argparse alone makes of each command
+    monkeypatch.setattr(cli, "_fast_args", lambda argv: None)
+    parsed = [run(capsys, *argv) for argv in commands]
+    assert [code for code, _, _ in parsed] == [0] * 10
+    monkeypatch.undo()
+
+    def refuse(*_):
+        pytest.fail("plain argv reached argparse")
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+    assert [run(capsys, *argv) for argv in commands] == parsed
+
+
+def test_argv_that_is_not_plain_reaches_argparse_unchanged(capsys, monkeypatch):
+    calls = []
+    parse_args = cli._PARSER.parse_args
+
+    def counted(argv):
+        calls.append(argv)
+        return parse_args(argv)
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", counted)
+    plain = run(capsys, "grounded", "bs", "--sample", "5")
+    assert plain[0] == 0 and calls == []
+    for argv in (["grounded", "bs", "--sam", "5"],
+                 ["grounded", "bs", "--sample=5"],
+                 ["grounded", "--sample", "5", "--", "bs"]):
+        assert run(capsys, *argv) == plain
+        assert calls[-1] == argv
+    assert len(calls) == 3
+
+
+def test_the_table_gives_unmodelled_commands_no_row():
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("plain").add_argument("--x", type=int, default=3)
+    sub.add_parser("append").add_argument("--x", action="append")
+    sub.add_parser("many").add_argument("xs", nargs="+")
+    parent = sub.add_parser("parent")
+    parent.add_argument("--verbose", action="store_true")
+    parent.add_subparsers(dest="inner").add_parser("leaf").add_argument("--y")
+    table = cli.compile_table(parser)
+    assert set(table) == {("plain",)}
+    flags, positionals, defaults, required, groups = table["plain",]
+    assert set(flags) == {"--x"} and positionals == required == groups == []
+    assert defaults == {"command": "plain", "x": 3}
+
+
+def test_a_group_member_given_its_default_counts_as_absent(capsys, monkeypatch):
+    # argparse counts an action as present only when its value is not the
+    # default object itself, and int("5") is the cached 5
+    parser = argparse.ArgumentParser()
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--a", type=int, default=5)
+    group.add_argument("--b")
+    monkeypatch.setattr(cli, "_TABLE", cli.compile_table(parser))
+    monkeypatch.setattr(cli, "_DEPTHS", [0])
+    for argv, ok in ((["--a", "5"], False), (["--a", "6"], True),
+                     (["--a", "5", "--b", "x"], True),
+                     (["--a", "6", "--b", "x"], False), (["--b", "x"], True)):
+        with pytest.raises(SystemExit) if not ok else contextlib.nullcontext():
+            want = parser.parse_args(argv)
+        assert cli._fast_args(argv) == (want if ok else None)
+    capsys.readouterr()
+
+
+def test_the_console_entry_point_reads_sys_argv_alike(
+        capsys, monkeypatch, chain_path):
+    argv = ["reduce", "witness", "--af", f"apx:{chain_path}", "--arg", "a1",
+            "--length", "5"]
+    direct = run(capsys, *argv)
+    assert direct[0] == 0
+    monkeypatch.setattr(sys, "argv", ["transfinite-af"] + argv)
+    code = main()
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == direct
+    src = str(Path(transfinite_af.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "transfinite_af.cli"] + argv,
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == direct
 
 
 @pytest.mark.parametrize("spec", ["bs", "ord:w*3+2", "ord:w^3+1",

@@ -1,5 +1,5 @@
 """Fuzz the CLI's input grammars: generator specs, ordinals, APX files
-and tree JSON.
+and tree JSON, and the argv table against argparse.
 
 Every input must end in a documented exit code (0 success, 2 parse or
 configuration error, 3 domain error) and never in an uncaught exception.
@@ -10,6 +10,7 @@ nesting up to 120 levels, at most 30 APX lines, and tree JSON of at most
 8 odd paths or a small `tree build` output, nested up to 3000 levels.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -17,6 +18,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from transfinite_af import cli
 from transfinite_af.cli import main
 from transfinite_af.constructions import materialize_spec, parse_generator_spec
 from transfinite_af.core import LazyAF
@@ -222,3 +224,106 @@ def test_tree_json_ends_in_documented_exit_codes(tmp_path_factory, text):
     _run("tree", "rank", "--input", str(path))
     _run("tree", "search", "--input", str(path), "--depth", "4", "--width", "2")
     _run("grounded", f"tree:{path}", "--stages")
+
+
+def _leaves(parser, path=()):
+    """(command path, flag actions but help, choices, positionals,
+    mutually exclusive groups) for each leaf command of the parser."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if subs:
+        for name, child in subs[0].choices.items():
+            yield from _leaves(child, path + (name,))
+        return
+    yield (path,
+           [a for a in parser._actions if a.option_strings
+            and not isinstance(a, argparse._HelpAction)],
+           [c for a in parser._actions if a.choices for c in a.choices],
+           sum(not a.option_strings for a in parser._actions),
+           [g._group_actions for g in parser._mutually_exclusive_groups])
+
+
+_LEAVES = list(_leaves(cli.build_parser()))
+_ALL_FLAGS = sorted({s for leaf in _LEAVES for a in leaf[1]
+                     for s in a.option_strings})
+_ODD_PATHS = [(), ("tree",), ("reduce",), ("bogus",), ("reduce", "ts", "ts")]
+_JUNK_TOKENS = ["--sam", "--af=x", "--sample=5", "-4", "--", "-h", "--help",
+                "-x", "x y", "", "-", "apx:F", "a1", "w", "bs"]
+_ODD_VALUES = st.one_of(st.integers(-5, 300).map(str), st.sampled_from(
+    ["1e3", "0x10", " 7", "5_0", "+3", "\u0663", "007", "2.5", "9" * 30,
+     "xml", "-4", "-x", "--af", "-", "--", "", "x y"]))
+_RARELY = st.integers(0, 9).map(lambda k: k == 9)
+
+
+@st.composite
+def _value(draw, action):
+    if draw(_RARELY):
+        return draw(_ODD_VALUES)
+    if action.choices:
+        return draw(st.sampled_from(list(action.choices)))
+    if action.type is int:
+        return str(draw(st.integers(0, 300)))
+    return draw(st.sampled_from(["apx:F", "a1,a2", "w", "bs", ""]))
+
+
+@st.composite
+def _argvs(draw):
+    """The parser's own command paths, flags and choices in any order,
+    each flag with a value of its kind if it takes one, one flag of each
+    mutually exclusive group and the right number of positionals; then,
+    each rarely, an odd path or value, a dropped or extra flag, a flag
+    given twice or before its subcommand, an extra or missing positional,
+    and junk tokens."""
+    path, actions, choices, positionals, exclusive = draw(
+        st.sampled_from(_LEAVES))
+    if draw(_RARELY):
+        path = draw(st.sampled_from(_ODD_PATHS))
+    for group in exclusive:
+        keep = draw(st.sampled_from(group))
+        actions = [a for a in actions
+                   if a is keep or a not in group or draw(_RARELY)]
+    groups = [[draw(st.sampled_from(a.option_strings))]
+              + ([draw(_value(a))] if a.nargs != 0 else [])
+              for a in actions if not draw(_RARELY)]
+    if draw(_RARELY):
+        positionals += draw(st.sampled_from([-1, 1]))
+    groups += [[draw(st.sampled_from(choices + ["bs", "x"]))]
+               for _ in range(positionals)]
+    while draw(_RARELY):
+        groups.append([draw(st.sampled_from(_ALL_FLAGS + _JUNK_TOKENS))]
+                      + draw(st.lists(_ODD_VALUES, max_size=1)))
+    if groups and draw(_RARELY):
+        groups.append(list(draw(st.sampled_from(groups))))
+    argv = list(path) + [t for g in draw(st.permutations(groups)) for t in g]
+    if path and draw(_RARELY):
+        argv.insert(1, draw(st.sampled_from(_ALL_FLAGS)))
+    return argv
+
+
+# Each argv only parses, so the fuzz runs more examples than the others.
+@settings(_FUZZ, max_examples=1000)
+@given(_argvs())
+@example(["grounded", "bs", "--sample=5"])
+@example(["grounded", "bs", "--sam", "5"])
+@example(["reduce", "ts", "--af", "apx:F", "--set", "a0", "--set", "a1"])
+@example(["reduce", "ts", "--af", "apx:F", "--depth", "-4"])
+@example(["reduce", "witness", "--arg", "a1", "--af", "-x"])
+@example(["grounded", "--", "x"])
+@example(["reduce", "ts", "-h"])
+@example(["reduce", "witness", "--arg", "a1"])
+@example(["tree", "search", "--input", "t.json", "--ordinal", "w",
+          "--depth", "3", "--width", "3"])
+@example(["grounded", "bs", "--format", "xml"])
+@example(["reduce", "ta", "--af", "apx:F", "--arg", "a1", "--depth", "1e3"])
+@example(["grounded", "bs", "extra"])
+@example(["reduce", "--af", "X", "ts"])
+def test_the_argv_table_reads_what_argparse_reads(argv):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            want = cli._PARSER.parse_args(argv)
+    except SystemExit:
+        assert cli._fast_args(argv) is None
+    else:
+        got = cli._fast_args(argv)
+        assert got is None or got == want
