@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import (
     Affine,
@@ -154,16 +154,16 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
             kid = stepped[state, s] = tree.step(state, s)
         return kid
 
-    def split(x: int):
-        """A forest index's root child p, its j, and p's `known`."""
-        p, j = unpair(x)
-        t = tables.get(p)
-        if t is None:
-            t = tables[p] = {0: child_state(tree.root, p)}
-        return p, j, t
-
-    def state_of(t: dict, code: int):
-        climb = []
+    def locate(index: int):
+        """(root child p, or None when not a forest; the index j within
+        p's subtree; the state of j's node code j // 2, or OFF_TREE)."""
+        p, j, t = None, index, known
+        if forest:
+            p, j = unpair(index)
+            t = tables.get(p)
+            if t is None:
+                t = tables[p] = {0: child_state(tree.root, p)}
+        code, climb = j // 2, []
         while code not in t:
             parent, s = unpair(code - 1)
             climb.append((code, s))
@@ -171,28 +171,26 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
         state = t[code]
         for code, s in reversed(climb):
             state = t[code] = child_state(state, s)
-        return state
+        return p, j, state
 
     def predicate(x: int, y: int) -> bool:
-        t = known
+        p, x, state = locate(x)
         if forest:
-            (p, x, t), (q, y) = split(x), unpair(y)
+            q, y = unpair(y)
             if p != q:
                 return False
-        if x % 2 == 0 and y == x + 1:
-            return state_of(t, x // 2) is not OFF_TREE
-        if x % 2 == 1 and y % 2 == 0 and x > 1:
-            code = x // 2
-            return (unpair(code - 1)[0] == y // 2
-                    and state_of(t, code) is not OFF_TREE)
-        return False
+        if state is OFF_TREE:
+            return False
+        if x % 2 == 0:
+            return y == x + 1
+        return x > 1 and y % 2 == 0 and unpair(x // 2 - 1)[0] == y // 2
 
     def candidates(index: int, hi: int) -> list:
         # a b is attacked only by its own a; an a only by the b's of its
         # child slots, whose indices grow with the slot symbol; in a
         # forest, pair(p, c) < hi exactly when c < least_right(p, hi)
+        p, index, _ = locate(index)
         if forest:
-            p, index = unpair(index)
             hi = least_right(p, hi)
         if index % 2 == 1:
             out = [index - 1] if index - 1 < hi else []
@@ -204,17 +202,14 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
         return [pair(p, c) for c in out] if forest else out
 
     def spec(index: int) -> Members:
-        t, tail = known, (_B_STEP,)
-        if forest:
-            p, index, t = split(index)
-            tail = (_B_STEP, PairLeft(p))
-        code = index // 2
-        state = state_of(t, code)
+        p, index, state = locate(index)
         if state is OFF_TREE:
             return Members()
+        code = index // 2
         if index % 2 == 1:
             explicit, lifted = (index - 1,), ()
         else:
+            tail = (_B_STEP, PairLeft(p)) if forest else (_B_STEP,)
             children = tree.children(state)
             explicit = tuple(2 * (pair(code, s) + 1) + 1 for s in children.explicit)
             lifted = tuple(Family(
@@ -227,21 +222,16 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
         return Members(explicit=explicit, families=lifted)
 
     def naming(index: int) -> str:
-        t, prefix = known, ""
-        if forest:
-            p, index, t = split(index)
-            prefix = f"u{p}_"
-        if state_of(t, index // 2) is OFF_TREE:
+        p, index, state = locate(index)
+        prefix = f"u{p}_" if forest else ""
+        if state is OFF_TREE:
             return f"{prefix}pad_{index}"
         return prefix + _path_name("ab"[index % 2], _decode(index // 2))
 
     candidate = None
     if sup is not None:
         def stage_of(index: int):
-            t = known
-            if forest:
-                _, index, t = split(index)
-            state = state_of(t, index // 2)
+            _, index, state = locate(index)
             if state is OFF_TREE:
                 return ONE
             return NEVER if index % 2 else tree.declared_rank(state) + 1
@@ -339,90 +329,6 @@ def baumann_spanring(truncate: Optional[int] = None):
                   candidate_stages=candidate, attacker_candidates=candidates)
 
 
-# -- indexed unions -----------------------------------------------------------------
-
-
-class _Slice(NamedTuple):
-    """Part p of an indexed union, with what the union's callbacks need."""
-
-    part: object  # FiniteAF | LazyAF | None past the last part
-    size: float  # arguments before the padding: inf for a lazy part
-    stage: Optional[Callable[[int], object]]
-
-
-def _union(parts: List, stage_maps: List[SymbolicStageMap],
-           families: Tuple[Family, ...],
-           sup: Optional[Tuple[Ordinal, bool, Optional[int]]]) -> LazyAF:
-    """The union of a list of AFs with part p's argument j at pair(p, j).
-
-    Indices past a finite part's n, and slices past the last part, are
-    padding at stage 1.  sup = (value, attained, witness) attaches a
-    candidate stage map: `families`, then each part's from `stage_maps`.
-    """
-    slices = [_Slice(part, math.inf if part.universe is None else part.universe,
-                     stage_maps[p].stage_of if sup else None)
-              for p, part in enumerate(parts)]
-    past = _Slice(None, 0, None)
-
-    def slice_of(p: int) -> _Slice:
-        return slices[p] if p < len(slices) else past
-
-    def predicate(x: int, y: int) -> bool:
-        px, jx = unpair(x)
-        py, jy = unpair(y)
-        if px != py:
-            return False
-        s = slice_of(px)
-        return jx < s.size and jy < s.size and s.part.attacks(jx, jy)
-
-    def candidates(y: int, hi: int) -> list:
-        # attacks stay inside a part, and pair(p, c) < hi exactly when c < m
-        p, j = unpair(y)
-        s = slice_of(p)
-        if j >= s.size:
-            return []
-        return [pair(p, c)
-                for c in s.part.attacker_candidates(j, least_right(p, hi))]
-
-    def spec(x: int) -> Members:
-        p, j = unpair(x)
-        s = slice_of(p)
-        if j >= s.size:
-            return Members()
-        inner = s.part.attacker_spec(j)
-        return Members(
-            explicit=tuple(pair(p, b) for b in inner.explicit),
-            families=tuple(replace(f, index_map=f.index_map.then(PairLeft(p)))
-                           for f in inner.families))
-
-    def naming(x: int) -> str:
-        p, j = unpair(x)
-        s = slice_of(p)
-        return f"pad_{x}" if j >= s.size else f"u{p}_{s.part.name(j)}"
-
-    candidate = None
-    if sup is not None:
-        def stage_of(x: int):
-            p, j = unpair(x)
-            s = slice_of(p)
-            return ONE if j >= s.size else s.stage(j)
-
-        def family_all_never(fam: Family) -> Optional[bool]:
-            # attacker families come only from lazy parts, lifted by PairLeft
-            steps = fam.index_map.steps
-            if steps and isinstance(steps[-1], PairLeft):
-                s = slice_of(steps[-1].left)
-                if isinstance(s.part, LazyAF):
-                    return s.part.candidate_stages.family_all_never(
-                        replace(fam, index_map=IndexMap(steps[:-1])))
-            return None
-
-        candidate = SymbolicStageMap(families=families, fallback=stage_of,
-                                     sup=sup, family_all_never=family_all_never)
-    return LazyAF(predicate, spec, naming=naming,
-                  candidate_stages=candidate, attacker_candidates=candidates)
-
-
 # -- ordinal-targeted AFs ---------------------------------------------------------
 
 
@@ -514,37 +420,92 @@ def _compact_union(parts) -> FiniteAF:
                            [flat_names[f] for f in ranked])
 
 
+def _lift(p: int, fam: Family) -> Family:
+    """fam with its members moved to union part p."""
+    return replace(fam, index_map=fam.index_map.then(PairLeft(p)))
+
+
 def disjoint_union(parts: List):
     """The union of finitely many AFs; attacks stay within parts.
 
     All-finite unions compact the pairing codes into a finite AF; with
-    any lazy part the union is the indexed union of the list, part p's
-    argument j at pair(p, j).  Either way it is named u<p>_<its name>.
+    any lazy part the union is indexed, part p's argument j at pair(p, j),
+    and indices past a finite part's n, and slices past the last part,
+    are padding pad_<index> at stage 1.  Either way part p's arguments
+    are named u<p>_<its name>.  The indexed union has a candidate stage
+    map when every lazy part has one: the parts' families, lifted, then
+    each part's own map, finite parts' from their exact stages.
     """
     parts = list(parts)
     if all(isinstance(p, FiniteAF) for p in parts):
         return _compact_union([(part.names, part._fwd) for part in parts])
 
-    families: List[Family] = []
-    stage_maps, sup = [], None
+    sizes = [math.inf if part.universe is None else part.universe
+             for part in parts]
+    maps = None
     if all(isinstance(p, FiniteAF) or p.candidate_stages is not None
            for p in parts):
-        best, attained, witness = ONE, True, None
-        for p, part in enumerate(parts):
-            if isinstance(part, FiniteAF):
-                cand = SymbolicStageMap.from_finite(stages_finite(part))
-            else:
-                cand = part.candidate_stages
-                families.extend(replace(f, index_map=f.index_map.then(PairLeft(p)))
-                                for f in cand.families)
-            stage_maps.append(cand)
+        maps = [SymbolicStageMap.from_finite(stages_finite(part))
+                if isinstance(part, FiniteAF) else part.candidate_stages
+                for part in parts]
+
+    def locate(x: int):
+        """(part p, the index j within it, whether j lies inside part p)."""
+        p, j = unpair(x)
+        return p, j, p < len(parts) and j < sizes[p]
+
+    def predicate(x: int, y: int) -> bool:
+        (p, j, inside), (q, k, y_inside) = locate(x), locate(y)
+        return p == q and inside and y_inside and parts[p].attacks(j, k)
+
+    def candidates(y: int, hi: int) -> list:
+        # attacks stay inside a part, and pair(p, c) < hi exactly when c < m
+        p, j, inside = locate(y)
+        if not inside:
+            return []
+        return [pair(p, c)
+                for c in parts[p].attacker_candidates(j, least_right(p, hi))]
+
+    def spec(x: int) -> Members:
+        p, j, inside = locate(x)
+        if not inside:
+            return Members()
+        inner = parts[p].attacker_spec(j)
+        return Members(explicit=tuple(pair(p, b) for b in inner.explicit),
+                       families=tuple(_lift(p, f) for f in inner.families))
+
+    def naming(x: int) -> str:
+        p, j, inside = locate(x)
+        return f"u{p}_{parts[p].name(j)}" if inside else f"pad_{x}"
+
+    candidate = None
+    if maps is not None:
+        families, best, attained, witness = [], ONE, True, None
+        for p, cand in enumerate(maps):
+            families.extend(_lift(p, f) for f in cand.families)
             value, att, wit = cand.declared_sup()
             if value > best:
                 best, attained = value, att
                 witness = pair(p, wit) if att and wit is not None else None
-        sup = (best, attained, witness)
 
-    return _union(parts, stage_maps, tuple(families), sup)
+        def stage_of(x: int):
+            p, j, inside = locate(x)
+            return maps[p].stage_of(j) if inside else ONE
+
+        def family_all_never(fam: Family) -> Optional[bool]:
+            # attacker families come only from lazy parts, lifted by PairLeft
+            steps = fam.index_map.steps
+            if steps and isinstance(steps[-1], PairLeft) \
+                    and steps[-1].left < len(parts):
+                return maps[steps[-1].left].family_all_never(
+                    replace(fam, index_map=IndexMap(steps[:-1])))
+            return None
+
+        candidate = SymbolicStageMap(families=tuple(families), fallback=stage_of,
+                                     sup=(best, attained, witness),
+                                     family_all_never=family_all_never)
+    return LazyAF(predicate, spec, naming=naming,
+                  candidate_stages=candidate, attacker_candidates=candidates)
 
 
 # -- generator spec grammar -----------------------------------------------------------

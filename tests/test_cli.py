@@ -182,6 +182,14 @@ def test_reduce_ts(capsys, chain_path):
     assert doc["rank"] == "0" and doc["tree"]["nodes"] == [[]]
 
 
+@pytest.mark.parametrize("seed", [(), ("--set", "")])
+def test_reduce_ts_with_the_empty_seed(capsys, chain_path, seed):
+    # the empty set meets no G+, and no level of T_S is attacked
+    code, out, _ = run(capsys, "reduce", "ts", "--af", f"apx:{chain_path}", *seed)
+    assert code == 0
+    assert json.loads(out) == {"path_exists": True, "prefix": [0] * 100}
+
+
 def test_reduce_ts_prints_the_pathless_object_as_json_dumps_does(
         capsys, tmp_path):
     rng = random.Random(61)

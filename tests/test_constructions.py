@@ -359,14 +359,36 @@ def test_union_places_part_p_argument_j_at_pair(text):
             assert (cand.family_all_never(fam)
                     == part.candidate_stages.family_all_never(own))
     # no verdict on a family no part minted: a limit's root stages, or
-    # part 0's arguments all lifted
+    # part 0's or the first missing part's arguments all lifted
+    past = next((p for p in parts if parts[p] is None), len(parts))
     for index_map in (IndexMap((PairRight(0),)),
-                      IndexMap.affine(1, 0).then(PairLeft(0))):
+                      IndexMap.affine(1, 0).then(PairLeft(0)),
+                      IndexMap.affine(1, 0).then(PairLeft(past))):
         assert cand.family_all_never(Family(index_map)) is None
 
 
+def test_union_with_a_lazy_part_without_stage_map_has_none():
+    # x attacks x + 1, with no candidate stages
+    chain = LazyAF(lambda x, y: y == x + 1,
+                   lambda x: Members(explicit=(x - 1,) if x else ()))
+    union = disjoint_union([chain, baumann_spanring()])
+    assert union.candidate_stages is None
+    x3, x4, b0 = pair(0, 3), pair(0, 4), pair(1, 1)
+    assert union.attacks(x3, x4) and not union.attacks(x4, x3)
+    assert not union.attacks(x3, pair(1, 4))
+    assert union.attacker_spec(x4) == Members(explicit=(x3,))
+    odd_a = baumann_spanring().attacker_spec(1).families[0]
+    assert union.attacker_spec(b0) == Members(families=(
+        Family(odd_a.index_map.then(PairLeft(1)), odd_a.k_start, odd_a.expr),))
+    assert list(union.attacker_candidates(x4, 40)) == \
+        [pair(0, c) for c in range(least_right(0, 40))]
+    assert list(union.attacker_candidates(pair(2, 0), 40)) == []
+    assert [union.name(x) for x in (x4, b0, pair(2, 0))] == \
+        ["u0_x4", "u1_b0", f"pad_{pair(2, 0)}"]
+
+
 def test_limit_targets_are_built_without_the_indexed_union(monkeypatch):
-    monkeypatch.setattr(constructions, "_union", None)
+    monkeypatch.setattr(constructions, "disjoint_union", None)
     for text in ("w", "w^2", "w^2+w*2"):
         af = ordinal_target_af(parse_ordinal(text))
         assert verify_symbolic_stages(af, af.candidate_stages, sample=64).ok

@@ -202,6 +202,22 @@ def test_only_the_ts_state_machine_builds_tree_nodes():
     assert {scope.split(".")[0] for scope, _ in builds} == {"_ts_states"}
 
 
+LAZY_BUILDERS = {"_tree_af", "baumann_spanring", "disjoint_union"}
+
+
+def test_one_builder_per_lazy_generator():
+    # a limit target is _tree_af's forest and every union is disjoint_union's
+    builders = {(path.name, scope.split(".")[0])
+                for path in sorted(SRC.glob("*.py")) if path.name != "checks.py"
+                for scope, _ in calls(path, "LazyAF")}
+    assert builders == {("constructions.py", name) for name in LAZY_BUILDERS}
+
+
+def test_the_guard_sees_each_lazy_builder():
+    assert [scope for scope, _ in calls(SRC / "constructions.py", "LazyAF")] == \
+        ["_tree_af", "baumann_spanring", "disjoint_union"]
+
+
 def classes() -> dict:
     """{(module, class): (its base names, whether it stores a k_start)}
     over every library class; a store is an assignment to k_start (a

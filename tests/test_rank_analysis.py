@@ -100,6 +100,13 @@ def test_ts_examples_two_chain():
     assert set(empty.prefix) == {0}  # nothing ever attacks the empty commitment
 
 
+@pytest.mark.parametrize("x", [3, -1])
+def test_ts_path_exists_refuses_a_seed_out_of_range(x):
+    with pytest.raises(IndexError) as err:
+        ts_path_exists(FiniteAF(3, [(0, 1), (1, 2)]), {x})
+    assert str(err.value) == f"seed argument {x} out of range"
+
+
 def test_ts_two_cycle_self_defense():
     assert ts_path_exists(two_cycle(), {0}).path_exists
 
