@@ -4,7 +4,9 @@ Each suite runs randomized instances and collects violations; a failing
 finite-AF property is shrunk by greedy argument removal
 (`remove_argument`) before being reported, so the dump is the smallest
 AF (under that greedy strategy) still violating the property.  The lemma
-suite also builds, merges and verifies self-defending witnesses.
+suite also cross-checks the grounded labelling (IN, OUT, UNDEC) against
+G, G+ and the rest built without the stage kernel, and builds, merges
+and verifies self-defending witnesses.
 
 The module also keeps slow, independent reference engines (an
 all-subsets least fixpoint, the round-by-round loops the stage kernel
@@ -192,7 +194,8 @@ def iterated_defense_step(af: FiniteAF) -> GroundedResult:
 
     Every round rescans all n arguments, so a run costs
     Theta(rounds * (n+m)); the library computes the same result with its
-    O(n+m) stage kernel.
+    O(n+m) stage kernel.  The counts are sign-valued: 0 for G, -1 for G+
+    and 1 for the undecided rest.
     """
     layers = []
     current: frozenset = frozenset()
@@ -202,7 +205,10 @@ def iterated_defense_step(af: FiniteAF) -> GroundedResult:
             break
         layers.append(tuple(sorted(nxt - current)))
         current = nxt
-    return GroundedResult(tuple(layers), af.n)
+    plus = af.plus_set(current)
+    counts = tuple(0 if x in current else -1 if x in plus else 1
+                   for x in range(af.n))
+    return GroundedResult(tuple(layers), counts)
 
 
 def eliminated_self_defending(af: FiniteAF) -> frozenset:
@@ -720,6 +726,25 @@ def rank_stage_bridge_check(af: FiniteAF) -> BridgeReport:
 # -- the lemma suite -------------------------------------------------------------
 
 
+def grounded_classes(result: GroundedResult) -> Tuple[frozenset, ...]:
+    """(IN, OUT, UNDEC) of a grounding: the arguments whose count is 0,
+    below 0 and above 0."""
+    signs = [(c > 0) - (c < 0) for c in result.counts]
+    return tuple(frozenset(x for x, s in enumerate(signs) if s == sign)
+                 for sign in (0, -1, 1))
+
+
+def bad_classes(af: FiniteAF) -> bool:
+    """Whether grounded_finite's labelling differs from references built
+    without it: G by all subsets (n <= 10) or by rounds, G+ = plus_set(G)
+    and UNDEC the rest."""
+    g = bitmask_least_fixpoint(af) if af.n <= 10 else \
+        iterated_defense_step(af).grounded
+    g_plus = af.plus_set(g)
+    return grounded_classes(grounded_finite(af)) != \
+        (g, g_plus, frozenset(range(af.n)) - g - g_plus)
+
+
 def run_lemma_suite(trials: int, max_args: int, seed: int) -> SuiteResult:
     rng = random.Random(seed)
     result = SuiteResult("lemmas", trials)
@@ -742,6 +767,9 @@ def run_lemma_suite(trials: int, max_args: int, seed: int) -> SuiteResult:
                 report(af, "grounded is not the least fixpoint", bad_lfp)
                 continue
 
+        if bad_classes(af):
+            report(af, "grounded labelling's IN/OUT/UNDEC classes disagree "
+                       "with G, G+ and the rest", bad_classes)
         if not af.is_conflict_free(r.grounded):
             report(af, "grounded extension not conflict-free",
                    lambda a: not a.is_conflict_free(grounded_finite(a).grounded))

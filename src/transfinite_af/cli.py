@@ -24,7 +24,6 @@ from .grounded import grounded_finite, verify_symbolic_stages
 from .ordinals import format_ordinal, parse_ordinal
 from .rank_analysis import (
     expand_ts,
-    largest_self_defending,
     ta_path_exists,
     ts_path_exists,
     witness_path,
@@ -177,7 +176,7 @@ def cmd_grounded(args) -> int:
         result = grounded_finite(af)
         names = af.names
         ordinal = format_ordinal(result.grounding_ordinal)
-        grounded = [names[i] for i in sorted(result.grounded)]
+        grounded = result.of_grounded(names)
         payload = {"grounded": grounded}
         lines = [f"grounded: {' '.join(grounded)}",
                  f"grounding ordinal: {ordinal}"]
@@ -226,10 +225,8 @@ def cmd_grounded(args) -> int:
 
 def cmd_self_defending(args) -> int:
     af = _require_finite(_materialize(args.spec), "self-defending")
-    members = largest_self_defending(af)
-    _emit(json.dumps(
-        {"largest_self_defending": [af.names[i] for i in sorted(members)]},
-        sort_keys=True))
+    members = grounded_finite(af).outside_plus(af.names)
+    _emit(json.dumps({"largest_self_defending": members}, sort_keys=True))
     return EXIT_OK
 
 

@@ -8,7 +8,9 @@ Three regimes:
   Computer J. 2021).  Every argument counts its attackers not yet
   defeated; an argument entering G_k defeats its targets, and an
   argument whose count drops to 0 joins G_{k+1}, so a run costs O(n+m).
-  The result keeps the layers and builds a stage map only when read.
+  The final counts are the grounded labelling (0 IN, below 0 OUT, above
+  0 UNDEC); the result keeps them and the layers, and builds a stage map
+  only when read.
 
 * finitary lazy AFs: an attacker-closed window is iterated with the same
   kernel; stages are exact for every argument of the closure (the
@@ -29,7 +31,6 @@ Three regimes:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
@@ -44,27 +45,28 @@ from .ordinals import NEVER, ZERO, Ordinal, StageValue
 # -- the stage kernel -----------------------------------------------------------
 
 
-def _stage_layers(pending: Dict[int, int], targets) -> Iterator[List[int]]:
+def _stage_layers(layer: List[int], pending, targets) -> Iterator[List[int]]:
     """Yield the layers G_1 - G_0, G_2 - G_1, ... while they are nonempty.
 
-    `pending[x]` counts, for every node x, the attackers of x inside the
-    node set not yet defeated, and `targets[x]` lists the attack edges
-    out of x inside the set; the set must be closed under attackers.
-    The counts are spent as the run goes: x joins the layer after the one
-    that defeats its last attacker.  Each argument is defeated once and
-    each of its outgoing edges decrements one count once: O(n+m) over
-    the whole run.
+    `layer` is G_1, the nodes with no attacker; `pending[x]` counts, for
+    every node x, the attackers of x inside the node set not yet
+    defeated, and `targets[x]` lists the attack edges out of x inside the
+    set; the set must be closed under attackers.  The counts are spent as
+    the run goes: x joins the layer after the one that defeats its last
+    attacker, and a defeated node's count is set to -1 and only falls
+    after (its attacker in G is never defeated, so it never reaches 0).
+    After a full run the counts are the grounded labelling: 0 for IN,
+    below 0 for OUT, above 0 for UNDEC.  Each argument is defeated once and each
+    of its outgoing edges decrements one count once: O(n+m) in all.
     """
-    layer = [x for x, count in pending.items() if not count]
-    defeated = set()
     while layer:
         yield layer
         nxt = []
         for x in layer:
             for d in targets[x]:
-                if d in defeated:
+                if pending[d] < 0:
                     continue
-                defeated.add(d)
+                pending[d] = -1
                 for t in targets[d]:
                     pending[t] -= 1
                     if not pending[t]:
@@ -77,11 +79,12 @@ def _stage_layers(pending: Dict[int, int], targets) -> Iterator[List[int]]:
 
 @dataclass(frozen=True)
 class GroundedResult:
-    """A finite AF's stage layers G_1 - G_0, G_2 - G_1, ... (none empty) over
-    its n arguments; the stage map, x to its k or NEVER, is built on read."""
+    """A finite AF's stage layers G_1 - G_0, G_2 - G_1, ... (none empty) and
+    its arguments' final counts, whose signs alone carry meaning: 0 in G,
+    below 0 in G+, above 0 undecided.  The stage map is built on read."""
 
     layers: Tuple[Tuple[int, ...], ...]
-    n: int
+    counts: Tuple[int, ...]
 
     @property
     def grounding_ordinal(self) -> Ordinal:
@@ -91,9 +94,17 @@ class GroundedResult:
     def grounded(self) -> frozenset:
         return frozenset(chain.from_iterable(self.layers))
 
+    def of_grounded(self, items) -> list:
+        """The items at the indices in G, in index order."""
+        return [item for item, count in zip(items, self.counts) if not count]
+
+    def outside_plus(self, items) -> list:
+        """The items at the indices outside G+ (IN or UNDEC), in index order."""
+        return [item for item, count in zip(items, self.counts) if count >= 0]
+
     @cached_property
     def stages(self) -> Dict[int, StageValue]:
-        stages: Dict[int, StageValue] = dict.fromkeys(range(self.n), NEVER)
+        stages = dict.fromkeys(range(len(self.counts)), NEVER)
         for k, layer in enumerate(self.layers, start=1):
             stage = Ordinal.from_int(k)
             for x in layer:
@@ -108,15 +119,19 @@ def grounded_finite(af: FiniteAF) -> GroundedResult:
     kernel in O(n+m) for n arguments and m attacks, from the attack rows
     alone: each argument's count of attackers is its number of entries
     in the rows, so no attacker row is built (built ones give the counts
-    as their lengths).  The grounding ordinal is the number of layers.
+    as their lengths).  The grounding ordinal is the number of layers,
+    and the kernel's final counts label G, G+ and the undecided rest.
     """
     if af._rev_rows is not None:  # built already: the counts are O(n)
-        pending = dict(enumerate(map(len, af._rev_rows)))
+        pending = list(map(len, af._rev_rows))
     else:
-        pending = dict.fromkeys(range(af.n), 0)
-        pending.update(Counter(chain.from_iterable(af._fwd)))
-    return GroundedResult(tuple(map(tuple, _stage_layers(pending, af._fwd))),
-                          af.n)
+        pending = [0] * af.n
+        for row in af._fwd:
+            for y in row:
+                pending[y] += 1
+    first = [x for x in range(af.n) if not pending[x]]
+    layers = tuple(map(tuple, _stage_layers(first, pending, af._fwd)))
+    return GroundedResult(layers, tuple(pending))
 
 
 def stages_finite(af: FiniteAF) -> Dict[int, StageValue]:
@@ -200,7 +215,8 @@ def omega_approximation(af: LazyAF, window: int, steps: int,
             targets[b].append(x)
 
     stages: Dict[int, Ordinal] = {}
-    layers = _stage_layers({x: len(xs) for x, xs in attackers.items()},
+    layers = _stage_layers([x for x, xs in attackers.items() if not xs],
+                           {x: len(xs) for x, xs in attackers.items()},
                            targets)
     rounds = 0
     for rounds, layer in enumerate(islice(layers, steps), start=1):

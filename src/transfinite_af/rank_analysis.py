@@ -37,10 +37,9 @@ def largest_self_defending(af: FiniteAF) -> frozenset:
     """The largest set that counter-attacks each of its attackers.
 
     It equals the complement of G+, the arguments the grounded extension
-    attacks, so it costs one run of the O(n+m) stage kernel plus one pass
-    over the attacks of G.
+    attacks, read off the final counts of one O(n+m) stage kernel run.
     """
-    return frozenset(range(af.n)) - af.plus_set(grounded_finite(af).grounded)
+    return frozenset(grounded_finite(af).outside_plus(range(af.n)))
 
 
 # -- T_S ---------------------------------------------------------------------
@@ -240,15 +239,15 @@ def ts_path_exists(af: FiniteAF, seed, prefix_depth: int = 100) -> TsDecision:
     for x in seed:
         if not (0 <= x < af.n):
             raise IndexError(f"seed argument {x} out of range")
-    gplus = af.plus_set(grounded_finite(af).grounded)
-    if seed & gplus:
+    counts = grounded_finite(af).counts  # below 0 exactly on G+
+    if any(counts[x] < 0 for x in seed):
         rank = ts_rank(af, seed)
         return TsDecision(False, None, Ordinal.from_int(rank))
-    prefix = _defense_prefix(af, seed, gplus, prefix_depth)
+    prefix = _defense_prefix(af, seed, counts, prefix_depth)
     return TsDecision(True, prefix, None)
 
 
-def _defense_prefix(af: FiniteAF, seed: frozenset, gplus: frozenset,
+def _defense_prefix(af: FiniteAF, seed: frozenset, counts: Tuple[int, ...],
                     depth: int) -> NodePath:
     """The first `depth` levels of T_S's path that answers each attacked
     level with the least counter-attacker outside G+.
@@ -257,7 +256,8 @@ def _defense_prefix(af: FiniteAF, seed: frozenset, gplus: frozenset,
     so the walk goes diagonal by diagonal with no level decoded; rows
     n >= af.n are no argument's and read 0.  G+ is fixed, so each
     attacker's counter-attacker is found once, when its level is first
-    reached attacked; nothing past the prefix is committed.
+    reached attacked; nothing past the prefix is committed.  G+ is the
+    arguments whose grounding count is below 0.
     """
     # symbol[n]: 0 while a_n attacks nothing committed, -1 once it does,
     # and its least counter-attacker outside G+, plus 1, once found
@@ -280,7 +280,7 @@ def _defense_prefix(af: FiniteAF, seed: frozenset, gplus: frozenset,
             # final; finding it commits it, which may mark rows below
             n = hi - rows.index(-1)
             path.extend(rows[:hi - n])
-            j = next((i for i in af.attackers_of(n) if i not in gplus), None)
+            j = next((i for i in af.attackers_of(n) if counts[i] >= 0), None)
             if j is None:
                 raise AssertionError(
                     f"attacker {n} of the committed set has no "
@@ -342,20 +342,19 @@ def witness_path(af: FiniteAF, a: int, length: int) -> NodePath:
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    result = grounded_finite(af)
-    if a in result.grounded:
+    counts = grounded_finite(af).counts
+    if a in range(af.n) and not counts[a]:
         raise DomainError(
             f"argument {af.name(a)} is grounded; T^a has no path")
-    return _witness_path(af, a, result.grounded, length)
+    return _witness_path(af, a, counts, length)
 
 
-def _witness_path(af: FiniteAF, a: int, grounded: frozenset,
+def _witness_path(af: FiniteAF, a: int, counts: Tuple[int, ...],
                   length: int) -> NodePath:
-    gplus = af.plus_set(grounded)
-    first = next((i for i in af.attackers_of(a) if i not in gplus), None)
+    first = next((i for i in af.attackers_of(a) if counts[i] >= 0), None)
     if first is None:
         raise AssertionError("non-grounded argument with every attacker in G+")
-    rest = _defense_prefix(af, frozenset((first,)), gplus, length - 1)
+    rest = _defense_prefix(af, frozenset((first,)), counts, length - 1)
     return (first,) + rest
 
 
@@ -365,10 +364,10 @@ def ta_path_exists(af: FiniteAF, a: int, prefix_depth: int = 100) -> TsDecision:
     prefix of prefix_depth symbols, or ta_rank's exact rank."""
     if prefix_depth < 1:
         raise ValueError("prefix_depth must be >= 1")
-    grounded = grounded_finite(af).grounded
-    if a in grounded:
+    counts = grounded_finite(af).counts
+    if a in range(af.n) and not counts[a]:
         return TsDecision(False, None, _exact_ta_rank(af, a))
-    return TsDecision(True, _witness_path(af, a, grounded, prefix_depth), None)
+    return TsDecision(True, _witness_path(af, a, counts, prefix_depth), None)
 
 
 def ta_path_violations(af: FiniteAF, a: int, path: NodePath,

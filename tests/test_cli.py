@@ -379,7 +379,7 @@ def test_check_lemmas_catches_a_grounded_that_drops_its_last_layer(
         capsys, monkeypatch):
     def short(af):
         result = grounded_finite(af)
-        return GroundedResult(result.layers[:-1], result.n)
+        return GroundedResult(result.layers[:-1], result.counts)
 
     sizes = []
     minimize_af = checks.minimize_af
@@ -396,6 +396,25 @@ def test_check_lemmas_catches_a_grounded_that_drops_its_last_layer(
     assert code == 1
     assert "grounded is not the least fixpoint" in out
     assert sizes and all(small <= n for n, small in sizes)
+
+
+def test_check_lemmas_catches_counts_that_drop_a_g_plus_member(
+        capsys, monkeypatch):
+    def dropped(af):
+        result = grounded_finite(af)
+        counts = list(result.counts)
+        out = [x for x, c in enumerate(counts) if c < 0]
+        if out:
+            counts[out[-1]] = 1  # the last of G+ reads UNDEC
+        return GroundedResult(result.layers, counts)
+
+    monkeypatch.setattr(checks, "grounded_finite", dropped)
+    code, out, _ = run(capsys, "check", "lemmas", "--trials", "3",
+                       "--max-args", "8", "--seed", "1")
+    assert code == 1
+    assert "grounded labelling's IN/OUT/UNDEC classes disagree" in out
+    assert "grounded is not the least fixpoint" not in out
+    assert "minimized: " in out
 
 
 def test_check_lemmas_catches_a_ts_path_question_that_flips(

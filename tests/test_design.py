@@ -14,9 +14,10 @@ Finite AFs from public input are validated; only the APX parser and the
 generators, whose tables are valid by construction, may skip that
 through `FiniteAF._built`.
 
-A finite grounding is its stage layers: only `grounded_finite` and its
-round-by-round reference in checks.py build a `GroundedResult`, so no
-engine hands out a stage map in place of the layers it came from.
+A finite grounding is its stage layers and the kernel's final counts:
+only `grounded_finite` and its round-by-round reference in checks.py
+build a `GroundedResult`, so no engine hands out a stage map in place of
+the layers it came from.
 
 A finite AF stores only its attack rows; the attack set `attack_pairs`
 is built from them on each read.  No library module outside checks.py
@@ -384,10 +385,12 @@ OUTSIDE_READ_ALLOWED = {
                          "FiniteTreeAF.expected_stages": "the bench calls it"},
     "core.py": {"FiniteAF.attack_pairs": "the bench's set-up reads it",
                 "FiniteAF.defense_step": "the bench tracer patches it",
-                "FiniteAF.is_conflict_free": ACCEPTANCE},
+                "FiniteAF.is_conflict_free": ACCEPTANCE,
+                "FiniteAF.plus_set": ACCEPTANCE},
     "grounded.py": {"omega_approximation": "the bench calls it"},
     "rank_analysis.py": {
         "build_Ta": ACCEPTANCE,
+        "largest_self_defending": ACCEPTANCE,
         "ta_rank": ACCEPTANCE,
         "ta_path_violations": "the bench calls it"},
     "trees.py": {"FiniteTree.node_ranks": ACCEPTANCE},
@@ -494,7 +497,8 @@ def test_every_library_member_has_a_library_caller():
 
 def test_the_guard_sees_the_members_only_tests_read():
     # without the list: the listed members, and what only they call
-    only_theirs = {"grounded.py": {"OmegaApproximation", "_attacker_closure"},
+    only_theirs = {"grounded.py": {"OmegaApproximation", "_attacker_closure",
+                                   "GroundedResult.grounded"},
                    "rank_analysis.py": {"_attacks_safe"}}
     assert unnamed_definitions() == {
         name: set(reasons) | only_theirs.get(name, set())

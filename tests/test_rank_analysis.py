@@ -475,7 +475,8 @@ def test_defense_prefixes_match_the_per_level_oracle():
             seed = frozenset(rng.sample(outside, min(len(outside),
                                                      rng.randint(0, 3))))
             want = checks.per_level_defense_prefix(af, seed, gplus, depth)
-            assert rank_analysis._defense_prefix(af, seed, gplus, depth) == want
+            assert rank_analysis._defense_prefix(
+                af, seed, grounded_finite(af).counts, depth) == want
             assert ts_path_exists(af, seed, prefix_depth=depth).prefix == want
             for a in sorted(set(range(n)) - grounded)[:2]:
                 first = min(set(af.attackers_of(a)) - gplus)
@@ -512,7 +513,7 @@ def test_bridge_reports_stages_one_round_late(monkeypatch):
     # a grounded_finite that puts every grounded argument one round late
     def late(af):
         result = grounded_finite(af)
-        return GroundedResult(((),) + result.layers, result.n)
+        return GroundedResult(((),) + result.layers, result.counts)
 
     monkeypatch.setattr(checks, "grounded_finite", late)
     report = rank_stage_bridge_check(FiniteAF(2, [(0, 1)]))

@@ -2,25 +2,28 @@
 
 `grounded_finite`, `largest_self_defending` and `omega_approximation`
 must agree exactly with the reference loops kept in `checks.py`: the same
-grounded set, every stage, the grounding ordinal, the largest
-self-defending set, and every field of a window approximation.  A finite
-AF answers the attacker queries the engines ask as its lazy view does.
+grounded set, every stage, the grounding ordinal, the grounded labelling
+the kernel's final counts give, the largest self-defending set, and every
+field of a window approximation.  A finite AF answers the attacker
+queries the engines ask as its lazy view does.
 """
 
 import random
 
 import pytest
 
-from transfinite_af import cli, grounded, rank_analysis
+from transfinite_af import checks, cli, grounded, rank_analysis
 from transfinite_af.checks import (
+    bad_classes,
     eliminated_self_defending,
+    grounded_classes,
     iterated_defense_step,
     predicate_omega_approximation,
 )
 from transfinite_af.core import FiniteAF, LazyAF, Members, format_apx, \
     parse_apx, spot_check_attacker_spec
-from transfinite_af.grounded import SymbolicStageMap, grounded_finite, \
-    omega_approximation, stages_finite, verify_symbolic_stages
+from transfinite_af.grounded import GroundedResult, SymbolicStageMap, \
+    grounded_finite, omega_approximation, stages_finite, verify_symbolic_stages
 from transfinite_af.ordinals import NEVER, Ordinal
 from transfinite_af.rank_analysis import largest_self_defending, \
     ta_path_exists, ts_path_exists, witness_path
@@ -150,21 +153,133 @@ def test_parsed_afs_ground_from_their_attack_rows_alone():
         assert members == eliminated_self_defending(af), attacks
 
 
-def test_built_attacker_rows_give_the_counts(monkeypatch):
-    """Once an AF's attacker rows are built, grounding reads the counts
-    from their lengths instead of passing over every attack again."""
+class UnscannedRows(tuple):
+    """Attack rows that may be indexed but not passed over whole."""
+
+    def __iter__(self):
+        pytest.fail("a pass over every attack")
+
+
+def built_rows_afs():
     rng = random.Random(25)
     for _ in range(30):
         n = rng.randint(1, 30)
         af = FiniteAF(n, {(rng.randrange(n), rng.randrange(n))
                           for _ in range(rng.randint(0, 3 * n))})
-        want = iterated_defense_step(af)
         af.attackers_of(0)  # builds the attacker rows
+        yield af
+
+
+def test_built_attacker_rows_give_the_counts(monkeypatch):
+    """Once an AF's attacker rows are built, grounding reads the counts
+    from their lengths instead of passing over every attack again."""
+    for af in built_rows_afs():
+        want = iterated_defense_step(af)
         with monkeypatch.context() as m:
-            m.setattr(grounded, "Counter", None)
+            m.setattr(af, "_fwd", UnscannedRows(af._fwd))
             got = grounded_finite(af)
         assert (got.grounded, got.grounding_ordinal, got.stages) == \
             (want.grounded, want.grounding_ordinal, want.stages)
+        assert grounded_classes(got) == grounded_classes(want)
+
+
+def test_the_row_guard_catches_counts_from_the_attack_rows(monkeypatch):
+    af = FiniteAF(3, [(0, 1), (1, 2)])
+    monkeypatch.setattr(af, "_fwd", UnscannedRows(af._fwd))
+    with pytest.raises(pytest.fail.Exception, match="a pass over every attack"):
+        grounded_finite(af)
+
+
+def parsed_afs():
+    rng = random.Random(26)
+    for _ in range(40):
+        n = rng.randint(1, 40)
+        yield parse_apx(format_apx(FiniteAF(n, {
+            (rng.randrange(n), rng.randrange(n))
+            for _ in range(rng.randint(0, 2 * n))})))
+
+
+def test_the_counts_are_the_grounded_labelling():
+    """IN, OUT and UNDEC partition the arguments: IN is G, OUT is G+ and
+    its complement is the largest self-defending set, on the corpus, on
+    parsed AFs and on AFs whose attacker rows are built."""
+    for af in CORPUS + list(parsed_afs()) + list(built_rows_afs()):
+        result = grounded_finite(af)
+        classes = grounded_classes(result)
+        assert len(result.counts) == af.n
+        assert sorted(x for c in classes for x in c) == list(range(af.n))
+        g, g_plus, undecided = classes
+        assert g == result.grounded
+        assert g_plus == af.plus_set(g), af.attack_pairs
+        assert undecided == frozenset(range(af.n)) - g - g_plus
+        rest = frozenset(range(af.n)) - g_plus
+        assert rest == eliminated_self_defending(af), af.attack_pairs
+        assert result.of_grounded(range(af.n)) == sorted(g)
+        assert result.outside_plus(range(af.n)) == sorted(rest)
+        assert classes == grounded_classes(iterated_defense_step(af))
+
+
+def test_the_labelling_oracle_sees_a_dropped_g_plus_member(monkeypatch):
+    """check lemmas' oracle against G by all subsets (n <= 10) and by
+    rounds (n > 10): it passes the kernel and fails counts that read one
+    G+ member UNDEC."""
+    def dropped(af):
+        result = grounded_finite(af)
+        counts = list(result.counts)
+        counts[counts.index(min(counts))] = 1
+        return GroundedResult(result.layers, counts)
+
+    with_plus = [af for af in CORPUS
+                 if af.n and min(grounded_finite(af).counts) < 0]
+    assert {af.n <= 10 for af in with_plus} == {True, False}
+    assert not any(map(bad_classes, CORPUS))
+    monkeypatch.setattr(checks, "grounded_finite", dropped)
+    assert all(map(bad_classes, with_plus))
+
+
+def _plus_set_fails(monkeypatch):
+    """Make any call of FiniteAF.plus_set fail the test."""
+    def plus_set(af, s):
+        pytest.fail("FiniteAF.plus_set was called")
+    monkeypatch.setattr(FiniteAF, "plus_set", plus_set)
+
+
+def test_the_cli_reads_g_plus_off_the_counts(monkeypatch, tmp_path, capsys):
+    _plus_set_fails(monkeypatch)
+    for i, af in enumerate(CORPUS[::8]):
+        if not 0 < af.n <= 14:
+            continue
+        path = tmp_path / f"af{i}.apx"
+        path.write_text(format_apx(af))
+        spec = f"apx:{path}"
+        g = grounded_finite(af).grounded
+        inside = [af.names[x] for x in sorted(g)][:1]
+        outside = [af.names[x] for x in range(af.n) if x not in g][:1]
+        argvs = [["grounded", spec], ["grounded", spec, "--stages"],
+                 ["self-defending", spec], ["reduce", "ts", "--af", spec],
+                 ["reduce", "ts", "--af", spec, "--set", af.names[0]]]
+        argvs += [["reduce", "ta", "--af", spec, "--arg", a]
+                  for a in inside + outside]
+        argvs += [["reduce", "witness", "--af", spec, "--arg", a,
+                   "--length", "5"] for a in outside]
+        for argv in argvs:
+            assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+
+
+def test_the_plus_set_guard_catches_a_consumer_that_calls_it(monkeypatch,
+                                                             tmp_path):
+    def rebuilding(af):
+        result = grounded_finite(af)
+        af.plus_set(result.grounded)
+        return result
+
+    _plus_set_fails(monkeypatch)
+    monkeypatch.setattr(cli, "grounded_finite", rebuilding)
+    path = tmp_path / "af.apx"
+    path.write_text(format_apx(CORPUS[-1]))
+    with pytest.raises(pytest.fail.Exception, match="plus_set was called"):
+        cli.main(["self-defending", f"apx:{path}"])
 
 
 def test_shapes_have_the_expected_stages():
