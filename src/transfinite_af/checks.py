@@ -31,8 +31,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .constructions import (
     _B_STEP,
-    _decode,
-    _path_name,
     af_from_finite_tree,
     baumann_spanring,
     disjoint_union,
@@ -475,6 +473,19 @@ def path_keyed_expand(tree, node_cap: int, width: Optional[int] = None,
                 raise CapExceeded(f"expansion exceeded {node_cap} nodes")
             queue.append(child)
     return FiniteTree(paths)
+
+
+def _decode(code: int) -> NodePath:
+    """The path of node code `code` (see constructions' tree coding)."""
+    syms = []
+    while code:
+        code, s = unpair(code - 1)
+        syms.append(s)
+    return tuple(reversed(syms))
+
+
+def _path_name(prefix: str, path: NodePath) -> str:
+    return prefix + "".join(f"_{s}" for s in path)
 
 
 def path_keyed_tree_af(tree: LazyTree) -> LazyAF:

@@ -61,10 +61,6 @@ from .trees import OFF_TREE, TRUNCATE_NODE_CAP, FiniteTree, LazyTree, _expand, \
     build_tree_of_rank, expansion_budgets, tree_from_json, truncate_tree
 
 
-def _path_name(prefix: str, path) -> str:
-    return prefix + "".join(f"_{s}" for s in path)
-
-
 # -- F_T over finite trees ------------------------------------------------
 
 
@@ -119,15 +115,25 @@ def af_from_finite_tree(tree: FiniteTree) -> FiniteTreeAF:
 # -- F_T over lazy trees -----------------------------------------------------
 
 
-def _decode(code: int) -> Tuple[int, ...]:
-    syms = []
-    while code:
-        code, s = unpair(code - 1)
-        syms.append(s)
-    return tuple(reversed(syms))
-
-
 _B_STEP = Affine(2, 3)  # child code -> companion b index, see _tree_af
+
+
+def _along_path(table: dict, code: int, step):
+    """table[code] for a node code: each code on its path that the table
+    lacks gets step(its parent code's entry, its last symbol)."""
+    climb = []
+    while code not in table:
+        parent, s = unpair(code - 1)
+        climb.append((code, s))
+        code = parent
+    entry = table[code]
+    for code, s in reversed(climb):
+        entry = table[code] = step(entry, s)
+    return entry
+
+
+def _suffix(parent: str, symbol: int) -> str:
+    return f"{parent}_{symbol}"
 
 
 def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
@@ -139,44 +145,63 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
     As a forest the root is dropped, root child p's subtree is coded on
     its own with p at code 0, and its j sits at pair(p, j), named
     u<p>_<name>.  sup = (value, attained, witness) attaches the candidate
-    stage map: `families`, then a at rank+1, b never, padding at 1.  A
-    code's state is stepped from its parent code's, and each distinct
-    (state, symbol) once per AF.
+    stage map: `families`, then a at rank+1, b never, padding at 1.
+
+    Each AF remembers what it decodes, so no answer is worked out twice:
+    an index's (p, j, state); a state's children, with its families'
+    steps, start and child-stage expression ready to lift, so `children`
+    is asked once per distinct state and `child` once per distinct
+    (state, symbol), as in LazyTree.step; and a code's name suffix, built
+    from its parent code's.  A code's state is likewise stepped from its
+    parent code's.
     """
     annotated = tree.declared_rank is not None
     stepped = {}  # (state, symbol) -> the child's state, or OFF_TREE
+    expanded = {}  # state -> (its children, its families' parts to lift)
     known = {0: tree.root}  # node code -> its state, or OFF_TREE
     tables = {}  # forest: root child p -> its subtree's `known`
+    located = {}  # index -> locate(index)
+    suffixes = {0: ""}  # node code -> "_<s1>_<s2>..." of its path
+
+    def expansion(state):
+        entry = expanded.get(state)
+        if entry is None:
+            children = tree.children(state)
+            entry = expanded[state] = (children, tuple(
+                (fam.index_map.steps, fam.k_start,
+                 fam.expr.add_finite(1) if annotated and fam.expr is not None
+                 else None)
+                for fam in children.families))
+        return entry
 
     def child_state(state, s):
         kid = stepped.get((state, s))
         if kid is None:
-            kid = stepped[state, s] = tree.step(state, s)
+            if state is OFF_TREE or not expansion(state)[0].contains(s):
+                kid = OFF_TREE
+            else:
+                kid = tree.child(state, s)
+            stepped[state, s] = kid
         return kid
 
     def locate(index: int):
         """(root child p, or None when not a forest; the index j within
         p's subtree; the state of j's node code j // 2, or OFF_TREE)."""
-        p, j, t = None, index, known
-        if forest:
-            p, j = unpair(index)
-            t = tables.get(p)
-            if t is None:
-                t = tables[p] = {0: child_state(tree.root, p)}
-        code, climb = j // 2, []
-        while code not in t:
-            parent, s = unpair(code - 1)
-            climb.append((code, s))
-            code = parent
-        state = t[code]
-        for code, s in reversed(climb):
-            state = t[code] = child_state(state, s)
-        return p, j, state
+        hit = located.get(index)
+        if hit is None:
+            p, j, t = None, index, known
+            if forest:
+                p, j = unpair(index)
+                t = tables.get(p)
+                if t is None:
+                    t = tables[p] = {0: child_state(tree.root, p)}
+            hit = located[index] = (p, j, _along_path(t, j // 2, child_state))
+        return hit
 
     def predicate(x: int, y: int) -> bool:
         p, x, state = locate(x)
         if forest:
-            q, y = unpair(y)
+            q, y, _ = locate(y)
             if p != q:
                 return False
         if state is OFF_TREE:
@@ -209,14 +234,12 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
         if index % 2 == 1:
             explicit, lifted = (index - 1,), ()
         else:
-            tail = (_B_STEP, PairLeft(p)) if forest else (_B_STEP,)
-            children = tree.children(state)
+            tail = (PairLeft(code), _B_STEP, PairLeft(p)) if forest \
+                else (PairLeft(code), _B_STEP)
+            children, parts = expansion(state)
             explicit = tuple(2 * (pair(code, s) + 1) + 1 for s in children.explicit)
-            lifted = tuple(Family(
-                IndexMap(fam.index_map.steps + (PairLeft(code),) + tail),
-                fam.k_start,
-                fam.expr.add_finite(1) if annotated and fam.expr is not None else None)
-                for fam in children.families)
+            lifted = tuple(Family(IndexMap(steps + tail), k_start, expr)
+                           for steps, k_start, expr in parts)
         if forest:
             explicit = tuple(pair(p, b) for b in explicit)
         return Members(explicit=explicit, families=lifted)
@@ -226,7 +249,7 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
         prefix = f"u{p}_" if forest else ""
         if state is OFF_TREE:
             return f"{prefix}pad_{index}"
-        return prefix + _path_name("ab"[index % 2], _decode(index // 2))
+        return prefix + "ab"[index % 2] + _along_path(suffixes, index // 2, _suffix)
 
     candidate = None
     if sup is not None:
@@ -449,10 +472,15 @@ def disjoint_union(parts: List):
                 if isinstance(part, FiniteAF) else part.candidate_stages
                 for part in parts]
 
+    located = {}  # index -> locate(index), decoded once per AF
+
     def locate(x: int):
         """(part p, the index j within it, whether j lies inside part p)."""
-        p, j = unpair(x)
-        return p, j, p < len(parts) and j < sizes[p]
+        hit = located.get(x)
+        if hit is None:
+            p, j = unpair(x)
+            hit = located[x] = (p, j, p < len(parts) and j < sizes[p])
+        return hit
 
     def predicate(x: int, y: int) -> bool:
         (p, j, inside), (q, k, y_inside) = locate(x), locate(y)

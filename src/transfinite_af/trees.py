@@ -156,7 +156,9 @@ class LazyTree:
     gives a child's state from its parent's state and its symbol; the
     root's state is `root`.  `child` is only asked for children that
     `children` lists.  States are hashable, and both answers depend on
-    the state alone: an expansion asks them once per distinct state.
+    the state alone: an expansion, and the tree's F_T (see
+    constructions._tree_af), ask `children` once per distinct state and
+    `child` once per distinct (state, symbol).
     `declared_rank`, when present, gives a node's declared rank from its
     state; it must be total on members and is verified rather than
     trusted (see checks.check_declared_ranks).

@@ -421,6 +421,31 @@ def test_verification_work_at_sample_150_is_pinned(monkeypatch, text, asks,
     assert counts == {"asks": asks, "members": members}
 
 
+def test_limit_target_asks_its_tree_once_per_state(monkeypatch):
+    # as an expansion does (see LazyTree): children once per distinct
+    # state, child once per distinct (state, symbol)
+    asked = Counter()
+
+    def counted(alpha):
+        tree = build_tree_of_rank(alpha)
+
+        def children(state):
+            asked["children", state] += 1
+            return tree.children(state)
+
+        def child(state, symbol):
+            asked["child", state, symbol] += 1
+            return tree.child(state, symbol)
+
+        return LazyTree(tree.root, children, child, tree.declared_rank)
+
+    monkeypatch.setattr(constructions, "build_tree_of_rank", counted)
+    af = ordinal_target_af(parse_ordinal("w^2"))
+    assert verify_symbolic_stages(af, af.candidate_stages, sample=150).ok
+    assert {kind for kind, *_ in asked} == {"children", "child"}
+    assert max(asked.values()) == 1
+
+
 # -- attacker candidates ---------------------------------------------------------
 
 

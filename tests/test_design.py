@@ -48,6 +48,11 @@ Tree JSON has one writer, `trees.tree_to_json`: no other library code
 outside checks.py builds a "nodes" document, as a dict or as text, and
 the dict-building `tree_document` it replaced stays gone.
 
+The generators keep no module-level cache (no module-level container, no
+functools.cache or lru_cache): what a lazy AF remembers lives in its
+builder's closures and goes with it, so a request costs the same in one
+long-lived process as in a fresh CLI process.
+
 Every function, method and class of the library outside checks.py has a
 caller there too, and that caller is live itself: a member that only
 dead members call is dead as well.  The few that only the tests or the
@@ -373,6 +378,68 @@ def test_the_guard_sees_a_second_tree_json_writer(tmp_path):
         [("tree_document", 4), ("spliced", 6), ("spliced", 6)]
     assert [scope for scope, _ in mentions(path, "tree_document")] == \
         ["", "tree_document"]
+
+
+
+MUTABLE_CONTAINERS = (ast.Dict, ast.List, ast.Set,
+                      ast.DictComp, ast.ListComp, ast.SetComp)
+CONTAINER_BUILDERS = {"dict", "list", "set", "defaultdict", "OrderedDict",
+                      "Counter", "deque"}
+CACHE_DECORATORS = {"cache", "lru_cache"}
+
+
+def names_in(node) -> set:
+    """The names and attribute names read anywhere in `node`."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None)
+            for n in ast.walk(node)} - {None}
+
+
+def module_caches(path: Path) -> list:
+    """(scope, line) of every module-level assignment of a mutable
+    container or of something built with functools.cache or lru_cache,
+    and of every definition those decorate."""
+    def caches(node):
+        if isinstance(node, DEFINITIONS):
+            return any(names_in(d) & CACHE_DECORATORS for d in node.decorator_list)
+        # an unindented statement is a module-level one
+        if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) \
+                or node.col_offset or node.value is None:
+            return False
+        value = node.value
+        return isinstance(value, MUTABLE_CONTAINERS) or bool(
+            names_in(value) & CACHE_DECORATORS) or (
+            isinstance(value, ast.Call)
+            and names_in(value.func) & CONTAINER_BUILDERS)
+
+    return find(path, caches)
+
+
+def test_the_generators_keep_no_module_level_cache():
+    # what a lazy AF remembers lives and dies with it, so separate CLI
+    # processes and one long-lived process pay the same per request
+    assert module_caches(SRC / "constructions.py") == []
+
+
+def test_the_guard_sees_a_module_level_cache(tmp_path):
+    path = tmp_path / "cached.py"
+    path.write_text(
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "LIMIT = 8\n"
+        "_SEEN = {}\n"
+        "_ROWS: list = [1]\n"
+        "_CODES = defaultdict(int)\n"
+        "_slow = functools.cache(len)\n"
+        "@lru_cache(maxsize=None)\n"
+        "def decode(code):\n"
+        "    local = {}\n"
+        "    return local\n"
+        "class Tree:\n"
+        "    @functools.cache\n"
+        "    def children(self, state):\n"
+        "        return []\n")
+    assert module_caches(path) == [("", 4), ("", 5), ("", 6), ("", 7),
+                                   ("decode", 9), ("Tree.children", 14)]
 
 
 DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)

@@ -16,6 +16,7 @@ from transfinite_af.checks import (
 from transfinite_af.errors import CapExceeded, DomainError, UnsupportedExpression
 from transfinite_af.ordinals import (
     OMEGA,
+    ONE,
     ZERO,
     Ordinal,
     fundamental_sequence,
@@ -35,8 +36,14 @@ from transfinite_af.trees import (
     tree_to_json,
     truncate_tree,
 )
-from transfinite_af.constructions import af_from_tree
-from transfinite_af.core import Family, FiniteAF, IndexMap, Members, pair
+from transfinite_af.constructions import (
+    af_from_tree,
+    baumann_spanring,
+    disjoint_union,
+    ordinal_target_af,
+)
+from transfinite_af.core import Family, FiniteAF, IndexMap, Members, PairLeft, \
+    pair, unpair
 
 W2 = Ordinal(((Ordinal.from_int(1), 2),))  # w*2
 
@@ -649,23 +656,47 @@ def test_lazy_finite_tree_tables_match_the_path_keyed_expansion(same_nodes):
 # -- F_T from remembered node states against F_T asked by path -------------------
 
 
+def assert_same_answers(got, want, n, rng):
+    """`got`, asked about the indices below n, answers as `want` does: the
+    predicate on every candidate pair, each attacker spec, name and
+    candidate stage.  The indices are asked twice, each time in a new
+    shuffled order and with each index's questions shuffled, so that no
+    answer depends on which question filled a memo first."""
+    def questions(y):
+        def attacks():
+            for x in got.attacker_candidates(y, n):
+                assert got.attacks(x, y) == want.attacks(x, y), (x, y)
+
+        def spec():
+            a, b = got.attacker_spec(y), want.attacker_spec(y)
+            # scrambled trees list their symbols in a new order at every call
+            assert set(a.explicit) == set(b.explicit), y
+            assert a.families == b.families, y
+
+        def name():
+            assert got.name(y) == want.name(y)
+
+        def stage():
+            if want.candidate_stages is not None:
+                assert got.candidate_stages.stage_of(y) == \
+                    want.candidate_stages.stage_of(y), y
+
+        return [attacks, spec, name, stage]
+
+    for _ in range(2):
+        indices = list(range(n))
+        rng.shuffle(indices)
+        for y in indices:
+            asked = questions(y)
+            rng.shuffle(asked)
+            for ask in asked:
+                ask()
+
+
 def assert_same_tree_af(tree, n, rng):
-    """F_T of `tree`, asked about the indices below n in shuffled order,
-    answers as the path-keyed reference does: the predicate on every
-    candidate pair, each attacker spec, name and candidate stage."""
+    """F_T of `tree` answers as the path-keyed reference does."""
     got, want = af_from_tree(tree), path_keyed_tree_af(tree)
-    indices = list(range(n))
-    rng.shuffle(indices)
-    for y in indices:
-        for x in got.attacker_candidates(y, n):
-            assert got.attacks(x, y) == want.attacks(x, y), (x, y)
-        a, b = got.attacker_spec(y), want.attacker_spec(y)
-        # scrambled trees list their symbols in a new order at every call
-        assert set(a.explicit) == set(b.explicit) and a.families == b.families, y
-        assert got.name(y) == want.name(y)
-        if want.candidate_stages is not None:
-            assert got.candidate_stages.stage_of(y) == \
-                want.candidate_stages.stage_of(y), y
+    assert_same_answers(got, want, n, rng)
     if want.candidate_stages is None:
         assert got.candidate_stages is None
     else:
@@ -682,3 +713,72 @@ def test_tree_af_states_match_the_path_keyed_reference():
         t = random_finite_tree(rng, max_nodes=40)
         assert_same_tree_af(LazyTree(t.root, t.children, t.child), 600, rng)
         assert_same_tree_af(scrambled(t, rng), 600, rng)
+
+
+class PartsReference:
+    """A union asked part by part: index pair(p, j) answers as part(p) does
+    at j, with attacks only inside a part, attacker specs moved to part p
+    by PairLeft(p) and names prefixed u<p>_.  part(p) is None past the
+    last part, where every index is padding pad_<index> at stage 1."""
+
+    def __init__(self, part):
+        self.part = part
+        self.candidate_stages = self
+
+    def attacks(self, x: int, y: int) -> bool:
+        (p, i), (q, j) = unpair(x), unpair(y)
+        return p == q and self.part(p) is not None and self.part(p).attacks(i, j)
+
+    def attacker_spec(self, y: int) -> Members:
+        p, j = unpair(y)
+        if self.part(p) is None:
+            return Members()
+        inner = self.part(p).attacker_spec(j)
+        return Members(tuple(pair(p, b) for b in inner.explicit),
+                       tuple(Family(f.index_map.then(PairLeft(p)), f.k_start, f.expr)
+                             for f in inner.families))
+
+    def name(self, y: int) -> str:
+        p, j = unpair(y)
+        return f"pad_{y}" if self.part(p) is None else f"u{p}_{self.part(p).name(j)}"
+
+    def stage_of(self, y: int):
+        p, j = unpair(y)
+        return ONE if self.part(p) is None else \
+            self.part(p).candidate_stages.stage_of(j)
+
+
+def limit_target_reference(alpha) -> PartsReference:
+    """F_T of the rank-alpha tree below its root, part p asked by path:
+    the path-keyed F_T of the rank-alpha[p] tree."""
+    parts = {}
+
+    def part(p):
+        if p not in parts:
+            parts[p] = path_keyed_tree_af(
+                build_tree_of_rank(fundamental_sequence(alpha, p)))
+        return parts[p]
+
+    return PartsReference(part)
+
+
+def test_limit_target_parts_match_the_path_keyed_reference():
+    rng = random.Random(53)
+    alphas = [parse_ordinal(t) for t in ("w", "w*2", "w^2", "w^3", "w^2+w")]
+    while len(alphas) < 10:
+        alpha = random_ordinal_below_w4(rng)
+        if alpha.is_limit:
+            alphas.append(alpha)
+    for alpha in alphas:
+        got = ordinal_target_af(alpha)
+        assert_same_answers(got, limit_target_reference(alpha), 600, rng)
+        assert got.candidate_stages.declared_sup() == (alpha, False, None)
+
+
+def test_lazy_union_parts_match_their_references():
+    rng = random.Random(59)
+    refs = [baumann_spanring(), limit_target_reference(W2)]
+    got = disjoint_union([baumann_spanring(), ordinal_target_af(W2)])
+    assert_same_answers(
+        got, PartsReference(lambda p: refs[p] if p < len(refs) else None),
+        600, rng)
