@@ -13,7 +13,8 @@ all-subsets least fixpoint, the round-by-round loops the stage kernel
 replaced, the O(n^2) restriction of a lazy AF to a window
 (`materialize`), the T_S rank exploration on frozenset states, T_S's
 defense prefix decoded level by level, T_S, T^a, the tree expansion and
-F_T keyed by paths, and the per-line APX parser) that the suites and
+F_T keyed by paths, the truncated limit target built part by part, and
+the per-line APX parser) that the suites and
 tests compare the library against, the queries of a tree by path that
 those references and the tests ask, the local check of a lazy tree's
 declared ranks, and the rank/stage bridge check the lemma suite runs over
@@ -31,6 +32,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .constructions import (
     _B_STEP,
+    _compact_union,
+    _tree_af_table,
     af_from_finite_tree,
     baumann_spanring,
     disjoint_union,
@@ -72,7 +75,8 @@ from .rank_analysis import (
     ts_path_exists,
     witness_path,
 )
-from .trees import ROOT, FiniteTree, LazyTree, NodePath
+from .trees import ROOT, TRUNCATE_NODE_CAP, FiniteTree, LazyTree, NodePath, \
+    _expand, build_tree_of_rank, expansion_budgets
 
 
 @dataclass
@@ -539,6 +543,30 @@ def path_keyed_tree_af(tree: LazyTree) -> LazyAF:
             fallback=stage_of, sup=(declared_rank_at(tree, ROOT) + 1, True, 0))
     return LazyAF(predicate, spec, naming=naming,
                   candidate_stages=candidate)
+
+
+# -- the truncated limit target built part by part, kept as a reference -------
+
+
+def per_part_limit_target(alpha: Ordinal, width: int,
+                          node_cap: int = TRUNCATE_NODE_CAP) -> FiniteAF:
+    """constructions.ordinal_target_af(alpha, truncate=width) for a limit
+    alpha, built part by part: part i is expanded alone from its own
+    rank-alpha[i] tree, F_T is read off each part's table, and the finite
+    union joins the parts.  The library expands every part in one call,
+    from the rank-alpha tree's root children with one state table, and
+    reads F_T off that forest table in one pass.  Both spend the same
+    up-front floors, then one pair of budgets shared by the parts."""
+    nodes, path_symbols = expansion_budgets(node_cap)
+    nodes.spend(width * (width + 1) // 2)
+    path_symbols.spend((width - 1) * width * (width + 1) // 6)
+    budgets = expansion_budgets(node_cap)
+    parts = []
+    for i in range(width):
+        tree = build_tree_of_rank(fundamental_sequence(alpha, i))
+        parts.append(_tree_af_table(_expand(tree, [tree.root], *budgets,
+                                            width=width)))
+    return _compact_union(parts)
 
 
 # -- declared-rank verification --------------------------------------------------

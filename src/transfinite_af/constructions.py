@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from .core import (
@@ -52,7 +53,6 @@ from .ordinals import (
     ZERO,
     AffineOrdinalExpr,
     Ordinal,
-    fundamental_sequence,
     fundamental_sequence_expr,
     omega_power,
     parse_ordinal,
@@ -92,17 +92,41 @@ class FiniteTreeAF:
         return out
 
 
-def _tree_af_table(tree: FiniteTree) -> Tuple[List[str], List[Tuple[int, ...]]]:
-    """F_T's names and attack rows by tree row: a_r attacks b_r, and b_r
-    attacks a of r's parent; each name is its parent's plus one symbol."""
+def _tree_af_table(tree: FiniteTree, forest: bool = False
+                   ) -> Tuple[List[str], List[Tuple[int, ...]]]:
+    """F_T's names and attack rows: a_r attacks b_r, and b_r attacks a of
+    r's parent; each name is its parent's plus one symbol.  Plain, row r
+    gives a_r at 2r and b_r at 2r+1.  A forest table (see trees._expand)
+    holds part p from its p-th root's row on, coded and named as the
+    finite union's part p: its row r, counted from that root's, gives
+    j = 2r and 2r+1 at the rank of pair(p, j) among all the parts' codes,
+    named u<p>_<name>."""
     parents, symbols = tree.parents, tree.symbols
-    suffixes = [""]
-    for r in range(1, len(parents)):
-        suffixes.append(f"{suffixes[parents[r]]}_{symbols[r]}")
-    names = [n for sfx in suffixes for n in ("a" + sfx, "b" + sfx)]
-    rows = [()] * len(names)
-    rows[0::2] = [(b,) for b in range(1, len(names), 2)]
-    rows[3::2] = [(2 * p,) for p in parents[1:]]
+    roots = [r for r, parent in enumerate(parents) if parent < 0] \
+        if forest else [0]
+    spans = list(zip(roots, roots[1:] + [len(parents)]))
+    suffixes, names = [], []
+    for p, (lo, hi) in enumerate(spans):
+        suffixes.append("")
+        for r in range(lo + 1, hi):
+            suffixes.append(f"{suffixes[parents[r]]}_{symbols[r]}")
+        a, b = (f"u{p}_a", f"u{p}_b") if forest else ("a", "b")
+        names += [nm for sfx in suffixes[lo:] for nm in (a + sfx, b + sfx)]
+    n = 2 * len(parents)
+    # each table row r's a and b, listed at 2r and 2r+1 -> their places
+    if forest:
+        order, index = _union_places([2 * (hi - lo) for lo, hi in spans])
+    else:
+        index = list(range(n))
+    a_at = index[0::2]
+    rows = [()] * n
+    rows[0::2] = [(b,) for b in index[1::2]]
+    rows[1::2] = [(a_at[parent],) for parent in parents]
+    for r in roots:
+        rows[2 * r + 1] = ()
+    if forest:
+        names = list(map(names.__getitem__, order))
+        rows = list(map(rows.__getitem__, order))
     return names, rows
 
 
@@ -370,8 +394,11 @@ def ordinal_target_af(alpha, truncate: Optional[int] = None):
     fundamental sequence (coded as one, see the module docstring), so the
     grounding ordinal is the supremum of the parts'.  alpha = 0 is the
     empty AF.  Width-w truncations build the F of the width-truncated
-    trees (truncate-then-build), unions keeping their first w parts;
-    untruncated, alpha must be below w^w.
+    trees (truncate-then-build), unions keeping their first w parts: a
+    limit's parts are the rank-alpha tree's first w root children,
+    expanded in one call that shares one state table across them, and F_T
+    is read off that forest table in one pass, coded as the finite
+    union's parts; untruncated, alpha must be below w^w.
     """
     alpha = alpha if isinstance(alpha, Ordinal) else Ordinal.from_int(alpha)
 
@@ -394,25 +421,48 @@ def ordinal_target_af(alpha, truncate: Optional[int] = None):
                              f"tree behind successor target {alpha}; use >= 1")
         return af_from_finite_tree(truncate_tree(tree, width=truncate or 1)).af
 
+    tree = build_tree_of_rank(alpha)
     if truncate is not None:
-        # The parts spend from one pair of budgets before any AF is built.
-        # Part i has rank >= i, so >= i+1 nodes on paths of >= i(i+1)/2
-        # symbols: too many parts fail up front, on a pair of their own.
+        # The parts spend from one pair of budgets, in turn and each from
+        # its own root, before any AF is built.  Part i has rank >= i, so
+        # >= i+1 nodes on paths of >= i(i+1)/2 symbols: too many parts
+        # fail up front, on a pair of their own.
         nodes, path_symbols = expansion_budgets(TRUNCATE_NODE_CAP)
         nodes.spend(truncate * (truncate + 1) // 2)
         path_symbols.spend((truncate - 1) * truncate * (truncate + 1) // 6)
-        budgets = expansion_budgets(TRUNCATE_NODE_CAP)
-        trees = [_expand(build_tree_of_rank(fundamental_sequence(alpha, i)),
-                         *budgets, width=truncate) for i in range(truncate)]
-        return _compact_union([_tree_af_table(t) for t in trees])
+        roots = [tree.child(tree.root, i) for i in range(truncate)]
+        # one name per node path within a part, kept apart by its prefix
+        names, rows = _tree_af_table(_expand(
+            tree, roots, *expansion_budgets(TRUNCATE_NODE_CAP), width=truncate),
+            forest=True)
+        return FiniteAF._built(rows, names)
 
     root_stages = fundamental_sequence_expr(alpha).add_finite(1)
-    return _tree_af(build_tree_of_rank(alpha), True,
+    return _tree_af(tree, True,
                     (Family(IndexMap((PairRight(0),)), expr=root_stages),),
                     (alpha, False, None))
 
 
 # -- disjoint unions ----------------------------------------------------------------
+
+
+def _union_places(sizes) -> Tuple[List[int], List[int]]:
+    """Where the finite union puts its parts' arguments, listed part by
+    part: part p's argument j goes to the rank of pair(p, j) among all
+    the parts' codes.  (order, index): order[g] is the listed argument
+    placed at g, and index its inverse."""
+    codes = []
+    for p, size in enumerate(sizes):
+        if size:
+            # pair(p, j) grows by p + j + 2 from j to j + 1, so each
+            # part's codes are one increasing run; sorting merges the runs
+            codes += accumulate(range(p + 2, p + size + 1),
+                                initial=p * (p + 1) // 2)
+    order = sorted(range(len(codes)), key=codes.__getitem__)
+    index = [0] * len(codes)
+    for g, f in enumerate(order):
+        index[f] = g
+    return order, index
 
 
 def _compact_union(parts) -> FiniteAF:
@@ -424,23 +474,16 @@ def _compact_union(parts) -> FiniteAF:
     parts, so the AF is built unchecked; the rank grows with j within a
     part, so remapped rows stay sorted.
     """
-    codes, offsets = [], []
-    for p, (names, _) in enumerate(parts):
-        offsets.append(len(codes))
-        # pair(p, j) with s = p + j on its diagonal
-        codes.extend(s * (s + 1) // 2 + s - p for s in range(p, p + len(names)))
-    ranked = sorted(range(len(codes)), key=codes.__getitem__)
-    index = [0] * len(codes)
-    for g, f in enumerate(ranked):
-        index[f] = g
-    flat_names, flat_rows = [], []
+    order, index = _union_places([len(names) for names, _ in parts])
+    flat_names, flat_rows, off = [], [], 0
     for p, (names, rows) in enumerate(parts):
-        prefix, off = f"u{p}_", offsets[p]
+        prefix = f"u{p}_"
         to_union = index[off:off + len(names)].__getitem__
         flat_names += [prefix + nm for nm in names]
         flat_rows += [tuple(map(to_union, row)) for row in rows]
-    return FiniteAF._built([flat_rows[f] for f in ranked],
-                           [flat_names[f] for f in ranked])
+        off += len(names)
+    return FiniteAF._built([flat_rows[f] for f in order],
+                           [flat_names[f] for f in order])
 
 
 def _lift(p: int, fam: Family) -> Family:

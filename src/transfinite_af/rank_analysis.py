@@ -210,7 +210,8 @@ def _ts_rank_states(tree: LazyTree, roots, memo: Dict[Tuple[int, int], int],
 
 def expand_ts(af: FiniteAF, seed, node_cap: int = 50_000) -> FiniteTree:
     """Materialize T_S node by node (pathless seeds only, König-finite)."""
-    return _expand(build_TS(af, seed), *expansion_budgets(node_cap))
+    tree = build_TS(af, seed)
+    return _expand(tree, [tree.root], *expansion_budgets(node_cap))
 
 
 @dataclass(frozen=True)

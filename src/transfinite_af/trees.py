@@ -52,7 +52,8 @@ class FiniteTree:
     are one run of rows.  A node's state is its row number: the root is
     row 0, and a row's children are its run of rows.  `order` and
     `node_ranks()` speak in paths and are built from the table when
-    first asked for.
+    first asked for.  An expansion from several roots (see _expand)
+    returns its forest table in this type too; only its rows are read.
     """
 
     __slots__ = ("parents", "symbols", "_order")
@@ -196,55 +197,68 @@ def rank_finite(tree: FiniteTree, node_cap: int = 200_000) -> Ordinal:
     return tree.rank()
 
 
-def _expand(tree, nodes: Budget, path_symbols: Budget,
+def _expand(tree, roots, nodes: Budget, path_symbols: Budget,
             width: Optional[int] = None, depth: Optional[int] = None) -> FiniteTree:
-    """The nodes reached breadth-first, level by level, as a node table:
-    each node's children come from its state (see LazyTree), sorted and
-    deduplicated, and get their states from it; nodes at `depth` are not
-    expanded, and families are cut to their first `width` members.  Each
-    distinct state gets an id when first reached, and its children's
-    symbols and ids are worked out once per call, when a node with that
-    id is first expanded; a level is a list of ids, so a node costs a
-    list index, not a hash of its state.  Each row spends its nodes and
-    each level its path symbols."""
+    """The nodes reached breadth-first from each of the states `roots` in
+    turn, level by level, as one node table: each node's children come
+    from its state (see LazyTree), sorted and deduplicated, and get their
+    states from it; nodes at `depth` are not expanded, and families are
+    cut to their first `width` members.  Each distinct state gets an id
+    when first reached, and its children's symbols and ids are worked
+    out once per call, when a node with that id is first expanded, from
+    whichever root; a level is a list of ids, so a node costs a list
+    index, not a hash of its state.  Each root spends one node and each
+    row its children's; each level spends its path symbols, counted from
+    its root.  One root gives a FiniteTree.  Several give a forest table,
+    read only row by row (see constructions._tree_af_table): the roots'
+    tables one after another, each root's row with parent -1 and every
+    other parent row shifted by the rows before its root's."""
     children, child = tree.children, tree.child
-    states = [tree.root]  # id -> state
-    ids = {states[0]: 0}  # state -> id
-    # id -> (its children's symbols, their ids); breadth-first, ids are
-    # first expanded in the order they were given
+    states, ids = [], {}  # id -> state, state -> id
+    # id -> (its children's symbols, their ids), or None until expanded
     kids = []
-    parents, symbols = [-1], [-1]
-    nodes.spend(1)
-    level, d, row = [0], 0, 0
-    while level and (depth is None or d < depth):
-        below = []
-        for i in level:
-            if i == len(kids):
-                state = states[i]
-                spec = children(state)
-                syms = spec.explicit
-                if spec.families:
-                    # a node with more children than the budget fails it anyway
-                    syms = spec.first(min(width, nodes.cap))
-                if len(syms) > 1:
-                    syms = sorted(set(syms))
-                below_ids = []
-                for s in syms:
-                    sub = child(state, s)
-                    k = ids.setdefault(sub, len(states))
-                    if k == len(states):
-                        states.append(sub)
-                    below_ids.append(k)
-                kids.append((syms, below_ids))
-            syms, below_ids = kids[i]
-            if syms:  # a leaf only takes its row
-                parents.extend([row] * len(syms))
-                symbols.extend(syms)
-                below.extend(below_ids)
-                nodes.spend(len(syms))
-            row += 1
-        level, d = below, d + 1
-        path_symbols.spend(d * len(below))
+    parents, symbols = [], []
+    for root in roots:
+        k = ids.setdefault(root, len(states))
+        if k == len(states):
+            states.append(root)
+            kids.append(None)
+        row = len(parents)
+        parents.append(-1)
+        symbols.append(-1)
+        nodes.spend(1)
+        level, d = [k], 0
+        while level and (depth is None or d < depth):
+            below = []
+            for i in level:
+                entry = kids[i]
+                if entry is None:
+                    state = states[i]
+                    spec = children(state)
+                    syms = spec.explicit
+                    if spec.families:
+                        # a node with more children than the budget fails it anyway
+                        syms = spec.first(min(width, nodes.cap))
+                    if len(syms) > 1:
+                        syms = sorted(set(syms))
+                    below_ids = []
+                    for s in syms:
+                        sub = child(state, s)
+                        k = ids.setdefault(sub, len(states))
+                        if k == len(states):
+                            states.append(sub)
+                            kids.append(None)
+                        below_ids.append(k)
+                    entry = kids[i] = (syms, below_ids)
+                syms, below_ids = entry
+                if syms:  # a leaf only takes its row
+                    parents.extend([row] * len(syms))
+                    symbols.extend(syms)
+                    below.extend(below_ids)
+                    nodes.spend(len(syms))
+                row += 1
+            level, d = below, d + 1
+            path_symbols.spend(d * len(below))
     return FiniteTree._from_table(parents, symbols)
 
 
@@ -271,8 +285,8 @@ def truncate_tree(tree: LazyTree, width: int,
     """
     if width < 1:
         raise ValueError("width must be >= 1")
-    return _expand(tree, *expansion_budgets(TRUNCATE_NODE_CAP), width=width,
-                   depth=depth)
+    return _expand(tree, [tree.root], *expansion_budgets(TRUNCATE_NODE_CAP),
+                   width=width, depth=depth)
 
 
 # -- bounded path search --------------------------------------------------

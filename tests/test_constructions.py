@@ -2,10 +2,12 @@ import math
 import random
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from transfinite_af import constructions
+from transfinite_af import constructions, trees
+from transfinite_af.checks import per_part_limit_target
 from transfinite_af.constructions import (
     MAX_UNION_NESTING,
     GeneratorSpec,
@@ -242,6 +244,81 @@ def test_truncated_limit_target_parts_share_one_node_budget(monkeypatch):
         ordinal_target_af(OMEGA, truncate=1000)
 
 
+def limit_target_outcomes(alpha, width, node_cap=trees.TRUNCATE_NODE_CAP):
+    """(library, per-part oracle) tables of ord:alpha:truncate=width, or
+    their refusals; constructions.TRUNCATE_NODE_CAP must be node_cap."""
+    out = []
+    for build in (lambda: ordinal_target_af(alpha, truncate=width),
+                  lambda: per_part_limit_target(alpha, width, node_cap)):
+        try:
+            af = build()
+        except CapExceeded as e:
+            out.append(str(e))
+        else:
+            out.append((af.names, af._fwd))
+    return out
+
+
+def random_limit_below_w4(rng):
+    """A seeded limit CNF below w^4: up to three terms, none finite."""
+    exps = sorted(rng.sample(range(1, 4), rng.randint(1, 3)), reverse=True)
+    return parse_ordinal("+".join(
+        ("w" if e == 1 else f"w^{e}") + (f"*{c}" if c > 1 else "")
+        for e, c in ((e, rng.randint(1, 2)) for e in exps)))
+
+
+def test_truncated_limit_targets_match_the_per_part_build(monkeypatch):
+    # a smaller node cap keeps the suite fast; past it both builds refuse
+    monkeypatch.setattr(constructions, "TRUNCATE_NODE_CAP", 5_000)
+    rng = random.Random(47)
+    built = refused = 0
+    for _ in range(20):
+        alpha = random_limit_below_w4(rng)
+        for width in range(7):
+            got, want = limit_target_outcomes(alpha, width, node_cap=5_000)
+            assert got == want, (alpha, width)
+            built += not isinstance(want, str)
+            refused += isinstance(want, str)
+    assert built > 60 and refused > 40
+    for width in range(4):
+        got, want = limit_target_outcomes(omega_power(OMEGA), width, 5_000)
+        assert got == want and not isinstance(want, str)
+
+
+def test_bench_limit_targets_match_the_per_part_build(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    cases = [request.argv[1].split(":") for request in
+             workloads.build_targets(1, str(tmp_path)).requests
+             if request.tag == "union"]
+    assert len(cases) == 27
+    for _, alpha, width in cases:
+        got, want = limit_target_outcomes(
+            parse_ordinal(alpha), int(width[len("truncate="):]))
+        assert got == want and not isinstance(want, str)
+
+
+def test_truncated_limit_targets_refuse_as_the_per_part_build(monkeypatch):
+    # both caps small: the up-front floors (widths 30 on nodes, 24 and 27
+    # on symbols), the shared node budget and the shared path-symbol
+    # budget each refuse some inputs, with the same message
+    monkeypatch.setattr(constructions, "TRUNCATE_NODE_CAP", 400)
+    monkeypatch.setattr(trees, "TRUNCATE_SYMBOL_CAP", 2_000)
+    rng = random.Random(53)
+    messages = Counter()
+    for _ in range(20):
+        alpha = random_limit_below_w4(rng)
+        for width in range(0, 31, 3):
+            got, want = limit_target_outcomes(alpha, width, node_cap=400)
+            assert got == want, (alpha, width)
+            messages[want if isinstance(want, str) else "built"] += 1
+    assert set(messages) == {"built", "expansion exceeded 400 nodes",
+                             "expansion exceeded 2000 path symbols"}
+    assert min(messages.values()) > 10
+
+
 # -- disjoint unions -----------------------------------------------------------------
 
 
@@ -421,9 +498,9 @@ def test_verification_work_at_sample_150_is_pinned(monkeypatch, text, asks,
     assert counts == {"asks": asks, "members": members}
 
 
-def test_limit_target_asks_its_tree_once_per_state(monkeypatch):
-    # as an expansion does (see LazyTree): children once per distinct
-    # state, child once per distinct (state, symbol)
+def count_rank_tree_asks(monkeypatch) -> Counter:
+    """Make the generators' rank trees count each `children` and `child`
+    ask, by its arguments, in the Counter returned."""
     asked = Counter()
 
     def counted(alpha):
@@ -440,8 +517,25 @@ def test_limit_target_asks_its_tree_once_per_state(monkeypatch):
         return LazyTree(tree.root, children, child, tree.declared_rank)
 
     monkeypatch.setattr(constructions, "build_tree_of_rank", counted)
+    return asked
+
+
+def test_limit_target_asks_its_tree_once_per_state(monkeypatch):
+    # as an expansion does (see LazyTree): children once per distinct
+    # state, child once per distinct (state, symbol)
+    asked = count_rank_tree_asks(monkeypatch)
     af = ordinal_target_af(parse_ordinal("w^2"))
     assert verify_symbolic_stages(af, af.candidate_stages, sample=150).ok
+    assert {kind for kind, *_ in asked} == {"children", "child"}
+    assert max(asked.values()) == 1
+
+
+def test_truncated_limit_target_asks_its_tree_once_per_state(monkeypatch):
+    # the five parts share one state table: a state met in several parts
+    # is asked for its children once, and a step once, across all of them
+    asked = count_rank_tree_asks(monkeypatch)
+    af = ordinal_target_af(omega_power(2), truncate=5)
+    assert af.n == 2 * 2_915
     assert {kind for kind, *_ in asked} == {"children", "child"}
     assert max(asked.values()) == 1
 

@@ -168,7 +168,8 @@ def test_the_guard_sees_the_allowed_built_uses():
     assert {scope for scope, _ in uses(SRC / "core.py", "_built")} == \
         {"parse_apx"}
     assert {scope for scope, _ in uses(SRC / "constructions.py", "_built")} == \
-        {"af_from_finite_tree", "baumann_spanring", "_compact_union"}
+        {"af_from_finite_tree", "baumann_spanring", "ordinal_target_af",
+         "_compact_union"}
 
 
 def test_only_the_grounding_engines_build_grounded_results():

@@ -299,8 +299,8 @@ def test_expand_ts_matches_the_definitional_tree():
             if not seed & gplus:
                 continue
             try:
-                want = _expand(checks.path_keyed_ts(af, seed),
-                               *expansion_budgets(5_000))
+                tree = checks.path_keyed_ts(af, seed)
+                want = _expand(tree, [tree.root], *expansion_budgets(5_000))
             except CapExceeded:
                 with pytest.raises(CapExceeded):
                     expand_ts(af, seed, node_cap=5_000)

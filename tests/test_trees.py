@@ -3,6 +3,7 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from transfinite_af import rank_analysis, trees
 from transfinite_af.checks import (
@@ -13,7 +14,8 @@ from transfinite_af.checks import (
     path_keyed_tree,
     path_keyed_tree_af,
 )
-from transfinite_af.errors import CapExceeded, DomainError, UnsupportedExpression
+from transfinite_af.errors import Budget, CapExceeded, DomainError, \
+    UnsupportedExpression
 from transfinite_af.ordinals import (
     OMEGA,
     ONE,
@@ -559,7 +561,7 @@ def test_expansion_hashes_each_step_once_not_each_node(same_nodes):
 
     tree = LazyTree(HashCountedState(0, 0), children, child)
     HashCountedState.hashes = 0
-    ft = trees._expand(tree, *trees.expansion_budgets(10_000))
+    ft = trees._expand(tree, [tree.root], *trees.expansion_budgets(10_000))
     hashes = HashCountedState.hashes
     rows = _row_states(tree, ft)
     steps = {(rows[p].value, s) for p, s in zip(ft.parents[1:], ft.symbols[1:])}
@@ -586,7 +588,8 @@ def random_ordinal_below_w4(rng):
 def expansion_outcomes(tree, **kw):
     """(library, oracle) expansions of one tree, or their cap errors."""
     def library(tree, node_cap, **kw):
-        return trees._expand(tree, *trees.expansion_budgets(node_cap), **kw)
+        return trees._expand(tree, [tree.root],
+                             *trees.expansion_budgets(node_cap), **kw)
 
     out = []
     for expand in (library, path_keyed_expand):
@@ -651,6 +654,91 @@ def test_lazy_finite_tree_tables_match_the_path_keyed_expansion(same_nodes):
                 same_nodes(got, want)
                 if depth is None:
                     assert got == t
+
+
+# -- expansions from several roots ---------------------------------------------
+
+
+def some_states(tree, width, count=12):
+    """The first `count` node states met breadth-first, families cut to
+    their first `width` members."""
+    states, i = [tree.root], 0
+    while i < len(states) < count:
+        state = states[i]
+        states += [tree.child(state, s)
+                   for s in tree.children(state).first(width)]
+        i += 1
+    return states[:count]
+
+
+@st.composite
+def expansion_forests(draw):
+    """(tree, roots, width, depth, caps): a finite tree and some of its
+    rows, or a rank tree below w^3 and some of its node states."""
+    if draw(st.booleans()):
+        tree = random_finite_tree(random.Random(draw(st.integers(0, 999))),
+                                  max_nodes=40)
+        states, width = range(len(tree)), None
+    else:
+        terms = [(e, draw(st.integers(0, 2))) for e in (2, 1, 0)]
+        alpha = Ordinal(tuple((Ordinal.from_int(e), k) for e, k in terms
+                              if k))
+        tree, width = build_tree_of_rank(alpha), draw(st.integers(1, 3))
+        states = some_states(tree, width)
+    roots = draw(st.lists(st.sampled_from(states), max_size=5))
+    depth = draw(st.none() | st.integers(0, 4))
+    caps = draw(st.tuples(st.integers(0, 300) | st.just(10**6),
+                          st.integers(0, 2_000) | st.just(10**7)))
+    return tree, roots, width, depth, caps
+
+
+def expanded_or_refused(expand, caps):
+    """expand(nodes, path_symbols)'s (parents, symbols, budgets used), or
+    its refusal, spending from fresh budgets with these caps."""
+    budgets = (Budget("expansion", caps[0], "nodes"),
+               Budget("expansion", caps[1], "path symbols"))
+    try:
+        parents, symbols = expand(*budgets)
+    except CapExceeded as e:
+        return str(e)
+    return tuple(parents), tuple(symbols), tuple(b.used for b in budgets)
+
+
+FOREST_EXAMPLE = (FiniteTree([(), (0,), (1,), (1, 0), (1, 1), (1, 1, 0)]),
+                  [1, 2, 1, 0, 4], None, None, (10**6, 10**7))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(expansion_forests())
+@example(FOREST_EXAMPLE)
+def test_expansion_from_several_roots_concatenates_the_expansions(forest):
+    tree, roots, width, depth, caps = forest
+
+    def together(nodes, path_symbols):
+        table = trees._expand(tree, roots, nodes, path_symbols, width=width,
+                              depth=depth)
+        return table.parents, table.symbols
+
+    def one_by_one(nodes, path_symbols):
+        parents, symbols = [], []
+        for root in roots:
+            table = trees._expand(tree, [root], nodes, path_symbols,
+                                  width=width, depth=depth)
+            shift = len(parents)
+            parents += [p + shift if p >= 0 else -1 for p in table.parents]
+            symbols += table.symbols
+        return parents, symbols
+
+    assert expanded_or_refused(together, caps) == \
+        expanded_or_refused(one_by_one, caps)
+    # one root: the node table the path-keyed expansion builds
+    for root in set(roots):
+        sub = LazyTree(root, tree.children, tree.child)
+        got = trees._expand(tree, [root], *trees.expansion_budgets(10**6),
+                            width=width, depth=depth)
+        assert got == path_keyed_expand(sub, 10**6, width=width, depth=depth)
+        if root == tree.root and depth is None and isinstance(tree, FiniteTree):
+            assert got == tree
 
 
 # -- F_T from remembered node states against F_T asked by path -------------------
