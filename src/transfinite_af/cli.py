@@ -178,8 +178,9 @@ def cmd_grounded(args) -> int:
         ordinal = format_ordinal(result.grounding_ordinal)
         grounded = result.of_grounded(names)
         payload = {"grounded": grounded}
-        lines = [f"grounded: {' '.join(grounded)}",
-                 f"grounding ordinal: {ordinal}"]
+        if args.format == "text":  # JSON prints no lines
+            lines = [f"grounded: {' '.join(grounded)}",
+                     f"grounding ordinal: {ordinal}"]
         stages = None
         if args.stages:
             # one text per layer, into its members' slots: no stage map

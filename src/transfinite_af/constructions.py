@@ -244,9 +244,13 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
         if index % 2 == 1:
             out = [index - 1] if index - 1 < hi else []
         else:
-            out, s = [], 0
-            while (x := _B_STEP.apply(pair(index // 2, s))) < hi:
+            # slot s's b is 2 * pair(code, s) + 3, and pair(code, s + 1)
+            # is pair(code, s) + code + s + 2
+            code = index // 2
+            out, s, x = [], 0, 2 * pair(code, 0) + 3
+            while x < hi:
                 out.append(x)
+                x += 2 * (code + s + 2)
                 s += 1
         return [pair(p, c) for c in out] if forest else out
 
@@ -254,16 +258,16 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
         p, index, state = locate(index)
         if state is OFF_TREE:
             return Members()
+        if index % 2 == 1:  # a b's one attacker is its own a
+            return Members(explicit=(pair(p, index - 1) if forest
+                                     else index - 1,))
         code = index // 2
-        if index % 2 == 1:
-            explicit, lifted = (index - 1,), ()
-        else:
-            tail = (PairLeft(code), _B_STEP, PairLeft(p)) if forest \
-                else (PairLeft(code), _B_STEP)
-            children, parts = expansion(state)
-            explicit = tuple(2 * (pair(code, s) + 1) + 1 for s in children.explicit)
-            lifted = tuple(Family(IndexMap(steps + tail), k_start, expr)
-                           for steps, k_start, expr in parts)
+        tail = (PairLeft(code), _B_STEP, PairLeft(p)) if forest \
+            else (PairLeft(code), _B_STEP)
+        children, parts = expansion(state)
+        explicit = tuple(2 * (pair(code, s) + 1) + 1 for s in children.explicit)
+        lifted = tuple(Family(IndexMap(steps + tail), k_start, expr)
+                       for steps, k_start, expr in parts)
         if forest:
             explicit = tuple(pair(p, b) for b in explicit)
         return Members(explicit=explicit, families=lifted)

@@ -20,6 +20,7 @@ import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import add, lt, mul
 from typing import Callable, Iterable, Optional, Sequence, Tuple
@@ -134,8 +135,11 @@ class IndexMap:
         return v
 
     def invert(self, value: int) -> Optional[int]:
+        steps = self.steps
+        if len(steps) == 1:
+            return steps[0].invert(value)
         v = value
-        for step in reversed(self.steps):
+        for step in reversed(steps):
             v = step.invert(v)
             if v is None:
                 return None
@@ -151,6 +155,11 @@ class IndexMap:
 # -- affine families ---------------------------------------------------------
 
 
+# spot_check_attacker_spec tests the first SPEC_FAMILY_PROBE members of
+# every attacker family.
+SPEC_FAMILY_PROBE = 8
+
+
 @dataclass(frozen=True)
 class Family:
     """An infinite family {index_map(k) : k >= k_start} of tree children,
@@ -160,13 +169,25 @@ class Family:
     declared rank, the least stage among attacker k's counter-attackers
     (NEVER: none is ever counter-attacked), or a stage.  Generators
     supply it, and it is checked on samples before any symbolic use.
+
+    The first SPEC_FAMILY_PROBE members, which the spot check and the
+    verifier's rules all sample, are worked out once, when one is first
+    asked for; they are not part of the value.
     """
 
     index_map: IndexMap
     k_start: int = 0
     expr: object = None  # AffineOrdinalExpr | NEVER | None
 
+    @cached_property
+    def _head(self) -> Tuple[int, ...]:
+        return tuple(map(self.index_map,
+                         range(self.k_start, self.k_start + SPEC_FAMILY_PROBE)))
+
     def member(self, k: int) -> int:
+        i = k - self.k_start
+        if 0 <= i < SPEC_FAMILY_PROBE:
+            return self._head[i]
         return self.index_map(k)
 
     def contains(self, index: int) -> bool:
@@ -426,26 +447,22 @@ class LazyAF:
             raise IndexError(f"argument index {i} outside the universe")
 
     def attacks(self, x: int, y: int) -> bool:
-        self._check(x)
-        self._check(y)
+        if x < 0 or y < 0:
+            self._check(x)
+            self._check(y)
         return bool(self._predicate(x, y))
 
     def attacker_spec(self, x: int) -> Members:
-        self._check(x)
+        # the cache holds only indices already checked
         spec = self._spec_cache.get(x)
         if spec is None:
-            spec = self._spec_fn(x)
-            self._spec_cache[x] = spec
+            self._check(x)
+            spec = self._spec_cache[x] = self._spec_fn(x)
         return spec
 
     def name(self, i: int) -> str:
         self._check(i)
         return self._naming(i) if self._naming else f"x{i}"
-
-
-# spot_check_attacker_spec tests the first SPEC_FAMILY_PROBE members of
-# every attacker family.
-SPEC_FAMILY_PROBE = 8
 
 
 def spot_check_attacker_spec(af, args: Iterable[int], bound: int) -> list:

@@ -365,7 +365,9 @@ class _Verifier:
         spec = self.spec(b)
         best: StageValue = NEVER
         for c in spec.explicit:
-            best = min(best, self.stage(c))
+            v = self.stage(c)
+            if best is NEVER or v < best:
+                best = v
         for fam in spec.families:
             prev = None
             for k in range(fam.k_start, fam.k_start + FAMILY_PROBE):
@@ -375,7 +377,8 @@ class _Verifier:
                              f"attacker family stages decrease at k={k}; "
                              "outside the supported monotone fragment")
                 prev = v
-                best = min(best, v)
+                if best is NEVER or v < best:
+                    best = v
         return best
 
     # -- rule (i): successor stages ------------------------------------

@@ -14,9 +14,10 @@ than every ordinal.
 Public input is validated: `Ordinal(terms)` and `parse_ordinal` check
 that the terms are in Cantor normal form.  Arithmetic builds its results
 in that form by construction and returns them through the unchecked
-`Ordinal._canonical`.  The naturals below SMALL_NATURALS are shared
-instances, so equal small values are often the same object, which
-comparison checks first.
+`Ordinal._canonical`.  Since the form is canonical, two ordinals are
+equal exactly when their terms are.  The naturals below SMALL_NATURALS
+are shared instances, so equal small values are often the same object,
+which comparison checks first.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ class NoncanonicalOrdinalWarning(UserWarning):
 
 
 class _StageOrder:
-    """Comparisons of stage values, all through `_compare` (`!=` is the
-    negation of `==`)."""
+    """Comparisons of stage values through `_compare` (`!=` is the
+    negation of `==`); two Ordinals test `==` on their terms instead."""
 
     __slots__ = ()
 
@@ -144,38 +145,51 @@ class Ordinal(_StageOrder):
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other) -> "Ordinal":
-        if type(other) is not Ordinal:
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
-        mine, theirs = self.terms, other.terms
-        if not theirs:
-            return self
-        if not mine:
-            return other
-        # the terms of self below the addend's head exponent e are absorbed,
-        # and a term at e adds its coefficient to the head's
-        e, c = theirs[0]
-        if not e.terms:
-            ex, cx = mine[-1]
-            if ex.terms:
+        mine = self.terms
+        if type(other) is int and other > 0:
+            c = other
+        else:
+            if type(other) is not Ordinal:
+                other = _coerce(other)
+                if other is None:
+                    return NotImplemented
+            theirs = other.terms
+            if not theirs:
+                return self
+            if not mine:
+                return other
+            # the terms of self below the addend's head exponent e are
+            # absorbed, and a term at e adds its coefficient to the head's
+            e, c = theirs[0]
+            if e.terms:
+                for i, (ex, cx) in enumerate(mine):
+                    order = _cmp(ex, e)
+                    if order < 0:
+                        return _canonical(mine[:i] + theirs)
+                    if order == 0:
+                        return _canonical(mine[:i] + ((e, cx + c),) + theirs[1:])
                 return _canonical(mine + theirs)
-            if len(mine) == 1:
-                return Ordinal.from_int(cx + c)
-            return _canonical(mine[:-1] + ((ex, cx + c),))
-        for i, (ex, cx) in enumerate(mine):
-            order = _cmp(ex, e)
-            if order < 0:
-                return _canonical(mine[:i] + theirs)
-            if order == 0:
-                return _canonical(mine[:i] + ((e, cx + c),) + theirs[1:])
-        return _canonical(mine + theirs)
+        # a finite addend c >= 1: it adds to a finite last term, else follows
+        if not mine:
+            return Ordinal.from_int(c)
+        ex, cx = mine[-1]
+        if ex.terms:
+            return _canonical(mine + ((ZERO, c),))
+        if len(mine) == 1:
+            return Ordinal.from_int(cx + c)
+        return _canonical(mine[:-1] + ((ex, cx + c),))
 
     def __radd__(self, other) -> "Ordinal":
         other = _coerce(other)
         if other is None:
             return NotImplemented
         return other + self
+
+    def __eq__(self, other):
+        # Cantor normal form is canonical, so equal ordinals have equal terms
+        if type(other) is Ordinal:
+            return self is other or self.terms == other.terms
+        return _StageOrder.__eq__(self, other)
 
     def __hash__(self):
         if self._hash is None:
@@ -209,8 +223,13 @@ def _compare(x, y):
     Stage values are ordinals, with ints standing for the finite ones,
     and NEVER above them all; any other operand gives NotImplemented.
     """
-    if type(x) is Ordinal and type(y) is Ordinal:
-        return _cmp(x, y)
+    if type(x) is Ordinal:
+        if type(y) is Ordinal:
+            return _cmp(x, y)
+        if y is NEVER:
+            return -1
+    elif x is NEVER and type(y) is Ordinal:
+        return 1
     a = ZERO if x is NEVER else _coerce(x)
     b = ZERO if y is NEVER else _coerce(y)
     if a is None or b is None:

@@ -1150,3 +1150,21 @@ def test_finite_grounding_output_is_pinned(capsys, tmp_path):
     assert count == 32
     assert digest.hexdigest() == \
         "c50ca0693d0363aa1ade61814a59c8db67ae09341f0a86050de1a79c0728ecc4"
+
+
+def test_lazy_grounding_output_is_pinned(capsys):
+    # sha256 of every command's exit code, stdout and stderr at the
+    # benchmark's sample windows, past the seeded corpus's 1-60; recorded
+    # before the verifier's probes were made cheaper
+    digest = hashlib.sha256()
+    count = 0
+    for spec in ("bs", "ord:w*2+1", "union(bs,ord:w)", "ord:w^2", "ord:w^3"):
+        for sample in (64, 100, 153):
+            for extra in ([], ["--stages"]):
+                argv = ["grounded", spec, "--sample", str(sample)] + extra
+                code, out, err = run(capsys, *argv)
+                digest.update(json.dumps([argv, code, out, err]).encode())
+                count += 1
+    assert count == 30
+    assert digest.hexdigest() == \
+        "a2bc39f6a9eb5b0dc14aa7ce0122ac7f01b265c17177fcd3192150856858db17"

@@ -471,6 +471,68 @@ def test_limit_targets_are_built_without_the_indexed_union(monkeypatch):
         assert verify_symbolic_stages(af, af.candidate_stages, sample=64).ok
 
 
+def _sampled_families():
+    """Families of every kind the verifier samples: lifted F_T families,
+    plain and in a forest, a union's, the two-chain's odd a's and a limit
+    node's children."""
+    successor = ordinal_target_af(OMEGA + 1)   # plain F_T of a rank-w tree
+    limit = ordinal_target_af(W2)              # a forest F_T
+    union = disjoint_union([baumann_spanring(), successor])
+    tree = build_tree_of_rank(OMEGA)
+    return [successor.attacker_spec(0).families[0],
+            limit.attacker_spec(pair(0, 0)).families[0],
+            union.attacker_spec(pair(0, 1)).families[0],
+            union.attacker_spec(pair(1, 0)).families[0],
+            baumann_spanring().attacker_spec(1).families[0],
+            tree.children(tree.root).families[0]]
+
+
+def test_family_members_read_from_the_head_are_the_index_maps():
+    families = _sampled_families()
+    assert type(families[-1]) is trees._LimitFamily
+    for fam in families:
+        ks = range(fam.k_start, fam.k_start + SPEC_FAMILY_PROBE + 3)
+        assert [fam.member(k) for k in ks] == [fam.index_map(k) for k in ks]
+        # asked again, and past the head first on an equal family
+        assert [fam.member(k) for k in ks] == [fam.index_map(k) for k in ks]
+        again = Family(fam.index_map, fam.k_start, fam.expr)
+        assert [again.member(k) for k in reversed(ks)] == \
+            [fam.index_map(k) for k in reversed(ks)]
+
+
+class _CountedStep:
+    """k -> 3k + 1, counting its applications."""
+
+    def __init__(self):
+        self.applied = 0
+
+    def apply(self, k):
+        self.applied += 1
+        return 3 * k + 1
+
+    def invert(self, v):
+        return (v - 1) // 3 if v % 3 == 1 else None
+
+
+def test_family_head_is_worked_out_once_and_is_not_part_of_the_value():
+    step = _CountedStep()
+    fam = Family(IndexMap((step,)), 2, NEVER)
+    fresh = Family(IndexMap((step,)), 2, NEVER)
+    assert step.applied == 0
+    assert fam.member(SPEC_FAMILY_PROBE + 3) == 3 * (SPEC_FAMILY_PROBE + 3) + 1
+    assert step.applied == 1
+    for _ in range(3):
+        assert [fam.member(k) for k in range(2, 2 + SPEC_FAMILY_PROBE)] == \
+            [3 * k + 1 for k in range(2, 2 + SPEC_FAMILY_PROBE)]
+    assert step.applied == 1 + SPEC_FAMILY_PROBE
+    assert fam == fresh and hash(fam) == hash(fresh)
+    assert {fam: 1}[fresh] == 1 and fam != Family(IndexMap((step,)), 3, NEVER)
+    for lazy in _sampled_families():
+        if type(lazy) is Family:
+            equal = Family(lazy.index_map, lazy.k_start, lazy.expr)
+            assert equal == lazy and hash(equal) == hash(lazy)
+
+
 # Counted before limit targets were built as one F_T: that build makes
 # each ask cheaper and must not change which ones are made.  Asks are the
 # spot check's, the verification's only predicate calls; members are every

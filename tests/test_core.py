@@ -257,8 +257,12 @@ def test_lazy_af_basics():
     assert not af.attacks(4, 3)
     assert af.attacker_spec(0) == Members()
     assert af.attacker_spec(5).explicit == (4,)
-    with pytest.raises(IndexError):
-        af.attacks(-1, 0)
+    for x, y in ((-1, 0), (0, -1), (-2, -1)):
+        with pytest.raises(IndexError):
+            af.attacks(x, y)
+    for _ in range(2):  # a refused index is not cached
+        with pytest.raises(IndexError):
+            af.attacker_spec(-1)
 
 
 def test_materialize_window():

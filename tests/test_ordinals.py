@@ -28,6 +28,7 @@ from transfinite_af.ordinals import (
     fundamental_sequence_expr,
     omega_power,
     parse_ordinal,
+    _cmp,
 )
 from transfinite_af.trees import _split, _split_rank
 
@@ -355,6 +356,46 @@ def test_stage_value_comparisons_match_reference_table(op):
                 COMPARISONS[op](x, y)
         else:
             assert COMPARISONS[op](x, y) is want, f"{nx} {op} {ny}"
+
+
+stage_values = st.one_of(_ordinal_strategy(), st.integers(0, 80), st.just(NEVER))
+
+
+def _sign(x, y):
+    """The order of stage values by _cmp, NEVER above every ordinal."""
+    if x is NEVER or y is NEVER:
+        return (x is NEVER) - (y is NEVER)
+    x, y = (v if isinstance(v, Ordinal) else Ordinal.from_int(v) for v in (x, y))
+    return _cmp(x, y)
+
+
+def _equal_copies(v):
+    """v, an equal Ordinal built apart from it (a new object all the way
+    down), and the int of a finite one."""
+    if v is NEVER:
+        return [v]
+    o = v if isinstance(v, Ordinal) else Ordinal.from_int(v)
+    return [v, validated(o)] + ([o.as_int()] if o.is_finite else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(stage_values, stage_values)
+def test_comparisons_and_hash_agree_with_cmp_and_never(x, y):
+    for a, b in itertools.product(_equal_copies(x), _equal_copies(y) + [x]):
+        c = _sign(a, b)
+        assert (a == b, a != b, a < b, a <= b, a > b, a >= b) == \
+            (c == 0, c != 0, c < 0, c <= 0, c > 0, c >= 0), (a, b)
+        if c == 0:
+            assert hash(a) == hash(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ordinal_strategy(), st.integers(1, 2 * SMALL_NATURALS))
+def test_adding_an_int_is_adding_its_ordinal(x, n):
+    total = x + n
+    assert total == x + Ordinal.from_int(n)
+    assert total.terms == (x + Ordinal.from_int(n)).terms
+    assert validated(total).terms == total.terms
 
 
 def test_never_orders_against_no_bool_and_stays_hashable():
