@@ -23,12 +23,14 @@ from .errors import DomainError, TransfiniteAFError
 from .grounded import grounded_finite, verify_symbolic_stages
 from .ordinals import format_ordinal, parse_ordinal
 from .rank_analysis import (
+    TS_NODE_CAP,
     expand_ts,
     ta_path_exists,
     ts_path_exists,
     witness_path,
 )
 from .trees import (
+    RANK_NODE_CAP,
     TRUNCATE_NODE_CAP,
     FiniteTree,
     bounded_path_search,
@@ -106,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     tsub = t.add_subparsers(dest="tree_command", required=True)
     tr = tsub.add_parser("rank")
     tr.add_argument("--input", required=True, help="finite-tree JSON file")
-    tr.add_argument("--cap", type=int, default=200_000)
+    tr.add_argument("--cap", type=int, default=RANK_NODE_CAP)
     tb = tsub.add_parser("build")
     tb.add_argument("--ordinal", required=True)
     tb.add_argument("--truncate-width", type=int, default=10)
@@ -124,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     rts.add_argument("--af", required=True)
     rts.add_argument("--set", default="", help="comma-separated argument names")
     rts.add_argument("--depth", type=int, default=100)
-    rts.add_argument("--node-cap", type=int, default=20_000)
+    rts.add_argument("--node-cap", type=int, default=TS_NODE_CAP)
     rta = rsub.add_parser("ta")
     rta.add_argument("--af", required=True)
     rta.add_argument("--arg", required=True)
@@ -136,7 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="run the property suites")
     c.add_argument("suite", choices=["lemmas", "ordinals", "constructions", "all"])
-    c.add_argument("--trials", type=int, default=50)
+    c.add_argument("--trials", type=int, default=50,
+                   help="lemma-suite trials; ordinals run "
+                        "max(10 * trials, 200) and constructions "
+                        "max(trials // 2, 5)")
     c.add_argument("--max-args", type=int, default=10)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--emit-plot", metavar="CSV",
@@ -191,9 +196,6 @@ def cmd_grounded(args) -> int:
                     slots[x] = text
             stages = dict(zip(names, slots))
     else:
-        if af.candidate_stages is None:
-            raise DomainError("lazy AF without a candidate stage map; "
-                              "nothing to verify")
         report = verify_symbolic_stages(af, af.candidate_stages,
                                         sample=args.sample)
         if not report.ok:
@@ -249,16 +251,14 @@ def cmd_tree(args) -> int:
                                depth=args.truncate_depth)
         _emit(tree_to_json(finite))
         return EXIT_OK
-    if args.tree_command == "search":
-        tree = (_load_tree(args.input) if args.input
-                else build_tree_of_rank(parse_ordinal(args.ordinal)))
-        res = bounded_path_search(tree, depth=args.depth, width=args.width)
-        if res.found:
-            _emit(json.dumps({"found": True, "prefix": list(res.prefix)}))
-        else:
-            _emit(json.dumps({"found": False, "no_path_within": res.depth}))
-        return EXIT_OK
-    raise AssertionError
+    tree = (_load_tree(args.input) if args.input
+            else build_tree_of_rank(parse_ordinal(args.ordinal)))
+    res = bounded_path_search(tree, depth=args.depth, width=args.width)
+    if res.found:
+        _emit(json.dumps({"found": True, "prefix": list(res.prefix)}))
+    else:
+        _emit(json.dumps({"found": False, "no_path_within": res.depth}))
+    return EXIT_OK
 
 
 def _resolve_args(af: FiniteAF, names: str) -> frozenset:
@@ -293,12 +293,10 @@ def cmd_reduce(args) -> int:
                        "rank": format_ordinal(decision.rank)}
         _emit(json.dumps(payload, sort_keys=True))
         return EXIT_OK
-    if args.reduce_command == "witness":
-        a = af.index_of(args.arg)
-        prefix = witness_path(af, a, args.length)
-        _emit(json.dumps({"witness": list(prefix)}))
-        return EXIT_OK
-    raise AssertionError
+    a = af.index_of(args.arg)
+    prefix = witness_path(af, a, args.length)
+    _emit(json.dumps({"witness": list(prefix)}))
+    return EXIT_OK
 
 
 def cmd_check(args) -> int:

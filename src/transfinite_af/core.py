@@ -145,12 +145,6 @@ class IndexMap:
                 return None
         return v
 
-    @property
-    def pure_affine(self) -> Optional[Affine]:
-        if len(self.steps) == 1 and isinstance(self.steps[0], Affine):
-            return self.steps[0]
-        return None
-
 
 # -- affine families ---------------------------------------------------------
 

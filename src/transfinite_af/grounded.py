@@ -24,20 +24,17 @@ Three regimes:
   sups, the NEVER rule is checked locally (co-inductively), and family
   closed forms are validated against concrete samples before any
   symbolic use.  A claim that a whole attacker family is NEVER is
-  accepted only on the generator's verdict or by affine alignment over
-  a full period; otherwise it fails.
+  accepted only on the generator's verdict; otherwise it fails.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .core import Family, FiniteAF, LazyAF, Members, \
-    spot_check_attacker_spec
+from .core import Family, FiniteAF, LazyAF, spot_check_attacker_spec
 from .errors import Budget, DomainError, IncompleteStageMap
 from .ordinals import NEVER, ZERO, Ordinal, StageValue
 
@@ -246,8 +243,7 @@ class SymbolicStageMap:
 
     family_all_never, when provided, answers "is stage(map(k)) NEVER for
     every k of this attacker family" exactly for generator-owned
-    structure; without it the verifier tries affine alignment, and a
-    family it cannot prove all-NEVER is not.
+    structure; a family it does not vouch for is not proved all-NEVER.
     """
 
     def __init__(self, families: Tuple[Family, ...] = (),
@@ -346,18 +342,13 @@ FAMILY_PROBE = 6
 
 class _Verifier:
     def __init__(self, af, candidate: SymbolicStageMap):
-        self.af = af
         self.candidate = candidate
+        self.stage = candidate.stage_of
+        self.spec = af.attacker_spec
         self.violations: List[StageViolation] = []
 
     def bad(self, subject, rule, message):
         self.violations.append(StageViolation(str(subject), rule, message))
-
-    def stage(self, i: int) -> StageValue:
-        return self.candidate.stage_of(i)
-
-    def spec(self, i: int) -> Members:
-        return self.af.attacker_spec(i)
 
     # minstage(b) = least stage among the counter-attackers of b; NEVER
     # when b is never counter-attacked (in particular when unattacked).
@@ -438,53 +429,20 @@ class _Verifier:
 
     # -- rule (ii): NEVER ------------------------------------------------
 
-    # Is every member of fam NEVER: the generator's verdict, else affine
-    # alignment; None when neither settles it, so it is not proved.
-    def family_members_all_never(self, fam: Family) -> Optional[bool]:
-        answer = self.candidate.family_all_never(fam)
-        if answer is not None:
-            return bool(answer)
-        aff = fam.index_map.pure_affine
-        if (aff is not None and self.candidate.fallback is None
-                and all(f.index_map.pure_affine is not None
-                        for f in self.candidate.families)):
-            return self._all_never_by_alignment(fam, aff)
-        return None
-
-    def _all_never_by_alignment(self, fam: Family, aff) -> Optional[bool]:
-        period = 1
-        thresholds = [fam.k_start]
-        for sf in self.candidate.families:
-            a2 = sf.index_map.pure_affine
-            step = a2.a // math.gcd(aff.a, a2.a)
-            period = period * step // math.gcd(period, step)
-            start = a2.a * sf.k_start + a2.b
-            thresholds.append((start - aff.b) // aff.a + 1)
-        if self.candidate.exceptions:
-            top = max(self.candidate.exceptions)
-            thresholds.append((top - aff.b) // aff.a + 1)
-        if period > 10_000:
-            return None
-        stable = max(thresholds)
-        for k in range(fam.k_start, stable + period + 1):
-            try:
-                if self.stage(fam.member(k)) is not NEVER:
-                    return False
-            except IncompleteStageMap:
-                return None
-        return True
-
     # True when every counter-attacker of b is NEVER, False when one is
-    # not, else the first family of them not proved all-NEVER.
+    # not, else the first family of them whose generator does not vouch
+    # that it is all-NEVER.
     def attacker_never_in_g_plus(self, b: int):
         spec = self.spec(b)
         for c in spec.explicit:
             if self.stage(c) is not NEVER:
                 return False
         for fam in spec.families:
-            verdict = self.family_members_all_never(fam)
-            if verdict is not True:
-                return False if verdict is False else fam
+            verdict = self.candidate.family_all_never(fam)
+            if verdict is None:
+                return fam
+            if not verdict:
+                return False
         return True
 
     def check_never(self, a: int):

@@ -223,13 +223,8 @@ def _compare(x, y):
     Stage values are ordinals, with ints standing for the finite ones,
     and NEVER above them all; any other operand gives NotImplemented.
     """
-    if type(x) is Ordinal:
-        if type(y) is Ordinal:
-            return _cmp(x, y)
-        if y is NEVER:
-            return -1
-    elif x is NEVER and type(y) is Ordinal:
-        return 1
+    if type(x) is Ordinal and type(y) is Ordinal:
+        return _cmp(x, y)
     a = ZERO if x is NEVER else _coerce(x)
     b = ZERO if y is NEVER else _coerce(y)
     if a is None or b is None:
@@ -420,7 +415,6 @@ class AffineOrdinalExpr:
                 # w^(e+1) may merge with the prefix's last term
                 return _canonical(tuple(prefix)) + omega_power(e + ONE), False
             prefix.append((e, b))
-        raise AssertionError("unreachable")
 
     def add_finite(self, n: int) -> "AffineOrdinalExpr":
         if n < 0:

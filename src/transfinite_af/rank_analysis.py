@@ -208,7 +208,11 @@ def _ts_rank_states(tree: LazyTree, roots, memo: Dict[Tuple[int, int], int],
     return ranks
 
 
-def expand_ts(af: FiniteAF, seed, node_cap: int = 50_000) -> FiniteTree:
+# Default node cap of a materialized T_S.
+TS_NODE_CAP = 20_000
+
+
+def expand_ts(af: FiniteAF, seed, node_cap: int = TS_NODE_CAP) -> FiniteTree:
     """Materialize T_S node by node (pathless seeds only, König-finite)."""
     tree = build_TS(af, seed)
     return _expand(tree, [tree.root], *expansion_budgets(node_cap))

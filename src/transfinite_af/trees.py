@@ -187,7 +187,11 @@ class LazyTree:
 # -- exact rank of finite expansions ------------------------------------
 
 
-def rank_finite(tree: FiniteTree, node_cap: int = 200_000) -> Ordinal:
+# Default node cap of an exact rank.
+RANK_NODE_CAP = 200_000
+
+
+def rank_finite(tree: FiniteTree, node_cap: int = RANK_NODE_CAP) -> Ordinal:
     """Exact rank of a finite tree of at most node_cap nodes.
 
     Bottom-up recursion per the rank definition; the finite sup is a

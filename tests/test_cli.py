@@ -349,6 +349,15 @@ def test_check_passes(capsys):
     assert "pass" in out
 
 
+def test_check_trials_help_states_each_suites_floor(capsys):
+    code, out, _ = run(capsys, "check", "--help")
+    assert code == 0
+    assert "--trials TRIALS lemma-suite trials; ordinals run max(10 * " \
+        "trials, 200) and constructions max(trials // 2, 5)" in " ".join(out.split())
+    assert run(capsys, "check", "ordinals", "--trials", "0") == \
+        (0, "suite ordinals: pass (200 trials, 200 checks, 0 violations)\n", "")
+
+
 def test_check_env_seed_overrides(capsys, monkeypatch):
     monkeypatch.setenv("TRANSFINITE_AF_SEED", "9")
     _, first, _ = run(capsys, "check", "lemmas", "--trials", "3",

@@ -513,7 +513,12 @@ def unnamed_definitions(src: Path = SRC, allowed: dict = None) -> dict:
 
     Only modules other than __init__.py and checks.py count as callers,
     and an `__all__` entry is no call.  A method is called when one of
-    them reads its name as an attribute.  A function or class is called
+    them reads its name as an attribute, whatever the class: a method
+    that shares its name with another class's live method counts as
+    called though nothing calls it (`LazyTree.member` lives by
+    `Family.member`), and a branch no input takes is not seen at all;
+    the reach guard in test_reach.py runs the CLI to see both.  A
+    function or class is called
     when its own module names it outside its definition or, at module
     level, when another module imports it from its module.  Code counts
     while the definition holding it is live: the reported members'

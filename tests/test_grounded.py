@@ -241,6 +241,11 @@ def two_chain_lazy():
     return LazyAF(pred, spec)
 
 
+def odd_a_never(fam):
+    """bs's own verdict: b_0's attackers, the odd a's, never enter G."""
+    return True if fam.index_map == IndexMap.affine(4, 2) else None
+
+
 def two_chain_candidate():
     w_plus_k_plus_1 = AffineOrdinalExpr(((ONE, 0, 1), (ZERO, 1, 1)))
     families = (
@@ -249,7 +254,8 @@ def two_chain_candidate():
         Family(IndexMap.affine(4, 1), 1, w_plus_k_plus_1),
         Family(IndexMap.affine(4, 3), expr=NEVER),
     )
-    return SymbolicStageMap(families=families, exceptions={1: OMEGA + 1})
+    return SymbolicStageMap(families=families, exceptions={1: OMEGA + 1},
+                            family_all_never=odd_a_never)
 
 
 def test_verifier_certifies_two_chain():
@@ -262,14 +268,16 @@ def test_verifier_certifies_two_chain():
 def test_verifier_catches_two_chain_tampering():
     base = two_chain_candidate()
     # b_0 one too late
-    bad = SymbolicStageMap(families=base.families, exceptions={1: OMEGA + 2})
+    bad = SymbolicStageMap(families=base.families, exceptions={1: OMEGA + 2},
+                           family_all_never=odd_a_never)
     report = verify_symbolic_stages(two_chain_lazy(), bad, sample=40)
     assert not report.ok
     # a_{2k} family shifted by one
     fams = (Family(IndexMap.affine(4, 0), expr=AffineOrdinalExpr.affine(1, 2)),) \
         + base.families[1:]
     report = verify_symbolic_stages(
-        two_chain_lazy(), SymbolicStageMap(families=fams, exceptions={1: OMEGA + 1}),
+        two_chain_lazy(), SymbolicStageMap(families=fams, exceptions={1: OMEGA + 1},
+                                           family_all_never=odd_a_never),
         sample=40)
     assert not report.ok
 
@@ -301,8 +309,8 @@ def messages(report, rule, subject):
 
 def bs_stages():
     """bs's candidate stage map.  Maps rebuilt from its families and
-    exceptions have no family_all_never, so only the verifier can vouch
-    for b_0's attacker family, the odd a's, being NEVER."""
+    exceptions have no family_all_never, so nothing vouches for b_0's
+    attacker family, the odd a's, being NEVER."""
     return materialize_spec(parse_generator_spec("bs")).candidate_stages
 
 
@@ -313,34 +321,24 @@ ODD_A_UNPROVEN = ("attacker 1's counter-attacker family "
 
 @pytest.mark.parametrize("sample", [16, 64])
 def test_unproven_never_family_fails_closed(sample):
-    # a fallback rules out alignment, and the family is not sampled
+    # with a fallback or without, no family is proved all-NEVER by
+    # sampling its members
     own = bs_stages()
-    candidate = SymbolicStageMap(families=own.families,
-                                 exceptions=own.exceptions,
-                                 fallback=own.stage_of, sup=own.declared_sup())
-    report = verify_symbolic_stages(two_chain_lazy(), candidate, sample=sample)
-    assert found(report) == {("never", "3")}
-    assert messages(report, "never", "3") == [ODD_A_UNPROVEN]
-    assert report.grounding_ordinal is None
-
-
-def test_alignment_past_its_period_cap_fails_closed():
-    own = bs_stages()
-    aligned = SymbolicStageMap(families=own.families, exceptions=own.exceptions)
-    assert verify_symbolic_stages(two_chain_lazy(), aligned, sample=16).ok
-    # odd a's again, at period 4 * 10007 / gcd(4, 4 * 10007) = 10007
-    wide = Family(IndexMap.affine(4 * 10007, 2), expr=NEVER)
-    candidate = SymbolicStageMap(families=own.families + (wide,),
-                                 exceptions=own.exceptions)
-    report = verify_symbolic_stages(two_chain_lazy(), candidate, sample=16)
-    assert found(report) == {("never", "3")}
-    assert messages(report, "never", "3") == [ODD_A_UNPROVEN]
+    for candidate in (
+            SymbolicStageMap(families=own.families, exceptions=own.exceptions,
+                             fallback=own.stage_of, sup=own.declared_sup()),
+            SymbolicStageMap(families=own.families, exceptions=own.exceptions)):
+        report = verify_symbolic_stages(two_chain_lazy(), candidate,
+                                        sample=sample)
+        assert found(report) == {("never", "3")}
+        assert messages(report, "never", "3") == [ODD_A_UNPROVEN]
+        assert report.grounding_ordinal is None
 
 
 def test_alignment_meeting_a_member_without_a_stage_fails_closed():
     # the odd a's family starts at k = 2 and the exception covers a_2 = 2,
-    # so the sample [0, 4) is complete but alignment meets 6, which has
-    # no stage value
+    # so the sample [0, 4) is complete though 6 has no stage value; the
+    # map has no verdict, so the family is not proved all-NEVER
     own = bs_stages()
     odd_a = IndexMap.affine(4, 2)
     families = tuple(Family(odd_a, 2, NEVER) if f.index_map == odd_a else f
@@ -429,7 +427,8 @@ def test_verifier_bounds_a_never_defended_family():
 def test_verifier_bounds_a_family_sup_above_the_predecessor():
     # b_0's attackers are defended at 1, 2, 3, ..., which reach w
     tampered = SymbolicStageMap(families=two_chain_candidate().families,
-                                exceptions={1: Ordinal.from_int(5)})
+                                exceptions={1: Ordinal.from_int(5)},
+                                family_all_never=odd_a_never)
     report = verify_symbolic_stages(two_chain_lazy(), tampered, sample=4)
     assert found(report) == {("bound", "1")}
     assert messages(report, "bound", "1") == \
@@ -439,7 +438,8 @@ def test_verifier_bounds_a_family_sup_above_the_predecessor():
 def test_verifier_rejects_never_when_every_family_member_is_answered():
     # b_0 claimed NEVER, but each odd a is counter-attacked by the a before it
     tampered = SymbolicStageMap(families=two_chain_candidate().families,
-                                exceptions={1: NEVER})
+                                exceptions={1: NEVER},
+                                family_all_never=odd_a_never)
     report = verify_symbolic_stages(two_chain_lazy(), tampered, sample=4)
     assert found(report) == {("never", "1")}
     assert "within the first 6 family members" in \
@@ -474,7 +474,8 @@ def test_verifier_rejects_a_bad_declared_sup(sup, subject, message):
 def test_verifier_rejects_a_family_above_the_declared_sup():
     candidate = SymbolicStageMap(families=two_chain_candidate().families,
                                  exceptions={1: OMEGA + 1},
-                                 sup=(OMEGA, False, None))
+                                 sup=(OMEGA, False, None),
+                                 family_all_never=odd_a_never)
     report = verify_symbolic_stages(two_chain_lazy(), candidate, sample=1)
     assert found(report) == {("sup", "sup")}
     assert messages(report, "sup", "sup") == \
