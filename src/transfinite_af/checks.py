@@ -424,8 +424,8 @@ def per_level_defense_prefix(af: FiniteAF, seed: frozenset, gplus: frozenset,
                              depth: int) -> NodePath:
     """rank_analysis._defense_prefix level by level: every level is
     decoded with unpair, and every attacked level searches its least
-    counter-attacker outside G+ afresh.  The library walks the levels
-    diagonal by diagonal and finds each counter-attacker once."""
+    counter-attacker outside G+ afresh.  The library steps each level's
+    row without decoding it and finds each counter-attacker once."""
     mran = set(seed)
     dset = set()
     for x in mran:

@@ -240,6 +240,8 @@ def ts_path_exists(af: FiniteAF, seed, prefix_depth: int = 100) -> TsDecision:
     unattacked levels), checked against the children relation as it is
     built.  The negative certificate is the exact finite rank.
     """
+    if prefix_depth < 0:
+        raise ValueError("prefix_depth must be >= 0")
     seed = frozenset(seed)
     for x in seed:
         if not (0 <= x < af.n):
@@ -255,14 +257,13 @@ def ts_path_exists(af: FiniteAF, seed, prefix_depth: int = 100) -> TsDecision:
 def _defense_prefix(af: FiniteAF, seed: frozenset, counts: Tuple[int, ...],
                     depth: int) -> NodePath:
     """The first `depth` levels of T_S's path that answers each attacked
-    level with the least counter-attacker outside G+.
+    level with the least counter-attacker outside G+ (grounding count < 0).
 
-    Diagonal s holds the levels pair(n, s - n) for n = s, s - 1, ..., 0,
-    so the walk goes diagonal by diagonal with no level decoded; rows
-    n >= af.n are no argument's and read 0.  G+ is fixed, so each
-    attacker's counter-attacker is found once, when its level is first
-    reached attacked; nothing past the prefix is committed.  G+ is the
-    arguments whose grounding count is below 0.
+    One pass steps the level's row n down diagonal s, whose levels are
+    pair(n, s - n) for n = s, ..., 0, and from row 0 to row s + 1 of the
+    next, decoding no level; rows n >= af.n are no argument's and read 0.
+    G+ is fixed, so each counter-attacker is found once, when its attacker's
+    level is first reached attacked; nothing past the prefix is committed.
     """
     # symbol[n]: 0 while a_n attacks nothing committed, -1 once it does,
     # and its least counter-attacker outside G+, plus 1, once found
@@ -274,41 +275,25 @@ def _defense_prefix(af: FiniteAF, seed: frozenset, counts: Tuple[int, ...],
             if not symbol[x]:
                 symbol[x] = -1
 
-    def walk(hi: int, low: int) -> None:
-        """Append the levels of rows hi, hi - 1, ..., low of a diagonal."""
-        while hi >= low:
-            rows = symbol[low:hi + 1][::-1]
-            if -1 not in rows:
-                path.extend(rows)
-                return
-            # the levels before the first unknown counter-attacker are
-            # final; finding it commits it, which may mark rows below
-            n = hi - rows.index(-1)
-            path.extend(rows[:hi - n])
+    for a in seed:
+        commit(a)
+    n = s = 0
+    for _ in range(depth):
+        row = symbol[n] if n < af.n else 0
+        if row < 0:
             j = next((i for i in af.attackers_of(n) if counts[i] >= 0), None)
             if j is None:
                 raise AssertionError(
                     f"attacker {n} of the committed set has no "
                     "counter-attacker outside G+; the complement of G+ "
                     "failed to defend itself")
-            symbol[n] = j + 1
+            row = symbol[n] = j + 1
             commit(j)
-            path.append(j + 1)
-            hi = n - 1
-
-    for a in seed:
-        commit(a)
-    # level `depth`, the first past the prefix, decodes to (x, y): the
-    # prefix holds diagonals 0 to x + y - 1 whole, then the rows above x
-    x, y = unpair(depth)
-    last = x + y
-    for s in range(min(af.n, last)):
-        walk(s, 0)
-    for s in range(af.n, last):
-        path += [0] * (s + 1 - af.n)
-        walk(af.n - 1, 0)
-    path += [0] * (last + 1 - max(x + 1, af.n))
-    walk(min(last, af.n - 1), x + 1)
+        path.append(row)
+        if n:
+            n -= 1
+        else:
+            s = n = s + 1
     return tuple(path)
 
 

@@ -10,11 +10,12 @@ so the corpus runs in about half a second.
 
 Run as a script, `python cli_corpus.py <package dir>` reads a JSON list
 of argvs on stdin, runs each through the package's `cli.main` in this
-one process and prints a JSON object: each argv's [exit code, stderr],
-and {module file: [line]} of every line of the package's modules, other
-than checks.py and __init__.py, that ran.  The collector starts before
-the package is imported, so import-time code counts too; an exception
-that escapes `main` is printed to that argv's stderr as a traceback.
+one process and prints a JSON object: each argv's [exit code, stdout,
+stderr, the text of its `-o` file or null], and {module file: [line]}
+of every line of the package's modules, other than checks.py and
+__init__.py, that ran.  The collector starts before the package is
+imported, so import-time code counts too; an exception that escapes
+`main` is printed to that argv's stderr as a traceback.
 """
 
 import io
@@ -168,6 +169,7 @@ CORPUS = [
     (["reduce", "witness", "--af", "apx:chain.apx", "--arg", "a0"], DOMAIN),
     # the suites and injected stage maps
     (["check", "all", "--trials", "2", "--seed", "1"], OK),
+    (["check", "all", "--trials", "20", "--seed", "42"], OK),
     (["check", "ordinals", "--trials", "0", "--emit-plot", "plot.csv"], OK),
     (["check", "lemmas", "--trials", "0", "--inject", "exact.apx"], OK),
     (["check", "lemmas", "--trials", "0", "--inject", "tampered.apx"],
@@ -213,14 +215,18 @@ def _run(package_dir: str) -> dict:
                           fromlist=["main"]).main
         results = []
         for argv in argvs:
-            err = io.StringIO()
-            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
                 try:
                     code = main(argv)
                 except Exception:
                     traceback.print_exc()
                     code = None
-            results.append([code, err.getvalue()])
+            written = None
+            if "-o" in argv:
+                with open(argv[argv.index("-o") + 1]) as f:
+                    written = f.read()
+            results.append([code, out.getvalue(), err.getvalue(), written])
     finally:
         sys.settrace(None)
     by_file = {}

@@ -107,6 +107,11 @@ def test_ts_path_exists_refuses_a_seed_out_of_range(x):
     assert str(err.value) == f"seed argument {x} out of range"
 
 
+def test_ts_path_exists_refuses_a_negative_depth():
+    with pytest.raises(ValueError, match="prefix_depth must be >= 0"):
+        ts_path_exists(chain(), {0}, prefix_depth=-1)
+
+
 def test_ts_two_cycle_self_defense():
     assert ts_path_exists(two_cycle(), {0}).path_exists
 
@@ -461,32 +466,56 @@ def ends_mid_diagonal(depth):
 def test_defense_prefixes_match_the_per_level_oracle():
     rng = random.Random(26)
     compared = mid_diagonal = witnessed = 0
+
+    def compare(af, seed, depth):
+        nonlocal compared, mid_diagonal, witnessed
+        grounded = grounded_finite(af).grounded
+        gplus = af.plus_set(grounded)
+        want = checks.per_level_defense_prefix(af, seed, gplus, depth)
+        assert rank_analysis._defense_prefix(
+            af, seed, grounded_finite(af).counts, depth) == want
+        assert ts_path_exists(af, seed, prefix_depth=depth).prefix == want
+        compared += 1
+        if not depth:
+            return
+        mid_diagonal += ends_mid_diagonal(depth)
+        for a in sorted(set(range(af.n)) - grounded)[:2]:
+            first = min(set(af.attackers_of(a)) - gplus)
+            want = (first,) + checks.per_level_defense_prefix(
+                af, frozenset((first,)), gplus, depth - 1)
+            assert witness_path(af, a, depth) == want
+            assert ta_path_violations(af, a, want, gplus) == []
+            witnessed += 1
+
+    def outside_g_plus(af):
+        gplus = af.plus_set(grounded_finite(af).grounded)
+        return [x for x in range(af.n) if x not in gplus]
+
     for _ in range(40):
         n = rng.randint(6, 16)
         p = rng.uniform(0.05, 0.45)
         af = FiniteAF(n, [(x, y) for x in range(n) for y in range(n)
                           if rng.random() < p])
-        grounded = grounded_finite(af).grounded
-        gplus = af.plus_set(grounded)
-        outside = [x for x in range(n) if x not in gplus]
+        outside = outside_g_plus(af)
         for depth in (1, 2, 3, 10, 11, 300, rng.randint(1, 300),
                       rng.randint(1, 300)):
-            mid_diagonal += ends_mid_diagonal(depth)
             seed = frozenset(rng.sample(outside, min(len(outside),
                                                      rng.randint(0, 3))))
-            want = checks.per_level_defense_prefix(af, seed, gplus, depth)
-            assert rank_analysis._defense_prefix(
-                af, seed, grounded_finite(af).counts, depth) == want
-            assert ts_path_exists(af, seed, prefix_depth=depth).prefix == want
-            for a in sorted(set(range(n)) - grounded)[:2]:
-                first = min(set(af.attackers_of(a)) - gplus)
-                want = (first,) + checks.per_level_defense_prefix(
-                    af, frozenset((first,)), gplus, depth - 1)
-                assert witness_path(af, a, depth) == want
-                assert ta_path_violations(af, a, want, gplus) == []
-                witnessed += 1
-            compared += 1
-    assert compared == 320 and mid_diagonal > 150 and witnessed > 100
+            compare(af, seed, depth)
+        compare(af, frozenset(outside), 300)
+    # AFs of 0, 1 and 3 arguments, where nearly every level of a long
+    # prefix lies in a row of no argument
+    small = [FiniteAF(0), FiniteAF(1), FiniteAF(1, [(0, 0)])]
+    for _ in range(12):
+        p = rng.uniform(0.1, 0.6)
+        small.append(FiniteAF(3, [(x, y) for x in range(3) for y in range(3)
+                                  if rng.random() < p]))
+    for af in small:
+        outside = outside_g_plus(af)
+        for seed in (frozenset(), frozenset(outside[:1]), frozenset(outside)):
+            for depth in (0, 1, 2, 3, 5, 6, 7, 2_000):
+                compare(af, seed, depth)
+    assert compared == 720 and mid_diagonal > 150 and witnessed > 100
 
 
 # -- the bridge -------------------------------------------------------------------

@@ -6,7 +6,8 @@ checks.py and __init__.py must run, or lie in a scope that
 CLI_UNREACHED_ALLOWED lists with the reason no CLI input reaches it, and
 each listed scope must still hold a statement that does not run, so no
 entry goes stale.  Scopes are dotted paths of the enclosing classes and
-functions, as in OUTSIDE_READ_ALLOWED.
+functions, as in OUTSIDE_READ_ALLOWED.  The same run pins every argv's
+output with one recorded sha256.
 
 The name-level guard in test_design.py counts a method as called when
 any code reads its name, so it cannot see a branch no input takes, nor
@@ -16,6 +17,7 @@ wall-clock bounds.
 """
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -109,8 +111,8 @@ CLI_UNREACHED_ALLOWED = {
     },
     "rank_analysis.py": {
         "TsDecision.__repr__": DUNDER,
-        "_defense_prefix.walk": "fires only on a wrong grounding: the "
-                                "complement of G+ defends itself",
+        "_defense_prefix": "fires only on a wrong grounding: the "
+                           "complement of G+ defends itself",
         "_first_attacked_level": API + ": ts_rank on a seed nothing attacks",
         "_ts_rank_states.entry": API + ": ts_rank on a seed nothing attacks",
         "_witness_path": "fires only on a wrong grounding: an argument "
@@ -211,14 +213,15 @@ def stale(found: dict, allowed: dict) -> dict:
 
 
 def run_traced(package: Path, argvs: list, cwd: Path):
-    """Each argv's [exit code, stderr] and the lines that ran, from one
-    collector process over the package at `package`."""
+    """Each argv's [exit code, stdout, stderr, -o file text or None] and
+    the lines that ran, from one collector process over the package at
+    `package`."""
     env = {key: value for key, value in os.environ.items()
            if key != "TRANSFINITE_AF_SEED"}
     done = subprocess.run(
         [sys.executable, str(COLLECTOR), str(package)], input=json.dumps(argvs),
         capture_output=True, text=True, cwd=cwd, timeout=120,
-        env={**env, "PYTHONHASHSEED": "0"})
+        env={**env, "PYTHONHASHSEED": "0", "COLUMNS": "80"})
     assert done.returncode == 0, done.stderr
     doc = json.loads(done.stdout)
     return doc["results"], doc["reached"]
@@ -228,10 +231,20 @@ def test_every_library_line_has_a_cli_reason(tmp_path):
     for name, text in INPUTS.items():
         (tmp_path / name).write_text(text)
     results, reached = run_traced(SRC, [argv for argv, _ in CORPUS], tmp_path)
-    assert [(argv, code) for (argv, _), (code, _) in zip(CORPUS, results)] \
+    assert [(argv, result[0]) for (argv, _), result in zip(CORPUS, results)] \
         == CORPUS
-    assert [argv for (argv, _), (_, err) in zip(CORPUS, results)
+    assert [argv for (argv, _), (_, _, err, _) in zip(CORPUS, results)
             if "Traceback" in err] == []
+    # sha256 of every argv's exit code, stdout, stderr and -o file,
+    # recorded before T_S prefixes were built in one pass over the levels
+    digest = hashlib.sha256()
+    for (argv, _), result in zip(CORPUS, results):
+        record = [argv] + [text.replace(str(tmp_path), "DIR")
+                           if isinstance(text, str) else text
+                           for text in result]
+        digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == \
+        "b54562ec20b22a4edc193112b03df4a094f5cdc7c9d0ea7377be700bc430e3cd"
     found = unreached(SRC, reached)
     assert stray(found, CLI_UNREACHED_ALLOWED) == {}
     assert stale(found, CLI_UNREACHED_ALLOWED) == {}
@@ -265,8 +278,8 @@ def test_the_reach_guard_sees_an_unreached_branch(tmp_path):
                   "if __name__ == '__main__':\n"
                   "    main([])\n"})
     results, reached = run_traced(package, [["box"], ["crash"]], tmp_path)
-    assert results[0] == [1, ""]
-    assert results[1][0] is None and "Traceback" in results[1][1]
+    assert results[0] == [1, "", "", None]
+    assert results[1][0] is None and "Traceback" in results[1][2]
     # import-time calls count; the branch and the shadowed method do not
     found = unreached(package, reached)
     assert found == {"mod.py": {"Box.member": [4], "Crate.member": [9]}}
