@@ -1050,6 +1050,8 @@ def parse_injected(text: str) -> Tuple[FiniteAF, Dict[int, object]]:
             raise ValueError(f"line {lineno}: %stage needs a name and a value")
         _, name, value = parts
         idx = af.index_of(name)
+        if idx in stages:
+            raise ValueError(f"line {lineno}: duplicate %stage for {name!r}")
         stages[idx] = NEVER if value == "NEVER" else parse_ordinal(value)
     return af, stages
 
@@ -1062,7 +1064,7 @@ def run_injected(path: str) -> SuiteResult:
         if i not in stages:
             raise ValueError(f"injected stage map misses argument {af.name(i)}")
     report = verify_symbolic_stages(af, SymbolicStageMap.from_finite(stages),
-                                    sample=af.n)
+                                    sample=max(af.n, 1))
     result.checks = report.checked
     if not report.ok:
         def still_bad(a):

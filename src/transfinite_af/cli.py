@@ -16,7 +16,6 @@ import sys
 import warnings
 from typing import List, Optional
 
-from .checks import run_suites
 from .constructions import materialize_spec, parse_generator_spec
 from .core import FiniteAF, format_apx, format_dot
 from .errors import DomainError, TransfiniteAFError
@@ -300,6 +299,9 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_check(args) -> int:
+    # imported here, so that only `check` pays for loading the oracles
+    from .checks import run_suites
+
     seed = int(os.environ.get("TRANSFINITE_AF_SEED", args.seed))
     result = run_suites(args.suite, trials=args.trials, max_args=args.max_args,
                         seed=seed, emit_plot=args.emit_plot, inject=args.inject)

@@ -40,6 +40,10 @@ INPUTS = {
     # past level 0's diagonal
     "far.apx": "arg(a0).\narg(a1).\narg(a2).\narg(a3).\natt(a1,a2).\n"
                "att(a3,a0).\n",
+    # a2 answers a1, the attacker of a0, and a3 attacks a2 back: the
+    # counter-attacker committed at a1's level makes a3's level attacked
+    "answer.apx": "arg(a0).\narg(a1).\narg(a2).\narg(a3).\natt(a1,a0).\n"
+                  "att(a2,a1).\natt(a2,a3).\natt(a3,a2).\n",
     "unsorted.apx": "arg(a).\narg(b).\natt(b,a).\natt(a,b).\n",
     "duplicate.apx": "arg(a).\narg(a).\n",
     "unknown.apx": "arg(a).\natt(a,b).\n",
@@ -49,6 +53,8 @@ INPUTS = {
     "explicit.apx": CHAIN + "%stage a0 1\n%stage a1 2\n%stage a2 NEVER\n",
     "unstaged.apx": CHAIN + "%stage a0 1\n",
     "badstage.apx": CHAIN + "%stage a0\n",
+    "bare.apx": "% no arguments\n",
+    "restaged.apx": CHAIN + "%stage a0 1\n%stage a0 1\n",
     # what `tree build --ordinal w+1 --truncate-width 2` prints
     "tree.json": '{"nodes": [[], [0], [0, 0], [0, 1], [0, 1, 0]]}',
     "deep.json": '{"nodes": [[], ' + "[" * 101 + "]" * 101 + "]}",
@@ -160,6 +166,7 @@ CORPUS = [
     (["reduce", "ts", "--af", "ord:3", "--set", "b"], OK),
     (["reduce", "ts", "--af", "apx:far.apx", "--set", "a0"], OK),
     (["reduce", "ts", "--af", "apx:far.apx", "--set", "a2"], OK),
+    (["reduce", "ts", "--af", "apx:answer.apx", "--set", "a0"], OK),
     (["reduce", "ts", "--af", "apx:chain.apx", "--set", "zz"], PARSE),
     (["reduce", "ts", "--af", "ord:w^2"], DOMAIN),
     (["reduce", "ta", "--af", "apx:chain.apx", "--arg", "a2"], OK),
@@ -178,6 +185,8 @@ CORPUS = [
      VIOLATION),
     (["check", "lemmas", "--trials", "0", "--inject", "unstaged.apx"], PARSE),
     (["check", "lemmas", "--trials", "0", "--inject", "badstage.apx"], PARSE),
+    (["check", "lemmas", "--trials", "0", "--inject", "bare.apx"], OK),
+    (["check", "lemmas", "--trials", "0", "--inject", "restaged.apx"], PARSE),
     # gen
     (["gen", "apx:spaced.apx"], OK),
     (["gen", "bs:truncate=3", "--format", "dot"], OK),

@@ -384,6 +384,36 @@ def test_check_inject_exact_passes(capsys, tmp_path):
     assert code == 0
 
 
+def test_check_inject_of_an_af_without_arguments_passes(capsys, tmp_path):
+    # the suites that ran before it still print their line
+    empty = tmp_path / "empty.apx"
+    empty.write_text("% no arguments\n")
+    assert run(capsys, "check", "ordinals", "--trials", "0",
+               "--inject", str(empty)) == \
+        (0, "suite ordinals+inject: pass (201 trials, 200 checks, "
+            "0 violations)\n", "")
+
+
+def test_check_inject_refuses_a_repeated_stage(capsys, tmp_path):
+    twice = tmp_path / "twice.apx"
+    twice.write_text(CHAIN_APX + "%stage a0 1\n%stage a1 NEVER\n"
+                     "%stage a2 1\n%stage a2 2\n")
+    assert run(capsys, "check", "lemmas", "--trials", "0",
+               "--inject", str(twice)) == \
+        (2, "", "error: line 9: duplicate %stage for 'a2'\n")
+
+
+def test_importing_the_cli_leaves_the_oracles_unloaded():
+    # only `check` imports checks.py
+    src = str(Path(transfinite_af.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, transfinite_af.cli; "
+         "print('transfinite_af.checks' in sys.modules)"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
 def test_check_lemmas_catches_a_grounded_that_drops_its_last_layer(
         capsys, monkeypatch):
     def short(af):

@@ -377,26 +377,98 @@ def family_attacked_candidate(exceptions):
     return SymbolicStageMap(families=(stage_one,), exceptions=exceptions)
 
 
-def test_verifier_reads_minstage_through_an_attacker_family():
+# the two violations of a map for an AF where 1 is counter-attacked by a
+# family: 1 bounds 0's stage, and 1's NEVER has no explicit witness
+FAMILY_FAILS_CLOSED = {("fragment", "1"), ("never", "1")}
+COUNTER_FAMILY = ("counter-attacked by a family; outside the supported "
+                  "fragment of explicit counter-attackers")
+
+
+def test_verifier_fails_closed_on_a_counter_attacker_family():
     af = family_attacked_lazy()
-    exact = {0: Ordinal.from_int(2), 1: NEVER}
-    # 0 is defended at 2 through the family; 1 is NEVER through member 2
-    assert verify_symbolic_stages(af, family_attacked_candidate(exact),
-                                  sample=8).ok
-    report = verify_symbolic_stages(
-        af, family_attacked_candidate({**exact, 0: Ordinal.from_int(3)}),
-        sample=8)
-    assert found(report) == {("least", "0")}
-    assert "defense completes at 1+1" in messages(report, "least", "0")[0]
+    # the exact map (0 is defended at 2 through the family) and one a
+    # level too late are refused alike: no family member is read
+    for zero in (2, 3):
+        report = verify_symbolic_stages(
+            af, family_attacked_candidate({0: Ordinal.from_int(zero),
+                                           1: NEVER}), sample=8)
+        assert found(report) == FAMILY_FAILS_CLOSED
+        assert messages(report, "fragment", "1") == [COUNTER_FAMILY]
+        assert messages(report, "never", "1") == \
+            ["no explicit attacker has all its counter-attackers NEVER"]
+        assert report.grounding_ordinal is None
 
 
 def test_verifier_flags_a_decreasing_attacker_family():
+    # refused for being a family, before any member's stage is read
     two = Ordinal.from_int(2)
     exact = {0: two, 1: NEVER, 2: two, 3: NEVER}
     report = verify_symbolic_stages(family_attacked_lazy(decreasing=True),
                                     family_attacked_candidate(exact), sample=8)
-    assert found(report) == {("fragment", "1")}
-    assert "decrease at k=1" in messages(report, "fragment", "1")[0]
+    assert found(report) == FAMILY_FAILS_CLOSED
+    assert messages(report, "fragment", "1") == [COUNTER_FAMILY]
+
+
+def test_verifier_fails_closed_through_a_closed_form_probe():
+    # 0 is attacked by the odd arguments, each counter-attacked by the
+    # family of even ones: the closed-form rule's first probe fails
+    # closed on 1 and adds no closed-form violation of its own
+    evens = Family(IndexMap.affine(2, 2))
+    odds = Family(IndexMap.affine(2, 1), expr=AffineOrdinalExpr.affine(0, 1))
+
+    def spec(i):
+        if i == 0:
+            return Members(families=(odds,))
+        return Members(families=(evens,)) if i % 2 else Members()
+
+    af = LazyAF(lambda x, y: y == 0 and x % 2 == 1
+                or y % 2 == 1 and x >= 2 and x % 2 == 0, spec)
+    candidate = SymbolicStageMap(
+        families=(Family(IndexMap.affine(2, 1), expr=NEVER),
+                  Family(IndexMap.affine(2, 2),
+                         expr=AffineOrdinalExpr.affine(0, 1))),
+        exceptions={0: Ordinal.from_int(2)})
+    report = verify_symbolic_stages(af, candidate, sample=4)
+    assert found(report) == FAMILY_FAILS_CLOSED | {("never", "3")}
+    assert messages(report, "fragment", "1") == [COUNTER_FAMILY]
+
+
+def late_answer_lazy():
+    """0 is attacked by 1, and 1 by the family c_k = 10 + 3k; each c_k
+    but c_6 (28) is attacked by d_k = c_k + 1, which the unattacked
+    e_k = c_k + 2 attacks.  So c_k has stage 2 but c_6 has stage 1, and
+    0 has stage 2: a minimum read off the family's first members says 3."""
+    def c_index(i):
+        return i >= 10 and (i - 10) % 3 == 0
+
+    def d_index(i):
+        return i >= 11 and (i - 11) % 3 == 0
+
+    def pred(x, y):
+        return ((x, y) == (1, 0) or (y == 1 and c_index(x))
+                or (x == y + 1 and (c_index(y) and y != 28 or d_index(y))))
+
+    def spec(i):
+        if i == 1:
+            return Members(families=(Family(IndexMap.affine(3, 10)),))
+        if i == 0 or (c_index(i) and i != 28) or d_index(i):
+            return Members(explicit=(i + 1,))
+        return Members()
+
+    return LazyAF(pred, spec)
+
+
+def test_verifier_rejects_a_family_minimum_its_first_members_miss():
+    af = late_answer_lazy()
+    exact = stages_finite(checks.materialize(af, 40))
+    assert (exact[0], exact[1], exact[10], exact[28]) == \
+        (Ordinal.from_int(2), NEVER, Ordinal.from_int(2), ONE)
+    for zero in (2, 3):
+        candidate = SymbolicStageMap.from_finite(
+            {**exact, 0: Ordinal.from_int(zero)})
+        report = verify_symbolic_stages(af, candidate, sample=40)
+        assert found(report) == FAMILY_FAILS_CLOSED
+        assert messages(report, "fragment", "1") == [COUNTER_FAMILY]
 
 
 def test_verifier_rejects_a_limit_stage():
@@ -442,8 +514,8 @@ def test_verifier_rejects_never_when_every_family_member_is_answered():
                                 family_all_never=odd_a_never)
     report = verify_symbolic_stages(two_chain_lazy(), tampered, sample=4)
     assert found(report) == {("never", "1")}
-    assert "within the first 6 family members" in \
-        messages(report, "never", "1")[0]
+    assert messages(report, "never", "1") == \
+        ["no explicit attacker has all its counter-attackers NEVER"]
 
 
 CHAIN_STAGES = {0: ONE, 1: NEVER, 2: Ordinal.from_int(2)}
