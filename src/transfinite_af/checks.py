@@ -497,8 +497,9 @@ def path_keyed_tree_af(tree: LazyTree) -> LazyAF:
     its node's path, and membership, children and declared ranks are asked
     of the tree by path.  The library remembers each code's node state and
     steps a new code's state from its parent code's instead.  Only the
-    predicate, specs, names and candidate stages are built, with no
-    candidate hook or family verdicts, so its NEVER claims do not verify."""
+    predicate, specs, names and candidate stages are built; each a's
+    child-slot b-family carries the same all-NEVER verdict as the
+    library's, so both verify the same NEVER claims."""
 
     def predicate(x: int, y: int) -> bool:
         if x % 2 == 0 and y == x + 1:
@@ -517,11 +518,12 @@ def path_keyed_tree_af(tree: LazyTree) -> LazyAF:
         code = index // 2
         children = children_at(tree, path)
         explicit = tuple(2 * (pair(code, s) + 1) + 1 for s in children.explicit)
+        annotated = tree.declared_rank is not None
         families = tuple(
             Family(fam.index_map.then(PairLeft(code)).then(_B_STEP), fam.k_start,
                    fam.expr.add_finite(1)
-                   if tree.declared_rank is not None and fam.expr is not None
-                   else None)
+                   if annotated and fam.expr is not None else None,
+                   annotated)
             for fam in children.families)
         return Members(explicit=explicit, families=families)
 
@@ -1042,10 +1044,9 @@ def parse_injected(text: str) -> Tuple[FiniteAF, Dict[int, object]]:
     af = parse_apx(text)
     stages: Dict[int, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line.startswith("%stage"):
+        parts = raw.split()
+        if not parts or parts[0] != "%stage":
             continue
-        parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: %stage needs a name and a value")
         _, name, value = parts

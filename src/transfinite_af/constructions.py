@@ -169,7 +169,9 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
     As a forest the root is dropped, root child p's subtree is coded on
     its own with p at code 0, and its j sits at pair(p, j), named
     u<p>_<name>.  sup = (value, attained, witness) attaches the candidate
-    stage map: `families`, then a at rank+1, b never, padding at 1.
+    stage map: `families`, then a at rank+1, b never, padding at 1.  Each
+    a's child-slot b-family is minted all_never when the tree declares
+    ranks, which is exactly when sup is given.
 
     Each AF remembers what it decodes, so no answer is worked out twice:
     an index's (p, j, state); a state's children, with its families'
@@ -266,7 +268,7 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
             else (PairLeft(code), _B_STEP)
         children, parts = expansion(state)
         explicit = tuple(2 * (pair(code, s) + 1) + 1 for s in children.explicit)
-        lifted = tuple(Family(IndexMap(steps + tail), k_start, expr)
+        lifted = tuple(Family(IndexMap(steps + tail), k_start, expr, annotated)
                        for steps, k_start, expr in parts)
         if forest:
             explicit = tuple(pair(p, b) for b in explicit)
@@ -287,16 +289,8 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
                 return ONE
             return NEVER if index % 2 else tree.declared_rank(state) + 1
 
-        def family_all_never(fam: Family) -> Optional[bool]:
-            # families minted here end at the b-companion step, in a
-            # forest followed by the part's PairLeft
-            steps = fam.index_map.steps
-            if forest:
-                steps = steps[:-1] if steps and isinstance(steps[-1], PairLeft) else ()
-            return True if steps and steps[-1] == _B_STEP else None
-
         candidate = SymbolicStageMap(families=families, fallback=stage_of,
-                                     sup=sup, family_all_never=family_all_never)
+                                     sup=sup)
     return LazyAF(predicate, spec, naming=naming,
                   candidate_stages=candidate, attacker_candidates=candidates)
 
@@ -354,12 +348,9 @@ def baumann_spanring(truncate: Optional[int] = None):
         if i == 0:
             return Members()
         if i == 1:
-            return Members(families=(Family(odd_a, 0, k_plus_1),))
+            # b_0's attackers, the odd a's, never enter G
+            return Members(families=(Family(odd_a, 0, k_plus_1, True),))
         return Members(explicit=(i - 2,))
-
-    def family_all_never(fam: Family) -> Optional[bool]:
-        # b_0's attackers, the odd a's, never enter G
-        return True if fam.index_map == odd_a else None
 
     w_plus_k_plus_1 = AffineOrdinalExpr(((ONE, 0, 1), (ZERO, 1, 1)))
     candidate = SymbolicStageMap(
@@ -370,7 +361,6 @@ def baumann_spanring(truncate: Optional[int] = None):
             Family(IndexMap.affine(4, 3), expr=NEVER),
         ),
         exceptions={1: Ordinal(((ONE, 1),)) + 1},  # b_0 enters just past w
-        family_all_never=family_all_never,
     )
 
     def naming(i: int) -> str:
@@ -567,18 +557,8 @@ def disjoint_union(parts: List):
             p, j, inside = locate(x)
             return maps[p].stage_of(j) if inside else ONE
 
-        def family_all_never(fam: Family) -> Optional[bool]:
-            # attacker families come only from lazy parts, lifted by PairLeft
-            steps = fam.index_map.steps
-            if steps and isinstance(steps[-1], PairLeft) \
-                    and steps[-1].left < len(parts):
-                return maps[steps[-1].left].family_all_never(
-                    replace(fam, index_map=IndexMap(steps[:-1])))
-            return None
-
         candidate = SymbolicStageMap(families=tuple(families), fallback=stage_of,
-                                     sup=(best, attained, witness),
-                                     family_all_never=family_all_never)
+                                     sup=(best, attained, witness))
     return LazyAF(predicate, spec, naming=naming,
                   candidate_stages=candidate, attacker_candidates=candidates)
 

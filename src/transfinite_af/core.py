@@ -164,14 +164,19 @@ class Family:
     (NEVER: none is ever counter-attacked), or a stage.  Generators
     supply it, and it is checked on samples before any symbolic use.
 
+    all_never, set only by the generator that mints an attacker family,
+    vouches that every member has stage NEVER; the verifier's NEVER rule
+    accepts a family as all-NEVER on nothing else.
+
     The first SPEC_FAMILY_PROBE members, which the spot check and the
-    verifier's rules all sample, are worked out once, when one is first
+    closed-form rule sample, are worked out once, when one is first
     asked for; they are not part of the value.
     """
 
     index_map: IndexMap
     k_start: int = 0
     expr: object = None  # AffineOrdinalExpr | NEVER | None
+    all_never: bool = False
 
     @cached_property
     def _head(self) -> Tuple[int, ...]:

@@ -23,8 +23,9 @@ Three regimes:
   rule and its minimality are checked exactly through affine ordinal
   sups, the NEVER rule locally (co-inductively) from explicit attackers,
   and family closed forms against concrete samples before any symbolic
-  use.  An attacker family is read only through its closed form or its
-  generator's all-NEVER verdict; a counter-attacker family fails closed.
+  use.  An attacker family is read only through its closed form or the
+  all-NEVER verdict its generator minted it with (Family.all_never); a
+  counter-attacker family fails closed.
 """
 
 from __future__ import annotations
@@ -239,24 +240,19 @@ class SymbolicStageMap:
     families, and (for generator-structured AFs whose universe has no
     finite family decomposition) a total fallback callable.  Maps with a
     fallback must declare their stage supremum as sup = (value, attained,
-    witness); affine-complete maps compute it.
-
-    family_all_never, when provided, answers "is stage(map(k)) NEVER for
-    every k of this attacker family" exactly for generator-owned
-    structure; a family it does not vouch for is not proved all-NEVER.
+    witness); affine-complete maps compute it.  The map answers stages
+    only: whether an attacker family is all-NEVER is the family's own
+    all_never, set by the generator that mints it.
     """
 
     def __init__(self, families: Tuple[Family, ...] = (),
                  exceptions: Optional[Dict[int, StageValue]] = None,
                  fallback: Optional[Callable[[int], StageValue]] = None,
-                 sup: Optional[Tuple[Ordinal, bool, Optional[int]]] = None,
-                 family_all_never: Optional[Callable[[Family],
-                                                     Optional[bool]]] = None):
+                 sup: Optional[Tuple[Ordinal, bool, Optional[int]]] = None):
         self.families = tuple(families)
         self.exceptions = dict(exceptions or {})
         self.fallback = fallback
         self._sup = sup
-        self._family_all_never = family_all_never
 
     @staticmethod
     def from_finite(stages: Dict[int, StageValue]) -> "SymbolicStageMap":
@@ -272,11 +268,6 @@ class SymbolicStageMap:
         if self.fallback is not None:
             return self.fallback(index)
         raise IncompleteStageMap(f"no stage value for argument {index}")
-
-    def family_all_never(self, family: Family) -> Optional[bool]:
-        if self._family_all_never is not None:
-            return self._family_all_never(family)
-        return None
 
     def declared_sup(self) -> Tuple[Ordinal, bool, Optional[int]]:
         """(value, attained, witness) for the sup of all non-NEVER stages."""
@@ -423,19 +414,16 @@ class _Verifier:
     # -- rule (ii): NEVER ------------------------------------------------
 
     # True when every counter-attacker of b is NEVER, False when one is
-    # not, else the first family of them whose generator does not vouch
-    # that it is all-NEVER.
+    # not, else the first family of them that its generator did not mint
+    # all-NEVER.
     def attacker_never_in_g_plus(self, b: int):
         spec = self.spec(b)
         for c in spec.explicit:
             if self.stage(c) is not NEVER:
                 return False
         for fam in spec.families:
-            verdict = self.candidate.family_all_never(fam)
-            if verdict is None:
+            if not fam.all_never:
                 return fam
-            if not verdict:
-                return False
         return True
 
     def check_never(self, a: int):

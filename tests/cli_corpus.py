@@ -95,6 +95,9 @@ CORPUS = [
     (["grounded", "union(ord:2,bs,apx:chain.apx,ord:w:truncate=1)",
       "--sample", "40"], OK),
     (["grounded", "union(union(bs))", "--sample=8"], OK),
+    # u0_u0_b1, index 54, rests on bs's odd-a family lifted twice
+    (["grounded", "union(union(bs,ord:w),ord:w^2)", "--sample", "60",
+      "--stages"], OK),
     (["grounded", "ord:1+w", "--sample", "4"], OK),
     (["grounded", "ord:w + 1", "--sample", "4"], OK),
     # bad specs and ordinals

@@ -403,6 +403,15 @@ def test_check_inject_refuses_a_repeated_stage(capsys, tmp_path):
         (2, "", "error: line 9: duplicate %stage for 'a2'\n")
 
 
+def test_check_inject_reads_only_the_stage_keyword(capsys, tmp_path):
+    # a word that merely starts with %stage is a comment, not an annotation
+    note = tmp_path / "note.apx"
+    note.write_text("arg(a0).\n%stagenote a0 1\n")
+    assert run(capsys, "check", "lemmas", "--trials", "0",
+               "--inject", str(note)) == \
+        (2, "", "error: injected stage map misses argument a0\n")
+
+
 def test_importing_the_cli_leaves_the_oracles_unloaded():
     # only `check` imports checks.py
     src = str(Path(transfinite_af.__file__).parents[1])

@@ -2,6 +2,7 @@ import math
 import random
 import re
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from transfinite_af.constructions import (
     parse_generator_spec,
 )
 from transfinite_af.core import SPEC_FAMILY_PROBE, Family, FiniteAF, \
-    IndexMap, LazyAF, Members, PairLeft, PairRight, format_apx, least_right, \
+    IndexMap, LazyAF, Members, PairLeft, format_apx, least_right, \
     pair, spot_check_attacker_spec, unpair
 from transfinite_af.errors import CapExceeded, UnsupportedExpression
 from transfinite_af.grounded import (
@@ -364,12 +365,57 @@ def test_union_stage_preservation_random():
 def test_two_chain_never_evidence_survives_union():
     bs = baumann_spanring()
     odd_a = bs.attacker_spec(1).families[0]
-    assert bs.candidate_stages.family_all_never(odd_a) is True
+    assert odd_a.all_never is True
     union = materialize_spec(parse_generator_spec("union(bs,ord:w)"))
     b0 = pair(0, 1)
     assert union.name(b0) == "u0_b0"
     lifted = union.attacker_spec(b0).families[0]
-    assert union.candidate_stages.family_all_never(lifted) is True
+    assert lifted.all_never is True
+
+
+TWICE_LIFTED = "union(union(bs,ord:w),ord:w^2)"
+
+
+def test_a_verdict_lifted_twice_certifies():
+    # u0_u0_b1's NEVER rests on b_0's odd-a family, lifted by both unions
+    union = materialize_spec(parse_generator_spec(TWICE_LIFTED))
+    b0, b1 = pair(0, pair(0, 1)), pair(0, pair(0, 3))
+    assert (union.name(b0), union.name(b1)) == ("u0_u0_b0", "u0_u0_b1")
+    assert b1 == 54
+    (lifted,) = union.attacker_spec(b0).families
+    assert lifted.index_map == \
+        IndexMap.affine(4, 2).then(PairLeft(0)).then(PairLeft(0))
+    assert lifted.all_never is True
+    report = verify_symbolic_stages(union, union.candidate_stages, sample=60)
+    assert report.ok, report.lines()
+    assert report.stages[b1] is NEVER
+    assert report.grounding_ordinal == parse_ordinal("w^2")
+
+
+def test_a_part_family_without_a_verdict_fails_closed_after_two_lifts():
+    bs = baumann_spanring()
+
+    def spec(i):
+        own = bs.attacker_spec(i)
+        return Members(own.explicit, tuple(replace(f, all_never=False)
+                                           for f in own.families))
+
+    unvouched = LazyAF(bs.attacks, spec, naming=bs.name,
+                       candidate_stages=bs.candidate_stages,
+                       attacker_candidates=bs.attacker_candidates)
+    union = disjoint_union([
+        disjoint_union([unvouched, materialize_spec(parse_generator_spec(
+            "ord:w"))]),
+        materialize_spec(parse_generator_spec("ord:w^2"))])
+    b0, b1 = pair(0, pair(0, 1)), pair(0, pair(0, 3))
+    lifted = IndexMap.affine(4, 2).then(PairLeft(0)).then(PairLeft(0))
+    report = verify_symbolic_stages(union, union.candidate_stages, sample=60)
+    assert {(v.rule, v.subject) for v in report.violations} == \
+        {("never", str(b1))}
+    assert [v.message for v in report.violations] == [
+        f"attacker {b0}'s counter-attacker family {lifted} is not proved "
+        "all-NEVER"]
+    assert report.grounding_ordinal is None
 
 
 def test_union_lazy_with_finite_part_certifies():
@@ -427,21 +473,13 @@ def test_union_places_part_p_argument_j_at_pair(text):
             assert cand.stage_of(x) == stages_finite(part)[j]
             continue
         inner = part.attacker_spec(j)
-        lifted = tuple(Family(f.index_map.then(PairLeft(p)), f.k_start, f.expr)
+        # a lifted family keeps its part's all-NEVER verdict
+        lifted = tuple(Family(f.index_map.then(PairLeft(p)), f.k_start, f.expr,
+                              f.all_never)
                        for f in inner.families)
         assert union.attacker_spec(x) == Members(
             explicit=tuple(pair(p, b) for b in inner.explicit), families=lifted)
         assert cand.stage_of(x) == part.candidate_stages.stage_of(j)
-        for fam, own in zip(lifted, inner.families):
-            assert (cand.family_all_never(fam)
-                    == part.candidate_stages.family_all_never(own))
-    # no verdict on a family no part minted: a limit's root stages, or
-    # part 0's or the first missing part's arguments all lifted
-    past = next((p for p in parts if parts[p] is None), len(parts))
-    for index_map in (IndexMap((PairRight(0),)),
-                      IndexMap.affine(1, 0).then(PairLeft(0)),
-                      IndexMap.affine(1, 0).then(PairLeft(past))):
-        assert cand.family_all_never(Family(index_map)) is None
 
 
 def test_union_with_a_lazy_part_without_stage_map_has_none():
@@ -456,7 +494,8 @@ def test_union_with_a_lazy_part_without_stage_map_has_none():
     assert union.attacker_spec(x4) == Members(explicit=(x3,))
     odd_a = baumann_spanring().attacker_spec(1).families[0]
     assert union.attacker_spec(b0) == Members(families=(
-        Family(odd_a.index_map.then(PairLeft(1)), odd_a.k_start, odd_a.expr),))
+        Family(odd_a.index_map.then(PairLeft(1)), odd_a.k_start, odd_a.expr,
+               True),))
     assert list(union.attacker_candidates(x4, 40)) == \
         [pair(0, c) for c in range(least_right(0, 40))]
     assert list(union.attacker_candidates(pair(2, 0), 40)) == []
@@ -527,9 +566,12 @@ def test_family_head_is_worked_out_once_and_is_not_part_of_the_value():
     assert step.applied == 1 + SPEC_FAMILY_PROBE
     assert fam == fresh and hash(fam) == hash(fresh)
     assert {fam: 1}[fresh] == 1 and fam != Family(IndexMap((step,)), 3, NEVER)
+    # the all-NEVER verdict is part of the value
+    assert fam != Family(IndexMap((step,)), 2, NEVER, True)
     for lazy in _sampled_families():
         if type(lazy) is Family:
-            equal = Family(lazy.index_map, lazy.k_start, lazy.expr)
+            equal = Family(lazy.index_map, lazy.k_start, lazy.expr,
+                           lazy.all_never)
             assert equal == lazy and hash(equal) == hash(lazy)
 
 

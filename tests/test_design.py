@@ -33,6 +33,12 @@ node's children and an argument's attackers are one member-set type,
 `core.Members` (explicit members plus families): only it, Family and
 Family's subclass define `contains`.
 
+An attacker family carries its generator's all-NEVER verdict as part of
+its value: outside checks.py only the two generators that mint attacker
+families, `_tree_af` and `baumann_spanring`, build a Family with
+`all_never` set, and only the verifier, `_Verifier`, reads it, so no
+stage map or union answers for a family.
+
 Every cap is a budget: only `errors.Budget.spend` constructs CapExceeded,
 so each refusal reads "<what> exceeded <cap> <unit>" and each engine's
 `used` against `cap` is read in one place.  The oracles in checks.py are
@@ -298,6 +304,57 @@ def test_the_guard_sees_a_second_member_set_type(tmp_path):
         "def contains(spec, symbol):\n"
         "    return spec.contains(symbol)\n")
     assert membership_classes(tmp_path) == {("trees.py", "ChildrenSpec")}
+
+
+def verdict_mints(path: Path) -> list:
+    """Every Family or replace call that sets all_never to anything but a
+    literal False, as Family's fourth argument or by keyword."""
+    def sets_verdict(node):
+        if not isinstance(node, ast.Call):
+            return False
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name not in ("Family", "replace"):
+            return False
+        values = [kw.value for kw in node.keywords if kw.arg == "all_never"]
+        if name == "Family":
+            values += node.args[3:4]
+        return any(not (isinstance(v, ast.Constant) and v.value is False)
+                   for v in values)
+
+    return find(path, sets_verdict)
+
+
+def verdict_reads(path: Path) -> list:
+    """Every read of an all_never attribute."""
+    return find(path, lambda node: isinstance(node, ast.Attribute)
+                and node.attr == "all_never" and isinstance(node.ctx, ast.Load))
+
+
+def test_only_the_generators_mint_and_the_verifier_reads_a_verdict():
+    library = [path for path in sorted(SRC.glob("*.py"))
+               if path.name != "checks.py"]
+    assert {(path.name, scope.split(".")[0]) for path in library
+            for scope, _ in verdict_mints(path)} == \
+        {("constructions.py", "_tree_af"), ("constructions.py", "baumann_spanring")}
+    assert {(path.name, scope.split(".")[0]) for path in library
+            for scope, _ in verdict_reads(path)} == {("grounded.py", "_Verifier")}
+
+
+def test_the_guard_sees_verdicts_minted_and_read(tmp_path):
+    # the reference F_T mints the same verdict as _tree_af
+    assert [scope for scope, _ in verdict_mints(SRC / "checks.py")] == \
+        ["path_keyed_tree_af.spec"]
+    (tmp_path / "mod.py").write_text(
+        "def lift(fam):\n"
+        "    return replace(fam, all_never=True)\n"
+        "def vouch(m, fam):\n"
+        "    return Family(m, all_never=fam.all_never)\n"
+        "def plain(m, fam):\n"
+        "    return Family(m, 0, None, False), replace(fam, k_start=1)\n")
+    assert [scope for scope, _ in verdict_mints(tmp_path / "mod.py")] == \
+        ["lift", "vouch"]
+    assert [scope for scope, _ in verdict_reads(tmp_path / "mod.py")] == \
+        ["vouch"]
 
 
 def calls(path: Path, name: str) -> list:

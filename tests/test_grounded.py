@@ -218,7 +218,9 @@ def test_omega_closure_cap_counts_distinct_arguments():
 # a_i at index 2i, b_i at index 2i+1; a-chain, b-chain, odd a's attack b_0.
 
 
-def two_chain_lazy():
+def two_chain_lazy(all_never=False):
+    """all_never: the odd-a family attacking b_0 carries bs's own verdict,
+    that the odd a's never enter G."""
     def pred(x, y):
         if x % 2 == 0 and y == x + 2:
             return True
@@ -234,16 +236,11 @@ def two_chain_lazy():
         if i == 0:
             return Members()
         if i == 1:
-            fam = Family(IndexMap.affine(4, 2), 0, k_plus_1)
+            fam = Family(IndexMap.affine(4, 2), 0, k_plus_1, all_never)
             return Members(families=(fam,))
         return Members(explicit=(i - 2,))
 
     return LazyAF(pred, spec)
-
-
-def odd_a_never(fam):
-    """bs's own verdict: b_0's attackers, the odd a's, never enter G."""
-    return True if fam.index_map == IndexMap.affine(4, 2) else None
 
 
 def two_chain_candidate():
@@ -254,12 +251,12 @@ def two_chain_candidate():
         Family(IndexMap.affine(4, 1), 1, w_plus_k_plus_1),
         Family(IndexMap.affine(4, 3), expr=NEVER),
     )
-    return SymbolicStageMap(families=families, exceptions={1: OMEGA + 1},
-                            family_all_never=odd_a_never)
+    return SymbolicStageMap(families=families, exceptions={1: OMEGA + 1})
 
 
 def test_verifier_certifies_two_chain():
-    report = verify_symbolic_stages(two_chain_lazy(), two_chain_candidate(), sample=40)
+    report = verify_symbolic_stages(two_chain_lazy(all_never=True),
+                                    two_chain_candidate(), sample=40)
     assert report.ok, report.lines()
     assert report.grounding_ordinal == W2
     assert report.checked == 40
@@ -268,17 +265,16 @@ def test_verifier_certifies_two_chain():
 def test_verifier_catches_two_chain_tampering():
     base = two_chain_candidate()
     # b_0 one too late
-    bad = SymbolicStageMap(families=base.families, exceptions={1: OMEGA + 2},
-                           family_all_never=odd_a_never)
-    report = verify_symbolic_stages(two_chain_lazy(), bad, sample=40)
+    bad = SymbolicStageMap(families=base.families, exceptions={1: OMEGA + 2})
+    report = verify_symbolic_stages(two_chain_lazy(all_never=True), bad,
+                                    sample=40)
     assert not report.ok
     # a_{2k} family shifted by one
     fams = (Family(IndexMap.affine(4, 0), expr=AffineOrdinalExpr.affine(1, 2)),) \
         + base.families[1:]
     report = verify_symbolic_stages(
-        two_chain_lazy(), SymbolicStageMap(families=fams, exceptions={1: OMEGA + 1},
-                                           family_all_never=odd_a_never),
-        sample=40)
+        two_chain_lazy(all_never=True),
+        SymbolicStageMap(families=fams, exceptions={1: OMEGA + 1}), sample=40)
     assert not report.ok
 
 
@@ -308,9 +304,9 @@ def messages(report, rule, subject):
 
 
 def bs_stages():
-    """bs's candidate stage map.  Maps rebuilt from its families and
-    exceptions have no family_all_never, so nothing vouches for b_0's
-    attacker family, the odd a's, being NEVER."""
+    """bs's candidate stage map.  A map answers stages only, so on
+    two_chain_lazy(), whose odd-a family carries no verdict, nothing
+    vouches for b_0's attackers, the odd a's, being NEVER."""
     return materialize_spec(parse_generator_spec("bs")).candidate_stages
 
 
@@ -322,7 +318,7 @@ ODD_A_UNPROVEN = ("attacker 1's counter-attacker family "
 @pytest.mark.parametrize("sample", [16, 64])
 def test_unproven_never_family_fails_closed(sample):
     # with a fallback or without, no family is proved all-NEVER by
-    # sampling its members
+    # sampling its members; the same maps pass once the family is vouched
     own = bs_stages()
     for candidate in (
             SymbolicStageMap(families=own.families, exceptions=own.exceptions,
@@ -333,12 +329,14 @@ def test_unproven_never_family_fails_closed(sample):
         assert found(report) == {("never", "3")}
         assert messages(report, "never", "3") == [ODD_A_UNPROVEN]
         assert report.grounding_ordinal is None
+        assert verify_symbolic_stages(two_chain_lazy(all_never=True),
+                                      candidate, sample=sample).ok
 
 
 def test_alignment_meeting_a_member_without_a_stage_fails_closed():
     # the odd a's family starts at k = 2 and the exception covers a_2 = 2,
     # so the sample [0, 4) is complete though 6 has no stage value; the
-    # map has no verdict, so the family is not proved all-NEVER
+    # AF's family carries no verdict, so it is not proved all-NEVER
     own = bs_stages()
     odd_a = IndexMap.affine(4, 2)
     families = tuple(Family(odd_a, 2, NEVER) if f.index_map == odd_a else f
@@ -499,9 +497,9 @@ def test_verifier_bounds_a_never_defended_family():
 def test_verifier_bounds_a_family_sup_above_the_predecessor():
     # b_0's attackers are defended at 1, 2, 3, ..., which reach w
     tampered = SymbolicStageMap(families=two_chain_candidate().families,
-                                exceptions={1: Ordinal.from_int(5)},
-                                family_all_never=odd_a_never)
-    report = verify_symbolic_stages(two_chain_lazy(), tampered, sample=4)
+                                exceptions={1: Ordinal.from_int(5)})
+    report = verify_symbolic_stages(two_chain_lazy(all_never=True), tampered,
+                                    sample=4)
     assert found(report) == {("bound", "1")}
     assert messages(report, "bound", "1") == \
         ["family defense stages reach w > 4"]
@@ -510,9 +508,9 @@ def test_verifier_bounds_a_family_sup_above_the_predecessor():
 def test_verifier_rejects_never_when_every_family_member_is_answered():
     # b_0 claimed NEVER, but each odd a is counter-attacked by the a before it
     tampered = SymbolicStageMap(families=two_chain_candidate().families,
-                                exceptions={1: NEVER},
-                                family_all_never=odd_a_never)
-    report = verify_symbolic_stages(two_chain_lazy(), tampered, sample=4)
+                                exceptions={1: NEVER})
+    report = verify_symbolic_stages(two_chain_lazy(all_never=True), tampered,
+                                    sample=4)
     assert found(report) == {("never", "1")}
     assert messages(report, "never", "1") == \
         ["no explicit attacker has all its counter-attackers NEVER"]
@@ -546,9 +544,9 @@ def test_verifier_rejects_a_bad_declared_sup(sup, subject, message):
 def test_verifier_rejects_a_family_above_the_declared_sup():
     candidate = SymbolicStageMap(families=two_chain_candidate().families,
                                  exceptions={1: OMEGA + 1},
-                                 sup=(OMEGA, False, None),
-                                 family_all_never=odd_a_never)
-    report = verify_symbolic_stages(two_chain_lazy(), candidate, sample=1)
+                                 sup=(OMEGA, False, None))
+    report = verify_symbolic_stages(two_chain_lazy(all_never=True), candidate,
+                                    sample=1)
     assert found(report) == {("sup", "sup")}
     assert messages(report, "sup", "sup") == \
         ["family stages reach w*2 beyond declared sup w"]
@@ -556,7 +554,7 @@ def test_verifier_rejects_a_family_above_the_declared_sup():
 
 def test_verifier_spot_checks_attacker_families():
     # b_0's attackers listed as the even a's, which do not attack it
-    base = two_chain_lazy()
+    base = two_chain_lazy(all_never=True)
     even_a = Family(IndexMap.affine(4, 0))
     af = LazyAF(base.attacks, lambda i: Members(families=(even_a,))
                 if i == 1 else base.attacker_spec(i))

@@ -806,7 +806,8 @@ def test_tree_af_states_match_the_path_keyed_reference():
 class PartsReference:
     """A union asked part by part: index pair(p, j) answers as part(p) does
     at j, with attacks only inside a part, attacker specs moved to part p
-    by PairLeft(p) and names prefixed u<p>_.  part(p) is None past the
+    by PairLeft(p) with their families' verdicts kept, and names prefixed
+    u<p>_.  part(p) is None past the
     last part, where every index is padding pad_<index> at stage 1."""
 
     def __init__(self, part):
@@ -823,7 +824,8 @@ class PartsReference:
             return Members()
         inner = self.part(p).attacker_spec(j)
         return Members(tuple(pair(p, b) for b in inner.explicit),
-                       tuple(Family(f.index_map.then(PairLeft(p)), f.k_start, f.expr)
+                       tuple(Family(f.index_map.then(PairLeft(p)), f.k_start, f.expr,
+                                    f.all_never)
                              for f in inner.families))
 
     def name(self, y: int) -> str:
