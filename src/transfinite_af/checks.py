@@ -498,8 +498,8 @@ def path_keyed_tree_af(tree: LazyTree) -> LazyAF:
     of the tree by path.  The library remembers each code's node state and
     steps a new code's state from its parent code's instead.  Only the
     predicate, specs, names and candidate stages are built; each a's
-    child-slot b-family carries the same all-NEVER verdict as the
-    library's, so both verify the same NEVER claims."""
+    child-slot b-family carries the same all-NEVER verdict and affine
+    vouch as the library's, so both verify the same claims the same way."""
 
     def predicate(x: int, y: int) -> bool:
         if x % 2 == 0 and y == x + 1:
@@ -523,7 +523,7 @@ def path_keyed_tree_af(tree: LazyTree) -> LazyAF:
             Family(fam.index_map.then(PairLeft(code)).then(_B_STEP), fam.k_start,
                    fam.expr.add_finite(1)
                    if annotated and fam.expr is not None else None,
-                   annotated)
+                   annotated, annotated and fam.affine)
             for fam in children.families)
         return Members(explicit=explicit, families=families)
 

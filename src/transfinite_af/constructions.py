@@ -171,15 +171,17 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
     u<p>_<name>.  sup = (value, attained, witness) attaches the candidate
     stage map: `families`, then a at rank+1, b never, padding at 1.  Each
     a's child-slot b-family is minted all_never when the tree declares
-    ranks, which is exactly when sup is given.
+    ranks, which is exactly when sup is given, and then keeps its child
+    family's affine vouch: b's least counter-attacker stage is its
+    child's rank + 1.
 
     Each AF remembers what it decodes, so no answer is worked out twice:
     an index's (p, j, state); a state's children, with its families'
-    steps, start and child-stage expression ready to lift, so `children`
-    is asked once per distinct state and `child` once per distinct
-    (state, symbol), as in LazyTree.step; and a code's name suffix, built
-    from its parent code's.  A code's state is likewise stepped from its
-    parent code's.
+    steps, start, child-stage expression and affine vouch ready to lift,
+    so `children` is asked once per distinct state and `child` once per
+    distinct (state, symbol), as in LazyTree.step; and a code's name
+    suffix, built from its parent code's.  A code's state is likewise
+    stepped from its parent code's.
     """
     annotated = tree.declared_rank is not None
     stepped = {}  # (state, symbol) -> the child's state, or OFF_TREE
@@ -196,7 +198,7 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
             entry = expanded[state] = (children, tuple(
                 (fam.index_map.steps, fam.k_start,
                  fam.expr.add_finite(1) if annotated and fam.expr is not None
-                 else None)
+                 else None, annotated and fam.affine)
                 for fam in children.families))
         return entry
 
@@ -268,8 +270,9 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
             else (PairLeft(code), _B_STEP)
         children, parts = expansion(state)
         explicit = tuple(2 * (pair(code, s) + 1) + 1 for s in children.explicit)
-        lifted = tuple(Family(IndexMap(steps + tail), k_start, expr, annotated)
-                       for steps, k_start, expr in parts)
+        lifted = tuple(Family(IndexMap(steps + tail), k_start, expr, annotated,
+                              affine)
+                       for steps, k_start, expr, affine in parts)
         if forest:
             explicit = tuple(pair(p, b) for b in explicit)
         return Members(explicit=explicit, families=lifted)
@@ -348,8 +351,9 @@ def baumann_spanring(truncate: Optional[int] = None):
         if i == 0:
             return Members()
         if i == 1:
-            # b_0's attackers, the odd a's, never enter G
-            return Members(families=(Family(odd_a, 0, k_plus_1, True),))
+            # b_0's attackers, the odd a's, never enter G; a_{2k+1}'s one
+            # counter-attacker a_{2k} enters at k + 1
+            return Members(families=(Family(odd_a, 0, k_plus_1, True, True),))
         return Members(explicit=(i - 2,))
 
     w_plus_k_plus_1 = AffineOrdinalExpr(((ONE, 0, 1), (ZERO, 1, 1)))

@@ -162,11 +162,16 @@ class Family:
     expr, when present, is member k's affine closed form in k: a child's
     declared rank, the least stage among attacker k's counter-attackers
     (NEVER: none is ever counter-attacked), or a stage.  Generators
-    supply it, and it is checked on samples before any symbolic use.
+    supply it, and it is checked against members before any symbolic use.
 
     all_never, set only by the generator that mints an attacker family,
     vouches that every member has stage NEVER; the verifier's NEVER rule
     accepts a family as all-NEVER on nothing else.
+
+    affine, set only by the generator that mints a family, vouches that
+    what expr describes (a child's rank, an attacker's least
+    counter-attacker stage) is affine in k for every k >= k_start; the
+    verifier then checks expr at two or three members, not six samples.
 
     The first SPEC_FAMILY_PROBE members, which the spot check and the
     closed-form rule sample, are worked out once, when one is first
@@ -177,6 +182,7 @@ class Family:
     k_start: int = 0
     expr: object = None  # AffineOrdinalExpr | NEVER | None
     all_never: bool = False
+    affine: bool = False
 
     @cached_property
     def _head(self) -> Tuple[int, ...]:

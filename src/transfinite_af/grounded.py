@@ -22,10 +22,12 @@ Three regimes:
   candidate stage maps and this module certifies them: the successor
   rule and its minimality are checked exactly through affine ordinal
   sups, the NEVER rule locally (co-inductively) from explicit attackers,
-  and family closed forms against concrete samples before any symbolic
-  use.  An attacker family is read only through its closed form or the
-  all-NEVER verdict its generator minted it with (Family.all_never); a
-  counter-attacker family fails closed.
+  and family closed forms against concrete members before any symbolic
+  use.  A closed form is proved at two or three members when the
+  generator vouched its family affine (Family.affine), and sampled at six
+  otherwise.  An attacker family is read only through its closed form or
+  the all-NEVER verdict its generator minted it with (Family.all_never);
+  a counter-attacker family fails closed.
 """
 
 from __future__ import annotations
@@ -327,7 +329,8 @@ class VerificationReport:
         return [str(v) for v in self.violations]
 
 
-# The closed-form rule samples a family's first FAMILY_PROBE members.
+# The closed-form rule samples the first FAMILY_PROBE members of a family
+# its generator did not vouch affine.
 FAMILY_PROBE = 6
 
 
@@ -390,7 +393,15 @@ class _Verifier:
                          f"counter-attacked, yet stage is {s}")
                 failed = True
                 continue
-            for k in range(fam.k_start, fam.k_start + FAMILY_PROBE):
+            if fam.affine:
+                # two members k >= 1 pin an affine form: CNF is unique
+                # and every coefficient a*k + b is positive there.  At
+                # k = 0 a term with b = 0 drops out of the CNF, so that
+                # member pins nothing and is probed on its own.
+                stop = max(fam.k_start, 1) + 2
+            else:
+                stop = fam.k_start + FAMILY_PROBE
+            for k in range(fam.k_start, stop):
                 got = self.minstage_concrete(fam.member(k))
                 want = dse.evaluate(k)
                 if got != want:

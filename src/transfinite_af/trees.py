@@ -365,7 +365,10 @@ _EVERY_SYMBOL = IndexMap.affine(1, 0)
 class _LimitFamily(Family):
     """Child k of a node of limit rank lam has rank fundamental_sequence(lam,
     k).  Expansions never read the ranks' closed form, so it is worked out
-    when first read; the index map is the identity."""
+    when first read; the index map is the identity.  Where that closed
+    form exists the ranks are affine in k, as fundamental_sequence_expr
+    builds it from the CNF that fundamental_sequence steps, and the family
+    vouches so (Family.affine)."""
 
     index_map = _EVERY_SYMBOL
 
@@ -375,6 +378,10 @@ class _LimitFamily(Family):
     @cached_property
     def expr(self) -> Optional[AffineOrdinalExpr]:
         return fundamental_sequence_expr(self._lam)
+
+    @property
+    def affine(self) -> bool:
+        return self.expr is not None
 
     def member(self, k: int) -> int:
         return k

@@ -820,6 +820,19 @@ def test_limit_children_shifted_by_one_fail_the_closed_form(capsys, monkeypatch)
     assert "[closed-form]" in err
 
 
+def test_limit_child_zero_alone_shifted_fails_the_closed_form(capsys, monkeypatch):
+    # seeded mutant: only child 0 of every limit gets child 1's rank.  A
+    # vouched closed form is read at k = 0, 1 and 2, and only k = 0 differs
+    real = trees._split_child
+    monkeypatch.setattr(trees, "_split_child",
+                        lambda state, s: real(state, s if state[1] else s or 1))
+    code, out, err = run(capsys, "grounded", "ord:w^2", "--sample", "64")
+    assert code == 3 and out == ""
+    closed_form = [line for line in err.splitlines() if "[closed-form]" in line]
+    assert closed_form
+    assert all(" at k=0, " in line for line in closed_form)
+
+
 @pytest.mark.parametrize("ordinal", ["w^w", "w^w+1", "w^(w+1)", "w^(w^2)"])
 def test_lazy_targets_from_w_to_the_w_on_exit_3_with_one_line(capsys, ordinal):
     # the parent built w^w+1 and w^(w+1) and printed [closed-form] lines

@@ -31,8 +31,8 @@ from transfinite_af.grounded import (
     stages_finite,
     verify_symbolic_stages,
 )
-from transfinite_af.ordinals import NEVER, OMEGA, Ordinal, fundamental_sequence, \
-    omega_power, parse_ordinal
+from transfinite_af.ordinals import NEVER, OMEGA, AffineOrdinalExpr, Ordinal, \
+    fundamental_sequence, omega_power, parse_ordinal
 from transfinite_af.trees import FiniteTree, LazyTree, build_tree_of_rank, \
     truncate_tree
 
@@ -473,9 +473,9 @@ def test_union_places_part_p_argument_j_at_pair(text):
             assert cand.stage_of(x) == stages_finite(part)[j]
             continue
         inner = part.attacker_spec(j)
-        # a lifted family keeps its part's all-NEVER verdict
+        # a lifted family keeps its part's all-NEVER verdict and affine vouch
         lifted = tuple(Family(f.index_map.then(PairLeft(p)), f.k_start, f.expr,
-                              f.all_never)
+                              f.all_never, f.affine)
                        for f in inner.families)
         assert union.attacker_spec(x) == Members(
             explicit=tuple(pair(p, b) for b in inner.explicit), families=lifted)
@@ -495,7 +495,7 @@ def test_union_with_a_lazy_part_without_stage_map_has_none():
     odd_a = baumann_spanring().attacker_spec(1).families[0]
     assert union.attacker_spec(b0) == Members(families=(
         Family(odd_a.index_map.then(PairLeft(1)), odd_a.k_start, odd_a.expr,
-               True),))
+               True, True),))
     assert list(union.attacker_candidates(x4, 40)) == \
         [pair(0, c) for c in range(least_right(0, 40))]
     assert list(union.attacker_candidates(pair(2, 0), 40)) == []
@@ -566,12 +566,13 @@ def test_family_head_is_worked_out_once_and_is_not_part_of_the_value():
     assert step.applied == 1 + SPEC_FAMILY_PROBE
     assert fam == fresh and hash(fam) == hash(fresh)
     assert {fam: 1}[fresh] == 1 and fam != Family(IndexMap((step,)), 3, NEVER)
-    # the all-NEVER verdict is part of the value
+    # the all-NEVER verdict and the affine vouch are part of the value
     assert fam != Family(IndexMap((step,)), 2, NEVER, True)
+    assert fam != Family(IndexMap((step,)), 2, NEVER, False, True)
     for lazy in _sampled_families():
         if type(lazy) is Family:
             equal = Family(lazy.index_map, lazy.k_start, lazy.expr,
-                           lazy.all_never)
+                           lazy.all_never, lazy.affine)
             assert equal == lazy and hash(equal) == hash(lazy)
 
 
@@ -579,9 +580,12 @@ def test_family_head_is_worked_out_once_and_is_not_part_of_the_value():
 # each ask cheaper and must not change which ones are made.  Asks are the
 # spot check's, the verification's only predicate calls; members are every
 # Family.member the verification samples, the spot check's probes included.
+# Every attacker family here is vouched affine by its generator, so the
+# closed-form rule reads three of its members, not the six it samples of
+# a family without the vouch.
 @pytest.mark.parametrize("text, asks, members", [
-    ("bs", 185, 14), ("ord:w*3+2", 187, 70), ("union(bs,ord:w)", 34, 14),
-    ("ord:w^2", 453, 616), ("ord:w^3", 586, 882)])
+    ("bs", 185, 11), ("ord:w*3+2", 187, 55), ("union(bs,ord:w)", 34, 11),
+    ("ord:w^2", 453, 484), ("ord:w^3", 586, 693)])
 def test_verification_work_at_sample_150_is_pinned(monkeypatch, text, asks,
                                                    members):
     af = materialize_spec(parse_generator_spec(text))
@@ -600,6 +604,35 @@ def test_verification_work_at_sample_150_is_pinned(monkeypatch, text, asks,
     monkeypatch.setattr(Family, "member", counted_member)
     assert verify_symbolic_stages(af, af.candidate_stages, sample=150).ok
     assert counts == {"asks": asks, "members": members}
+
+
+def test_a_family_no_generator_vouched_keeps_six_samples():
+    # the root claims "child k has rank k" (root rank w), but child 3 has
+    # rank w: its own children are a family of ranks 0, 1, 2, ...  The
+    # claim is hand-built, not vouched affine, so the closed-form rule
+    # samples its first six members and meets child 3 among them.
+    every = IndexMap.affine(1, 0)
+    ranks_k = Family(every, expr=AffineOrdinalExpr.affine(1, 0))
+
+    def children(state):
+        if state in ("root", "bad"):
+            return Members(families=(ranks_k,))
+        return Members(explicit=(0,)) if state else Members()
+
+    def child(state, symbol):
+        if state == "root" and symbol == 3:
+            return "bad"
+        return symbol if state in ("root", "bad") else state - 1
+
+    def rank(state):
+        return OMEGA if state in ("root", "bad") else Ordinal.from_int(state)
+
+    af = af_from_tree(LazyTree("root", children, child, rank))
+    assert not af.attacker_spec(0).families[0].affine
+    report = verify_symbolic_stages(af, af.candidate_stages, sample=150)
+    assert [(v.rule, v.subject, v.message) for v in report.violations] == [
+        ("closed-form", "0",
+         "defense closed form gives 4 at k=3, samples give w+1")]
 
 
 def count_rank_tree_asks(monkeypatch) -> Counter:

@@ -33,11 +33,14 @@ node's children and an argument's attackers are one member-set type,
 `core.Members` (explicit members plus families): only it, Family and
 Family's subclass define `contains`.
 
-An attacker family carries its generator's all-NEVER verdict as part of
-its value: outside checks.py only the two generators that mint attacker
-families, `_tree_af` and `baumann_spanring`, build a Family with
-`all_never` set, and only the verifier, `_Verifier`, reads it, so no
-stage map or union answers for a family.
+An attacker family carries its generator's all-NEVER verdict and affine
+vouch as part of its value: outside checks.py only the two generators
+that mint attacker families, `_tree_af` and `baumann_spanring`, build a
+Family with `all_never` or `affine` set, and only the verifier,
+`_Verifier`, reads the verdict, so no stage map or union answers for a
+family.  The vouch starts at a rank tree's limit family, `_LimitFamily`,
+which defines it, and `_tree_af` reads it there to lift it onto the
+attacker family; the verifier reads it on the attacker family.
 
 Every cap is a budget: only `errors.Budget.spend` constructs CapExceeded,
 so each refusal reads "<what> exceeded <cap> <unit>" and each engine's
@@ -306,55 +309,101 @@ def test_the_guard_sees_a_second_member_set_type(tmp_path):
     assert membership_classes(tmp_path) == {("trees.py", "ChildrenSpec")}
 
 
-def verdict_mints(path: Path) -> list:
-    """Every Family or replace call that sets all_never to anything but a
-    literal False, as Family's fourth argument or by keyword."""
+# Each of Family's verdict fields: its place among Family's arguments,
+# and the scopes outside checks.py that may set it and read it.
+GENERATORS = {("constructions.py", "_tree_af"),
+              ("constructions.py", "baumann_spanring")}
+VERDICTS = {
+    "all_never": (3, GENERATORS, {("grounded.py", "_Verifier")}),
+    "affine": (4, GENERATORS | {("trees.py", "_LimitFamily")},
+               {("grounded.py", "_Verifier"), ("constructions.py", "_tree_af")}),
+}
+
+
+def verdict_mints(path: Path, field: str) -> list:
+    """Every Family or replace call that sets `field` to anything but a
+    literal False, as Family's argument in its place or by keyword, and
+    every Family subclass that defines it as anything but a literal
+    False."""
+    place = VERDICTS[field][0]
+
+    def sets(value):
+        return not (isinstance(value, ast.Constant) and value.value is False)
+
+    def defines(stmt):
+        if isinstance(stmt, ast.FunctionDef):
+            return stmt.name == field
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+            [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+        return field in {getattr(t, "id", None) for t in targets} \
+            and sets(stmt.value)
+
     def sets_verdict(node):
+        if isinstance(node, ast.ClassDef):
+            return "Family" in {getattr(b, "id", None) for b in node.bases} \
+                and any(map(defines, node.body))
         if not isinstance(node, ast.Call):
             return False
         name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
         if name not in ("Family", "replace"):
             return False
-        values = [kw.value for kw in node.keywords if kw.arg == "all_never"]
+        values = [kw.value for kw in node.keywords if kw.arg == field]
         if name == "Family":
-            values += node.args[3:4]
-        return any(not (isinstance(v, ast.Constant) and v.value is False)
-                   for v in values)
+            values += node.args[place:place + 1]
+        return any(map(sets, values))
 
     return find(path, sets_verdict)
 
 
-def verdict_reads(path: Path) -> list:
-    """Every read of an all_never attribute."""
+def verdict_reads(path: Path, field: str) -> list:
+    """Every read of a `field` attribute, but of a class's attribute by
+    its capitalized name (IndexMap.affine is a constructor)."""
     return find(path, lambda node: isinstance(node, ast.Attribute)
-                and node.attr == "all_never" and isinstance(node.ctx, ast.Load))
+                and node.attr == field and isinstance(node.ctx, ast.Load)
+                and not getattr(node.value, "id", "a")[:1].isupper())
 
 
 def test_only_the_generators_mint_and_the_verifier_reads_a_verdict():
     library = [path for path in sorted(SRC.glob("*.py"))
                if path.name != "checks.py"]
-    assert {(path.name, scope.split(".")[0]) for path in library
-            for scope, _ in verdict_mints(path)} == \
-        {("constructions.py", "_tree_af"), ("constructions.py", "baumann_spanring")}
-    assert {(path.name, scope.split(".")[0]) for path in library
-            for scope, _ in verdict_reads(path)} == {("grounded.py", "_Verifier")}
+    for field, (_, mints, reads) in VERDICTS.items():
+        assert {(path.name, scope.split(".")[0]) for path in library
+                for scope, _ in verdict_mints(path, field)} == mints, field
+        assert {(path.name, scope.split(".")[0]) for path in library
+                for scope, _ in verdict_reads(path, field)} == reads, field
 
 
 def test_the_guard_sees_verdicts_minted_and_read(tmp_path):
-    # the reference F_T mints the same verdict as _tree_af
-    assert [scope for scope, _ in verdict_mints(SRC / "checks.py")] == \
-        ["path_keyed_tree_af.spec"]
-    (tmp_path / "mod.py").write_text(
-        "def lift(fam):\n"
-        "    return replace(fam, all_never=True)\n"
-        "def vouch(m, fam):\n"
-        "    return Family(m, all_never=fam.all_never)\n"
-        "def plain(m, fam):\n"
-        "    return Family(m, 0, None, False), replace(fam, k_start=1)\n")
-    assert [scope for scope, _ in verdict_mints(tmp_path / "mod.py")] == \
-        ["lift", "vouch"]
-    assert [scope for scope, _ in verdict_reads(tmp_path / "mod.py")] == \
-        ["vouch"]
+    for field, (place, _, _) in VERDICTS.items():
+        # the reference F_T mints the same verdict as _tree_af
+        assert [scope for scope, _ in verdict_mints(SRC / "checks.py", field)] \
+            == ["path_keyed_tree_af.spec"]
+        filler = ", ".join(["None"] * (place - 1))
+        (tmp_path / "mod.py").write_text(
+            "def lift(fam):\n"
+            f"    return replace(fam, {field}=True)\n"
+            "def vouch(m, fam):\n"
+            f"    return Family(m, {field}=fam.{field}), Family.{field}\n"
+            "def placed(m):\n"
+            f"    return Family(m, {filler}, True)\n"
+            "def plain(m, fam):\n"
+            f"    return Family(m, {filler}, False), replace(fam, k_start=1)\n"
+            "class Declared(Family):\n"
+            f"    {field} = True\n"
+            "class Derived(Family):\n"
+            "    @property\n"
+            f"    def {field}(self):\n"
+            "        return self.expr is not None\n"
+            "class Plain(Family):\n"
+            f"    {field}: bool = False\n"
+            "class Other:\n"
+            "    @staticmethod\n"
+            f"    def {field}(a, b):\n"
+            "        return a, b\n")
+        assert [scope for scope, _ in verdict_mints(tmp_path / "mod.py", field)] \
+            == ["lift", "vouch", "placed", "Declared", "Derived"], field
+        assert [scope for scope, _ in verdict_reads(tmp_path / "mod.py", field)] \
+            == ["vouch"], field
 
 
 def calls(path: Path, name: str) -> list:

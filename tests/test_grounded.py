@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,9 @@ from transfinite_af.core import (
 )
 from transfinite_af.errors import CapExceeded, DomainError, IncompleteStageMap
 from transfinite_af.grounded import (
+    FAMILY_PROBE,
     SymbolicStageMap,
+    _Verifier,
     grounded_finite,
     omega_approximation,
     stages_finite,
@@ -276,6 +279,27 @@ def test_verifier_catches_two_chain_tampering():
         two_chain_lazy(all_never=True),
         SymbolicStageMap(families=fams, exceptions={1: OMEGA + 1}), sample=40)
     assert not report.ok
+
+
+@pytest.mark.parametrize("k_start, affine, probed", [
+    (0, True, [0, 1, 2]), (2, True, [2, 3]),
+    (0, False, list(range(FAMILY_PROBE))),
+    (2, False, list(range(2, 2 + FAMILY_PROBE)))])
+def test_the_closed_form_rule_reads_a_vouched_family_at_three_members(
+        monkeypatch, k_start, affine, probed):
+    # b_0's odd-a family: vouched affine it is read at k = 0 when it starts
+    # there and at two k >= 1, else at its first FAMILY_PROBE members
+    bs = two_chain_lazy(all_never=True)
+    fam = replace(bs.attacker_spec(1).families[0], k_start=k_start,
+                  affine=affine)
+    af = LazyAF(bs.attacks, lambda i: Members(families=(fam,)) if i == 1
+                else bs.attacker_spec(i))
+    read, member = [], Family.member
+    monkeypatch.setattr(Family, "member",
+                        lambda f, k: read.append(k) or member(f, k))
+    verifier = _Verifier(af, two_chain_candidate())
+    verifier.check_stage(1, OMEGA + 1)
+    assert verifier.violations == [] and read == probed
 
 
 def test_two_chain_truncations_grow_without_bound():

@@ -10,7 +10,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from transfinite_af.ordinals import (
     MAX_ORDINAL_NESTING,
@@ -318,6 +318,21 @@ def test_addition_monotone_on_right(x, y):
     assert x <= x + y
     if y > ZERO:
         assert x < x + y
+
+
+# A limit below w^w: coefficients of w^1, w^2, ... with one of them positive.
+_limits_below_w_to_the_w = st.lists(
+    st.integers(0, 10 ** 6), min_size=1, max_size=8).filter(any).map(
+        lambda cs: poly_to_ordinal([0] + cs))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_limits_below_w_to_the_w, st.integers(0, 10 ** 6))
+@example(OMEGA, 0)
+@example(poly_to_ordinal([0, 0, 3]), 10 ** 6)
+def test_fundamental_sequence_is_its_closed_form_below_w_to_the_w(x, i):
+    # a rank tree's limit family vouches its children's ranks affine on this
+    assert fundamental_sequence(x, i) == fundamental_sequence_expr(x).evaluate(i)
 
 
 # -- one order over stage values -----------------------------------------

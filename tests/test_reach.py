@@ -76,7 +76,9 @@ CLI_UNREACHED_ALLOWED = {
         "VerificationReport.lines": WRONG_MAP,
         "_Verifier.attacker_never_in_g_plus": WRONG_MAP,
         "_Verifier.check_never": WRONG_MAP,
-        "_Verifier.check_stage": WRONG_MAP,
+        "_Verifier.check_stage": WRONG_MAP + ", and " + API + ": an attacker "
+                                                "family its generator did "
+                                                "not vouch affine",
         "_Verifier.check_sup": WRONG_MAP,
         "_Verifier.minstage_concrete": WRONG_MAP + ": a counter-attacker "
                                                    "family, which no "

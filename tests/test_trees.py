@@ -806,9 +806,9 @@ def test_tree_af_states_match_the_path_keyed_reference():
 class PartsReference:
     """A union asked part by part: index pair(p, j) answers as part(p) does
     at j, with attacks only inside a part, attacker specs moved to part p
-    by PairLeft(p) with their families' verdicts kept, and names prefixed
-    u<p>_.  part(p) is None past the
-    last part, where every index is padding pad_<index> at stage 1."""
+    by PairLeft(p) with their families' verdicts and vouches kept, and
+    names prefixed u<p>_.  part(p) is None past the last part, where
+    every index is padding pad_<index> at stage 1."""
 
     def __init__(self, part):
         self.part = part
@@ -825,7 +825,7 @@ class PartsReference:
         inner = self.part(p).attacker_spec(j)
         return Members(tuple(pair(p, b) for b in inner.explicit),
                        tuple(Family(f.index_map.then(PairLeft(p)), f.k_start, f.expr,
-                                    f.all_never)
+                                    f.all_never, f.affine)
                              for f in inner.families))
 
     def name(self, y: int) -> str:
