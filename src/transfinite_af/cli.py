@@ -73,11 +73,14 @@ _SIZE_BOUNDS = {
     "--trials": (0, None),
     "--max-args": (1, MAX_CHECK_ARGS),
 }
+# (flag, dest, minimum, cap) of each size option, as _check_sizes reads them
+_SIZE_CHECKS = tuple((flag, flag[2:].replace("-", "_"), low, cap)
+                     for flag, (low, cap) in _SIZE_BOUNDS.items())
 
 
 def _check_sizes(args) -> None:
-    for flag, (low, cap) in _SIZE_BOUNDS.items():
-        size = getattr(args, flag[2:].replace("-", "_"), None)
+    for flag, dest, low, cap in _SIZE_CHECKS:
+        size = getattr(args, dest, None)
         if size is None:
             continue
         if size < low:
@@ -160,7 +163,9 @@ def _emit(text: str, output: Optional[str] = None) -> None:
         with open(output, "w") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
+        if not text.endswith("\n"):
+            sys.stdout.write("\n")
 
 
 def _materialize(spec_text: str):

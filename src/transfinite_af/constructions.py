@@ -105,14 +105,16 @@ def _tree_af_table(tree: FiniteTree, forest: bool = False
     roots = [r for r, parent in enumerate(parents) if parent < 0] \
         if forest else [0]
     spans = list(zip(roots, roots[1:] + [len(parents)]))
-    suffixes, names = [], []
+    n = 2 * len(parents)
+    suffixes, names = [], [""] * n
     for p, (lo, hi) in enumerate(spans):
         suffixes.append("")
         for r in range(lo + 1, hi):
             suffixes.append(f"{suffixes[parents[r]]}_{symbols[r]}")
         a, b = (f"u{p}_a", f"u{p}_b") if forest else ("a", "b")
-        names += [nm for sfx in suffixes[lo:] for nm in (a + sfx, b + sfx)]
-    n = 2 * len(parents)
+        part = suffixes[lo:]
+        names[2 * lo:2 * hi:2] = [a + sfx for sfx in part]
+        names[2 * lo + 1:2 * hi:2] = [b + sfx for sfx in part]
     # each table row r's a and b, listed at 2r and 2r+1 -> their places
     if forest:
         order, index = _union_places([2 * (hi - lo) for lo, hi in spans])

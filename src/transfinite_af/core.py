@@ -625,18 +625,23 @@ def _read_per_line(lines):
 
 
 def format_apx(af: FiniteAF) -> str:
+    # the arg block is one join; each attack line carries its own newline
     names = af.names
-    lines = [f"arg({nm})." for nm in names]
-    lines += [f"att({names[x]},{names[y]})."
-              for x, row in enumerate(af._fwd) for y in row]
-    return "\n".join(lines) + ("\n" if lines else "")
+    lines = []
+    if names:
+        lines.append("arg(" + ").\narg(".join(names) + ").\n")
+    lines += [f"att({a},{names[y]}).\n"
+              for a, row in zip(names, af._fwd) for y in row]
+    return "".join(lines)
 
 
 def format_dot(af: FiniteAF) -> str:
+    # laid out as format_apx: the node block is one join
     names = af.names
-    lines = ["digraph af {"]
-    lines += [f'  "{nm}";' for nm in names]
-    lines += [f'  "{names[x]}" -> "{names[y]}";'
-              for x, row in enumerate(af._fwd) for y in row]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines = ["digraph af {\n"]
+    if names:
+        lines.append('  "' + '";\n  "'.join(names) + '";\n')
+    lines += [f'  "{a}" -> "{names[y]}";\n'
+              for a, row in zip(names, af._fwd) for y in row]
+    lines.append("}\n")
+    return "".join(lines)

@@ -211,17 +211,26 @@ def _expand(tree, roots, nodes: Budget, path_symbols: Budget,
     when first reached, and its children's symbols and ids are worked
     out once per call, when a node with that id is first expanded, from
     whichever root; a level is a list of ids, so a node costs a list
-    index, not a hash of its state.  Each root spends one node and each
-    row its children's; each level spends its path symbols, counted from
-    its root.  One root gives a FiniteTree.  Several give a forest table,
-    read only row by row (see constructions._tree_af_table): the roots'
-    tables one after another, each root's row with parent -1 and every
-    other parent row shifted by the rows before its root's."""
+    index, not a hash of its state.  Every row costs one node, a root's
+    included.  Once a row's children are appended, the table's length is
+    compared with the room `nodes` had when the call began, and past it
+    `nodes.spend` refuses with the budget's message; otherwise the call
+    charges `nodes.used` once, on return, with what spending each root
+    and each row's children in turn would have left.  A root's row is
+    compared along with its own children (a root cut at depth 0 on
+    return), so a root the earlier roots left no room for refuses before
+    any later root is expanded.  Each level spends its path symbols,
+    counted from its root.  One root gives a FiniteTree.  Several give a
+    forest table, read only row by row (see
+    constructions._tree_af_table): the roots' tables one after another,
+    each root's row with parent -1 and every other parent row shifted by
+    the rows before its root's."""
     children, child = tree.children, tree.child
     states, ids = [], {}  # id -> state, state -> id
     # id -> (its children's symbols, their ids), or None until expanded
     kids = []
     parents, symbols = [], []
+    room = nodes.cap - nodes.used  # the most rows this call may make
     for root in roots:
         k = ids.setdefault(root, len(states))
         if k == len(states):
@@ -230,7 +239,6 @@ def _expand(tree, roots, nodes: Budget, path_symbols: Budget,
         row = len(parents)
         parents.append(-1)
         symbols.append(-1)
-        nodes.spend(1)
         level, d = [k], 0
         while level and (depth is None or d < depth):
             below = []
@@ -259,10 +267,12 @@ def _expand(tree, roots, nodes: Budget, path_symbols: Budget,
                     parents.extend([row] * len(syms))
                     symbols.extend(syms)
                     below.extend(below_ids)
-                    nodes.spend(len(syms))
+                if len(parents) > room:
+                    nodes.spend(len(parents))
                 row += 1
             level, d = below, d + 1
             path_symbols.spend(d * len(below))
+    nodes.spend(len(parents))
     return FiniteTree._from_table(parents, symbols)
 
 

@@ -587,21 +587,41 @@ def test_canonical_text_never_reaches_the_per_line_reader(monkeypatch):
             assert reached.pop() == other.splitlines() and reached == []
 
 
+def per_line_writers(af):
+    """(APX, DOT) of `af` written one line at a time, attacks sorted."""
+    names = af.names
+    attacks = sorted(af.attack_pairs)
+    apx = "".join([f"arg({nm}).\n" for nm in names]
+                  + [f"att({names[x]},{names[y]}).\n" for x, y in attacks])
+    dot = "".join(["digraph af {\n"] + [f'  "{nm}";\n' for nm in names]
+                  + [f'  "{names[x]}" -> "{names[y]}";\n' for x, y in attacks]
+                  + ["}\n"])
+    return apx, dot
+
+
 def test_apx_output_follows_the_adjacency_rows():
     rng = random.Random(5)
     for _ in range(50):
         n = rng.randint(1, 9)
         af = FiniteAF(n, [(rng.randrange(n), rng.randrange(n))
                           for _ in range(2 * n)])
-        attacks = sorted(af.attack_pairs)
-        names = af.names
-        assert format_apx(af) == "".join(
-            [f"arg({nm}).\n" for nm in names]
-            + [f"att({names[x]},{names[y]}).\n" for x, y in attacks])
-        assert format_dot(af) == "".join(
-            ["digraph af {\n"] + [f'  "{nm}";\n' for nm in names]
-            + [f'  "{names[x]}" -> "{names[y]}";\n' for x, y in attacks]
-            + ["}\n"])
+        assert (format_apx(af), format_dot(af)) == per_line_writers(af)
+
+
+@pytest.mark.parametrize("af", [
+    FiniteAF(0),
+    FiniteAF(1),
+    FiniteAF(1, [(0, 0)]),
+    FiniteAF(3, [(2, 0), (0, 2), (1, 1)], ["x_9", "Y", "arg_b"]),
+], ids=["empty", "one-unattacked", "self-attack", "custom-names"])
+def test_writers_match_the_per_line_layout_at_the_edges(af):
+    # the arg and node blocks are each one join: no argument writes no
+    # block, and one argument a block with no separator
+    apx, dot = format_apx(af), format_dot(af)
+    assert (apx, dot) == per_line_writers(af)
+    assert apx.endswith("\n") or apx == ""
+    again = parse_apx(apx)
+    assert again.names == af.names and again == af
 
 
 def test_dot_contains_graph():

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from transfinite_af import rank_analysis, trees
+from transfinite_af import constructions, rank_analysis, trees
 from transfinite_af.checks import (
     check_declared_ranks,
     children_at,
@@ -739,6 +739,131 @@ def test_expansion_from_several_roots_concatenates_the_expansions(forest):
         assert got == path_keyed_expand(sub, 10**6, width=width, depth=depth)
         if root == tree.root and depth is None and isinstance(tree, FiniteTree):
             assert got == tree
+
+
+# -- what an expansion charges its node budget ---------------------------------
+
+
+def row_depths(table):
+    """Each row's depth below its own root, in a tree or a forest table."""
+    depths = []
+    for parent in table.parents:
+        depths.append(depths[parent] + 1 if parent >= 0 else 0)
+    return depths
+
+
+# T_{a0} is pathless and has 25 nodes
+TS_AF = FiniteAF(4, [(0, 0), (2, 1), (2, 2), (3, 0), (3, 2)])
+
+
+def record_expansions(monkeypatch):
+    """Every trees._expand call that truncate_tree, ordinal_target_af and
+    expand_ts make, as (table, the nodes and path symbols used before the
+    call, and after it)."""
+    calls, expand = [], trees._expand
+
+    def recorded(tree, roots, nodes, path_symbols, **cut):
+        before = nodes.used, path_symbols.used
+        table = expand(tree, roots, nodes, path_symbols, **cut)
+        calls.append((table, before, (nodes.used, path_symbols.used)))
+        return table
+    for module in (trees, constructions, rank_analysis):
+        monkeypatch.setattr(module, "_expand", recorded)
+    return calls
+
+
+def test_an_accepted_expansion_charges_each_row_one_node(monkeypatch):
+    # what spending one node per root and each row's children left, the
+    # path symbols summed from each root
+    calls = record_expansions(monkeypatch)
+    truncate_tree(build_tree_of_rank(parse_ordinal("w^2+w*2+1")), width=3)
+    truncate_tree(build_tree_of_rank(parse_ordinal("w^3")), width=2, depth=4)
+    forest = ordinal_target_af(parse_ordinal("w^2*2+w"), truncate=3)
+    ts = rank_analysis.expand_ts(TS_AF, {0})
+    assert len(calls) == 4 and calls[2][0] is not None
+    assert len(calls[2][0]) == len(forest.names) // 2
+    assert calls[3][0] == ts
+    for table, before, after in calls:
+        assert before == (0, 0)
+        assert after == (len(table), sum(row_depths(table)))
+    # a call charges on top of what its budgets spent before it
+    tree = build_tree_of_rank(parse_ordinal("w*3+2"))
+    roots = [tree.child(tree.root, i) for i in range(3)] + [tree.root]
+    nodes, path_symbols = trees.expansion_budgets(10**6)
+    nodes.spend(17)
+    path_symbols.spend(5)
+    table = trees._expand(tree, roots, nodes, path_symbols, width=4)
+    assert (nodes.used, path_symbols.used) == \
+        (17 + len(table), 5 + sum(row_depths(table)))
+
+
+def limit_forest(alpha, width):
+    """The rank-alpha tree and its first `width` root children's states,
+    the roots ordinal_target_af expands a truncated limit target from."""
+    tree = build_tree_of_rank(parse_ordinal(alpha))
+    return tree, [tree.child(tree.root, i) for i in range(width)]
+
+
+@pytest.mark.parametrize("expansion", ["truncation", "limit forest", "T_S"])
+def test_node_caps_around_a_table_refuse_as_before(monkeypatch, expansion):
+    # a cap one below the table's rows refuses with its message; the
+    # table's own size and one more keep it, charging every row
+    build = {
+        "truncation": lambda: truncate_tree(
+            build_tree_of_rank(parse_ordinal("w^2+3")), width=4),
+        "limit forest": lambda: ordinal_target_af(
+            parse_ordinal("w^2*2"), truncate=4),
+        "T_S": lambda: rank_analysis.expand_ts(TS_AF, {0}, node_cap=cap),
+    }[expansion]
+    cap = 10**6
+    calls = record_expansions(monkeypatch)
+    build()
+    want = calls.pop()[0]
+    k = len(want)
+    assert k >= 25
+    for cap in (k - 1, k, k + 1):
+        monkeypatch.setattr(trees, "TRUNCATE_NODE_CAP", cap)
+        monkeypatch.setattr(constructions, "TRUNCATE_NODE_CAP", cap)
+        if cap < k:
+            with pytest.raises(CapExceeded,
+                               match=f"^expansion exceeded {cap} nodes$"):
+                build()
+            assert calls == []
+        else:
+            build()
+            got, _, (used, _) = calls.pop()
+            assert got == want and used == k
+
+
+@pytest.mark.parametrize("alpha", ["w^2", "w^2+w*2", "w^3"])
+def test_a_root_its_forerunners_leave_no_room_for_refuses_at_its_row(alpha):
+    # at the cap where the parts before root j end exactly, root j's row
+    # is one node too many: refused with the cap's message before any
+    # state but root j's and the earlier parts' is asked for children
+    tree, roots = limit_forest(alpha, 4)
+    sizes = [len(trees._expand(tree, [r], *trees.expansion_budgets(10**6),
+                               width=3)) for r in roots]
+
+    def asked_by(count, cap):
+        asked = []
+        counting = LazyTree(tree.root,
+                            lambda s: asked.append(s) or tree.children(s),
+                            tree.child)
+        try:
+            trees._expand(counting, roots[:count],
+                          *trees.expansion_budgets(cap), width=3)
+        except CapExceeded as e:
+            return asked, str(e)
+        return asked, None
+
+    for j in range(1, len(roots)):
+        cap = sum(sizes[:j])
+        earlier, refused = asked_by(j, cap)
+        assert refused is None
+        asked, refused = asked_by(len(roots), cap)
+        assert refused == f"expansion exceeded {cap} nodes"
+        assert set(asked) <= set(earlier) | {roots[j]}
+        assert asked_by(len(roots), cap + sizes[j])[1] != refused
 
 
 # -- F_T from remembered node states against F_T asked by path -------------------
