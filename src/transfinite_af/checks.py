@@ -542,7 +542,7 @@ def path_keyed_tree_af(tree: LazyTree) -> LazyAF:
             return NEVER if index % 2 else declared_rank_at(tree, path) + 1
 
         candidate = SymbolicStageMap(
-            fallback=stage_of, sup=(declared_rank_at(tree, ROOT) + 1, True, 0))
+            exceptions={0: declared_rank_at(tree, ROOT) + 1}, fallback=stage_of)
     return LazyAF(predicate, spec, naming=naming,
                   candidate_stages=candidate)
 

@@ -58,6 +58,10 @@ MAX_SAMPLE = 100_000
 # ordered pair of arguments.
 MAX_CHECK_ARGS = 1_000
 
+# Cap on check's --trials: a suite's time is linear in it (check all at
+# the default --max-args took 2.8 s at 1,000 trials).
+MAX_CHECK_TRIALS = 10_000
+
 # Every integer size option, by flag: (minimum, cap or None).  A flag
 # means the same size in every command that has it.  reduce ts's
 # --node-cap shares the truncations' node budget.
@@ -70,7 +74,7 @@ _SIZE_BOUNDS = {
     "--width": (1, MAX_PATH_LENGTH),
     "--node-cap": (1, TRUNCATE_NODE_CAP),
     "--length": (1, MAX_PATH_LENGTH),
-    "--trials": (0, None),
+    "--trials": (0, MAX_CHECK_TRIALS),
     "--max-args": (1, MAX_CHECK_ARGS),
 }
 # (flag, dest, minimum, cap) of each size option, as _check_sizes reads them

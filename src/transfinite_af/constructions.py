@@ -53,7 +53,6 @@ from .ordinals import (
     ZERO,
     AffineOrdinalExpr,
     Ordinal,
-    fundamental_sequence_expr,
     omega_power,
     parse_ordinal,
 )
@@ -162,20 +161,20 @@ def _suffix(parent: str, symbol: int) -> str:
     return f"{parent}_{symbol}"
 
 
-def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
-             sup: Optional[Tuple[Ordinal, bool, Optional[int]]]) -> LazyAF:
+def _tree_af(tree: LazyTree, forest: bool) -> LazyAF:
     """F_T of a lazy tree: b_child attacks a_parent, a attacks its own b.
 
     Node code c has its a at j = 2c and its b at 2c+1; a code of no node
     is padding pad_<j>.  Plain, the root has code 0 and j is the index.
     As a forest the root is dropped, root child p's subtree is coded on
     its own with p at code 0, and its j sits at pair(p, j), named
-    u<p>_<name>.  sup = (value, attained, witness) attaches the candidate
-    stage map: `families`, then a at rank+1, b never, padding at 1.  Each
-    a's child-slot b-family is minted all_never when the tree declares
-    ranks, which is exactly when sup is given, and then keeps its child
-    family's affine vouch: b's least counter-attacker stage is its
-    child's rank + 1.
+    u<p>_<name>.  A tree that declares ranks gets a candidate stage map:
+    a at rank+1, b never, padding at 1, with the exception root a at
+    root rank + 1 (plain) or, as a forest, the family of root child p's
+    a at pair(p, 0), at the root's child family's ranks + 1, from which
+    the map computes its supremum.  Each a's child-slot b-family is then
+    minted all_never and keeps its child family's affine vouch: b's least
+    counter-attacker stage is its child's rank + 1.
 
     Each AF remembers what it decodes, so no answer is worked out twice:
     an index's (p, j, state); a state's children, with its families'
@@ -287,27 +286,31 @@ def _tree_af(tree: LazyTree, forest: bool, families: Tuple[Family, ...],
         return prefix + "ab"[index % 2] + _along_path(suffixes, index // 2, _suffix)
 
     candidate = None
-    if sup is not None:
+    if annotated:
         def stage_of(index: int):
             _, index, state = locate(index)
             if state is OFF_TREE:
                 return ONE
             return NEVER if index % 2 else tree.declared_rank(state) + 1
 
-        candidate = SymbolicStageMap(families=families, fallback=stage_of,
-                                     sup=sup)
+        if forest:
+            families = tuple(
+                Family(IndexMap(steps + (PairRight(0),)), k_start, expr)
+                for steps, k_start, expr, _ in expansion(tree.root)[1])
+            candidate = SymbolicStageMap(families, fallback=stage_of)
+        else:
+            candidate = SymbolicStageMap(
+                exceptions={0: tree.declared_rank(tree.root) + 1},
+                fallback=stage_of)
     return LazyAF(predicate, spec, naming=naming,
                   candidate_stages=candidate, attacker_candidates=candidates)
 
 
 def af_from_tree(tree: LazyTree) -> LazyAF:
     """F_T of a lazy tree, coded plain (see _tree_af).  A rank-annotated
-    tree's stage map has the attained supremum root_rank + 1, witnessed
-    by the root argument."""
-    sup = None
-    if tree.declared_rank is not None:
-        sup = (tree.declared_rank(tree.root) + 1, True, 0)
-    return _tree_af(tree, False, (), sup)
+    tree's stage map has the supremum root_rank + 1, attained by the root
+    argument."""
+    return _tree_af(tree, False)
 
 
 # -- the two-chain family ----------------------------------------------------------
@@ -437,10 +440,7 @@ def ordinal_target_af(alpha, truncate: Optional[int] = None):
             forest=True)
         return FiniteAF._built(rows, names)
 
-    root_stages = fundamental_sequence_expr(alpha).add_finite(1)
-    return _tree_af(tree, True,
-                    (Family(IndexMap((PairRight(0),)), expr=root_stages),),
-                    (alpha, False, None))
+    return _tree_af(tree, True)
 
 
 # -- disjoint unions ----------------------------------------------------------------
@@ -551,20 +551,20 @@ def disjoint_union(parts: List):
 
     candidate = None
     if maps is not None:
-        families, best, attained, witness = [], ONE, True, None
+        # the parts' attaining members and one padding argument carry the
+        # sup as exceptions; the lifted families carry an unattained one
+        families, exceptions = [], {pair(len(parts), 0): ONE}
         for p, cand in enumerate(maps):
             families.extend(_lift(p, f) for f in cand.families)
-            value, att, wit = cand.declared_sup()
-            if value > best:
-                best, attained = value, att
-                witness = pair(p, wit) if att and wit is not None else None
+            wit = cand.declared_sup()[2]
+            if wit is not None:
+                exceptions[pair(p, wit)] = cand.stage_of(wit)
 
         def stage_of(x: int):
             p, j, inside = locate(x)
             return maps[p].stage_of(j) if inside else ONE
 
-        candidate = SymbolicStageMap(families=tuple(families), fallback=stage_of,
-                                     sup=(best, attained, witness))
+        candidate = SymbolicStageMap(families, exceptions, stage_of)
     return LazyAF(predicate, spec, naming=naming,
                   candidate_stages=candidate, attacker_candidates=candidates)
 

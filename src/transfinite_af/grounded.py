@@ -118,17 +118,14 @@ def grounded_finite(af: FiniteAF) -> GroundedResult:
     The stages G_1 <= G_2 <= ... are built as layers by the counter-based
     kernel in O(n+m) for n arguments and m attacks, from the attack rows
     alone: each argument's count of attackers is its number of entries
-    in the rows, so no attacker row is built (built ones give the counts
-    as their lengths).  The grounding ordinal is the number of layers,
-    and the kernel's final counts label G, G+ and the undecided rest.
+    in the rows, so no attacker row is built.  The grounding ordinal is
+    the number of layers, and the kernel's final counts label G, G+ and
+    the undecided rest.
     """
-    if af._rev_rows is not None:  # built already: the counts are O(n)
-        pending = list(map(len, af._rev_rows))
-    else:
-        pending = [0] * af.n
-        for row in af._fwd:
-            for y in row:
-                pending[y] += 1
+    pending = [0] * af.n
+    for row in af._fwd:
+        for y in row:
+            pending[y] += 1
     first = [x for x in range(af.n) if not pending[x]]
     layers = tuple(map(tuple, _stage_layers(first, pending, af._fwd)))
     return GroundedResult(layers, tuple(pending))
@@ -240,21 +237,20 @@ class SymbolicStageMap:
 
     Finitely many explicit exceptions, finitely many affine stage
     families, and (for generator-structured AFs whose universe has no
-    finite family decomposition) a total fallback callable.  Maps with a
-    fallback must declare their stage supremum as sup = (value, attained,
-    witness); affine-complete maps compute it.  The map answers stages
-    only: whether an attacker family is all-NEVER is the family's own
-    all_never, set by the generator that mints it.
+    finite family decomposition) a total fallback callable.  The stage
+    supremum is always computed from the exceptions and families; a
+    fallback must stay at or below it, which the verifier checks on its
+    window.  The map answers stages only: whether an attacker family is
+    all-NEVER is the family's own all_never, set by the generator that
+    mints it.
     """
 
     def __init__(self, families: Tuple[Family, ...] = (),
                  exceptions: Optional[Dict[int, StageValue]] = None,
-                 fallback: Optional[Callable[[int], StageValue]] = None,
-                 sup: Optional[Tuple[Ordinal, bool, Optional[int]]] = None):
+                 fallback: Optional[Callable[[int], StageValue]] = None):
         self.families = tuple(families)
         self.exceptions = dict(exceptions or {})
         self.fallback = fallback
-        self._sup = sup
 
     @staticmethod
     def from_finite(stages: Dict[int, StageValue]) -> "SymbolicStageMap":
@@ -272,12 +268,10 @@ class SymbolicStageMap:
         raise IncompleteStageMap(f"no stage value for argument {index}")
 
     def declared_sup(self) -> Tuple[Ordinal, bool, Optional[int]]:
-        """(value, attained, witness) for the sup of all non-NEVER stages."""
-        if self._sup is not None:
-            return self._sup
-        if self.fallback is not None:
-            raise DomainError(
-                "stage maps with a fallback must declare their supremum")
+        """(value, attained, witness) for the sup of the non-NEVER stages
+        of the exceptions and families; an attained sup's witness is the
+        lowest-index exception, else the first family's first member,
+        that reaches it."""
         best, attained, witness = ZERO, True, None
         for idx, v in sorted(self.exceptions.items()):
             if v is NEVER:
@@ -455,12 +449,8 @@ class _Verifier:
 
     # -- supremum / grounding ordinal -------------------------------------
 
-    def check_sup(self, stages: Dict[int, StageValue]) -> Optional[Ordinal]:
-        try:
-            value, attained, witness = self.candidate.declared_sup()
-        except DomainError as e:
-            self.bad("sup", "sup", str(e))
-            return None
+    def check_sup(self, stages: Dict[int, StageValue]) -> Ordinal:
+        value, attained, witness = self.candidate.declared_sup()
         for i, s in stages.items():
             if s is NEVER:
                 continue
@@ -469,33 +459,10 @@ class _Verifier:
             elif s == value and not attained:
                 self.bad(i, "sup",
                          f"stage {s} attains a sup declared unattained")
-        if attained:
-            if witness is None:
-                if not value.is_zero:
-                    self.bad("sup", "sup", "attained sup without a witness")
-            else:
-                w = self.stage(witness)
-                if w != value:
-                    self.bad("sup", "sup",
-                             f"witness {witness} has stage {w}, declared sup {value}")
-        else:
-            if not value.is_limit and not value.is_zero:
-                self.bad("sup", "sup",
-                         f"unattained sup {value} must be a limit")
-            cofinal = False
-            for fam in self.candidate.families:
-                if fam.expr is NEVER:
-                    continue
-                fam_sup, fam_att = fam.expr.sup_over(fam.k_start)
-                if fam_sup > value:
-                    self.bad("sup", "sup",
-                             f"family stages reach {fam_sup} beyond declared "
-                             f"sup {value}")
-                if not fam_att and fam_sup == value:
-                    cofinal = True
-            if not cofinal and not value.is_zero:
-                self.bad("sup", "sup",
-                         f"no affine stage family certifies cofinality at {value}")
+        # an exception or an earlier family can shadow the attaining member
+        if witness is not None and (w := self.stage(witness)) != value:
+            self.bad("sup", "sup",
+                     f"witness {witness} has stage {w}, declared sup {value}")
         return value
 
 
@@ -507,9 +474,10 @@ def verify_symbolic_stages(af, candidate: SymbolicStageMap,
     above the level at which the last attacker gets counter-attacked
     (families handled through validated affine closed forms, so limits
     are exact), and a NEVER stage needs an explicit attacker whose own
-    counter-attackers are all NEVER.  The declared stage supremum, from
-    which the grounding ordinal is read off, is cross-checked against
-    samples and certified cofinal by an affine family when unattained.
+    counter-attackers are all NEVER.  The grounding ordinal is the map's
+    supremum, computed from its exceptions and families.  No sampled
+    stage, a fallback's included, may exceed it, or reach it when it is
+    unattained, and an attained one's witness must have it as its stage.
     The window is [0, sample) clipped to af.universe; its attacker specs
     are spot-checked against the attack predicate first.
     """

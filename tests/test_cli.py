@@ -17,8 +17,8 @@ import transfinite_af
 from transfinite_af import checks, cli, constructions, trees
 from transfinite_af.checks import eliminated_self_defending, \
     iterated_defense_step, path_keyed_expand
-from transfinite_af.cli import MAX_CHECK_ARGS, MAX_PATH_LENGTH, MAX_SAMPLE, \
-    _SIZE_BOUNDS, build_parser, main
+from transfinite_af.cli import MAX_CHECK_ARGS, MAX_CHECK_TRIALS, \
+    MAX_PATH_LENGTH, MAX_SAMPLE, _SIZE_BOUNDS, build_parser, main
 from transfinite_af.constructions import FiniteTreeAF, materialize_spec, \
     parse_generator_spec
 from transfinite_af.core import FiniteAF, format_apx, parse_apx
@@ -330,6 +330,15 @@ def test_check_max_args_is_capped(capsys):
     assert code == 2 and out == ""
     assert err == f"error: --max-args {MAX_CHECK_ARGS + 1} exceeds the cap " \
         f"of {MAX_CHECK_ARGS}\n"
+
+
+def test_check_trials_is_capped(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "lemmas", "--trials",
+                         str(MAX_CHECK_TRIALS + 1))
+    assert time.perf_counter() - start < 1.0  # refused before any work
+    assert code == 2 and out == ""
+    assert err == "error: --trials 10001 exceeds the cap of 10000\n"
 
 
 @pytest.mark.parametrize("spec", ["bs", "ord:w^3", "AF"])

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from transfinite_af import core
 from transfinite_af.checks import materialize, per_line_parse_apx, \
     remove_argument
-from transfinite_af.constructions import materialize_spec, parse_generator_spec
+from transfinite_af.constructions import baumann_spanring, materialize_spec, \
+    parse_generator_spec
 from transfinite_af.core import (
     Affine,
     ApxParseError,
@@ -26,6 +27,14 @@ from transfinite_af.core import (
     spot_check_attacker_spec,
     unpair,
 )
+from transfinite_af.grounded import SymbolicStageMap, omega_approximation, \
+    verify_symbolic_stages
+from transfinite_af.ordinals import NEVER, OMEGA, ONE, ZERO, \
+    AffineOrdinalExpr, Ordinal, format_ordinal, fundamental_sequence, \
+    fundamental_sequence_expr, omega_power
+from transfinite_af.rank_analysis import ta_path_exists, witness_path
+from transfinite_af.trees import bounded_path_search, build_tree_of_rank, \
+    truncate_tree
 
 
 def chain(n=3):
@@ -176,6 +185,61 @@ def test_the_public_constructor_validates(args, message):
     with pytest.raises(ValueError) as err:
         FiniteAF(*args)
     assert str(err.value) == message
+
+
+TREE = build_tree_of_rank(3)
+TWO = FiniteAF(2, [(0, 1)])
+
+
+# Refusals of the Python API that no CLI input reaches: each bad call, the
+# error type it raises and its message
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: pair(-1, 0), ValueError, "pairing is defined on naturals"),
+    (lambda: unpair(-1), ValueError, "unpair is defined on naturals"),
+    (lambda: Affine(0, 1), ValueError, "affine step needs a >= 1 and b >= 0"),
+    (lambda: omega_approximation(baumann_spanring(), window=0, steps=1),
+     ValueError, "window and steps must be >= 1"),
+    (lambda: verify_symbolic_stages(TWO, SymbolicStageMap(), sample=0),
+     ValueError, "sample must be >= 1"),
+    (lambda: truncate_tree(TREE, width=0), ValueError, "width must be >= 1"),
+    (lambda: bounded_path_search(TREE, depth=0, width=1), ValueError,
+     "depth and width must be >= 1"),
+    (lambda: witness_path(TWO, 1, 0), ValueError, "length must be >= 1"),
+    (lambda: ta_path_exists(TWO, 1, prefix_depth=0), ValueError,
+     "prefix_depth must be >= 1"),
+    (lambda: baumann_spanring(truncate=-1), ValueError,
+     "truncate must be >= 0"),
+    (lambda: Ordinal.from_int(-1), ValueError, "ordinals are non-negative"),
+    (lambda: OMEGA.as_int(), ValueError, "w is not a natural number"),
+    (lambda: OMEGA.predecessor(), ValueError, "w is not a successor ordinal"),
+    (lambda: Ordinal(((1, 1),)), TypeError, "exponents must be Ordinal values"),
+    (lambda: Ordinal(((ONE, 0),)), ValueError, "coefficients must be >= 1"),
+    (lambda: Ordinal(((ZERO, 1), (ONE, 1))), ValueError,
+     "exponents must be strictly decreasing"),
+    (lambda: fundamental_sequence(OMEGA, -1), ValueError,
+     "sequence index must be a natural number"),
+    (lambda: fundamental_sequence_expr(ONE), ValueError,
+     "fundamental_sequence_expr requires a limit ordinal"),
+    (lambda: AffineOrdinalExpr(((0, 1, 0),)), TypeError,
+     "exponents must be Ordinal values"),
+    (lambda: AffineOrdinalExpr.affine(1, 0).evaluate(-1), ValueError,
+     "k must be a natural number"),
+    (lambda: AffineOrdinalExpr.affine(1, 0).add_finite(-1), ValueError,
+     "can only add naturals"),
+    (lambda: omega_power("x"), TypeError,
+     "exponent must be an Ordinal or int"),
+    (lambda: format_ordinal("x"), TypeError,
+     "format_ordinal expects an ordinal"),
+])
+def test_the_python_api_refuses_bad_input(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_an_int_adds_on_the_left_and_never_is_a_singleton():
+    assert 1 + OMEGA == OMEGA and 2 + ONE == Ordinal.from_int(3)
+    assert type(NEVER)() is NEVER
 
 
 def _tables(af):

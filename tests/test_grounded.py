@@ -4,7 +4,11 @@ from dataclasses import replace
 import pytest
 
 from transfinite_af import checks
-from transfinite_af.constructions import materialize_spec, parse_generator_spec
+from transfinite_af.constructions import (
+    disjoint_union,
+    materialize_spec,
+    parse_generator_spec,
+)
 from transfinite_af.core import (
     Family,
     FiniteAF,
@@ -29,6 +33,7 @@ from transfinite_af.ordinals import (
     ZERO,
     AffineOrdinalExpr,
     Ordinal,
+    parse_ordinal,
 )
 
 W2 = OMEGA + OMEGA
@@ -346,7 +351,7 @@ def test_unproven_never_family_fails_closed(sample):
     own = bs_stages()
     for candidate in (
             SymbolicStageMap(families=own.families, exceptions=own.exceptions,
-                             fallback=own.stage_of, sup=own.declared_sup()),
+                             fallback=own.stage_of),
             SymbolicStageMap(families=own.families, exceptions=own.exceptions)):
         report = verify_symbolic_stages(two_chain_lazy(), candidate,
                                         sample=sample)
@@ -543,37 +548,58 @@ def test_verifier_rejects_never_when_every_family_member_is_answered():
 CHAIN_STAGES = {0: ONE, 1: NEVER, 2: Ordinal.from_int(2)}
 
 
-@pytest.mark.parametrize("sup, subject, message", [
-    (None, "sup", "stage maps with a fallback must declare their supremum"),
-    ((ONE, True, 0), "2", "stage 2 exceeds declared sup 1"),
-    ((Ordinal.from_int(2), False, None), "2",
-     "stage 2 attains a sup declared unattained"),
-    ((Ordinal.from_int(2), True, None), "sup", "attained sup without a witness"),
-    ((Ordinal.from_int(2), True, 0), "sup",
-     "witness 0 has stage 1, declared sup 2"),
-    ((Ordinal.from_int(3), False, None), "sup",
-     "unattained sup 3 must be a limit"),
-    ((OMEGA, False, None), "sup",
-     "no affine stage family certifies cofinality at w"),
+CONSTANT_3 = Family(IndexMap.affine(1, 0),
+                    expr=AffineOrdinalExpr.affine(0, 3))
+K_PLUS_1_FROM_3 = Family(IndexMap.affine(1, 0), 3, AffineOrdinalExpr.affine(1, 1))
+
+
+# Each rule a computed sup can still fail: a fallback above it, a fallback
+# reaching an unattained one, and a witness its exceptions shadow
+@pytest.mark.parametrize("families, exceptions, fallback, subject, message", [
+    ((), {0: ONE}, CHAIN_STAGES, "2", "stage 2 exceeds declared sup 1"),
+    ((), {}, CHAIN_STAGES, "0", "stage 1 exceeds declared sup 0"),
+    ((K_PLUS_1_FROM_3,), {}, {**CHAIN_STAGES, 2: OMEGA}, "2",
+     "stage w attains a sup declared unattained"),
+    ((CONSTANT_3,), CHAIN_STAGES, None, "sup",
+     "witness 0 has stage 1, declared sup 3"),
 ])
-def test_verifier_rejects_a_bad_declared_sup(sup, subject, message):
-    candidate = SymbolicStageMap(exceptions=CHAIN_STAGES,
-                                 fallback=CHAIN_STAGES.__getitem__, sup=sup)
+def test_verifier_rejects_a_map_past_its_computed_sup(
+        families, exceptions, fallback, subject, message):
+    candidate = SymbolicStageMap(
+        families, exceptions, fallback and fallback.__getitem__)
     report = verify_symbolic_stages(chain(), candidate, sample=3)
     assert message in messages(report, "sup", subject)
-    assert {rule for rule, _ in found(report)} == {"sup"}
+    # a limit stage breaks the successor rule as well
+    assert {rule for rule, _ in found(report)} <= {"sup", "successor"}
     assert report.grounding_ordinal is None
 
 
-def test_verifier_rejects_a_family_above_the_declared_sup():
-    candidate = SymbolicStageMap(families=two_chain_candidate().families,
-                                 exceptions={1: OMEGA + 1},
-                                 sup=(OMEGA, False, None))
-    report = verify_symbolic_stages(two_chain_lazy(all_never=True), candidate,
-                                    sample=1)
-    assert found(report) == {("sup", "sup")}
-    assert messages(report, "sup", "sup") == \
-        ["family stages reach w*2 beyond declared sup w"]
+@pytest.mark.parametrize("spec, sup", [
+    ("bs", (W2, False, None)),
+    ("ord:w", (OMEGA, False, None)),
+    ("ord:w*2+3", (W2 + 3, True, 0)),
+    ("ord:w^2", (parse_ordinal("w^2"), False, None)),
+    ("ord:w+1", (OMEGA + 1, True, 0)),
+    ("ord:w^3+w^2*2+1", (parse_ordinal("w^3+w^2*2+1"), True, 0)),
+    ("union(bs,ord:w)", (W2, False, None)),
+    ("union(union(bs,ord:w),ord:w^2)", (parse_ordinal("w^2"), False, None)),
+    ("union(ord:3,ord:w+2)", (OMEGA + 2, True, 1)),
+])
+def test_generators_stage_maps_compute_their_sup(spec, sup):
+    assert materialize_spec(parse_generator_spec(spec)) \
+        .candidate_stages.declared_sup() == sup
+
+
+def test_a_union_whose_best_part_has_sup_1_verifies():
+    # every argument of the lazy part is unattacked, at stage 1
+    lazy = LazyAF(lambda x, y: False, lambda i: Members(),
+                  candidate_stages=SymbolicStageMap(families=(Family(
+                      IndexMap.affine(1, 0), expr=AffineOrdinalExpr.affine(0, 1)),)))
+    for finite in (FiniteAF(2, [(0, 1)]), FiniteAF(0), None):
+        af = lazy if finite is None else disjoint_union([finite, lazy])
+        report = verify_symbolic_stages(af, af.candidate_stages, sample=16)
+        assert report.ok, report.lines()
+        assert report.grounding_ordinal == ONE
 
 
 def test_verifier_spot_checks_attacker_families():

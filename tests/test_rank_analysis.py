@@ -406,6 +406,7 @@ PATH_CHECK_AF = FiniteAF(4, [(0, 1), (1, 0), (2, 1), (3, 2)])
     ((0, 1), "level 0: extension by 1 at an unattacked level"),
     ((0, 0, 4), "level 1: symbol 4 but a_3 does not attack a_1"),
     ((0, 0, 3), "level 1: committed argument 2 is in G+"),
+    ((), "empty path"),
 ])
 def test_ta_path_violations_names_each_bad_step(path, problem):
     af = PATH_CHECK_AF

@@ -71,7 +71,6 @@ CLI_UNREACHED_ALLOWED = {
         "unpair": API,
     },
     "grounded.py": {
-        "SymbolicStageMap.declared_sup": WRONG_MAP,
         "SymbolicStageMap.stage_of": WRONG_MAP,
         "VerificationReport.lines": WRONG_MAP,
         "_Verifier.attacker_never_in_g_plus": WRONG_MAP,

@@ -170,19 +170,6 @@ def built_rows_afs():
         yield af
 
 
-def test_built_attacker_rows_give_the_counts(monkeypatch):
-    """Once an AF's attacker rows are built, grounding reads the counts
-    from their lengths instead of passing over every attack again."""
-    for af in built_rows_afs():
-        want = iterated_defense_step(af)
-        with monkeypatch.context() as m:
-            m.setattr(af, "_fwd", UnscannedRows(af._fwd))
-            got = grounded_finite(af)
-        assert (got.grounded, got.grounding_ordinal, got.stages) == \
-            (want.grounded, want.grounding_ordinal, want.stages)
-        assert grounded_classes(got) == grounded_classes(want)
-
-
 def test_the_row_guard_catches_counts_from_the_attack_rows(monkeypatch):
     af = FiniteAF(3, [(0, 1), (1, 2)])
     monkeypatch.setattr(af, "_fwd", UnscannedRows(af._fwd))
