@@ -171,10 +171,11 @@ class Family:
     affine, set only by the generator that mints a family, vouches that
     what expr describes (a child's rank, an attacker's least
     counter-attacker stage) is affine in k for every k >= k_start; the
-    verifier then checks expr at two or three members, not six samples.
+    verifier proves expr at two or three members, and refuses an
+    attacker family without the vouch, reading none of its members.
 
-    The first SPEC_FAMILY_PROBE members, which the spot check and the
-    closed-form rule sample, are worked out once, when one is first
+    The first SPEC_FAMILY_PROBE members, which the spot check samples and
+    the closed-form rule reads, are worked out once, when one is first
     asked for; they are not part of the value.
     """
 

@@ -23,11 +23,11 @@ Three regimes:
   rule and its minimality are checked exactly through affine ordinal
   sups, the NEVER rule locally (co-inductively) from explicit attackers,
   and family closed forms against concrete members before any symbolic
-  use.  A closed form is proved at two or three members when the
-  generator vouched its family affine (Family.affine), and sampled at six
-  otherwise.  An attacker family is read only through its closed form or
-  the all-NEVER verdict its generator minted it with (Family.all_never);
-  a counter-attacker family fails closed.
+  use.  An attacker family is read only through the closed form its
+  generator vouched affine (Family.affine), proved at two or three
+  members, or the all-NEVER verdict its generator minted it with
+  (Family.all_never); any other attacker family, and every
+  counter-attacker family, fails closed.
 """
 
 from __future__ import annotations
@@ -323,11 +323,6 @@ class VerificationReport:
         return [str(v) for v in self.violations]
 
 
-# The closed-form rule samples the first FAMILY_PROBE members of a family
-# its generator did not vouch affine.
-FAMILY_PROBE = 6
-
-
 class _Verifier:
     def __init__(self, af, candidate: SymbolicStageMap):
         self.candidate = candidate
@@ -376,26 +371,23 @@ class _Verifier:
                 tight = m
         for fam in spec.families:
             dse = fam.expr
-            if dse is None:
-                self.bad(a, "closed-form",
-                         "attacker family lacks a defense stage closed form")
-                failed = True
-                continue
             if dse is NEVER:
                 self.bad(a, "bound",
                          f"attacker family {fam.index_map} is never "
                          f"counter-attacked, yet stage is {s}")
                 failed = True
                 continue
-            if fam.affine:
-                # two members k >= 1 pin an affine form: CNF is unique
-                # and every coefficient a*k + b is positive there.  At
-                # k = 0 a term with b = 0 drops out of the CNF, so that
-                # member pins nothing and is probed on its own.
-                stop = max(fam.k_start, 1) + 2
-            else:
-                stop = fam.k_start + FAMILY_PROBE
-            for k in range(fam.k_start, stop):
+            if dse is None or not fam.affine:
+                self.bad(a, "closed-form",
+                         f"attacker family {fam.index_map} has no defense "
+                         "stage closed form its generator vouched affine")
+                failed = True
+                continue
+            # two members k >= 1 pin an affine form: CNF is unique and
+            # every coefficient a*k + b is positive there.  At k = 0 a
+            # term with b = 0 drops out of the CNF, so that member pins
+            # nothing and is probed on its own.
+            for k in range(fam.k_start, max(fam.k_start, 1) + 2):
                 got = self.minstage_concrete(fam.member(k))
                 want = dse.evaluate(k)
                 if got != want:

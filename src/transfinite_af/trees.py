@@ -7,10 +7,12 @@ symbol families), and `child(state, symbol)` a child's state.  A finite
 tree is an explicit node table whose states are its row numbers, and can
 be ranked exactly; a lazy tree is given by the three callbacks and
 optionally a node's declared rank from its state.  Ranks of infinite
-trees are never computed here, only declared by builders and verified
-locally (checks.check_declared_ranks): computing suprema over genuinely
-infinite child sets is exactly what is hard, so the checkable surrogate
-is annotation consistency plus truncation cross-checks.
+trees are never computed here, only declared by builders: computing
+suprema over genuinely infinite child sets is exactly what is hard.  A
+declared rank is certified through the tree's F_T instead (see
+constructions._tree_af), whose candidate stage map puts each node's a at
+its rank + 1; grounded.verify_symbolic_stages checks that stage on the
+window with the successor rule, through each child family's closed form.
 """
 
 from __future__ import annotations
@@ -162,7 +164,8 @@ class LazyTree:
     `child` once per distinct (state, symbol).
     `declared_rank`, when present, gives a node's declared rank from its
     state; it must be total on members and is verified rather than
-    trusted (see checks.check_declared_ranks).
+    trusted: the F_T's stage map puts a node's a at its rank + 1, which
+    grounded.verify_symbolic_stages checks on the window.
     """
 
     root: object
@@ -378,7 +381,8 @@ class _LimitFamily(Family):
     when first read; the index map is the identity.  Where that closed
     form exists the ranks are affine in k, as fundamental_sequence_expr
     builds it from the CNF that fundamental_sequence steps, and the family
-    vouches so (Family.affine)."""
+    vouches so (Family.affine): the verifier reads an attacker family
+    lifted from it only on that vouch."""
 
     index_map = _EVERY_SYMBOL
 

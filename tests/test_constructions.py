@@ -581,8 +581,7 @@ def test_family_head_is_worked_out_once_and_is_not_part_of_the_value():
 # spot check's, the verification's only predicate calls; members are every
 # Family.member the verification samples, the spot check's probes included.
 # Every attacker family here is vouched affine by its generator, so the
-# closed-form rule reads three of its members, not the six it samples of
-# a family without the vouch.
+# closed-form rule reads two or three of its members.
 @pytest.mark.parametrize("text, asks, members", [
     ("bs", 185, 11), ("ord:w*3+2", 187, 55), ("union(bs,ord:w)", 34, 11),
     ("ord:w^2", 453, 484), ("ord:w^3", 586, 693)])
@@ -606,33 +605,56 @@ def test_verification_work_at_sample_150_is_pinned(monkeypatch, text, asks,
     assert counts == {"asks": asks, "members": members}
 
 
-def test_a_family_no_generator_vouched_keeps_six_samples():
-    # the root claims "child k has rank k" (root rank w), but child 3 has
-    # rank w: its own children are a family of ranks 0, 1, 2, ...  The
-    # claim is hand-built, not vouched affine, so the closed-form rule
-    # samples its first six members and meets child 3 among them.
+def rank_k_claim_af(bad_k=None, affine=False):
+    """F_T of a tree whose root claims "child k has rank k" (root rank w),
+    vouched affine or not.  Child k is a path of k nodes, except that
+    child bad_k, when given, has rank w: its children are a family of
+    ranks 0, 1, 2, ..., vouched affine as a generator mints it.  So with
+    bad_k the root's a has stage at least w+2, not the claimed w+1."""
     every = IndexMap.affine(1, 0)
-    ranks_k = Family(every, expr=AffineOrdinalExpr.affine(1, 0))
+    rank_k = AffineOrdinalExpr.affine(1, 0)
+    claim = Family(every, expr=rank_k, affine=affine)
+    honest = Family(every, expr=rank_k, affine=True)
 
     def children(state):
-        if state in ("root", "bad"):
-            return Members(families=(ranks_k,))
+        if state == "root":
+            return Members(families=(claim,))
+        if state == "bad":
+            return Members(families=(honest,))
         return Members(explicit=(0,)) if state else Members()
 
     def child(state, symbol):
-        if state == "root" and symbol == 3:
-            return "bad"
-        return symbol if state in ("root", "bad") else state - 1
+        if state == "root":
+            return "bad" if symbol == bad_k else symbol
+        return symbol if state == "bad" else state - 1
 
     def rank(state):
         return OMEGA if state in ("root", "bad") else Ordinal.from_int(state)
 
-    af = af_from_tree(LazyTree("root", children, child, rank))
+    return af_from_tree(LazyTree("root", children, child, rank))
+
+
+@pytest.mark.parametrize("sample", [16, 150])
+@pytest.mark.parametrize("bad_k", [None, 3, 6, 40])
+def test_an_unvouched_attacker_family_is_refused_at_every_sample(bad_k,
+                                                                 sample):
+    # honest or not, the claim is refused unread.  Child 6's a is index
+    # 56 and child 40's is 1722: six samples of the root's claim miss
+    # both, and a check of every member in the window would still miss
+    # child 40 at sample 150
+    af = rank_k_claim_af(bad_k)
     assert not af.attacker_spec(0).families[0].affine
-    report = verify_symbolic_stages(af, af.candidate_stages, sample=150)
-    assert [(v.rule, v.subject, v.message) for v in report.violations] == [
-        ("closed-form", "0",
-         "defense closed form gives 4 at k=3, samples give w+1")]
+    report = verify_symbolic_stages(af, af.candidate_stages, sample=sample)
+    assert [(v.rule, v.subject) for v in report.violations] == \
+        [("closed-form", "0")]
+    assert report.grounding_ordinal is None
+
+
+@pytest.mark.parametrize("sample", [16, 150])
+def test_an_honest_rank_claim_verifies_when_vouched(sample):
+    af = rank_k_claim_af(affine=True)
+    report = verify_symbolic_stages(af, af.candidate_stages, sample=sample)
+    assert report.ok and report.grounding_ordinal == OMEGA + 1
 
 
 def count_rank_tree_asks(monkeypatch) -> Counter:
